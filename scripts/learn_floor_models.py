@@ -4,12 +4,10 @@
 import argparse
 from pathlib import Path
 
-import numpy as np
-
+from homeplan.experiment import default_robots, learn_floor_model
 from homeplan.knowledge import extract_knowledge, match_room_names, save_knowledge
-from homeplan.learner import learn_fixed_lag
-from homeplan.spatial import Hyperparameters, save_model
-from homeplan.world import RobotState, generate_floor_sessions, load_environment
+from homeplan.spatial import save_model
+from homeplan.world import load_environment
 
 
 def main():
@@ -24,24 +22,18 @@ def main():
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    for i, floor in enumerate(env.floors, start=1):
-        robot_id = f"Robot{i}"
-        rooms = env.rooms_on(floor)
-        robot = RobotState(robot_id=robot_id, floor=floor, current_room=rooms[0].name)
-        seed = args.seed + i - 1
-        sessions = generate_floor_sessions(env, robot, np.random.default_rng(seed),
-                                           visits_per_room=args.visits)
-        model = learn_fixed_lag(sessions, Hyperparameters(), seed=seed,
-                                num_concepts=len(rooms), num_regions=len(rooms))
-        kb = extract_knowledge(model, match_room_names(model, rooms), robot_id=robot_id)
+    for i, robot in enumerate(default_robots(env)):
+        rooms = env.rooms_on(robot.floor)
+        model = learn_floor_model(env, robot, args.seed + i, visits_per_room=args.visits)
+        kb = extract_knowledge(model, match_room_names(model, rooms), robot_id=robot.robot_id)
 
-        model_path = out_dir / f"{robot_id}_model.json"
-        kb_path = out_dir / f"{robot_id}_knowledge.json"
+        model_path = out_dir / f"{robot.robot_id}_model.json"
+        kb_path = out_dir / f"{robot.robot_id}_knowledge.json"
         save_model(model, model_path)
         save_knowledge(kb, kb_path)
 
         correct = sum(kb.best_room(o)[0] == env.placements[o] for o in kb.presence_table)
-        print(f"{robot_id} ({floor}): {len(sessions)} sessions, "
+        print(f"{robot.robot_id} ({robot.floor}): {len(rooms) * args.visits} sessions, "
               f"{correct}/{len(kb.presence_table)} objects located correctly")
         print(f"  model:     {model_path}")
         print(f"  knowledge: {kb_path}")

@@ -2,6 +2,7 @@
 
 from .errors import (
     BackendError,
+    BatchSetupError,
     ConfigurationError,
     EmptyDecompositionError,
     FloorAccessError,
@@ -20,7 +21,6 @@ from .executor import (
     ExecutionTrace,
     TraceStep,
     run_assignments,
-    run_subtask,
     traces_to_jsonl,
 )
 from .experiment import (

@@ -18,7 +18,11 @@ SEED_ENV_VAR = "HOMEPLAN_SEED"
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    value = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigurationError(f"${SEED_ENV_VAR} must be an integer, got {value!r}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -39,21 +43,6 @@ def _add_common(parser: argparse.ArgumentParser, env: bool = True) -> None:
 
 def _seed_of(args) -> int:
     return _default_seed() if args.seed is None else args.seed
-
-
-def _backend_of(args) -> planner.PlannerBackend:
-    name = getattr(args, "backend", "rule")
-    if name == "rule":
-        return planner.RuleBasedBackend()
-    if name == "replay":
-        if not args.replay_dir:
-            raise ConfigurationError("--backend replay requires --replay-dir")
-        return planner.ReplayBackend(args.replay_dir)
-    if name == "remote":
-        if not args.endpoint:
-            raise ConfigurationError("--backend remote requires --endpoint")
-        return planner.RemoteChatBackend(args.endpoint, model=args.model)
-    raise ConfigurationError(f"unknown backend {name!r}")
 
 
 def _add_backend(parser: argparse.ArgumentParser) -> None:
@@ -86,13 +75,10 @@ def cmd_learn(args) -> int:
         if not args.floor:
             raise ConfigurationError("learn needs --sessions or --floor")
         env = world.load_environment(args.env)
-        rooms = env.rooms_on(args.floor)
-        if not rooms:
-            raise ConfigurationError(f"floor {args.floor!r} has no rooms")
-        robot = world.RobotState(robot_id=args.robot, floor=args.floor, current_room=rooms[0].name)
+        robot = experiment.floor_robot(env, args.floor, args.robot)
         sessions = world.generate_floor_sessions(env, robot, np.random.default_rng(seed),
                                                  visits_per_room=args.visits)
-        regions = args.regions or len(rooms)
+        regions = args.regions or len(env.rooms_on(args.floor))
     regions = regions or 5
     model = learner.learn_fixed_lag(sessions, hp, seed=seed,
                                     num_concepts=regions, num_regions=regions)
@@ -111,31 +97,29 @@ def cmd_extract(args) -> int:
     return 0
 
 
+# One renderer per ``knowledge.PROMPT_KINDS`` entry, each taking the loaded knowledge bases.
+_PROMPT_RENDERERS = {
+    "place_vocab": lambda kbs: knowledge.render_place_vocab(kbs[0]),
+    "presence_table": knowledge.render_presence_table,
+    "skills": lambda kbs: knowledge.skills_component(),
+    "objects": lambda kbs: knowledge.objects_component(
+        sorted({o for kb in kbs for o in kb.presence_table})),
+    "allocation_rule": lambda kbs: knowledge.allocation_rule_component(),
+    "behaviors": lambda kbs: knowledge.behaviors_component(),
+    "dialogue_example": lambda kbs: knowledge.dialogue_example_component(),
+    "decomposition_example": lambda kbs: knowledge.decomposition_example_component(),
+}
+
+
 def cmd_prompt(args) -> int:
     kbs = [knowledge.load_knowledge(p) for p in args.kb]
-    if args.kind == "place_vocab":
-        component = knowledge.render_place_vocab(kbs[0])
-    elif args.kind == "presence_table":
-        component = knowledge.render_presence_table(kbs)
-    elif args.kind == "skills":
-        component = knowledge.skills_component()
-    elif args.kind == "behaviors":
-        component = knowledge.behaviors_component()
-    elif args.kind == "allocation_rule":
-        component = knowledge.allocation_rule_component()
-    elif args.kind == "dialogue_example":
-        component = knowledge.dialogue_example_component()
-    elif args.kind == "decomposition_example":
-        component = knowledge.decomposition_example_component()
-    else:
-        component = knowledge.objects_component(sorted({o for kb in kbs for o in kb.presence_table}))
-    _emit(component.text, args.out)
+    _emit(_PROMPT_RENDERERS[args.kind](kbs).text, args.out)
     return 0
 
 
 def cmd_decompose(args) -> int:
     env = world.load_environment(args.env)
-    backend = _backend_of(args)
+    backend = planner.make_backend(args.backend, args.replay_dir, args.endpoint, args.model)
     instruction = planner.Instruction(args.text)
     subtasks = planner.decompose(instruction, sorted(env.placements), backend=backend)
     payload = [{"verb": s.verb, "target_object": s.target_object, "destination": s.destination}
@@ -146,7 +130,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_allocate(args) -> int:
     env = world.load_environment(args.env)
-    backend = _backend_of(args)
+    backend = planner.make_backend(args.backend, args.replay_dir, args.endpoint, args.model)
     kbs = [knowledge.load_knowledge(p) for p in args.kb]
     if args.text:
         instruction = planner.Instruction(args.text)
@@ -189,11 +173,9 @@ def cmd_run(args) -> int:
         floors = {env.floor_of_room(r) for r in kb.room_names if env.has_room(r)}
         if len(floors) != 1:
             raise ConfigurationError(f"knowledge base {kb.robot_id!r} does not map to one floor")
-        floor = floors.pop()
-        start = env.rooms_on(floor)[0].name
-        robots.append(world.RobotState(robot_id=kb.robot_id, floor=floor, current_room=start))
+        robots.append(experiment.floor_robot(env, floors.pop(), kb.robot_id))
     sim = world.World(env, robots, seed=seed)
-    traces = run_assignments(sim, assignments, kbs, policy=ExecutionPolicy(), seed=seed)
+    traces = run_assignments(sim, assignments, kbs, policy=ExecutionPolicy())
     _emit(traces_to_jsonl(traces), args.out)
     return 0
 

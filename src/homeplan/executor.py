@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PlanningError, UnknownRoomError
+from .errors import BatchSetupError, HomeplanError, PlanningError, UnknownRoomError
 from .knowledge import KnowledgeBase
 from .planner import Assignment
 from .world import GATHER, SkillOutcome, World
@@ -80,80 +80,43 @@ def _resolve_room_order(assignment: Assignment, kb: KnowledgeBase | None,
     return search_order(kb, target)
 
 
+def _attempt(skill: str, argument: str, attempts: int):
+    """Yield one skill up to ``attempts`` times; return whether it succeeded."""
+    for _ in range(attempts):
+        outcome = yield (skill, argument)
+        if outcome.succeeded:
+            return True
+    return False
+
+
 def _subtask_machine(target: str, room_order: list[str], destination: str,
                      retries: int, fallbacks: int):
     """Generator yielding (skill, argument), receiving SkillOutcome via send().
 
     Returns (result, rooms_visited) when exhausted.  Keeping the control flow
-    here lets tests replay scripted outcome sequences without a world.
+    apart from the world lets tests replay scripted outcome sequences.
     """
     rooms_visited: list[str] = []
     attempts = retries + 1
     for room in room_order[:fallbacks + 1]:
-        reached = False
-        for _ in range(attempts):
-            outcome = yield ("navigation", room)
-            if outcome.succeeded:
-                reached = True
-                break
-        if not reached:
+        if not (yield from _attempt("navigation", room, attempts)):
             continue
         rooms_visited.append(room)
-
-        detected = False
-        for _ in range(attempts):
-            outcome = yield ("object_detection", target)
-            if outcome.succeeded:
-                detected = True
-                break
-        if not detected:
+        if not (yield from _attempt("object_detection", target, attempts)):
             continue
-
-        picked = False
-        for _ in range(attempts):
-            outcome = yield ("pick", target)
-            if outcome.succeeded:
-                picked = True
-                break
-        if not picked:
-            return (SUBTASK_FAILED, rooms_visited)
-
-        delivered = False
-        for _ in range(attempts):
-            outcome = yield ("navigation", destination)
-            if outcome.succeeded:
-                delivered = True
-                break
-        if not delivered:
-            return (SUBTASK_FAILED, rooms_visited)
+        if not (yield from _attempt("pick", target, attempts)):
+            break
+        if not (yield from _attempt("navigation", destination, attempts)):
+            break
         rooms_visited.append(destination)
-
-        for _ in range(attempts):
-            outcome = yield ("place", destination)
-            if outcome.succeeded:
-                return (SUBTASK_SUCCEEDED, rooms_visited)
-        return (SUBTASK_FAILED, rooms_visited)
+        placed = yield from _attempt("place", destination, attempts)
+        return (SUBTASK_SUCCEEDED if placed else SUBTASK_FAILED, rooms_visited)
     return (SUBTASK_FAILED, rooms_visited)
-
-
-def drive_machine(machine, step_fn, trace: ExecutionTrace) -> ExecutionTrace:
-    """Run a subtask machine against a ``step_fn(skill, argument) -> SkillOutcome``."""
-    try:
-        skill, argument = next(machine)
-        while True:
-            outcome = step_fn(skill, argument)
-            trace.steps.append(TraceStep(skill, argument, outcome))
-            skill, argument = machine.send(outcome)
-    except StopIteration as stop:
-        result, rooms = stop.value
-        trace.result = result
-        trace.rooms_visited = rooms
-    return trace
 
 
 def _setup(world: World, assignment: Assignment, kb: KnowledgeBase | None,
            policy: ExecutionPolicy):
-    robot = world.robot(assignment.robot_id)
+    world.robot(assignment.robot_id)  # PlanningError for a robot the world lacks
     destination = assignment.subtask.destination or GATHER
     if not world.known_location(destination):
         raise UnknownRoomError(f"unknown destination {destination!r}")
@@ -166,22 +129,9 @@ def _setup(world: World, assignment: Assignment, kb: KnowledgeBase | None,
         fallbacks = len(room_order) - 1
     machine = _subtask_machine(assignment.subtask.target_object, room_order,
                                destination, policy.max_retries_per_skill, fallbacks)
-    trace = ExecutionTrace(robot_id=robot.robot_id, target_object=assignment.subtask.target_object)
+    trace = ExecutionTrace(robot_id=assignment.robot_id,
+                           target_object=assignment.subtask.target_object)
     return machine, trace
-
-
-def run_subtask(world: World, robot_id: str, assignment: Assignment,
-                kb: KnowledgeBase | None = None,
-                policy: ExecutionPolicy | None = None,
-                seed: int | None = None) -> ExecutionTrace:
-    """Execute one assignment to completion on its robot."""
-    if robot_id != assignment.robot_id:
-        raise PlanningError(f"assignment is for {assignment.robot_id!r}, not {robot_id!r}")
-    policy = policy or ExecutionPolicy()
-    if seed is not None:
-        world.reseed(seed)
-    machine, trace = _setup(world, assignment, kb, policy)
-    return drive_machine(machine, lambda s, a: world.step_skill(robot_id, s, a), trace)
 
 
 def run_assignments(world: World, assignments: list[Assignment],
@@ -190,70 +140,64 @@ def run_assignments(world: World, assignments: list[Assignment],
                     seed: int | None = None) -> list[ExecutionTrace]:
     """Round-robin execution: one skill per robot per turn.
 
-    A robot's assignments run back-to-back.  Setup errors for individual
-    assignments are deferred until every other assignment has finished, then
-    the first one is raised with the completed traces attached.
+    A robot's assignments run back-to-back.  A ``HomeplanError`` while setting
+    up an assignment is deferred until every other assignment has finished;
+    then a ``BatchSetupError`` carrying the completed traces is raised, with
+    the first setup error as its cause.
     """
     policy = policy or ExecutionPolicy()
     if seed is not None:
         world.reseed(seed)
     kb_by_robot = {kb.robot_id: kb for kb in kbs}
 
-    queues: dict[str, list[int]] = {}
-    robot_order: list[str] = []
+    queues: dict[str, list[int]] = {}  # in order of each robot's first assignment
     for idx, assignment in enumerate(assignments):
-        rid = assignment.robot_id
-        if rid not in queues:
-            queues[rid] = []
-            robot_order.append(rid)
-        queues[rid].append(idx)
+        queues.setdefault(assignment.robot_id, []).append(idx)
 
     traces: dict[int, ExecutionTrace] = {}
-    errors: list[Exception] = []
+    errors: list[HomeplanError] = []
     active: dict[str, tuple] = {}
 
-    def start_next(rid: str):
+    def advance(rid: str, idx: int, machine, trace: ExecutionTrace, outcome) -> bool:
+        """Send ``outcome``; False once the machine has finished its subtask."""
+        try:
+            active[rid] = (idx, machine, trace, machine.send(outcome))
+            return True
+        except StopIteration as stop:
+            trace.result, trace.rooms_visited = stop.value
+            traces[idx] = trace
+            active.pop(rid, None)
+            return False
+
+    def start_next(rid: str) -> None:
         while queues[rid]:
             idx = queues[rid].pop(0)
-            assignment = assignments[idx]
             try:
-                machine, trace = _setup(world, assignment, kb_by_robot.get(rid), policy)
-            except Exception as exc:  # deferred, see docstring
+                machine, trace = _setup(world, assignments[idx], kb_by_robot.get(rid), policy)
+            except HomeplanError as exc:  # deferred, see docstring
                 errors.append(exc)
                 continue
-            try:
-                skill_arg = next(machine)
-            except StopIteration as stop:
-                trace.result, trace.rooms_visited = stop.value
-                traces[idx] = trace
-                continue
-            active[rid] = (idx, machine, trace, skill_arg)
-            return
+            if advance(rid, idx, machine, trace, None):
+                return
 
-    for rid in robot_order:
+    for rid in queues:
         start_next(rid)
 
     while active:
-        for rid in list(robot_order):
+        for rid in queues:
             if rid not in active:
                 continue
             idx, machine, trace, (skill, argument) = active[rid]
             outcome = world.step_skill(rid, skill, argument)
             trace.steps.append(TraceStep(skill, argument, outcome))
-            try:
-                skill_arg = machine.send(outcome)
-                active[rid] = (idx, machine, trace, skill_arg)
-            except StopIteration as stop:
-                trace.result, trace.rooms_visited = stop.value
-                traces[idx] = trace
-                del active[rid]
+            if not advance(rid, idx, machine, trace, outcome):
                 start_next(rid)
 
     ordered = [traces[i] for i in sorted(traces)]
     if errors:
-        first = errors[0]
-        first.completed_traces = ordered  # type: ignore[attr-defined]
-        raise first
+        raise BatchSetupError(
+            f"{len(errors)} of {len(assignments)} assignments could not be set up; "
+            f"first: {errors[0]}", ordered) from errors[0]
     return ordered
 
 

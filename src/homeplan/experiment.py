@@ -30,17 +30,14 @@ from .planner import (
     COMMONSENSE_TYPICAL_ROOM,
     Assignment,
     Instruction,
-    PlannerBackend,
-    ReplayBackend,
-    RemoteChatBackend,
-    RuleBasedBackend,
     Subtask,
     allocate,
     allocate_commonsense,
     allocate_random,
     decompose,
+    make_backend,
 )
-from .spatial import Hyperparameters
+from .spatial import Hyperparameters, SpatialConceptModel
 from .world import (
     CATEGORY_COMMON,
     CATEGORY_HARD,
@@ -92,7 +89,6 @@ class SuiteConfig:
     kb_paths: tuple[str, ...] | None = None
     learn_if_missing: bool = True
     visits_per_room: int = 30
-    vocab_threshold: float = 0.05
     out: str | None = None
 
     def __post_init__(self):
@@ -178,7 +174,6 @@ def generate_instructions(
     env: Environment,
     count: int,
     seed: int = 0,
-    templates: tuple[str, ...] = INSTRUCTION_TEMPLATES,
 ) -> list[Instruction]:
     """Seeded instruction generator: one target object per floor per instruction."""
     if category not in SUITE_CATEGORIES:
@@ -217,7 +212,8 @@ def generate_instructions(
                 targets.append(_pick(rng, pool_for(floor, kind)))
         sentences = []
         for obj in targets:
-            sentences.append(templates[template_cursor % len(templates)].format(o=obj))
+            template = INSTRUCTION_TEMPLATES[template_cursor % len(INSTRUCTION_TEMPLATES)]
+            sentences.append(template.format(o=obj))
             template_cursor += 1
         instructions.append(Instruction(" ".join(sentences), category=category, gold_objects=targets))
     return instructions
@@ -241,48 +237,35 @@ def score_allocations(
     return sum(flags), len(flags), flags
 
 
+def floor_robot(env: Environment, floor: str, robot_id: str) -> RobotState:
+    """A robot confined to ``floor``, parked in the floor's first room."""
+    rooms = env.rooms_on(floor)
+    if not rooms:
+        raise ConfigurationError(f"floor {floor!r} has no rooms")
+    return RobotState(robot_id=robot_id, floor=floor, current_room=rooms[0].name)
+
+
 def default_robots(env: Environment) -> list[RobotState]:
     """One robot per floor, Robot1..RobotN, parked in the floor's first room."""
-    robots = []
-    for i, floor in enumerate(env.floors, start=1):
-        rooms = env.rooms_on(floor)
-        if not rooms:
-            raise ConfigurationError(f"floor {floor!r} has no rooms")
-        robots.append(RobotState(robot_id=f"Robot{i}", floor=floor, current_room=rooms[0].name))
-    return robots
+    return [floor_robot(env, floor, f"Robot{i}") for i, floor in enumerate(env.floors, start=1)]
 
 
-def learn_floor_knowledge(
-    env: Environment,
-    robot: RobotState,
-    seed: int,
-    visits_per_room: int = 30,
-    hp: Hyperparameters | None = None,
-    vocab_threshold: float = 0.05,
-) -> KnowledgeBase:
-    """Run the observation protocol on the robot's floor and extract knowledge."""
-    rooms = env.rooms_on(robot.floor)
+def learn_floor_model(env: Environment, robot: RobotState, seed: int,
+                      visits_per_room: int = 30) -> SpatialConceptModel:
+    """Run the observation protocol on the robot's floor and learn its model."""
+    num_rooms = len(env.rooms_on(robot.floor))
     sessions = generate_floor_sessions(env, robot, np.random.default_rng(seed),
                                        visits_per_room=visits_per_room)
-    model = learn_fixed_lag(sessions, hp or Hyperparameters(), seed=seed,
-                            num_concepts=len(rooms), num_regions=len(rooms))
-    room_names = match_room_names(model, rooms)
-    return extract_knowledge(model, room_names, vocab_threshold=vocab_threshold,
-                             robot_id=robot.robot_id)
+    return learn_fixed_lag(sessions, Hyperparameters(), seed=seed,
+                           num_concepts=num_rooms, num_regions=num_rooms)
 
 
-def make_backend(cfg: SuiteConfig) -> PlannerBackend:
-    if cfg.backend == "rule":
-        return RuleBasedBackend()
-    if cfg.backend == "replay":
-        if not cfg.replay_dir:
-            raise ConfigurationError("replay backend requires replay_dir")
-        return ReplayBackend(cfg.replay_dir)
-    if cfg.backend == "remote":
-        if not cfg.remote_endpoint:
-            raise ConfigurationError("remote backend requires remote_endpoint")
-        return RemoteChatBackend(cfg.remote_endpoint, model=cfg.remote_model)
-    raise ConfigurationError(f"unknown backend {cfg.backend!r}")
+def learn_floor_knowledge(env: Environment, robot: RobotState, seed: int,
+                          visits_per_room: int = 30) -> KnowledgeBase:
+    """Learn the robot's floor model and extract its knowledge."""
+    model = learn_floor_model(env, robot, seed, visits_per_room)
+    room_names = match_room_names(model, env.rooms_on(robot.floor))
+    return extract_knowledge(model, room_names, robot_id=robot.robot_id)
 
 
 def _suite_seeds(seed: int) -> dict[str, int]:
@@ -312,8 +295,7 @@ def load_or_learn_knowledge(env: Environment, cfg: SuiteConfig,
     kbs = []
     for i, robot in enumerate(robots):
         kbs.append(learn_floor_knowledge(env, robot, seed=seeds["learn_base"] + i,
-                                         visits_per_room=cfg.visits_per_room,
-                                         vocab_threshold=cfg.vocab_threshold))
+                                         visits_per_room=cfg.visits_per_room))
     return kbs
 
 
@@ -325,7 +307,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     robot_ids = [r.robot_id for r in robots]
     floor_of_robot = {r.robot_id: r.floor for r in robots}
     room_to_robot = {room.name: r.robot_id for r in robots for room in env.rooms_on(r.floor)}
-    backend = make_backend(cfg)
+    backend = make_backend(cfg.backend, cfg.replay_dir, cfg.remote_endpoint, cfg.remote_model)
     object_vocab = sorted(env.placements)
 
     kbs: list[KnowledgeBase] | None = None
@@ -423,7 +405,7 @@ def run_field_trip_scenario(seed: int = 0) -> dict:
         Assignment(Subtask("bring", "cup"), "Robot2"),
         Assignment(Subtask("bring", "water_bottle"), "Robot2"),
     ]
-    traces = run_assignments(world, assignments, kbs, policy=ExecutionPolicy(), seed=seed)
+    traces = run_assignments(world, assignments, kbs, policy=ExecutionPolicy())
 
     robot_steps: dict[str, list[TraceStep]] = {r.robot_id: [] for r in robots}
     first_search: dict[str, str] = {}

@@ -190,7 +190,9 @@ def _systematic_resample(log_w: np.ndarray, rng: np.random.Generator) -> np.ndar
     n = len(log_w)
     w = np.exp(log_w - logsumexp(log_w))
     positions = (rng.random() + np.arange(n)) / n
-    return np.searchsorted(np.cumsum(w), positions)
+    cumulative = np.cumsum(w)
+    cumulative[-1] = 1.0  # rounding can leave it below the last position, indexing past n
+    return np.searchsorted(cumulative, positions)
 
 
 def derive_vocabularies(sessions: list[Session]) -> tuple[list[str], list[str]]:

@@ -247,6 +247,22 @@ class RemoteChatBackend:
         raise BackendError(f"remote completion failed after {self.retries + 1} attempts: {last_error}")
 
 
+def make_backend(name: str, replay_dir=None, endpoint: str | None = None,
+                 model: str = "gpt-4") -> PlannerBackend:
+    """The planner backend called ``name``: rule, replay or remote."""
+    if name == "rule":
+        return RuleBasedBackend()
+    if name == "replay":
+        if not replay_dir:
+            raise ConfigurationError("the replay backend needs a replay directory (--replay-dir)")
+        return ReplayBackend(replay_dir)
+    if name == "remote":
+        if not endpoint:
+            raise ConfigurationError("the remote backend needs an endpoint (--endpoint)")
+        return RemoteChatBackend(endpoint, model=model)
+    raise ConfigurationError(f"unknown backend {name!r}")
+
+
 def _last_task_description(prompt: str) -> str | None:
     lines = prompt.splitlines()
     for i in range(len(lines) - 1, -1, -1):
@@ -383,31 +399,28 @@ def render_allocation_prompt(subtasks: list[Subtask], kbs: list[KnowledgeBase]) 
     return "\n".join(lines)
 
 
-def _normalized_row(kb: KnowledgeBase, obj: str) -> np.ndarray | None:
+def _best_room(kb: KnowledgeBase, obj: str) -> tuple[str, float] | None:
+    """The robot's likeliest room for ``obj`` and its normalized probability."""
     if obj not in kb.presence_table:
         return None
     row = kb.row(obj)
     total = row.sum()
     if total <= 0:
         return None
-    return row / total
+    row = row / total
+    idx = int(np.argmax(row))
+    return kb.room_names[idx], float(row[idx])
 
 
 def _rule_assign(subtask: Subtask, kbs: list[KnowledgeBase]) -> Assignment:
-    best_kb = None
-    best_score = -1.0
-    best_room = None
+    best_kb, best = None, ("", -1.0)
     for kb in kbs:
-        row = _normalized_row(kb, subtask.target_object)
-        if row is None:
-            continue
-        idx = int(np.argmax(row))
-        score = float(row[idx])
-        if score > best_score:
-            best_kb, best_score, best_room = kb, score, kb.room_names[idx]
+        found = _best_room(kb, subtask.target_object)
+        if found is not None and found[1] > best[1]:
+            best_kb, best = kb, found
     if best_kb is None:
         raise UnallocatableError(f"object {subtask.target_object!r} is unknown to every robot")
-    return Assignment(subtask, best_kb.robot_id, justification=(best_room, best_score))
+    return Assignment(subtask, best_kb.robot_id, justification=best)
 
 
 def parse_allocation_response(response: str) -> dict[int, str]:
@@ -451,13 +464,8 @@ def allocate(
         kb = by_id.get(choice)
         if kb is None:
             assignments.append(_rule_assign(st, kbs))
-            continue
-        row = _normalized_row(kb, st.target_object)
-        justification = None
-        if row is not None:
-            idx = int(np.argmax(row))
-            justification = (kb.room_names[idx], float(row[idx]))
-        assignments.append(Assignment(st, kb.robot_id, justification))
+        else:
+            assignments.append(Assignment(st, kb.robot_id, _best_room(kb, st.target_object)))
     return assignments
 
 
@@ -470,57 +478,19 @@ def allocate_random(subtasks: list[Subtask], robot_ids: list[str], seed: int = 0
     return [Assignment(st, robot_ids[int(p)]) for st, p in zip(subtasks, picks)]
 
 
-def render_commonsense_prompt(subtasks: list[Subtask], robot_rooms: dict[str, list[str]]) -> str:
-    """Assignment prompt with room lists only; no presence probabilities."""
-    lines = [
-        "(a) Skills",
-        skills_component().text,
-        "",
-        "(b) Rooms covered by each robot",
-    ]
-    for robot_id, rooms in robot_rooms.items():
-        lines.append(f"{robot_id}: [{', '.join(rooms)}]")
-    lines += [
-        "",
-        "Assign each subtask to the robot covering the room where the object "
-        "is typically kept.",
-        "",
-        "Subtasks:",
-    ]
-    for i, st in enumerate(subtasks, start=1):
-        lines.append(f"SubTask {i}: {st.describe()}")
-    lines.append("")
-    lines.append('Answer with one line per subtask in the form "SubTask k: <action> -> <RobotId>".')
-    return "\n".join(lines)
-
-
 def allocate_commonsense(
     subtasks: list[Subtask],
     commonsense_map: dict[str, str],
     room_to_robot: dict[str, str],
-    backend: PlannerBackend | None = None,
 ) -> list[Assignment]:
     """Typical-room baseline: route by intuition, ignoring learned tables."""
-    def table_assign(st: Subtask) -> Assignment:
+    assignments = []
+    for st in subtasks:
         room = commonsense_map.get(st.target_object)
         if room is None:
             raise UnallocatableError(f"object {st.target_object!r} has no typical-room entry")
         robot = room_to_robot.get(room)
         if robot is None:
             raise UnallocatableError(f"typical room {room!r} is not covered by any robot")
-        return Assignment(st, robot)
-
-    if backend is None or backend.tag == "rule_based":
-        return [table_assign(st) for st in subtasks]
-
-    robot_rooms: dict[str, list[str]] = {}
-    for room, robot in room_to_robot.items():
-        robot_rooms.setdefault(robot, []).append(room)
-    response = backend.complete(render_commonsense_prompt(subtasks, robot_rooms))
-    parsed = parse_allocation_response(response)
-    valid = {r.lower(): r for r in robot_rooms}
-    assignments = []
-    for i, st in enumerate(subtasks, start=1):
-        choice = valid.get(parsed.get(i, "").lower())
-        assignments.append(Assignment(st, choice) if choice else table_assign(st))
+        assignments.append(Assignment(st, robot))
     return assignments

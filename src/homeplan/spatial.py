@@ -40,8 +40,8 @@ class Hyperparameters:
 
     Concentrations are per-component symmetric Dirichlet parameters; the
     Gaussian regions carry a normal-inverse-Wishart prior (m0, kappa, V0, nu0).
-    ``lambda_aux`` is stored for configuration completeness but is not
-    consumed by the fixed-K learner.
+    ``from_dict`` ignores unknown keys, so documents written with the removed
+    ``lambda_aux`` field still load.
     """
 
     alpha: float = 2.0
@@ -52,7 +52,6 @@ class Hyperparameters:
     kappa: float = 1.0
     V0: tuple[tuple[float, float], tuple[float, float]] = ((2.0, 0.0), (0.0, 2.0))
     nu0: float = 3.0
-    lambda_aux: float = 0.1
     num_particles: int = 30
     lag_window: int = 10
 
@@ -90,7 +89,6 @@ class Hyperparameters:
             "kappa": self.kappa,
             "V0": [list(row) for row in self.V0],
             "nu0": self.nu0,
-            "lambda_aux": self.lambda_aux,
             "num_particles": self.num_particles,
             "lag_window": self.lag_window,
         }
@@ -106,7 +104,6 @@ class Hyperparameters:
             kappa=data["kappa"],
             V0=tuple(tuple(row) for row in data["V0"]),
             nu0=data["nu0"],
-            lambda_aux=data["lambda_aux"],
             num_particles=data["num_particles"],
             lag_window=data["lag_window"],
         )

@@ -131,9 +131,6 @@ class RobotState:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
 
-    def with_probs(self, **kwargs) -> "RobotState":
-        return replace(self, **kwargs)
-
 
 @dataclass(frozen=True)
 class SkillOutcome:
@@ -153,10 +150,13 @@ class World:
 
     Each robot draws from its own child generator, so one robot's outcome
     stream does not depend on how other robots' skills are interleaved.
+    The world steps copies of the given robots, so the caller's objects keep
+    their starting state and can start further worlds.
     """
 
     def __init__(self, env: Environment, robots: list[RobotState], seed: int = 0):
         self.env = env
+        robots = [replace(r) for r in robots]
         self.robots = {r.robot_id: r for r in robots}
         if len(self.robots) != len(robots):
             raise ValueError("duplicate robot ids")
@@ -249,17 +249,6 @@ class World:
             return _SUCCEEDED
         return SkillOutcome("failed", "place_failed")
 
-    def object_locations(self) -> dict[str, tuple[str, str]]:
-        """Map each object to ("room", name) or ("gripper", robot_id)."""
-        holders = {r.held_object: rid for rid, r in self.robots.items() if r.held_object}
-        out = {}
-        for obj, room in self.object_rooms.items():
-            if room is None:
-                out[obj] = ("gripper", holders[obj])
-            else:
-                out[obj] = ("room", room)
-        return out
-
     def check_conservation(self) -> None:
         """Raise if any object is lost or duplicated between rooms and grippers."""
         held = [r.held_object for r in self.robots.values() if r.held_object is not None]
@@ -288,14 +277,12 @@ def observe_session(env: Environment, robot: RobotState, room: str, rng: np.rand
 
 
 def generate_floor_sessions(env: Environment, robot: RobotState, rng: np.random.Generator,
-                            visits_per_room: int = 30, room_order: list[str] | None = None) -> list[Session]:
+                            visits_per_room: int = 30) -> list[Session]:
     """Room-by-room observation protocol: each room visited ``visits_per_room`` times."""
-    if room_order is None:
-        room_order = [r.name for r in env.rooms_on(robot.floor)]
     sessions = []
-    for room in room_order:
+    for room in env.rooms_on(robot.floor):
         for _ in range(visits_per_room):
-            sessions.append(observe_session(env, robot, room, rng))
+            sessions.append(observe_session(env, robot, room.name, rng))
     return sessions
 
 

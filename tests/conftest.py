@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from homeplan.executor import ExecutionPolicy, run_assignments
 from homeplan.knowledge import KnowledgeBase
+from homeplan.planner import Assignment, Subtask
 from homeplan.spatial import Concept, GaussianRegion, SpatialConceptModel
 
 
@@ -31,6 +33,31 @@ def random_model(rng, num_concepts, num_regions, n_words=4, n_objects=3):
         vocab_places=vocab_places,
         vocab_objects=vocab_objects,
     )
+
+
+class ScriptedWorld:
+    """Stands in for a World: every skill gets the next scripted outcome."""
+
+    def __init__(self, outcomes):
+        self.outcomes = list(outcomes)
+
+    def robot(self, robot_id):
+        return None
+
+    def known_location(self, name):
+        return True
+
+    def step_skill(self, robot_id, skill, argument):
+        return self.outcomes.pop(0)
+
+
+def scripted_run(target, room_order, outcomes, retries=2, fallbacks=None, destination=None):
+    """Run one subtask through ``run_assignments`` against scripted outcomes."""
+    policy = ExecutionPolicy(max_retries_per_skill=retries, max_room_fallbacks=fallbacks,
+                             room_order=list(room_order))
+    assignment = Assignment(Subtask("bring", target, destination), "T")
+    [trace] = run_assignments(ScriptedWorld(outcomes), [assignment], [], policy=policy)
+    return trace
 
 
 # Hand-curated presence tables used as fixed vectors by planner and

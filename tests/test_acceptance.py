@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from homeplan.cli import main
-from homeplan.executor import ExecutionTrace, _subtask_machine, drive_machine
 from homeplan.experiment import (
     SuiteConfig,
     build_suite_instructions,
@@ -50,7 +49,7 @@ from homeplan.world import (
     load_environment,
 )
 
-from conftest import random_model
+from conftest import random_model, scripted_run
 from test_spatial import brute_force_object_posterior, brute_force_word_posterior
 
 ACCEPTANCE_SEED = 7
@@ -228,9 +227,8 @@ def test_c5_executor_trace_replay():
     ok_out = SkillOutcome("succeeded")
     fail = SkillOutcome("failed", "grasp_failed")
     queue = [ok_out, ok_out, fail, ok_out, ok_out, ok_out]
-    machine = _subtask_machine("cup", ["living_room"], "kitchen", 2, 0)
-    scripted = drive_machine(machine, lambda s, a: queue.pop(0),
-                             ExecutionTrace(robot_id="T", target_object="cup"))
+    scripted = scripted_run("cup", ["living_room"], queue, retries=2, fallbacks=0,
+                            destination="kitchen")
     picks = [s for s in scripted.skill_sequence() if s[0] == "pick"]
     pick_ok = len(picks) == 2 and scripted.result == "subtask_succeeded"
 

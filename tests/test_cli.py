@@ -3,7 +3,7 @@ import json
 import pytest
 
 from homeplan.cli import main
-from homeplan.knowledge import knowledge_from_environment, save_knowledge
+from homeplan.knowledge import PROMPT_KINDS, knowledge_from_environment, save_knowledge
 from homeplan.world import load_environment
 
 
@@ -88,6 +88,12 @@ def test_prompt_place_vocab(kb_files, capsys):
     assert "place1: [" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind", PROMPT_KINDS)
+def test_prompt_every_kind(kb_files, capsys, kind):
+    assert main(["prompt", "--kb", *kb_files, "--kind", kind]) == 0
+    assert capsys.readouterr().out.strip()
+
+
 def test_decompose_command(capsys):
     code = main(["decompose", "--env", "paper_home",
                  "--text", "Could you please find apple."])
@@ -147,3 +153,11 @@ def test_domain_errors_exit_nonzero(capsys):
     code = main(["decompose", "--env", "paper_home", "--text", "Sing me a song."])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_integer_seed_env_var_is_an_error(monkeypatch, capsys):
+    monkeypatch.setenv("HOMEPLAN_SEED", "abc")
+    assert main(["learn", "--floor", "1F"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "HOMEPLAN_SEED" in err

@@ -4,22 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homeplan.errors import PlanningError, UnknownRoomError
+from homeplan.errors import BatchSetupError, PlanningError, UnknownRoomError
 from homeplan.executor import (
     SUBTASK_FAILED,
     SUBTASK_SUCCEEDED,
     ExecutionPolicy,
-    ExecutionTrace,
-    _subtask_machine,
-    drive_machine,
     run_assignments,
-    run_subtask,
     search_order,
     traces_to_jsonl,
 )
 from homeplan.knowledge import knowledge_from_environment
 from homeplan.planner import Assignment, Subtask
 from homeplan.world import GATHER, RobotState, SkillOutcome, World, load_environment
+
+from conftest import scripted_run
 
 
 def sure_robot(robot_id, floor, room, **overrides):
@@ -35,22 +33,11 @@ def arena_world(seed=0, **overrides):
     return env, World(env, [robot], seed=seed)
 
 
-def scripted_driver(target, room_order, outcomes, retries=2, fallbacks=None,
-                    destination=GATHER):
-    """Run the state machine against a scripted outcome sequence."""
-    if fallbacks is None:
-        fallbacks = len(room_order) - 1
-    machine = _subtask_machine(target, room_order, destination, retries, fallbacks)
-    queue = list(outcomes)
-    trace = ExecutionTrace(robot_id="T", target_object=target)
-    return drive_machine(machine, lambda s, a: queue.pop(0), trace)
-
-
 def test_happy_path_is_five_steps():
     env, world = arena_world()
     kb = knowledge_from_environment(env, "zone2", "Robot2")
     assignment = Assignment(Subtask("bring", "cup"), "Robot2")
-    trace = run_subtask(world, "Robot2", assignment, kb)
+    [trace] = run_assignments(world, [assignment], [kb])
     assert trace.result == SUBTASK_SUCCEEDED
     assert trace.skill_sequence() == [
         ("navigation", "kitchen"),
@@ -65,8 +52,8 @@ def test_happy_path_is_five_steps():
 def test_scripted_pick_fails_once_then_succeeds():
     ok = SkillOutcome("succeeded")
     fail = SkillOutcome("failed", "grasp_failed")
-    trace = scripted_driver("cup", ["living_room"], [ok, ok, fail, ok, ok, ok],
-                            destination="kitchen")
+    trace = scripted_run("cup", ["living_room"], [ok, ok, fail, ok, ok, ok],
+                         destination="kitchen")
     skills = [s for s, _ in trace.skill_sequence()]
     assert skills == ["navigation", "object_detection", "pick", "pick", "navigation", "place"]
     assert skills.count("pick") == 2
@@ -80,7 +67,7 @@ def test_absent_object_visits_every_room_once():
     for _ in rooms:
         outcomes.append(SkillOutcome("succeeded"))  # navigation
         outcomes.extend([SkillOutcome("failed", "not_found")] * (retries + 1))
-    trace = scripted_driver("ghost", rooms, outcomes, retries=retries, fallbacks=len(rooms) - 1)
+    trace = scripted_run("ghost", rooms, outcomes, retries=retries, fallbacks=len(rooms) - 1)
     assert trace.result == SUBTASK_FAILED
     assert trace.rooms_visited == rooms
     nav_args = [a for s, a in trace.skill_sequence() if s == "navigation"]
@@ -93,7 +80,7 @@ def test_room_fallback_capped_by_policy():
     for _ in range(2):  # only two rooms may be tried
         outcomes.append(SkillOutcome("succeeded"))
         outcomes.extend([SkillOutcome("failed", "not_found")] * 3)
-    trace = scripted_driver("ghost", rooms, outcomes, retries=2, fallbacks=1)
+    trace = scripted_run("ghost", rooms, outcomes, retries=2, fallbacks=1)
     assert trace.result == SUBTASK_FAILED
     assert trace.rooms_visited == ["r1", "r2"]
 
@@ -103,7 +90,7 @@ def test_navigation_exhaustion_advances_to_next_room():
     ok = SkillOutcome("succeeded")
     # Room r1 unreachable after all retries; r2 works end to end.
     outcomes = [fail, fail, ok, ok, ok, ok, ok]
-    trace = scripted_driver("cup", ["r1", "r2"], outcomes, retries=1)
+    trace = scripted_run("cup", ["r1", "r2"], outcomes, retries=1)
     assert trace.result == SUBTASK_SUCCEEDED
     assert trace.rooms_visited == ["r2", GATHER]
     nav_args = [a for s, a in trace.skill_sequence() if s == "navigation"]
@@ -122,8 +109,10 @@ def test_unknown_destination_raises_before_any_skill():
     kb = knowledge_from_environment(env, "zone2", "Robot2")
     assignment = Assignment(Subtask("bring", "cup", destination="mars"), "Robot2")
     before = dict(world.object_rooms)
-    with pytest.raises(UnknownRoomError):
-        run_subtask(world, "Robot2", assignment, kb)
+    with pytest.raises(BatchSetupError) as excinfo:
+        run_assignments(world, [assignment], [kb])
+    assert isinstance(excinfo.value.__cause__, UnknownRoomError)
+    assert excinfo.value.completed_traces == []
     assert world.object_rooms == before
 
 
@@ -131,19 +120,22 @@ def test_object_missing_from_kb_without_room_order():
     env, world = arena_world()
     kb = knowledge_from_environment(env, "zone2", "Robot2")
     assignment = Assignment(Subtask("bring", "bag"), "Robot2")  # bag is zone1 knowledge
-    with pytest.raises(PlanningError):
-        run_subtask(world, "Robot2", assignment, kb)
+    with pytest.raises(BatchSetupError) as excinfo:
+        run_assignments(world, [assignment], [kb])
+    assert type(excinfo.value.__cause__) is PlanningError
     # explicit room order unblocks it (and then fails honestly at detection)
-    trace = run_subtask(world, "Robot2", assignment, kb,
-                        policy=ExecutionPolicy(room_order=["kitchen", "corridor"]))
+    [trace] = run_assignments(world, [assignment], [kb],
+                              policy=ExecutionPolicy(room_order=["kitchen", "corridor"]))
     assert trace.result == SUBTASK_FAILED
 
 
 def test_mismatched_robot_id_rejected():
+    # An assignment for a robot the world does not have is a setup error.
     env, world = arena_world()
     kb = knowledge_from_environment(env, "zone2", "Robot2")
-    with pytest.raises(PlanningError):
-        run_subtask(world, "Robot1", Assignment(Subtask("bring", "cup"), "Robot2"), kb)
+    with pytest.raises(BatchSetupError) as excinfo:
+        run_assignments(world, [Assignment(Subtask("bring", "cup"), "Robot1")], [kb])
+    assert type(excinfo.value.__cause__) is PlanningError
 
 
 @given(st.lists(st.booleans(), min_size=0, max_size=60),
@@ -154,10 +146,7 @@ def test_bounded_liveness_and_legality(outcome_bits, retries, fallbacks):
     outcomes = [SkillOutcome("succeeded") if b else SkillOutcome("failed", "x")
                 for b in outcome_bits]
     outcomes += [SkillOutcome("failed", "x")] * 400  # pad so the machine always terminates
-    machine = _subtask_machine("obj", rooms, GATHER, retries, fallbacks)
-    queue = list(outcomes)
-    trace = drive_machine(machine, lambda s, a: queue.pop(0),
-                          ExecutionTrace(robot_id="T", target_object="obj"))
+    trace = scripted_run("obj", rooms, outcomes, retries=retries, fallbacks=fallbacks)
 
     assert len(trace.steps) <= (retries + 1) * 5 * (fallbacks + 1)
 
@@ -187,10 +176,10 @@ def test_replaying_outcomes_reproduces_skill_sequence():
     env, world = arena_world(seed=11, p_pick=0.4, p_detect_present=0.7)
     kb = knowledge_from_environment(env, "zone2", "Robot2")
     assignment = Assignment(Subtask("bring", "water_bottle"), "Robot2")
-    trace = run_subtask(world, "Robot2", assignment, kb)
+    [trace] = run_assignments(world, [assignment], [kb])
 
     recorded = [step.outcome for step in trace.steps]
-    replay = scripted_driver("water_bottle", search_order(kb, "water_bottle"), recorded)
+    replay = scripted_run("water_bottle", search_order(kb, "water_bottle"), recorded)
     assert replay.skill_sequence() == trace.skill_sequence()
     assert replay.result == trace.result
 
@@ -238,8 +227,8 @@ def test_interleaving_matches_sequential_for_disjoint_robots():
 
     world = fresh_world()
     sequential = [
-        run_subtask(world, "Robot1", assignments[0], kbs[0]),
-        run_subtask(world, "Robot2", assignments[1], kbs[1]),
+        *run_assignments(world, [assignments[0]], [kbs[0]]),
+        *run_assignments(world, [assignments[1]], [kbs[1]]),
     ]
     for a, b in zip(interleaved, sequential):
         assert a.skill_sequence() == b.skill_sequence()
@@ -254,8 +243,9 @@ def test_setup_errors_deferred_until_batch_completes():
         Assignment(Subtask("bring", "cup", destination="mars"), "Robot2"),
         Assignment(Subtask("bring", "water_bottle"), "Robot2"),
     ]
-    with pytest.raises(UnknownRoomError) as excinfo:
+    with pytest.raises(BatchSetupError) as excinfo:
         run_assignments(world, assignments, [kb])
+    assert isinstance(excinfo.value.__cause__, UnknownRoomError)
     completed = excinfo.value.completed_traces
     assert len(completed) == 1
     assert completed[0].target_object == "water_bottle"

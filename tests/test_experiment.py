@@ -9,6 +9,7 @@ from homeplan.experiment import (
     SuiteConfig,
     build_suite_instructions,
     default_robots,
+    floor_robot,
     generate_instructions,
     random_allocation_totals,
     run_field_trip_scenario,
@@ -270,3 +271,10 @@ def test_default_robots_one_per_floor(home):
     robots = default_robots(home)
     assert [r.robot_id for r in robots] == ["Robot1", "Robot2"]
     assert [r.floor for r in robots] == ["1F", "2F"]
+
+
+def test_floor_robot_parks_in_first_room_and_rejects_empty_floor(home):
+    robot = floor_robot(home, "2F", "Robot9")
+    assert (robot.robot_id, robot.floor, robot.current_room) == ("Robot9", "2F", "front_of_stairs")
+    with pytest.raises(ConfigurationError):
+        floor_robot(home, "3F", "Robot9")

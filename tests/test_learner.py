@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from homeplan.errors import UnknownLabelError
-from homeplan.learner import derive_vocabularies, learn_fixed_lag
+from homeplan.learner import _systematic_resample, derive_vocabularies, learn_fixed_lag
 from homeplan.spatial import (
     Hyperparameters,
     Session,
@@ -163,3 +163,16 @@ def test_model_carries_hyperparameters_and_seed():
     model = learn_fixed_lag(sessions, FAST_HP, seed=77, num_concepts=1, num_regions=1)
     assert model.seed == 77
     assert model.hyperparameters == FAST_HP
+
+
+def test_systematic_resample_stays_in_range_at_the_top_draw():
+    # For 30 uniform weights the cumulative sum ends just below 1, so the
+    # largest uniform draw once indexed one past the last particle.
+    class TopDraw:
+        def random(self):
+            return np.nextafter(1.0, 0.0)
+
+    n = 30
+    chosen = _systematic_resample(np.full(n, -np.log(n)), TopDraw())
+    assert chosen.shape == (n,)
+    assert np.all(chosen < n)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from homeplan.errors import (
     BackendError,
+    ConfigurationError,
     EmptyDecompositionError,
     ReplayMissError,
     UnallocatableError,
@@ -25,6 +26,7 @@ from homeplan.planner import (
     allocate_commonsense,
     allocate_random,
     decompose,
+    make_backend,
     parse_allocation_response,
     render_allocation_prompt,
 )
@@ -330,3 +332,13 @@ def test_remote_backend_requires_api_key(monkeypatch):
     from homeplan.errors import ConfigurationError
     with pytest.raises(ConfigurationError):
         backend.complete("p")
+
+
+def test_make_backend_by_name(tmp_path):
+    assert isinstance(make_backend("rule"), RuleBasedBackend)
+    assert isinstance(make_backend("replay", replay_dir=tmp_path), ReplayBackend)
+    remote = make_backend("remote", endpoint="http://localhost:1/v1", model="m")
+    assert (remote.endpoint, remote.model) == ("http://localhost:1/v1", "m")
+    for name, kwargs in (("replay", {}), ("remote", {}), ("oracle", {})):
+        with pytest.raises(ConfigurationError):
+            make_backend(name, **kwargs)

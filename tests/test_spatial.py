@@ -253,3 +253,10 @@ def test_hyperparameter_validation():
         Hyperparameters(num_particles=0)
     with pytest.raises(ValueError):
         Hyperparameters(V0=((1.0, 2.0), (0.0, 1.0)))  # asymmetric
+
+
+def test_hyperparameters_load_from_documents_with_lambda_aux():
+    data = Hyperparameters().to_dict()
+    assert "lambda_aux" not in data
+    data["lambda_aux"] = 0.1  # written by older versions
+    assert Hyperparameters.from_dict(data) == Hyperparameters()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,3 +227,20 @@ def test_false_positive_detection_path(home):
     assert outcome.detail == "false_positive"
     # The follow-up pick must fail: the object is not actually here.
     assert world.step_skill("Robot1", "pick", "banana").detail == "object_not_present"
+
+
+def test_worlds_do_not_share_the_callers_robots(home):
+    from homeplan.experiment import default_robots
+
+    robots = [replace(r, p_detect_present=1.0, p_pick=1.0) for r in default_robots(home)]
+    first = World(home, robots, seed=0)
+    for skill, arg in (("navigation", "kitchen"), ("object_detection", "apple"), ("pick", "apple")):
+        assert first.step_skill("Robot1", skill, arg).succeeded
+    assert first.robots["Robot1"].held_object == "apple"
+
+    second = World(home, robots, seed=0)
+    second.check_conservation()
+    assert second.robots["Robot1"].current_room == "entrance"
+    assert second.robots["Robot1"].held_object is None
+    assert [(r.current_room, r.held_object) for r in robots] == [("entrance", None),
+                                                                  ("front_of_stairs", None)]
