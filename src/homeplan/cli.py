@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment, knowledge, learner, planner, spatial, world
-from .errors import ConfigurationError, HomeplanError
+from .errors import ConfigurationError, HomeplanError, SchemaError
 from .executor import ExecutionPolicy, run_assignments, traces_to_jsonl
 
 SEED_ENV_VAR = "HOMEPLAN_SEED"
@@ -63,6 +63,21 @@ def _load_sessions(path: str) -> list[spatial.Session]:
         )
         for item in data
     ]
+
+
+def _read_subtasks(path: str, *extra_keys: str) -> list[tuple[planner.Subtask, dict]]:
+    """Each entry of a JSON list of subtask objects, as (subtask, entry)."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(data, list) or not all(isinstance(d, dict) for d in data):
+        raise SchemaError(f"{path}: expected a JSON list of objects")
+    for i, d in enumerate(data):
+        missing = [k for k in ("verb", "target_object", *extra_keys) if k not in d]
+        if missing:
+            raise SchemaError(f"{path}: entry {i} lacks keys {missing}")
+    return [(planner.Subtask(d["verb"], d["target_object"], d.get("destination")), d) for d in data]
 
 
 def cmd_learn(args) -> int:
@@ -138,9 +153,7 @@ def cmd_allocate(args) -> int:
     else:
         if not args.subtasks:
             raise ConfigurationError("allocate needs --text or --subtasks")
-        data = json.loads(Path(args.subtasks).read_text())
-        subtasks = [planner.Subtask(d["verb"], d["target_object"], d.get("destination"))
-                    for d in data]
+        subtasks = [subtask for subtask, _ in _read_subtasks(args.subtasks)]
     assignments = planner.allocate(subtasks, kbs, backend=backend)
     payload = [
         {
@@ -160,14 +173,8 @@ def cmd_run(args) -> int:
     seed = _seed_of(args)
     env = world.load_environment(args.env)
     kbs = [knowledge.load_knowledge(p) for p in args.kb]
-    data = json.loads(Path(args.assignments).read_text())
-    assignments = [
-        planner.Assignment(
-            planner.Subtask(d["verb"], d["target_object"], d.get("destination")),
-            d["robot_id"],
-        )
-        for d in data
-    ]
+    assignments = [planner.Assignment(subtask, d["robot_id"])
+                   for subtask, d in _read_subtasks(args.assignments, "robot_id")]
     robots = []
     for kb in kbs:
         floors = {env.floor_of_room(r) for r in kb.room_names if env.has_room(r)}

@@ -10,6 +10,7 @@ parsers invert the two table-like blocks for round-trip checks.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,10 +56,10 @@ class KnowledgeBase:
 
     def __post_init__(self):
         if len(self.place_vocab) != len(self.room_names):
-            raise ValueError("place_vocab must have one entry per room")
+            raise SchemaError("place_vocab must have one entry per room")
         for obj, row in self.presence_table.items():
             if len(row) != len(self.room_names):
-                raise ValueError(f"presence row for {obj!r} has wrong length")
+                raise SchemaError(f"presence row for {obj!r} has wrong length")
 
     def row(self, obj: str) -> np.ndarray:
         return np.asarray(self.presence_table[obj], dtype=float)
@@ -312,6 +313,15 @@ def knowledge_from_dict(data: dict) -> KnowledgeBase:
     missing = [k for k in ("robot_id", "room_names", "place_vocab", "presence_table") if k not in data]
     if missing:
         raise SchemaError(f"knowledge document missing keys: {missing}")
+    # Rows are checked here, once per load, so allocation reads them unchecked.
+    table = data["presence_table"]
+    if not isinstance(table, dict):
+        raise SchemaError("presence_table must map object labels to rows")
+    for obj, row in table.items():
+        if not isinstance(row, list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v >= 0
+                for v in row):
+            raise SchemaError(f"presence row for {obj!r} must be a list of finite non-negative numbers")
     return KnowledgeBase(
         robot_id=data["robot_id"],
         room_names=list(data["room_names"]),

@@ -28,6 +28,7 @@ from .errors import (
     ConfigurationError,
     EmptyDecompositionError,
     ReplayMissError,
+    SchemaError,
     UnallocatableError,
 )
 from .knowledge import (
@@ -106,9 +107,9 @@ class Instruction:
 
     def __post_init__(self):
         if not self.text:
-            raise ValueError("instruction text must be non-empty")
+            raise SchemaError("instruction text must be non-empty")
         if self.category not in INSTRUCTION_CATEGORIES:
-            raise ValueError(f"unknown instruction category {self.category!r}")
+            raise SchemaError(f"unknown instruction category {self.category!r}")
 
 
 @dataclass(frozen=True)
@@ -119,9 +120,9 @@ class Subtask:
 
     def __post_init__(self):
         if self.verb not in ("bring", "find"):
-            raise ValueError(f"unknown subtask verb {self.verb!r}")
-        if not self.target_object:
-            raise ValueError("subtask target_object must be non-empty")
+            raise SchemaError(f"unknown subtask verb {self.verb!r}")
+        if not self.target_object or not isinstance(self.target_object, str):
+            raise SchemaError("subtask target_object must be a non-empty string")
 
     def describe(self) -> str:
         article = "an" if self.target_object[0].lower() in "aeiou" else "a"

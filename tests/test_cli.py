@@ -161,3 +161,26 @@ def test_non_integer_seed_env_var_is_an_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "HOMEPLAN_SEED" in err
+
+
+def test_empty_instruction_text_is_an_error(capsys):
+    assert main(["decompose", "--env", "paper_home", "--text", ""]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unknown_subtask_verb_is_an_error(tmp_path, kb_files, capsys):
+    path = tmp_path / "subtasks.json"
+    path.write_text(json.dumps([{"verb": "jump", "target_object": "apple"}]))
+    assert main(["allocate", "--env", "paper_home", "--kb", *kb_files, "--subtasks", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "jump" in err
+
+
+def test_assignment_without_robot_id_is_an_error(tmp_path, kb_files, capsys):
+    path = tmp_path / "assignments.json"
+    path.write_text(json.dumps([{"verb": "bring", "target_object": "apple"}]))
+    assert main(["run", "--env", "paper_home", "--kb", *kb_files, "--assignments", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "robot_id" in err

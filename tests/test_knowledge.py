@@ -7,6 +7,7 @@ from homeplan.knowledge import (
     KnowledgeBase,
     extract_knowledge,
     format_probability,
+    knowledge_from_dict,
     knowledge_from_environment,
     load_knowledge,
     match_room_names,
@@ -16,6 +17,7 @@ from homeplan.knowledge import (
     render_presence_table,
     save_knowledge,
 )
+from homeplan.errors import SchemaError
 from homeplan.spatial import object_location_posterior, word_posterior
 from homeplan.world import load_environment
 
@@ -195,3 +197,27 @@ def test_knowledge_from_environment_one_hot():
     kb = knowledge_from_environment(env, "2F", "Robot2")
     assert kb.best_room("banana") == ("parent_room", 1.0)
     assert set(kb.presence_table) == set(env.objects_on("2F"))
+
+
+@pytest.mark.parametrize("row", [
+    [float("nan"), 1.0],
+    [float("inf"), 0.0],
+    [-0.1, 1.1],
+    ["0.5", 0.5],
+    [None, 1.0],
+    [True, 0.0],
+    [0.5],
+    [0.2, 0.3, 0.5],
+    "0.5, 0.5",
+])
+def test_knowledge_loader_rejects_bad_presence_rows(row):
+    data = {"robot_id": "R", "room_names": ["a", "b"], "place_vocab": [[], []],
+            "presence_table": {"cup": [1.0, 0.0], "plate": row}}
+    with pytest.raises(SchemaError, match="plate"):
+        knowledge_from_dict(data)
+
+
+def test_knowledge_loader_accepts_integer_rows():
+    data = {"robot_id": "R", "room_names": ["a", "b"], "place_vocab": [[], []],
+            "presence_table": {"cup": [1, 0]}}
+    assert knowledge_from_dict(data).best_room("cup") == ("a", 1.0)

@@ -1,16 +1,31 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
-from homeplan.errors import UnknownLabelError
-from homeplan.learner import _systematic_resample, derive_vocabularies, learn_fixed_lag
+from homeplan.errors import ConfigurationError, SchemaError, UnknownLabelError
+from homeplan.experiment import default_robots, learn_floor_model
+from homeplan.learner import (
+    _Batch,
+    _log_grid,
+    _sample_grid,
+    _SessionStats,
+    _systematic_resample,
+    derive_vocabularies,
+    learn_fixed_lag,
+)
 from homeplan.spatial import (
     Hyperparameters,
     Session,
     model_to_dict,
     object_location_posterior,
 )
+from homeplan.world import load_environment
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 FAST_HP = Hyperparameters(num_particles=8, lag_window=5)
 
@@ -176,3 +191,132 @@ def test_systematic_resample_stays_in_range_at_the_top_draw():
     chosen = _systematic_resample(np.full(n, -np.log(n)), TopDraw())
     assert chosen.shape == (n,)
     assert np.all(chosen < n)
+
+
+@pytest.mark.parametrize("sessions, kwargs, error", [
+    ([Session(np.zeros(2), ["o"], ["w"])], {"num_concepts": 0}, ConfigurationError),
+    ([Session(np.zeros(2), ["o"], ["w"])], {"num_concepts": -1}, ConfigurationError),
+    ([Session(np.zeros(2), ["o"], ["w"])], {"num_regions": 0}, ConfigurationError),
+    ([], {}, SchemaError),
+    ([Session(np.zeros(2), ["o"], [])], {}, SchemaError),
+    ([Session(np.array([np.nan, 0.0]), ["o"], ["w"])], {}, SchemaError),
+    ([Session(np.array([0.0, np.inf]), ["o"], ["w"])], {}, SchemaError),
+])
+def test_bad_learner_input_is_a_typed_error(sessions, kwargs, error):
+    with pytest.raises(error):
+        learn_fixed_lag(sessions, FAST_HP, seed=0, **kwargs)
+
+
+# Per-particle reference: the single-particle collapsed conditional, written
+# out term by term as the learner computed it before particles were batched.
+
+def _ref_dirichlet_multinomial_log(counts, totals, conc, idx, cnt, m):
+    if m == 0:
+        return np.zeros(len(totals))
+    vocab_mass = counts.shape[1] * conc
+    sel = counts[:, idx]
+    per_word = gammaln(sel + cnt + conc).sum(axis=1) - gammaln(sel + conc).sum(axis=1)
+    return per_word + gammaln(totals + vocab_mass) - gammaln(totals + m + vocab_mass)
+
+
+def _ref_position_log_predictive(p, x, hp):
+    n = p.pos_n
+    kappa_n = hp.kappa + n
+    nu_n = hp.nu0 + n
+    xbar = p.pos_sum / np.maximum(n, 1.0)[:, None]
+    scatter = p.pos_outer - n[:, None, None] * (xbar[:, :, None] * xbar[:, None, :])
+    m_n = (hp.kappa * hp.m0_array + p.pos_sum) / kappa_n[:, None]
+    dev = xbar - hp.m0_array
+    shrink = (hp.kappa * n / kappa_n)[:, None, None]
+    V_n = hp.V0_array + scatter + shrink * (dev[:, :, None] * dev[:, None, :])
+    df = nu_n - 1.0
+    scale = V_n * ((kappa_n + 1.0) / (kappa_n * df))[:, None, None]
+    det = scale[:, 0, 0] * scale[:, 1, 1] - scale[:, 0, 1] * scale[:, 1, 0]
+    dev = x[None, :] - m_n
+    quad = (scale[:, 1, 1] * dev[:, 0] ** 2
+            - 2.0 * scale[:, 0, 1] * dev[:, 0] * dev[:, 1]
+            + scale[:, 0, 0] * dev[:, 1] ** 2) / det
+    return (gammaln((df + 2) / 2.0) - gammaln(df / 2.0) - np.log(df) - math.log(math.pi)
+            - 0.5 * np.log(det) - ((df + 2) / 2.0) * np.log1p(quad / df))
+
+
+def _ref_log_grid(p, s, hp):
+    K, R = p.link_counts.shape
+    log_pc = np.log(p.concept_counts + hp.alpha) - math.log(p.concept_counts.sum() + K * hp.alpha)
+    log_pr = np.log(p.link_counts + hp.gamma) - np.log(p.concept_counts + R * hp.gamma)[:, None]
+    log_words = _ref_dirichlet_multinomial_log(p.word_counts, p.word_totals, hp.beta,
+                                               s.word_idx, s.word_cnt, s.word_total)
+    log_objects = _ref_dirichlet_multinomial_log(p.object_counts, p.object_totals, hp.chi,
+                                                 s.obj_idx, s.obj_cnt, s.obj_total)
+    log_pos = _ref_position_log_predictive(p, s.x, hp)
+    return (log_pc + log_words + log_objects)[:, None] + log_pr + log_pos[None, :]
+
+
+def _random_stats(rng, n, places, objects):
+    place_index = {w: i for i, w in enumerate(places)}
+    object_index = {o: i for i, o in enumerate(objects)}
+    sessions = [Session(rng.normal(scale=4.0, size=2),
+                        [str(o) for o in rng.choice(objects, size=int(rng.integers(0, 5)))] if objects else [],
+                        [str(w) for w in rng.choice(places, size=int(rng.integers(1, 4)))])
+                for _ in range(n)]
+    return [_SessionStats(s, place_index, object_index) for s in sessions]
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_batched_grid_matches_per_particle_reference(case):
+    rng = np.random.default_rng(case)
+    P, K, R = int(rng.integers(1, 8)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    places = [f"w{i}" for i in range(int(rng.integers(1, 6)))]
+    objects = [f"o{i}" for i in range(int(rng.integers(0, 6)))]
+    hp = Hyperparameters(alpha=float(rng.uniform(0.2, 3.0)), gamma=float(rng.uniform(0.2, 3.0)),
+                         beta=float(rng.uniform(0.05, 1.0)), chi=float(rng.uniform(0.05, 1.0)))
+    stats = _random_stats(rng, int(rng.integers(1, 25)), places, objects)
+    batch = _Batch(P, K, R, len(places), max(len(objects), 1), len(stats))
+    for t, s in enumerate(stats):
+        batch.assignments[:, t] = np.stack([rng.integers(0, K, P), rng.integers(0, R, P)], axis=1)
+        batch.add(batch.assignments[:, t], s)
+    # Take one session out again, as a Gibbs step does before rescoring it.
+    batch.add(batch.assignments[:, 0], stats[0], sign=-1)
+
+    for s in stats:
+        grid = _log_grid(batch, s, hp)
+        assert grid.shape == (P, K, R)
+        for i in range(P):
+            np.testing.assert_allclose(grid[i], _ref_log_grid(batch.take(i), s, hp),
+                                       rtol=1e-12, atol=1e-12)
+
+
+def test_batched_sampling_picks_what_generator_choice_picks():
+    rng = np.random.default_rng(3)
+    grid = rng.normal(scale=3.0, size=(9, 4, 5))
+    cells = _sample_grid(grid, np.random.default_rng(11).random(9))
+    sequential = np.random.default_rng(11)
+    for i in range(9):
+        probs = np.exp(grid[i].ravel() - grid[i].max())
+        probs /= probs.sum()
+        assert tuple(cells[i]) == divmod(int(sequential.choice(20, p=probs)), 5)
+
+
+def _assert_documents_close(actual, expected, path="model"):
+    if isinstance(expected, dict):
+        assert sorted(actual) == sorted(expected), path
+        for key in expected:
+            _assert_documents_close(actual[key], expected[key], f"{path}.{key}")
+    elif isinstance(expected, list) and any(isinstance(v, (list, dict, str)) for v in expected):
+        assert len(actual) == len(expected), path
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            _assert_documents_close(a, e, f"{path}[{i}]")
+    elif isinstance(expected, (list, float)):
+        np.testing.assert_allclose(actual, expected, rtol=1e-9, atol=0, err_msg=path)
+    else:
+        assert actual == expected, path
+
+
+def test_paper_home_models_match_the_per_particle_learner():
+    """Both floors at 5 visits per room, seed 7, against models stored from
+    the per-particle learner (a different libm may move the last digits)."""
+    expected = json.loads((FIXTURES / "paper_home_models_visits5_seed7.json").read_text())
+    env = load_environment("paper_home")
+    for robot in default_robots(env):
+        model = learn_floor_model(env, robot, 7, visits_per_room=5)
+        _assert_documents_close(model_to_dict(model), expected[robot.floor], robot.floor)
