@@ -2,18 +2,25 @@
 
 All particles live in one stacked state (``_Batch``), axis 0 indexing the
 particle: per-session (concept, region) assignments plus collapsed sufficient
-statistics, i.e. Dirichlet-multinomial counts for concepts, words, objects,
-and concept-to-region links, and normal-inverse-Wishart moment sums for region
-positions.  Arriving sessions are assigned by sampling the exact collapsed
+statistics in two arrays.  ``counts`` (P, K, F) holds every Dirichlet-
+multinomial count of a concept as integers: its sessions, word and object
+totals, word and object counts, and its links to regions.  ``moments``
+(P, R, 7) holds each region's normal-inverse-Wishart moment sums: n, the
+position sum and the flattened sum of outer products.  Adding or removing a
+session is one indexed update of each.  Every term of the collapsed
+conditional that depends on an integer count alone (log-gamma and log of a
+count plus a concentration, and a region's NIW and Student-t constants) is
+tabulated once per learn (``_Tables``) and looked up; each entry is the
+expression it replaces, so grids and models are bit-for-bit those computed
+term by term.  Arriving sessions are assigned by sampling the exact collapsed
 conditional (which doubles as the optimal proposal, so particle weights are
 updated with the predictive marginal); assignments inside the lag window are
 rejuvenated with one Gibbs sweep per step, sequential over the window and
 parallel over particles; particles are systematically resampled, by one
 fancy-index of the stacked state, when the effective sample size drops below
-half the particle count.  Each arrival and each Gibbs step scores all
-particles with one grid evaluation.  Uniforms are drawn in the order a
-per-particle loop would draw them, so results do not depend on the batching.
-The returned model is the maximum-weight particle's posterior-mean parameters.
+half the particle count.  Uniforms are drawn in the order a per-particle loop
+would draw them, so results do not depend on the batching.  The returned
+model is the maximum-weight particle's posterior-mean parameters.
 """
 
 from __future__ import annotations
@@ -21,24 +28,26 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import ConfigurationError, SchemaError, UnknownLabelError
-from .spatial import (
-    Concept,
-    GaussianRegion,
-    Hyperparameters,
-    Session,
-    SpatialConceptModel,
-)
+from .spatial import Concept, GaussianRegion, Hyperparameters, Session, SpatialConceptModel
 
 _DIM = 2
+# Leading columns of the stacked counts; word, object and link columns follow.
+_CONCEPT, _WORD_TOTAL, _OBJ_TOTAL, _WORDS = 0, 1, 2, 3
 
 
 class _SessionStats:
-    """Per-session data in index space, precomputed once."""
+    """Per-session data in index space, precomputed once.
 
-    __slots__ = ("word_idx", "word_cnt", "word_total", "obj_idx", "obj_cnt", "obj_total", "x", "outer")
+    ``cols``/``vals`` are the count columns a session adds to and by how much;
+    the last column is the link to region 0, shifted by the region on adding.
+    ``moments`` is what it adds to its region's moment sums.
+    """
+
+    __slots__ = ("word_cols", "word_cnt", "word_total", "obj_cols", "obj_cnt", "obj_total",
+                 "x", "cols", "vals", "link", "moments")
 
     def __init__(self, session: Session, place_index: dict[str, int], object_index: dict[str, int]):
         try:
@@ -49,42 +58,36 @@ class _SessionStats:
             oidx = np.array([object_index[o] for o in session.object_labels], dtype=int)
         except KeyError as exc:
             raise UnknownLabelError(f"object label {exc.args[0]!r} not in supplied vocabulary") from None
-        self.word_idx, self.word_cnt = np.unique(widx, return_counts=True)
-        self.obj_idx, self.obj_cnt = np.unique(oidx, return_counts=True)
-        self.word_total = int(self.word_cnt.sum())
-        self.obj_total = int(self.obj_cnt.sum())
         self.x = np.asarray(session.position, dtype=float)
         if self.x.shape != (_DIM,) or not np.all(np.isfinite(self.x)):
             raise SchemaError("session position must be a finite 2-vector")
-        self.outer = np.outer(self.x, self.x)
+        word_idx, self.word_cnt = np.unique(widx, return_counts=True)
+        obj_idx, self.obj_cnt = np.unique(oidx, return_counts=True)
+        self.word_total = int(self.word_cnt.sum())
+        self.obj_total = int(self.obj_cnt.sum())
+        self.word_cols = _WORDS + word_idx
+        self.obj_cols = _WORDS + len(place_index) + obj_idx
+        first_link = _WORDS + len(place_index) + len(object_index)
+        self.cols = np.concatenate(([_CONCEPT, _WORD_TOTAL, _OBJ_TOTAL], self.word_cols,
+                                    self.obj_cols, [first_link]))
+        self.vals = np.concatenate(([1, self.word_total, self.obj_total], self.word_cnt,
+                                    self.obj_cnt, [1]))
+        self.link = (np.arange(len(self.cols)) == len(self.cols) - 1).astype(int)
+        x0, x1 = self.x.tolist()  # Python floats: a square that overflows is inf, not a warning
+        self.moments = np.array([1.0, x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1])
 
 
 class _Batch:
-    """Assignments and collapsed sufficient statistics of all particles, stacked on axis 0."""
+    """Assignments and collapsed sufficient statistics of all particles, stacked on axis 0.
 
-    __slots__ = (
-        "concept_counts",
-        "word_counts",
-        "word_totals",
-        "object_counts",
-        "object_totals",
-        "link_counts",
-        "pos_n",
-        "pos_sum",
-        "pos_outer",
-        "assignments",
-    )
+    ``counts`` columns: sessions, word total, object total, V words, O objects, R links.
+    """
+
+    __slots__ = ("counts", "moments", "assignments")
 
     def __init__(self, P: int, K: int, R: int, n_words: int, n_objects: int, T: int):
-        self.concept_counts = np.zeros((P, K))
-        self.word_counts = np.zeros((P, K, n_words))
-        self.word_totals = np.zeros((P, K))
-        self.object_counts = np.zeros((P, K, n_objects))
-        self.object_totals = np.zeros((P, K))
-        self.link_counts = np.zeros((P, K, R))
-        self.pos_n = np.zeros((P, R))
-        self.pos_sum = np.zeros((P, R, _DIM))
-        self.pos_outer = np.zeros((P, R, _DIM, _DIM))
+        self.counts = np.zeros((P, K, _WORDS + n_words + n_objects + R), dtype=int)
+        self.moments = np.zeros((P, R, 1 + _DIM + _DIM * _DIM))
         self.assignments = np.zeros((P, T, 2), dtype=int)
 
     def take(self, index) -> "_Batch":
@@ -96,77 +99,107 @@ class _Batch:
 
     def add(self, cells: np.ndarray, s: _SessionStats, sign: int = 1) -> None:
         """Add ``s`` to particle i at cell (concept, region) ``cells[i]``; ``sign=-1`` removes it."""
-        p = np.arange(len(cells))
+        (P, K, F), R = self.counts.shape, self.moments.shape[1]
+        p = np.arange(P)
         c, r = cells[:, 0], cells[:, 1]
-        self.concept_counts[p, c] += sign
-        self.word_counts[p[:, None], c[:, None], s.word_idx] += sign * s.word_cnt
-        self.word_totals[p, c] += sign * s.word_total
-        self.object_counts[p[:, None], c[:, None], s.obj_idx] += sign * s.obj_cnt
-        self.object_totals[p, c] += sign * s.obj_total
-        self.link_counts[p, c, r] += sign
-        self.pos_n[p, r] += sign
-        self.pos_sum[p, r] += sign * s.x
-        self.pos_outer[p, r] += sign * s.outer
+        # Both arrays are C-contiguous, so reshape gives views; one flat index is cheapest.
+        self.counts.reshape(-1)[((p * K + c) * F)[:, None] + s.cols + r[:, None] * s.link] += sign * s.vals
+        self.moments.reshape(P * R, -1)[p * R + r] += sign * s.moments
 
 
-def _dirichlet_multinomial_log(counts: np.ndarray, totals: np.ndarray, conc: float,
-                               idx: np.ndarray, cnt: np.ndarray, m: int) -> np.ndarray:
+class _Tables:
+    """Every grid term that depends on one integer count alone, indexed by that count, and
+    the prior constants.  Each entry is the grid's own expression in the same order, so a
+    lookup is bit-for-bit the computed value; differences of two terms would round otherwise."""
+
+    def __init__(self, hp: Hyperparameters, K: int, R: int, n_words: int, n_objects: int,
+                 stats: list[_SessionStats]):
+        # The largest count a learn of ``stats`` reaches: every session, word or object in one column.
+        n_max = max(len(stats), sum(s.word_total for s in stats), sum(s.obj_total for s in stats))
+        n = np.arange(n_max + 1, dtype=float)
+        self.log_alpha = np.log(n + hp.alpha)
+        self.log_gamma = np.log(n + hp.gamma)
+        self.log_r_gamma = np.log(n + R * hp.gamma)
+        self.k_alpha = K * hp.alpha
+        self.words = (gammaln(n + hp.beta), gammaln(n + n_words * hp.beta))
+        self.objects = (gammaln(n + hp.chi), gammaln(n + n_objects * hp.chi))
+        # Per region count: kappa_n, df, max(n, 1), shrink, scale factor, (df + 2) / 2, t constant.
+        kappa_n = hp.kappa + n
+        nu_n = hp.nu0 + n
+        df = nu_n - _DIM + 1.0
+        half = (df + _DIM) / 2.0
+        self.region = np.stack([
+            kappa_n, df, np.maximum(n, 1.0), hp.kappa * n / kappa_n,
+            (kappa_n + 1.0) / (kappa_n * df), half,
+            gammaln(half) - gammaln(df / 2.0) - np.log(df) - math.log(math.pi),
+        ])
+        self.m0 = hp.m0_array
+        self.kappa_m0 = hp.kappa * self.m0
+        self.v0 = hp.V0_array.ravel()
+
+
+def _dirichlet_multinomial_log(counts: np.ndarray, total_col: int, cols: np.ndarray,
+                               cnt: np.ndarray, m: int, table: np.ndarray,
+                               mass_table: np.ndarray) -> np.ndarray | float:
     """Log predictive of a token multiset under each component's DM posterior."""
     if m == 0:
-        return np.zeros(totals.shape)
-    vocab_mass = counts.shape[-1] * conc
-    sel = counts[..., idx]
-    per_word = gammaln(sel + cnt + conc).sum(axis=-1) - gammaln(sel + conc).sum(axis=-1)
-    return per_word + gammaln(totals + vocab_mass) - gammaln(totals + m + vocab_mass)
+        return 0.0
+    sel = counts[..., cols]
+    totals = counts[..., total_col]
+    return (table[sel + cnt].sum(axis=-1) - table[sel].sum(axis=-1)
+            + mass_table[totals] - mass_table[totals + m])
 
 
-def _niw_posterior(p: _Batch, hp: Hyperparameters):
-    """Per-region NIW posterior parameters (kappa_n, nu_n, m_n, V_n) from moment sums,
-    for every particle of a batch or for one particle taken from it."""
-    m0 = hp.m0_array
-    n = p.pos_n
-    kappa_n = hp.kappa + n
-    nu_n = hp.nu0 + n
-    safe = np.maximum(n, 1.0)
-    xbar = p.pos_sum / safe[..., None]
-    scatter = p.pos_outer - n[..., None, None] * (xbar[..., :, None] * xbar[..., None, :])
-    m_n = (hp.kappa * m0 + p.pos_sum) / kappa_n[..., None]
-    dev = xbar - m0
-    shrink = (hp.kappa * n / kappa_n)[..., None, None]
-    V_n = hp.V0_array + scatter + shrink * (dev[..., :, None] * dev[..., None, :])
-    return kappa_n, nu_n, m_n, V_n
+def _niw_posterior(moments: np.ndarray, t: _Tables):
+    """Region-table rows of each region's count, NIW posterior mean m_n and flattened
+    scale V_n, from moment sums of a batch or of one particle taken from it."""
+    region = t.region[:, moments[..., 0].astype(int)]
+    kappa_n, _, safe, shrink = region[:4]
+    n, xsum = moments[..., 0], moments[..., 1:1 + _DIM]
+    xbar = xsum / safe[..., None]
+    flat = xbar.shape[:-1] + (_DIM * _DIM,)
+    scatter = moments[..., 1 + _DIM:] - n[..., None] * (xbar[..., :, None] * xbar[..., None, :]).reshape(flat)
+    m_n = (t.kappa_m0 + xsum) / kappa_n[..., None]
+    dev = xbar - t.m0
+    V_n = t.v0 + scatter + shrink[..., None] * (dev[..., :, None] * dev[..., None, :]).reshape(flat)
+    return region, m_n, V_n
 
 
-def _position_log_predictive(p: _Batch, x: np.ndarray, hp: Hyperparameters) -> np.ndarray:
+def _position_log_predictive(moments: np.ndarray, x: np.ndarray, t: _Tables) -> np.ndarray:
     """Student-t log predictive of ``x`` under each region's NIW posterior."""
-    kappa_n, nu_n, m_n, V_n = _niw_posterior(p, hp)
-    df = nu_n - _DIM + 1.0
-    factor = ((kappa_n + 1.0) / (kappa_n * df))[..., None, None]
-    scale = V_n * factor
-    det = scale[..., 0, 0] * scale[..., 1, 1] - scale[..., 0, 1] * scale[..., 1, 0]
+    region, m_n, V_n = _niw_posterior(moments, t)
+    _, df, _, _, factor, half, const = region
+    scale = V_n * factor[..., None]
+    det = scale[..., 0] * scale[..., 3] - scale[..., 1] * scale[..., 2]
     dev = x - m_n
-    quad = (scale[..., 1, 1] * dev[..., 0] ** 2
-            - 2.0 * scale[..., 0, 1] * dev[..., 0] * dev[..., 1]
-            + scale[..., 0, 0] * dev[..., 1] ** 2) / det
-    return (gammaln((df + _DIM) / 2.0) - gammaln(df / 2.0)
-            - np.log(df) - math.log(math.pi)
-            - 0.5 * np.log(det)
-            - ((df + _DIM) / 2.0) * np.log1p(quad / df))
+    quad = (scale[..., 3] * dev[..., 0] ** 2
+            - 2.0 * scale[..., 1] * dev[..., 0] * dev[..., 1]
+            + scale[..., 0] * dev[..., 1] ** 2) / det
+    return const - 0.5 * np.log(det) - half * np.log1p(quad / df)
 
 
-def _log_grid(p: _Batch, s: _SessionStats, hp: Hyperparameters) -> np.ndarray:
+def _log_grid(p: _Batch, s: _SessionStats, t: _Tables) -> np.ndarray:
     """Collapsed log conditional over (concept, region) for one session, shape (P, K, R)."""
-    K, R = p.link_counts.shape[1:]
+    n_k = p.counts[..., _CONCEPT]
     # Every particle holds the same sessions, so all share one concept total.
-    n_total = p.concept_counts[0].sum()
-    log_pc = np.log(p.concept_counts + hp.alpha) - math.log(n_total + K * hp.alpha)
-    log_pr = np.log(p.link_counts + hp.gamma) - np.log(p.concept_counts + R * hp.gamma)[..., None]
-    log_words = _dirichlet_multinomial_log(p.word_counts, p.word_totals, hp.beta,
-                                           s.word_idx, s.word_cnt, s.word_total)
-    log_objects = _dirichlet_multinomial_log(p.object_counts, p.object_totals, hp.chi,
-                                             s.obj_idx, s.obj_cnt, s.obj_total)
-    log_pos = _position_log_predictive(p, s.x, hp)
+    log_pc = t.log_alpha[n_k] - math.log(n_k[0].sum() + t.k_alpha)
+    log_pr = t.log_gamma[p.counts[..., -p.moments.shape[1]:]] - t.log_r_gamma[n_k][..., None]
+    log_words = _dirichlet_multinomial_log(p.counts, _WORD_TOTAL, s.word_cols, s.word_cnt,
+                                           s.word_total, *t.words)
+    log_objects = _dirichlet_multinomial_log(p.counts, _OBJ_TOTAL, s.obj_cols, s.obj_cnt,
+                                             s.obj_total, *t.objects)
+    log_pos = _position_log_predictive(p.moments, s.x, t)
     return (log_pc + log_words + log_objects)[..., None] + log_pr + log_pos[..., None, :]
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp(a, axis=-1)`` for finite input, with its arithmetic:
+    the maxima are masked out of the sum and added back as ``log(m)``."""
+    a_max = a.max(axis=-1, keepdims=True)
+    top = a == a_max
+    m = top.sum(axis=-1, keepdims=True)
+    s = np.exp(np.where(top, -np.inf, a - a_max)).sum(axis=-1, keepdims=True)
+    return (np.log1p(s / m) + np.log(m) + a_max).squeeze(-1)
 
 
 def _sample_grid(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -186,7 +219,7 @@ def _sample_grid(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _systematic_resample(log_w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     n = len(log_w)
-    w = np.exp(log_w - logsumexp(log_w))
+    w = np.exp(log_w - _logsumexp(log_w))
     positions = (rng.random() + np.arange(n)) / n
     cumulative = np.cumsum(w)
     cumulative[-1] = 1.0  # rounding can leave it below the last position, indexing past n
@@ -230,16 +263,19 @@ def learn_fixed_lag(
     place_index = {w: i for i, w in enumerate(vocab_places)}
     object_index = {o: i for i, o in enumerate(vocab_objects)}
     stats = [_SessionStats(s, place_index, object_index) for s in sessions]
+    if not math.isfinite(sum(v * v for s in stats for v in s.x.tolist())):
+        raise SchemaError("session positions are too large: their squares overflow")
+    tables = _Tables(hp, num_concepts, num_regions, len(vocab_places), len(vocab_objects), stats)
 
     rng = np.random.default_rng(seed)
     n_particles = hp.num_particles
     batch = _Batch(n_particles, num_concepts, num_regions, len(vocab_places),
-                   max(len(vocab_objects), 1), len(stats))
+                   len(vocab_objects), len(stats))
     log_w = np.full(n_particles, -math.log(n_particles))
 
     for t, s in enumerate(stats):
-        grid = _log_grid(batch, s, hp)
-        log_w += logsumexp(grid.reshape(n_particles, -1), axis=1)
+        grid = _log_grid(batch, s, tables)
+        log_w += _logsumexp(grid.reshape(n_particles, -1))
         batch.assignments[:, t] = _sample_grid(grid, rng.random(n_particles))
         batch.add(batch.assignments[:, t], s)
 
@@ -249,10 +285,10 @@ def learn_fixed_lag(
         u = rng.random((n_particles, len(window)))
         for j, tau in enumerate(window):
             batch.add(batch.assignments[:, tau], stats[tau], sign=-1)
-            batch.assignments[:, tau] = _sample_grid(_log_grid(batch, stats[tau], hp), u[:, j])
+            batch.assignments[:, tau] = _sample_grid(_log_grid(batch, stats[tau], tables), u[:, j])
             batch.add(batch.assignments[:, tau], stats[tau])
 
-        log_w = log_w - logsumexp(log_w)
+        log_w = log_w - _logsumexp(log_w)
         weights = np.exp(log_w)
         ess = 1.0 / float((weights ** 2).sum())
         if ess < n_particles / 2.0:
@@ -260,40 +296,32 @@ def learn_fixed_lag(
             log_w = np.full(n_particles, -math.log(n_particles))
 
     best = batch.take(int(np.argmax(log_w)))
-    return _posterior_mean_model(best, hp, seed, vocab_places, vocab_objects)
+    return _posterior_mean_model(best, tables, hp, seed, vocab_places, vocab_objects)
 
 
-def _posterior_mean_model(p: _Batch, hp: Hyperparameters, seed: int,
+def _posterior_mean_model(p: _Batch, t: _Tables, hp: Hyperparameters, seed: int,
                           vocab_places: list[str], vocab_objects: list[str]) -> SpatialConceptModel:
-    K, R = p.link_counts.shape
-    n_total = p.concept_counts.sum()
-    pi = (p.concept_counts + hp.alpha) / (n_total + K * hp.alpha)
-    n_objects = len(vocab_objects)
-    concepts = []
-    for c in range(K):
-        word_dist = (p.word_counts[c] + hp.beta) / (p.word_totals[c] + len(vocab_places) * hp.beta)
-        if n_objects:
-            object_dist = (p.object_counts[c, :n_objects] + hp.chi) / (p.object_totals[c] + n_objects * hp.chi)
-        else:
-            object_dist = np.zeros(0)
-        region_dist = (p.link_counts[c] + hp.gamma) / (p.concept_counts[c] + R * hp.gamma)
-        concepts.append(Concept(word_dist, object_dist, region_dist))
+    R, n_words, n_objects = len(p.moments), len(vocab_places), len(vocab_objects)
+    n_k = p.counts[:, _CONCEPT]
+    pi = (n_k + hp.alpha) / (n_k.sum() + t.k_alpha)
+    word_counts = p.counts[:, _WORDS:_WORDS + n_words]
+    object_counts = p.counts[:, _WORDS + n_words:_WORDS + n_words + n_objects]
+    concepts = [Concept((word_counts[c] + hp.beta) / (row[_WORD_TOTAL] + n_words * hp.beta),
+                        (object_counts[c] + hp.chi) / (row[_OBJ_TOTAL] + n_objects * hp.chi),
+                        (row[-R:] + hp.gamma) / (n_k[c] + R * hp.gamma))
+                for c, row in enumerate(p.counts)]
 
-    kappa_n, nu_n, m_n, V_n = _niw_posterior(p, hp)
+    _, m_n, V_n = _niw_posterior(p.moments, t)
+    nu_n = hp.nu0 + p.moments[:, 0]
     regions = []
     for r in range(R):
         # Posterior-mean covariance needs nu_n > dim+1; empty regions fall
         # back to the inverse-Wishart mode, which is always defined.
         denom = nu_n[r] - _DIM - 1.0
-        cov = V_n[r] / denom if denom > 0 else V_n[r] / (nu_n[r] + _DIM + 1.0)
+        scale = V_n[r].reshape(_DIM, _DIM)
+        cov = scale / denom if denom > 0 else scale / (nu_n[r] + _DIM + 1.0)
         regions.append(GaussianRegion(mean=m_n[r].copy(), cov=cov))
 
-    return SpatialConceptModel(
-        pi=pi,
-        concepts=concepts,
-        regions=regions,
-        vocab_places=list(vocab_places),
-        vocab_objects=list(vocab_objects),
-        hyperparameters=hp,
-        seed=seed,
-    )
+    return SpatialConceptModel(pi=pi, concepts=concepts, regions=regions,
+                               vocab_places=list(vocab_places), vocab_objects=list(vocab_objects),
+                               hyperparameters=hp, seed=seed)

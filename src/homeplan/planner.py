@@ -240,11 +240,20 @@ class RemoteChatBackend:
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
                     payload = json.loads(response.read().decode("utf-8"))
-                return payload["choices"][0]["message"]["content"]
-            except (urllib.error.URLError, TimeoutError, KeyError, json.JSONDecodeError) as exc:
+                content = payload["choices"][0]["message"]["content"]
+                if isinstance(content, str):
+                    return content
+                last_error = f"choices[0].message.content is {type(content).__name__}, not a string"
+            except urllib.error.HTTPError as exc:
+                # A client error other than timeout or rate limit (a bad key, say) will not heal.
+                if 400 <= exc.code < 500 and exc.code not in (408, 429):
+                    raise BackendError(f"remote completion refused: HTTP {exc.code} {exc.reason}") from None
                 last_error = exc
-                if attempt < self.retries and self.retry_wait > 0:
-                    time.sleep(self.retry_wait)
+            except (urllib.error.URLError, TimeoutError, KeyError, IndexError, TypeError,
+                    UnicodeDecodeError, json.JSONDecodeError) as exc:
+                last_error = exc
+            if attempt < self.retries and self.retry_wait > 0:
+                time.sleep(self.retry_wait)
         raise BackendError(f"remote completion failed after {self.retries + 1} attempts: {last_error}")
 
 

@@ -9,6 +9,8 @@ delivery point named ``gather`` where fetched objects are dropped off.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -48,6 +50,26 @@ class Room:
         return np.asarray(self.scatter, dtype=float)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _footprint_problems(room: Room) -> list[str]:
+    """What is wrong with a room's Gaussian footprint: ``center`` must be two finite
+    numbers, ``scatter`` a finite, symmetric, positive semi-definite 2x2 matrix (an
+    all-zero scatter is the deterministic limit: every position is the center)."""
+    problems = []
+    if len(room.center) != 2 or not all(_is_number(v) for v in room.center):
+        problems.append(f"rooms[{room.name}].center: must be two finite numbers")
+    rows = room.scatter
+    if (len(rows) != 2 or any(len(row) != 2 or not all(_is_number(v) for v in row) for row in rows)
+            or rows[0][1] != rows[1][0] or rows[0][0] < 0 or rows[1][1] < 0
+            or rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0] < 0):
+        problems.append(f"rooms[{room.name}].scatter: must be a finite, symmetric, "
+                        "positive semi-definite 2x2 matrix")
+    return problems
+
+
 @dataclass
 class Environment:
     floors: list[str]
@@ -73,6 +95,7 @@ class Environment:
         for r in self.rooms:
             if r.floor not in self.floors:
                 problems.append(f"rooms[{r.name}].floor: unknown floor {r.floor!r}")
+            problems.extend(_footprint_problems(r))
         for obj, room in self.placements.items():
             if room not in names:
                 problems.append(f"placements[{obj}]: unknown room {room!r}")
@@ -290,13 +313,12 @@ def _room_from_dict(data: dict, idx: int) -> Room:
     problems = [k for k in ("name", "floor", "center") if k not in data]
     if problems:
         raise SchemaError(f"rooms[{idx}] missing keys: {problems}")
-    scatter = data.get("scatter", ((0.25, 0.0), (0.0, 0.25)))
-    return Room(
-        name=data["name"],
-        floor=data["floor"],
-        center=tuple(data["center"]),
-        scatter=tuple(tuple(row) for row in scatter),
-    )
+    try:
+        center = tuple(data["center"])
+        scatter = tuple(tuple(row) for row in data.get("scatter", Room.scatter))
+    except TypeError:
+        raise SchemaError(f"rooms[{idx}]: center and scatter must be lists of numbers") from None
+    return Room(name=data["name"], floor=data["floor"], center=center, scatter=scatter)
 
 
 def environment_from_dict(data: dict) -> Environment:

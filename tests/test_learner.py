@@ -1,19 +1,24 @@
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from homeplan.errors import ConfigurationError, SchemaError, UnknownLabelError
 from homeplan.experiment import default_robots, learn_floor_model
 from homeplan.learner import (
+    _OBJ_TOTAL,
+    _WORDS,
     _Batch,
     _log_grid,
+    _logsumexp,
     _sample_grid,
     _SessionStats,
     _systematic_resample,
+    _Tables,
     derive_vocabularies,
     learn_fixed_lag,
 )
@@ -201,6 +206,7 @@ def test_systematic_resample_stays_in_range_at_the_top_draw():
     ([Session(np.zeros(2), ["o"], [])], {}, SchemaError),
     ([Session(np.array([np.nan, 0.0]), ["o"], ["w"])], {}, SchemaError),
     ([Session(np.array([0.0, np.inf]), ["o"], ["w"])], {}, SchemaError),
+    ([Session(np.array([1e200, 0.0]), ["o"], ["w"]), Session(np.zeros(2), ["o"], ["w"])], {}, SchemaError),
 ])
 def test_bad_learner_input_is_a_typed_error(sessions, kwargs, error):
     with pytest.raises(error):
@@ -262,6 +268,35 @@ def _random_stats(rng, n, places, objects):
     return [_SessionStats(s, place_index, object_index) for s in sessions]
 
 
+def _per_particle(batch, i, n_words, n_objects):
+    """Particle ``i`` of a stacked batch in the per-particle layout the reference reads."""
+    counts, moments = batch.counts[i].astype(float), batch.moments[i]
+    R, objects = moments.shape[0], _WORDS + n_words
+    return SimpleNamespace(
+        concept_counts=counts[:, 0], word_totals=counts[:, 1], object_totals=counts[:, 2],
+        word_counts=counts[:, _WORDS:objects], object_counts=counts[:, objects:objects + n_objects],
+        link_counts=counts[:, -R:], pos_n=moments[:, 0], pos_sum=moments[:, 1:3],
+        pos_outer=moments[:, 3:].reshape(R, 2, 2))
+
+
+def _vocabulary_indexed(s, n_words):
+    """Session stats with vocabulary indices in place of stacked-count columns."""
+    return SimpleNamespace(word_idx=s.word_cols - _WORDS, word_cnt=s.word_cnt, word_total=s.word_total,
+                           obj_idx=s.obj_cols - _WORDS - n_words, obj_cnt=s.obj_cnt,
+                           obj_total=s.obj_total, x=s.x)
+
+
+def _assert_grids_match_reference(batch, tables, stats, hp, n_words, n_objects):
+    P, K, R = len(batch.counts), batch.counts.shape[1], batch.moments.shape[1]
+    for s in stats:
+        grid = _log_grid(batch, s, tables)
+        assert grid.shape == (P, K, R)
+        for i in range(P):
+            reference = _ref_log_grid(_per_particle(batch, i, n_words, n_objects),
+                                      _vocabulary_indexed(s, n_words), hp)
+            np.testing.assert_allclose(grid[i], reference, rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("case", range(12))
 def test_batched_grid_matches_per_particle_reference(case):
     rng = np.random.default_rng(case)
@@ -271,19 +306,49 @@ def test_batched_grid_matches_per_particle_reference(case):
     hp = Hyperparameters(alpha=float(rng.uniform(0.2, 3.0)), gamma=float(rng.uniform(0.2, 3.0)),
                          beta=float(rng.uniform(0.05, 1.0)), chi=float(rng.uniform(0.05, 1.0)))
     stats = _random_stats(rng, int(rng.integers(1, 25)), places, objects)
-    batch = _Batch(P, K, R, len(places), max(len(objects), 1), len(stats))
+    batch = _Batch(P, K, R, len(places), len(objects), len(stats))
     for t, s in enumerate(stats):
         batch.assignments[:, t] = np.stack([rng.integers(0, K, P), rng.integers(0, R, P)], axis=1)
         batch.add(batch.assignments[:, t], s)
     # Take one session out again, as a Gibbs step does before rescoring it.
     batch.add(batch.assignments[:, 0], stats[0], sign=-1)
+    # Sessions still in the batch are rescored too, which can reach twice a learn's counts.
+    tables = _Tables(hp, K, R, len(places), len(objects), stats * 2)
+    _assert_grids_match_reference(batch, tables, stats, hp, len(places), len(objects))
 
+
+def test_saturated_grid_reads_the_largest_table_index():
+    # One concept and one region hold every session, each with the most tokens
+    # _random_stats draws (3 words, 4 objects) of a one-word, one-object vocabulary,
+    # so rescoring a session reads each table at the largest count a learn reaches.
+    sessions = [Session(np.array([0.5 * i, -0.25 * i]), ["cup"] * 4, ["kitchen"] * 3) for i in range(20)]
+    stats = [_SessionStats(s, {"kitchen": 0}, {"cup": 0}) for s in sessions]
+    hp = Hyperparameters(num_particles=3, lag_window=4)
+    tables = _Tables(hp, 1, 1, 1, 1, stats)
+    batch = _Batch(3, 1, 1, 1, 1, len(stats))
     for s in stats:
-        grid = _log_grid(batch, s, hp)
-        assert grid.shape == (P, K, R)
-        for i in range(P):
-            np.testing.assert_allclose(grid[i], _ref_log_grid(batch.take(i), s, hp),
-                                       rtol=1e-12, atol=1e-12)
+        batch.add(np.zeros((3, 2), dtype=int), s)
+    batch.add(np.zeros((3, 2), dtype=int), stats[-1], sign=-1)
+    s = stats[-1]
+    assert batch.counts[0, 0, _OBJ_TOTAL] + s.obj_total == len(tables.objects[1]) - 1 == 4 * len(stats)
+    _assert_grids_match_reference(batch, tables, [s], hp, 1, 1)
+    learn_fixed_lag(sessions, hp, seed=0, num_concepts=1, num_regions=1).validate()
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_logsumexp_is_scipys_bit_for_bit():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        grid = rng.normal(scale=float(rng.choice([0.1, 3.0, 300.0])), size=(int(rng.integers(1, 31)), 25))
+        np.testing.assert_array_equal(_bits(_logsumexp(grid)), _bits(logsumexp(grid, axis=1)))
+        vector = rng.normal(scale=5.0, size=int(rng.integers(1, 40)))
+        np.testing.assert_array_equal(_bits(_logsumexp(vector)), _bits(logsumexp(vector)))
+        ties = rng.integers(-3, 1, size=(int(rng.integers(1, 31)), 7)).astype(float)
+        np.testing.assert_array_equal(_bits(_logsumexp(ties)), _bits(logsumexp(ties, axis=1)))
+        np.testing.assert_array_equal(_bits(_logsumexp(ties[0])), _bits(logsumexp(ties[0])))
 
 
 def test_batched_sampling_picks_what_generator_choice_picks():

@@ -326,6 +326,57 @@ def test_remote_backend_exhausted_retries_raise(monkeypatch):
         backend.complete("p")
 
 
+def _http_error(code, reason):
+    return urllib.error.HTTPError("https://example.test", code, reason, {}, None)
+
+
+def test_remote_backend_does_not_retry_client_errors(monkeypatch):
+    calls = {"n": 0}
+
+    def refusing_urlopen(request, timeout=None):
+        calls["n"] += 1
+        raise _http_error(401, "Unauthorized")
+
+    monkeypatch.setattr("urllib.request.urlopen", refusing_urlopen)
+    backend = RemoteChatBackend("https://example.test", api_key="bad", retries=3, retry_wait=0.0)
+    with pytest.raises(BackendError, match="401"):
+        backend.complete("p")
+    assert calls["n"] == 1
+
+
+@pytest.mark.parametrize("code", [408, 429, 503])
+def test_remote_backend_retries_timeouts_rate_limits_and_server_errors(monkeypatch, code):
+    calls = {"n": 0}
+
+    def busy_urlopen(request, timeout=None):
+        calls["n"] += 1
+        if calls["n"] == 1:
+            raise _http_error(code, "busy")
+        return _FakeResponse(json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode("utf-8"))
+
+    monkeypatch.setattr("urllib.request.urlopen", busy_urlopen)
+    backend = RemoteChatBackend("https://example.test", api_key="k", retries=2, retry_wait=0.0)
+    assert backend.complete("p") == "ok"
+    assert calls["n"] == 2
+
+
+@pytest.mark.parametrize("payload", [
+    {"choices": []},
+    {"choices": None},
+    {"choices": [{"message": {"content": 5}}]},
+    {"choices": [{"message": None}]},
+    {"choices": "text"},
+    [],
+    "plain text",
+])
+def test_remote_backend_malformed_payload_is_a_backend_error(monkeypatch, payload):
+    monkeypatch.setattr("urllib.request.urlopen",
+                        lambda request, timeout=None: _FakeResponse(json.dumps(payload).encode("utf-8")))
+    backend = RemoteChatBackend("https://example.test", api_key="k", retries=1, retry_wait=0.0)
+    with pytest.raises(BackendError):
+        backend.complete("p")
+
+
 def test_remote_backend_requires_api_key(monkeypatch):
     monkeypatch.delenv("HOMEPLAN_LLM_KEY", raising=False)
     backend = RemoteChatBackend("https://example.test")

@@ -75,6 +75,51 @@ def test_schema_error_lists_offending_keys():
         })
 
 
+def _one_room_document(**room):
+    return {"floors": ["1F"], "rooms": [{"name": "a", "floor": "1F", "center": [0, 0], **room}],
+            "placements": {}, "categories": {}, "place_words": {}}
+
+
+def test_nan_room_center_is_schema_error():
+    with pytest.raises(SchemaError, match="center"):
+        environment_from_dict(_one_room_document(center=[float("nan"), 0.0]))
+
+
+def test_one_element_room_center_is_schema_error():
+    with pytest.raises(SchemaError, match="center"):
+        environment_from_dict(_one_room_document(center=[1.0]))
+
+
+def test_negative_definite_room_scatter_is_schema_error():
+    with pytest.raises(SchemaError, match="scatter"):
+        environment_from_dict(_one_room_document(scatter=[[-1.0, 0.0], [0.0, -1.0]]))
+
+
+@pytest.mark.parametrize("room", [
+    {"center": 3.0},
+    {"center": ["x", "y"]},
+    {"center": [True, 0.0]},
+    {"center": [0.0, 1.0, 2.0]},
+    {"center": [float("inf"), 0.0]},
+    {"scatter": [[1.0, 0.5], [0.0, 1.0]]},
+    {"scatter": [[1.0, 2.0], [2.0, 1.0]]},
+    {"scatter": [[1.0, 0.0], [0.0, float("nan")]]},
+    {"scatter": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+    {"scatter": [1.0, 1.0]},
+])
+def test_bad_room_footprint_is_schema_error(room):
+    with pytest.raises(SchemaError):
+        environment_from_dict(_one_room_document(**room))
+
+
+def test_built_environment_checks_room_footprints():
+    with pytest.raises(SchemaError, match="rooms\\[a\\].center"):
+        Environment(["1F"], [Room("a", "1F", (float("nan"), 0.0))], {}, {}, {})
+    # Integer coordinates, as JSON often writes them, and singular scatters are fine.
+    Environment(["1F"], [Room("a", "1F", (0, 1), ((1, 0), (0, 2))),
+                         Room("b", "1F", (0.0, 1.0), ((1.0, 1.0), (1.0, 1.0)))], {}, {}, {})
+
+
 def test_unknown_builtin_or_path():
     with pytest.raises(SchemaError):
         load_environment("no_such_environment")
