@@ -84,19 +84,15 @@ def cmd_learn(args) -> int:
     seed = _seed_of(args)
     hp = spatial.Hyperparameters(num_particles=args.particles, lag_window=args.lag)
     if args.sessions:
-        sessions = _load_sessions(args.sessions)
-        regions = args.regions
-    else:
-        if not args.floor:
-            raise ConfigurationError("learn needs --sessions or --floor")
+        regions = args.regions or 5
+        model = learner.learn_fixed_lag(_load_sessions(args.sessions), hp, seed=seed,
+                                        num_concepts=regions, num_regions=regions)
+    elif args.floor:
         env = world.load_environment(args.env)
         robot = experiment.floor_robot(env, args.floor, args.robot)
-        sessions = world.generate_floor_sessions(env, robot, np.random.default_rng(seed),
-                                                 visits_per_room=args.visits)
-        regions = args.regions or len(env.rooms_on(args.floor))
-    regions = regions or 5
-    model = learner.learn_fixed_lag(sessions, hp, seed=seed,
-                                    num_concepts=regions, num_regions=regions)
+        model = experiment.learn_floor_model(env, robot, seed, args.visits, hp=hp, num_regions=args.regions)
+    else:
+        raise ConfigurationError("learn needs --sessions or --floor")
     _emit(json.dumps(spatial.model_to_dict(model), indent=2), args.out)
     return 0
 

@@ -250,14 +250,15 @@ def default_robots(env: Environment) -> list[RobotState]:
     return [floor_robot(env, floor, f"Robot{i}") for i, floor in enumerate(env.floors, start=1)]
 
 
-def learn_floor_model(env: Environment, robot: RobotState, seed: int,
-                      visits_per_room: int = 30) -> SpatialConceptModel:
-    """Run the observation protocol on the robot's floor and learn its model."""
-    num_rooms = len(env.rooms_on(robot.floor))
+def learn_floor_model(env: Environment, robot: RobotState, seed: int, visits_per_room: int = 30,
+                      hp: Hyperparameters | None = None,
+                      num_regions: int | None = None) -> SpatialConceptModel:
+    """Run the observation protocol on the robot's floor and learn its model (default: a region per room)."""
+    num_regions = num_regions or len(env.rooms_on(robot.floor))
     sessions = generate_floor_sessions(env, robot, np.random.default_rng(seed),
                                        visits_per_room=visits_per_room)
-    return learn_fixed_lag(sessions, Hyperparameters(), seed=seed,
-                           num_concepts=num_rooms, num_regions=num_rooms)
+    return learn_fixed_lag(sessions, hp or Hyperparameters(), seed=seed,
+                           num_concepts=num_regions, num_regions=num_regions)
 
 
 def learn_floor_knowledge(env: Environment, robot: RobotState, seed: int,

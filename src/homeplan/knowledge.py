@@ -9,14 +9,15 @@ parsers invert the two table-like blocks for round-trip checks.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import SchemaError
 from .spatial import SpatialConceptModel, object_location_posterior, word_posterior
@@ -89,6 +90,10 @@ def match_room_names(model: SpatialConceptModel, rooms: list[Room]) -> list[str]
     and room centers; purely an evaluation-side convenience, the learner
     itself never sees room names.
     """
+    # Imported here: scipy.optimize adds about 23 MB and its import time to
+    # every command, and only room matching needs it.
+    from scipy.optimize import linear_sum_assignment
+
     if len(rooms) < model.num_regions:
         raise ValueError("need at least as many candidate rooms as regions")
     means = np.stack([r.mean for r in model.regions])
@@ -186,6 +191,16 @@ def format_probability(p: float) -> str:
     return s + "0" if s.endswith(".") else s
 
 
+@functools.lru_cache(maxsize=4096)
+def _presence_line(obj: str, row: bytes) -> str:
+    """One rendered presence row, keyed by its IEEE-754 doubles.
+
+    Bytes, not floats, key the cache: ``0.0 == -0.0`` but they render apart.
+    """
+    values = struct.unpack(f"{len(row) // 8}d", row)
+    return f"{obj} = [{', '.join(format_probability(p) for p in values)}]"
+
+
 def render_presence_table(kbs: list[KnowledgeBase]) -> PromptComponent:
     """Per-robot presence-table blocks separated by a dashed divider."""
     if not kbs:
@@ -198,8 +213,7 @@ def render_presence_table(kbs: list[KnowledgeBase]) -> PromptComponent:
             f"[{', '.join(kb.room_names)}]",
         ]
         for obj, row in kb.presence_table.items():
-            rendered = ", ".join(format_probability(p) for p in row)
-            lines.append(f"{obj} = [{rendered}]")
+            lines.append(_presence_line(obj, struct.pack(f"{len(row)}d", *row)))
         blocks.append("\n".join(lines))
     return PromptComponent("presence_table", f"\n{_DIVIDER}\n".join(blocks))
 

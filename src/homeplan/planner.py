@@ -96,6 +96,7 @@ _BRING_WORDS = ("bring", "fetch", "get", "take", "carry")
 
 _SUBTASK_LINE = re.compile(r"^\s*SubTask\s+(\d+)\s*:\s*(.+?)\s*$", re.IGNORECASE)
 _ALLOCATION_LINE = re.compile(r"^\s*SubTask\s+(\d+)\s*:\s*(.*?)\s*->\s*(\S+)\s*$", re.IGNORECASE)
+_BRING_VERB = re.compile(rf"\b(?:{'|'.join(_BRING_WORDS)})\b")
 _ARTICLES = re.compile(r"^(a|an|the|some)\s+", re.IGNORECASE)
 
 
@@ -196,9 +197,10 @@ class ReplayBackend:
 
     def complete(self, prompt: str) -> str:
         path = self._path(prompt)
-        if not path.exists():
-            raise ReplayMissError(f"no canned response for prompt hash {self.request_hash(prompt)}")
-        return path.read_text()
+        try:
+            return path.read_text()
+        except FileNotFoundError:
+            raise ReplayMissError(f"no canned response for prompt hash {path.stem}") from None
 
 
 class RemoteChatBackend:
@@ -300,14 +302,17 @@ def _extract_explicit_targets(text: str, object_vocab: list[str], synonyms: dict
     """Known labels and synonym phrases mentioned in the text, in mention order."""
     lowered = text.lower()
     hits: list[tuple[int, str]] = []
+    # A regex hit implies a substring hit, so the cheap ``in`` test skips only misses.
     for label in object_vocab:
         for surface in (label.lower(), label.lower().replace("_", " ")):
+            if surface not in lowered:
+                continue
             m = re.search(rf"(?<![a-z_]){re.escape(surface)}(?![a-z_])", lowered)
             if m:
                 hits.append((m.start(), label))
                 break
     for phrase, label in synonyms.items():
-        if label not in object_vocab:
+        if phrase not in lowered or label not in object_vocab:
             continue
         m = re.search(rf"(?<![a-z_]){re.escape(phrase)}(?![a-z_])", lowered)
         if m:
@@ -323,8 +328,7 @@ def _extract_explicit_targets(text: str, object_vocab: list[str], synonyms: dict
 
 
 def _verb_for(text: str) -> str:
-    lowered = text.lower()
-    return "bring" if any(re.search(rf"\b{w}\b", lowered) for w in _BRING_WORDS) else "find"
+    return "bring" if _BRING_VERB.search(text.lower()) else "find"
 
 
 def render_decomposition_prompt(instruction_text: str, object_vocab: list[str]) -> str:

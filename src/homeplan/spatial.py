@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,20 +57,26 @@ class Hyperparameters:
     lag_window: int = 10
 
     def __post_init__(self):
-        for name in ("alpha", "gamma", "beta", "chi", "kappa"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.nu0 <= 1:
-            raise ValueError("nu0 must exceed 1")
-        if self.num_particles < 1:
-            raise ValueError("num_particles must be >= 1")
-        if self.lag_window < 1:
-            raise ValueError("lag_window must be >= 1")
-        v0 = self.V0_array
+        # Checked here, once per construction or load, so the learner reads them unchecked.
+        for name, floor in (("alpha", 0), ("gamma", 0), ("beta", 0), ("chi", 0), ("kappa", 0), ("nu0", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or \
+                    not floor < value < math.inf:
+                raise SchemaError(f"{name} must be a finite number above {floor}, not {value!r}")
+        for name in ("num_particles", "lag_window"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise SchemaError(f"{name} must be an integer >= 1, not {value!r}")
+        try:
+            m0, v0 = self.m0_array, self.V0_array
+        except (TypeError, ValueError):
+            raise SchemaError("m0 and V0 must be numeric") from None
+        if m0.shape != (2,) or v0.shape != (2, 2) or not (np.isfinite(m0).all() and np.isfinite(v0).all()):
+            raise SchemaError("m0 must be 2 finite numbers and V0 a finite 2x2 matrix")
         if not np.allclose(v0, v0.T):
-            raise ValueError("V0 must be symmetric")
+            raise SchemaError("V0 must be symmetric")
         if np.any(np.linalg.eigvalsh(v0) <= 0):
-            raise ValueError("V0 must be positive-definite")
+            raise SchemaError("V0 must be positive-definite")
 
     @property
     def m0_array(self) -> np.ndarray:
@@ -95,18 +102,23 @@ class Hyperparameters:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Hyperparameters":
-        return cls(
-            alpha=data["alpha"],
-            gamma=data["gamma"],
-            beta=data["beta"],
-            chi=data["chi"],
-            m0=tuple(data["m0"]),
-            kappa=data["kappa"],
-            V0=tuple(tuple(row) for row in data["V0"]),
-            nu0=data["nu0"],
-            num_particles=data["num_particles"],
-            lag_window=data["lag_window"],
-        )
+        try:
+            return cls(
+                alpha=data["alpha"],
+                gamma=data["gamma"],
+                beta=data["beta"],
+                chi=data["chi"],
+                m0=tuple(data["m0"]),
+                kappa=data["kappa"],
+                V0=tuple(tuple(row) for row in data["V0"]),
+                nu0=data["nu0"],
+                num_particles=data["num_particles"],
+                lag_window=data["lag_window"],
+            )
+        except KeyError as exc:
+            raise SchemaError(f"hyperparameters missing key: {exc.args[0]!r}") from None
+        except TypeError:
+            raise SchemaError("hyperparameters must be an object; m0 and V0 must be lists") from None
 
 
 @dataclass

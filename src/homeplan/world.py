@@ -182,7 +182,7 @@ class World:
         robots = [replace(r) for r in robots]
         self.robots = {r.robot_id: r for r in robots}
         if len(self.robots) != len(robots):
-            raise ValueError("duplicate robot ids")
+            raise SchemaError(f"duplicate robot ids in {[r.robot_id for r in robots]}")
         for r in robots:
             if r.floor not in env.floors:
                 raise SchemaError(f"robot {r.robot_id!r} assigned to unknown floor {r.floor!r}")
@@ -220,7 +220,7 @@ class World:
             return self._pick(robot, argument, rng)
         if skill == "place":
             return self._place(robot, argument, rng)
-        raise ValueError(f"unknown skill {skill!r}; expected one of {SKILLS}")
+        raise PlanningError(f"unknown skill {skill!r}; expected one of {SKILLS}")
 
     def _navigate(self, robot: RobotState, room: str, rng) -> SkillOutcome:
         if not self.known_location(room):

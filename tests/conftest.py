@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from homeplan.executor import ExecutionPolicy, run_assignments
-from homeplan.knowledge import KnowledgeBase
+from homeplan.knowledge import KnowledgeBase, PromptComponent, format_probability
 from homeplan.planner import Assignment, Subtask
 from homeplan.spatial import Concept, GaussianRegion, SpatialConceptModel
 
@@ -113,3 +113,19 @@ def kb_robot2():
         place_vocab=[[] for _ in ROBOT2_ROOMS],
         presence_table={k: list(v) for k, v in ROBOT2_TABLE.items()},
     )
+
+
+def reference_presence_table(kbs):
+    """The presence-table renderer without its row cache: every row formatted on every call."""
+    blocks = []
+    for kb in kbs:
+        lines = [
+            kb.robot_id,
+            '"List of probabilities that an object exists":',
+            f"[{', '.join(kb.room_names)}]",
+        ]
+        for obj, row in kb.presence_table.items():
+            rendered = ", ".join(format_probability(p) for p in row)
+            lines.append(f"{obj} = [{rendered}]")
+        blocks.append("\n".join(lines))
+    return PromptComponent("presence_table", f"\n{'-' * 16}\n".join(blocks))

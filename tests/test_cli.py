@@ -184,3 +184,19 @@ def test_assignment_without_robot_id_is_an_error(tmp_path, kb_files, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "robot_id" in err
+
+
+@pytest.mark.parametrize("key, value", [("alpha", 0), ("V0", "x")])
+def test_bad_model_hyperparameters_are_an_error(tmp_path, capsys, key, value):
+    model_path = tmp_path / "model.json"
+    assert main(["learn", "--env", "robocup_arena", "--floor", "zone2", "--visits", "3",
+                 "--particles", "2", "--lag", "2", "--out", str(model_path)]) == 0
+    model = json.loads(model_path.read_text())
+    model["hyperparameters"][key] = value
+    model_path.write_text(json.dumps(model))
+    capsys.readouterr()
+    assert main(["extract", "--env", "robocup_arena", "--floor", "zone2",
+                 "--model-path", str(model_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert key in err

@@ -21,7 +21,7 @@ from homeplan.errors import SchemaError
 from homeplan.spatial import object_location_posterior, word_posterior
 from homeplan.world import load_environment
 
-from conftest import random_model
+from conftest import random_model, reference_presence_table
 
 
 @pytest.fixture
@@ -140,6 +140,16 @@ def test_presence_round_trip_random_tables(seed):
     assert parsed.room_names == rooms
     for obj in table:
         np.testing.assert_allclose(parsed.row(obj), kb.row(obj), atol=5e-4)
+
+
+def test_presence_rows_render_apart_by_sign_and_after_mutation():
+    kb = KnowledgeBase("R", ["a", "b", "c"], [[], [], []], {"cup": [0.0, 1.0, 5e-5]})
+    assert render_presence_table([kb]).text.endswith("cup = [0.0, 1.0, 0.0001]")
+    kb.presence_table["cup"][0] = -0.0  # equal to 0.0, rendered apart
+    assert render_presence_table([kb]).text.endswith("cup = [-0.0, 1.0, 0.0001]")
+    kb.presence_table["cup"] = [4.9999e-5, 0.99994, 1]
+    assert render_presence_table([kb]).text.endswith("cup = [0.0, 0.9999, 1.0]")
+    assert render_presence_table([kb]) == reference_presence_table([kb])
 
 
 def test_format_probability_examples():

@@ -1,6 +1,8 @@
 import io
 import json
+import re
 import urllib.error
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,9 +16,11 @@ from homeplan.errors import (
     ReplayMissError,
     UnallocatableError,
 )
+from homeplan import planner
 from homeplan.knowledge import KnowledgeBase
 from homeplan.planner import (
     COMMONSENSE_TYPICAL_ROOM,
+    SYNONYMS,
     Instruction,
     RemoteChatBackend,
     ReplayBackend,
@@ -31,6 +35,8 @@ from homeplan.planner import (
     render_allocation_prompt,
 )
 from homeplan.world import load_environment
+
+from conftest import reference_presence_table
 
 VOCAB_24 = sorted(load_environment("paper_home").placements)
 ROBOCUP_VOCAB = sorted(load_environment("robocup_arena").placements)
@@ -90,6 +96,65 @@ def test_decompose_preserves_mention_order(perm, count):
     text = "Please " + " and then ".join(f"find the {obj}" for obj in mentioned) + "."
     subtasks = decompose(Instruction(text), VOCAB_24)
     assert [s.target_object for s in subtasks] == mentioned
+
+
+def reference_explicit_targets(text, object_vocab, synonyms):
+    """The per-label matcher: one regex search per label surface and per synonym."""
+    lowered = text.lower()
+    hits = []
+    for label in object_vocab:
+        for surface in (label.lower(), label.lower().replace("_", " ")):
+            m = re.search(rf"(?<![a-z_]){re.escape(surface)}(?![a-z_])", lowered)
+            if m:
+                hits.append((m.start(), label))
+                break
+    for phrase, label in synonyms.items():
+        if label not in object_vocab:
+            continue
+        m = re.search(rf"(?<![a-z_]){re.escape(phrase)}(?![a-z_])", lowered)
+        if m:
+            hits.append((m.start(), label))
+    hits.sort()
+    return list(dict.fromkeys(label for _, label in hits))
+
+
+def reference_verb(text):
+    """The per-word verb test: one ``\\bword\\b`` search per bring word."""
+    lowered = text.lower()
+    bring = any(re.search(rf"\b{w}\b", lowered) for w in ("bring", "fetch", "get", "take", "carry"))
+    return "bring" if bring else "find"
+
+
+ALL_VOCAB = sorted({*VOCAB_24, *ROBOCUP_VOCAB})
+_FRAGMENTS = sorted({
+    *ALL_VOCAB, *(v.replace("_", " ") for v in ALL_VOCAB), *SYNONYMS,
+    "bring", "fetch", "get", "take", "carry", "find", "getting", "forget", "taken", "carrying",
+    "please", "the", "a", "and", "me", "apple_pie", "pineapple", "cupboard", "plates", "towels",
+    "water", "bottle", "juice box",
+})
+_CASES = (str.lower, str.upper, str.title, str.capitalize,
+          lambda w: w.replace(" ", "_"), lambda w: w.replace("_", " "))
+_SEPARATORS = (" ", " ", ", ", ". ", "_", "", "-", "!", "? ", "'s ", "\n", "2")
+
+
+@st.composite
+def instruction_texts(draw):
+    parts = []
+    for word in draw(st.lists(st.sampled_from(_FRAGMENTS), min_size=1, max_size=8)):
+        parts.append(draw(st.sampled_from(_CASES))(word))
+        parts.append(draw(st.sampled_from(_SEPARATORS)))
+    return "".join(parts)
+
+
+@given(instruction_texts(), st.lists(st.sampled_from(ALL_VOCAB), min_size=1, unique=True))
+@settings(max_examples=300, deadline=None)
+def test_decomposition_matches_the_per_label_reference(text, vocab):
+    targets = reference_explicit_targets(text, vocab, SYNONYMS)
+    assert planner._extract_explicit_targets(text, vocab, SYNONYMS) == targets
+    assert planner._verb_for(text) == reference_verb(text)
+    if targets:
+        verb = reference_verb(text)
+        assert decompose(Instruction(text), vocab) == [Subtask(verb, t) for t in targets]
 
 
 # ----------------------------------------------------------------- allocate
@@ -203,6 +268,39 @@ def test_commonsense_missing_object_raises(room_to_robot):
 
 def test_commonsense_table_covers_all_24_objects():
     assert set(COMMONSENSE_TYPICAL_ROOM) == set(VOCAB_24)
+
+
+_PROBABILITIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 5e-5, 4.9999e-5, 0.00015, 0.99995, 1 / 3, 0.5]),
+    st.floats(), st.integers(0, 10**6))
+
+
+@st.composite
+def knowledge_bases(draw, robot_id):
+    rooms = [f"room{i}" for i in range(draw(st.integers(1, 4)))]
+    objects = draw(st.lists(st.sampled_from(VOCAB_24[:6]), min_size=1, max_size=4, unique=True))
+    table = {obj: draw(st.lists(_PROBABILITIES, min_size=len(rooms), max_size=len(rooms)))
+             for obj in objects}
+    return KnowledgeBase(robot_id, rooms, [[] for _ in rooms], table)
+
+
+@given(knowledge_bases("Robot1"), knowledge_bases("Robot2"), st.data())
+@settings(max_examples=200, deadline=None)
+def test_allocation_prompt_matches_the_uncached_reference(kb1, kb2, data):
+    kbs = [kb1, kb2]
+    subtasks = [Subtask("find", obj) for obj in sorted({*kb1.presence_table, *kb2.presence_table})]
+
+    def assert_matches_reference():
+        with mock.patch.object(planner, "render_presence_table", reference_presence_table):
+            expected = render_allocation_prompt(subtasks, kbs)
+        assert render_allocation_prompt(subtasks, kbs) == expected
+
+    assert_matches_reference()
+    # Mutated in place after a render: the new row must be rendered.
+    kb = data.draw(st.sampled_from(kbs))
+    row = kb.presence_table[data.draw(st.sampled_from(sorted(kb.presence_table)))]
+    row[data.draw(st.integers(0, len(row) - 1))] = data.draw(_PROBABILITIES)
+    assert_matches_reference()
 
 
 # -------------------------------------------------------- replay and remote

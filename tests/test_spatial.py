@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
-from homeplan.errors import UnknownLabelError
+from homeplan.errors import SchemaError, UnknownLabelError
 from homeplan.spatial import (
     Concept,
     GaussianRegion,
@@ -229,7 +229,6 @@ def test_model_serialization_round_trip(tmp_path):
 
 
 def test_model_from_dict_missing_key():
-    from homeplan.errors import SchemaError
     with pytest.raises(SchemaError):
         model_from_dict({"pi": [1.0]})
 
@@ -253,6 +252,26 @@ def test_hyperparameter_validation():
         Hyperparameters(num_particles=0)
     with pytest.raises(ValueError):
         Hyperparameters(V0=((1.0, 2.0), (0.0, 1.0)))  # asymmetric
+
+
+@pytest.mark.parametrize("key, value", [
+    ("alpha", 0), ("alpha", float("nan")), ("kappa", float("inf")), ("beta", "x"), ("gamma", None),
+    ("chi", True), ("nu0", 1.0), ("num_particles", 2.5), ("lag_window", 0),
+    ("m0", 5), ("m0", "x"), ("m0", [0.0]), ("m0", [0.0, float("nan")]),
+    ("V0", "x"), ("V0", 2.0), ("V0", [[1.0, 0.0]]), ("V0", [[1.0, 0.0], [0.0, None]]),
+    ("V0", [[1.0, 2.0], [0.0, 1.0]]), ("V0", [[1.0, 0.0], [0.0, -1.0]]),
+])
+def test_bad_hyperparameters_are_schema_errors(key, value):
+    data = Hyperparameters().to_dict()
+    data[key] = value
+    with pytest.raises(SchemaError):
+        Hyperparameters.from_dict(data)
+
+
+@pytest.mark.parametrize("data", [{}, [], "x", {"alpha": 1.0}])
+def test_hyperparameter_documents_without_fields_are_schema_errors(data):
+    with pytest.raises(SchemaError):
+        Hyperparameters.from_dict(data)
 
 
 def test_hyperparameters_load_from_documents_with_lambda_aux():

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homeplan.errors import FloorAccessError, SchemaError, UnknownLabelError, UnknownRoomError
+from homeplan.errors import (
+    FloorAccessError,
+    PlanningError,
+    SchemaError,
+    UnknownLabelError,
+    UnknownRoomError,
+)
 from homeplan.world import (
     GATHER,
     Environment,
@@ -144,6 +150,18 @@ def test_unknown_room_and_object_are_typed_errors(home):
         world.step_skill("Robot1", "navigation", "garage")
     with pytest.raises(UnknownLabelError):
         world.step_skill("Robot1", "object_detection", "unicorn")
+
+
+def test_unknown_skill_is_planning_error(home):
+    world = World(home, [sure_robot()], seed=0)
+    with pytest.raises(PlanningError, match="unknown skill 'teleport'"):
+        world.step_skill("Robot1", "teleport", "kitchen")
+    assert world.robots["Robot1"].current_room == "kitchen"
+
+
+def test_duplicate_robot_ids_are_schema_error(home):
+    with pytest.raises(SchemaError, match="duplicate robot ids"):
+        World(home, [sure_robot(), sure_robot(floor="2F", room="child_room")])
 
 
 def test_pick_requires_detection_and_empty_gripper(home):
