@@ -4,7 +4,7 @@
 import argparse
 from pathlib import Path
 
-from homeplan.experiment import default_robots, learn_floor_model
+from homeplan.experiment import best_room_recovery, default_robots, learn_floor_model
 from homeplan.knowledge import extract_knowledge, match_room_names, save_knowledge
 from homeplan.spatial import save_model
 from homeplan.world import load_environment
@@ -32,9 +32,9 @@ def main():
         save_model(model, model_path)
         save_knowledge(kb, kb_path)
 
-        correct = sum(kb.best_room(o)[0] == env.placements[o] for o in kb.presence_table)
+        correct, objects = best_room_recovery(env, robot.floor, kb)
         print(f"{robot.robot_id} ({robot.floor}): {len(rooms) * args.visits} sessions, "
-              f"{correct}/{len(kb.presence_table)} objects located correctly")
+              f"{correct}/{objects} objects located correctly")
         print(f"  model:     {model_path}")
         print(f"  knowledge: {kb_path}")
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks the loaders share."""
+
+import math
+import numbers
 
 
 class HomeplanError(Exception):
@@ -63,3 +66,35 @@ class BackendError(HomeplanError, RuntimeError):
 
 class ReplayMissError(BackendError):
     """No canned response recorded for the requested prompt."""
+
+
+def is_finite_real(v) -> bool:
+    """Whether ``v`` is a real number, not a bool, that a float holds finitely."""
+    # float and int first: they match without the slower numbers.Real check.
+    if isinstance(v, bool) or not isinstance(v, (float, int, numbers.Real)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def require(value, kind: type, where: str, items: type | None = None):
+    """``value`` if it is a ``kind`` whose items (values, for a dict) are all ``items``.
+
+    Raises SchemaError otherwise.  Loaders call it once per container of a document.
+    """
+    if not isinstance(value, kind) or items is not None and not all(
+            isinstance(v, items) for v in (value.values() if isinstance(value, dict) else value)):
+        what = kind.__name__ if items is None else f"{kind.__name__} of {items.__name__}"
+        raise SchemaError(f"{where} must be a {what}")
+    return value
+
+
+def require_fields(data, keys: tuple[str, ...], where: str) -> list:
+    """The values of ``keys`` in the JSON object ``data``; SchemaError if it is not one or lacks any."""
+    require(data, dict, where)
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise SchemaError(f"{where} missing keys: {missing}")
+    return [data[k] for k in keys]

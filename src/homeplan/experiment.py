@@ -269,6 +269,16 @@ def learn_floor_knowledge(env: Environment, robot: RobotState, seed: int,
     return extract_knowledge(model, room_names, robot_id=robot.robot_id)
 
 
+def best_room_recovery(env: Environment, floor: str, kb: KnowledgeBase) -> tuple[int, int]:
+    """(objects on ``floor`` whose most probable room in ``kb`` is their true room, objects on ``floor``).
+
+    An object missing from the presence table counts as not recovered.
+    """
+    objects = env.objects_on(floor)
+    right = sum(obj in kb.presence_table and kb.best_room(obj)[0] == env.placements[obj] for obj in objects)
+    return right, len(objects)
+
+
 def _suite_seeds(seed: int) -> dict[str, int]:
     ss = np.random.SeedSequence(seed)
     names = ["learn_base", "random", "hard_to_predict", "common_sense",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import re
 import struct
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, is_finite_real, require, require_fields
 from .spatial import SpatialConceptModel, object_location_posterior, word_posterior
 from .world import Environment, Room
 
@@ -324,23 +323,21 @@ def knowledge_to_dict(kb: KnowledgeBase) -> dict:
 
 
 def knowledge_from_dict(data: dict) -> KnowledgeBase:
-    missing = [k for k in ("robot_id", "room_names", "place_vocab", "presence_table") if k not in data]
-    if missing:
-        raise SchemaError(f"knowledge document missing keys: {missing}")
-    # Rows are checked here, once per load, so allocation reads them unchecked.
-    table = data["presence_table"]
-    if not isinstance(table, dict):
-        raise SchemaError("presence_table must map object labels to rows")
-    for obj, row in table.items():
-        if not isinstance(row, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v >= 0
-                for v in row):
+    fields = ("robot_id", "room_names", "place_vocab", "presence_table")
+    robot_id, room_names, place_vocab, table = require_fields(data, fields, "knowledge document")
+    # Containers and rows are checked here, once per load, so rendering and allocation read them unchecked.
+    require(robot_id, str, "robot_id")
+    require(room_names, list, "room_names", str)
+    for i, words in enumerate(require(place_vocab, list, "place_vocab")):
+        require(words, list, f"place_vocab[{i}]", str)
+    for obj, row in require(table, dict, "presence_table").items():
+        if not isinstance(row, list) or not all(is_finite_real(v) and v >= 0 for v in row):
             raise SchemaError(f"presence row for {obj!r} must be a list of finite non-negative numbers")
     return KnowledgeBase(
-        robot_id=data["robot_id"],
-        room_names=list(data["room_names"]),
-        place_vocab=[list(v) for v in data["place_vocab"]],
-        presence_table={k: list(v) for k, v in data["presence_table"].items()},
+        robot_id=robot_id,
+        room_names=list(room_names),
+        place_vocab=[list(v) for v in place_vocab],
+        presence_table={k: list(v) for k, v in table.items()},
     )
 
 

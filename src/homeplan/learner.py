@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigurationError, SchemaError, UnknownLabelError
 from .spatial import Concept, GaussianRegion, Hyperparameters, Session, SpatialConceptModel
@@ -114,6 +113,10 @@ class _Tables:
 
     def __init__(self, hp: Hyperparameters, K: int, R: int, n_words: int, n_objects: int,
                  stats: list[_SessionStats]):
+        # Imported here, its only use: scipy.special is most of the import time of
+        # every command, and only a learn needs it.
+        from scipy.special import gammaln
+
         # The largest count a learn of ``stats`` reaches: every session, word or object in one column.
         n_max = max(len(stats), sum(s.word_total for s in stats), sum(s.obj_total for s in stats))
         n = np.arange(n_max + 1, dtype=float)

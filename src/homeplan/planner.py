@@ -15,8 +15,6 @@ import json
 import os
 import re
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -224,6 +222,11 @@ class RemoteChatBackend:
         return key
 
     def complete(self, prompt: str) -> str:
+        # Imported here: urllib.request brings http.client, ssl and email, which
+        # only the remote backend needs.
+        import urllib.error
+        import urllib.request
+
         body = json.dumps({
             "model": self.model,
             "messages": [{"role": "system", "content": prompt}],

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, UnknownLabelError
+from .errors import SchemaError, UnknownLabelError, is_finite_real, require, require_fields
 
 CATEGORICAL_ATOL = 1e-9
 
@@ -60,8 +60,7 @@ class Hyperparameters:
         # Checked here, once per construction or load, so the learner reads them unchecked.
         for name, floor in (("alpha", 0), ("gamma", 0), ("beta", 0), ("chi", 0), ("kappa", 0), ("nu0", 1)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or \
-                    not floor < value < math.inf:
+            if not is_finite_real(value) or value <= floor:
                 raise SchemaError(f"{name} must be a finite number above {floor}, not {value!r}")
         for name in ("num_particles", "lag_window"):
             value = getattr(self, name)
@@ -69,7 +68,7 @@ class Hyperparameters:
                 raise SchemaError(f"{name} must be an integer >= 1, not {value!r}")
         try:
             m0, v0 = self.m0_array, self.V0_array
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise SchemaError("m0 and V0 must be numeric") from None
         if m0.shape != (2,) or v0.shape != (2, 2) or not (np.isfinite(m0).all() and np.isfinite(v0).all()):
             raise SchemaError("m0 must be 2 finite numbers and V0 a finite 2x2 matrix")
@@ -173,14 +172,20 @@ class SpatialConceptModel:
     _object_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.pi = np.asarray(self.pi, dtype=float)
-        for c in self.concepts:
-            c.word_dist = np.asarray(c.word_dist, dtype=float)
-            c.object_dist = np.asarray(c.object_dist, dtype=float)
-            c.region_dist = np.asarray(c.region_dist, dtype=float)
-        for r in self.regions:
-            r.mean = np.asarray(r.mean, dtype=float)
-            r.cov = np.asarray(r.cov, dtype=float)
+        # Checked here, once per construction or load, so the posterior queries read it unchecked.
+        for name in ("vocab_places", "vocab_objects"):
+            vocab = getattr(self, name)
+            if not isinstance(vocab, list) or not all(isinstance(w, str) for w in vocab) \
+                    or len(set(vocab)) != len(vocab):
+                raise SchemaError(f"{name} must be a list of distinct strings")
+        self.pi = _real_array(self.pi, "pi")
+        for i, c in enumerate(self.concepts):
+            c.word_dist = _real_array(c.word_dist, f"concept {i} word_dist")
+            c.object_dist = _real_array(c.object_dist, f"concept {i} object_dist")
+            c.region_dist = _real_array(c.region_dist, f"concept {i} region_dist")
+        for i, r in enumerate(self.regions):
+            r.mean = _real_array(r.mean, f"region {i} mean")
+            r.cov = _real_array(r.cov, f"region {i} cov")
         self._object_index = {o: i for i, o in enumerate(self.vocab_objects)}
         self.validate()
 
@@ -194,27 +199,27 @@ class SpatialConceptModel:
 
     def validate(self) -> None:
         if self.num_concepts < 1 or self.num_regions < 1:
-            raise ValueError("model needs at least one concept and one region")
-        if len(self.pi) != self.num_concepts:
-            raise ValueError("pi length does not match concept count")
+            raise SchemaError("model needs at least one concept and one region")
+        if self.pi.shape != (self.num_concepts,):
+            raise SchemaError("pi length does not match concept count")
         _check_categorical(self.pi, "pi")
         for i, c in enumerate(self.concepts):
-            if len(c.word_dist) != len(self.vocab_places):
-                raise ValueError(f"concept {i} word_dist length mismatch")
-            if len(c.object_dist) != len(self.vocab_objects):
-                raise ValueError(f"concept {i} object_dist length mismatch")
-            if len(c.region_dist) != self.num_regions:
-                raise ValueError(f"concept {i} region_dist length mismatch")
+            if c.word_dist.shape != (len(self.vocab_places),):
+                raise SchemaError(f"concept {i} word_dist length mismatch")
+            if c.object_dist.shape != (len(self.vocab_objects),):
+                raise SchemaError(f"concept {i} object_dist length mismatch")
+            if c.region_dist.shape != (self.num_regions,):
+                raise SchemaError(f"concept {i} region_dist length mismatch")
             _check_categorical(c.word_dist, f"concept {i} word_dist")
             _check_categorical(c.object_dist, f"concept {i} object_dist")
             _check_categorical(c.region_dist, f"concept {i} region_dist")
         for i, r in enumerate(self.regions):
             if r.mean.shape != (2,) or r.cov.shape != (2, 2):
-                raise ValueError(f"region {i} has wrong shape")
+                raise SchemaError(f"region {i} has wrong shape")
             if not np.allclose(r.cov, r.cov.T):
-                raise ValueError(f"region {i} covariance not symmetric")
+                raise SchemaError(f"region {i} covariance not symmetric")
             if np.any(np.linalg.eigvalsh(r.cov) <= 0):
-                raise ValueError(f"region {i} covariance not positive-definite")
+                raise SchemaError(f"region {i} covariance not positive-definite")
 
     # Stacked parameter views used by the posterior queries.
     def word_matrix(self) -> np.ndarray:
@@ -233,13 +238,24 @@ class SpatialConceptModel:
             raise UnknownLabelError(f"object label {label!r} is not in the model vocabulary") from None
 
 
+def _real_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; SchemaError if it is ragged, non-numeric or non-finite."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        raise SchemaError(f"{name} is ragged") from None
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise SchemaError(f"{name} must hold finite numbers only")
+    return np.asarray(arr, dtype=float)
+
+
 def _check_categorical(vec: np.ndarray, name: str) -> None:
     if len(vec) == 0:
         return
     if np.any(vec < 0):
-        raise ValueError(f"{name} has negative entries")
+        raise SchemaError(f"{name} has negative entries")
     if abs(float(vec.sum()) - 1.0) > CATEGORICAL_ATOL:
-        raise ValueError(f"{name} does not sum to 1 (got {vec.sum()!r})")
+        raise SchemaError(f"{name} does not sum to 1 (got {vec.sum()!r})")
 
 
 def word_posterior(model: SpatialConceptModel, region: int) -> Posterior:
@@ -317,31 +333,24 @@ def model_to_dict(model: SpatialConceptModel) -> dict:
 
 
 def model_from_dict(data: dict) -> SpatialConceptModel:
-    try:
-        concepts = [
-            Concept(
-                word_dist=np.array(c["word_dist"], dtype=float),
-                object_dist=np.array(c["object_dist"], dtype=float),
-                region_dist=np.array(c["region_dist"], dtype=float),
-            )
-            for c in data["concepts"]
-        ]
-        regions = [
-            GaussianRegion(mean=np.array(r["mean"], dtype=float), cov=np.array(r["cov"], dtype=float))
-            for r in data["regions"]
-        ]
-        hp = data.get("hyperparameters")
-        return SpatialConceptModel(
-            pi=np.array(data["pi"], dtype=float),
-            concepts=concepts,
-            regions=regions,
-            vocab_places=list(data["vocab_places"]),
-            vocab_objects=list(data["vocab_objects"]),
-            hyperparameters=None if hp is None else Hyperparameters.from_dict(hp),
-            seed=data.get("seed"),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"model document missing key: {exc.args[0]!r}") from None
+    fields = ("pi", "concepts", "regions", "vocab_places", "vocab_objects")
+    pi, concepts, regions, vocab_places, vocab_objects = require_fields(data, fields, "model document")
+    concepts = [Concept(*require_fields(c, ("word_dist", "object_dist", "region_dist"), f"concepts[{i}]"))
+                for i, c in enumerate(require(concepts, list, "concepts"))]
+    regions = [GaussianRegion(*require_fields(r, ("mean", "cov"), f"regions[{i}]"))
+               for i, r in enumerate(require(regions, list, "regions"))]
+    hp, seed = data.get("hyperparameters"), data.get("seed")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise SchemaError(f"seed must be an integer or null, not {seed!r}")
+    return SpatialConceptModel(
+        pi=pi,
+        concepts=concepts,
+        regions=regions,
+        vocab_places=vocab_places,
+        vocab_objects=vocab_objects,
+        hyperparameters=None if hp is None else Hyperparameters.from_dict(hp),
+        seed=seed,
+    )
 
 
 def save_model(model: SpatialConceptModel, path) -> None:

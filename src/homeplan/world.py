@@ -9,8 +9,6 @@ delivery point named ``gather`` where fetched objects are dropped off.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -22,6 +20,9 @@ from .errors import (
     SchemaError,
     UnknownLabelError,
     UnknownRoomError,
+    is_finite_real,
+    require,
+    require_fields,
 )
 from .spatial import Session
 
@@ -50,19 +51,15 @@ class Room:
         return np.asarray(self.scatter, dtype=float)
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def _footprint_problems(room: Room) -> list[str]:
     """What is wrong with a room's Gaussian footprint: ``center`` must be two finite
     numbers, ``scatter`` a finite, symmetric, positive semi-definite 2x2 matrix (an
     all-zero scatter is the deterministic limit: every position is the center)."""
     problems = []
-    if len(room.center) != 2 or not all(_is_number(v) for v in room.center):
+    if len(room.center) != 2 or not all(is_finite_real(v) for v in room.center):
         problems.append(f"rooms[{room.name}].center: must be two finite numbers")
     rows = room.scatter
-    if (len(rows) != 2 or any(len(row) != 2 or not all(_is_number(v) for v in row) for row in rows)
+    if (len(rows) != 2 or any(len(row) != 2 or not all(is_finite_real(v) for v in row) for row in rows)
             or rows[0][1] != rows[1][0] or rows[0][0] < 0 or rows[1][1] < 0
             or rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0] < 0):
         problems.append(f"rooms[{room.name}].scatter: must be a finite, symmetric, "
@@ -310,28 +307,28 @@ def generate_floor_sessions(env: Environment, robot: RobotState, rng: np.random.
 
 
 def _room_from_dict(data: dict, idx: int) -> Room:
-    problems = [k for k in ("name", "floor", "center") if k not in data]
-    if problems:
-        raise SchemaError(f"rooms[{idx}] missing keys: {problems}")
+    name, floor, center = require_fields(data, ("name", "floor", "center"), f"rooms[{idx}]")
+    require(name, str, f"rooms[{idx}].name")
+    require(floor, str, f"rooms[{idx}].floor")
     try:
-        center = tuple(data["center"])
+        center = tuple(center)
         scatter = tuple(tuple(row) for row in data.get("scatter", Room.scatter))
     except TypeError:
         raise SchemaError(f"rooms[{idx}]: center and scatter must be lists of numbers") from None
-    return Room(name=data["name"], floor=data["floor"], center=center, scatter=scatter)
+    return Room(name=name, floor=floor, center=center, scatter=scatter)
 
 
 def environment_from_dict(data: dict) -> Environment:
-    missing = [k for k in _ENV_KEYS if k not in data]
-    if missing:
-        raise SchemaError(f"environment document missing keys: {missing}")
-    rooms = [_room_from_dict(r, i) for i, r in enumerate(data["rooms"])]
+    floors, rooms, placements, categories, place_words = require_fields(
+        data, _ENV_KEYS, "environment document")
+    for room, words in require(place_words, dict, "place_words").items():
+        require(words, list, f"place_words[{room}]", str)
     return Environment(
-        floors=list(data["floors"]),
-        rooms=rooms,
-        placements=dict(data["placements"]),
-        categories=dict(data["categories"]),
-        place_words={k: list(v) for k, v in data["place_words"].items()},
+        floors=list(require(floors, list, "floors", str)),
+        rooms=[_room_from_dict(r, i) for i, r in enumerate(require(rooms, list, "rooms"))],
+        placements=dict(require(placements, dict, "placements", str)),
+        categories=dict(require(categories, dict, "categories", str)),
+        place_words={k: list(v) for k, v in place_words.items()},
     )
 
 

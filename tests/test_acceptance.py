@@ -12,6 +12,7 @@ import pytest
 from homeplan.cli import main
 from homeplan.experiment import (
     SuiteConfig,
+    best_room_recovery,
     build_suite_instructions,
     random_allocation_totals,
     run_field_trip_scenario,
@@ -117,9 +118,8 @@ def test_c2_learning_recovery(home, learned):
     for floor, (need, total) in thresholds.items():
         kb = learned[floor]["kb"]
         elapsed = learned[floor]["elapsed"]
-        correct = sum(kb.best_room(obj)[0] == home.placements[obj]
-                      for obj in kb.presence_table)
-        ok = ok and correct >= need and len(kb.presence_table) == total
+        correct, objects = best_room_recovery(home, floor, kb)
+        ok = ok and correct >= need and objects == total and len(kb.presence_table) == total
         ok = ok and elapsed < LEARNING_BUDGET_SECONDS
         ok = ok and learned[floor]["sessions"] == 150
         details.append(f"{floor}: {correct}/{total} correct (need {need}), {elapsed:.1f}s")

@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import homeplan
 
 from homeplan.cli import main
 from homeplan.knowledge import PROMPT_KINDS, knowledge_from_environment, save_knowledge
@@ -200,3 +207,64 @@ def test_bad_model_hyperparameters_are_an_error(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert key in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m["pi"].__setitem__(1, "x"),
+    lambda m: m["regions"][0].__setitem__("cov", [[1, 0], [0]]),
+    lambda m: m.__setitem__("pi", [2 * p for p in m["pi"]]),
+    lambda m: m.__delitem__("regions"),
+], ids=["non-numeric pi", "ragged cov", "pi sums to 2", "no regions"])
+def test_bad_model_documents_are_an_error(tmp_path, capsys, edit):
+    model_path = tmp_path / "model.json"
+    assert main(["learn", "--env", "paper_home", "--floor", "1F", "--visits", "3",
+                 "--particles", "2", "--lag", "2", "--out", str(model_path)]) == 0
+    model = json.loads(model_path.read_text())
+    edit(model)
+    model_path.write_text(json.dumps(model))
+    capsys.readouterr()
+    assert main(["extract", "--model-path", str(model_path), "--floor", "1F"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key", ["room_names", "place_vocab"])
+def test_knowledge_base_with_null_container_is_an_error(kb_files, capsys, key):
+    data = json.loads(Path(kb_files[0]).read_text())
+    data[key] = None
+    Path(kb_files[0]).write_text(json.dumps(data))
+    assert main(["prompt", "--kb", *kb_files, "--kind", "presence_table"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert key in err
+
+
+def test_commands_import_only_what_they_use(tmp_path, kb_files):
+    """In a fresh interpreter, planning commands load neither scipy nor the HTTP stack; a learn loads
+    scipy.special."""
+    script = textwrap.dedent("""
+        import json, sys
+        def loaded():
+            heavy = ("scipy", "scipy.special", "urllib.request", "http.client")
+            return [m for m in heavy if m in sys.modules]
+        import homeplan.cli
+        stages = {"import": loaded()}
+        assert homeplan.cli.main(["decompose", "--text", "Bring me an apple.", "--out", sys.argv[2]]) == 0
+        assert homeplan.cli.main(["prompt", "--kb", sys.argv[1], "--out", sys.argv[2]]) == 0
+        stages["decompose and prompt"] = loaded()
+        import numpy as np
+        from homeplan.learner import learn_fixed_lag
+        from homeplan.spatial import Hyperparameters, Session
+        session = Session(np.zeros(2), ["cup"], ["kitchen"])
+        hp = Hyperparameters(num_particles=2, lag_window=1)
+        learn_fixed_lag([session], hp, num_concepts=1, num_regions=1)
+        stages["learn"] = loaded()
+        print(json.dumps(stages))
+    """)
+    src = str(Path(homeplan.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script, kb_files[0], str(tmp_path / "out.txt")],
+                            capture_output=True, text=True, env=env, check=True)
+    stages = json.loads(result.stdout)
+    assert stages["import"] == []
+    assert stages["decompose and prompt"] == []
+    assert {"scipy", "scipy.special"} <= set(stages["learn"])

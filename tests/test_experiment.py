@@ -7,6 +7,7 @@ from homeplan.experiment import (
     REFERENCE_REPORTED,
     SUITE_CATEGORIES,
     SuiteConfig,
+    best_room_recovery,
     build_suite_instructions,
     default_robots,
     floor_robot,
@@ -33,6 +34,16 @@ def truth_kbs(home):
 
 
 FLOOR_OF_ROBOT = {"Robot1": "1F", "Robot2": "2F"}
+
+
+def test_best_room_recovery_counts_the_floors_objects(home, truth_kbs):
+    assert best_room_recovery(home, "1F", truth_kbs[0]) == (13, 13)
+    assert best_room_recovery(home, "2F", truth_kbs[1]) == (11, 11)
+    kb = knowledge_from_environment(home, "1F", "Robot1")
+    moved, dropped = sorted(kb.presence_table)[:2]
+    kb.presence_table[moved] = kb.presence_table[moved][1:] + kb.presence_table[moved][:1]
+    del kb.presence_table[dropped]
+    assert best_room_recovery(home, "1F", kb) == (11, 13)
 
 
 # ----------------------------------------------------- instruction generation

@@ -231,3 +231,15 @@ def test_knowledge_loader_accepts_integer_rows():
     data = {"robot_id": "R", "room_names": ["a", "b"], "place_vocab": [[], []],
             "presence_table": {"cup": [1, 0]}}
     assert knowledge_from_dict(data).best_room("cup") == ("a", 1.0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("room_names", None), ("place_vocab", None), ("robot_id", None), ("room_names", [1, 2]),
+    ("place_vocab", ["a", "b"]), ("presence_table", None), ("presence_table", {"cup": [10 ** 400, 0]}),
+])
+def test_knowledge_loader_rejects_untyped_containers(key, value):
+    data = {"robot_id": "R", "room_names": ["a", "b"], "place_vocab": [[], []],
+            "presence_table": {"cup": [1.0, 0.0]}}
+    data[key] = value
+    with pytest.raises(SchemaError):
+        knowledge_from_dict(data)

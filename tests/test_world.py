@@ -118,6 +118,23 @@ def test_bad_room_footprint_is_schema_error(room):
         environment_from_dict(_one_room_document(**room))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("floors", None), ("rooms", None), ("categories", None), ("placements", "x"),
+    ("place_words", ["a"]), ("floors", [1]), ("place_words", {"kitchen": "pan"}),
+])
+def test_untyped_environment_containers_are_schema_errors(home, key, value):
+    data = environment_to_dict(home)
+    data[key] = value
+    with pytest.raises(SchemaError, match=key):
+        environment_from_dict(data)
+
+
+@pytest.mark.parametrize("key, value", [("name", None), ("floor", ["1F"])])
+def test_untyped_room_names_are_schema_errors(key, value):
+    with pytest.raises(SchemaError, match=key):
+        environment_from_dict(_one_room_document(**{key: value}))
+
+
 def test_built_environment_checks_room_footprints():
     with pytest.raises(SchemaError, match="rooms\\[a\\].center"):
         Environment(["1F"], [Room("a", "1F", (float("nan"), 0.0))], {}, {}, {})
