@@ -33,7 +33,6 @@ from .experiment import (
 )
 from .knowledge import (
     KnowledgeBase,
-    PromptComponent,
     extract_knowledge,
     knowledge_from_environment,
     load_knowledge,

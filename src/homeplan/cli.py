@@ -11,7 +11,15 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment, knowledge, learner, planner, spatial, world
-from .errors import ConfigurationError, HomeplanError, SchemaError
+from .errors import (
+    ConfigurationError,
+    HomeplanError,
+    SchemaError,
+    is_finite_real,
+    read_json,
+    require,
+    require_fields,
+)
 from .executor import ExecutionPolicy, run_assignments, traces_to_jsonl
 
 SEED_ENV_VAR = "HOMEPLAN_SEED"
@@ -52,25 +60,33 @@ def _add_backend(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", default="gpt-4", help="remote model name")
 
 
+def _backend_of(args) -> planner.PlannerBackend:
+    return planner.make_backend(args.backend, args.replay_dir, args.endpoint, args.model)
+
+
 def _load_sessions(path: str) -> list[spatial.Session]:
-    data = json.loads(Path(path).read_text())
-    return [
-        spatial.Session(
-            position=np.asarray(item["position"], dtype=float),
-            object_labels=list(item["object_labels"]),
-            place_words=list(item["place_words"]),
-            room_hint=item.get("room_hint"),
-        )
-        for item in data
-    ]
+    """The sessions of a JSON list of session objects, each checked here, once."""
+    sessions = []
+    for i, item in enumerate(require(read_json(path, "session"), list, f"{path}: the sessions")):
+        where = f"{path}: session {i}"
+        position, labels, words = require_fields(item, ("position", "object_labels", "place_words"), where)
+        if not (isinstance(position, list) and len(position) == 2 and all(map(is_finite_real, position))):
+            raise SchemaError(f"{where}: position must be two finite numbers")
+        hint = item.get("room_hint")
+        if hint is not None:
+            require(hint, str, f"{where}: room_hint")
+        sessions.append(spatial.Session(
+            position=np.asarray(position, dtype=float),
+            object_labels=list(require(labels, list, f"{where}: object_labels", str)),
+            place_words=list(require(words, list, f"{where}: place_words", str)),
+            room_hint=hint,
+        ))
+    return sessions
 
 
-def _read_subtasks(path: str, *extra_keys: str) -> list[tuple[planner.Subtask, dict]]:
+def _read_subtasks(path: str, what: str, *extra_keys: str) -> list[tuple[planner.Subtask, dict]]:
     """Each entry of a JSON list of subtask objects, as (subtask, entry)."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not JSON ({exc})") from None
+    data = read_json(path, what)
     if not isinstance(data, list) or not all(isinstance(d, dict) for d in data):
         raise SchemaError(f"{path}: expected a JSON list of objects")
     for i, d in enumerate(data):
@@ -108,29 +124,18 @@ def cmd_extract(args) -> int:
     return 0
 
 
-# One renderer per ``knowledge.PROMPT_KINDS`` entry, each taking the loaded knowledge bases.
-_PROMPT_RENDERERS = {
-    "place_vocab": lambda kbs: knowledge.render_place_vocab(kbs[0]),
-    "presence_table": knowledge.render_presence_table,
-    "skills": lambda kbs: knowledge.skills_component(),
-    "objects": lambda kbs: knowledge.objects_component(
-        sorted({o for kb in kbs for o in kb.presence_table})),
-    "allocation_rule": lambda kbs: knowledge.allocation_rule_component(),
-    "behaviors": lambda kbs: knowledge.behaviors_component(),
-    "dialogue_example": lambda kbs: knowledge.dialogue_example_component(),
-    "decomposition_example": lambda kbs: knowledge.decomposition_example_component(),
-}
-
-
 def cmd_prompt(args) -> int:
     kbs = [knowledge.load_knowledge(p) for p in args.kb]
-    _emit(_PROMPT_RENDERERS[args.kind](kbs).text, args.out)
+    text = knowledge.PROMPTS[args.kind](kbs)
+    if not text:
+        raise ConfigurationError(f"the {args.kind} prompt of these knowledge bases is empty")
+    _emit(text, args.out)
     return 0
 
 
 def cmd_decompose(args) -> int:
     env = world.load_environment(args.env)
-    backend = planner.make_backend(args.backend, args.replay_dir, args.endpoint, args.model)
+    backend = _backend_of(args)
     instruction = planner.Instruction(args.text)
     subtasks = planner.decompose(instruction, sorted(env.placements), backend=backend)
     payload = [{"verb": s.verb, "target_object": s.target_object, "destination": s.destination}
@@ -141,7 +146,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_allocate(args) -> int:
     env = world.load_environment(args.env)
-    backend = planner.make_backend(args.backend, args.replay_dir, args.endpoint, args.model)
+    backend = _backend_of(args)
     kbs = [knowledge.load_knowledge(p) for p in args.kb]
     if args.text:
         instruction = planner.Instruction(args.text)
@@ -149,7 +154,7 @@ def cmd_allocate(args) -> int:
     else:
         if not args.subtasks:
             raise ConfigurationError("allocate needs --text or --subtasks")
-        subtasks = [subtask for subtask, _ in _read_subtasks(args.subtasks)]
+        subtasks = [subtask for subtask, _ in _read_subtasks(args.subtasks, "subtask")]
     assignments = planner.allocate(subtasks, kbs, backend=backend)
     payload = [
         {
@@ -170,7 +175,7 @@ def cmd_run(args) -> int:
     env = world.load_environment(args.env)
     kbs = [knowledge.load_knowledge(p) for p in args.kb]
     assignments = [planner.Assignment(subtask, d["robot_id"])
-                   for subtask, d in _read_subtasks(args.assignments, "robot_id")]
+                   for subtask, d in _read_subtasks(args.assignments, "assignment", "robot_id")]
     robots = []
     for kb in kbs:
         floors = {env.floor_of_room(r) for r in kb.room_names if env.has_room(r)}
@@ -188,10 +193,7 @@ def cmd_suite(args) -> int:
         env=args.env,
         seed=_seed_of(args),
         strategies=tuple(args.strategies.split(",")),
-        backend=args.backend,
-        replay_dir=args.replay_dir,
-        remote_endpoint=args.endpoint,
-        remote_model=args.model,
+        backend=_backend_of(args),
         kb_paths=tuple(args.kb) if args.kb else None,
         visits_per_room=args.visits,
         out=args.out,
@@ -231,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, env=False)
     p.add_argument("--kb", nargs="+", required=True)
     p.add_argument("--kind", default="presence_table",
-                   choices=knowledge.PROMPT_KINDS)
+                   choices=tuple(knowledge.PROMPTS))
     p.set_defaults(func=cmd_prompt)
 
     p = sub.add_parser("decompose", help="split an instruction into subtasks")

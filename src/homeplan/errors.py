@@ -1,7 +1,9 @@
 """Exception types shared across the package, and the checks the loaders share."""
 
+import json
 import math
 import numbers
+from pathlib import Path
 
 
 class HomeplanError(Exception):
@@ -98,3 +100,15 @@ def require_fields(data, keys: tuple[str, ...], where: str) -> list:
     if missing:
         raise SchemaError(f"{where} missing keys: {missing}")
     return [data[k] for k in keys]
+
+
+def read_json(path, what: str):
+    """The JSON value in the file ``path``; SchemaError naming the ``what`` file if it cannot be had."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise SchemaError(f"{what} file {str(path)!r} cannot be read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise SchemaError(f"{what} file {str(path)!r} is not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{what} file {str(path)!r} is not valid JSON: {exc}") from None

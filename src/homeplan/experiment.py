@@ -1,6 +1,6 @@
 """Instruction suites, allocation scoring, and the reportable experiment grid.
 
-The default suite mirrors the evaluation protocol: four instruction
+The suite mirrors the evaluation protocol: four instruction
 categories (random 10x2, hard-to-predict 5x2, common-sense 5x2, mixed 5x2
 targets), three allocation strategies, and floor-membership scoring.  Totals
 from the original real-robot study are attached to reports as a labeled
@@ -30,12 +30,13 @@ from .planner import (
     COMMONSENSE_TYPICAL_ROOM,
     Assignment,
     Instruction,
+    PlannerBackend,
+    RuleBasedBackend,
     Subtask,
     allocate,
     allocate_commonsense,
     allocate_random,
     decompose,
-    make_backend,
 )
 from .spatial import Hyperparameters, SpatialConceptModel
 from .world import (
@@ -50,7 +51,9 @@ from .world import (
 
 REPORT_SCHEMA_VERSION = 1
 
-SUITE_CATEGORIES = ("random", "hard_to_predict", "common_sense", "mixed")
+# Instructions per suite category, the paper protocol: each names one object per floor.
+SUITE_COUNTS = {"random": 10, "hard_to_predict": 5, "common_sense": 5, "mixed": 5}
+SUITE_CATEGORIES = tuple(SUITE_COUNTS)
 STRATEGIES = ("proposed", "random", "commonsense")
 
 INSTRUCTION_TEMPLATES = (
@@ -75,19 +78,13 @@ REFERENCE_REPORTED = {
 
 @dataclass
 class SuiteConfig:
+    """One suite run; without ``kb_paths`` the proposed strategy learns each floor's knowledge."""
+
     env: str = "paper_home"
     seed: int = 0
-    instructions_random: int = 10
-    instructions_hard: int = 5
-    instructions_common: int = 5
-    instructions_mixed: int = 5
     strategies: tuple[str, ...] = STRATEGIES
-    backend: str = "rule"  # rule | remote | replay
-    replay_dir: str | None = None
-    remote_endpoint: str | None = None
-    remote_model: str = "gpt-4"
+    backend: PlannerBackend = field(default_factory=RuleBasedBackend)
     kb_paths: tuple[str, ...] | None = None
-    learn_if_missing: bool = True
     visits_per_room: int = 30
     out: str | None = None
 
@@ -97,17 +94,6 @@ class SuiteConfig:
         unknown = [s for s in self.strategies if s not in STRATEGIES]
         if unknown:
             raise ConfigurationError(f"unknown strategies: {unknown}")
-        for name in ("instructions_random", "instructions_hard", "instructions_common", "instructions_mixed"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
-
-    def category_counts(self) -> dict[str, int]:
-        return {
-            "random": self.instructions_random,
-            "hard_to_predict": self.instructions_hard,
-            "common_sense": self.instructions_common,
-            "mixed": self.instructions_mixed,
-        }
 
 
 @dataclass
@@ -117,7 +103,6 @@ class SuiteReport:
     grid: dict[str, dict[str, tuple[int, int]]]
     totals: dict[str, tuple[int, int]]
     trials: list[dict] = field(default_factory=list)
-    reference: dict = field(default_factory=lambda: dict(REFERENCE_REPORTED))
     elapsed_seconds: float = 0.0
 
     def to_dict(self) -> dict:
@@ -128,7 +113,7 @@ class SuiteReport:
             "grid": {s: {c: list(v) for c, v in row.items()} for s, row in self.grid.items()},
             "totals": {s: list(v) for s, v in self.totals.items()},
             "trials": self.trials,
-            "reference_reported": self.reference,
+            "reference_reported": REFERENCE_REPORTED,
             "elapsed_seconds": self.elapsed_seconds,
         }
 
@@ -143,11 +128,8 @@ class SuiteReport:
             s, a = self.totals[strategy]
             cells.append(f"{s}/{a}")
             rows.append(cells)
-        ref = self.reference
-        for strategy in ("proposed", "random", "commonsense"):
-            cited = ref.get(strategy)
-            if not cited:
-                continue
+        for strategy in STRATEGIES:
+            cited = REFERENCE_REPORTED[strategy]
             cells = [f"[reported] {strategy}"]
             for cat in SUITE_CATEGORIES:
                 s, a = cited[cat]
@@ -161,7 +143,7 @@ class SuiteReport:
         sep = "-+-".join("-" * w for w in widths)
         lines = [fmt(headers), sep] + [fmt(r) for r in rows]
         lines.append("")
-        lines.append(f"[reported] rows: {ref['note']}")
+        lines.append(f"[reported] rows: {REFERENCE_REPORTED['note']}")
         return "\n".join(lines)
 
 
@@ -287,27 +269,11 @@ def _suite_seeds(seed: int) -> dict[str, int]:
     return {name: int(v) for name, v in zip(names, children)}
 
 
-def build_suite_instructions(env: Environment, cfg: SuiteConfig) -> dict[str, list[Instruction]]:
-    seeds = _suite_seeds(cfg.seed)
-    return {
-        cat: generate_instructions(cat, env, count, seed=seeds[cat])
-        for cat, count in cfg.category_counts().items()
-    }
-
-
-def load_or_learn_knowledge(env: Environment, cfg: SuiteConfig,
-                            robots: list[RobotState]) -> list[KnowledgeBase]:
-    if cfg.kb_paths:
-        return [load_knowledge(p) for p in cfg.kb_paths]
-    if not cfg.learn_if_missing:
-        raise ConfigurationError("proposed strategy needs knowledge bases: "
-                                 "pass kb_paths or enable learn_if_missing")
-    seeds = _suite_seeds(cfg.seed)
-    kbs = []
-    for i, robot in enumerate(robots):
-        kbs.append(learn_floor_knowledge(env, robot, seed=seeds["learn_base"] + i,
-                                         visits_per_room=cfg.visits_per_room))
-    return kbs
+def build_suite_instructions(env: Environment, seed: int) -> dict[str, list[Instruction]]:
+    """The suite's instructions of each category, ``SUITE_COUNTS`` of them, drawn from ``seed``."""
+    seeds = _suite_seeds(seed)
+    return {cat: generate_instructions(cat, env, count, seed=seeds[cat])
+            for cat, count in SUITE_COUNTS.items()}
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
@@ -318,15 +284,22 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     robot_ids = [r.robot_id for r in robots]
     floor_of_robot = {r.robot_id: r.floor for r in robots}
     room_to_robot = {room.name: r.robot_id for r in robots for room in env.rooms_on(r.floor)}
-    backend = make_backend(cfg.backend, cfg.replay_dir, cfg.remote_endpoint, cfg.remote_model)
     object_vocab = sorted(env.placements)
+    seeds = _suite_seeds(cfg.seed)
 
     kbs: list[KnowledgeBase] | None = None
     if "proposed" in cfg.strategies:
-        kbs = load_or_learn_knowledge(env, cfg, robots)
+        if cfg.kb_paths:
+            kbs = [load_knowledge(p) for p in cfg.kb_paths]
+        else:
+            kbs = [learn_floor_knowledge(env, robot, seed=seeds["learn_base"] + i,
+                                         visits_per_room=cfg.visits_per_room)
+                   for i, robot in enumerate(robots)]
 
-    instructions = build_suite_instructions(env, cfg)
-    seeds = _suite_seeds(cfg.seed)
+    # Decomposition does not depend on the strategy, so each instruction is decomposed once.
+    decomposed = {category: [(instr, decompose(instr, object_vocab, backend=cfg.backend))
+                             for instr in instrs]
+                  for category, instrs in build_suite_instructions(env, cfg.seed).items()}
 
     grid: dict[str, dict[str, tuple[int, int]]] = {}
     totals: dict[str, tuple[int, int]] = {}
@@ -335,12 +308,11 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         by_cat: dict[str, tuple[int, int]] = {}
         total_s = total_a = 0
         alloc_counter = 0
-        for category, instrs in instructions.items():
+        for category, pairs in decomposed.items():
             cat_s = cat_a = 0
-            for instr in instrs:
-                subtasks = decompose(instr, object_vocab, backend=backend)
+            for instr, subtasks in pairs:
                 if strategy == "proposed":
-                    assignments = allocate(subtasks, kbs, backend=backend)
+                    assignments = allocate(subtasks, kbs, backend=cfg.backend)
                 elif strategy == "random":
                     assignments = allocate_random(subtasks, robot_ids,
                                                   seed=seeds["random_allocation"] + alloc_counter)

@@ -4,7 +4,8 @@ A robot's knowledge base holds two things extracted from its learned model:
 per-region lists of high-probability place words, and a presence table
 mapping each object label to a probability row over the robot's rooms.
 Renderers emit the prompt-component text blocks consumed by the planner;
-parsers invert the two table-like blocks for round-trip checks.
+parsers invert the two table-like blocks for round-trip checks.  ``PROMPTS``
+maps each component kind to the text it renders from the knowledge bases.
 """
 
 from __future__ import annotations
@@ -18,24 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, is_finite_real, require, require_fields
+from .errors import SchemaError, is_finite_real, read_json, require, require_fields
 from .spatial import SpatialConceptModel, object_location_posterior, word_posterior
-from .world import Environment, Room
-
-ROW_SUM_ATOL = 1e-6
-
-PROMPT_KINDS = (
-    "place_vocab",
-    "presence_table",
-    "skills",
-    "objects",
-    "allocation_rule",
-    "behaviors",
-    "dialogue_example",
-    "decomposition_example",
-)
-
-DEFAULT_SKILLS = ("navigation", "object_detection", "pick", "place")
+from .world import SKILLS, Environment, Room
 
 _DIVIDER = "-" * 16
 
@@ -68,18 +54,6 @@ class KnowledgeBase:
         row = self.row(obj)
         idx = int(np.argmax(row))
         return self.room_names[idx], float(row[idx])
-
-
-@dataclass(frozen=True)
-class PromptComponent:
-    kind: str
-    text: str
-
-    def __post_init__(self):
-        if self.kind not in PROMPT_KINDS:
-            raise ValueError(f"unknown prompt component kind {self.kind!r}")
-        if not self.text:
-            raise ValueError("prompt component text must be non-empty")
 
 
 def match_room_names(model: SpatialConceptModel, rooms: list[Room]) -> list[str]:
@@ -156,7 +130,7 @@ def _count_word(n: int) -> str:
     return _COUNT_WORDS.get(n, str(n))
 
 
-def render_place_vocab(kb: KnowledgeBase) -> PromptComponent:
+def render_place_vocab(kb: KnowledgeBase) -> str:
     """Place-vocabulary block: count preamble plus one bracketed list per region."""
     n = len(kb.room_names)
     word = _count_word(n)
@@ -167,7 +141,7 @@ def render_place_vocab(kb: KnowledgeBase) -> PromptComponent:
     ]
     for i, words in enumerate(kb.place_vocab, start=1):
         lines.append(f"place{i}: [{', '.join(words)}]")
-    return PromptComponent("place_vocab", "\n".join(lines))
+    return "\n".join(lines)
 
 
 _PLACE_LINE = re.compile(r"^place(\d+): \[(.*)\]$")
@@ -200,7 +174,7 @@ def _presence_line(obj: str, row: bytes) -> str:
     return f"{obj} = [{', '.join(format_probability(p) for p in values)}]"
 
 
-def render_presence_table(kbs: list[KnowledgeBase]) -> PromptComponent:
+def render_presence_table(kbs: list[KnowledgeBase]) -> str:
     """Per-robot presence-table blocks separated by a dashed divider."""
     if not kbs:
         raise ValueError("need at least one knowledge base")
@@ -214,7 +188,18 @@ def render_presence_table(kbs: list[KnowledgeBase]) -> PromptComponent:
         for obj, row in kb.presence_table.items():
             lines.append(_presence_line(obj, struct.pack(f"{len(row)}d", *row)))
         blocks.append("\n".join(lines))
-    return PromptComponent("presence_table", f"\n{_DIVIDER}\n".join(blocks))
+    return f"\n{_DIVIDER}\n".join(blocks)
+
+
+def _check_presence_row(obj: str, row) -> None:
+    """SchemaError unless ``row`` is a list of finite non-negative numbers with a finite sum.
+
+    Both loaders of presence rows, the knowledge document and the rendered table, run it.
+    """
+    if not (isinstance(row, list) and all(is_finite_real(v) and v >= 0 for v in row)
+            and is_finite_real(sum(row))):
+        raise SchemaError(f"presence row for {obj!r} must be a list of finite non-negative numbers "
+                          "with a finite sum")
 
 
 _ROW_LINE = re.compile(r"^(\S+) = \[(.*)\]$")
@@ -244,7 +229,12 @@ def parse_presence_table(text: str) -> list[KnowledgeBase]:
             m = _ROW_LINE.match(line)
             if not m:
                 raise SchemaError(f"unparseable presence row: {line!r}")
-            values = np.array([float(v) for v in m.group(2).split(", ")])
+            try:
+                row = [float(v) for v in m.group(2).split(", ")]
+            except ValueError:
+                raise SchemaError(f"non-numeric presence row: {line!r}") from None
+            _check_presence_row(m.group(1), row)
+            values = np.array(row)
             if values.sum() > 0:
                 values = values / values.sum()
             presence[m.group(1)] = values.tolist()
@@ -257,60 +247,61 @@ def parse_presence_table(text: str) -> list[KnowledgeBase]:
     return kbs
 
 
-def skills_component(skills=DEFAULT_SKILLS) -> PromptComponent:
-    return PromptComponent("skills", ", ".join(skills))
+def render_objects(kbs: list[KnowledgeBase]) -> str:
+    """Every object label the robots know, sorted."""
+    return ", ".join(sorted({obj for kb in kbs for obj in kb.presence_table}))
 
 
-def objects_component(object_vocab: list[str]) -> PromptComponent:
-    return PromptComponent("objects", ", ".join(object_vocab))
+SKILLS_PROMPT = ", ".join(SKILLS)
 
+ALLOCATION_RULE_PROMPT = (
+    '# IMPORTANT: Subtasks are assigned taking into consideration the objects listed in the '
+    '"List of probabilities that an object exists" that each robot has.')
 
-def allocation_rule_component() -> PromptComponent:
-    text = ('# IMPORTANT: Subtasks are assigned taking into consideration the objects listed in the '
-            '"List of probabilities that an object exists" that each robot has.')
-    return PromptComponent("allocation_rule", text)
+BEHAVIORS_PROMPT = "\n".join([
+    "navigation (location_name): move to location_name",
+    "object_detection (object_name): detect an object_name and its position from a captured image",
+    "pick (object_name): pick up an object_name",
+    "place (location_name): place an object to the location_name",
+    "",
+    'These behaviors return "succeeded" or "failed". If "failed" is returned, try the same or another behavior again.',
+    "Do not ask back anything about the user's instructions.",
+])
 
+DIALOGUE_EXAMPLE_PROMPT = "\n".join([
+    "USER : bring the cup to the kitchen",
+    "ASSISTANT : navigation (living_room)",
+    "USER : succeeded",
+    "ASSISTANT : object_detection (cup)",
+    "USER : succeeded",
+    "ASSISTANT : pick (cup)",
+    "USER : failed",
+    "ASSISTANT : pick (cup)",
+    "USER : succeeded",
+    "ASSISTANT : navigation (kitchen)",
+    "USER : succeeded%finished",
+    'USER : "I need you to locate a cup for me."',
+])
 
-def behaviors_component() -> PromptComponent:
-    text = "\n".join([
-        "navigation (location_name): move to location_name",
-        "object_detection (object_name): detect an object_name and its position from a captured image",
-        "pick (object_name): pick up an object_name",
-        "place (location_name): place an object to the location_name",
-        "",
-        'These behaviors return "succeeded" or "failed". If "failed" is returned, try the same or another behavior again.',
-        "Do not ask back anything about the user's instructions.",
-    ])
-    return PromptComponent("behaviors", text)
+DECOMPOSITION_EXAMPLE_PROMPT = "\n".join([
+    "Task Description:",
+    "Prepare for the excursion.",
+    "",
+    "SubTask 1: Bring a water bottle.",
+    "SubTask 2: Bring a backpack.",
+])
 
-
-def dialogue_example_component() -> PromptComponent:
-    text = "\n".join([
-        "USER : bring the cup to the kitchen",
-        "ASSISTANT : navigation (living_room)",
-        "USER : succeeded",
-        "ASSISTANT : object_detection (cup)",
-        "USER : succeeded",
-        "ASSISTANT : pick (cup)",
-        "USER : failed",
-        "ASSISTANT : pick (cup)",
-        "USER : succeeded",
-        "ASSISTANT : navigation (kitchen)",
-        "USER : succeeded%finished",
-        'USER : "I need you to locate a cup for me."',
-    ])
-    return PromptComponent("dialogue_example", text)
-
-
-def decomposition_example_component() -> PromptComponent:
-    text = "\n".join([
-        "Task Description:",
-        "Prepare for the excursion.",
-        "",
-        "SubTask 1: Bring a water bottle.",
-        "SubTask 2: Bring a backpack.",
-    ])
-    return PromptComponent("decomposition_example", text)
+# Each prompt component kind, and its text for a list of knowledge bases.
+PROMPTS = {
+    "place_vocab": lambda kbs: render_place_vocab(kbs[0]),
+    "presence_table": render_presence_table,
+    "skills": lambda kbs: SKILLS_PROMPT,
+    "objects": render_objects,
+    "allocation_rule": lambda kbs: ALLOCATION_RULE_PROMPT,
+    "behaviors": lambda kbs: BEHAVIORS_PROMPT,
+    "dialogue_example": lambda kbs: DIALOGUE_EXAMPLE_PROMPT,
+    "decomposition_example": lambda kbs: DECOMPOSITION_EXAMPLE_PROMPT,
+}
 
 
 def knowledge_to_dict(kb: KnowledgeBase) -> dict:
@@ -331,8 +322,7 @@ def knowledge_from_dict(data: dict) -> KnowledgeBase:
     for i, words in enumerate(require(place_vocab, list, "place_vocab")):
         require(words, list, f"place_vocab[{i}]", str)
     for obj, row in require(table, dict, "presence_table").items():
-        if not isinstance(row, list) or not all(is_finite_real(v) and v >= 0 for v in row):
-            raise SchemaError(f"presence row for {obj!r} must be a list of finite non-negative numbers")
+        _check_presence_row(obj, row)
     return KnowledgeBase(
         robot_id=robot_id,
         room_names=list(room_names),
@@ -346,4 +336,4 @@ def save_knowledge(kb: KnowledgeBase, path) -> None:
 
 
 def load_knowledge(path) -> KnowledgeBase:
-    return knowledge_from_dict(json.loads(Path(path).read_text()))
+    return knowledge_from_dict(read_json(path, "knowledge-base"))

@@ -30,12 +30,12 @@ from .errors import (
     UnallocatableError,
 )
 from .knowledge import (
+    ALLOCATION_RULE_PROMPT,
+    DECOMPOSITION_EXAMPLE_PROMPT,
+    SKILLS_PROMPT,
     KnowledgeBase,
-    allocation_rule_component,
-    decomposition_example_component,
-    objects_component,
+    render_objects,
     render_presence_table,
-    skills_component,
 )
 
 API_KEY_ENV_VAR = "HOMEPLAN_LLM_KEY"
@@ -93,7 +93,8 @@ COMMONSENSE_TYPICAL_ROOM = {
 _BRING_WORDS = ("bring", "fetch", "get", "take", "carry")
 
 _SUBTASK_LINE = re.compile(r"^\s*SubTask\s+(\d+)\s*:\s*(.+?)\s*$", re.IGNORECASE)
-_ALLOCATION_LINE = re.compile(r"^\s*SubTask\s+(\d+)\s*:\s*(.*?)\s*->\s*(\S+)\s*$", re.IGNORECASE)
+# At most nine index digits: int() refuses a string of over 4,300 digits, and no subtask list is that long.
+_ALLOCATION_LINE = re.compile(r"^\s*SubTask\s+(\d{1,9})\s*:\s*(.*?)\s*->\s*(\S+)\s*$", re.IGNORECASE)
 _BRING_VERB = re.compile(rf"\b(?:{'|'.join(_BRING_WORDS)})\b")
 _ARTICLES = re.compile(r"^(a|an|the|some)\s+", re.IGNORECASE)
 
@@ -338,10 +339,10 @@ def render_decomposition_prompt(instruction_text: str, object_vocab: list[str]) 
     """The prompt sent when an instruction needs backend expansion."""
     parts = [
         "(a) Objects in the environment",
-        objects_component(object_vocab).text,
+        ", ".join(object_vocab),
         "",
         "(b) Example",
-        decomposition_example_component().text,
+        DECOMPOSITION_EXAMPLE_PROMPT,
         "",
         "Task Description:",
         instruction_text,
@@ -393,19 +394,18 @@ def decompose(
 
 def render_allocation_prompt(subtasks: list[Subtask], kbs: list[KnowledgeBase]) -> str:
     """Skills, objects, per-robot presence tables, assignment rule, subtask list."""
-    objects = sorted({obj for kb in kbs for obj in kb.presence_table})
     lines = [
         "(a) Skills",
-        skills_component().text,
+        SKILLS_PROMPT,
         "",
         "(b) Objects in the environment",
-        objects_component(objects).text,
+        render_objects(kbs),
         "",
         "(c) room-wise object presence probabilities observed by robots",
-        render_presence_table(kbs).text,
+        render_presence_table(kbs),
         "",
         "(d) Rule for assigning subtasks",
-        allocation_rule_component().text,
+        ALLOCATION_RULE_PROMPT,
         "",
         "Subtasks:",
     ]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, UnknownLabelError, is_finite_real, require, require_fields
+from .errors import SchemaError, UnknownLabelError, is_finite_real, read_json, require, require_fields
 
 CATEGORICAL_ATOL = 1e-9
 
@@ -358,4 +358,4 @@ def save_model(model: SpatialConceptModel, path) -> None:
 
 
 def load_model(path) -> SpatialConceptModel:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    return model_from_dict(read_json(path, "model"))

@@ -21,6 +21,7 @@ from .errors import (
     UnknownLabelError,
     UnknownRoomError,
     is_finite_real,
+    read_json,
     require,
     require_fields,
 )
@@ -359,14 +360,9 @@ def load_environment(name_or_path) -> Environment:
     key = str(name_or_path)
     if key in BUILTIN_ENVIRONMENTS:
         return BUILTIN_ENVIRONMENTS[key]()
-    path = Path(name_or_path)
-    if not path.exists():
+    if not Path(name_or_path).exists():
         raise SchemaError(f"{key!r} is neither a builtin environment {sorted(BUILTIN_ENVIRONMENTS)} nor a file")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"environment file {key!r} is not valid JSON: {exc}") from None
-    return environment_from_dict(data)
+    return environment_from_dict(read_json(name_or_path, "environment"))
 
 
 def paper_home() -> Environment:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from homeplan.executor import ExecutionPolicy, run_assignments
-from homeplan.knowledge import KnowledgeBase, PromptComponent, format_probability
+from homeplan.knowledge import KnowledgeBase, format_probability
 from homeplan.planner import Assignment, Subtask
 from homeplan.spatial import Concept, GaussianRegion, SpatialConceptModel
 
@@ -128,4 +128,4 @@ def reference_presence_table(kbs):
             rendered = ", ".join(format_probability(p) for p in row)
             lines.append(f"{obj} = [{rendered}]")
         blocks.append("\n".join(lines))
-    return PromptComponent("presence_table", f"\n{'-' * 16}\n".join(blocks))
+    return f"\n{'-' * 16}\n".join(blocks)

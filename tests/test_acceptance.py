@@ -11,7 +11,6 @@ import pytest
 
 from homeplan.cli import main
 from homeplan.experiment import (
-    SuiteConfig,
     best_room_recovery,
     build_suite_instructions,
     random_allocation_totals,
@@ -130,7 +129,7 @@ def test_c3_allocation_reproduction(home, learned, tmp_path):
     kbs = [learned["1F"]["kb"], learned["2F"]["kb"]]
     floor_of_robot = {"Robot1": "1F", "Robot2": "2F"}
     vocab = sorted(home.placements)
-    instructions = build_suite_instructions(home, SuiteConfig(seed=ACCEPTANCE_SEED))
+    instructions = build_suite_instructions(home, ACCEPTANCE_SEED)
 
     # Floor-membership oracle premise: every object sits in exactly one table,
     # and allocation routes each of the 24 to the robot of its true floor.
@@ -170,7 +169,7 @@ def test_c3_allocation_reproduction(home, learned, tmp_path):
 
 
 def test_c4_baseline_separation(home, learned):
-    instructions = build_suite_instructions(home, SuiteConfig(seed=ACCEPTANCE_SEED))
+    instructions = build_suite_instructions(home, ACCEPTANCE_SEED)
     floor_of_robot = {"Robot1": "1F", "Robot2": "2F"}
     totals = random_allocation_totals(home, instructions, ["Robot1", "Robot2"],
                                       floor_of_robot, repetitions=1000,
@@ -288,13 +287,13 @@ def test_c6_invariant_suites(home, learned, tmp_path):
 
     # Prompt render/parse round trip at 3 decimals.
     kb1, kb2 = learned["1F"]["kb"], learned["2F"]["kb"]
-    parsed = parse_presence_table(render_presence_table([kb1, kb2]).text)
+    parsed = parse_presence_table(render_presence_table([kb1, kb2]))
     prompt_ok = [p.robot_id for p in parsed] == [kb1.robot_id, kb2.robot_id]
     for orig, back in zip((kb1, kb2), parsed):
         for obj in orig.presence_table:
             row = orig.row(obj) / orig.row(obj).sum()
             prompt_ok &= bool(np.allclose(back.row(obj), row, atol=5e-4))
-    prompt_ok &= parse_place_vocab(render_place_vocab(kb1).text) == kb1.place_vocab
+    prompt_ok &= parse_place_vocab(render_place_vocab(kb1)) == kb1.place_vocab
     checks["prompt render/parse round trip"] = bool(prompt_ok)
 
     # Determinism under fixed seeds: learner bit-reproducibility on a short stream.

@@ -10,7 +10,7 @@ import pytest
 import homeplan
 
 from homeplan.cli import main
-from homeplan.knowledge import PROMPT_KINDS, knowledge_from_environment, save_knowledge
+from homeplan.knowledge import PROMPTS, knowledge_from_environment, save_knowledge
 from homeplan.world import load_environment
 
 
@@ -95,7 +95,7 @@ def test_prompt_place_vocab(kb_files, capsys):
     assert "place1: [" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("kind", PROMPT_KINDS)
+@pytest.mark.parametrize("kind", tuple(PROMPTS))
 def test_prompt_every_kind(kb_files, capsys, kind):
     assert main(["prompt", "--kb", *kb_files, "--kind", kind]) == 0
     assert capsys.readouterr().out.strip()
@@ -236,6 +236,78 @@ def test_knowledge_base_with_null_container_is_an_error(kb_files, capsys, key):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert key in err
+
+
+
+def test_prompt_with_no_text_to_render_is_an_error(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"robot_id": "Robot1", "room_names": ["kitchen"],
+                                "place_vocab": [[]], "presence_table": {}}))
+    assert main(["prompt", "--kb", str(path), "--kind", "objects"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "objects" in err
+
+
+UNREADABLE = {
+    "missing": None,
+    "not JSON": b"not json",
+    "not UTF-8": b'{"a": "\xff"}',
+    "a directory": "dir",
+}
+
+
+def _unreadable(tmp_path, kind) -> str:
+    path = tmp_path / "input.json"
+    content = UNREADABLE[kind]
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", UNREADABLE)
+@pytest.mark.parametrize("command", ["prompt --kb", "run --assignments", "suite --kb",
+                                     "learn --sessions", "extract --model-path",
+                                     "allocate --subtasks", "decompose --env"])
+def test_an_unreadable_input_file_is_an_error(tmp_path, kb_files, capsys, command, kind):
+    name, flag = command.split()
+    path = _unreadable(tmp_path, kind)
+    argv = {
+        "prompt": ["prompt", "--kb", path],
+        "run": ["run", "--kb", *kb_files, "--assignments", path],
+        "suite": ["suite", "--kb", path],
+        "learn": ["learn", "--sessions", path],
+        "extract": ["extract", "--model-path", path],
+        "allocate": ["allocate", "--kb", *kb_files, "--subtasks", path],
+        "decompose": ["decompose", "--env", path, "--text", "Find the apple."],
+    }[name]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert path in err or "neither a builtin environment" in err
+
+
+@pytest.mark.parametrize("sessions, where", [
+    ([{"position": [0, 0]}], "object_labels"),
+    ({"position": [0, 0]}, "sessions"),
+    ([None], "session 0"),
+    ([{"position": [0], "object_labels": [], "place_words": []}], "position"),
+    ([{"position": ["0", 1], "object_labels": [], "place_words": []}], "position"),
+    ([{"position": [True, 1], "object_labels": [], "place_words": []}], "position"),
+    ([{"position": [1e400, 1], "object_labels": [], "place_words": []}], "position"),
+    ([{"position": [0, 0], "object_labels": "cup", "place_words": []}], "object_labels"),
+    ([{"position": [0, 0], "object_labels": [1], "place_words": []}], "object_labels"),
+    ([{"position": [0, 0], "object_labels": [], "place_words": [None]}], "place_words"),
+    ([{"position": [0, 0], "object_labels": [], "place_words": [], "room_hint": 3}], "room_hint"),
+])
+def test_bad_session_file_is_an_error(tmp_path, capsys, sessions, where):
+    path = tmp_path / "sessions.json"
+    path.write_text(json.dumps(sessions))
+    assert main(["learn", "--sessions", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert where in err
 
 
 def test_commands_import_only_what_they_use(tmp_path, kb_files):

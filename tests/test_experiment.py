@@ -1,7 +1,9 @@
 import json
+from unittest import mock
 
 import pytest
 
+from homeplan import experiment
 from homeplan.errors import ConfigurationError, GenerationError, ScoringError
 from homeplan.experiment import (
     REFERENCE_REPORTED,
@@ -167,17 +169,37 @@ def test_run_suite_grid_with_truth_kbs(home, truth_kbs, tmp_path):
 
 
 def test_suite_category_sizes_match_protocol(home):
-    cfg = SuiteConfig(seed=3)
-    instructions = build_suite_instructions(home, cfg)
+    instructions = build_suite_instructions(home, 3)
     sizes = {cat: sum(len(i.gold_objects) for i in instrs)
              for cat, instrs in instructions.items()}
     assert sizes == {"random": 20, "hard_to_predict": 10, "common_sense": 10, "mixed": 10}
 
 
-def test_suite_requires_kbs_for_proposed():
-    cfg = SuiteConfig(seed=1, learn_if_missing=False)
-    with pytest.raises(ConfigurationError):
-        run_suite(cfg)
+def test_suite_learns_only_for_proposed(home):
+    learned = []
+
+    def learn(env, robot, seed, visits_per_room):
+        learned.append((robot.robot_id, seed, visits_per_room))
+        return knowledge_from_environment(env, robot.floor, robot.robot_id)
+
+    with mock.patch.object(experiment, "learn_floor_knowledge", learn):
+        run_suite(SuiteConfig(seed=1, strategies=("random", "commonsense")))
+        assert learned == []
+        report = run_suite(SuiteConfig(seed=1, strategies=("proposed",), visits_per_room=4))
+    base = experiment._suite_seeds(1)["learn_base"]
+    assert learned == [("Robot1", base, 4), ("Robot2", base + 1, 4)]
+    assert report.totals == {"proposed": (50, 50)}
+
+
+def test_suite_decomposes_each_instruction_once(home, truth_kbs, tmp_path):
+    paths = []
+    for kb in truth_kbs:
+        save_knowledge(kb, tmp_path / f"{kb.robot_id}.json")
+        paths.append(str(tmp_path / f"{kb.robot_id}.json"))
+    with mock.patch.object(experiment, "decompose", wraps=decompose) as spy:
+        report = run_suite(SuiteConfig(seed=4, kb_paths=tuple(paths)))
+    assert spy.call_count == sum(experiment.SUITE_COUNTS.values()) == 25
+    assert len(report.trials) == 3 * 25
 
 
 def test_suite_config_validation():
@@ -185,13 +207,10 @@ def test_suite_config_validation():
         SuiteConfig(strategies=())
     with pytest.raises(ConfigurationError):
         SuiteConfig(strategies=("nonsense",))
-    with pytest.raises(ConfigurationError):
-        SuiteConfig(instructions_random=-1)
 
 
 def test_corrupting_knowledge_cannot_increase_score(home, truth_kbs):
-    cfg = SuiteConfig(seed=9)
-    instructions = build_suite_instructions(home, cfg)
+    instructions = build_suite_instructions(home, 9)
     vocab = sorted(home.placements)
     subtasks = [s for instrs in instructions.values() for i in instrs
                 for s in decompose(i, vocab)]
@@ -221,8 +240,7 @@ def test_all_24_objects_route_to_their_floor(home, truth_kbs):
 
 
 def test_random_baseline_mean_near_half(home, truth_kbs):
-    cfg = SuiteConfig(seed=13)
-    instructions = build_suite_instructions(home, cfg)
+    instructions = build_suite_instructions(home, 13)
     totals = random_allocation_totals(home, instructions, ["Robot1", "Robot2"],
                                       FLOOR_OF_ROBOT, repetitions=300, seed=13)
     assert totals.shape == (300,)

@@ -78,7 +78,7 @@ def test_render_place_vocab_body_lines_exact():
         ],
         presence_table={},
     )
-    lines = render_place_vocab(kb).text.splitlines()
+    lines = render_place_vocab(kb).splitlines()
     assert lines[0] == "There are three location areas in a home environment."
     assert lines[1] == "Your initial position is outside of the three rooms."
     assert lines[3] == "place1: [living_room, sofa, desk, chair, tv]"
@@ -88,16 +88,16 @@ def test_render_place_vocab_body_lines_exact():
 
 def test_render_place_vocab_empty_list():
     kb = KnowledgeBase("R", ["r1"], [[]], {})
-    assert render_place_vocab(kb).text.splitlines()[-1] == "place1: []"
+    assert render_place_vocab(kb).splitlines()[-1] == "place1: []"
 
 
 def test_place_vocab_round_trip(model):
     kb = extract_knowledge(model, ["a", "b", "c"], vocab_threshold=0.01)
-    assert parse_place_vocab(render_place_vocab(kb).text) == kb.place_vocab
+    assert parse_place_vocab(render_place_vocab(kb)) == kb.place_vocab
 
 
 def test_render_presence_table_banana_row_format(kb_robot2):
-    text = render_presence_table([kb_robot2]).text
+    text = render_presence_table([kb_robot2])
     assert "banana = [0.01, 0.186, 0.13, 0.007, 0.668]" in text
     lines = text.splitlines()
     assert lines[0] == "Robot2"
@@ -106,11 +106,11 @@ def test_render_presence_table_banana_row_format(kb_robot2):
 
 
 def test_render_single_robot_has_no_divider(kb_robot2):
-    assert "----" not in render_presence_table([kb_robot2]).text
+    assert "----" not in render_presence_table([kb_robot2])
 
 
 def test_render_two_robots_separated_by_divider(kb_robot1, kb_robot2):
-    text = render_presence_table([kb_robot1, kb_robot2]).text
+    text = render_presence_table([kb_robot1, kb_robot2])
     assert "\n----------------\n" in text
     first, second = text.split("\n----------------\n")
     assert first.startswith("Robot1")
@@ -118,7 +118,7 @@ def test_render_two_robots_separated_by_divider(kb_robot1, kb_robot2):
 
 
 def test_presence_round_trip_at_three_decimals(kb_robot1, kb_robot2):
-    parsed = parse_presence_table(render_presence_table([kb_robot1, kb_robot2]).text)
+    parsed = parse_presence_table(render_presence_table([kb_robot1, kb_robot2]))
     assert [kb.robot_id for kb in parsed] == ["Robot1", "Robot2"]
     for original, back in zip([kb_robot1, kb_robot2], parsed):
         assert back.room_names == original.room_names
@@ -136,7 +136,7 @@ def test_presence_round_trip_random_tables(seed):
     table = {f"obj{i}": rng.dirichlet(np.ones(n_rooms)).tolist()
              for i in range(int(rng.integers(1, 5)))}
     kb = KnowledgeBase("RobotX", rooms, [[] for _ in rooms], table)
-    parsed = parse_presence_table(render_presence_table([kb]).text)[0]
+    parsed = parse_presence_table(render_presence_table([kb]))[0]
     assert parsed.room_names == rooms
     for obj in table:
         np.testing.assert_allclose(parsed.row(obj), kb.row(obj), atol=5e-4)
@@ -144,11 +144,11 @@ def test_presence_round_trip_random_tables(seed):
 
 def test_presence_rows_render_apart_by_sign_and_after_mutation():
     kb = KnowledgeBase("R", ["a", "b", "c"], [[], [], []], {"cup": [0.0, 1.0, 5e-5]})
-    assert render_presence_table([kb]).text.endswith("cup = [0.0, 1.0, 0.0001]")
+    assert render_presence_table([kb]).endswith("cup = [0.0, 1.0, 0.0001]")
     kb.presence_table["cup"][0] = -0.0  # equal to 0.0, rendered apart
-    assert render_presence_table([kb]).text.endswith("cup = [-0.0, 1.0, 0.0001]")
+    assert render_presence_table([kb]).endswith("cup = [-0.0, 1.0, 0.0001]")
     kb.presence_table["cup"] = [4.9999e-5, 0.99994, 1]
-    assert render_presence_table([kb]).text.endswith("cup = [0.0, 0.9999, 1.0]")
+    assert render_presence_table([kb]).endswith("cup = [0.0, 0.9999, 1.0]")
     assert render_presence_table([kb]) == reference_presence_table([kb])
 
 
@@ -162,7 +162,7 @@ def test_format_probability_examples():
 
 
 def test_region_order_preserved_in_rendering(kb_robot1):
-    text = render_presence_table([kb_robot1]).text
+    text = render_presence_table([kb_robot1])
     bracket_line = text.splitlines()[2]
     assert bracket_line == "[" + ", ".join(kb_robot1.room_names) + "]"
 
