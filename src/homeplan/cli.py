@@ -100,7 +100,7 @@ def cmd_learn(args) -> int:
     seed = _seed_of(args)
     hp = spatial.Hyperparameters(num_particles=args.particles, lag_window=args.lag)
     if args.sessions:
-        regions = args.regions or 5
+        regions = 5 if args.regions is None else args.regions
         model = learner.learn_fixed_lag(_load_sessions(args.sessions), hp, seed=seed,
                                         num_concepts=regions, num_regions=regions)
     elif args.floor:
@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--visits", type=int, default=30, help="visits per room")
     p.add_argument("--particles", type=int, default=30)
     p.add_argument("--lag", type=int, default=10)
-    p.add_argument("--regions", type=int, default=None, help="concept/region count (default: room count)")
+    p.add_argument("--regions", type=int, default=None,
+                   help="concept/region count (default: the floor's room count with --floor, 5 with --sessions)")
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("extract", help="turn a model into a knowledge base")

@@ -236,7 +236,7 @@ def learn_floor_model(env: Environment, robot: RobotState, seed: int, visits_per
                       hp: Hyperparameters | None = None,
                       num_regions: int | None = None) -> SpatialConceptModel:
     """Run the observation protocol on the robot's floor and learn its model (default: a region per room)."""
-    num_regions = num_regions or len(env.rooms_on(robot.floor))
+    num_regions = len(env.rooms_on(robot.floor)) if num_regions is None else num_regions
     sessions = generate_floor_sessions(env, robot, np.random.default_rng(seed),
                                        visits_per_room=visits_per_room)
     return learn_fixed_lag(sessions, hp or Hyperparameters(), seed=seed,

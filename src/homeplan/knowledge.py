@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, is_finite_real, read_json, require, require_fields
+from .errors import ConfigurationError, SchemaError, is_finite_real, read_json, require, require_fields
 from .spatial import SpatialConceptModel, object_location_posterior, word_posterior
 from .world import SKILLS, Environment, Room
 
@@ -68,10 +68,10 @@ def match_room_names(model: SpatialConceptModel, rooms: list[Room]) -> list[str]
     from scipy.optimize import linear_sum_assignment
 
     if len(rooms) < model.num_regions:
-        raise ValueError("need at least as many candidate rooms as regions")
-    means = np.stack([r.mean for r in model.regions])
+        raise ConfigurationError(f"{len(rooms)} candidate rooms cannot name {model.num_regions} regions: "
+                                 "need at least as many rooms as regions")
     centers = np.stack([r.center_array for r in rooms])
-    cost = ((means[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    cost = ((model.means[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     region_idx, room_idx = linear_sum_assignment(cost)
     names = [""] * model.num_regions
     for reg, room in zip(region_idx, room_idx):
@@ -92,9 +92,9 @@ def extract_knowledge(
     the object-location posteriors, with no further smoothing.
     """
     if len(room_names) != model.num_regions:
-        raise ValueError("room_names must name every region")
+        raise ConfigurationError("room_names must name every region")
     if not 0.0 < vocab_threshold < 1.0:
-        raise ValueError("vocab_threshold must be in (0, 1)")
+        raise ConfigurationError(f"vocab_threshold must be in (0, 1), not {vocab_threshold!r}")
     place_vocab = []
     for region in range(model.num_regions):
         probs = word_posterior(model, region).probs

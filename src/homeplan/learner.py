@@ -20,7 +20,9 @@ parallel over particles; particles are systematically resampled, by one
 fancy-index of the stacked state, when the effective sample size drops below
 half the particle count.  Uniforms are drawn in the order a per-particle loop
 would draw them, so results do not depend on the batching.  The returned
-model is the maximum-weight particle's posterior-mean parameters.
+model is the maximum-weight particle's posterior-mean parameters, returned as
+the stacked arrays ``SpatialConceptModel`` holds: each is computed from the
+particle's count rows and moment sums in one expression.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, SchemaError, UnknownLabelError
-from .spatial import Concept, GaussianRegion, Hyperparameters, Session, SpatialConceptModel
+from .spatial import Hyperparameters, Session, SpatialConceptModel
 
 _DIM = 2
 # Leading columns of the stacked counts; word, object and link columns follow.
@@ -307,24 +309,20 @@ def _posterior_mean_model(p: _Batch, t: _Tables, hp: Hyperparameters, seed: int,
     R, n_words, n_objects = len(p.moments), len(vocab_places), len(vocab_objects)
     n_k = p.counts[:, _CONCEPT]
     pi = (n_k + hp.alpha) / (n_k.sum() + t.k_alpha)
-    word_counts = p.counts[:, _WORDS:_WORDS + n_words]
-    object_counts = p.counts[:, _WORDS + n_words:_WORDS + n_words + n_objects]
-    concepts = [Concept((word_counts[c] + hp.beta) / (row[_WORD_TOTAL] + n_words * hp.beta),
-                        (object_counts[c] + hp.chi) / (row[_OBJ_TOTAL] + n_objects * hp.chi),
-                        (row[-R:] + hp.gamma) / (n_k[c] + R * hp.gamma))
-                for c, row in enumerate(p.counts)]
+    word_dist = ((p.counts[:, _WORDS:_WORDS + n_words] + hp.beta)
+                 / (p.counts[:, _WORD_TOTAL, None] + n_words * hp.beta))
+    object_dist = ((p.counts[:, _WORDS + n_words:_WORDS + n_words + n_objects] + hp.chi)
+                   / (p.counts[:, _OBJ_TOTAL, None] + n_objects * hp.chi))
+    region_dist = (p.counts[:, -R:] + hp.gamma) / (n_k[:, None] + R * hp.gamma)
 
-    _, m_n, V_n = _niw_posterior(p.moments, t)
+    _, means, V_n = _niw_posterior(p.moments, t)
     nu_n = hp.nu0 + p.moments[:, 0]
-    regions = []
-    for r in range(R):
-        # Posterior-mean covariance needs nu_n > dim+1; empty regions fall
-        # back to the inverse-Wishart mode, which is always defined.
-        denom = nu_n[r] - _DIM - 1.0
-        scale = V_n[r].reshape(_DIM, _DIM)
-        cov = scale / denom if denom > 0 else scale / (nu_n[r] + _DIM + 1.0)
-        regions.append(GaussianRegion(mean=m_n[r].copy(), cov=cov))
+    # Posterior-mean covariance needs nu_n > dim+1; empty regions fall
+    # back to the inverse-Wishart mode, which is always defined.
+    denom = nu_n - _DIM - 1.0
+    covs = V_n.reshape(R, _DIM, _DIM) / np.where(denom > 0, denom, nu_n + _DIM + 1.0)[:, None, None]
 
-    return SpatialConceptModel(pi=pi, concepts=concepts, regions=regions,
+    return SpatialConceptModel(pi=pi, word_dist=word_dist, object_dist=object_dist,
+                               region_dist=region_dist, means=means, covs=covs,
                                vocab_places=list(vocab_places), vocab_objects=list(vocab_objects),
                                hyperparameters=hp, seed=seed)

@@ -366,7 +366,7 @@ def decompose(
     vocabulary (plus synonyms); unanchorable items are dropped.
     """
     if not object_vocab:
-        raise ValueError("object_vocab must be non-empty")
+        raise ConfigurationError("object_vocab must be non-empty")
     backend = backend or RuleBasedBackend()
     explicit = _extract_explicit_targets(instr.text, object_vocab, synonyms)
     if explicit:

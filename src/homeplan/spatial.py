@@ -1,9 +1,12 @@
 """Generative spatial concept model and its cross-modal posterior queries.
 
 A model ties K latent concepts to place words, object labels, and R Gaussian
-position regions.  The two queries implemented here marginalize the concept
-index: the per-region word posterior and the per-object region posterior that
-feeds the room-wise presence tables.
+position regions.  It holds them as the stacked arrays the learner writes and
+the queries read: ``pi`` (K,), ``word_dist`` (K, V), ``object_dist`` (K, O),
+``region_dist`` (K, R), ``means`` (R, 2) and ``covs`` (R, 2, 2).  The JSON
+document keeps one entry per concept and per region.  The two queries
+implemented here marginalize the concept index: the per-region word posterior
+and the per-object region posterior that feeds the room-wise presence tables.
 """
 
 from __future__ import annotations
@@ -121,23 +124,6 @@ class Hyperparameters:
 
 
 @dataclass
-class Concept:
-    """One mixture component: categoricals over words, objects, and regions."""
-
-    word_dist: np.ndarray
-    object_dist: np.ndarray
-    region_dist: np.ndarray
-
-
-@dataclass
-class GaussianRegion:
-    """A 2D Gaussian position component (meters)."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-
-@dataclass
 class Session:
     """One learning observation: pose, detected labels, uttered place words.
 
@@ -158,13 +144,24 @@ class Posterior:
     zero_evidence: bool = False
 
 
+# The stacked arrays of a model: pi, the three per-concept categoricals, the region Gaussians.
+_ARRAYS = ("pi", "word_dist", "object_dist", "region_dist", "means", "covs")
+
+
 @dataclass
 class SpatialConceptModel:
-    """Learned mixture linking place words, object labels, and 2D regions."""
+    """Learned mixture linking place words, object labels, and 2D regions.
+
+    Row k of each ``*_dist`` array is concept k's categorical; region r is the
+    Gaussian (``means[r]``, ``covs[r]``).
+    """
 
     pi: np.ndarray
-    concepts: list[Concept]
-    regions: list[GaussianRegion]
+    word_dist: np.ndarray
+    object_dist: np.ndarray
+    region_dist: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
     vocab_places: list[str]
     vocab_objects: list[str]
     hyperparameters: Hyperparameters | None = None
@@ -178,58 +175,35 @@ class SpatialConceptModel:
             if not isinstance(vocab, list) or not all(isinstance(w, str) for w in vocab) \
                     or len(set(vocab)) != len(vocab):
                 raise SchemaError(f"{name} must be a list of distinct strings")
-        self.pi = _real_array(self.pi, "pi")
-        for i, c in enumerate(self.concepts):
-            c.word_dist = _real_array(c.word_dist, f"concept {i} word_dist")
-            c.object_dist = _real_array(c.object_dist, f"concept {i} object_dist")
-            c.region_dist = _real_array(c.region_dist, f"concept {i} region_dist")
-        for i, r in enumerate(self.regions):
-            r.mean = _real_array(r.mean, f"region {i} mean")
-            r.cov = _real_array(r.cov, f"region {i} cov")
+        for name in _ARRAYS:
+            setattr(self, name, _real_array(getattr(self, name), name))
         self._object_index = {o: i for i, o in enumerate(self.vocab_objects)}
         self.validate()
 
     @property
     def num_concepts(self) -> int:
-        return len(self.concepts)
+        return len(self.pi)
 
     @property
     def num_regions(self) -> int:
-        return len(self.regions)
+        return len(self.means)
 
     def validate(self) -> None:
-        if self.num_concepts < 1 or self.num_regions < 1:
+        if self.pi.ndim != 1 or self.means.ndim != 2:
+            raise SchemaError("pi must be a vector and means a matrix, a row per region")
+        K, R = self.num_concepts, self.num_regions
+        if K < 1 or R < 1:
             raise SchemaError("model needs at least one concept and one region")
-        if self.pi.shape != (self.num_concepts,):
-            raise SchemaError("pi length does not match concept count")
-        _check_categorical(self.pi, "pi")
-        for i, c in enumerate(self.concepts):
-            if c.word_dist.shape != (len(self.vocab_places),):
-                raise SchemaError(f"concept {i} word_dist length mismatch")
-            if c.object_dist.shape != (len(self.vocab_objects),):
-                raise SchemaError(f"concept {i} object_dist length mismatch")
-            if c.region_dist.shape != (self.num_regions,):
-                raise SchemaError(f"concept {i} region_dist length mismatch")
-            _check_categorical(c.word_dist, f"concept {i} word_dist")
-            _check_categorical(c.object_dist, f"concept {i} object_dist")
-            _check_categorical(c.region_dist, f"concept {i} region_dist")
-        for i, r in enumerate(self.regions):
-            if r.mean.shape != (2,) or r.cov.shape != (2, 2):
-                raise SchemaError(f"region {i} has wrong shape")
-            if not np.allclose(r.cov, r.cov.T):
-                raise SchemaError(f"region {i} covariance not symmetric")
-            if np.any(np.linalg.eigvalsh(r.cov) <= 0):
-                raise SchemaError(f"region {i} covariance not positive-definite")
-
-    # Stacked parameter views used by the posterior queries.
-    def word_matrix(self) -> np.ndarray:
-        return np.stack([c.word_dist for c in self.concepts])
-
-    def object_matrix(self) -> np.ndarray:
-        return np.stack([c.object_dist for c in self.concepts])
-
-    def region_matrix(self) -> np.ndarray:
-        return np.stack([c.region_dist for c in self.concepts])
+        shapes = ((K,), (K, len(self.vocab_places)), (K, len(self.vocab_objects)), (K, R), (R, 2), (R, 2, 2))
+        for name, shape in zip(_ARRAYS, shapes):
+            if getattr(self, name).shape != shape:
+                raise SchemaError(f"{name} has shape {getattr(self, name).shape}, not {shape}")
+        for name in _ARRAYS[:4]:
+            _check_categorical(getattr(self, name), name)
+        if not np.allclose(self.covs, self.covs.transpose(0, 2, 1)):
+            raise SchemaError("region covariance not symmetric")
+        if np.any(np.linalg.eigvalsh(self.covs) <= 0):
+            raise SchemaError("region covariance not positive-definite")
 
     def object_id(self, label: str) -> int:
         try:
@@ -249,13 +223,17 @@ def _real_array(value, name: str) -> np.ndarray:
     return np.asarray(arr, dtype=float)
 
 
-def _check_categorical(vec: np.ndarray, name: str) -> None:
-    if len(vec) == 0:
+def _check_categorical(arr: np.ndarray, name: str) -> None:
+    """SchemaError unless ``arr`` (or each row of a 2-D ``arr``) is a categorical."""
+    if arr.shape[-1] == 0:
         return
-    if np.any(vec < 0):
+    if np.any(arr < 0):
         raise SchemaError(f"{name} has negative entries")
-    if abs(float(vec.sum()) - 1.0) > CATEGORICAL_ATOL:
-        raise SchemaError(f"{name} does not sum to 1 (got {vec.sum()!r})")
+    with np.errstate(over="ignore"):  # huge finite entries sum to inf, which the check rejects
+        sums = arr.sum(axis=-1)
+    off = np.abs(sums - 1.0) > CATEGORICAL_ATOL
+    if np.any(off):
+        raise SchemaError(f"{name} does not sum to 1 (got {sums[off].flat[0]!r})")
 
 
 def word_posterior(model: SpatialConceptModel, region: int) -> Posterior:
@@ -267,11 +245,11 @@ def word_posterior(model: SpatialConceptModel, region: int) -> Posterior:
     """
     if not 0 <= region < model.num_regions:
         raise IndexError(f"region {region} out of range [0, {model.num_regions})")
-    weights = model.pi * model.region_matrix()[:, region]
+    weights = model.pi * model.region_dist[:, region]
     if weights.sum() <= 0.0:
         n = len(model.vocab_places)
         return Posterior(np.full(n, 1.0 / n), zero_evidence=True)
-    joint = weights @ model.word_matrix()
+    joint = weights @ model.word_dist
     return Posterior(normalize_evidence(joint))
 
 
@@ -282,11 +260,11 @@ def object_location_posterior(model: SpatialConceptModel, obj: str) -> Posterior
     proportional to sum_C phi_C[i] * xi_C[o] * pi_C.
     """
     idx = model.object_id(obj)
-    weights = model.pi * model.object_matrix()[:, idx]
+    weights = model.pi * model.object_dist[:, idx]
     if weights.sum() <= 0.0:
         n = model.num_regions
         return Posterior(np.full(n, 1.0 / n), zero_evidence=True)
-    joint = weights @ model.region_matrix()
+    joint = weights @ model.region_dist
     return Posterior(normalize_evidence(joint))
 
 
@@ -306,8 +284,13 @@ def assign_region(model: SpatialConceptModel, position) -> int:
     position = np.asarray(position, dtype=float)
     if not np.all(np.isfinite(position)):
         raise ValueError("position must be finite")
-    scores = [gaussian_logpdf(position, r.mean, r.cov) for r in model.regions]
+    scores = [gaussian_logpdf(position, mean, cov) for mean, cov in zip(model.means, model.covs)]
     return int(np.argmax(scores))
+
+
+# The fields of one entry of a model document's "concepts" and "regions" lists.
+_CONCEPT_FIELDS = ("word_dist", "object_dist", "region_dist")
+_REGION_FIELDS = ("mean", "cov")
 
 
 def model_to_dict(model: SpatialConceptModel) -> dict:
@@ -316,17 +299,9 @@ def model_to_dict(model: SpatialConceptModel) -> dict:
         "vocab_places": list(model.vocab_places),
         "vocab_objects": list(model.vocab_objects),
         "pi": model.pi.tolist(),
-        "concepts": [
-            {
-                "word_dist": c.word_dist.tolist(),
-                "object_dist": c.object_dist.tolist(),
-                "region_dist": c.region_dist.tolist(),
-            }
-            for c in model.concepts
-        ],
-        "regions": [
-            {"mean": r.mean.tolist(), "cov": r.cov.tolist()} for r in model.regions
-        ],
+        "concepts": [dict(zip(_CONCEPT_FIELDS, rows)) for rows in zip(
+            model.word_dist.tolist(), model.object_dist.tolist(), model.region_dist.tolist())],
+        "regions": [dict(zip(_REGION_FIELDS, rows)) for rows in zip(model.means.tolist(), model.covs.tolist())],
         "hyperparameters": None if model.hyperparameters is None else model.hyperparameters.to_dict(),
         "seed": model.seed,
     }
@@ -335,17 +310,23 @@ def model_to_dict(model: SpatialConceptModel) -> dict:
 def model_from_dict(data: dict) -> SpatialConceptModel:
     fields = ("pi", "concepts", "regions", "vocab_places", "vocab_objects")
     pi, concepts, regions, vocab_places, vocab_objects = require_fields(data, fields, "model document")
-    concepts = [Concept(*require_fields(c, ("word_dist", "object_dist", "region_dist"), f"concepts[{i}]"))
+    concepts = [require_fields(c, _CONCEPT_FIELDS, f"concepts[{i}]")
                 for i, c in enumerate(require(concepts, list, "concepts"))]
-    regions = [GaussianRegion(*require_fields(r, ("mean", "cov"), f"regions[{i}]"))
+    regions = [require_fields(r, _REGION_FIELDS, f"regions[{i}]")
                for i, r in enumerate(require(regions, list, "regions"))]
+    # One list per field, a row per concept or region; ``_real_array`` rejects ragged ones.
+    word_dist, object_dist, region_dist = ([c[j] for c in concepts] for j in range(3))
+    means, covs = ([r[j] for r in regions] for j in range(2))
     hp, seed = data.get("hyperparameters"), data.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise SchemaError(f"seed must be an integer or null, not {seed!r}")
     return SpatialConceptModel(
         pi=pi,
-        concepts=concepts,
-        regions=regions,
+        word_dist=word_dist,
+        object_dist=object_dist,
+        region_dist=region_dist,
+        means=means,
+        covs=covs,
         vocab_places=vocab_places,
         vocab_objects=vocab_objects,
         hyperparameters=None if hp is None else Hyperparameters.from_dict(hp),

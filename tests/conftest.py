@@ -4,34 +4,21 @@ import pytest
 from homeplan.executor import ExecutionPolicy, run_assignments
 from homeplan.knowledge import KnowledgeBase, format_probability
 from homeplan.planner import Assignment, Subtask
-from homeplan.spatial import Concept, GaussianRegion, SpatialConceptModel
+from homeplan.spatial import SpatialConceptModel
 
 
 def random_model(rng, num_concepts, num_regions, n_words=4, n_objects=3):
     """A valid model with Dirichlet-sampled categoricals and random SPD covariances."""
-    vocab_places = [f"word{i}" for i in range(n_words)]
-    vocab_objects = [f"obj{i}" for i in range(n_objects)]
-    concepts = [
-        Concept(
-            word_dist=rng.dirichlet(np.ones(n_words)),
-            object_dist=rng.dirichlet(np.ones(n_objects)),
-            region_dist=rng.dirichlet(np.ones(num_regions)),
-        )
-        for _ in range(num_concepts)
-    ]
-    regions = []
-    for _ in range(num_regions):
-        a = rng.normal(size=(2, 2))
-        regions.append(GaussianRegion(
-            mean=rng.normal(scale=5.0, size=2),
-            cov=a @ a.T + 0.2 * np.eye(2),
-        ))
+    a = rng.normal(size=(num_regions, 2, 2))
     return SpatialConceptModel(
         pi=rng.dirichlet(np.ones(num_concepts)),
-        concepts=concepts,
-        regions=regions,
-        vocab_places=vocab_places,
-        vocab_objects=vocab_objects,
+        word_dist=rng.dirichlet(np.ones(n_words), size=num_concepts),
+        object_dist=rng.dirichlet(np.ones(n_objects), size=num_concepts),
+        region_dist=rng.dirichlet(np.ones(num_regions), size=num_concepts),
+        means=rng.normal(scale=5.0, size=(num_regions, 2)),
+        covs=a @ a.transpose(0, 2, 1) + 0.2 * np.eye(2),
+        vocab_places=[f"word{i}" for i in range(n_words)],
+        vocab_objects=[f"obj{i}" for i in range(n_objects)],
     )
 
 

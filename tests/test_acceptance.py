@@ -275,14 +275,10 @@ def test_c6_invariant_suites(home, learned, tmp_path):
     # Model serialization round trip at 1e-12.
     model = learned["1F"]["model"]
     restored = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
-    ser_ok = np.allclose(restored.pi, model.pi, atol=1e-12)
-    for a, b in zip(restored.concepts, model.concepts):
-        ser_ok &= np.allclose(a.word_dist, b.word_dist, atol=1e-12)
-        ser_ok &= np.allclose(a.object_dist, b.object_dist, atol=1e-12)
-        ser_ok &= np.allclose(a.region_dist, b.region_dist, atol=1e-12)
-    for a, b in zip(restored.regions, model.regions):
-        ser_ok &= np.allclose(a.mean, b.mean, atol=1e-12)
-        ser_ok &= np.allclose(a.cov, b.cov, atol=1e-12)
+    ser_ok = True
+    for name in ("pi", "word_dist", "object_dist", "region_dist", "means", "covs"):
+        a, b = getattr(restored, name), getattr(model, name)
+        ser_ok &= a.shape == b.shape and np.allclose(a, b, atol=1e-12)
     checks["model serialization 1e-12"] = bool(ser_ok)
 
     # Prompt render/parse round trip at 3 decimals.

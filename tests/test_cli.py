@@ -5,13 +5,17 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import homeplan
 
 from homeplan.cli import main
 from homeplan.knowledge import PROMPTS, knowledge_from_environment, save_knowledge
-from homeplan.world import load_environment
+from homeplan.spatial import save_model
+from homeplan.world import environment_to_dict, load_environment
+
+from conftest import random_model
 
 
 @pytest.fixture
@@ -48,8 +52,6 @@ def test_learn_and_extract_round_trip(tmp_path, capsys):
 
 
 def test_learn_from_sessions_file(tmp_path, capsys):
-    import numpy as np
-
     from homeplan.world import RobotState, observe_session
 
     env = load_environment("robocup_arena")
@@ -74,6 +76,19 @@ def test_learn_from_sessions_file(tmp_path, capsys):
     model = json.loads(capsys.readouterr().out)
     assert len(model["regions"]) == 2
     assert "cup" in model["vocab_objects"]
+
+
+@pytest.mark.parametrize("source", ["floor", "sessions"])
+def test_learn_rejects_zero_regions(tmp_path, capsys, source):
+    sessions_path = tmp_path / "sessions.json"
+    sessions_path.write_text(json.dumps([{"position": [0, 0], "object_labels": ["cup"],
+                                          "place_words": ["kitchen"]}]))
+    args = ["--floor", "1F"] if source == "floor" else ["--sessions", str(sessions_path)]
+    assert main(["learn", *args, "--regions", "0", "--particles", "2", "--lag", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "num_regions" in captured.err
+    assert captured.out == ""
 
 
 def test_learn_requires_floor_or_sessions(capsys):
@@ -135,6 +150,18 @@ def test_run_command_emits_jsonl(tmp_path, kb_files, capsys):
     assert records[0]["argument"] == "kitchen"
 
 
+def test_allocate_output_runs_as_assignments(tmp_path, kb_files, capsys):
+    assignments_path = tmp_path / "a.json"
+    assert main(["allocate", "--kb", *kb_files, "--out", str(assignments_path),
+                 "--text", "Could you please find apple. I need you to locate banana."]) == 0
+    assignments = json.loads(assignments_path.read_text())
+    assert [(a["target_object"], a["robot_id"]) for a in assignments] == [("apple", "Robot1"),
+                                                                            ("banana", "Robot2")]
+    assert main(["run", "--kb", *kb_files, "--assignments", str(assignments_path), "--seed", "7"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert {r["robot_id"] for r in records} == {"Robot1", "Robot2"}
+
+
 def test_suite_command_with_prebuilt_kbs(tmp_path, kb_files, capsys):
     out_path = tmp_path / "report.json"
     code = main(["suite", "--env", "paper_home", "--backend", "rule", "--seed", "7",
@@ -160,6 +187,31 @@ def test_domain_errors_exit_nonzero(capsys):
     code = main(["decompose", "--env", "paper_home", "--text", "Sing me a song."])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--env", "robocup_arena"], "need at least as many rooms as regions"),
+    (["--floor", "3F"], "0 candidate rooms"),
+    (["--floor", "1F", "--threshold", "2"], "vocab_threshold"),
+])
+def test_extract_configuration_errors_exit_nonzero(tmp_path, capsys, args, message):
+    model_path = tmp_path / "model.json"
+    save_model(random_model(np.random.default_rng(0), 5, 5), model_path)
+    assert main(["extract", "--model-path", str(model_path), *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+
+
+def test_decompose_without_placed_objects_is_an_error(tmp_path, capsys):
+    doc = environment_to_dict(load_environment("paper_home"))
+    doc["placements"] = {}
+    env_path = tmp_path / "env.json"
+    env_path.write_text(json.dumps(doc))
+    assert main(["decompose", "--env", str(env_path), "--text", "Bring me an apple."]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "object_vocab" in err
 
 
 def test_non_integer_seed_env_var_is_an_error(monkeypatch, capsys):

@@ -57,7 +57,7 @@ def test_extract_near_one_threshold_on_delta_words():
     model = random_model(np.random.default_rng(11), 1, 2, n_words=3)
     word = np.zeros(3)
     word[1] = 1.0
-    model.concepts[0].word_dist = word
+    model.word_dist[0] = word
     kb = extract_knowledge(model, ["a", "b"], vocab_threshold=1.0 - 1e-9)
     assert kb.place_vocab == [["word1"], ["word1"]]
 
@@ -181,7 +181,7 @@ def test_match_room_names_is_a_bijection():
     model = random_model(np.random.default_rng(12), 3, 5)
     rooms = env.rooms_on("1F")
     for i, room in enumerate(rooms):
-        model.regions[i].mean = room.center_array + 0.1
+        model.means[i] = room.center_array + 0.1
     names = match_room_names(model, rooms)
     assert sorted(names) == sorted(r.name for r in rooms)
     assert names == [r.name for r in rooms]

@@ -72,10 +72,19 @@ def test_single_session_populates_one_region():
     # Exactly one region absorbed the observation; its mean is the NIW
     # posterior mean blending the prior anchor with the measurement.
     expected_mean = (hp.kappa * hp.m0_array + session.position) / (hp.kappa + 1.0)
-    hits = [r for r in model.regions if np.allclose(r.mean, expected_mean)]
+    hits = [mean for mean in model.means if np.allclose(mean, expected_mean)]
     assert len(hits) == 1
-    untouched = [r for r in model.regions if np.allclose(r.mean, hp.m0_array)]
+    untouched = [mean for mean in model.means if np.allclose(mean, hp.m0_array)]
     assert len(untouched) == 2
+    # The occupied region takes the posterior-mean covariance; the empty ones, whose
+    # nu_n = nu0 leaves that undefined, take the inverse-Wishart mode.
+    dev = session.position - hp.m0_array
+    scale = hp.V0_array + hp.kappa / (hp.kappa + 1.0) * np.outer(dev, dev)
+    for mean, cov in zip(model.means, model.covs):
+        if np.allclose(mean, expected_mean):
+            np.testing.assert_allclose(cov, scale / (hp.nu0 + 1.0 - 3.0), rtol=1e-12)
+        else:
+            np.testing.assert_allclose(cov, hp.V0_array / (hp.nu0 + 3.0), rtol=1e-12)
     assert model.vocab_places == ["kitchen"]
     assert model.vocab_objects == ["cup"]
 
@@ -133,8 +142,8 @@ def test_generate_then_recover_synthetic_five_rooms():
     # Map each region to the closest generating center (greedy is fine here:
     # recovered means sit essentially on the centers).
     region_room = []
-    for region in model.regions:
-        dists = [np.linalg.norm(region.mean - c) for c in centers]
+    for mean in model.means:
+        dists = [np.linalg.norm(mean - c) for c in centers]
         region_room.append(room_names[int(np.argmin(dists))])
 
     total = correct = 0

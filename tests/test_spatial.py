@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +9,6 @@ from scipy.stats import multivariate_normal
 
 from homeplan.errors import SchemaError, UnknownLabelError
 from homeplan.spatial import (
-    Concept,
-    GaussianRegion,
     Hyperparameters,
     SpatialConceptModel,
     assign_region,
@@ -24,14 +23,16 @@ from homeplan.spatial import (
 
 from conftest import random_model
 
+FIXTURE = Path(__file__).parent / "fixtures" / "paper_home_models_visits5_seed7.json"
+
 
 def brute_force_word_posterior(model, region):
     """Independent oracle: explicit triple loop over concepts and words."""
     out = [0.0] * len(model.vocab_places)
     for w in range(len(model.vocab_places)):
         for c in range(model.num_concepts):
-            out[w] += (model.concepts[c].word_dist[w]
-                       * model.concepts[c].region_dist[region]
+            out[w] += (model.word_dist[c][w]
+                       * model.region_dist[c][region]
                        * model.pi[c])
     total = sum(out)
     return [v / total for v in out]
@@ -43,8 +44,8 @@ def brute_force_object_posterior(model, obj):
     out = [0.0] * model.num_regions
     for r in range(model.num_regions):
         for c in range(model.num_concepts):
-            out[r] += (model.concepts[c].region_dist[r]
-                       * model.concepts[c].object_dist[idx]
+            out[r] += (model.region_dist[c][r]
+                       * model.object_dist[c][idx]
                        * model.pi[c])
     total = sum(out)
     return [v / total for v in out]
@@ -61,19 +62,18 @@ def test_single_concept_word_posterior_collapses():
     model = random_model(rng, num_concepts=1, num_regions=3)
     for region in range(3):
         post = word_posterior(model, region)
-        np.testing.assert_allclose(post.probs, model.concepts[0].word_dist, atol=1e-12)
+        np.testing.assert_allclose(post.probs, model.word_dist[0], atol=1e-12)
         assert not post.zero_evidence
 
 
 def test_disjoint_regions_select_their_concept():
     vocab = ["kitchen", "sofa"]
-    concepts = [
-        Concept(word_dist=delta(2, 0), object_dist=delta(1, 0), region_dist=delta(2, 0)),
-        Concept(word_dist=delta(2, 1), object_dist=delta(1, 0), region_dist=delta(2, 1)),
-    ]
-    regions = [GaussianRegion(np.zeros(2), np.eye(2)), GaussianRegion(np.ones(2), np.eye(2))]
     model = SpatialConceptModel(
-        pi=np.array([0.5, 0.5]), concepts=concepts, regions=regions,
+        pi=np.array([0.5, 0.5]),
+        word_dist=[delta(2, 0), delta(2, 1)],
+        object_dist=[delta(1, 0), delta(1, 0)],
+        region_dist=[delta(2, 0), delta(2, 1)],
+        means=[np.zeros(2), np.ones(2)], covs=[np.eye(2), np.eye(2)],
         vocab_places=vocab, vocab_objects=["thing"],
     )
     np.testing.assert_allclose(word_posterior(model, 0).probs, delta(2, 0), atol=1e-12)
@@ -92,7 +92,7 @@ def test_single_concept_object_posterior_is_region_dist():
     model = random_model(rng, num_concepts=1, num_regions=4)
     for obj in model.vocab_objects:
         post = object_location_posterior(model, obj)
-        np.testing.assert_allclose(post.probs, model.concepts[0].region_dist, atol=1e-12)
+        np.testing.assert_allclose(post.probs, model.region_dist[0], atol=1e-12)
 
 
 def test_object_posterior_matches_brute_force_k4():
@@ -116,10 +116,10 @@ def test_unknown_object_raises_typed_error():
 
 
 def test_zero_evidence_returns_uniform_with_flag():
-    concepts = [Concept(word_dist=delta(3, 0), object_dist=delta(2, 0), region_dist=delta(2, 0))]
     model = SpatialConceptModel(
-        pi=np.array([1.0]), concepts=concepts,
-        regions=[GaussianRegion(np.zeros(2), np.eye(2)), GaussianRegion(np.ones(2), np.eye(2))],
+        pi=np.array([1.0]),
+        word_dist=[delta(3, 0)], object_dist=[delta(2, 0)], region_dist=[delta(2, 0)],
+        means=[np.zeros(2), np.ones(2)], covs=[np.eye(2), np.eye(2)],
         vocab_places=["a", "b", "c"], vocab_objects=["x", "y"],
     )
     post = word_posterior(model, 1)  # region 1 has zero mass under the only concept
@@ -153,8 +153,11 @@ def test_concept_permutation_leaves_posteriors_unchanged(k, r, seed):
     perm = rng.permutation(k)
     permuted = SpatialConceptModel(
         pi=model.pi[perm],
-        concepts=[model.concepts[i] for i in perm],
-        regions=model.regions,
+        word_dist=model.word_dist[perm],
+        object_dist=model.object_dist[perm],
+        region_dist=model.region_dist[perm],
+        means=model.means,
+        covs=model.covs,
         vocab_places=model.vocab_places,
         vocab_objects=model.vocab_objects,
     )
@@ -184,8 +187,8 @@ def test_assign_region_single_region():
 
 def test_assign_region_nearer_mean_wins_under_equal_covariance():
     model = random_model(np.random.default_rng(5), 1, 2)
-    model.regions[0] = GaussianRegion(np.array([0.0, 0.0]), np.eye(2))
-    model.regions[1] = GaussianRegion(np.array([10.0, 0.0]), np.eye(2))
+    model.means[:] = [[0.0, 0.0], [10.0, 0.0]]
+    model.covs[:] = np.eye(2)
     assert assign_region(model, [1.0, 0.0]) == 0
 
 
@@ -194,8 +197,8 @@ def test_assign_region_matches_density_oracle():
     model = random_model(rng, 2, 4)
     for _ in range(100):
         point = rng.normal(scale=6.0, size=2)
-        densities = [multivariate_normal.pdf(point, mean=r.mean, cov=r.cov)
-                     for r in model.regions]
+        densities = [multivariate_normal.pdf(point, mean=model.means[r], cov=model.covs[r])
+                     for r in range(model.num_regions)]
         assert assign_region(model, point) == int(np.argmax(densities))
 
 
@@ -212,20 +215,27 @@ def test_model_serialization_round_trip(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
-    np.testing.assert_allclose(loaded.pi, model.pi, atol=1e-12)
-    for a, b in zip(loaded.concepts, model.concepts):
-        np.testing.assert_allclose(a.word_dist, b.word_dist, atol=1e-12)
-        np.testing.assert_allclose(a.object_dist, b.object_dist, atol=1e-12)
-        np.testing.assert_allclose(a.region_dist, b.region_dist, atol=1e-12)
-    for a, b in zip(loaded.regions, model.regions):
-        np.testing.assert_allclose(a.mean, b.mean, atol=1e-12)
-        np.testing.assert_allclose(a.cov, b.cov, atol=1e-12)
+    for name in ("pi", "word_dist", "object_dist", "region_dist", "means", "covs"):
+        np.testing.assert_allclose(getattr(loaded, name), getattr(model, name), atol=1e-12)
     assert loaded.vocab_places == model.vocab_places
     assert loaded.vocab_objects == model.vocab_objects
     assert loaded.hyperparameters == model.hyperparameters
     assert loaded.seed == 99
     # JSON round-trip of the dict form is byte-stable
     assert json.dumps(model_to_dict(loaded)) == json.dumps(model_to_dict(model))
+
+
+@pytest.mark.parametrize("floor", ["1F", "2F"])
+def test_stored_model_document_dumps_back_unchanged(floor):
+    """Pins the JSON layout: one entry per concept and per region, loaded into the
+    stacked arrays and dumped back to exactly the stored document."""
+    stored = json.loads(FIXTURE.read_text())[floor]
+    model = model_from_dict(stored)
+    assert (model.num_concepts, model.num_regions) == (len(stored["concepts"]), len(stored["regions"]))
+    dumped = model_to_dict(model)
+    assert dumped["concepts"] == stored["concepts"]
+    assert dumped["regions"] == stored["regions"]
+    assert dumped == stored
 
 
 def test_model_from_dict_missing_key():
@@ -237,10 +247,23 @@ def test_invalid_categorical_rejected():
     with pytest.raises(ValueError):
         SpatialConceptModel(
             pi=np.array([0.5, 0.4]),  # sums to 0.9
-            concepts=[Concept(delta(1, 0), delta(1, 0), delta(1, 0)) for _ in range(2)],
-            regions=[GaussianRegion(np.zeros(2), np.eye(2))],
+            word_dist=[delta(1, 0)] * 2, object_dist=[delta(1, 0)] * 2, region_dist=[delta(1, 0)] * 2,
+            means=[np.zeros(2)], covs=[np.eye(2)],
             vocab_places=["w"], vocab_objects=["o"],
         )
+
+
+@pytest.mark.parametrize("name", ["word_dist", "object_dist", "region_dist"])
+def test_every_concept_row_must_be_a_categorical(name):
+    doc = model_to_dict(random_model(np.random.default_rng(9), 3, 4))
+    row = doc["concepts"][-1][name]
+    for bad in ([v / 2 for v in row], [1e308, 1e308] + row[2:]):
+        doc["concepts"][-1][name] = bad
+        with pytest.raises(SchemaError, match="does not sum to 1"):
+            model_from_dict(doc)
+    doc["concepts"][-1][name] = [row[0] + 1.0, -1.0] + row[2:]  # sums to 1, one entry negative
+    with pytest.raises(SchemaError, match="negative"):
+        model_from_dict(doc)
 
 
 def test_hyperparameter_validation():
