@@ -1,10 +1,12 @@
 """Closed-loop execution of assigned subtasks as a skill state machine.
 
 A fetch subtask runs navigate -> detect -> pick -> navigate -> place against
-the world, consuming succeeded/failed outcomes.  Failed skills retry in
-place; exhausted detection advances to the next room in descending presence
-order.  Batches interleave robots one skill per turn so per-robot traces are
-independent of scheduling when their state does not overlap.
+the world.  Failed skills retry in place; exhausted detection advances to the
+next room in descending presence order.  Each robot runs its assignments back
+to back as one generator that yields before every skill, and a batch advances
+the robots' generators in turn, one skill each, so per-robot traces are
+independent of scheduling when their state does not overlap.  A trace records
+only its steps: the subtask's result and the rooms it reached are read off them.
 """
 
 from __future__ import annotations
@@ -51,11 +53,22 @@ class TraceStep:
 
 @dataclass
 class ExecutionTrace:
+    """One subtask's skill steps; its result and visited rooms are read off them."""
+
     robot_id: str
     target_object: str
     steps: list[TraceStep] = field(default_factory=list)
-    result: str = SUBTASK_FAILED
-    rooms_visited: list[str] = field(default_factory=list)
+
+    @property
+    def result(self) -> str:
+        """Succeeded iff the last step is a successful place: a place is only tried last."""
+        placed = self.steps and self.steps[-1].skill == "place" and self.steps[-1].outcome.succeeded
+        return SUBTASK_SUCCEEDED if placed else SUBTASK_FAILED
+
+    @property
+    def rooms_visited(self) -> list[str]:
+        """Where each successful navigation arrived, in order."""
+        return [s.argument for s in self.steps if s.skill == "navigation" and s.outcome.succeeded]
 
     def skill_sequence(self) -> list[tuple[str, str]]:
         return [(s.skill, s.argument) for s in self.steps]
@@ -80,58 +93,53 @@ def _resolve_room_order(assignment: Assignment, kb: KnowledgeBase | None,
     return search_order(kb, target)
 
 
-def _attempt(skill: str, argument: str, attempts: int):
-    """Yield one skill up to ``attempts`` times; return whether it succeeded."""
+def _attempt(world: World, trace: ExecutionTrace, skill: str, argument: str, attempts: int):
+    """Take one skill up to ``attempts`` times, yielding before each; return whether it succeeded."""
     for _ in range(attempts):
-        outcome = yield (skill, argument)
+        yield True
+        outcome = world.step_skill(trace.robot_id, skill, argument)
+        trace.steps.append(TraceStep(skill, argument, outcome))
         if outcome.succeeded:
             return True
     return False
 
 
-def _subtask_machine(target: str, room_order: list[str], destination: str,
-                     retries: int, fallbacks: int):
-    """Generator yielding (skill, argument), receiving SkillOutcome via send().
-
-    Returns (result, rooms_visited) when exhausted.  Keeping the control flow
-    apart from the world lets tests replay scripted outcome sequences.
-    """
-    rooms_visited: list[str] = []
-    attempts = retries + 1
-    for room in room_order[:fallbacks + 1]:
-        if not (yield from _attempt("navigation", room, attempts)):
+def _subtask_machine(world: World, trace: ExecutionTrace, rooms: list[str],
+                     destination: str, attempts: int):
+    """Fetch the trace's object from the first of ``rooms`` it is found in to ``destination``."""
+    target = trace.target_object
+    for room in rooms:
+        if not (yield from _attempt(world, trace, "navigation", room, attempts)):
             continue
-        rooms_visited.append(room)
-        if not (yield from _attempt("object_detection", target, attempts)):
+        if not (yield from _attempt(world, trace, "object_detection", target, attempts)):
             continue
-        if not (yield from _attempt("pick", target, attempts)):
-            break
-        if not (yield from _attempt("navigation", destination, attempts)):
-            break
-        rooms_visited.append(destination)
-        placed = yield from _attempt("place", destination, attempts)
-        return (SUBTASK_SUCCEEDED if placed else SUBTASK_FAILED, rooms_visited)
-    return (SUBTASK_FAILED, rooms_visited)
+        if ((yield from _attempt(world, trace, "pick", target, attempts))
+                and (yield from _attempt(world, trace, "navigation", destination, attempts))):
+            yield from _attempt(world, trace, "place", destination, attempts)
+        return
 
 
-def _setup(world: World, assignment: Assignment, kb: KnowledgeBase | None,
-           policy: ExecutionPolicy):
-    world.robot(assignment.robot_id)  # PlanningError for a robot the world lacks
-    destination = assignment.subtask.destination or GATHER
-    if not world.known_location(destination):
-        raise UnknownRoomError(f"unknown destination {destination!r}")
-    room_order = _resolve_room_order(assignment, kb, policy)
-    for room in room_order:
-        if not world.known_location(room):
-            raise UnknownRoomError(f"unknown room {room!r} in search order")
-    fallbacks = policy.max_room_fallbacks
-    if fallbacks is None:
-        fallbacks = len(room_order) - 1
-    machine = _subtask_machine(assignment.subtask.target_object, room_order,
-                               destination, policy.max_retries_per_skill, fallbacks)
-    trace = ExecutionTrace(robot_id=assignment.robot_id,
-                           target_object=assignment.subtask.target_object)
-    return machine, trace
+def _robot_run(world: World, jobs: list[tuple[int, Assignment]], kb: KnowledgeBase | None,
+               policy: ExecutionPolicy, traces: dict[int, ExecutionTrace],
+               errors: list[HomeplanError]):
+    """One robot's assignments back to back, each set up just before it runs."""
+    for idx, assignment in jobs:
+        try:
+            world.robot(assignment.robot_id)  # PlanningError for a robot the world lacks
+            destination = assignment.subtask.destination or GATHER
+            if not world.known_location(destination):
+                raise UnknownRoomError(f"unknown destination {destination!r}")
+            rooms = _resolve_room_order(assignment, kb, policy)
+            for room in rooms:
+                if not world.known_location(room):
+                    raise UnknownRoomError(f"unknown room {room!r} in search order")
+        except HomeplanError as exc:  # deferred, see run_assignments
+            errors.append(exc)
+            continue
+        if policy.max_room_fallbacks is not None:
+            rooms = rooms[:policy.max_room_fallbacks + 1]
+        trace = traces[idx] = ExecutionTrace(assignment.robot_id, assignment.subtask.target_object)
+        yield from _subtask_machine(world, trace, rooms, destination, policy.max_retries_per_skill + 1)
 
 
 def run_assignments(world: World, assignments: list[Assignment],
@@ -149,49 +157,16 @@ def run_assignments(world: World, assignments: list[Assignment],
     if seed is not None:
         world.reseed(seed)
     kb_by_robot = {kb.robot_id: kb for kb in kbs}
-
-    queues: dict[str, list[int]] = {}  # in order of each robot's first assignment
+    jobs: dict[str, list[tuple[int, Assignment]]] = {}  # in order of each robot's first assignment
     for idx, assignment in enumerate(assignments):
-        queues.setdefault(assignment.robot_id, []).append(idx)
+        jobs.setdefault(assignment.robot_id, []).append((idx, assignment))
 
     traces: dict[int, ExecutionTrace] = {}
     errors: list[HomeplanError] = []
-    active: dict[str, tuple] = {}
-
-    def advance(rid: str, idx: int, machine, trace: ExecutionTrace, outcome) -> bool:
-        """Send ``outcome``; False once the machine has finished its subtask."""
-        try:
-            active[rid] = (idx, machine, trace, machine.send(outcome))
-            return True
-        except StopIteration as stop:
-            trace.result, trace.rooms_visited = stop.value
-            traces[idx] = trace
-            active.pop(rid, None)
-            return False
-
-    def start_next(rid: str) -> None:
-        while queues[rid]:
-            idx = queues[rid].pop(0)
-            try:
-                machine, trace = _setup(world, assignments[idx], kb_by_robot.get(rid), policy)
-            except HomeplanError as exc:  # deferred, see docstring
-                errors.append(exc)
-                continue
-            if advance(rid, idx, machine, trace, None):
-                return
-
-    for rid in queues:
-        start_next(rid)
-
-    while active:
-        for rid in queues:
-            if rid not in active:
-                continue
-            idx, machine, trace, (skill, argument) = active[rid]
-            outcome = world.step_skill(rid, skill, argument)
-            trace.steps.append(TraceStep(skill, argument, outcome))
-            if not advance(rid, idx, machine, trace, outcome):
-                start_next(rid)
+    runs = [_robot_run(world, queue, kb_by_robot.get(rid), policy, traces, errors)
+            for rid, queue in jobs.items()]
+    while runs:  # each turn takes every robot to just before its next skill
+        runs = [run for run in runs if next(run, False)]
 
     ordered = [traces[i] for i in sorted(traces)]
     if errors:

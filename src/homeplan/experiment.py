@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -98,12 +98,26 @@ class SuiteConfig:
 
 @dataclass
 class SuiteReport:
+    """One suite run; its grid and totals are counted from the per-trial records."""
+
     env: str
     seed: int
-    grid: dict[str, dict[str, tuple[int, int]]]
-    totals: dict[str, tuple[int, int]]
     trials: list[dict] = field(default_factory=list)
     elapsed_seconds: float = 0.0
+
+    @property
+    def grid(self) -> dict[str, dict[str, tuple[int, int]]]:
+        """(correct, allocated) subtasks per strategy and category, in trial order."""
+        grid: dict[str, dict[str, tuple[int, int]]] = {}
+        for trial in self.trials:
+            row = grid.setdefault(trial["strategy"], {})
+            s, a = row.get(trial["category"], (0, 0))
+            row[trial["category"]] = (s + sum(trial["correct"]), a + len(trial["correct"]))
+        return grid
+
+    @property
+    def totals(self) -> dict[str, tuple[int, int]]:
+        return {strategy: tuple(map(sum, zip(*row.values()))) for strategy, row in self.grid.items()}
 
     def to_dict(self) -> dict:
         return {
@@ -119,24 +133,14 @@ class SuiteReport:
 
     def text_table(self) -> str:
         headers = ["Method", "Random", "Hard-to-Predict", "Common-Sense", "Mixed", "Total"]
-        rows = []
-        for strategy, by_cat in self.grid.items():
-            cells = [strategy]
-            for cat in SUITE_CATEGORIES:
-                s, a = by_cat.get(cat, (0, 0))
-                cells.append(f"{s}/{a}")
-            s, a = self.totals[strategy]
-            cells.append(f"{s}/{a}")
-            rows.append(cells)
-        for strategy in STRATEGIES:
-            cited = REFERENCE_REPORTED[strategy]
-            cells = [f"[reported] {strategy}"]
-            for cat in SUITE_CATEGORIES:
-                s, a = cited[cat]
-                cells.append(f"{s}/{a}")
-            s, a = cited["total"]
-            cells.append(f"{s}/{a}")
-            rows.append(cells)
+
+        def row(label: str, counts: dict) -> list[str]:
+            return [label] + [f"{s}/{a}" for s, a in (counts.get(key, (0, 0))
+                                                     for key in (*SUITE_CATEGORIES, "total"))]
+
+        totals = self.totals
+        rows = [row(strategy, {**by_cat, "total": totals[strategy]}) for strategy, by_cat in self.grid.items()]
+        rows += [row(f"[reported] {strategy}", REFERENCE_REPORTED[strategy]) for strategy in STRATEGIES]
         widths = [max(len(str(r[i])) for r in [headers] + rows) for i in range(len(headers))]
         def fmt(cells):
             return " | ".join(str(c).ljust(w) for c, w in zip(cells, widths))
@@ -205,8 +209,8 @@ def score_allocations(
     assignments: list[Assignment],
     env: Environment,
     floor_of_robot: dict[str, str],
-) -> tuple[int, int, list[bool]]:
-    """Floor-membership metric: success iff the robot's floor holds the object."""
+) -> list[bool]:
+    """Floor-membership metric, per assignment: success iff the robot's floor holds the object."""
     flags = []
     for assignment in assignments:
         obj = assignment.subtask.target_object
@@ -216,7 +220,7 @@ def score_allocations(
         if robot_floor is None:
             raise ScoringError(f"no floor recorded for robot {assignment.robot_id!r}")
         flags.append(env.floor_of_object(obj) == robot_floor)
-    return sum(flags), len(flags), flags
+    return flags
 
 
 def floor_robot(env: Environment, floor: str, robot_id: str) -> RobotState:
@@ -254,11 +258,11 @@ def learn_floor_knowledge(env: Environment, robot: RobotState, seed: int,
 def best_room_recovery(env: Environment, floor: str, kb: KnowledgeBase) -> tuple[int, int]:
     """(objects on ``floor`` whose most probable room in ``kb`` is their true room, objects on ``floor``).
 
-    An object missing from the presence table counts as not recovered.
+    An object missing from the presence table, or with a massless row, counts as not recovered.
     """
-    objects = env.objects_on(floor)
-    right = sum(obj in kb.presence_table and kb.best_room(obj)[0] == env.placements[obj] for obj in objects)
-    return right, len(objects)
+    best = {obj: kb.best_room(obj) for obj in env.objects_on(floor)}
+    right = sum(found is not None and found[0] == env.placements[obj] for obj, found in best.items())
+    return right, len(best)
 
 
 def _suite_seeds(seed: int) -> dict[str, int]:
@@ -296,50 +300,33 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
                                          visits_per_room=cfg.visits_per_room)
                    for i, robot in enumerate(robots)]
 
+    allocators = {
+        "proposed": lambda subtasks, i: allocate(subtasks, kbs, backend=cfg.backend),
+        "random": lambda subtasks, i: allocate_random(subtasks, robot_ids,
+                                                      seed=seeds["random_allocation"] + i),
+        "commonsense": lambda subtasks, i: allocate_commonsense(subtasks, COMMONSENSE_TYPICAL_ROOM,
+                                                                room_to_robot),
+    }
     # Decomposition does not depend on the strategy, so each instruction is decomposed once.
-    decomposed = {category: [(instr, decompose(instr, object_vocab, backend=cfg.backend))
-                             for instr in instrs]
-                  for category, instrs in build_suite_instructions(env, cfg.seed).items()}
-
-    grid: dict[str, dict[str, tuple[int, int]]] = {}
-    totals: dict[str, tuple[int, int]] = {}
-    trials: list[dict] = []
+    decomposed = [(category, instr, decompose(instr, object_vocab, backend=cfg.backend))
+                  for category, instrs in build_suite_instructions(env, cfg.seed).items()
+                  for instr in instrs]
+    trials = []
     for strategy in cfg.strategies:
-        by_cat: dict[str, tuple[int, int]] = {}
-        total_s = total_a = 0
-        alloc_counter = 0
-        for category, pairs in decomposed.items():
-            cat_s = cat_a = 0
-            for instr, subtasks in pairs:
-                if strategy == "proposed":
-                    assignments = allocate(subtasks, kbs, backend=cfg.backend)
-                elif strategy == "random":
-                    assignments = allocate_random(subtasks, robot_ids,
-                                                  seed=seeds["random_allocation"] + alloc_counter)
-                else:
-                    assignments = allocate_commonsense(subtasks, COMMONSENSE_TYPICAL_ROOM,
-                                                       room_to_robot)
-                alloc_counter += 1
-                successes, attempts, flags = score_allocations(assignments, env, floor_of_robot)
-                cat_s += successes
-                cat_a += attempts
-                trials.append({
-                    "strategy": strategy,
-                    "category": category,
-                    "instruction": instr.text,
-                    "subtasks": [st.target_object for st in subtasks],
-                    "assignments": [a.robot_id for a in assignments],
-                    "gold_floors": [env.floor_of_object(st.target_object) for st in subtasks],
-                    "correct": flags,
-                })
-            by_cat[category] = (cat_s, cat_a)
-            total_s += cat_s
-            total_a += cat_a
-        grid[strategy] = by_cat
-        totals[strategy] = (total_s, total_a)
+        for i, (category, instr, subtasks) in enumerate(decomposed):
+            assignments = allocators[strategy](subtasks, i)
+            trials.append({
+                "strategy": strategy,
+                "category": category,
+                "instruction": instr.text,
+                "subtasks": [st.target_object for st in subtasks],
+                "assignments": [a.robot_id for a in assignments],
+                "gold_floors": [env.floor_of_object(st.target_object) for st in subtasks],
+                "correct": score_allocations(assignments, env, floor_of_robot),
+            })
 
-    report = SuiteReport(env=cfg.env, seed=cfg.seed, grid=grid, totals=totals,
-                         trials=trials, elapsed_seconds=time.monotonic() - started)
+    report = SuiteReport(env=cfg.env, seed=cfg.seed, trials=trials,
+                         elapsed_seconds=time.monotonic() - started)
     if cfg.out:
         Path(cfg.out).write_text(json.dumps(report.to_dict(), indent=2))
     return report
@@ -357,8 +344,7 @@ def random_allocation_totals(env: Environment, instructions: dict[str, list[Inst
     totals = np.zeros(repetitions, dtype=int)
     for rep in range(repetitions):
         assignments = allocate_random(all_subtasks, robot_ids, seed=seed + rep)
-        successes, _, _ = score_allocations(assignments, env, floor_of_robot)
-        totals[rep] = successes
+        totals[rep] = sum(score_allocations(assignments, env, floor_of_robot))
     return totals
 
 
@@ -371,11 +357,8 @@ def run_field_trip_scenario(seed: int = 0) -> dict:
     search room, which closes the log with a trailing navigation step.
     """
     env = load_environment("robocup_arena")
-    sure = dict(p_navigate=1.0, p_detect_present=1.0, p_pick=1.0, p_place=1.0)
-    robots = [
-        RobotState(robot_id="Robot1", floor="zone1", current_room="entrance", **sure),
-        RobotState(robot_id="Robot2", floor="zone2", current_room="corridor", **sure),
-    ]
+    robots = [replace(r, p_navigate=1.0, p_detect_present=1.0, p_pick=1.0, p_place=1.0)
+              for r in default_robots(env)]
     world = World(env, robots, seed=seed)
     kbs = [
         knowledge_from_environment(env, "zone1", "Robot1"),

@@ -50,8 +50,15 @@ class KnowledgeBase:
     def row(self, obj: str) -> np.ndarray:
         return np.asarray(self.presence_table[obj], dtype=float)
 
-    def best_room(self, obj: str) -> tuple[str, float]:
+    def best_room(self, obj: str) -> tuple[str, float] | None:
+        """The likeliest room for ``obj`` and its normalized probability; None for an absent or massless row."""
+        if obj not in self.presence_table:
+            return None
         row = self.row(obj)
+        total = row.sum()
+        if total <= 0:
+            return None
+        row = row / total
         idx = int(np.argmax(row))
         return self.room_names[idx], float(row[idx])
 

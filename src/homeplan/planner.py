@@ -416,23 +416,10 @@ def render_allocation_prompt(subtasks: list[Subtask], kbs: list[KnowledgeBase]) 
     return "\n".join(lines)
 
 
-def _best_room(kb: KnowledgeBase, obj: str) -> tuple[str, float] | None:
-    """The robot's likeliest room for ``obj`` and its normalized probability."""
-    if obj not in kb.presence_table:
-        return None
-    row = kb.row(obj)
-    total = row.sum()
-    if total <= 0:
-        return None
-    row = row / total
-    idx = int(np.argmax(row))
-    return kb.room_names[idx], float(row[idx])
-
-
 def _rule_assign(subtask: Subtask, kbs: list[KnowledgeBase]) -> Assignment:
     best_kb, best = None, ("", -1.0)
     for kb in kbs:
-        found = _best_room(kb, subtask.target_object)
+        found = kb.best_room(subtask.target_object)
         if found is not None and found[1] > best[1]:
             best_kb, best = kb, found
     if best_kb is None:
@@ -482,7 +469,7 @@ def allocate(
         if kb is None:
             assignments.append(_rule_assign(st, kbs))
         else:
-            assignments.append(Assignment(st, kb.robot_id, _best_room(kb, st.target_object)))
+            assignments.append(Assignment(st, kb.robot_id, kb.best_room(st.target_object)))
     return assignments
 
 

@@ -1,10 +1,21 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
-from homeplan.executor import ExecutionPolicy, run_assignments
+from homeplan.errors import BatchSetupError, HomeplanError, UnknownRoomError
+from homeplan.executor import (
+    SUBTASK_FAILED,
+    SUBTASK_SUCCEEDED,
+    ExecutionPolicy,
+    TraceStep,
+    _resolve_room_order,
+    run_assignments,
+)
 from homeplan.knowledge import KnowledgeBase, format_probability
 from homeplan.planner import Assignment, Subtask
 from homeplan.spatial import SpatialConceptModel
+from homeplan.world import GATHER
 
 
 def random_model(rng, num_concepts, num_regions, n_words=4, n_objects=3):
@@ -45,6 +56,126 @@ def scripted_run(target, room_order, outcomes, retries=2, fallbacks=None, destin
     assignment = Assignment(Subtask("bring", target, destination), "T")
     [trace] = run_assignments(ScriptedWorld(outcomes), [assignment], [], policy=policy)
     return trace
+
+
+@dataclass
+class ReferenceTrace:
+    """A trace that stores its result and visited rooms beside its steps."""
+
+    robot_id: str
+    target_object: str
+    steps: list[TraceStep] = field(default_factory=list)
+    result: str = SUBTASK_FAILED
+    rooms_visited: list[str] = field(default_factory=list)
+
+
+def _reference_attempt(skill, argument, attempts):
+    for _ in range(attempts):
+        outcome = yield (skill, argument)
+        if outcome.succeeded:
+            return True
+    return False
+
+
+def _reference_subtask_machine(target, room_order, destination, retries, fallbacks):
+    """Yields (skill, argument), receives each SkillOutcome; returns (result, rooms_visited)."""
+    rooms_visited = []
+    attempts = retries + 1
+    for room in room_order[:fallbacks + 1]:
+        if not (yield from _reference_attempt("navigation", room, attempts)):
+            continue
+        rooms_visited.append(room)
+        if not (yield from _reference_attempt("object_detection", target, attempts)):
+            continue
+        if not (yield from _reference_attempt("pick", target, attempts)):
+            break
+        if not (yield from _reference_attempt("navigation", destination, attempts)):
+            break
+        rooms_visited.append(destination)
+        placed = yield from _reference_attempt("place", destination, attempts)
+        return (SUBTASK_SUCCEEDED if placed else SUBTASK_FAILED, rooms_visited)
+    return (SUBTASK_FAILED, rooms_visited)
+
+
+def _reference_setup(world, assignment, kb, policy):
+    world.robot(assignment.robot_id)
+    destination = assignment.subtask.destination or GATHER
+    if not world.known_location(destination):
+        raise UnknownRoomError(f"unknown destination {destination!r}")
+    room_order = _resolve_room_order(assignment, kb, policy)
+    for room in room_order:
+        if not world.known_location(room):
+            raise UnknownRoomError(f"unknown room {room!r} in search order")
+    fallbacks = policy.max_room_fallbacks
+    if fallbacks is None:
+        fallbacks = len(room_order) - 1
+    machine = _reference_subtask_machine(assignment.subtask.target_object, room_order,
+                                         destination, policy.max_retries_per_skill, fallbacks)
+    trace = ReferenceTrace(robot_id=assignment.robot_id,
+                           target_object=assignment.subtask.target_object)
+    return machine, trace
+
+
+def reference_run_assignments(world, assignments, kbs, policy=None, seed=None):
+    """The round-robin scheduler that sends each outcome into a per-subtask machine.
+
+    It keeps every robot's machine in an ``active`` table and stores each trace's
+    result and visited rooms from the machine's return value; ``run_assignments``
+    must match it step for step.
+    """
+    policy = policy or ExecutionPolicy()
+    if seed is not None:
+        world.reseed(seed)
+    kb_by_robot = {kb.robot_id: kb for kb in kbs}
+
+    queues = {}
+    for idx, assignment in enumerate(assignments):
+        queues.setdefault(assignment.robot_id, []).append(idx)
+
+    traces = {}
+    errors = []
+    active = {}
+
+    def advance(rid, idx, machine, trace, outcome):
+        try:
+            active[rid] = (idx, machine, trace, machine.send(outcome))
+            return True
+        except StopIteration as stop:
+            trace.result, trace.rooms_visited = stop.value
+            traces[idx] = trace
+            active.pop(rid, None)
+            return False
+
+    def start_next(rid):
+        while queues[rid]:
+            idx = queues[rid].pop(0)
+            try:
+                machine, trace = _reference_setup(world, assignments[idx], kb_by_robot.get(rid), policy)
+            except HomeplanError as exc:
+                errors.append(exc)
+                continue
+            if advance(rid, idx, machine, trace, None):
+                return
+
+    for rid in queues:
+        start_next(rid)
+
+    while active:
+        for rid in queues:
+            if rid not in active:
+                continue
+            idx, machine, trace, (skill, argument) = active[rid]
+            outcome = world.step_skill(rid, skill, argument)
+            trace.steps.append(TraceStep(skill, argument, outcome))
+            if not advance(rid, idx, machine, trace, outcome):
+                start_next(rid)
+
+    ordered = [traces[i] for i in sorted(traces)]
+    if errors:
+        raise BatchSetupError(
+            f"{len(errors)} of {len(assignments)} assignments could not be set up; "
+            f"first: {errors[0]}", ordered) from errors[0]
+    return ordered
 
 
 # Hand-curated presence tables used as fixed vectors by planner and

@@ -300,6 +300,24 @@ def test_prompt_with_no_text_to_render_is_an_error(tmp_path, capsys):
     assert err.startswith("error: ") and "objects" in err
 
 
+def test_closed_stdout_exits_quietly(kb_files):
+    # The pipe's read end is closed before the command starts, so its first write fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(homeplan.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "homeplan.cli", "prompt", "--kb", *[kb_files[0]] * 3,
+             "--kind", "presence_table"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in result.stderr
+    assert result.stderr == ""
+    assert result.returncode == 1
+
+
 UNREADABLE = {
     "missing": None,
     "not JSON": b"not json",

@@ -9,6 +9,8 @@ from homeplan.executor import (
     SUBTASK_FAILED,
     SUBTASK_SUCCEEDED,
     ExecutionPolicy,
+    ExecutionTrace,
+    TraceStep,
     run_assignments,
     search_order,
     traces_to_jsonl,
@@ -17,7 +19,7 @@ from homeplan.knowledge import knowledge_from_environment
 from homeplan.planner import Assignment, Subtask
 from homeplan.world import GATHER, RobotState, SkillOutcome, World, load_environment
 
-from conftest import scripted_run
+from conftest import reference_run_assignments, scripted_run
 
 
 def sure_robot(robot_id, floor, room, **overrides):
@@ -95,6 +97,20 @@ def test_navigation_exhaustion_advances_to_next_room():
     assert trace.rooms_visited == ["r2", GATHER]
     nav_args = [a for s, a in trace.skill_sequence() if s == "navigation"]
     assert nav_args == ["r1", "r1", "r2", GATHER]
+
+
+def test_result_and_rooms_are_read_off_the_steps():
+    ok, fail = SkillOutcome("succeeded"), SkillOutcome("failed", "x")
+    trace = ExecutionTrace("T", "cup", [TraceStep("navigation", "r1", fail), TraceStep("navigation", "r2", ok)])
+    # Cut short after a successful navigation: only a successful final place is a success.
+    assert trace.result == SUBTASK_FAILED
+    assert trace.rooms_visited == ["r2"]
+    trace.steps += [TraceStep("object_detection", "cup", ok), TraceStep("pick", "cup", ok),
+                    TraceStep("navigation", GATHER, ok), TraceStep("place", GATHER, fail)]
+    assert trace.result == SUBTASK_FAILED
+    trace.steps.append(TraceStep("place", GATHER, ok))
+    assert trace.result == SUBTASK_SUCCEEDED
+    assert trace.rooms_visited == ["r2", GATHER]
 
 
 def test_search_order_is_descending_presence(kb_robot2):
@@ -266,3 +282,63 @@ def test_traces_to_jsonl_shape():
     assert [r["index"] for r in records] == list(range(1, 11))
     assert records[0] == {"robot_id": "Robot2", "index": 1, "skill": "navigation",
                           "argument": "kitchen", "status": "succeeded", "detail": None}
+
+
+HOME = load_environment("paper_home")
+HOME_ROOMS = [r.name for r in HOME.rooms]
+# Robot1 and Robot3 share the first floor, so their turns contend for its objects.
+FLEET = {"Robot1": ("1F", "entrance"), "Robot2": ("2F", "front_of_stairs"), "Robot3": ("1F", "kitchen")}
+probability = st.floats(0.3, 1.0)
+
+
+@st.composite
+def batches(draw):
+    """Robots with random skill odds, a policy, and assignments of which some cannot be set up."""
+    robots = [RobotState(robot_id=rid, floor=floor, current_room=room,
+                         p_navigate=draw(probability), p_detect_present=draw(probability),
+                         p_detect_absent_false_positive=draw(st.floats(0.0, 0.3)),
+                         p_pick=draw(probability), p_place=draw(probability))
+              for rid, (floor, room) in FLEET.items()]
+    room_order = draw(st.sampled_from([None] * 5 + [HOME_ROOMS[::-1], HOME_ROOMS[2:7], ["attic"]]))
+    policy = ExecutionPolicy(max_retries_per_skill=draw(st.integers(0, 3)),
+                             max_room_fallbacks=draw(st.one_of(st.none(), st.integers(0, 3))),
+                             room_order=room_order)
+    assignments = []
+    for _ in range(draw(st.integers(1, 6))):
+        obj = draw(st.sampled_from(sorted(HOME.placements)))
+        # Mostly a robot on the object's floor; sometimes one off it or one the world lacks.
+        on_floor = [rid for rid, (floor, _) in FLEET.items() if floor == HOME.floor_of_object(obj)]
+        robot_id = draw(st.sampled_from(on_floor * 10 + ["Robot2", "Robot9"]))
+        destination = draw(st.sampled_from([None] * 8 + [GATHER, "kitchen", "child_room", "mars"]))
+        assignments.append(Assignment(Subtask("bring", obj, destination), robot_id))
+    return robots, policy, assignments, draw(st.sampled_from(["truth", "flat"]))
+
+
+def _batch_kbs(style):
+    kbs = [knowledge_from_environment(HOME, floor, rid) for rid, (floor, _) in FLEET.items()]
+    if style == "flat":
+        for kb in kbs:
+            kb.presence_table = {obj: [1.0] * len(kb.room_names) for obj in kb.presence_table}
+    return kbs
+
+
+def _outcome_of(run, world, assignments, kbs, policy, seed):
+    try:
+        traces, error = run(world, assignments, kbs, policy=policy, seed=seed), None
+    except BatchSetupError as exc:
+        traces, error = exc.completed_traces, (str(exc), type(exc.__cause__), str(exc.__cause__))
+    records = [(t.robot_id, t.target_object, t.steps, t.result, t.rooms_visited) for t in traces]
+    robots = {rid: vars(r) for rid, r in world.robots.items()}
+    return records, error, dict(world.object_rooms), robots
+
+
+@given(batches(), st.integers(0, 2**31 - 1), st.sampled_from([None, 5, 123]))
+@settings(max_examples=150, deadline=None)
+def test_run_assignments_matches_the_reference_scheduler(batch, world_seed, seed):
+    robots, policy, assignments, style = batch
+    kbs = _batch_kbs(style)
+    ours = _outcome_of(run_assignments, World(HOME, robots, seed=world_seed),
+                       assignments, kbs, policy, seed)
+    reference = _outcome_of(reference_run_assignments, World(HOME, robots, seed=world_seed),
+                            assignments, kbs, policy, seed)
+    assert ours == reference

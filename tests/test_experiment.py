@@ -46,6 +46,11 @@ def test_best_room_recovery_counts_the_floors_objects(home, truth_kbs):
     kb.presence_table[moved] = kb.presence_table[moved][1:] + kb.presence_table[moved][:1]
     del kb.presence_table[dropped]
     assert best_room_recovery(home, "1F", kb) == (11, 13)
+    # A massless row is not recovered, even for an object in the first room.
+    kb = knowledge_from_environment(home, "2F", "Robot2")
+    massless = next(obj for obj, row in sorted(kb.presence_table.items()) if row[0] == 1.0)
+    kb.presence_table[massless] = [0.0] * len(kb.room_names)
+    assert best_room_recovery(home, "2F", kb) == (10, 11)
 
 
 # ----------------------------------------------------- instruction generation
@@ -106,19 +111,19 @@ def test_generation_error_when_category_missing():
 # ----------------------------------------------------------------- scoring
 
 def test_score_apple_to_robot1_succeeds(home):
-    ok, total, flags = score_allocations(
+    flags = score_allocations(
         [Assignment(Subtask("find", "apple"), "Robot1")], home, FLOOR_OF_ROBOT)
-    assert (ok, total, flags) == (1, 1, [True])
+    assert flags == [True]
 
 
 def test_score_banana_to_robot1_fails(home):
-    ok, total, flags = score_allocations(
+    flags = score_allocations(
         [Assignment(Subtask("find", "banana"), "Robot1")], home, FLOOR_OF_ROBOT)
-    assert (ok, total, flags) == (0, 1, [False])
+    assert flags == [False]
 
 
 def test_score_empty(home):
-    assert score_allocations([], home, FLOOR_OF_ROBOT) == (0, 0, [])
+    assert score_allocations([], home, FLOOR_OF_ROBOT) == []
 
 
 def test_score_unplaced_object_is_error(home):
@@ -130,9 +135,9 @@ def test_score_ignores_probabilities(home, truth_kbs):
     # Metric purity: same assignments, rescaled tables, identical score.
     subtasks = [Subtask("find", o) for o in ("apple", "banana", "cup", "towel")]
     assignments = allocate(subtasks, truth_kbs)
-    score_a = score_allocations(assignments, home, FLOOR_OF_ROBOT)[0]
+    score_a = score_allocations(assignments, home, FLOOR_OF_ROBOT)
     relabeled = [Assignment(a.subtask, a.robot_id, None) for a in assignments]
-    score_b = score_allocations(relabeled, home, FLOOR_OF_ROBOT)[0]
+    score_b = score_allocations(relabeled, home, FLOOR_OF_ROBOT)
     assert score_a == score_b
 
 
@@ -161,6 +166,12 @@ def test_run_suite_grid_with_truth_kbs(home, truth_kbs, tmp_path):
     assert report.totals["proposed"] == (50, 50)
     assert report.grid["commonsense"]["hard_to_predict"][0] == 0
     assert report.grid["commonsense"]["common_sense"][0] == 10
+
+    for strategy, by_cat in report.grid.items():
+        for category, counted in by_cat.items():
+            flags = [f for t in report.trials if (t["strategy"], t["category"]) == (strategy, category)
+                     for f in t["correct"]]
+            assert counted == (sum(flags), len(flags))
 
     payload = json.loads(out.read_text())
     assert payload["schema_version"] == 1
@@ -215,7 +226,7 @@ def test_corrupting_knowledge_cannot_increase_score(home, truth_kbs):
     subtasks = [s for instrs in instructions.values() for i in instrs
                 for s in decompose(i, vocab)]
 
-    baseline = score_allocations(allocate(subtasks, truth_kbs), home, FLOOR_OF_ROBOT)[0]
+    baseline = sum(score_allocations(allocate(subtasks, truth_kbs), home, FLOOR_OF_ROBOT))
     assert baseline == 50
 
     # Move apple's knowledge to the wrong robot: Robot2 now claims it.
@@ -224,8 +235,8 @@ def test_corrupting_knowledge_cannot_increase_score(home, truth_kbs):
     corrupt2 = knowledge_from_environment(home, "2F", "Robot2")
     del corrupt1.presence_table["apple"]
     corrupt2.presence_table["apple"] = [0.0, 0.0, 0.0, 0.0, 1.0]
-    corrupted = score_allocations(allocate(subtasks, [corrupt1, corrupt2]),
-                                  home, FLOOR_OF_ROBOT)[0]
+    corrupted = sum(score_allocations(allocate(subtasks, [corrupt1, corrupt2]),
+                                      home, FLOOR_OF_ROBOT))
     assert corrupted <= baseline
     apple_count = sum(s.target_object == "apple" for s in subtasks)
     assert corrupted == baseline - apple_count

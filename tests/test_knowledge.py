@@ -227,6 +227,13 @@ def test_knowledge_loader_rejects_bad_presence_rows(row):
         knowledge_from_dict(data)
 
 
+def test_best_room_is_normalized_and_none_without_mass():
+    kb = KnowledgeBase("R", ["a", "b"], [[], []], {"cup": [1.0, 3.0], "plate": [0.0, 0.0]})
+    assert kb.best_room("cup") == ("b", 0.75)
+    assert kb.best_room("plate") is None
+    assert kb.best_room("fork") is None
+
+
 def test_knowledge_loader_accepts_integer_rows():
     data = {"robot_id": "R", "room_names": ["a", "b"], "place_vocab": [[], []],
             "presence_table": {"cup": [1, 0]}}
