@@ -25,14 +25,6 @@ from .executor import ExecutionPolicy, run_assignments, traces_to_jsonl
 SEED_ENV_VAR = "HOMEPLAN_SEED"
 
 
-def _default_seed() -> int:
-    value = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigurationError(f"${SEED_ENV_VAR} must be an integer, got {value!r}") from None
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text + ("" if text.endswith("\n") else "\n"))
@@ -50,7 +42,16 @@ def _add_common(parser: argparse.ArgumentParser, env: bool = True) -> None:
 
 
 def _seed_of(args) -> int:
-    return _default_seed() if args.seed is None else args.seed
+    """``--seed``, else ``$HOMEPLAN_SEED``, else 0; a seed must be a non-negative integer."""
+    source, value = (("--seed", args.seed) if args.seed is not None
+                     else (f"${SEED_ENV_VAR}", os.environ.get(SEED_ENV_VAR, "0")))
+    try:
+        seed = int(value)
+    except ValueError:
+        raise ConfigurationError(f"{source} must be an integer, got {value!r}") from None
+    if seed < 0:
+        raise ConfigurationError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _add_backend(parser: argparse.ArgumentParser) -> None:
@@ -125,6 +126,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_prompt(args) -> int:
+    if args.kind == "place_vocab" and len(args.kb) > 1:
+        raise ConfigurationError("the place_vocab prompt renders one knowledge base; give one --kb")
     kbs = [knowledge.load_knowledge(p) for p in args.kb]
     text = knowledge.PROMPTS[args.kind](kbs)
     if not text:

@@ -27,21 +27,13 @@ SUBTASK_FAILED = "subtask_failed"
 
 @dataclass
 class ExecutionPolicy:
-    """Retry and fallback budget for one subtask.
-
-    ``max_room_fallbacks`` of None means "all remaining rooms";
-    ``room_order`` of None derives the search order from the knowledge base.
-    """
+    """Retry budget for each skill; a subtask searches every room of its robot's knowledge base."""
 
     max_retries_per_skill: int = 2
-    max_room_fallbacks: int | None = None
-    room_order: list[str] | None = None
 
     def __post_init__(self):
         if self.max_retries_per_skill < 0:
             raise ValueError("max_retries_per_skill must be >= 0")
-        if self.max_room_fallbacks is not None and self.max_room_fallbacks < 0:
-            raise ValueError("max_room_fallbacks must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -81,15 +73,10 @@ def search_order(kb: KnowledgeBase, target: str) -> list[str]:
     return [kb.room_names[i] for i in order]
 
 
-def _resolve_room_order(assignment: Assignment, kb: KnowledgeBase | None,
-                        policy: ExecutionPolicy) -> list[str]:
-    if policy.room_order is not None:
-        return list(policy.room_order)
+def _resolve_room_order(assignment: Assignment, kb: KnowledgeBase | None) -> list[str]:
     target = assignment.subtask.target_object
     if kb is None or target not in kb.presence_table:
-        raise PlanningError(
-            f"object {assignment.subtask.target_object!r} is not in the knowledge base "
-            "and no explicit room_order was given")
+        raise PlanningError(f"object {target!r} is not in the knowledge base")
     return search_order(kb, target)
 
 
@@ -120,8 +107,7 @@ def _subtask_machine(world: World, trace: ExecutionTrace, rooms: list[str],
 
 
 def _robot_run(world: World, jobs: list[tuple[int, Assignment]], kb: KnowledgeBase | None,
-               policy: ExecutionPolicy, traces: dict[int, ExecutionTrace],
-               errors: list[HomeplanError]):
+               attempts: int, traces: dict[int, ExecutionTrace], errors: list[HomeplanError]):
     """One robot's assignments back to back, each set up just before it runs."""
     for idx, assignment in jobs:
         try:
@@ -129,17 +115,15 @@ def _robot_run(world: World, jobs: list[tuple[int, Assignment]], kb: KnowledgeBa
             destination = assignment.subtask.destination or GATHER
             if not world.known_location(destination):
                 raise UnknownRoomError(f"unknown destination {destination!r}")
-            rooms = _resolve_room_order(assignment, kb, policy)
+            rooms = _resolve_room_order(assignment, kb)
             for room in rooms:
                 if not world.known_location(room):
                     raise UnknownRoomError(f"unknown room {room!r} in search order")
         except HomeplanError as exc:  # deferred, see run_assignments
             errors.append(exc)
             continue
-        if policy.max_room_fallbacks is not None:
-            rooms = rooms[:policy.max_room_fallbacks + 1]
         trace = traces[idx] = ExecutionTrace(assignment.robot_id, assignment.subtask.target_object)
-        yield from _subtask_machine(world, trace, rooms, destination, policy.max_retries_per_skill + 1)
+        yield from _subtask_machine(world, trace, rooms, destination, attempts)
 
 
 def run_assignments(world: World, assignments: list[Assignment],
@@ -163,7 +147,8 @@ def run_assignments(world: World, assignments: list[Assignment],
 
     traces: dict[int, ExecutionTrace] = {}
     errors: list[HomeplanError] = []
-    runs = [_robot_run(world, queue, kb_by_robot.get(rid), policy, traces, errors)
+    attempts = policy.max_retries_per_skill + 1
+    runs = [_robot_run(world, queue, kb_by_robot.get(rid), attempts, traces, errors)
             for rid, queue in jobs.items()]
     while runs:  # each turn takes every robot to just before its next skill
         runs = [run for run in runs if next(run, False)]

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, SchemaError, UnknownLabelError
+from .errors import ConfigurationError, SchemaError
 from .spatial import Hyperparameters, Session, SpatialConceptModel
 
 _DIM = 2
@@ -51,14 +51,8 @@ class _SessionStats:
                  "x", "cols", "vals", "link", "moments")
 
     def __init__(self, session: Session, place_index: dict[str, int], object_index: dict[str, int]):
-        try:
-            widx = np.array([place_index[w] for w in session.place_words], dtype=int)
-        except KeyError as exc:
-            raise UnknownLabelError(f"place word {exc.args[0]!r} not in supplied vocabulary") from None
-        try:
-            oidx = np.array([object_index[o] for o in session.object_labels], dtype=int)
-        except KeyError as exc:
-            raise UnknownLabelError(f"object label {exc.args[0]!r} not in supplied vocabulary") from None
+        widx = np.array([place_index[w] for w in session.place_words], dtype=int)
+        oidx = np.array([object_index[o] for o in session.object_labels], dtype=int)
         self.x = np.asarray(session.position, dtype=float)
         if self.x.shape != (_DIM,) or not np.all(np.isfinite(self.x)):
             raise SchemaError("session position must be a finite 2-vector")
@@ -245,11 +239,10 @@ def learn_fixed_lag(
     *,
     num_concepts: int = 5,
     num_regions: int = 5,
-    vocab_places: list[str] | None = None,
-    vocab_objects: list[str] | None = None,
 ) -> SpatialConceptModel:
     """Learn a spatial concept model from an ordered session stream.
 
+    The vocabularies are the sessions' own (``derive_vocabularies``).
     Deterministic for fixed (sessions, hp, seed).  A lag window longer than
     the stream is clamped, never an error.
     """
@@ -259,12 +252,9 @@ def learn_fixed_lag(
     if not sessions:
         raise SchemaError("cannot learn from an empty session list")
     hp = hp or Hyperparameters()
-    if vocab_places is None or vocab_objects is None:
-        derived_places, derived_objects = derive_vocabularies(sessions)
-        vocab_places = derived_places if vocab_places is None else vocab_places
-        vocab_objects = derived_objects if vocab_objects is None else vocab_objects
+    vocab_places, vocab_objects = derive_vocabularies(sessions)
     if not vocab_places:
-        raise SchemaError("sessions contain no place words and no vocabulary was supplied")
+        raise SchemaError("sessions contain no place words")
     place_index = {w: i for i, w in enumerate(vocab_places)}
     object_index = {o: i for i, o in enumerate(vocab_objects)}
     stats = [_SessionStats(s, place_index, object_index) for s in sessions]

@@ -191,15 +191,20 @@ class ReplayBackend:
     def store(self, prompt: str, response: str) -> Path:
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(prompt)
-        path.write_text(response)
+        path.write_text(response, encoding="utf-8")
         return path
 
     def complete(self, prompt: str) -> str:
         path = self._path(prompt)
         try:
-            return path.read_text()
+            return path.read_text(encoding="utf-8")
         except FileNotFoundError:
             raise ReplayMissError(f"no canned response for prompt hash {path.stem}") from None
+        except OSError as exc:
+            raise BackendError(f"canned response for prompt hash {path.stem} cannot be read: "
+                               f"{exc.strerror or exc}") from None
+        except UnicodeDecodeError:
+            raise BackendError(f"canned response for prompt hash {path.stem} is not UTF-8 text") from None
 
 
 class RemoteChatBackend:
@@ -290,19 +295,19 @@ def _last_task_description(prompt: str) -> str | None:
     return None
 
 
-def _anchor_phrase(phrase: str, object_vocab: list[str], synonyms: dict[str, str]) -> str | None:
+def _anchor_phrase(phrase: str, object_vocab: list[str]) -> str | None:
     cleaned = _ARTICLES.sub("", phrase.strip().rstrip(".").lower()).strip()
     if not cleaned:
         return None
-    if cleaned in synonyms and synonyms[cleaned] in object_vocab:
-        return synonyms[cleaned]
+    if cleaned in SYNONYMS and SYNONYMS[cleaned] in object_vocab:
+        return SYNONYMS[cleaned]
     direct = cleaned.replace(" ", "_")
     if direct in object_vocab:
         return direct
     return None
 
 
-def _extract_explicit_targets(text: str, object_vocab: list[str], synonyms: dict[str, str]) -> list[str]:
+def _extract_explicit_targets(text: str, object_vocab: list[str]) -> list[str]:
     """Known labels and synonym phrases mentioned in the text, in mention order."""
     lowered = text.lower()
     hits: list[tuple[int, str]] = []
@@ -315,7 +320,7 @@ def _extract_explicit_targets(text: str, object_vocab: list[str], synonyms: dict
             if m:
                 hits.append((m.start(), label))
                 break
-    for phrase, label in synonyms.items():
+    for phrase, label in SYNONYMS.items():
         if phrase not in lowered or label not in object_vocab:
             continue
         m = re.search(rf"(?<![a-z_]){re.escape(phrase)}(?![a-z_])", lowered)
@@ -357,18 +362,17 @@ def decompose(
     instr: Instruction,
     object_vocab: list[str],
     backend: PlannerBackend | None = None,
-    synonyms: dict[str, str] = SYNONYMS,
 ) -> list[Subtask]:
     """Split an instruction into minimal fetch/find subtasks.
 
     Explicit object mentions are extracted verbatim and order-preserving.
     Otherwise the backend proposes items, which are anchored to the object
-    vocabulary (plus synonyms); unanchorable items are dropped.
+    vocabulary (plus ``SYNONYMS``); unanchorable items are dropped.
     """
     if not object_vocab:
         raise ConfigurationError("object_vocab must be non-empty")
     backend = backend or RuleBasedBackend()
-    explicit = _extract_explicit_targets(instr.text, object_vocab, synonyms)
+    explicit = _extract_explicit_targets(instr.text, object_vocab)
     if explicit:
         verb = _verb_for(instr.text)
         return [Subtask(verb, obj) for obj in explicit]
@@ -383,7 +387,7 @@ def decompose(
         body = m.group(2)
         verb = "bring" if body.lower().startswith(_BRING_WORDS) else "find"
         phrase = re.sub(rf"^({'|'.join(_BRING_WORDS)}|find|locate)\s+", "", body, flags=re.IGNORECASE)
-        label = _anchor_phrase(phrase, object_vocab, synonyms)
+        label = _anchor_phrase(phrase, object_vocab)
         if label is not None and label not in seen:
             seen.add(label)
             subtasks.append(Subtask(verb, label))

@@ -49,12 +49,17 @@ class ScriptedWorld:
         return self.outcomes.pop(0)
 
 
-def scripted_run(target, room_order, outcomes, retries=2, fallbacks=None, destination=None):
-    """Run one subtask through ``run_assignments`` against scripted outcomes."""
-    policy = ExecutionPolicy(max_retries_per_skill=retries, max_room_fallbacks=fallbacks,
-                             room_order=list(room_order))
+def scripted_run(target, rooms, outcomes, retries=2, destination=None):
+    """Run one subtask through ``run_assignments`` against scripted outcomes.
+
+    Robot ``T`` knows only ``rooms``, with a flat row for the target, so the
+    stable search order is ``rooms`` as given.
+    """
+    kb = KnowledgeBase(robot_id="T", room_names=list(rooms), place_vocab=[[] for _ in rooms],
+                       presence_table={target: [1.0] * len(rooms)})
     assignment = Assignment(Subtask("bring", target, destination), "T")
-    [trace] = run_assignments(ScriptedWorld(outcomes), [assignment], [], policy=policy)
+    [trace] = run_assignments(ScriptedWorld(outcomes), [assignment], [kb],
+                              policy=ExecutionPolicy(max_retries_per_skill=retries))
     return trace
 
 
@@ -77,11 +82,11 @@ def _reference_attempt(skill, argument, attempts):
     return False
 
 
-def _reference_subtask_machine(target, room_order, destination, retries, fallbacks):
+def _reference_subtask_machine(target, room_order, destination, retries):
     """Yields (skill, argument), receives each SkillOutcome; returns (result, rooms_visited)."""
     rooms_visited = []
     attempts = retries + 1
-    for room in room_order[:fallbacks + 1]:
+    for room in room_order:
         if not (yield from _reference_attempt("navigation", room, attempts)):
             continue
         rooms_visited.append(room)
@@ -102,15 +107,12 @@ def _reference_setup(world, assignment, kb, policy):
     destination = assignment.subtask.destination or GATHER
     if not world.known_location(destination):
         raise UnknownRoomError(f"unknown destination {destination!r}")
-    room_order = _resolve_room_order(assignment, kb, policy)
+    room_order = _resolve_room_order(assignment, kb)
     for room in room_order:
         if not world.known_location(room):
             raise UnknownRoomError(f"unknown room {room!r} in search order")
-    fallbacks = policy.max_room_fallbacks
-    if fallbacks is None:
-        fallbacks = len(room_order) - 1
     machine = _reference_subtask_machine(assignment.subtask.target_object, room_order,
-                                         destination, policy.max_retries_per_skill, fallbacks)
+                                         destination, policy.max_retries_per_skill)
     trace = ReferenceTrace(robot_id=assignment.robot_id,
                            target_object=assignment.subtask.target_object)
     return machine, trace

@@ -226,8 +226,7 @@ def test_c5_executor_trace_replay():
     ok_out = SkillOutcome("succeeded")
     fail = SkillOutcome("failed", "grasp_failed")
     queue = [ok_out, ok_out, fail, ok_out, ok_out, ok_out]
-    scripted = scripted_run("cup", ["living_room"], queue, retries=2, fallbacks=0,
-                            destination="kitchen")
+    scripted = scripted_run("cup", ["living_room"], queue, retries=2, destination="kitchen")
     picks = [s for s in scripted.skill_sequence() if s[0] == "pick"]
     pick_ok = len(picks) == 2 and scripted.result == "subtask_succeeded"
 

@@ -12,6 +12,7 @@ import homeplan
 
 from homeplan.cli import main
 from homeplan.knowledge import PROMPTS, knowledge_from_environment, save_knowledge
+from homeplan.planner import ReplayBackend, render_decomposition_prompt
 from homeplan.spatial import save_model
 from homeplan.world import environment_to_dict, load_environment
 
@@ -112,8 +113,17 @@ def test_prompt_place_vocab(kb_files, capsys):
 
 @pytest.mark.parametrize("kind", tuple(PROMPTS))
 def test_prompt_every_kind(kb_files, capsys, kind):
-    assert main(["prompt", "--kb", *kb_files, "--kind", kind]) == 0
+    kbs = kb_files[:1] if kind == "place_vocab" else kb_files  # place_vocab renders one knowledge base
+    assert main(["prompt", "--kb", *kbs, "--kind", kind]) == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_place_vocab_of_several_knowledge_bases_is_an_error(kb_files, capsys):
+    assert main(["prompt", "--kb", *kb_files, "--kind", "place_vocab"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "place_vocab" in captured.err
+    assert captured.out == ""
 
 
 def test_decompose_command(capsys):
@@ -220,6 +230,34 @@ def test_non_integer_seed_env_var_is_an_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "HOMEPLAN_SEED" in err
+
+
+@pytest.mark.parametrize("argv", [["suite", "--seed", "-1"], ["learn", "--floor", "1F", "--seed", "-3"]],
+                         ids=["suite", "learn"])
+def test_negative_seed_flag_is_an_error(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "--seed must be a non-negative integer, got" in err
+
+
+def test_negative_seed_env_var_is_an_error(monkeypatch, capsys):
+    monkeypatch.setenv("HOMEPLAN_SEED", "-5")
+    assert main(["suite"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "$HOMEPLAN_SEED must be a non-negative integer, got -5" in err
+
+
+def test_unreadable_replay_response_is_an_error(tmp_path, capsys):
+    text = "Get ready for a field trip."
+    prompt = render_decomposition_prompt(text, sorted(load_environment("paper_home").placements))
+    digest = ReplayBackend.request_hash(prompt)
+    (tmp_path / f"{digest}.txt").write_bytes(b"SubTask 1: Bring a \xff\xfe.")
+    assert main(["decompose", "--backend", "replay", "--replay-dir", str(tmp_path), "--text", text]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert digest in err
 
 
 def test_empty_instruction_text_is_an_error(capsys):

@@ -15,7 +15,7 @@ from homeplan.executor import (
     search_order,
     traces_to_jsonl,
 )
-from homeplan.knowledge import knowledge_from_environment
+from homeplan.knowledge import KnowledgeBase, knowledge_from_environment
 from homeplan.planner import Assignment, Subtask
 from homeplan.world import GATHER, RobotState, SkillOutcome, World, load_environment
 
@@ -62,29 +62,20 @@ def test_scripted_pick_fails_once_then_succeeds():
     assert trace.result == SUBTASK_SUCCEEDED
 
 
-def test_absent_object_visits_every_room_once():
-    rooms = ["r1", "r2", "r3", "r4"]
-    retries = 1
+@pytest.mark.parametrize("rooms, retries", [(["r1", "r2"], 2), (["r1", "r2", "r3", "r4"], 1)],
+                         ids=["2_rooms", "4_rooms"])
+def test_absent_object_visits_every_room_once(rooms, retries):
     outcomes = []
     for _ in rooms:
         outcomes.append(SkillOutcome("succeeded"))  # navigation
         outcomes.extend([SkillOutcome("failed", "not_found")] * (retries + 1))
-    trace = scripted_run("ghost", rooms, outcomes, retries=retries, fallbacks=len(rooms) - 1)
+    # Only the knowledge base's rooms are searched: a further step would find no scripted outcome.
+    trace = scripted_run("ghost", rooms, outcomes, retries=retries)
     assert trace.result == SUBTASK_FAILED
     assert trace.rooms_visited == rooms
+    assert len(trace.steps) == len(outcomes)
     nav_args = [a for s, a in trace.skill_sequence() if s == "navigation"]
     assert nav_args == rooms
-
-
-def test_room_fallback_capped_by_policy():
-    rooms = ["r1", "r2", "r3"]
-    outcomes = []
-    for _ in range(2):  # only two rooms may be tried
-        outcomes.append(SkillOutcome("succeeded"))
-        outcomes.extend([SkillOutcome("failed", "not_found")] * 3)
-    trace = scripted_run("ghost", rooms, outcomes, retries=2, fallbacks=1)
-    assert trace.result == SUBTASK_FAILED
-    assert trace.rooms_visited == ["r1", "r2"]
 
 
 def test_navigation_exhaustion_advances_to_next_room():
@@ -139,10 +130,11 @@ def test_object_missing_from_kb_without_room_order():
     with pytest.raises(BatchSetupError) as excinfo:
         run_assignments(world, [assignment], [kb])
     assert type(excinfo.value.__cause__) is PlanningError
-    # explicit room order unblocks it (and then fails honestly at detection)
-    [trace] = run_assignments(world, [assignment], [kb],
-                              policy=ExecutionPolicy(room_order=["kitchen", "corridor"]))
+    # A knowledge base that lists it unblocks it; every room is searched and detection fails honestly.
+    kb.presence_table["bag"] = [1.0] * len(kb.room_names)
+    [trace] = run_assignments(world, [assignment], [kb])
     assert trace.result == SUBTASK_FAILED
+    assert trace.rooms_visited == kb.room_names
 
 
 def test_mismatched_robot_id_rejected():
@@ -155,16 +147,16 @@ def test_mismatched_robot_id_rejected():
 
 
 @given(st.lists(st.booleans(), min_size=0, max_size=60),
-       st.integers(0, 2), st.integers(0, 3))
+       st.integers(0, 2), st.integers(1, 4))
 @settings(max_examples=80, deadline=None)
-def test_bounded_liveness_and_legality(outcome_bits, retries, fallbacks):
-    rooms = ["r1", "r2", "r3", "r4"]
+def test_bounded_liveness_and_legality(outcome_bits, retries, n_rooms):
+    rooms = ["r1", "r2", "r3", "r4"][:n_rooms]
     outcomes = [SkillOutcome("succeeded") if b else SkillOutcome("failed", "x")
                 for b in outcome_bits]
     outcomes += [SkillOutcome("failed", "x")] * 400  # pad so the machine always terminates
-    trace = scripted_run("obj", rooms, outcomes, retries=retries, fallbacks=fallbacks)
+    trace = scripted_run("obj", rooms, outcomes, retries=retries)
 
-    assert len(trace.steps) <= (retries + 1) * 5 * (fallbacks + 1)
+    assert len(trace.steps) <= (retries + 1) * 5 * n_rooms
 
     # Legality: within one room visit, pick only after a successful detect;
     # place only after a successful pick.
@@ -293,16 +285,13 @@ probability = st.floats(0.3, 1.0)
 
 @st.composite
 def batches(draw):
-    """Robots with random skill odds, a policy, and assignments of which some cannot be set up."""
+    """Robots with random skill odds, a policy, assignments of which some cannot be set up, a KB style."""
     robots = [RobotState(robot_id=rid, floor=floor, current_room=room,
                          p_navigate=draw(probability), p_detect_present=draw(probability),
                          p_detect_absent_false_positive=draw(st.floats(0.0, 0.3)),
                          p_pick=draw(probability), p_place=draw(probability))
               for rid, (floor, room) in FLEET.items()]
-    room_order = draw(st.sampled_from([None] * 5 + [HOME_ROOMS[::-1], HOME_ROOMS[2:7], ["attic"]]))
-    policy = ExecutionPolicy(max_retries_per_skill=draw(st.integers(0, 3)),
-                             max_room_fallbacks=draw(st.one_of(st.none(), st.integers(0, 3))),
-                             room_order=room_order)
+    policy = ExecutionPolicy(max_retries_per_skill=draw(st.integers(0, 3)))
     assignments = []
     for _ in range(draw(st.integers(1, 6))):
         obj = draw(st.sampled_from(sorted(HOME.placements)))
@@ -311,15 +300,23 @@ def batches(draw):
         robot_id = draw(st.sampled_from(on_floor * 10 + ["Robot2", "Robot9"]))
         destination = draw(st.sampled_from([None] * 8 + [GATHER, "kitchen", "child_room", "mars"]))
         assignments.append(Assignment(Subtask("bring", obj, destination), robot_id))
-    return robots, policy, assignments, draw(st.sampled_from(["truth", "flat"]))
+    style = draw(st.sampled_from(["truth"] * 3 + ["flat"] * 3 + ["reversed", "attic"]))
+    return robots, policy, assignments, style
 
 
 def _batch_kbs(style):
+    """Each robot's floor knowledge, with true rows or with flat rows, which search in the KB's
+    room order: its own rooms, every home room in reverse order (across floors), or its rooms
+    and an ``attic`` the home lacks."""
     kbs = [knowledge_from_environment(HOME, floor, rid) for rid, (floor, _) in FLEET.items()]
-    if style == "flat":
-        for kb in kbs:
-            kb.presence_table = {obj: [1.0] * len(kb.room_names) for obj in kb.presence_table}
-    return kbs
+    if style == "truth":
+        return kbs
+    flat = []
+    for kb in kbs:
+        rooms = {"flat": kb.room_names, "reversed": HOME_ROOMS[::-1], "attic": [*kb.room_names, "attic"]}[style]
+        flat.append(KnowledgeBase(kb.robot_id, rooms, [[] for _ in rooms],
+                                  {obj: [1.0] * len(rooms) for obj in kb.presence_table}))
+    return flat
 
 
 def _outcome_of(run, world, assignments, kbs, policy, seed):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
 
-from homeplan.errors import ConfigurationError, SchemaError, UnknownLabelError
+from homeplan.errors import ConfigurationError, SchemaError
 from homeplan.experiment import default_robots, learn_floor_model
 from homeplan.learner import (
     _OBJ_TOTAL,
@@ -97,10 +97,12 @@ def test_lag_longer_than_stream_is_clamped():
     assert model.num_regions == 2
 
 
-def test_unknown_label_with_supplied_vocab():
-    sessions = [Session(np.zeros(2), ["mystery"], ["w"])]
-    with pytest.raises(UnknownLabelError):
-        learn_fixed_lag(sessions, FAST_HP, seed=0, vocab_places=["w"], vocab_objects=["known"])
+def test_vocabularies_are_derived_from_the_sessions():
+    sessions = [Session(np.zeros(2), ["mystery", "known"], ["w"]), Session(np.ones(2), ["known"], ["v", "w"])]
+    model = learn_fixed_lag(sessions, FAST_HP, seed=0, num_concepts=2, num_regions=2)
+    assert (model.vocab_places, model.vocab_objects) == derive_vocabularies(sessions)
+    assert (model.vocab_places, model.vocab_objects) == (["v", "w"], ["known", "mystery"])
+    assert model.word_dist.shape == model.object_dist.shape == (2, 2)
 
 
 def test_derive_vocabularies_sorted_union():

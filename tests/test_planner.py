@@ -57,8 +57,7 @@ def test_decompose_single_explicit_target():
 
 def test_decompose_ambiguous_field_trip_via_synonyms():
     instr = Instruction("Get ready for a field trip.", category="ambiguous")
-    subtasks = decompose(instr, ROBOCUP_VOCAB, backend=RuleBasedBackend(),
-                         synonyms={"water bottle": "water_bottle", "backpack": "bag"})
+    subtasks = decompose(instr, ROBOCUP_VOCAB, backend=RuleBasedBackend())
     assert subtasks == [Subtask("bring", "water_bottle"), Subtask("bring", "bag")]
 
 
@@ -98,7 +97,7 @@ def test_decompose_preserves_mention_order(perm, count):
     assert [s.target_object for s in subtasks] == mentioned
 
 
-def reference_explicit_targets(text, object_vocab, synonyms):
+def reference_explicit_targets(text, object_vocab):
     """The per-label matcher: one regex search per label surface and per synonym."""
     lowered = text.lower()
     hits = []
@@ -108,7 +107,7 @@ def reference_explicit_targets(text, object_vocab, synonyms):
             if m:
                 hits.append((m.start(), label))
                 break
-    for phrase, label in synonyms.items():
+    for phrase, label in SYNONYMS.items():
         if label not in object_vocab:
             continue
         m = re.search(rf"(?<![a-z_]){re.escape(phrase)}(?![a-z_])", lowered)
@@ -149,8 +148,8 @@ def instruction_texts(draw):
 @given(instruction_texts(), st.lists(st.sampled_from(ALL_VOCAB), min_size=1, unique=True))
 @settings(max_examples=300, deadline=None)
 def test_decomposition_matches_the_per_label_reference(text, vocab):
-    targets = reference_explicit_targets(text, vocab, SYNONYMS)
-    assert planner._extract_explicit_targets(text, vocab, SYNONYMS) == targets
+    targets = reference_explicit_targets(text, vocab)
+    assert planner._extract_explicit_targets(text, vocab) == targets
     assert planner._verb_for(text) == reference_verb(text)
     if targets:
         verb = reference_verb(text)
@@ -311,6 +310,20 @@ def test_replay_backend_round_trip(tmp_path):
     assert backend.complete("prompt text") == "canned answer"
     with pytest.raises(ReplayMissError):
         backend.complete("unseen prompt")
+
+
+@pytest.mark.parametrize("response", [b"SubTask 1: Bring a \xff.", "dir"], ids=["not_utf8", "unreadable"])
+def test_unreadable_replay_response_is_a_backend_error(tmp_path, response):
+    backend = ReplayBackend(tmp_path)
+    path = backend.store("prompt text", "canned answer")
+    path.unlink()
+    if response == "dir":
+        path.mkdir()
+    else:
+        path.write_bytes(response)
+    with pytest.raises(BackendError, match=path.stem) as excinfo:
+        backend.complete("prompt text")
+    assert type(excinfo.value) is BackendError  # not a miss: the response exists
 
 
 def test_replay_allocation_parses_to_rule_based_assignments(tmp_path, kb_robot1, kb_robot2):
