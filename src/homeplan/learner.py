@@ -7,22 +7,32 @@ multinomial count of a concept as integers: its sessions, word and object
 totals, word and object counts, and its links to regions.  ``moments``
 (P, R, 7) holds each region's normal-inverse-Wishart moment sums: n, the
 position sum and the flattened sum of outer products.  Adding or removing a
-session is one indexed update of each.  Every term of the collapsed
-conditional that depends on an integer count alone (log-gamma and log of a
-count plus a concentration, and a region's NIW and Student-t constants) is
-tabulated once per learn (``_Tables``) and looked up; each entry is the
-expression it replaces, so grids and models are bit-for-bit those computed
-term by term.  Arriving sessions are assigned by sampling the exact collapsed
-conditional (which doubles as the optimal proposal, so particle weights are
-updated with the predictive marginal); assignments inside the lag window are
-rejuvenated with one Gibbs sweep per step, sequential over the window and
-parallel over particles; particles are systematically resampled, by one
-fancy-index of the stacked state, when the effective sample size drops below
-half the particle count.  Uniforms are drawn in the order a per-particle loop
-would draw them, so results do not depend on the batching.  The returned
-model is the maximum-weight particle's posterior-mean parameters, returned as
-the stacked arrays ``SpatialConceptModel`` holds: each is computed from the
-particle's count rows and moment sums in one expression.
+session is one indexed update of each.
+
+Two kernels score a session over the (concept, region) cells.  ``_log_grid``
+is the exact collapsed conditional: every term that depends on an integer
+count alone (log-gamma and log of a count plus a concentration, and a
+region's NIW and Student-t constants) is tabulated once per learn
+(``_Tables``) and looked up, each entry the expression it replaces, so its
+grids are bit-for-bit those computed term by term.  It scores arriving
+sessions: the conditional doubles as the optimal proposal, and its
+log-sum-exp, the predictive marginal, is the particle weight increment.
+``_sweep_grid`` rescores the sessions of the lag window in the Gibbs sweep,
+one sweep per step, sequential over the window and parallel over particles.
+A sweep draw only needs its target up to a constant, so this kernel drops the
+concept prior's normaliser, reads every count-only term as one fused table
+difference and needs about half the numpy calls; it equals the exact grid
+to rounding.  The weights keep the exact kernel because their last bits
+decide resampling and which of two tied particles is returned, and because
+the weight increment must be a normalized log conditional.
+
+Particles are systematically resampled, by one fancy-index of the stacked
+state, when the effective sample size drops below half the particle count.
+Uniforms are drawn in the order a per-particle loop would draw them, so
+results do not depend on the batching.  The returned model is the
+maximum-weight particle's posterior-mean parameters, returned as the stacked
+arrays ``SpatialConceptModel`` holds: each is computed from the particle's
+count rows and moment sums in one expression.
 """
 
 from __future__ import annotations
@@ -44,11 +54,13 @@ class _SessionStats:
 
     ``cols``/``vals`` are the count columns a session adds to and by how much;
     the last column is the link to region 0, shifted by the region on adding.
-    ``moments`` is what it adds to its region's moment sums.
+    ``moments`` is what it adds to its region's moment sums; the ``neg_`` rows
+    remove it.  ``sweep_index`` is set by ``_Tables``: the flat index offsets
+    of the session's rows of the fused sweep table, one per column but the link.
     """
 
     __slots__ = ("word_cols", "word_cnt", "word_total", "obj_cols", "obj_cnt", "obj_total",
-                 "x", "cols", "vals", "link", "moments")
+                 "x", "cols", "vals", "neg_vals", "moments", "neg_moments", "sweep_index")
 
     def __init__(self, session: Session, place_index: dict[str, int], object_index: dict[str, int]):
         widx = np.array([place_index[w] for w in session.place_words], dtype=int)
@@ -67,45 +79,54 @@ class _SessionStats:
                                     self.obj_cols, [first_link]))
         self.vals = np.concatenate(([1, self.word_total, self.obj_total], self.word_cnt,
                                     self.obj_cnt, [1]))
-        self.link = (np.arange(len(self.cols)) == len(self.cols) - 1).astype(int)
+        self.neg_vals = -self.vals
         x0, x1 = self.x.tolist()  # Python floats: a square that overflows is inf, not a warning
         self.moments = np.array([1.0, x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1])
+        self.neg_moments = -self.moments
 
 
 class _Batch:
     """Assignments and collapsed sufficient statistics of all particles, stacked on axis 0.
 
     ``counts`` columns: sessions, word total, object total, V words, O objects, R links.
+    The row offsets of each particle in the flattened arrays are fixed at construction.
     """
 
-    __slots__ = ("counts", "moments", "assignments")
+    __slots__ = ("counts", "moments", "assignments", "count_rows", "moment_rows")
+    _STATE = ("counts", "moments", "assignments")
 
     def __init__(self, P: int, K: int, R: int, n_words: int, n_objects: int, T: int):
         self.counts = np.zeros((P, K, _WORDS + n_words + n_objects + R), dtype=int)
         self.moments = np.zeros((P, R, 1 + _DIM + _DIM * _DIM))
         self.assignments = np.zeros((P, T, 2), dtype=int)
+        self.count_rows = np.arange(P) * K
+        self.moment_rows = np.arange(P) * R
 
     def take(self, index) -> "_Batch":
         """Particles at ``index``: an index array resamples, an int selects one particle."""
         out = _Batch.__new__(_Batch)
-        for name in self.__slots__:
+        for name in self._STATE:
             setattr(out, name, getattr(self, name)[index])
+        out.count_rows, out.moment_rows = self.count_rows, self.moment_rows
         return out
 
     def add(self, cells: np.ndarray, s: _SessionStats, sign: int = 1) -> None:
         """Add ``s`` to particle i at cell (concept, region) ``cells[i]``; ``sign=-1`` removes it."""
-        (P, K, F), R = self.counts.shape, self.moments.shape[1]
-        p = np.arange(P)
-        c, r = cells[:, 0], cells[:, 1]
+        F = self.counts.shape[2]
+        vals, moments = (s.vals, s.moments) if sign > 0 else (s.neg_vals, s.neg_moments)
         # Both arrays are C-contiguous, so reshape gives views; one flat index is cheapest.
-        self.counts.reshape(-1)[((p * K + c) * F)[:, None] + s.cols + r[:, None] * s.link] += sign * s.vals
-        self.moments.reshape(P * R, -1)[p * R + r] += sign * s.moments
+        index = ((self.count_rows + cells[:, 0]) * F)[:, None] + s.cols
+        index[:, -1] += cells[:, 1]  # the link column of region 0, shifted to the cell's region
+        self.counts.reshape(-1)[index] += vals
+        self.moments.reshape(-1, self.moments.shape[-1])[self.moment_rows + cells[:, 1]] += moments
 
 
 class _Tables:
     """Every grid term that depends on one integer count alone, indexed by that count, and
-    the prior constants.  Each entry is the grid's own expression in the same order, so a
-    lookup is bit-for-bit the computed value; differences of two terms would round otherwise."""
+    the prior constants.  Each entry of the exact grid's tables is ``_log_grid``'s own
+    expression in the same order, so a lookup is bit-for-bit the computed value;
+    differences of two terms would round otherwise.  The sweep's tables hold those
+    differences, fused, as ``_sweep_grid`` reads them."""
 
     def __init__(self, hp: Hyperparameters, K: int, R: int, n_words: int, n_objects: int,
                  stats: list[_SessionStats]):
@@ -127,14 +148,46 @@ class _Tables:
         nu_n = hp.nu0 + n
         df = nu_n - _DIM + 1.0
         half = (df + _DIM) / 2.0
-        self.region = np.stack([
-            kappa_n, df, np.maximum(n, 1.0), hp.kappa * n / kappa_n,
-            (kappa_n + 1.0) / (kappa_n * df), half,
-            gammaln(half) - gammaln(df / 2.0) - np.log(df) - math.log(math.pi),
-        ])
+        factor = (kappa_n + 1.0) / (kappa_n * df)
+        const = gammaln(half) - gammaln(df / 2.0) - np.log(df) - math.log(math.pi)
+        self.region = np.stack([kappa_n, df, np.maximum(n, 1.0), hp.kappa * n / kappa_n,
+                                factor, half, const])
         self.m0 = hp.m0_array
         self.kappa_m0 = hp.kappa * self.m0
         self.v0 = hp.V0_array.ravel()
+
+        # Sweep tables.  Per region count: 1 / kappa_n and the Student-t constants with the
+        # scale factor folded in (det(f V) = f^2 det V, so log f moves into the constant).
+        self.sweep_region = np.stack([1.0 / kappa_n, const - np.log(factor), 1.0 / (factor * df), half])
+        self.v0_m0 = self.v0 + hp.kappa * np.outer(self.m0, self.m0).ravel()
+        # One row per term, indexed by a count: the concept prior over the link normaliser,
+        # per session total m the DM mass terms, per token count c the rising factorials.
+        # Row 0 of each block is the empty term; it is never computed, since with an empty
+        # vocabulary gammaln(0) is inf and a difference of two would be nan.
+        def block(term, top):
+            return [np.zeros_like(n)] + [term(m) for m in range(1, top + 1)]
+
+        def top(values):
+            return max((int(v) for v in values), default=0)
+
+        word_mass, obj_mass = n_words * hp.beta, n_objects * hp.chi
+        blocks = [
+            [self.log_alpha - self.log_r_gamma],
+            block(lambda m: gammaln(n + word_mass) - gammaln(n + m + word_mass),
+                  top(s.word_total for s in stats)),
+            block(lambda m: gammaln(n + obj_mass) - gammaln(n + m + obj_mass),
+                  top(s.obj_total for s in stats)),
+            block(lambda c: gammaln(n + c + hp.beta) - gammaln(n + hp.beta),
+                  top(c for s in stats for c in s.word_cnt)),
+            block(lambda c: gammaln(n + c + hp.chi) - gammaln(n + hp.chi),
+                  top(c for s in stats for c in s.obj_cnt)),
+        ]
+        starts = np.cumsum([0] + [len(b) for b in blocks])
+        self.sweep = np.concatenate([row for b in blocks for row in b])
+        for s in stats:
+            rows = np.concatenate(([0, starts[1] + s.word_total, starts[2] + s.obj_total],
+                                   starts[3] + s.word_cnt, starts[4] + s.obj_cnt))
+            s.sweep_index = rows * len(n)
 
 
 def _dirichlet_multinomial_log(counts: np.ndarray, total_col: int, cols: np.ndarray,
@@ -152,7 +205,7 @@ def _dirichlet_multinomial_log(counts: np.ndarray, total_col: int, cols: np.ndar
 def _niw_posterior(moments: np.ndarray, t: _Tables):
     """Region-table rows of each region's count, NIW posterior mean m_n and flattened
     scale V_n, from moment sums of a batch or of one particle taken from it."""
-    region = t.region[:, moments[..., 0].astype(int)]
+    region = t.region.take(moments[..., 0].astype(int), axis=1)
     kappa_n, _, safe, shrink = region[:4]
     n, xsum = moments[..., 0], moments[..., 1:1 + _DIM]
     xbar = xsum / safe[..., None]
@@ -191,6 +244,28 @@ def _log_grid(p: _Batch, s: _SessionStats, t: _Tables) -> np.ndarray:
     return (log_pc + log_words + log_objects)[..., None] + log_pr + log_pos[..., None, :]
 
 
+def _sweep_grid(p: _Batch, s: _SessionStats, t: _Tables) -> np.ndarray:
+    """``_log_grid`` up to a constant per particle, and to rounding, shape (P, K, R):
+    all that a Gibbs step's inverse-CDF draw reads.  Every count-only term is one fused
+    table row, and the NIW scale is V_n = V0 + kappa m0 m0^T + sum x x^T - a a^T / kappa_n
+    with a = kappa m0 + sum x, which needs no sample mean."""
+    counts, moments = p.counts, p.moments
+    log_concept = t.sweep.take(counts[..., s.cols[:-1]] + s.sweep_index).sum(axis=-1)
+    log_link = t.log_gamma.take(counts[..., -moments.shape[1]:])
+    inv_kappa_n, const, inv_scale_df, half = t.sweep_region.take(moments[..., 0].astype(int), axis=1)
+    a = moments[..., 1:1 + _DIM] + t.kappa_m0
+    m_n = a * inv_kappa_n[..., None]
+    outer = (a[..., :, None] * m_n[..., None, :]).reshape(a.shape[:-1] + (_DIM * _DIM,))
+    V = moments[..., 1 + _DIM:] + t.v0_m0 - outer
+    v00, v01, v10, v11 = V[..., 0], V[..., 1], V[..., 2], V[..., 3]
+    dev = s.x - m_n
+    d0, d1 = dev[..., 0], dev[..., 1]
+    det = v00 * v11 - v01 * v10
+    quad = (v11 * d0 * d0 - 2.0 * v01 * d0 * d1 + v00 * d1 * d1) / det
+    log_pos = const - 0.5 * np.log(det) - half * np.log1p(quad * inv_scale_df)
+    return log_concept[..., None] + log_link + log_pos[..., None, :]
+
+
 def _logsumexp(a: np.ndarray) -> np.ndarray:
     """``scipy.special.logsumexp(a, axis=-1)`` for finite input, with its arithmetic:
     the maxima are masked out of the sum and added back as ``log(m)``."""
@@ -201,8 +276,9 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return (np.log1p(s / m) + np.log(m) + a_max).squeeze(-1)
 
 
-def _sample_grid(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One (concept, region) cell per particle, by inverse CDF on the uniforms ``u``.
+def _sample_grid(grid: np.ndarray, u: np.ndarray, cells: np.ndarray) -> None:
+    """Write one (concept, region) cell per particle into the rows of ``cells``, by
+    inverse CDF on the uniforms ``u``.
 
     The arithmetic is that of ``Generator.choice(n, p=probs)``, so a draw of
     ``u[i]`` picks exactly the cell that call would pick with the same uniform.
@@ -213,7 +289,7 @@ def _sample_grid(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
     cdf = probs.cumsum(axis=1)
     cdf /= cdf[:, -1:]
     idx = (cdf <= u[:, None]).sum(axis=1)
-    return np.stack(np.divmod(idx, grid.shape[-1]), axis=1)
+    np.divmod(idx, grid.shape[-1], out=(cells[:, 0], cells[:, 1]))
 
 
 def _systematic_resample(log_w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -271,17 +347,19 @@ def learn_fixed_lag(
     for t, s in enumerate(stats):
         grid = _log_grid(batch, s, tables)
         log_w += _logsumexp(grid.reshape(n_particles, -1))
-        batch.assignments[:, t] = _sample_grid(grid, rng.random(n_particles))
-        batch.add(batch.assignments[:, t], s)
+        cells = batch.assignments[:, t]
+        _sample_grid(grid, rng.random(n_particles), cells)
+        batch.add(cells, s)
 
         # One Gibbs sweep over the lag window keeps recent assignments mobile.
         # Uniforms are drawn particle-major: row i holds particle i's draws in window order.
         window = range(max(0, t - hp.lag_window + 1), t + 1)
         u = rng.random((n_particles, len(window)))
         for j, tau in enumerate(window):
-            batch.add(batch.assignments[:, tau], stats[tau], sign=-1)
-            batch.assignments[:, tau] = _sample_grid(_log_grid(batch, stats[tau], tables), u[:, j])
-            batch.add(batch.assignments[:, tau], stats[tau])
+            cells = batch.assignments[:, tau]
+            batch.add(cells, stats[tau], sign=-1)
+            _sample_grid(_sweep_grid(batch, stats[tau], tables), u[:, j], cells)
+            batch.add(cells, stats[tau])
 
         log_w = log_w - _logsumexp(log_w)
         weights = np.exp(log_w)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigurationError,
     FloorAccessError,
     PlanningError,
     SchemaError,
@@ -300,6 +301,8 @@ def observe_session(env: Environment, robot: RobotState, room: str, rng: np.rand
 def generate_floor_sessions(env: Environment, robot: RobotState, rng: np.random.Generator,
                             visits_per_room: int = 30) -> list[Session]:
     """Room-by-room observation protocol: each room visited ``visits_per_room`` times."""
+    if visits_per_room < 1:
+        raise ConfigurationError(f"visits_per_room must be >= 1, got {visits_per_room}")
     sessions = []
     for room in env.rooms_on(robot.floor):
         for _ in range(visits_per_room):

@@ -241,6 +241,16 @@ def test_negative_seed_flag_is_an_error(capsys, argv):
     assert "--seed must be a non-negative integer, got" in err
 
 
+@pytest.mark.parametrize("argv", [["learn", "--floor", "1F", "--visits", "0"], ["suite", "--visits", "-3"]],
+                         ids=["learn", "suite"])
+def test_visit_count_below_one_is_an_error(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert f"visits_per_room must be >= 1, got {argv[-1]}" in captured.err
+    assert captured.out == ""
+
+
 def test_negative_seed_env_var_is_an_error(monkeypatch, capsys):
     monkeypatch.setenv("HOMEPLAN_SEED", "-5")
     assert main(["suite"]) == 1

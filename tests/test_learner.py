@@ -17,6 +17,7 @@ from homeplan.learner import (
     _logsumexp,
     _sample_grid,
     _SessionStats,
+    _sweep_grid,
     _systematic_resample,
     _Tables,
     derive_vocabularies,
@@ -298,18 +299,24 @@ def _vocabulary_indexed(s, n_words):
 
 
 def _assert_grids_match_reference(batch, tables, stats, hp, n_words, n_objects):
+    """Both kernels against the reference: ``_log_grid`` exactly, ``_sweep_grid`` once the
+    per-particle constant it leaves out, log(N + K alpha) of the concept prior, is added."""
     P, K, R = len(batch.counts), batch.counts.shape[1], batch.moments.shape[1]
+    left_out = math.log(batch.counts[0, :, 0].sum() + K * hp.alpha)
     for s in stats:
         grid = _log_grid(batch, s, tables)
-        assert grid.shape == (P, K, R)
+        sweep = _sweep_grid(batch, s, tables) - left_out
+        assert grid.shape == sweep.shape == (P, K, R)
         for i in range(P):
             reference = _ref_log_grid(_per_particle(batch, i, n_words, n_objects),
                                       _vocabulary_indexed(s, n_words), hp)
             np.testing.assert_allclose(grid[i], reference, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(sweep[i], reference, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("case", range(12))
-def test_batched_grid_matches_per_particle_reference(case):
+def _random_batch(case):
+    """A random learner state with session 0 taken out again, as a Gibbs step does before
+    rescoring it."""
     rng = np.random.default_rng(case)
     P, K, R = int(rng.integers(1, 8)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
     places = [f"w{i}" for i in range(int(rng.integers(1, 6)))]
@@ -325,7 +332,24 @@ def test_batched_grid_matches_per_particle_reference(case):
     batch.add(batch.assignments[:, 0], stats[0], sign=-1)
     # Sessions still in the batch are rescored too, which can reach twice a learn's counts.
     tables = _Tables(hp, K, R, len(places), len(objects), stats * 2)
-    _assert_grids_match_reference(batch, tables, stats, hp, len(places), len(objects))
+    return batch, tables, stats, hp, len(places), len(objects)
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_batched_grid_matches_per_particle_reference(case):
+    _assert_grids_match_reference(*_random_batch(case))
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_both_kernels_sample_the_same_cells(case):
+    batch, tables, stats, *_ = _random_batch(case)
+    P = len(batch.counts)
+    u = np.random.default_rng(100 + case).random((len(stats), P))
+    exact, swept = np.empty((P, 2), dtype=int), np.empty((P, 2), dtype=int)
+    for s, u_s in zip(stats, u):
+        _sample_grid(_log_grid(batch, s, tables), u_s, exact)
+        _sample_grid(_sweep_grid(batch, s, tables), u_s, swept)
+        np.testing.assert_array_equal(swept, exact)
 
 
 def test_saturated_grid_reads_the_largest_table_index():
@@ -344,6 +368,24 @@ def test_saturated_grid_reads_the_largest_table_index():
     assert batch.counts[0, 0, _OBJ_TOTAL] + s.obj_total == len(tables.objects[1]) - 1 == 4 * len(stats)
     _assert_grids_match_reference(batch, tables, [s], hp, 1, 1)
     learn_fixed_lag(sessions, hp, seed=0, num_concepts=1, num_regions=1).validate()
+
+
+@pytest.mark.parametrize("objects", [[], ["cup"]], ids=["empty-object-vocabulary", "sessions-without-objects"])
+def test_sweep_tables_stay_finite_without_objects(objects):
+    # gammaln(0) is inf: with no objects, a fused mass row must never difference two of them.
+    sessions = [Session(np.array([0.3 * i, 1.0 - 0.2 * i]), objects * (i % 2), ["kitchen", "sink"][:1 + i % 2])
+                for i in range(8)]
+    stats = [_SessionStats(s, {"kitchen": 0, "sink": 1}, {o: i for i, o in enumerate(objects)}) for s in sessions]
+    hp = Hyperparameters(num_particles=4, lag_window=3)
+    tables = _Tables(hp, 2, 3, 2, len(objects), stats * 2)
+    assert np.isfinite(tables.sweep).all()
+    batch = _Batch(4, 2, 3, 2, len(objects), len(stats))
+    for t, s in enumerate(stats):
+        batch.assignments[:, t] = [[t % 2, t % 3]] * 4
+        batch.add(batch.assignments[:, t], s)
+    batch.add(batch.assignments[:, 0], stats[0], sign=-1)
+    _assert_grids_match_reference(batch, tables, stats, hp, 2, len(objects))
+    learn_fixed_lag(sessions, hp, seed=0, num_concepts=2, num_regions=3).validate()
 
 
 def _bits(x):
@@ -365,7 +407,8 @@ def test_logsumexp_is_scipys_bit_for_bit():
 def test_batched_sampling_picks_what_generator_choice_picks():
     rng = np.random.default_rng(3)
     grid = rng.normal(scale=3.0, size=(9, 4, 5))
-    cells = _sample_grid(grid, np.random.default_rng(11).random(9))
+    cells = np.empty((9, 2), dtype=int)
+    _sample_grid(grid, np.random.default_rng(11).random(9), cells)
     sequential = np.random.default_rng(11)
     for i in range(9):
         probs = np.exp(grid[i].ravel() - grid[i].max())

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homeplan.errors import (
+    ConfigurationError,
     FloorAccessError,
     PlanningError,
     SchemaError,
@@ -279,6 +280,12 @@ def test_protocol_session_count(home):
     assert len(sessions) == 150
     assert sessions[0].room_hint == "entrance"
     assert sessions[-1].room_hint == "kitchen"
+
+
+@pytest.mark.parametrize("visits", [0, -3])
+def test_protocol_rejects_a_visit_count_below_one(home, visits):
+    with pytest.raises(ConfigurationError, match=f"visits_per_room must be >= 1, got {visits}"):
+        generate_floor_sessions(home, sure_robot(), np.random.default_rng(0), visits_per_room=visits)
 
 
 def test_sampled_positions_center_on_room_mean(home):
