@@ -14,8 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import BatchSetupError, HomeplanError, PlanningError, UnknownRoomError
 from .knowledge import KnowledgeBase
 from .planner import Assignment
@@ -67,9 +65,10 @@ class ExecutionTrace:
 
 
 def search_order(kb: KnowledgeBase, target: str) -> list[str]:
-    """Rooms in descending presence probability for the target object."""
-    row = kb.row(target)
-    order = np.argsort(-row, kind="stable")
+    """Rooms in descending presence probability for the target object; ties keep
+    the knowledge base's room order (a reversed sort is still stable)."""
+    row = list(map(float, kb.presence_table[target]))
+    order = sorted(range(len(row)), key=row.__getitem__, reverse=True)
     return [kb.room_names[i] for i in order]
 
 

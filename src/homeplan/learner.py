@@ -266,30 +266,39 @@ def _sweep_grid(p: _Batch, s: _SessionStats, t: _Tables) -> np.ndarray:
     return log_concept[..., None] + log_link + log_pos[..., None, :]
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """``scipy.special.logsumexp(a, axis=-1)`` for finite input, with its arithmetic:
-    the maxima are masked out of the sum and added back as ``log(m)``."""
+def _shifted_exp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The maxima of ``a`` along its last axis (kept as an axis) and ``exp(a - max)``."""
     a_max = a.max(axis=-1, keepdims=True)
+    return a_max, np.exp(a - a_max)
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp(a, axis=-1)`` for finite input, with its arithmetic."""
+    return _logsumexp_shifted(a, *_shifted_exp(a))
+
+
+def _logsumexp_shifted(a: np.ndarray, a_max: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``_logsumexp(a)`` from ``_shifted_exp(a)``: the maxima are masked out of the sum
+    and added back as ``log(m)``.  Masking ``e`` to 0 is scipy's ``exp(-inf)`` bit for bit."""
     top = a == a_max
     m = top.sum(axis=-1, keepdims=True)
-    s = np.exp(np.where(top, -np.inf, a - a_max)).sum(axis=-1, keepdims=True)
+    s = np.where(top, 0.0, e).sum(axis=-1, keepdims=True)
     return (np.log1p(s / m) + np.log(m) + a_max).squeeze(-1)
 
 
-def _sample_grid(grid: np.ndarray, u: np.ndarray, cells: np.ndarray) -> None:
+def _sample_grid(e: np.ndarray, u: np.ndarray, cells: np.ndarray, n_regions: int) -> None:
     """Write one (concept, region) cell per particle into the rows of ``cells``, by
-    inverse CDF on the uniforms ``u``.
+    inverse CDF on the uniforms ``u``.  Row i of ``e`` is particle i's flattened (K, R)
+    grid after ``_shifted_exp``.
 
     The arithmetic is that of ``Generator.choice(n, p=probs)``, so a draw of
     ``u[i]`` picks exactly the cell that call would pick with the same uniform.
     """
-    flat = grid.reshape(len(grid), -1)
-    probs = np.exp(flat - flat.max(axis=1, keepdims=True))
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs = e / e.sum(axis=1, keepdims=True)
     cdf = probs.cumsum(axis=1)
     cdf /= cdf[:, -1:]
     idx = (cdf <= u[:, None]).sum(axis=1)
-    np.divmod(idx, grid.shape[-1], out=(cells[:, 0], cells[:, 1]))
+    np.divmod(idx, n_regions, out=(cells[:, 0], cells[:, 1]))
 
 
 def _systematic_resample(log_w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -345,10 +354,11 @@ def learn_fixed_lag(
     log_w = np.full(n_particles, -math.log(n_particles))
 
     for t, s in enumerate(stats):
-        grid = _log_grid(batch, s, tables)
-        log_w += _logsumexp(grid.reshape(n_particles, -1))
+        grid = _log_grid(batch, s, tables).reshape(n_particles, -1)
+        top, e = _shifted_exp(grid)  # one exp serves the weight increment and the draw
+        log_w += _logsumexp_shifted(grid, top, e)
         cells = batch.assignments[:, t]
-        _sample_grid(grid, rng.random(n_particles), cells)
+        _sample_grid(e, rng.random(n_particles), cells, num_regions)
         batch.add(cells, s)
 
         # One Gibbs sweep over the lag window keeps recent assignments mobile.
@@ -358,7 +368,8 @@ def learn_fixed_lag(
         for j, tau in enumerate(window):
             cells = batch.assignments[:, tau]
             batch.add(cells, stats[tau], sign=-1)
-            _sample_grid(_sweep_grid(batch, stats[tau], tables), u[:, j], cells)
+            grid = _sweep_grid(batch, stats[tau], tables).reshape(n_particles, -1)
+            _sample_grid(_shifted_exp(grid)[1], u[:, j], cells, num_regions)
             batch.add(cells, stats[tau])
 
         log_w = log_w - _logsumexp(log_w)

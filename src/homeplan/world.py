@@ -86,35 +86,36 @@ class Environment:
             problems.append("floors: empty")
         if not self.rooms:
             problems.append("rooms: empty")
-        names = [r.name for r in self.rooms]
-        if len(set(names)) != len(names):
+        # Built here, so that re-validating after a change to ``rooms`` refreshes every lookup.
+        self._rooms_by_name = {r.name: r for r in self.rooms}
+        if len(self._rooms_by_name) != len(self.rooms):
             problems.append("rooms: duplicate names")
-        if GATHER in names:
+        if GATHER in self._rooms_by_name:
             problems.append(f"rooms: {GATHER!r} is a reserved delivery-point name")
         for r in self.rooms:
             if r.floor not in self.floors:
                 problems.append(f"rooms[{r.name}].floor: unknown floor {r.floor!r}")
             problems.extend(_footprint_problems(r))
         for obj, room in self.placements.items():
-            if room not in names:
+            if room not in self._rooms_by_name:
                 problems.append(f"placements[{obj}]: unknown room {room!r}")
         for obj, cat in self.categories.items():
             if cat not in CATEGORIES:
                 problems.append(f"categories[{obj}]: unknown category {cat!r}")
         for room in self.place_words:
-            if room not in names:
+            if room not in self._rooms_by_name:
                 problems.append(f"place_words[{room}]: unknown room")
         if problems:
             raise SchemaError("invalid environment: " + "; ".join(problems))
 
     def room(self, name: str) -> Room:
-        for r in self.rooms:
-            if r.name == name:
-                return r
-        raise UnknownRoomError(f"unknown room {name!r}")
+        try:
+            return self._rooms_by_name[name]
+        except KeyError:
+            raise UnknownRoomError(f"unknown room {name!r}") from None
 
     def has_room(self, name: str) -> bool:
-        return any(r.name == name for r in self.rooms)
+        return name in self._rooms_by_name
 
     def rooms_on(self, floor: str) -> list[Room]:
         return [r for r in self.rooms if r.floor == floor]
@@ -164,14 +165,31 @@ class SkillOutcome:
         return self.status == "succeeded"
 
 
+# Outcomes are frozen, so every step that ends the same way shares one.
 _SUCCEEDED = SkillOutcome("succeeded")
+_DETECTED = SkillOutcome("succeeded", "detected")
+_FALSE_POSITIVE = SkillOutcome("succeeded", "false_positive")
+_FLOOR_BARRIER = SkillOutcome("failed", "floor_barrier")
+_NAVIGATION_FAILED = SkillOutcome("failed", "navigation_failed")
+_NOT_FOUND = SkillOutcome("failed", "not_found")
+_GRIPPER_OCCUPIED = SkillOutcome("failed", "gripper_occupied")
+_NOT_DETECTED = SkillOutcome("failed", "not_detected")
+_OBJECT_NOT_PRESENT = SkillOutcome("failed", "object_not_present")
+_GRASP_FAILED = SkillOutcome("failed", "grasp_failed")
+_NO_OBJECT_HELD = SkillOutcome("failed", "no_object_held")
+_NOT_AT_LOCATION = SkillOutcome("failed", "not_at_location")
+_PLACE_FAILED = SkillOutcome("failed", "place_failed")
 
 
 class World:
     """Mutable simulation state: object locations, robot poses, RNG streams.
 
     Each robot draws from its own child generator, so one robot's outcome
-    stream does not depend on how other robots' skills are interleaved.
+    stream does not depend on how other robots' skills are interleaved.  The
+    i-th robot's generator is the i-th child of ``SeedSequence(seed).spawn(n)``;
+    it is built on that robot's first skill after a (re)seed, so a robot that
+    never steps costs nothing.  Rooms are looked up by name in the
+    environment's room table.
     The world steps copies of the given robots, so the caller's objects keep
     their starting state and can start further worlds.
     """
@@ -189,12 +207,21 @@ class World:
                 raise FloorAccessError(f"robot {r.robot_id!r} starts off its floor")
         self.object_rooms: dict[str, str | None] = dict(env.placements)
         self._detections: dict[str, tuple[str, str] | None] = {r.robot_id: None for r in robots}
-        self._robot_order = [r.robot_id for r in robots]
+        self._robot_index = {r.robot_id: i for i, r in enumerate(robots)}
         self.reseed(seed)
 
     def reseed(self, seed: int) -> None:
-        children = np.random.SeedSequence(seed).spawn(len(self._robot_order))
-        self._rngs = {rid: np.random.default_rng(ss) for rid, ss in zip(self._robot_order, children)}
+        """Restart every robot's outcome stream from ``seed``."""
+        self._seed = seed
+        self._rngs: dict[str, np.random.Generator] = {}
+
+    def _rng(self, robot_id: str) -> np.random.Generator:
+        rng = self._rngs.get(robot_id)
+        if rng is None:
+            # Bit for bit the robot's child of SeedSequence(seed).spawn(len(robots)).
+            child = np.random.SeedSequence(self._seed, spawn_key=(self._robot_index[robot_id],))
+            rng = self._rngs[robot_id] = np.random.default_rng(child)
+        return rng
 
     def robot(self, robot_id: str) -> RobotState:
         try:
@@ -210,7 +237,7 @@ class World:
 
     def step_skill(self, robot_id: str, skill: str, argument: str) -> SkillOutcome:
         robot = self.robot(robot_id)
-        rng = self._rngs[robot_id]
+        rng = self._rng(robot_id)
         if skill == "navigation":
             return self._navigate(robot, argument, rng)
         if skill == "object_detection":
@@ -225,11 +252,11 @@ class World:
         if not self.known_location(room):
             raise UnknownRoomError(f"unknown room {room!r}")
         if self._location_floor(room, robot) != robot.floor:
-            return SkillOutcome("failed", "floor_barrier")
+            return _FLOOR_BARRIER
         if rng.random() < robot.p_navigate:
             robot.current_room = room
             return _SUCCEEDED
-        return SkillOutcome("failed", "navigation_failed")
+        return _NAVIGATION_FAILED
 
     def _detect(self, robot: RobotState, obj: str, rng) -> SkillOutcome:
         if obj not in self.object_rooms:
@@ -238,38 +265,40 @@ class World:
         if present:
             if rng.random() < robot.p_detect_present:
                 self._detections[robot.robot_id] = (obj, robot.current_room)
-                return SkillOutcome("succeeded", "detected")
-            return SkillOutcome("failed", "not_found")
+                return _DETECTED
+            return _NOT_FOUND
         if rng.random() < robot.p_detect_absent_false_positive:
             self._detections[robot.robot_id] = (obj, robot.current_room)
-            return SkillOutcome("succeeded", "false_positive")
-        return SkillOutcome("failed", "not_found")
+            return _FALSE_POSITIVE
+        return _NOT_FOUND
 
     def _pick(self, robot: RobotState, obj: str, rng) -> SkillOutcome:
         if obj not in self.object_rooms:
             raise UnknownLabelError(f"unknown object {obj!r}")
         if robot.held_object is not None:
-            return SkillOutcome("failed", "gripper_occupied")
+            return _GRIPPER_OCCUPIED
         if self._detections[robot.robot_id] != (obj, robot.current_room):
-            return SkillOutcome("failed", "not_detected")
+            return _NOT_DETECTED
         if self.object_rooms[obj] != robot.current_room:
-            return SkillOutcome("failed", "object_not_present")
+            return _OBJECT_NOT_PRESENT
         if rng.random() < robot.p_pick:
             robot.held_object = obj
             self.object_rooms[obj] = None
             return _SUCCEEDED
-        return SkillOutcome("failed", "grasp_failed")
+        return _GRASP_FAILED
 
     def _place(self, robot: RobotState, location: str, rng) -> SkillOutcome:
         if not self.known_location(location):
             raise UnknownRoomError(f"unknown room {location!r}")
         if robot.held_object is None:
-            return SkillOutcome("failed", "no_object_held")
+            return _NO_OBJECT_HELD
+        if location != robot.current_room:
+            return _NOT_AT_LOCATION
         if rng.random() < robot.p_place:
             self.object_rooms[robot.held_object] = robot.current_room
             robot.held_object = None
             return _SUCCEEDED
-        return SkillOutcome("failed", "place_failed")
+        return _PLACE_FAILED
 
     def check_conservation(self) -> None:
         """Raise if any object is lost or duplicated between rooms and grippers."""

@@ -15,7 +15,7 @@ from homeplan.executor import (
 from homeplan.knowledge import KnowledgeBase, format_probability
 from homeplan.planner import Assignment, Subtask
 from homeplan.spatial import SpatialConceptModel
-from homeplan.world import GATHER
+from homeplan.world import GATHER, World
 
 
 def random_model(rng, num_concepts, num_regions, n_words=4, n_objects=3):
@@ -31,6 +31,19 @@ def random_model(rng, num_concepts, num_regions, n_words=4, n_objects=3):
         vocab_places=[f"word{i}" for i in range(n_words)],
         vocab_objects=[f"obj{i}" for i in range(n_objects)],
     )
+
+
+class EagerSeedWorld(World):
+    """A World that builds every robot's generator when seeded, as ``SeedSequence(seed).spawn(n)``.
+
+    ``World`` builds a robot's generator on its first skill; its outcomes and
+    state must match this reference under any interleaving and reseeding.
+    """
+
+    def reseed(self, seed):
+        super().reseed(seed)
+        children = np.random.SeedSequence(seed).spawn(len(self.robots))
+        self._rngs = {rid: np.random.default_rng(ss) for rid, ss in zip(self.robots, children)}
 
 
 class ScriptedWorld:

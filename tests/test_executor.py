@@ -1,7 +1,8 @@
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homeplan.errors import BatchSetupError, PlanningError, UnknownRoomError
@@ -109,6 +110,21 @@ def test_search_order_is_descending_presence(kb_robot2):
     assert order[0] == "parent_room"
     assert order[1] == "corridor"
     assert set(order) == set(kb_robot2.room_names)
+
+
+_PRESENCE = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 5e-324]),
+                     st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 3))
+
+
+@given(st.lists(_PRESENCE, min_size=1, max_size=9))
+@example([0.0, -0.0, 0.5, -0.0, 0.5, 0.0, 1])
+@settings(max_examples=300, deadline=None)
+def test_search_order_is_a_stable_descending_argsort(row):
+    rooms = [f"room{i}" for i in range(len(row))]
+    kb = KnowledgeBase(robot_id="T", room_names=rooms, place_vocab=[[] for _ in rooms],
+                       presence_table={"x": row})
+    expected = np.argsort(-np.asarray(row, dtype=float), kind="stable")
+    assert search_order(kb, "x") == [rooms[i] for i in expected]
 
 
 def test_unknown_destination_raises_before_any_skill():

@@ -16,6 +16,7 @@ from homeplan.learner import (
     _log_grid,
     _logsumexp,
     _sample_grid,
+    _shifted_exp,
     _SessionStats,
     _sweep_grid,
     _systematic_resample,
@@ -340,6 +341,11 @@ def test_batched_grid_matches_per_particle_reference(case):
     _assert_grids_match_reference(*_random_batch(case))
 
 
+def _draw(grid, u, cells):
+    """Sample a (P, K, R) log grid as the learner does."""
+    _sample_grid(_shifted_exp(grid.reshape(len(grid), -1))[1], u, cells, grid.shape[-1])
+
+
 @pytest.mark.parametrize("case", range(12))
 def test_both_kernels_sample_the_same_cells(case):
     batch, tables, stats, *_ = _random_batch(case)
@@ -347,8 +353,8 @@ def test_both_kernels_sample_the_same_cells(case):
     u = np.random.default_rng(100 + case).random((len(stats), P))
     exact, swept = np.empty((P, 2), dtype=int), np.empty((P, 2), dtype=int)
     for s, u_s in zip(stats, u):
-        _sample_grid(_log_grid(batch, s, tables), u_s, exact)
-        _sample_grid(_sweep_grid(batch, s, tables), u_s, swept)
+        _draw(_log_grid(batch, s, tables), u_s, exact)
+        _draw(_sweep_grid(batch, s, tables), u_s, swept)
         np.testing.assert_array_equal(swept, exact)
 
 
@@ -408,7 +414,7 @@ def test_batched_sampling_picks_what_generator_choice_picks():
     rng = np.random.default_rng(3)
     grid = rng.normal(scale=3.0, size=(9, 4, 5))
     cells = np.empty((9, 2), dtype=int)
-    _sample_grid(grid, np.random.default_rng(11).random(9), cells)
+    _draw(grid, np.random.default_rng(11).random(9), cells)
     sequential = np.random.default_rng(11)
     for i in range(9):
         probs = np.exp(grid[i].ravel() - grid[i].max())

@@ -14,6 +14,7 @@ from homeplan.errors import (
     UnknownRoomError,
 )
 from homeplan.world import (
+    BUILTIN_ENVIRONMENTS,
     GATHER,
     Environment,
     RobotState,
@@ -26,6 +27,8 @@ from homeplan.world import (
     observe_session,
     save_environment,
 )
+
+from conftest import EagerSeedWorld
 
 
 def sure_robot(robot_id="Robot1", floor="1F", room="kitchen", **overrides):
@@ -196,6 +199,20 @@ def test_place_requires_held_object(home):
     assert world.step_skill("Robot1", "place", GATHER).detail == "no_object_held"
 
 
+def test_place_happens_only_where_the_robot_is(home):
+    world = World(home, [sure_robot()], seed=0)
+    world.step_skill("Robot1", "object_detection", "apple")
+    assert world.step_skill("Robot1", "pick", "apple").succeeded
+    for elsewhere in ("front_of_stairs", "dining", GATHER):  # another floor, another room, the drop-off
+        outcome = world.step_skill("Robot1", "place", elsewhere)
+        assert (outcome.status, outcome.detail) == ("failed", "not_at_location")
+        assert world.robots["Robot1"].held_object == "apple"
+        assert world.object_rooms["apple"] is None
+    assert world.step_skill("Robot1", "place", "kitchen").succeeded
+    assert world.object_rooms["apple"] == "kitchen"
+    world.check_conservation()
+
+
 def test_canonical_fetch_sequence_succeeds(home):
     world = World(home, [sure_robot(room="entrance")], seed=0)
     for skill, arg in [("navigation", "kitchen"), ("object_detection", "apple"),
@@ -253,6 +270,76 @@ def test_conservation_and_floor_barrier_under_random_skills(script, seed):
         for robot in world.robots.values():
             if robot.current_room != GATHER:
                 assert env.floor_of_room(robot.current_room) == robot.floor
+
+
+# Robot ids out of name order, on both floors, so that a generator found by
+# name rather than by list position draws another robot's stream.
+_LAZY_ROBOTS = (("Rc", "2F", "bathroom"), ("Ra", "1F", "kitchen"),
+                ("Rd", "1F", "dining"), ("Rb", "2F", "corridor"))
+_STEP = st.tuples(st.integers(0, len(_LAZY_ROBOTS) - 1),
+                  st.sampled_from(["navigation", "object_detection", "pick", "place"]),
+                  st.integers(0, 40))
+
+
+@given(st.integers(1, len(_LAZY_ROBOTS)), st.integers(0, 2**32),
+       st.lists(st.one_of(_STEP, st.integers(0, 2**32)), max_size=60))
+@settings(max_examples=80, deadline=None)
+def test_lazy_generators_draw_the_eagerly_spawned_streams(n_robots, seed, script):
+    """Steps of any subset of robots, in any order, with reseeds (the integers) between them."""
+    env = load_environment("paper_home")
+    locations = [r.name for r in env.rooms] + [GATHER]
+    objects = sorted(env.placements)
+    robots = [sure_robot(rid, floor, room, p_navigate=0.7, p_detect_present=0.6,
+                         p_detect_absent_false_positive=0.3, p_pick=0.6, p_place=0.7)
+              for rid, floor, room in _LAZY_ROBOTS[:n_robots]]
+    lazy, eager = World(env, robots, seed=seed), EagerSeedWorld(env, robots, seed=seed)
+    for action in script:
+        if isinstance(action, int):
+            lazy.reseed(action)
+            eager.reseed(action)
+            continue
+        index, skill, arg = action
+        rid = robots[index % n_robots].robot_id
+        pool = locations if skill in ("navigation", "place") else objects
+        arg = pool[arg % len(pool)]
+        assert lazy.step_skill(rid, skill, arg) == eager.step_skill(rid, skill, arg)
+    assert lazy.robots == eager.robots
+    assert lazy.object_rooms == eager.object_rooms
+
+
+def _linear_room(env, name):
+    for r in env.rooms:
+        if r.name == name:
+            return r
+    return None
+
+
+@pytest.mark.parametrize("env_name", sorted(BUILTIN_ENVIRONMENTS))
+def test_room_lookups_match_a_linear_scan(env_name):
+    env = load_environment(env_name)
+    names = [r.name for r in env.rooms] + [GATHER, "garage", "", "Kitchen", "kitchen "]
+    for name in names:
+        expected = _linear_room(env, name)
+        assert env.has_room(name) == (expected is not None)
+        if expected is None:
+            with pytest.raises(UnknownRoomError):
+                env.room(name)
+            with pytest.raises(UnknownRoomError):
+                env.floor_of_room(name)
+        else:
+            assert env.room(name) is expected
+            assert env.floor_of_room(name) == expected.floor
+
+
+def test_revalidated_environment_looks_up_its_new_rooms(home):
+    renamed = {r.name: f"new_{r.name}" for r in home.rooms_on("2F")}
+    home.rooms = [replace(r, name=renamed.get(r.name, r.name)) for r in home.rooms]
+    home.placements = {o: renamed.get(room, room) for o, room in home.placements.items()}
+    home.place_words = {}
+    home.validate()
+    assert home.has_room("new_bathroom") and not home.has_room("bathroom")
+    assert home.floor_of_room("new_bathroom") == "2F"
+    assert home.floor_of_object("banana") == "2F"
 
 
 def test_observe_session_deterministic_limit(home):
