@@ -177,7 +177,7 @@ def cmd_run(args) -> int:
     seed = _seed_of(args)
     env = world.load_environment(args.env)
     kbs = [knowledge.load_knowledge(p) for p in args.kb]
-    assignments = [planner.Assignment(subtask, d["robot_id"])
+    assignments = [planner.Assignment(subtask, require(d["robot_id"], str, f"{args.assignments}: robot_id"))
                    for subtask, d in _read_subtasks(args.assignments, "assignment", "robot_id")]
     robots = []
     for kb in kbs:
@@ -199,12 +199,13 @@ def cmd_suite(args) -> int:
         backend=_backend_of(args),
         kb_paths=tuple(args.kb) if args.kb else None,
         visits_per_room=args.visits,
-        out=args.out,
     )
     report = experiment.run_suite(cfg)
-    print(report.text_table())
+    text = report.text_table()
     if args.out:
-        print(f"\nreport written to {args.out}")
+        Path(args.out).write_text(json.dumps(report.to_dict(), indent=2))
+        text += f"\n\nreport written to {args.out}"
+    print(text)
     return 0
 
 

@@ -9,10 +9,8 @@ citation only, never recomputed here.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -86,11 +84,12 @@ class SuiteConfig:
     backend: PlannerBackend = field(default_factory=RuleBasedBackend)
     kb_paths: tuple[str, ...] | None = None
     visits_per_room: int = 30
-    out: str | None = None
 
     def __post_init__(self):
         if not self.strategies:
             raise ConfigurationError("at least one strategy is required")
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ConfigurationError(f"strategies must be distinct, not {list(self.strategies)}")
         unknown = [s for s in self.strategies if s not in STRATEGIES]
         if unknown:
             raise ConfigurationError(f"unknown strategies: {unknown}")
@@ -325,11 +324,8 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
                 "correct": score_allocations(assignments, env, floor_of_robot),
             })
 
-    report = SuiteReport(env=cfg.env, seed=cfg.seed, trials=trials,
-                         elapsed_seconds=time.monotonic() - started)
-    if cfg.out:
-        Path(cfg.out).write_text(json.dumps(report.to_dict(), indent=2))
-    return report
+    return SuiteReport(env=cfg.env, seed=cfg.seed, trials=trials,
+                       elapsed_seconds=time.monotonic() - started)
 
 
 def random_allocation_totals(env: Environment, instructions: dict[str, list[Instruction]],

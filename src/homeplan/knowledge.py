@@ -104,12 +104,12 @@ def extract_knowledge(
         raise ConfigurationError(f"vocab_threshold must be in (0, 1), not {vocab_threshold!r}")
     place_vocab = []
     for region in range(model.num_regions):
-        probs = word_posterior(model, region).probs
+        probs = word_posterior(model, region)
         order = np.argsort(-probs, kind="stable")
         place_vocab.append([model.vocab_places[i] for i in order if probs[i] >= vocab_threshold])
     presence = {}
     for obj in model.vocab_objects:
-        presence[obj] = object_location_posterior(model, obj).probs.tolist()
+        presence[obj] = object_location_posterior(model, obj).tolist()
     return KnowledgeBase(
         robot_id=robot_id,
         room_names=list(room_names),
@@ -122,7 +122,7 @@ def knowledge_from_environment(env: Environment, floor: str, robot_id: str) -> K
     """Ground-truth knowledge base: one-hot presence rows from true placements."""
     rooms = env.rooms_on(floor)
     if not rooms:
-        raise ValueError(f"floor {floor!r} has no rooms")
+        raise ConfigurationError(f"floor {floor!r} has no rooms")
     names = [r.name for r in rooms]
     presence = {}
     for obj in env.objects_on(floor):

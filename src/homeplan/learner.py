@@ -396,7 +396,7 @@ def _posterior_mean_model(p: _Batch, t: _Tables, hp: Hyperparameters, seed: int,
 
     _, means, V_n = _niw_posterior(p.moments, t)
     nu_n = hp.nu0 + p.moments[:, 0]
-    # Posterior-mean covariance needs nu_n > dim+1; empty regions fall
+    # The posterior-mean covariance needs nu_n > dim+1; empty regions fall
     # back to the inverse-Wishart mode, which is always defined.
     denom = nu_n - _DIM - 1.0
     covs = V_n.reshape(R, _DIM, _DIM) / np.where(denom > 0, denom, nu_n + _DIM + 1.0)[:, None, None]

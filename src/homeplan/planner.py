@@ -39,6 +39,10 @@ from .knowledge import (
 )
 
 API_KEY_ENV_VAR = "HOMEPLAN_LLM_KEY"
+# The remote backend's seconds per request, retries after a failed attempt, and seconds between attempts.
+REMOTE_TIMEOUT_S = 30.0
+REMOTE_RETRIES = 2
+REMOTE_RETRY_WAIT_S = 1.0
 
 INSTRUCTION_CATEGORIES = ("random", "hard_to_predict", "common_sense", "mixed", "ambiguous")
 
@@ -123,6 +127,8 @@ class Subtask:
             raise SchemaError(f"unknown subtask verb {self.verb!r}")
         if not self.target_object or not isinstance(self.target_object, str):
             raise SchemaError("subtask target_object must be a non-empty string")
+        if self.destination is not None and (not self.destination or not isinstance(self.destination, str)):
+            raise SchemaError("subtask destination must be a non-empty string or null")
 
     def describe(self) -> str:
         article = "an" if self.target_object[0].lower() in "aeiou" else "a"
@@ -212,20 +218,9 @@ class RemoteChatBackend:
 
     tag = "remote_chat"
 
-    def __init__(self, endpoint: str, model: str = "gpt-4", api_key: str | None = None,
-                 timeout: float = 30.0, retries: int = 2, retry_wait: float = 1.0):
+    def __init__(self, endpoint: str, model: str = "gpt-4"):
         self.endpoint = endpoint
         self.model = model
-        self.api_key = api_key
-        self.timeout = timeout
-        self.retries = retries
-        self.retry_wait = retry_wait
-
-    def _resolve_key(self) -> str:
-        key = self.api_key or os.environ.get(API_KEY_ENV_VAR)
-        if not key:
-            raise ConfigurationError(f"no API key: set {API_KEY_ENV_VAR} or pass api_key")
-        return key
 
     def complete(self, prompt: str) -> str:
         # Imported here: urllib.request brings http.client, ssl and email, which
@@ -233,6 +228,9 @@ class RemoteChatBackend:
         import urllib.error
         import urllib.request
 
+        key = os.environ.get(API_KEY_ENV_VAR)
+        if not key:
+            raise ConfigurationError(f"no API key: set {API_KEY_ENV_VAR}")
         body = json.dumps({
             "model": self.model,
             "messages": [{"role": "system", "content": prompt}],
@@ -242,14 +240,14 @@ class RemoteChatBackend:
             data=body,
             headers={
                 "Content-Type": "application/json",
-                "Authorization": f"Bearer {self._resolve_key()}",
+                "Authorization": f"Bearer {key}",
             },
             method="POST",
         )
         last_error = None
-        for attempt in range(self.retries + 1):
+        for attempt in range(REMOTE_RETRIES + 1):
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                with urllib.request.urlopen(request, timeout=REMOTE_TIMEOUT_S) as response:
                     payload = json.loads(response.read().decode("utf-8"))
                 content = payload["choices"][0]["message"]["content"]
                 if isinstance(content, str):
@@ -263,9 +261,9 @@ class RemoteChatBackend:
             except (urllib.error.URLError, TimeoutError, KeyError, IndexError, TypeError,
                     UnicodeDecodeError, json.JSONDecodeError) as exc:
                 last_error = exc
-            if attempt < self.retries and self.retry_wait > 0:
-                time.sleep(self.retry_wait)
-        raise BackendError(f"remote completion failed after {self.retries + 1} attempts: {last_error}")
+            if attempt < REMOTE_RETRIES:
+                time.sleep(REMOTE_RETRY_WAIT_S)
+        raise BackendError(f"remote completion failed after {REMOTE_RETRIES + 1} attempts: {last_error}")
 
 
 def make_backend(name: str, replay_dir=None, endpoint: str | None = None,
@@ -427,7 +425,7 @@ def _rule_assign(subtask: Subtask, kbs: list[KnowledgeBase]) -> Assignment:
         if found is not None and found[1] > best[1]:
             best_kb, best = kb, found
     if best_kb is None:
-        raise UnallocatableError(f"object {subtask.target_object!r} is unknown to every robot")
+        raise UnallocatableError(f"no robot's presence row for {subtask.target_object!r} has any mass")
     return Assignment(subtask, best_kb.robot_id, justification=best)
 
 

@@ -5,14 +5,14 @@ position regions.  It holds them as the stacked arrays the learner writes and
 the queries read: ``pi`` (K,), ``word_dist`` (K, V), ``object_dist`` (K, O),
 ``region_dist`` (K, R), ``means`` (R, 2) and ``covs`` (R, 2, 2).  The JSON
 document keeps one entry per concept and per region.  The two queries
-implemented here marginalize the concept index: the per-region word posterior
-and the per-object region posterior that feeds the room-wise presence tables.
+implemented here marginalize the concept index and return the normalized
+categorical as a NumPy array: the per-region word posterior and the per-object
+region posterior that feeds the room-wise presence tables.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,18 +24,6 @@ from .errors import SchemaError, UnknownLabelError, is_finite_real, read_json, r
 CATEGORICAL_ATOL = 1e-9
 
 _MODEL_SCHEMA_VERSION = 1
-
-
-def normalize_evidence(vec: np.ndarray) -> np.ndarray:
-    """Normalize a non-negative evidence vector to a categorical.
-
-    Invariant under positive rescaling of the input.
-    """
-    vec = np.asarray(vec, dtype=float)
-    total = vec.sum()
-    if total <= 0.0:
-        raise ValueError("evidence vector has no mass")
-    return vec / total
 
 
 @dataclass(frozen=True)
@@ -136,14 +124,6 @@ class Session:
     room_hint: str | None = None
 
 
-@dataclass(frozen=True)
-class Posterior:
-    """A normalized categorical plus a flag for degenerate (no-evidence) input."""
-
-    probs: np.ndarray
-    zero_evidence: bool = False
-
-
 # The stacked arrays of a model: pi, the three per-concept categoricals, the region Gaussians.
 _ARRAYS = ("pi", "word_dist", "object_dist", "region_dist", "means", "covs")
 
@@ -236,56 +216,37 @@ def _check_categorical(arr: np.ndarray, name: str) -> None:
         raise SchemaError(f"{name} does not sum to 1 (got {sums[off].flat[0]!r})")
 
 
-def word_posterior(model: SpatialConceptModel, region: int) -> Posterior:
+def word_posterior(model: SpatialConceptModel, region: int) -> np.ndarray:
     """Word occurrence probabilities for one region, concepts summed out.
 
     Computes P(w | i) from the mixture by weighting each concept's word
     distribution with pi_C * phi_C[i] and normalizing over words.  A region
-    with zero mixture evidence yields a uniform output flagged accordingly.
+    with zero mixture evidence yields the uniform categorical.
     """
     if not 0 <= region < model.num_regions:
         raise IndexError(f"region {region} out of range [0, {model.num_regions})")
     weights = model.pi * model.region_dist[:, region]
     if weights.sum() <= 0.0:
         n = len(model.vocab_places)
-        return Posterior(np.full(n, 1.0 / n), zero_evidence=True)
+        return np.full(n, 1.0 / n)
     joint = weights @ model.word_dist
-    return Posterior(normalize_evidence(joint))
+    return joint / joint.sum()
 
 
-def object_location_posterior(model: SpatialConceptModel, obj: str) -> Posterior:
+def object_location_posterior(model: SpatialConceptModel, obj: str) -> np.ndarray:
     """Region probabilities for one object label, concepts summed out.
 
     This is the source of the room-wise object presence rows: P(i | o)
-    proportional to sum_C phi_C[i] * xi_C[o] * pi_C.
+    proportional to sum_C phi_C[i] * xi_C[o] * pi_C.  An object with zero
+    mixture evidence yields the uniform categorical.
     """
     idx = model.object_id(obj)
     weights = model.pi * model.object_dist[:, idx]
     if weights.sum() <= 0.0:
         n = model.num_regions
-        return Posterior(np.full(n, 1.0 / n), zero_evidence=True)
+        return np.full(n, 1.0 / n)
     joint = weights @ model.region_dist
-    return Posterior(normalize_evidence(joint))
-
-
-def gaussian_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
-    """Log density of a 2D Gaussian without scipy frozen-dist overhead."""
-    dev = np.asarray(x, dtype=float) - mean
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-    quad = (cov[1, 1] * dev[0] ** 2 - 2.0 * cov[0, 1] * dev[0] * dev[1] + cov[0, 0] * dev[1] ** 2) / det
-    return -0.5 * (quad + math.log(det)) - math.log(2.0 * math.pi)
-
-
-def assign_region(model: SpatialConceptModel, position) -> int:
-    """Index of the region with the highest density at ``position``.
-
-    Ties break toward the lowest index.
-    """
-    position = np.asarray(position, dtype=float)
-    if not np.all(np.isfinite(position)):
-        raise ValueError("position must be finite")
-    scores = [gaussian_logpdf(position, mean, cov) for mean, cov in zip(model.means, model.covs)]
-    return int(np.argmax(scores))
+    return joint / joint.sum()
 
 
 # The fields of one entry of a model document's "concepts" and "regions" lists.

@@ -8,7 +8,6 @@ delivery point named ``gather`` where fetched objects are dropped off.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -381,10 +380,6 @@ def environment_to_dict(env: Environment) -> dict:
         "categories": dict(env.categories),
         "place_words": {k: list(v) for k, v in env.place_words.items()},
     }
-
-
-def save_environment(env: Environment, path) -> None:
-    Path(path).write_text(json.dumps(environment_to_dict(env), indent=2))
 
 
 def load_environment(name_or_path) -> Environment:

@@ -97,11 +97,11 @@ def test_c1_posterior_oracle_equivalence():
         r = int(rng.integers(1, 7))
         model = random_model(rng, k, r)
         for region in range(r):
-            got = word_posterior(model, region).probs
+            got = word_posterior(model, region)
             want = brute_force_word_posterior(model, region)
             worst = max(worst, float(np.max(np.abs(got - np.array(want)))))
         for obj in model.vocab_objects:
-            got = object_location_posterior(model, obj).probs
+            got = object_location_posterior(model, obj)
             want = brute_force_object_posterior(model, obj)
             worst = max(worst, float(np.max(np.abs(got - np.array(want)))))
     elapsed = time.monotonic() - start
@@ -243,9 +243,9 @@ def test_c6_invariant_suites(home, learned, tmp_path):
     for _ in range(25):
         model = random_model(rng, int(rng.integers(1, 6)), int(rng.integers(1, 7)))
         for region in range(model.num_regions):
-            sums_ok &= abs(word_posterior(model, region).probs.sum() - 1.0) <= 1e-9
+            sums_ok &= abs(word_posterior(model, region).sum() - 1.0) <= 1e-9
         for obj in model.vocab_objects:
-            sums_ok &= abs(object_location_posterior(model, obj).probs.sum() - 1.0) <= 1e-9
+            sums_ok &= abs(object_location_posterior(model, obj).sum() - 1.0) <= 1e-9
     checks["categorical normalization"] = sums_ok
 
     # Object conservation and floor barrier under a random skill pounding.

@@ -11,6 +11,7 @@ import pytest
 import homeplan
 
 from homeplan.cli import main
+from homeplan.experiment import SuiteConfig, run_suite
 from homeplan.knowledge import PROMPTS, knowledge_from_environment, save_knowledge
 from homeplan.planner import ReplayBackend, render_decomposition_prompt
 from homeplan.spatial import save_model
@@ -180,8 +181,14 @@ def test_suite_command_with_prebuilt_kbs(tmp_path, kb_files, capsys):
     stdout = capsys.readouterr().out
     assert "Method" in stdout
     assert "[reported] proposed" in stdout
-    payload = json.loads(out_path.read_text())
+    assert stdout.endswith(f"\n\nreport written to {out_path}\n")
+    text = out_path.read_text()
+    payload = json.loads(text)
     assert payload["totals"]["proposed"] == [50, 50]
+    assert text == json.dumps(payload, indent=2)  # indented, with no trailing newline
+    want = run_suite(SuiteConfig(seed=7, kb_paths=tuple(kb_files))).to_dict()
+    del payload["elapsed_seconds"], want["elapsed_seconds"]
+    assert payload == want
 
 
 def test_seed_env_var_fallback(tmp_path, kb_files, monkeypatch, capsys):
@@ -291,6 +298,22 @@ def test_assignment_without_robot_id_is_an_error(tmp_path, kb_files, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "robot_id" in err
+
+
+@pytest.mark.parametrize("entry, where", [
+    ({"destination": {"a": 1}}, "destination"),
+    ({"destination": []}, "destination"),
+    ({"destination": ""}, "destination"),
+    ({"robot_id": ["Robot1"]}, "robot_id"),
+], ids=["object-destination", "list-destination", "empty-destination", "list-robot-id"])
+def test_malformed_assignment_is_an_error(tmp_path, kb_files, capsys, entry, where):
+    path = tmp_path / "assignments.json"
+    path.write_text(json.dumps([{"verb": "bring", "target_object": "apple", "robot_id": "Robot1", **entry}]))
+    assert main(["run", "--env", "paper_home", "--kb", *kb_files, "--assignments", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert where in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("key, value", [("alpha", 0), ("V0", "x")])

@@ -1,4 +1,3 @@
-import json
 from unittest import mock
 
 import pytest
@@ -149,9 +148,7 @@ def test_run_suite_grid_with_truth_kbs(home, truth_kbs, tmp_path):
         path = tmp_path / f"{kb.robot_id}.json"
         save_knowledge(kb, path)
         paths.append(str(path))
-    out = tmp_path / "report.json"
-    cfg = SuiteConfig(seed=5, kb_paths=tuple(paths), out=str(out))
-    report = run_suite(cfg)
+    report = run_suite(SuiteConfig(seed=5, kb_paths=tuple(paths)))
 
     assert set(report.grid) == {"proposed", "random", "commonsense"}
     for strategy, by_cat in report.grid.items():
@@ -173,7 +170,7 @@ def test_run_suite_grid_with_truth_kbs(home, truth_kbs, tmp_path):
                      for f in t["correct"]]
             assert counted == (sum(flags), len(flags))
 
-    payload = json.loads(out.read_text())
+    payload = report.to_dict()
     assert payload["schema_version"] == 1
     assert payload["totals"]["proposed"] == [50, 50]
     assert payload["reference_reported"]["proposed"]["total"] == [47, 50]
@@ -218,6 +215,8 @@ def test_suite_config_validation():
         SuiteConfig(strategies=())
     with pytest.raises(ConfigurationError):
         SuiteConfig(strategies=("nonsense",))
+    with pytest.raises(ConfigurationError, match="distinct"):
+        SuiteConfig(strategies=("random", "random"))
 
 
 def test_corrupting_knowledge_cannot_increase_score(home, truth_kbs):

@@ -17,7 +17,7 @@ from homeplan.knowledge import (
     render_presence_table,
     save_knowledge,
 )
-from homeplan.errors import SchemaError
+from homeplan.errors import ConfigurationError, SchemaError
 from homeplan.spatial import object_location_posterior, word_posterior
 from homeplan.world import load_environment
 
@@ -33,7 +33,7 @@ def model():
 def test_extract_rows_equal_posteriors_exactly(model):
     kb = extract_knowledge(model, ["a", "b", "c"], robot_id="R")
     for obj in model.vocab_objects:
-        np.testing.assert_array_equal(kb.row(obj), object_location_posterior(model, obj).probs)
+        np.testing.assert_array_equal(kb.row(obj), object_location_posterior(model, obj))
 
 
 def test_extract_rows_resum_to_one(model):
@@ -45,7 +45,7 @@ def test_extract_rows_resum_to_one(model):
 def test_extract_vocab_threshold_and_order(model):
     kb = extract_knowledge(model, ["a", "b", "c"], vocab_threshold=0.05)
     for region, words in enumerate(kb.place_vocab):
-        probs = word_posterior(model, region).probs
+        probs = word_posterior(model, region)
         by_word = {w: probs[i] for i, w in enumerate(model.vocab_places)}
         assert all(by_word[w] >= 0.05 for w in words)
         assert words == sorted(words, key=lambda w: -by_word[w])
@@ -207,6 +207,11 @@ def test_knowledge_from_environment_one_hot():
     kb = knowledge_from_environment(env, "2F", "Robot2")
     assert kb.best_room("banana") == ("parent_room", 1.0)
     assert set(kb.presence_table) == set(env.objects_on("2F"))
+
+
+def test_knowledge_from_environment_of_a_floor_without_rooms_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="floor '3F' has no rooms"):
+        knowledge_from_environment(load_environment("paper_home"), "3F", "Robot3")
 
 
 @pytest.mark.parametrize("row", [

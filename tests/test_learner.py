@@ -155,7 +155,7 @@ def test_generate_then_recover_synthetic_five_rooms():
         for obj in objs:
             post = object_location_posterior(model, obj)
             total += 1
-            correct += region_room[int(np.argmax(post.probs))] == room
+            correct += region_room[int(np.argmax(post))] == room
     assert correct / total >= 0.8
 
 
@@ -185,7 +185,7 @@ def test_learner_always_yields_a_valid_model(sessions, seed, k, r):
     model = learn_fixed_lag(sessions, hp, seed=seed, num_concepts=k, num_regions=r)
     model.validate()
     for region in range(model.num_regions):
-        probs = object_location_posterior(model, model.vocab_objects[0]).probs \
+        probs = object_location_posterior(model, model.vocab_objects[0]) \
             if model.vocab_objects else None
         if probs is not None:
             assert abs(probs.sum() - 1.0) <= 1e-9

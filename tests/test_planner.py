@@ -185,6 +185,13 @@ def test_allocate_unknown_object_raises(kb_robot1, kb_robot2):
         allocate([Subtask("find", "spaceship")], [kb_robot1, kb_robot2])
 
 
+def test_allocate_object_with_only_massless_rows_raises():
+    kbs = [KnowledgeBase(rid, ["kitchen", "bedroom"], [[], []], {"apple": [0.0, 0.0]})
+           for rid in ("Robot1", "Robot2")]
+    with pytest.raises(UnallocatableError, match="no robot's presence row for 'apple' has any mass"):
+        allocate([Subtask("find", "apple")], kbs)
+
+
 def test_allocate_covers_each_subtask_once(kb_robot1, kb_robot2):
     subtasks = [Subtask("find", o) for o in ("apple", "banana", "cup", "towel")]
     assignments = allocate(subtasks, [kb_robot1, kb_robot2])
@@ -386,7 +393,16 @@ class _FakeResponse(io.BytesIO):
         return False
 
 
-def test_remote_backend_request_and_parse(monkeypatch):
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The waits of the remote backend, recorded instead of slept; the API key is set."""
+    waits = []
+    monkeypatch.setenv("HOMEPLAN_LLM_KEY", "k")
+    monkeypatch.setattr(planner.time, "sleep", waits.append)
+    return waits
+
+
+def test_remote_backend_request_and_parse(monkeypatch, sleeps):
     captured = {}
 
     def fake_urlopen(request, timeout=None):
@@ -400,18 +416,18 @@ def test_remote_backend_request_and_parse(monkeypatch):
 
     monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
     monkeypatch.setenv("HOMEPLAN_LLM_KEY", "secret-key")
-    backend = RemoteChatBackend("https://example.test/v1/chat", model="gpt-4", timeout=11.0)
+    backend = RemoteChatBackend("https://example.test/v1/chat", model="gpt-4")
     out = backend.complete("hello prompt")
 
     assert out == "SubTask 1: Find an apple. -> Robot1"
     assert captured["url"] == "https://example.test/v1/chat"
-    assert captured["timeout"] == 11.0
+    assert captured["timeout"] == planner.REMOTE_TIMEOUT_S == 30.0
     assert captured["body"] == {"model": "gpt-4",
                                 "messages": [{"role": "system", "content": "hello prompt"}]}
     assert captured["headers"].get("Authorization") == "Bearer secret-key"
 
 
-def test_remote_backend_retries_then_succeeds(monkeypatch):
+def test_remote_backend_retries_then_succeeds(monkeypatch, sleeps):
     calls = {"n": 0}
 
     def flaky_urlopen(request, timeout=None):
@@ -422,26 +438,30 @@ def test_remote_backend_retries_then_succeeds(monkeypatch):
             {"choices": [{"message": {"content": "ok"}}]}).encode("utf-8"))
 
     monkeypatch.setattr("urllib.request.urlopen", flaky_urlopen)
-    backend = RemoteChatBackend("https://example.test", api_key="k", retries=2, retry_wait=0.0)
+    backend = RemoteChatBackend("https://example.test")
     assert backend.complete("p") == "ok"
     assert calls["n"] == 2
 
 
-def test_remote_backend_exhausted_retries_raise(monkeypatch):
+def test_remote_backend_exhausted_retries_raise(monkeypatch, sleeps):
+    calls = {"n": 0}
+
     def dead_urlopen(request, timeout=None):
+        calls["n"] += 1
         raise urllib.error.URLError("down")
 
     monkeypatch.setattr("urllib.request.urlopen", dead_urlopen)
-    backend = RemoteChatBackend("https://example.test", api_key="k", retries=1, retry_wait=0.0)
-    with pytest.raises(BackendError):
+    backend = RemoteChatBackend("https://example.test")
+    with pytest.raises(BackendError, match="after 3 attempts"):
         backend.complete("p")
+    assert calls["n"] == 3
 
 
 def _http_error(code, reason):
     return urllib.error.HTTPError("https://example.test", code, reason, {}, None)
 
 
-def test_remote_backend_does_not_retry_client_errors(monkeypatch):
+def test_remote_backend_does_not_retry_client_errors(monkeypatch, sleeps):
     calls = {"n": 0}
 
     def refusing_urlopen(request, timeout=None):
@@ -449,14 +469,14 @@ def test_remote_backend_does_not_retry_client_errors(monkeypatch):
         raise _http_error(401, "Unauthorized")
 
     monkeypatch.setattr("urllib.request.urlopen", refusing_urlopen)
-    backend = RemoteChatBackend("https://example.test", api_key="bad", retries=3, retry_wait=0.0)
+    backend = RemoteChatBackend("https://example.test")
     with pytest.raises(BackendError, match="401"):
         backend.complete("p")
     assert calls["n"] == 1
 
 
 @pytest.mark.parametrize("code", [408, 429, 503])
-def test_remote_backend_retries_timeouts_rate_limits_and_server_errors(monkeypatch, code):
+def test_remote_backend_retries_timeouts_rate_limits_and_server_errors(monkeypatch, sleeps, code):
     calls = {"n": 0}
 
     def busy_urlopen(request, timeout=None):
@@ -466,7 +486,7 @@ def test_remote_backend_retries_timeouts_rate_limits_and_server_errors(monkeypat
         return _FakeResponse(json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode("utf-8"))
 
     monkeypatch.setattr("urllib.request.urlopen", busy_urlopen)
-    backend = RemoteChatBackend("https://example.test", api_key="k", retries=2, retry_wait=0.0)
+    backend = RemoteChatBackend("https://example.test")
     assert backend.complete("p") == "ok"
     assert calls["n"] == 2
 
@@ -480,12 +500,26 @@ def test_remote_backend_retries_timeouts_rate_limits_and_server_errors(monkeypat
     [],
     "plain text",
 ])
-def test_remote_backend_malformed_payload_is_a_backend_error(monkeypatch, payload):
+def test_remote_backend_malformed_payload_is_a_backend_error(monkeypatch, sleeps, payload):
     monkeypatch.setattr("urllib.request.urlopen",
                         lambda request, timeout=None: _FakeResponse(json.dumps(payload).encode("utf-8")))
-    backend = RemoteChatBackend("https://example.test", api_key="k", retries=1, retry_wait=0.0)
+    backend = RemoteChatBackend("https://example.test")
     with pytest.raises(BackendError):
         backend.complete("p")
+
+
+@pytest.mark.parametrize("error, waits", [
+    (urllib.error.URLError("down"), [1.0, 1.0]),  # three attempts, no wait after the last
+    (_http_error(401, "Unauthorized"), []),  # refused at once
+], ids=["unreachable", "refused"])
+def test_remote_backend_waits_only_between_attempts(monkeypatch, sleeps, error, waits):
+    def failing_urlopen(request, timeout=None):
+        raise error
+
+    monkeypatch.setattr("urllib.request.urlopen", failing_urlopen)
+    with pytest.raises(BackendError):
+        RemoteChatBackend("https://example.test").complete("p")
+    assert sleeps == waits
 
 
 def test_remote_backend_requires_api_key(monkeypatch):

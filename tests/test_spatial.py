@@ -5,17 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import multivariate_normal
 
 from homeplan.errors import SchemaError, UnknownLabelError
+from homeplan.knowledge import KnowledgeBase
 from homeplan.spatial import (
     Hyperparameters,
     SpatialConceptModel,
-    assign_region,
     load_model,
     model_from_dict,
     model_to_dict,
-    normalize_evidence,
     object_location_posterior,
     save_model,
     word_posterior,
@@ -62,8 +60,7 @@ def test_single_concept_word_posterior_collapses():
     model = random_model(rng, num_concepts=1, num_regions=3)
     for region in range(3):
         post = word_posterior(model, region)
-        np.testing.assert_allclose(post.probs, model.word_dist[0], atol=1e-12)
-        assert not post.zero_evidence
+        np.testing.assert_allclose(post, model.word_dist[0], atol=1e-12)
 
 
 def test_disjoint_regions_select_their_concept():
@@ -76,15 +73,15 @@ def test_disjoint_regions_select_their_concept():
         means=[np.zeros(2), np.ones(2)], covs=[np.eye(2), np.eye(2)],
         vocab_places=vocab, vocab_objects=["thing"],
     )
-    np.testing.assert_allclose(word_posterior(model, 0).probs, delta(2, 0), atol=1e-12)
-    np.testing.assert_allclose(word_posterior(model, 1).probs, delta(2, 1), atol=1e-12)
+    np.testing.assert_allclose(word_posterior(model, 0), delta(2, 0), atol=1e-12)
+    np.testing.assert_allclose(word_posterior(model, 1), delta(2, 1), atol=1e-12)
 
 
 def test_word_posterior_matches_brute_force_k3():
     rng = np.random.default_rng(42)
     model = random_model(rng, num_concepts=3, num_regions=4)
     post = word_posterior(model, 1)
-    np.testing.assert_allclose(post.probs, brute_force_word_posterior(model, 1), atol=1e-12)
+    np.testing.assert_allclose(post, brute_force_word_posterior(model, 1), atol=1e-12)
 
 
 def test_single_concept_object_posterior_is_region_dist():
@@ -92,7 +89,7 @@ def test_single_concept_object_posterior_is_region_dist():
     model = random_model(rng, num_concepts=1, num_regions=4)
     for obj in model.vocab_objects:
         post = object_location_posterior(model, obj)
-        np.testing.assert_allclose(post.probs, model.region_dist[0], atol=1e-12)
+        np.testing.assert_allclose(post, model.region_dist[0], atol=1e-12)
 
 
 def test_object_posterior_matches_brute_force_k4():
@@ -100,7 +97,7 @@ def test_object_posterior_matches_brute_force_k4():
     model = random_model(rng, num_concepts=4, num_regions=5)
     for obj in model.vocab_objects:
         post = object_location_posterior(model, obj)
-        np.testing.assert_allclose(post.probs, brute_force_object_posterior(model, obj), atol=1e-12)
+        np.testing.assert_allclose(post, brute_force_object_posterior(model, obj), atol=1e-12)
 
 
 def test_region_out_of_range_raises_index_error():
@@ -123,12 +120,10 @@ def test_zero_evidence_returns_uniform_with_flag():
         vocab_places=["a", "b", "c"], vocab_objects=["x", "y"],
     )
     post = word_posterior(model, 1)  # region 1 has zero mass under the only concept
-    assert post.zero_evidence
-    np.testing.assert_allclose(post.probs, np.full(3, 1 / 3), atol=1e-12)
+    np.testing.assert_allclose(post, np.full(3, 1 / 3), atol=1e-12)
 
     post_obj = object_location_posterior(model, "y")  # object y has zero mass
-    assert post_obj.zero_evidence
-    np.testing.assert_allclose(post_obj.probs, np.full(2, 0.5), atol=1e-12)
+    np.testing.assert_allclose(post_obj, np.full(2, 0.5), atol=1e-12)
 
 
 @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 10_000))
@@ -136,11 +131,11 @@ def test_zero_evidence_returns_uniform_with_flag():
 def test_posteriors_are_valid_categoricals(k, r, seed):
     model = random_model(np.random.default_rng(seed), k, r)
     for region in range(r):
-        probs = word_posterior(model, region).probs
+        probs = word_posterior(model, region)
         assert np.all(probs >= 0)
         assert abs(probs.sum() - 1.0) <= 1e-9
     for obj in model.vocab_objects:
-        probs = object_location_posterior(model, obj).probs
+        probs = object_location_posterior(model, obj)
         assert np.all(probs >= 0)
         assert abs(probs.sum() - 1.0) <= 1e-9
 
@@ -163,49 +158,26 @@ def test_concept_permutation_leaves_posteriors_unchanged(k, r, seed):
     )
     for region in range(r):
         np.testing.assert_allclose(
-            word_posterior(model, region).probs,
-            word_posterior(permuted, region).probs, atol=1e-12)
+            word_posterior(model, region),
+            word_posterior(permuted, region), atol=1e-12)
     for obj in model.vocab_objects:
         np.testing.assert_allclose(
-            object_location_posterior(model, obj).probs,
-            object_location_posterior(permuted, obj).probs, atol=1e-12)
+            object_location_posterior(model, obj),
+            object_location_posterior(permuted, obj), atol=1e-12)
 
 
 @given(st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=8),
        st.floats(1e-6, 1e6))
 @settings(max_examples=100, deadline=None)
 def test_normalization_invariant_under_positive_rescaling(values, scale):
-    vec = np.array(values)
-    np.testing.assert_allclose(normalize_evidence(vec), normalize_evidence(vec * scale),
-                               rtol=1e-9, atol=1e-12)
-
-
-def test_assign_region_single_region():
-    model = random_model(np.random.default_rng(4), 2, 1)
-    assert assign_region(model, [100.0, -40.0]) == 0
-
-
-def test_assign_region_nearer_mean_wins_under_equal_covariance():
-    model = random_model(np.random.default_rng(5), 1, 2)
-    model.means[:] = [[0.0, 0.0], [10.0, 0.0]]
-    model.covs[:] = np.eye(2)
-    assert assign_region(model, [1.0, 0.0]) == 0
-
-
-def test_assign_region_matches_density_oracle():
-    rng = np.random.default_rng(6)
-    model = random_model(rng, 2, 4)
-    for _ in range(100):
-        point = rng.normal(scale=6.0, size=2)
-        densities = [multivariate_normal.pdf(point, mean=model.means[r], cov=model.covs[r])
-                     for r in range(model.num_regions)]
-        assert assign_region(model, point) == int(np.argmax(densities))
-
-
-def test_assign_region_rejects_non_finite():
-    model = random_model(np.random.default_rng(7), 1, 2)
-    with pytest.raises(ValueError):
-        assign_region(model, [np.nan, 0.0])
+    """A presence row is normalized where it is read, so scaling it keeps the best room."""
+    rooms = [f"room{i}" for i in range(len(values))]
+    row = np.array(values)
+    kb = KnowledgeBase("R", rooms, [[] for _ in rooms], {"x": row.tolist()})
+    scaled = KnowledgeBase("R", rooms, [[] for _ in rooms], {"x": (row * scale).tolist()})
+    (room, p), (scaled_room, scaled_p) = kb.best_room("x"), scaled.best_room("x")
+    assert scaled_room == room
+    np.testing.assert_allclose(scaled_p, p, rtol=1e-9)
 
 
 def test_model_serialization_round_trip(tmp_path):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,6 @@ from homeplan.world import (
     generate_floor_sessions,
     load_environment,
     observe_session,
-    save_environment,
 )
 
 from conftest import EagerSeedWorld
@@ -59,7 +59,7 @@ def test_builtin_robocup_arena_loads():
 
 def test_environment_round_trip(tmp_path, home):
     path = tmp_path / "env.json"
-    save_environment(home, path)
+    path.write_text(json.dumps(environment_to_dict(home)))
     loaded = load_environment(path)
     assert environment_to_dict(loaded) == environment_to_dict(home)
 
