@@ -86,15 +86,16 @@ def _load_sessions(path: str) -> list[spatial.Session]:
 
 
 def _read_subtasks(path: str, what: str, *extra_keys: str) -> list[tuple[planner.Subtask, dict]]:
-    """Each entry of a JSON list of subtask objects, as (subtask, entry)."""
-    data = read_json(path, what)
-    if not isinstance(data, list) or not all(isinstance(d, dict) for d in data):
-        raise SchemaError(f"{path}: expected a JSON list of objects")
-    for i, d in enumerate(data):
-        missing = [k for k in ("verb", "target_object", *extra_keys) if k not in d]
-        if missing:
-            raise SchemaError(f"{path}: entry {i} lacks keys {missing}")
-    return [(planner.Subtask(d["verb"], d["target_object"], d.get("destination")), d) for d in data]
+    """Each entry of a JSON list of subtask objects, as (subtask, entry); an error names the entry."""
+    entries = []
+    for i, d in enumerate(require(read_json(path, what), list, f"{path}: the {what}s")):
+        where = f"{path}: entry {i}"
+        verb, target, *_ = require_fields(d, ("verb", "target_object", *extra_keys), where)
+        try:
+            entries.append((planner.Subtask(verb, target, d.get("destination")), d))
+        except SchemaError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
+    return entries
 
 
 def cmd_learn(args) -> int:
@@ -177,8 +178,9 @@ def cmd_run(args) -> int:
     seed = _seed_of(args)
     env = world.load_environment(args.env)
     kbs = [knowledge.load_knowledge(p) for p in args.kb]
-    assignments = [planner.Assignment(subtask, require(d["robot_id"], str, f"{args.assignments}: robot_id"))
-                   for subtask, d in _read_subtasks(args.assignments, "assignment", "robot_id")]
+    assignments = [
+        planner.Assignment(subtask, require(d["robot_id"], str, f"{args.assignments}: entry {i}: robot_id"))
+        for i, (subtask, d) in enumerate(_read_subtasks(args.assignments, "assignment", "robot_id"))]
     robots = []
     for kb in kbs:
         floors = {env.floor_of_room(r) for r in kb.room_names if env.has_room(r)}

@@ -38,18 +38,6 @@ class PlanningError(HomeplanError, ValueError):
     """A subtask cannot be set up for execution."""
 
 
-class BatchSetupError(PlanningError):
-    """Some assignments of a batch could not be set up; the others ran.
-
-    ``completed_traces`` holds the traces of the assignments that ran, in
-    assignment order.  The first setup error is the ``__cause__``.
-    """
-
-    def __init__(self, message: str, completed_traces: list):
-        super().__init__(message)
-        self.completed_traces = completed_traces
-
-
 class GenerationError(HomeplanError, ValueError):
     """An instruction suite cannot be generated from the environment."""
 

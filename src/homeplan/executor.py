@@ -2,11 +2,12 @@
 
 A fetch subtask runs navigate -> detect -> pick -> navigate -> place against
 the world.  Failed skills retry in place; exhausted detection advances to the
-next room in descending presence order.  Each robot runs its assignments back
-to back as one generator that yields before every skill, and a batch advances
-the robots' generators in turn, one skill each, so per-robot traces are
-independent of scheduling when their state does not overlap.  A trace records
-only its steps: the subtask's result and the rooms it reached are read off them.
+next room in descending presence order.  A batch is checked whole before its
+first skill.  Each robot runs its assignments back to back as one generator
+that yields before every skill, and a batch advances the robots' generators in
+turn, one skill each, so per-robot traces are independent of scheduling when
+their state does not overlap.  A trace records only its steps: the subtask's
+result and the rooms it reached are read off them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import BatchSetupError, HomeplanError, PlanningError, UnknownRoomError
+from .errors import HomeplanError, PlanningError, UnknownRoomError
 from .knowledge import KnowledgeBase
 from .planner import Assignment
 from .world import GATHER, SkillOutcome, World
@@ -72,13 +73,6 @@ def search_order(kb: KnowledgeBase, target: str) -> list[str]:
     return [kb.room_names[i] for i in order]
 
 
-def _resolve_room_order(assignment: Assignment, kb: KnowledgeBase | None) -> list[str]:
-    target = assignment.subtask.target_object
-    if kb is None or target not in kb.presence_table:
-        raise PlanningError(f"object {target!r} is not in the knowledge base")
-    return search_order(kb, target)
-
-
 def _attempt(world: World, trace: ExecutionTrace, skill: str, argument: str, attempts: int):
     """Take one skill up to ``attempts`` times, yielding before each; return whether it succeeded."""
     for _ in range(attempts):
@@ -105,23 +99,25 @@ def _subtask_machine(world: World, trace: ExecutionTrace, rooms: list[str],
         return
 
 
-def _robot_run(world: World, jobs: list[tuple[int, Assignment]], kb: KnowledgeBase | None,
-               attempts: int, traces: dict[int, ExecutionTrace], errors: list[HomeplanError]):
-    """One robot's assignments back to back, each set up just before it runs."""
-    for idx, assignment in jobs:
-        try:
-            world.robot(assignment.robot_id)  # PlanningError for a robot the world lacks
-            destination = assignment.subtask.destination or GATHER
-            if not world.known_location(destination):
-                raise UnknownRoomError(f"unknown destination {destination!r}")
-            rooms = _resolve_room_order(assignment, kb)
-            for room in rooms:
-                if not world.known_location(room):
-                    raise UnknownRoomError(f"unknown room {room!r} in search order")
-        except HomeplanError as exc:  # deferred, see run_assignments
-            errors.append(exc)
-            continue
-        trace = traces[idx] = ExecutionTrace(assignment.robot_id, assignment.subtask.target_object)
+def _setup(world: World, assignment: Assignment, kb: KnowledgeBase | None) -> tuple[list[str], str]:
+    """The rooms to search and the destination of one assignment; HomeplanError if it cannot run."""
+    world.robot(assignment.robot_id)  # PlanningError for a robot the world lacks
+    destination = assignment.subtask.destination or GATHER
+    if not world.known_location(destination):
+        raise UnknownRoomError(f"unknown destination {destination!r}")
+    target = assignment.subtask.target_object
+    if kb is None or target not in kb.presence_table:
+        raise PlanningError(f"object {target!r} is not in the knowledge base")
+    rooms = search_order(kb, target)
+    for room in rooms:
+        if not world.known_location(room):
+            raise UnknownRoomError(f"unknown room {room!r} in search order")
+    return rooms, destination
+
+
+def _robot_run(world: World, jobs: list[tuple[ExecutionTrace, list[str], str]], attempts: int):
+    """One robot's subtasks back to back."""
+    for trace, rooms, destination in jobs:
         yield from _subtask_machine(world, trace, rooms, destination, attempts)
 
 
@@ -129,35 +125,32 @@ def run_assignments(world: World, assignments: list[Assignment],
                     kbs: list[KnowledgeBase],
                     policy: ExecutionPolicy | None = None,
                     seed: int | None = None) -> list[ExecutionTrace]:
-    """Round-robin execution: one skill per robot per turn.
+    """Round-robin execution: one skill per robot per turn; one trace per assignment, in order.
 
-    A robot's assignments run back-to-back.  A ``HomeplanError`` while setting
-    up an assignment is deferred until every other assignment has finished;
-    then a ``BatchSetupError`` carrying the completed traces is raised, with
-    the first setup error as its cause.
+    The whole batch is checked before its first skill: if any assignment
+    cannot be set up, a ``PlanningError`` whose message starts
+    ``assignment i:`` is raised and nothing has run.  A robot's assignments
+    run back-to-back.
     """
     policy = policy or ExecutionPolicy()
+    kb_by_robot = {kb.robot_id: kb for kb in kbs}
+    traces, jobs = [], {}  # jobs: each robot's (trace, rooms, destination), in order of its first assignment
+    for idx, assignment in enumerate(assignments):
+        try:
+            rooms, destination = _setup(world, assignment, kb_by_robot.get(assignment.robot_id))
+        except HomeplanError as exc:
+            # args[0], not str(exc): str() of a KeyError subclass quotes its message.
+            raise PlanningError(f"assignment {idx}: {exc.args[0]}") from exc
+        traces.append(ExecutionTrace(assignment.robot_id, assignment.subtask.target_object))
+        jobs.setdefault(assignment.robot_id, []).append((traces[-1], rooms, destination))
     if seed is not None:
         world.reseed(seed)
-    kb_by_robot = {kb.robot_id: kb for kb in kbs}
-    jobs: dict[str, list[tuple[int, Assignment]]] = {}  # in order of each robot's first assignment
-    for idx, assignment in enumerate(assignments):
-        jobs.setdefault(assignment.robot_id, []).append((idx, assignment))
 
-    traces: dict[int, ExecutionTrace] = {}
-    errors: list[HomeplanError] = []
     attempts = policy.max_retries_per_skill + 1
-    runs = [_robot_run(world, queue, kb_by_robot.get(rid), attempts, traces, errors)
-            for rid, queue in jobs.items()]
+    runs = [_robot_run(world, queue, attempts) for queue in jobs.values()]
     while runs:  # each turn takes every robot to just before its next skill
         runs = [run for run in runs if next(run, False)]
-
-    ordered = [traces[i] for i in sorted(traces)]
-    if errors:
-        raise BatchSetupError(
-            f"{len(errors)} of {len(assignments)} assignments could not be set up; "
-            f"first: {errors[0]}", ordered) from errors[0]
-    return ordered
+    return traces
 
 
 def traces_to_jsonl(traces: list[ExecutionTrace]) -> str:

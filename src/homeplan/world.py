@@ -143,12 +143,11 @@ class RobotState:
     held_object: str | None = None
     p_navigate: float = 1.0
     p_detect_present: float = 0.9
-    p_detect_absent_false_positive: float = 0.0
     p_pick: float = 0.8
     p_place: float = 0.95
 
     def __post_init__(self):
-        for name in ("p_navigate", "p_detect_present", "p_detect_absent_false_positive", "p_pick", "p_place"):
+        for name in ("p_navigate", "p_detect_present", "p_pick", "p_place"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -167,7 +166,6 @@ class SkillOutcome:
 # Outcomes are frozen, so every step that ends the same way shares one.
 _SUCCEEDED = SkillOutcome("succeeded")
 _DETECTED = SkillOutcome("succeeded", "detected")
-_FALSE_POSITIVE = SkillOutcome("succeeded", "false_positive")
 _FLOOR_BARRIER = SkillOutcome("failed", "floor_barrier")
 _NAVIGATION_FAILED = SkillOutcome("failed", "navigation_failed")
 _NOT_FOUND = SkillOutcome("failed", "not_found")
@@ -260,15 +258,10 @@ class World:
     def _detect(self, robot: RobotState, obj: str, rng) -> SkillOutcome:
         if obj not in self.object_rooms:
             raise UnknownLabelError(f"unknown object {obj!r}")
-        present = self.object_rooms[obj] == robot.current_room
-        if present:
-            if rng.random() < robot.p_detect_present:
-                self._detections[robot.robot_id] = (obj, robot.current_room)
-                return _DETECTED
-            return _NOT_FOUND
-        if rng.random() < robot.p_detect_absent_false_positive:
+        # One draw per call, present or not, so a robot's stream does not depend on where objects are.
+        if rng.random() < robot.p_detect_present and self.object_rooms[obj] == robot.current_room:
             self._detections[robot.robot_id] = (obj, robot.current_room)
-            return _FALSE_POSITIVE
+            return _DETECTED
         return _NOT_FOUND
 
     def _pick(self, robot: RobotState, obj: str, rng) -> SkillOutcome:

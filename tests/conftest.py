@@ -3,14 +3,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from homeplan.errors import BatchSetupError, HomeplanError, UnknownRoomError
+from homeplan.errors import HomeplanError, PlanningError, UnknownRoomError
 from homeplan.executor import (
     SUBTASK_FAILED,
     SUBTASK_SUCCEEDED,
     ExecutionPolicy,
     TraceStep,
-    _resolve_room_order,
     run_assignments,
+    search_order,
 )
 from homeplan.knowledge import KnowledgeBase, format_probability
 from homeplan.planner import Assignment, Subtask
@@ -120,56 +120,54 @@ def _reference_setup(world, assignment, kb, policy):
     destination = assignment.subtask.destination or GATHER
     if not world.known_location(destination):
         raise UnknownRoomError(f"unknown destination {destination!r}")
-    room_order = _resolve_room_order(assignment, kb)
+    target = assignment.subtask.target_object
+    if kb is None or target not in kb.presence_table:
+        raise PlanningError(f"object {target!r} is not in the knowledge base")
+    room_order = search_order(kb, target)
     for room in room_order:
         if not world.known_location(room):
             raise UnknownRoomError(f"unknown room {room!r} in search order")
-    machine = _reference_subtask_machine(assignment.subtask.target_object, room_order,
-                                         destination, policy.max_retries_per_skill)
-    trace = ReferenceTrace(robot_id=assignment.robot_id,
-                           target_object=assignment.subtask.target_object)
-    return machine, trace
+    machine = _reference_subtask_machine(target, room_order, destination, policy.max_retries_per_skill)
+    return machine, ReferenceTrace(robot_id=assignment.robot_id, target_object=target)
 
 
 def reference_run_assignments(world, assignments, kbs, policy=None, seed=None):
     """The round-robin scheduler that sends each outcome into a per-subtask machine.
 
-    It keeps every robot's machine in an ``active`` table and stores each trace's
-    result and visited rooms from the machine's return value; ``run_assignments``
-    must match it step for step.
+    It sets up every assignment before any skill, keeps every robot's machine
+    in an ``active`` table and stores each trace's result and visited rooms
+    from the machine's return value; ``run_assignments`` must match it step
+    for step.
     """
     policy = policy or ExecutionPolicy()
+    kb_by_robot = {kb.robot_id: kb for kb in kbs}
+    setups = []
+    for idx, assignment in enumerate(assignments):
+        try:
+            setups.append(_reference_setup(world, assignment, kb_by_robot.get(assignment.robot_id), policy))
+        except HomeplanError as exc:
+            raise PlanningError(f"assignment {idx}: {exc.args[0]}") from exc
     if seed is not None:
         world.reseed(seed)
-    kb_by_robot = {kb.robot_id: kb for kb in kbs}
 
     queues = {}
     for idx, assignment in enumerate(assignments):
         queues.setdefault(assignment.robot_id, []).append(idx)
-
-    traces = {}
-    errors = []
     active = {}
 
-    def advance(rid, idx, machine, trace, outcome):
+    def advance(rid, idx, outcome):
+        machine, trace = setups[idx]
         try:
-            active[rid] = (idx, machine, trace, machine.send(outcome))
+            active[rid] = (idx, machine.send(outcome))
             return True
         except StopIteration as stop:
             trace.result, trace.rooms_visited = stop.value
-            traces[idx] = trace
             active.pop(rid, None)
             return False
 
     def start_next(rid):
         while queues[rid]:
-            idx = queues[rid].pop(0)
-            try:
-                machine, trace = _reference_setup(world, assignments[idx], kb_by_robot.get(rid), policy)
-            except HomeplanError as exc:
-                errors.append(exc)
-                continue
-            if advance(rid, idx, machine, trace, None):
+            if advance(rid, queues[rid].pop(0), None):
                 return
 
     for rid in queues:
@@ -179,18 +177,13 @@ def reference_run_assignments(world, assignments, kbs, policy=None, seed=None):
         for rid in queues:
             if rid not in active:
                 continue
-            idx, machine, trace, (skill, argument) = active[rid]
+            idx, (skill, argument) = active[rid]
             outcome = world.step_skill(rid, skill, argument)
-            trace.steps.append(TraceStep(skill, argument, outcome))
-            if not advance(rid, idx, machine, trace, outcome):
+            setups[idx][1].steps.append(TraceStep(skill, argument, outcome))
+            if not advance(rid, idx, outcome):
                 start_next(rid)
 
-    ordered = [traces[i] for i in sorted(traces)]
-    if errors:
-        raise BatchSetupError(
-            f"{len(errors)} of {len(assignments)} assignments could not be set up; "
-            f"first: {errors[0]}", ordered) from errors[0]
-    return ordered
+    return [trace for _, trace in setups]
 
 
 # Hand-curated presence tables used as fixed vectors by planner and

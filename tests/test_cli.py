@@ -287,7 +287,7 @@ def test_unknown_subtask_verb_is_an_error(tmp_path, kb_files, capsys):
     path.write_text(json.dumps([{"verb": "jump", "target_object": "apple"}]))
     assert main(["allocate", "--env", "paper_home", "--kb", *kb_files, "--subtasks", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: {path}: entry 0: ")
     assert "jump" in err
 
 
@@ -311,7 +311,7 @@ def test_malformed_assignment_is_an_error(tmp_path, kb_files, capsys, entry, whe
     path.write_text(json.dumps([{"verb": "bring", "target_object": "apple", "robot_id": "Robot1", **entry}]))
     assert main(["run", "--env", "paper_home", "--kb", *kb_files, "--assignments", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: {path}: entry 0: ")
     assert where in err
     assert "Traceback" not in err
 

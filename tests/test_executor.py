@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from homeplan.errors import BatchSetupError, PlanningError, UnknownRoomError
+from homeplan.errors import PlanningError, UnknownRoomError
 from homeplan.executor import (
     SUBTASK_FAILED,
     SUBTASK_SUCCEEDED,
@@ -24,8 +24,7 @@ from conftest import reference_run_assignments, scripted_run
 
 
 def sure_robot(robot_id, floor, room, **overrides):
-    probs = dict(p_navigate=1.0, p_detect_present=1.0,
-                 p_detect_absent_false_positive=0.0, p_pick=1.0, p_place=1.0)
+    probs = dict(p_navigate=1.0, p_detect_present=1.0, p_pick=1.0, p_place=1.0)
     probs.update(overrides)
     return RobotState(robot_id=robot_id, floor=floor, current_room=room, **probs)
 
@@ -132,10 +131,9 @@ def test_unknown_destination_raises_before_any_skill():
     kb = knowledge_from_environment(env, "zone2", "Robot2")
     assignment = Assignment(Subtask("bring", "cup", destination="mars"), "Robot2")
     before = dict(world.object_rooms)
-    with pytest.raises(BatchSetupError) as excinfo:
+    with pytest.raises(PlanningError, match="^assignment 0: unknown destination 'mars'$") as excinfo:
         run_assignments(world, [assignment], [kb])
     assert isinstance(excinfo.value.__cause__, UnknownRoomError)
-    assert excinfo.value.completed_traces == []
     assert world.object_rooms == before
 
 
@@ -143,7 +141,7 @@ def test_object_missing_from_kb_without_room_order():
     env, world = arena_world()
     kb = knowledge_from_environment(env, "zone2", "Robot2")
     assignment = Assignment(Subtask("bring", "bag"), "Robot2")  # bag is zone1 knowledge
-    with pytest.raises(BatchSetupError) as excinfo:
+    with pytest.raises(PlanningError, match="^assignment 0: object 'bag' is not in the knowledge base$") as excinfo:
         run_assignments(world, [assignment], [kb])
     assert type(excinfo.value.__cause__) is PlanningError
     # A knowledge base that lists it unblocks it; every room is searched and detection fails honestly.
@@ -157,7 +155,7 @@ def test_mismatched_robot_id_rejected():
     # An assignment for a robot the world does not have is a setup error.
     env, world = arena_world()
     kb = knowledge_from_environment(env, "zone2", "Robot2")
-    with pytest.raises(BatchSetupError) as excinfo:
+    with pytest.raises(PlanningError, match="^assignment 0: unknown robot 'Robot1'$") as excinfo:
         run_assignments(world, [Assignment(Subtask("bring", "cup"), "Robot1")], [kb])
     assert type(excinfo.value.__cause__) is PlanningError
 
@@ -260,20 +258,20 @@ def test_interleaving_matches_sequential_for_disjoint_robots():
         assert a.result == b.result
 
 
-def test_setup_errors_deferred_until_batch_completes():
+def test_a_setup_error_runs_no_assignment_of_the_batch():
     env, world = arena_world()
     kb = knowledge_from_environment(env, "zone2", "Robot2")
     assignments = [
-        Assignment(Subtask("bring", "cup", destination="mars"), "Robot2"),
         Assignment(Subtask("bring", "water_bottle"), "Robot2"),
+        Assignment(Subtask("bring", "cup", destination="mars"), "Robot2"),
     ]
-    with pytest.raises(BatchSetupError) as excinfo:
+    objects, robot = dict(world.object_rooms), vars(world.robots["Robot2"]).copy()
+    with pytest.raises(PlanningError, match="^assignment 1: unknown destination 'mars'$"):
         run_assignments(world, assignments, [kb])
-    assert isinstance(excinfo.value.__cause__, UnknownRoomError)
-    completed = excinfo.value.completed_traces
-    assert len(completed) == 1
-    assert completed[0].target_object == "water_bottle"
-    assert completed[0].result == SUBTASK_SUCCEEDED
+    # The valid first assignment did not run: no object moved, no robot stepped, no generator was built.
+    assert world.object_rooms == objects
+    assert vars(world.robots["Robot2"]) == robot
+    assert world._rngs == {}
 
 
 def test_traces_to_jsonl_shape():
@@ -304,7 +302,6 @@ def batches(draw):
     """Robots with random skill odds, a policy, assignments of which some cannot be set up, a KB style."""
     robots = [RobotState(robot_id=rid, floor=floor, current_room=room,
                          p_navigate=draw(probability), p_detect_present=draw(probability),
-                         p_detect_absent_false_positive=draw(st.floats(0.0, 0.3)),
                          p_pick=draw(probability), p_place=draw(probability))
               for rid, (floor, room) in FLEET.items()]
     policy = ExecutionPolicy(max_retries_per_skill=draw(st.integers(0, 3)))
@@ -338,8 +335,8 @@ def _batch_kbs(style):
 def _outcome_of(run, world, assignments, kbs, policy, seed):
     try:
         traces, error = run(world, assignments, kbs, policy=policy, seed=seed), None
-    except BatchSetupError as exc:
-        traces, error = exc.completed_traces, (str(exc), type(exc.__cause__), str(exc.__cause__))
+    except PlanningError as exc:
+        traces, error = [], str(exc)
     records = [(t.robot_id, t.target_object, t.steps, t.result, t.rooms_visited) for t in traces]
     robots = {rid: vars(r) for rid, r in world.robots.items()}
     return records, error, dict(world.object_rooms), robots

@@ -32,8 +32,7 @@ from conftest import EagerSeedWorld
 
 
 def sure_robot(robot_id="Robot1", floor="1F", room="kitchen", **overrides):
-    probs = dict(p_navigate=1.0, p_detect_present=1.0,
-                 p_detect_absent_false_positive=0.0, p_pick=1.0, p_place=1.0)
+    probs = dict(p_navigate=1.0, p_detect_present=1.0, p_pick=1.0, p_place=1.0)
     probs.update(overrides)
     return RobotState(robot_id=robot_id, floor=floor, current_room=room, **probs)
 
@@ -289,8 +288,7 @@ def test_lazy_generators_draw_the_eagerly_spawned_streams(n_robots, seed, script
     env = load_environment("paper_home")
     locations = [r.name for r in env.rooms] + [GATHER]
     objects = sorted(env.placements)
-    robots = [sure_robot(rid, floor, room, p_navigate=0.7, p_detect_present=0.6,
-                         p_detect_absent_false_positive=0.3, p_pick=0.6, p_place=0.7)
+    robots = [sure_robot(rid, floor, room, p_navigate=0.7, p_detect_present=0.6, p_pick=0.6, p_place=0.7)
               for rid, floor, room in _LAZY_ROBOTS[:n_robots]]
     lazy, eager = World(env, robots, seed=seed), EagerSeedWorld(env, robots, seed=seed)
     for action in script:
@@ -394,13 +392,24 @@ def test_reserved_gather_name_rejected():
         )
 
 
-def test_false_positive_detection_path(home):
-    world = World(home, [sure_robot(p_detect_absent_false_positive=1.0)], seed=0)
-    outcome = world.step_skill("Robot1", "object_detection", "banana")  # banana is on 2F
-    assert outcome.succeeded
-    assert outcome.detail == "false_positive"
-    # The follow-up pick must fail: the object is not actually here.
-    assert world.step_skill("Robot1", "pick", "banana").detail == "object_not_present"
+def test_a_pick_fails_once_another_robot_has_taken_the_object(home):
+    world = World(home, [sure_robot("Robot1"), sure_robot("Robot3")], seed=0)
+    for rid in ("Robot1", "Robot3"):
+        assert world.step_skill(rid, "object_detection", "apple").detail == "detected"
+    assert world.step_skill("Robot3", "pick", "apple").succeeded
+    assert world.step_skill("Robot1", "pick", "apple").detail == "object_not_present"
+    world.check_conservation()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_a_detection_draws_once_whether_or_not_the_object_is_there(home, seed):
+    world = World(home, [sure_robot(p_detect_present=0.5)], seed=seed)
+    n = 40
+    draws = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,))).random(n)
+    # Banana is on the other floor, apple in Robot1's kitchen.
+    details = [world.step_skill("Robot1", "object_detection", "banana" if i % 2 == 0 else "apple").detail
+               for i in range(n)]
+    assert details == ["detected" if i % 2 and u < 0.5 else "not_found" for i, u in enumerate(draws)]
 
 
 def test_worlds_do_not_share_the_callers_robots(home):
