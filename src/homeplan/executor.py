@@ -3,11 +3,13 @@
 A fetch subtask runs navigate -> detect -> pick -> navigate -> place against
 the world.  Failed skills retry in place; exhausted detection advances to the
 next room in descending presence order.  A batch is checked whole before its
-first skill.  Each robot runs its assignments back to back as one generator
-that yields before every skill, and a batch advances the robots' generators in
-turn, one skill each, so per-robot traces are independent of scheduling when
-their state does not overlap.  A trace records only its steps: the subtask's
-result and the rooms it reached are read off them.
+first skill: each robot must reach its destination and every room it would
+search, on its own floor or at ``gather``.  Each robot runs its assignments
+back to back as one generator that yields before every skill, and a batch
+advances the robots' generators in turn, one skill each, so per-robot traces
+are independent of scheduling when their state does not overlap.  A trace
+records only its steps: the subtask's result and the rooms it reached are
+read off them.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import HomeplanError, PlanningError, UnknownRoomError
+from .errors import FloorAccessError, HomeplanError, PlanningError, UnknownRoomError
 from .knowledge import KnowledgeBase
 from .planner import Assignment
-from .world import GATHER, SkillOutcome, World
+from .world import GATHER, RobotState, SkillOutcome, World
 
 SUBTASK_SUCCEEDED = "subtask_succeeded"
 SUBTASK_FAILED = "subtask_failed"
@@ -99,19 +101,28 @@ def _subtask_machine(world: World, trace: ExecutionTrace, rooms: list[str],
         return
 
 
+def _require_reachable(world: World, robot: RobotState, location: str, what: str) -> None:
+    """Raise unless ``robot`` can reach ``location``; ``what.format(location)`` names it
+    in the message, formatted only on failure."""
+    floor = world.location_floor(location, robot)
+    if floor != robot.floor:
+        what = what.format(location)
+        if floor is None:
+            raise UnknownRoomError(f"unknown {what}")
+        raise FloorAccessError(f"{what} is on floor {floor!r}, robot {robot.robot_id!r} is on {robot.floor!r}")
+
+
 def _setup(world: World, assignment: Assignment, kb: KnowledgeBase | None) -> tuple[list[str], str]:
     """The rooms to search and the destination of one assignment; HomeplanError if it cannot run."""
-    world.robot(assignment.robot_id)  # PlanningError for a robot the world lacks
+    robot = world.robot(assignment.robot_id)  # PlanningError for a robot the world lacks
     destination = assignment.subtask.destination or GATHER
-    if not world.known_location(destination):
-        raise UnknownRoomError(f"unknown destination {destination!r}")
+    _require_reachable(world, robot, destination, "destination {!r}")
     target = assignment.subtask.target_object
     if kb is None or target not in kb.presence_table:
         raise PlanningError(f"object {target!r} is not in the knowledge base")
     rooms = search_order(kb, target)
     for room in rooms:
-        if not world.known_location(room):
-            raise UnknownRoomError(f"unknown room {room!r} in search order")
+        _require_reachable(world, robot, room, "room {!r} in search order")
     return rooms, destination
 
 

@@ -1,13 +1,16 @@
 """Fixed-lag Rao-Blackwellized particle filter for spatial concept learning.
 
-All particles live in one stacked state (``_Batch``), axis 0 indexing the
-particle: per-session (concept, region) assignments plus collapsed sufficient
-statistics in two arrays.  ``counts`` (P, K, F) holds every Dirichlet-
-multinomial count of a concept as integers: its sessions, word and object
-totals, word and object counts, and its links to regions.  ``moments``
-(P, R, 7) holds each region's normal-inverse-Wishart moment sums: n, the
-position sum and the flattened sum of outer products.  Adding or removing a
-session is one indexed update of each.
+All particles live in one stacked state (``_Batch``): per-session cells
+plus collapsed sufficient statistics in two arrays.  A cell is one flat
+index ``k * R + r`` of (concept, region), the order the grids are drawn in,
+and ``assignments`` (P, T) holds each particle's cell per session.
+``counts`` (P, K, F) holds every Dirichlet-multinomial count of a concept as
+integers: its sessions, word and object totals, word and object counts, and
+its links to regions.  ``moments`` (7, P, R) holds each region's
+normal-inverse-Wishart moment sums component-major: n, the two position sums
+and the four sums of outer products, each a contiguous (P, R) plane that the
+kernels read without striding.  Adding or removing a session is one indexed
+update of each.
 
 Two kernels score a session over the (concept, region) cells.  ``_log_grid``
 is the exact collapsed conditional: every term that depends on an integer
@@ -26,8 +29,11 @@ to rounding.  The weights keep the exact kernel because their last bits
 decide resampling and which of two tied particles is returned, and because
 the weight increment must be a normalized log conditional.
 
-Particles are systematically resampled, by one fancy-index of the stacked
-state, when the effective sample size drops below half the particle count.
+Particles are systematically resampled, by one fancy-index of each array of
+the stacked state on its particle axis, when the effective sample size drops
+below half the particle count.  ``moments`` is resampled with
+``take(axis=1)``: ``moments[:, index]`` is not C-contiguous, and ``add``
+updates every array through a flat view of it.
 Uniforms are drawn in the order a per-particle loop would draw them, so
 results do not depend on the batching.  The returned model is the
 maximum-weight particle's posterior-mean parameters, returned as the stacked
@@ -49,18 +55,26 @@ _DIM = 2
 _CONCEPT, _WORD_TOTAL, _OBJ_TOTAL, _WORDS = 0, 1, 2, 3
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The flattened outer products of two stacks of 2-vectors held component-major:
+    plane ``2 i + j`` is ``a[i] * b[j]``."""
+    return (a[:, None] * b[None]).reshape((_DIM * _DIM,) + a.shape[1:])
+
+
 class _SessionStats:
     """Per-session data in index space, precomputed once.
 
     ``cols``/``vals`` are the count columns a session adds to and by how much;
-    the last column is the link to region 0, shifted by the region on adding.
-    ``moments`` is what it adds to its region's moment sums; the ``neg_`` rows
-    remove it.  ``sweep_index`` is set by ``_Tables``: the flat index offsets
-    of the session's rows of the fused sweep table, one per column but the link.
+    the last column is the link to region 0.  ``moments`` is the (7, 1) column
+    it adds to its region's moment sums; the ``neg_`` arrays remove it.  Two
+    fields are set by ``_Tables``: ``sweep_index``, the flat index offsets of
+    the session's rows of the fused sweep table, one per column but the link,
+    and ``cell_cols``, per cell ``k * R + r`` the flat columns of concept k's
+    count row, the link shifted to region r.
     """
 
     __slots__ = ("word_cols", "word_cnt", "word_total", "obj_cols", "obj_cnt", "obj_total",
-                 "x", "cols", "vals", "neg_vals", "moments", "neg_moments", "sweep_index")
+                 "x", "cols", "vals", "neg_vals", "moments", "neg_moments", "sweep_index", "cell_cols")
 
     def __init__(self, session: Session, place_index: dict[str, int], object_index: dict[str, int]):
         widx = np.array([place_index[w] for w in session.place_words], dtype=int)
@@ -81,44 +95,46 @@ class _SessionStats:
                                     self.obj_cnt, [1]))
         self.neg_vals = -self.vals
         x0, x1 = self.x.tolist()  # Python floats: a square that overflows is inf, not a warning
-        self.moments = np.array([1.0, x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1])
+        self.moments = np.array([[1.0], [x0], [x1], [x0 * x0], [x0 * x1], [x1 * x0], [x1 * x1]])
         self.neg_moments = -self.moments
 
 
 class _Batch:
-    """Assignments and collapsed sufficient statistics of all particles, stacked on axis 0.
+    """Cells and collapsed sufficient statistics of all particles.
 
-    ``counts`` columns: sessions, word total, object total, V words, O objects, R links.
-    The row offsets of each particle in the flattened arrays are fixed at construction.
+    ``counts`` (P, K, F) columns: sessions, word total, object total, V words, O
+    objects, R links.  ``moments`` (7, P, R): one plane per moment sum.
+    ``assignments`` (P, T): each session's flat cell ``k * R + r``.  ``add``
+    writes through flat views, so every array must stay C-contiguous: on a copy
+    ``reshape`` would return a new array and the update would be lost.  That is
+    why ``take`` resamples ``moments`` with ``take(axis=1)``: ``moments[:, index]``
+    is not C-contiguous.  The offsets in the flat views, of each particle's count
+    rows and of each (moment, particle) row of R regions, are fixed at construction.
     """
 
     __slots__ = ("counts", "moments", "assignments", "count_rows", "moment_rows")
-    _STATE = ("counts", "moments", "assignments")
 
     def __init__(self, P: int, K: int, R: int, n_words: int, n_objects: int, T: int):
-        self.counts = np.zeros((P, K, _WORDS + n_words + n_objects + R), dtype=int)
-        self.moments = np.zeros((P, R, 1 + _DIM + _DIM * _DIM))
-        self.assignments = np.zeros((P, T, 2), dtype=int)
-        self.count_rows = np.arange(P) * K
-        self.moment_rows = np.arange(P) * R
+        F = _WORDS + n_words + n_objects + R
+        self.counts = np.zeros((P, K, F), dtype=int)
+        self.moments = np.zeros((1 + _DIM + _DIM * _DIM, P, R))
+        self.assignments = np.zeros((P, T), dtype=int)
+        self.count_rows = (np.arange(P) * (K * F))[:, None]
+        self.moment_rows = (np.arange(len(self.moments)) * (P * R))[:, None] + np.arange(P) * R
 
     def take(self, index) -> "_Batch":
         """Particles at ``index``: an index array resamples, an int selects one particle."""
         out = _Batch.__new__(_Batch)
-        for name in self._STATE:
-            setattr(out, name, getattr(self, name)[index])
+        out.counts, out.assignments = self.counts[index], self.assignments[index]
+        out.moments = self.moments.take(index, axis=1)
         out.count_rows, out.moment_rows = self.count_rows, self.moment_rows
         return out
 
     def add(self, cells: np.ndarray, s: _SessionStats, sign: int = 1) -> None:
-        """Add ``s`` to particle i at cell (concept, region) ``cells[i]``; ``sign=-1`` removes it."""
-        F = self.counts.shape[2]
+        """Add ``s`` to particle i at cell ``cells[i]``; ``sign=-1`` removes it."""
         vals, moments = (s.vals, s.moments) if sign > 0 else (s.neg_vals, s.neg_moments)
-        # Both arrays are C-contiguous, so reshape gives views; one flat index is cheapest.
-        index = ((self.count_rows + cells[:, 0]) * F)[:, None] + s.cols
-        index[:, -1] += cells[:, 1]  # the link column of region 0, shifted to the cell's region
-        self.counts.reshape(-1)[index] += vals
-        self.moments.reshape(-1, self.moments.shape[-1])[self.moment_rows + cells[:, 1]] += moments
+        self.counts.reshape(-1)[self.count_rows + s.cell_cols[cells]] += vals
+        self.moments.reshape(-1)[self.moment_rows + cells % self.moments.shape[2]] += moments
 
 
 class _Tables:
@@ -152,14 +168,15 @@ class _Tables:
         const = gammaln(half) - gammaln(df / 2.0) - np.log(df) - math.log(math.pi)
         self.region = np.stack([kappa_n, df, np.maximum(n, 1.0), hp.kappa * n / kappa_n,
                                 factor, half, const])
-        self.m0 = hp.m0_array
+        # The prior vectors as columns, broadcast along the moment planes.
+        self.m0 = hp.m0_array.reshape(_DIM, 1, 1)
         self.kappa_m0 = hp.kappa * self.m0
-        self.v0 = hp.V0_array.ravel()
+        self.v0 = hp.V0_array.reshape(_DIM * _DIM, 1, 1)
 
         # Sweep tables.  Per region count: 1 / kappa_n and the Student-t constants with the
         # scale factor folded in (det(f V) = f^2 det V, so log f moves into the constant).
         self.sweep_region = np.stack([1.0 / kappa_n, const - np.log(factor), 1.0 / (factor * df), half])
-        self.v0_m0 = self.v0 + hp.kappa * np.outer(self.m0, self.m0).ravel()
+        self.v0_m0 = self.v0 + hp.kappa * _outer(self.m0, self.m0)
         # One row per term, indexed by a count: the concept prior over the link normaliser,
         # per session total m the DM mass terms, per token count c the rising factorials.
         # Row 0 of each block is the empty term; it is never computed, since with an empty
@@ -184,10 +201,17 @@ class _Tables:
         ]
         starts = np.cumsum([0] + [len(b) for b in blocks])
         self.sweep = np.concatenate([row for b in blocks for row in b])
+        # A cell's count columns: concept k's row offset plus the session's columns, the
+        # link column shifted from region 0 to the cell's region.
+        F = _WORDS + n_words + n_objects + R
+        concept_rows = np.repeat(np.arange(K) * F, R)[:, None]
+        link_shift = np.tile(np.arange(R), K)
         for s in stats:
             rows = np.concatenate(([0, starts[1] + s.word_total, starts[2] + s.obj_total],
                                    starts[3] + s.word_cnt, starts[4] + s.obj_cnt))
             s.sweep_index = rows * len(n)
+            s.cell_cols = concept_rows + s.cols
+            s.cell_cols[:, -1] += link_shift
 
 
 def _dirichlet_multinomial_log(counts: np.ndarray, total_col: int, cols: np.ndarray,
@@ -204,16 +228,15 @@ def _dirichlet_multinomial_log(counts: np.ndarray, total_col: int, cols: np.ndar
 
 def _niw_posterior(moments: np.ndarray, t: _Tables):
     """Region-table rows of each region's count, NIW posterior mean m_n and flattened
-    scale V_n, from moment sums of a batch or of one particle taken from it."""
-    region = t.region.take(moments[..., 0].astype(int), axis=1)
+    scale V_n, component-major, from the (7, P, R) moment sums of a batch."""
+    n, xsum = moments[0], moments[1:1 + _DIM]
+    region = t.region.take(n.astype(int), axis=1)
     kappa_n, _, safe, shrink = region[:4]
-    n, xsum = moments[..., 0], moments[..., 1:1 + _DIM]
-    xbar = xsum / safe[..., None]
-    flat = xbar.shape[:-1] + (_DIM * _DIM,)
-    scatter = moments[..., 1 + _DIM:] - n[..., None] * (xbar[..., :, None] * xbar[..., None, :]).reshape(flat)
-    m_n = (t.kappa_m0 + xsum) / kappa_n[..., None]
+    xbar = xsum / safe
+    scatter = moments[1 + _DIM:] - n * _outer(xbar, xbar)
+    m_n = (t.kappa_m0 + xsum) / kappa_n
     dev = xbar - t.m0
-    V_n = t.v0 + scatter + shrink[..., None] * (dev[..., :, None] * dev[..., None, :]).reshape(flat)
+    V_n = t.v0 + scatter + shrink * _outer(dev, dev)
     return region, m_n, V_n
 
 
@@ -221,12 +244,10 @@ def _position_log_predictive(moments: np.ndarray, x: np.ndarray, t: _Tables) -> 
     """Student-t log predictive of ``x`` under each region's NIW posterior."""
     region, m_n, V_n = _niw_posterior(moments, t)
     _, df, _, _, factor, half, const = region
-    scale = V_n * factor[..., None]
-    det = scale[..., 0] * scale[..., 3] - scale[..., 1] * scale[..., 2]
-    dev = x - m_n
-    quad = (scale[..., 3] * dev[..., 0] ** 2
-            - 2.0 * scale[..., 1] * dev[..., 0] * dev[..., 1]
-            + scale[..., 0] * dev[..., 1] ** 2) / det
+    s00, s01, s10, s11 = V_n * factor
+    det = s00 * s11 - s01 * s10
+    d0, d1 = x[:, None, None] - m_n
+    quad = (s11 * d0 ** 2 - 2.0 * s01 * d0 * d1 + s00 * d1 ** 2) / det
     return const - 0.5 * np.log(det) - half * np.log1p(quad / df)
 
 
@@ -235,7 +256,7 @@ def _log_grid(p: _Batch, s: _SessionStats, t: _Tables) -> np.ndarray:
     n_k = p.counts[..., _CONCEPT]
     # Every particle holds the same sessions, so all share one concept total.
     log_pc = t.log_alpha[n_k] - math.log(n_k[0].sum() + t.k_alpha)
-    log_pr = t.log_gamma[p.counts[..., -p.moments.shape[1]:]] - t.log_r_gamma[n_k][..., None]
+    log_pr = t.log_gamma[p.counts[..., -p.moments.shape[2]:]] - t.log_r_gamma[n_k][..., None]
     log_words = _dirichlet_multinomial_log(p.counts, _WORD_TOTAL, s.word_cols, s.word_cnt,
                                            s.word_total, *t.words)
     log_objects = _dirichlet_multinomial_log(p.counts, _OBJ_TOTAL, s.obj_cols, s.obj_cnt,
@@ -251,15 +272,12 @@ def _sweep_grid(p: _Batch, s: _SessionStats, t: _Tables) -> np.ndarray:
     with a = kappa m0 + sum x, which needs no sample mean."""
     counts, moments = p.counts, p.moments
     log_concept = t.sweep.take(counts[..., s.cols[:-1]] + s.sweep_index).sum(axis=-1)
-    log_link = t.log_gamma.take(counts[..., -moments.shape[1]:])
-    inv_kappa_n, const, inv_scale_df, half = t.sweep_region.take(moments[..., 0].astype(int), axis=1)
-    a = moments[..., 1:1 + _DIM] + t.kappa_m0
-    m_n = a * inv_kappa_n[..., None]
-    outer = (a[..., :, None] * m_n[..., None, :]).reshape(a.shape[:-1] + (_DIM * _DIM,))
-    V = moments[..., 1 + _DIM:] + t.v0_m0 - outer
-    v00, v01, v10, v11 = V[..., 0], V[..., 1], V[..., 2], V[..., 3]
-    dev = s.x - m_n
-    d0, d1 = dev[..., 0], dev[..., 1]
+    log_link = t.log_gamma.take(counts[..., -moments.shape[2]:])
+    inv_kappa_n, const, inv_scale_df, half = t.sweep_region.take(moments[0].astype(int), axis=1)
+    a = moments[1:1 + _DIM] + t.kappa_m0
+    m_n = a * inv_kappa_n
+    v00, v01, v10, v11 = moments[1 + _DIM:] + t.v0_m0 - _outer(a, m_n)
+    d0, d1 = s.x[:, None, None] - m_n
     det = v00 * v11 - v01 * v10
     quad = (v11 * d0 * d0 - 2.0 * v01 * d0 * d1 + v00 * d1 * d1) / det
     log_pos = const - 0.5 * np.log(det) - half * np.log1p(quad * inv_scale_df)
@@ -286,10 +304,10 @@ def _logsumexp_shifted(a: np.ndarray, a_max: np.ndarray, e: np.ndarray) -> np.nd
     return (np.log1p(s / m) + np.log(m) + a_max).squeeze(-1)
 
 
-def _sample_grid(e: np.ndarray, u: np.ndarray, cells: np.ndarray, n_regions: int) -> None:
-    """Write one (concept, region) cell per particle into the rows of ``cells``, by
-    inverse CDF on the uniforms ``u``.  Row i of ``e`` is particle i's flattened (K, R)
-    grid after ``_shifted_exp``.
+def _sample_grid(e: np.ndarray, u: np.ndarray, cells: np.ndarray) -> None:
+    """Write one flat cell ``k * R + r`` per particle into ``cells``, by inverse CDF on
+    the uniforms ``u``.  Row i of ``e`` is particle i's flattened (K, R) grid after
+    ``_shifted_exp``.
 
     The arithmetic is that of ``Generator.choice(n, p=probs)``, so a draw of
     ``u[i]`` picks exactly the cell that call would pick with the same uniform.
@@ -297,8 +315,7 @@ def _sample_grid(e: np.ndarray, u: np.ndarray, cells: np.ndarray, n_regions: int
     probs = e / e.sum(axis=1, keepdims=True)
     cdf = probs.cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    idx = (cdf <= u[:, None]).sum(axis=1)
-    np.divmod(idx, n_regions, out=(cells[:, 0], cells[:, 1]))
+    (cdf <= u[:, None]).sum(axis=1, out=cells)
 
 
 def _systematic_resample(log_w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -358,7 +375,7 @@ def learn_fixed_lag(
         top, e = _shifted_exp(grid)  # one exp serves the weight increment and the draw
         log_w += _logsumexp_shifted(grid, top, e)
         cells = batch.assignments[:, t]
-        _sample_grid(e, rng.random(n_particles), cells, num_regions)
+        _sample_grid(e, rng.random(n_particles), cells)
         batch.add(cells, s)
 
         # One Gibbs sweep over the lag window keeps recent assignments mobile.
@@ -369,7 +386,7 @@ def learn_fixed_lag(
             cells = batch.assignments[:, tau]
             batch.add(cells, stats[tau], sign=-1)
             grid = _sweep_grid(batch, stats[tau], tables).reshape(n_particles, -1)
-            _sample_grid(_shifted_exp(grid)[1], u[:, j], cells, num_regions)
+            _sample_grid(_shifted_exp(grid)[1], u[:, j], cells)
             batch.add(cells, stats[tau])
 
         log_w = log_w - _logsumexp(log_w)
@@ -385,7 +402,7 @@ def learn_fixed_lag(
 
 def _posterior_mean_model(p: _Batch, t: _Tables, hp: Hyperparameters, seed: int,
                           vocab_places: list[str], vocab_objects: list[str]) -> SpatialConceptModel:
-    R, n_words, n_objects = len(p.moments), len(vocab_places), len(vocab_objects)
+    R, n_words, n_objects = p.moments.shape[1], len(vocab_places), len(vocab_objects)
     n_k = p.counts[:, _CONCEPT]
     pi = (n_k + hp.alpha) / (n_k.sum() + t.k_alpha)
     word_dist = ((p.counts[:, _WORDS:_WORDS + n_words] + hp.beta)
@@ -394,8 +411,9 @@ def _posterior_mean_model(p: _Batch, t: _Tables, hp: Hyperparameters, seed: int,
                    / (p.counts[:, _OBJ_TOTAL, None] + n_objects * hp.chi))
     region_dist = (p.counts[:, -R:] + hp.gamma) / (n_k[:, None] + R * hp.gamma)
 
-    _, means, V_n = _niw_posterior(p.moments, t)
-    nu_n = hp.nu0 + p.moments[:, 0]
+    _, means, V_n = _niw_posterior(p.moments[:, None], t)  # as a batch of one
+    means, V_n = means[:, 0].T, V_n[:, 0].T
+    nu_n = hp.nu0 + p.moments[0]
     # The posterior-mean covariance needs nu_n > dim+1; empty regions fall
     # back to the inverse-Wishart mode, which is always defined.
     denom = nu_n - _DIM - 1.0

@@ -226,11 +226,15 @@ class World:
         except KeyError:
             raise PlanningError(f"unknown robot {robot_id!r}") from None
 
-    def known_location(self, name: str) -> bool:
-        return name == GATHER or self.env.has_room(name)
-
-    def _location_floor(self, name: str, robot: RobotState) -> str:
-        return robot.floor if name == GATHER else self.env.floor_of_room(name)
+    def location_floor(self, name: str, robot: RobotState) -> str | None:
+        """The floor of location ``name`` for ``robot``: ``gather`` is on every floor.
+        None for an unknown name."""
+        if name == GATHER:
+            return robot.floor
+        try:
+            return self.env.room(name).floor
+        except UnknownRoomError:
+            return None
 
     def step_skill(self, robot_id: str, skill: str, argument: str) -> SkillOutcome:
         robot = self.robot(robot_id)
@@ -246,9 +250,10 @@ class World:
         raise PlanningError(f"unknown skill {skill!r}; expected one of {SKILLS}")
 
     def _navigate(self, robot: RobotState, room: str, rng) -> SkillOutcome:
-        if not self.known_location(room):
+        floor = self.location_floor(room, robot)
+        if floor is None:
             raise UnknownRoomError(f"unknown room {room!r}")
-        if self._location_floor(room, robot) != robot.floor:
+        if floor != robot.floor:
             return _FLOOR_BARRIER
         if rng.random() < robot.p_navigate:
             robot.current_room = room
@@ -280,7 +285,7 @@ class World:
         return _GRASP_FAILED
 
     def _place(self, robot: RobotState, location: str, rng) -> SkillOutcome:
-        if not self.known_location(location):
+        if self.location_floor(location, robot) is None:
             raise UnknownRoomError(f"unknown room {location!r}")
         if robot.held_object is None:
             return _NO_OBJECT_HELD

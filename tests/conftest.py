@@ -1,9 +1,10 @@
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from homeplan.errors import HomeplanError, PlanningError, UnknownRoomError
+from homeplan.errors import FloorAccessError, HomeplanError, PlanningError, UnknownRoomError
 from homeplan.executor import (
     SUBTASK_FAILED,
     SUBTASK_SUCCEEDED,
@@ -53,10 +54,10 @@ class ScriptedWorld:
         self.outcomes = list(outcomes)
 
     def robot(self, robot_id):
-        return None
+        return SimpleNamespace(robot_id=robot_id, floor="scripted")
 
-    def known_location(self, name):
-        return True
+    def location_floor(self, name, robot):
+        return robot.floor  # every location is reachable
 
     def step_skill(self, robot_id, skill, argument):
         return self.outcomes.pop(0)
@@ -115,18 +116,24 @@ def _reference_subtask_machine(target, room_order, destination, retries):
     return (SUBTASK_FAILED, rooms_visited)
 
 
+def _reference_reachable(world, robot, name, what):
+    if name != GATHER and not world.env.has_room(name):
+        raise UnknownRoomError(f"unknown {what}")
+    floor = robot.floor if name == GATHER else world.env.room(name).floor
+    if floor != robot.floor:
+        raise FloorAccessError(f"{what} is on floor {floor!r}, robot {robot.robot_id!r} is on {robot.floor!r}")
+
+
 def _reference_setup(world, assignment, kb, policy):
-    world.robot(assignment.robot_id)
+    robot = world.robot(assignment.robot_id)
     destination = assignment.subtask.destination or GATHER
-    if not world.known_location(destination):
-        raise UnknownRoomError(f"unknown destination {destination!r}")
+    _reference_reachable(world, robot, destination, f"destination {destination!r}")
     target = assignment.subtask.target_object
     if kb is None or target not in kb.presence_table:
         raise PlanningError(f"object {target!r} is not in the knowledge base")
     room_order = search_order(kb, target)
     for room in room_order:
-        if not world.known_location(room):
-            raise UnknownRoomError(f"unknown room {room!r} in search order")
+        _reference_reachable(world, robot, room, f"room {room!r} in search order")
     machine = _reference_subtask_machine(target, room_order, destination, policy.max_retries_per_skill)
     return machine, ReferenceTrace(robot_id=assignment.robot_id, target_object=target)
 

@@ -161,6 +161,17 @@ def test_run_command_emits_jsonl(tmp_path, kb_files, capsys):
     assert records[0]["argument"] == "kitchen"
 
 
+def test_run_rejects_a_destination_the_robot_cannot_reach(tmp_path, kb_files, capsys):
+    assignments_path = tmp_path / "assignments.json"
+    assignments_path.write_text(json.dumps(
+        [{"verb": "bring", "target_object": "apple", "destination": "child_room", "robot_id": "Robot1"}]))
+    out_path = tmp_path / "trace.jsonl"
+    assert main(["run", "--kb", *kb_files, "--assignments", str(assignments_path), "--seed", "7",
+                 "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: assignment 0: destination 'child_room' is on floor '2F'")
+    assert not out_path.exists()
+
+
 def test_allocate_output_runs_as_assignments(tmp_path, kb_files, capsys):
     assignments_path = tmp_path / "a.json"
     assert main(["allocate", "--kb", *kb_files, "--out", str(assignments_path),

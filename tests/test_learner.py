@@ -283,13 +283,13 @@ def _random_stats(rng, n, places, objects):
 
 def _per_particle(batch, i, n_words, n_objects):
     """Particle ``i`` of a stacked batch in the per-particle layout the reference reads."""
-    counts, moments = batch.counts[i].astype(float), batch.moments[i]
-    R, objects = moments.shape[0], _WORDS + n_words
+    counts, moments = batch.counts[i].astype(float), batch.moments[:, i]
+    R, objects = moments.shape[1], _WORDS + n_words
     return SimpleNamespace(
         concept_counts=counts[:, 0], word_totals=counts[:, 1], object_totals=counts[:, 2],
         word_counts=counts[:, _WORDS:objects], object_counts=counts[:, objects:objects + n_objects],
-        link_counts=counts[:, -R:], pos_n=moments[:, 0], pos_sum=moments[:, 1:3],
-        pos_outer=moments[:, 3:].reshape(R, 2, 2))
+        link_counts=counts[:, -R:], pos_n=moments[0], pos_sum=moments[1:3].T,
+        pos_outer=moments[3:].T.reshape(R, 2, 2))
 
 
 def _vocabulary_indexed(s, n_words):
@@ -302,7 +302,7 @@ def _vocabulary_indexed(s, n_words):
 def _assert_grids_match_reference(batch, tables, stats, hp, n_words, n_objects):
     """Both kernels against the reference: ``_log_grid`` exactly, ``_sweep_grid`` once the
     per-particle constant it leaves out, log(N + K alpha) of the concept prior, is added."""
-    P, K, R = len(batch.counts), batch.counts.shape[1], batch.moments.shape[1]
+    P, K, R = len(batch.counts), batch.counts.shape[1], batch.moments.shape[2]
     left_out = math.log(batch.counts[0, :, 0].sum() + K * hp.alpha)
     for s in stats:
         grid = _log_grid(batch, s, tables)
@@ -325,14 +325,14 @@ def _random_batch(case):
     hp = Hyperparameters(alpha=float(rng.uniform(0.2, 3.0)), gamma=float(rng.uniform(0.2, 3.0)),
                          beta=float(rng.uniform(0.05, 1.0)), chi=float(rng.uniform(0.05, 1.0)))
     stats = _random_stats(rng, int(rng.integers(1, 25)), places, objects)
+    # Sessions still in the batch are rescored too, which can reach twice a learn's counts.
+    tables = _Tables(hp, K, R, len(places), len(objects), stats * 2)
     batch = _Batch(P, K, R, len(places), len(objects), len(stats))
     for t, s in enumerate(stats):
-        batch.assignments[:, t] = np.stack([rng.integers(0, K, P), rng.integers(0, R, P)], axis=1)
+        batch.assignments[:, t] = rng.integers(0, K, P) * R + rng.integers(0, R, P)
         batch.add(batch.assignments[:, t], s)
     # Take one session out again, as a Gibbs step does before rescoring it.
     batch.add(batch.assignments[:, 0], stats[0], sign=-1)
-    # Sessions still in the batch are rescored too, which can reach twice a learn's counts.
-    tables = _Tables(hp, K, R, len(places), len(objects), stats * 2)
     return batch, tables, stats, hp, len(places), len(objects)
 
 
@@ -343,7 +343,7 @@ def test_batched_grid_matches_per_particle_reference(case):
 
 def _draw(grid, u, cells):
     """Sample a (P, K, R) log grid as the learner does."""
-    _sample_grid(_shifted_exp(grid.reshape(len(grid), -1))[1], u, cells, grid.shape[-1])
+    _sample_grid(_shifted_exp(grid.reshape(len(grid), -1))[1], u, cells)
 
 
 @pytest.mark.parametrize("case", range(12))
@@ -351,7 +351,7 @@ def test_both_kernels_sample_the_same_cells(case):
     batch, tables, stats, *_ = _random_batch(case)
     P = len(batch.counts)
     u = np.random.default_rng(100 + case).random((len(stats), P))
-    exact, swept = np.empty((P, 2), dtype=int), np.empty((P, 2), dtype=int)
+    exact, swept = np.empty(P, dtype=int), np.empty(P, dtype=int)
     for s, u_s in zip(stats, u):
         _draw(_log_grid(batch, s, tables), u_s, exact)
         _draw(_sweep_grid(batch, s, tables), u_s, swept)
@@ -368,8 +368,8 @@ def test_saturated_grid_reads_the_largest_table_index():
     tables = _Tables(hp, 1, 1, 1, 1, stats)
     batch = _Batch(3, 1, 1, 1, 1, len(stats))
     for s in stats:
-        batch.add(np.zeros((3, 2), dtype=int), s)
-    batch.add(np.zeros((3, 2), dtype=int), stats[-1], sign=-1)
+        batch.add(np.zeros(3, dtype=int), s)
+    batch.add(np.zeros(3, dtype=int), stats[-1], sign=-1)
     s = stats[-1]
     assert batch.counts[0, 0, _OBJ_TOTAL] + s.obj_total == len(tables.objects[1]) - 1 == 4 * len(stats)
     _assert_grids_match_reference(batch, tables, [s], hp, 1, 1)
@@ -387,11 +387,62 @@ def test_sweep_tables_stay_finite_without_objects(objects):
     assert np.isfinite(tables.sweep).all()
     batch = _Batch(4, 2, 3, 2, len(objects), len(stats))
     for t, s in enumerate(stats):
-        batch.assignments[:, t] = [[t % 2, t % 3]] * 4
+        batch.assignments[:, t] = (t % 2) * 3 + t % 3
         batch.add(batch.assignments[:, t], s)
     batch.add(batch.assignments[:, 0], stats[0], sign=-1)
     _assert_grids_match_reference(batch, tables, stats, hp, 2, len(objects))
     learn_fixed_lag(sessions, hp, seed=0, num_concepts=2, num_regions=3).validate()
+
+
+def _recount(batch, stats, K, R, n_words, n_objects):
+    """Counts and moment sums of every particle, summed afresh from its assignments."""
+    P = len(batch.assignments)
+    counts = np.zeros((P, K, _WORDS + n_words + n_objects + R), dtype=int)
+    moments = np.zeros((7, P, R))
+    for i in range(P):
+        for s, cell in zip(stats, batch.assignments[i]):
+            k, r = divmod(int(cell), R)
+            row = counts[i, k]
+            row[:_WORDS] += [1, s.word_total, s.obj_total]
+            row[s.word_cols] += s.word_cnt
+            row[s.obj_cols] += s.obj_cnt
+            row[_WORDS + n_words + n_objects + r] += 1
+            x0, x1 = s.x
+            moments[:, i, r] += [1.0, x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1]
+    return counts, moments
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_batch_stays_a_recount_of_its_assignments_through_resampling(case):
+    # Every array is updated through a flat view: a resample that left one of them
+    # not C-contiguous would make later adds write to a copy and vanish.
+    rng = np.random.default_rng(300 + case)
+    P, K, R = int(rng.integers(2, 8)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    places = [f"w{i}" for i in range(int(rng.integers(1, 5)))]
+    objects = [f"o{i}" for i in range(int(rng.integers(0, 5)))]
+    stats = _random_stats(rng, int(rng.integers(4, 20)), places, objects)
+    _Tables(Hyperparameters(), K, R, len(places), len(objects), stats)
+    batch = _Batch(P, K, R, len(places), len(objects), len(stats))
+
+    def add_then_move(batch, start, stop):
+        """Add sessions start..stop-1 at random cells, then move random sessions added so far."""
+        for t in range(start, stop):
+            batch.assignments[:, t] = rng.integers(0, K * R, P)
+            batch.add(batch.assignments[:, t], stats[t])
+        for t in rng.integers(0, stop, 2 * (stop - start)):
+            batch.add(batch.assignments[:, t], stats[t], sign=-1)
+            batch.assignments[:, t] = rng.integers(0, K * R, P)
+            batch.add(batch.assignments[:, t], stats[t])
+
+    half = len(stats) // 2
+    add_then_move(batch, 0, half)
+    batch = batch.take(rng.integers(0, P, P))
+    add_then_move(batch, half, len(stats))
+    for array in (batch.counts, batch.moments, batch.assignments):
+        assert array.flags.c_contiguous
+    counts, moments = _recount(batch, stats, K, R, len(places), len(objects))
+    np.testing.assert_array_equal(batch.counts, counts)
+    np.testing.assert_allclose(batch.moments, moments, rtol=1e-12, atol=1e-12)
 
 
 def _bits(x):
@@ -413,13 +464,13 @@ def test_logsumexp_is_scipys_bit_for_bit():
 def test_batched_sampling_picks_what_generator_choice_picks():
     rng = np.random.default_rng(3)
     grid = rng.normal(scale=3.0, size=(9, 4, 5))
-    cells = np.empty((9, 2), dtype=int)
+    cells = np.empty(9, dtype=int)
     _draw(grid, np.random.default_rng(11).random(9), cells)
     sequential = np.random.default_rng(11)
     for i in range(9):
         probs = np.exp(grid[i].ravel() - grid[i].max())
         probs /= probs.sum()
-        assert tuple(cells[i]) == divmod(int(sequential.choice(20, p=probs)), 5)
+        assert cells[i] == sequential.choice(20, p=probs)
 
 
 def _assert_documents_close(actual, expected, path="model"):
