@@ -63,9 +63,6 @@ class ExecutionTrace:
         """Where each successful navigation arrived, in order."""
         return [s.argument for s in self.steps if s.skill == "navigation" and s.outcome.succeeded]
 
-    def skill_sequence(self) -> list[tuple[str, str]]:
-        return [(s.skill, s.argument) for s in self.steps]
-
 
 def search_order(kb: KnowledgeBase, target: str) -> list[str]:
     """Rooms in descending presence probability for the target object; ties keep

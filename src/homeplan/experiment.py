@@ -328,22 +328,6 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
                        elapsed_seconds=time.monotonic() - started)
 
 
-def random_allocation_totals(env: Environment, instructions: dict[str, list[Instruction]],
-                             robot_ids: list[str], floor_of_robot: dict[str, str],
-                             repetitions: int, seed: int = 0) -> np.ndarray:
-    """Suite totals for many seeded repetitions of the random baseline."""
-    object_vocab = sorted(env.placements)
-    all_subtasks: list[Subtask] = []
-    for instrs in instructions.values():
-        for instr in instrs:
-            all_subtasks.extend(decompose(instr, object_vocab))
-    totals = np.zeros(repetitions, dtype=int)
-    for rep in range(repetitions):
-        assignments = allocate_random(all_subtasks, robot_ids, seed=seed + rep)
-        totals[rep] = sum(score_allocations(assignments, env, floor_of_robot))
-    return totals
-
-
 def run_field_trip_scenario(seed: int = 0) -> dict:
     """Scripted two-zone demonstration for "Get ready for a field trip.".
 

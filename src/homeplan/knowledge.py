@@ -3,16 +3,15 @@
 A robot's knowledge base holds two things extracted from its learned model:
 per-region lists of high-probability place words, and a presence table
 mapping each object label to a probability row over the robot's rooms.
-Renderers emit the prompt-component text blocks consumed by the planner;
-parsers invert the two table-like blocks for round-trip checks.  ``PROMPTS``
-maps each component kind to the text it renders from the knowledge bases.
+Renderers emit the prompt-component text blocks consumed by the planner.
+``PROMPTS`` maps each component kind to the text it renders from the
+knowledge bases.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -151,20 +150,6 @@ def render_place_vocab(kb: KnowledgeBase) -> str:
     return "\n".join(lines)
 
 
-_PLACE_LINE = re.compile(r"^place(\d+): \[(.*)\]$")
-
-
-def parse_place_vocab(text: str) -> list[list[str]]:
-    """Invert :func:`render_place_vocab`, returning the per-region word lists."""
-    out = []
-    for line in text.splitlines():
-        m = _PLACE_LINE.match(line.strip())
-        if m:
-            body = m.group(2)
-            out.append([w for w in body.split(", ") if w] if body else [])
-    return out
-
-
 def format_probability(p: float) -> str:
     """Up to four decimals with trailing zeros trimmed: 0.0100 -> "0.01"."""
     s = f"{p:.4f}".rstrip("0")
@@ -201,57 +186,12 @@ def render_presence_table(kbs: list[KnowledgeBase]) -> str:
 def _check_presence_row(obj: str, row) -> None:
     """SchemaError unless ``row`` is a list of finite non-negative numbers with a finite sum.
 
-    Both loaders of presence rows, the knowledge document and the rendered table, run it.
+    The knowledge-document loader runs it, and so does the tests' parser of rendered tables.
     """
     if not (isinstance(row, list) and all(is_finite_real(v) and v >= 0 for v in row)
             and is_finite_real(sum(row))):
         raise SchemaError(f"presence row for {obj!r} must be a list of finite non-negative numbers "
                           "with a finite sum")
-
-
-_ROW_LINE = re.compile(r"^(\S+) = \[(.*)\]$")
-_ROOMS_LINE = re.compile(r"^\[(.*)\]$")
-
-
-def parse_presence_table(text: str) -> list[KnowledgeBase]:
-    """Invert :func:`render_presence_table`.
-
-    Rows are renormalized to absorb rendering precision; the place vocabulary
-    is not part of this block, so parsed bases carry empty vocab lists.
-    """
-    kbs = []
-    for block in text.split(_DIVIDER):
-        lines = [ln.strip() for ln in block.strip().splitlines() if ln.strip()]
-        if len(lines) < 3:
-            raise SchemaError("presence table block too short")
-        robot_id = lines[0]
-        if "List of probabilities" not in lines[1]:
-            raise SchemaError(f"missing table title in block for {robot_id!r}")
-        rooms_match = _ROOMS_LINE.match(lines[2])
-        if not rooms_match:
-            raise SchemaError(f"missing room-name line in block for {robot_id!r}")
-        rooms = [r for r in rooms_match.group(1).split(", ") if r]
-        presence = {}
-        for line in lines[3:]:
-            m = _ROW_LINE.match(line)
-            if not m:
-                raise SchemaError(f"unparseable presence row: {line!r}")
-            try:
-                row = [float(v) for v in m.group(2).split(", ")]
-            except ValueError:
-                raise SchemaError(f"non-numeric presence row: {line!r}") from None
-            _check_presence_row(m.group(1), row)
-            values = np.array(row)
-            if values.sum() > 0:
-                values = values / values.sum()
-            presence[m.group(1)] = values.tolist()
-        kbs.append(KnowledgeBase(
-            robot_id=robot_id,
-            room_names=rooms,
-            place_vocab=[[] for _ in rooms],
-            presence_table=presence,
-        ))
-    return kbs
 
 
 def render_objects(kbs: list[KnowledgeBase]) -> str:

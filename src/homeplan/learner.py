@@ -9,25 +9,19 @@ integers: its sessions, word and object totals, word and object counts, and
 its links to regions.  ``moments`` (7, P, R) holds each region's
 normal-inverse-Wishart moment sums component-major: n, the two position sums
 and the four sums of outer products, each a contiguous (P, R) plane that the
-kernels read without striding.  Adding or removing a session is one indexed
+kernel reads without striding.  Adding or removing a session is one indexed
 update of each.
 
-Two kernels score a session over the (concept, region) cells.  ``_log_grid``
-is the exact collapsed conditional: every term that depends on an integer
-count alone (log-gamma and log of a count plus a concentration, and a
-region's NIW and Student-t constants) is tabulated once per learn
-(``_Tables``) and looked up, each entry the expression it replaces, so its
-grids are bit-for-bit those computed term by term.  It scores arriving
-sessions: the conditional doubles as the optimal proposal, and its
-log-sum-exp, the predictive marginal, is the particle weight increment.
-``_sweep_grid`` rescores the sessions of the lag window in the Gibbs sweep,
-one sweep per step, sequential over the window and parallel over particles.
-A sweep draw only needs its target up to a constant, so this kernel drops the
-concept prior's normaliser, reads every count-only term as one fused table
-difference and needs about half the numpy calls; it equals the exact grid
-to rounding.  The weights keep the exact kernel because their last bits
-decide resampling and which of two tied particles is returned, and because
-the weight increment must be a normalized log conditional.
+One kernel, ``_sweep_grid``, scores a session over the (concept, region)
+cells.  Every term that depends on an integer count alone is one row of a
+fused table built once per learn (``_Tables``), so a grid is a few lookups
+plus the Student-t position term.  It leaves out the concept prior's
+normaliser log(N + K alpha), which is the same for every particle and cell.
+The Gibbs sweep over the lag window, sequential over the window and parallel
+over particles, draws from it as it is.  An arriving session's grid is the
+kernel minus that normaliser, the collapsed log conditional: it doubles as
+the optimal proposal, and its log-sum-exp, the predictive marginal, is the
+particle weight increment.
 
 Particles are systematically resampled, by one fancy-index of each array of
 the stacked state on its particle axis, when the effective sample size drops
@@ -139,10 +133,7 @@ class _Batch:
 
 class _Tables:
     """Every grid term that depends on one integer count alone, indexed by that count, and
-    the prior constants.  Each entry of the exact grid's tables is ``_log_grid``'s own
-    expression in the same order, so a lookup is bit-for-bit the computed value;
-    differences of two terms would round otherwise.  The sweep's tables hold those
-    differences, fused, as ``_sweep_grid`` reads them."""
+    the prior constants, built once per learn as ``_sweep_grid`` reads them."""
 
     def __init__(self, hp: Hyperparameters, K: int, R: int, n_words: int, n_objects: int,
                  stats: list[_SessionStats]):
@@ -153,30 +144,20 @@ class _Tables:
         # The largest count a learn of ``stats`` reaches: every session, word or object in one column.
         n_max = max(len(stats), sum(s.word_total for s in stats), sum(s.obj_total for s in stats))
         n = np.arange(n_max + 1, dtype=float)
-        self.log_alpha = np.log(n + hp.alpha)
         self.log_gamma = np.log(n + hp.gamma)
-        self.log_r_gamma = np.log(n + R * hp.gamma)
         self.k_alpha = K * hp.alpha
-        self.words = (gammaln(n + hp.beta), gammaln(n + n_words * hp.beta))
-        self.objects = (gammaln(n + hp.chi), gammaln(n + n_objects * hp.chi))
-        # Per region count: kappa_n, df, max(n, 1), shrink, scale factor, (df + 2) / 2, t constant.
+        # Per region count: 1 / kappa_n and the Student-t constants with the scale factor
+        # folded in (det(f V) = f^2 det V, so log f moves into the constant).
         kappa_n = hp.kappa + n
-        nu_n = hp.nu0 + n
-        df = nu_n - _DIM + 1.0
+        df = hp.nu0 + n - _DIM + 1.0
         half = (df + _DIM) / 2.0
         factor = (kappa_n + 1.0) / (kappa_n * df)
         const = gammaln(half) - gammaln(df / 2.0) - np.log(df) - math.log(math.pi)
-        self.region = np.stack([kappa_n, df, np.maximum(n, 1.0), hp.kappa * n / kappa_n,
-                                factor, half, const])
-        # The prior vectors as columns, broadcast along the moment planes.
-        self.m0 = hp.m0_array.reshape(_DIM, 1, 1)
-        self.kappa_m0 = hp.kappa * self.m0
-        self.v0 = hp.V0_array.reshape(_DIM * _DIM, 1, 1)
-
-        # Sweep tables.  Per region count: 1 / kappa_n and the Student-t constants with the
-        # scale factor folded in (det(f V) = f^2 det V, so log f moves into the constant).
         self.sweep_region = np.stack([1.0 / kappa_n, const - np.log(factor), 1.0 / (factor * df), half])
-        self.v0_m0 = self.v0 + hp.kappa * _outer(self.m0, self.m0)
+        # The prior as columns, broadcast along the moment planes.
+        m0 = hp.m0_array.reshape(_DIM, 1, 1)
+        self.kappa_m0 = hp.kappa * m0
+        self.v0_m0 = hp.V0_array.reshape(_DIM * _DIM, 1, 1) + hp.kappa * _outer(m0, m0)
         # One row per term, indexed by a count: the concept prior over the link normaliser,
         # per session total m the DM mass terms, per token count c the rising factorials.
         # Row 0 of each block is the empty term; it is never computed, since with an empty
@@ -189,7 +170,7 @@ class _Tables:
 
         word_mass, obj_mass = n_words * hp.beta, n_objects * hp.chi
         blocks = [
-            [self.log_alpha - self.log_r_gamma],
+            [np.log(n + hp.alpha) - np.log(n + R * hp.gamma)],
             block(lambda m: gammaln(n + word_mass) - gammaln(n + m + word_mass),
                   top(s.word_total for s in stats)),
             block(lambda m: gammaln(n + obj_mass) - gammaln(n + m + obj_mass),
@@ -214,62 +195,12 @@ class _Tables:
             s.cell_cols[:, -1] += link_shift
 
 
-def _dirichlet_multinomial_log(counts: np.ndarray, total_col: int, cols: np.ndarray,
-                               cnt: np.ndarray, m: int, table: np.ndarray,
-                               mass_table: np.ndarray) -> np.ndarray | float:
-    """Log predictive of a token multiset under each component's DM posterior."""
-    if m == 0:
-        return 0.0
-    sel = counts[..., cols]
-    totals = counts[..., total_col]
-    return (table[sel + cnt].sum(axis=-1) - table[sel].sum(axis=-1)
-            + mass_table[totals] - mass_table[totals + m])
-
-
-def _niw_posterior(moments: np.ndarray, t: _Tables):
-    """Region-table rows of each region's count, NIW posterior mean m_n and flattened
-    scale V_n, component-major, from the (7, P, R) moment sums of a batch."""
-    n, xsum = moments[0], moments[1:1 + _DIM]
-    region = t.region.take(n.astype(int), axis=1)
-    kappa_n, _, safe, shrink = region[:4]
-    xbar = xsum / safe
-    scatter = moments[1 + _DIM:] - n * _outer(xbar, xbar)
-    m_n = (t.kappa_m0 + xsum) / kappa_n
-    dev = xbar - t.m0
-    V_n = t.v0 + scatter + shrink * _outer(dev, dev)
-    return region, m_n, V_n
-
-
-def _position_log_predictive(moments: np.ndarray, x: np.ndarray, t: _Tables) -> np.ndarray:
-    """Student-t log predictive of ``x`` under each region's NIW posterior."""
-    region, m_n, V_n = _niw_posterior(moments, t)
-    _, df, _, _, factor, half, const = region
-    s00, s01, s10, s11 = V_n * factor
-    det = s00 * s11 - s01 * s10
-    d0, d1 = x[:, None, None] - m_n
-    quad = (s11 * d0 ** 2 - 2.0 * s01 * d0 * d1 + s00 * d1 ** 2) / det
-    return const - 0.5 * np.log(det) - half * np.log1p(quad / df)
-
-
-def _log_grid(p: _Batch, s: _SessionStats, t: _Tables) -> np.ndarray:
-    """Collapsed log conditional over (concept, region) for one session, shape (P, K, R)."""
-    n_k = p.counts[..., _CONCEPT]
-    # Every particle holds the same sessions, so all share one concept total.
-    log_pc = t.log_alpha[n_k] - math.log(n_k[0].sum() + t.k_alpha)
-    log_pr = t.log_gamma[p.counts[..., -p.moments.shape[2]:]] - t.log_r_gamma[n_k][..., None]
-    log_words = _dirichlet_multinomial_log(p.counts, _WORD_TOTAL, s.word_cols, s.word_cnt,
-                                           s.word_total, *t.words)
-    log_objects = _dirichlet_multinomial_log(p.counts, _OBJ_TOTAL, s.obj_cols, s.obj_cnt,
-                                             s.obj_total, *t.objects)
-    log_pos = _position_log_predictive(p.moments, s.x, t)
-    return (log_pc + log_words + log_objects)[..., None] + log_pr + log_pos[..., None, :]
-
-
 def _sweep_grid(p: _Batch, s: _SessionStats, t: _Tables) -> np.ndarray:
-    """``_log_grid`` up to a constant per particle, and to rounding, shape (P, K, R):
-    all that a Gibbs step's inverse-CDF draw reads.  Every count-only term is one fused
-    table row, and the NIW scale is V_n = V0 + kappa m0 m0^T + sum x x^T - a a^T / kappa_n
-    with a = kappa m0 + sum x, which needs no sample mean."""
+    """The collapsed log conditional over (concept, region) for one session, shape
+    (P, K, R), less the concept prior's normaliser log(N + K alpha), N the sessions
+    held.  Every count-only term is one fused table row, and the NIW scale is
+    V_n = V0 + kappa m0 m0^T + sum x x^T - a a^T / kappa_n with a = kappa m0 + sum x,
+    which needs no sample mean."""
     counts, moments = p.counts, p.moments
     log_concept = t.sweep.take(counts[..., s.cols[:-1]] + s.sweep_index).sum(axis=-1)
     log_link = t.log_gamma.take(counts[..., -moments.shape[2]:])
@@ -371,7 +302,8 @@ def learn_fixed_lag(
     log_w = np.full(n_particles, -math.log(n_particles))
 
     for t, s in enumerate(stats):
-        grid = _log_grid(batch, s, tables).reshape(n_particles, -1)
+        # Less the normaliser over the t sessions held, the grid is the log conditional.
+        grid = (_sweep_grid(batch, s, tables) - math.log(t + tables.k_alpha)).reshape(n_particles, -1)
         top, e = _shifted_exp(grid)  # one exp serves the weight increment and the draw
         log_w += _logsumexp_shifted(grid, top, e)
         cells = batch.assignments[:, t]
@@ -397,23 +329,31 @@ def learn_fixed_lag(
             log_w = np.full(n_particles, -math.log(n_particles))
 
     best = batch.take(int(np.argmax(log_w)))
-    return _posterior_mean_model(best, tables, hp, seed, vocab_places, vocab_objects)
+    return _posterior_mean_model(best, hp, seed, vocab_places, vocab_objects)
 
 
-def _posterior_mean_model(p: _Batch, t: _Tables, hp: Hyperparameters, seed: int,
+def _posterior_mean_model(p: _Batch, hp: Hyperparameters, seed: int,
                           vocab_places: list[str], vocab_objects: list[str]) -> SpatialConceptModel:
-    R, n_words, n_objects = p.moments.shape[1], len(vocab_places), len(vocab_objects)
+    K, R = p.counts.shape[0], p.moments.shape[1]
+    n_words, n_objects = len(vocab_places), len(vocab_objects)
     n_k = p.counts[:, _CONCEPT]
-    pi = (n_k + hp.alpha) / (n_k.sum() + t.k_alpha)
+    pi = (n_k + hp.alpha) / (n_k.sum() + K * hp.alpha)
     word_dist = ((p.counts[:, _WORDS:_WORDS + n_words] + hp.beta)
                  / (p.counts[:, _WORD_TOTAL, None] + n_words * hp.beta))
     object_dist = ((p.counts[:, _WORDS + n_words:_WORDS + n_words + n_objects] + hp.chi)
                    / (p.counts[:, _OBJ_TOTAL, None] + n_objects * hp.chi))
     region_dist = (p.counts[:, -R:] + hp.gamma) / (n_k[:, None] + R * hp.gamma)
 
-    _, means, V_n = _niw_posterior(p.moments[:, None], t)  # as a batch of one
-    means, V_n = means[:, 0].T, V_n[:, 0].T
-    nu_n = hp.nu0 + p.moments[0]
+    # Each region's NIW posterior mean and scale from its (7, R) moment sums.
+    n, xsum = p.moments[0], p.moments[1:1 + _DIM]
+    m0 = hp.m0_array.reshape(_DIM, 1)
+    kappa_n = hp.kappa + n
+    xbar = xsum / np.maximum(n, 1.0)
+    scatter = p.moments[1 + _DIM:] - n * _outer(xbar, xbar)
+    means = ((hp.kappa * m0 + xsum) / kappa_n).T
+    dev = xbar - m0
+    V_n = (hp.V0_array.reshape(_DIM * _DIM, 1) + scatter + hp.kappa * n / kappa_n * _outer(dev, dev)).T
+    nu_n = hp.nu0 + n
     # The posterior-mean covariance needs nu_n > dim+1; empty regions fall
     # back to the inverse-Wishart mode, which is always defined.
     denom = nu_n - _DIM - 1.0

@@ -362,24 +362,6 @@ def environment_from_dict(data: dict) -> Environment:
     )
 
 
-def environment_to_dict(env: Environment) -> dict:
-    return {
-        "floors": list(env.floors),
-        "rooms": [
-            {
-                "name": r.name,
-                "floor": r.floor,
-                "center": list(r.center),
-                "scatter": [list(row) for row in r.scatter],
-            }
-            for r in env.rooms
-        ],
-        "placements": dict(env.placements),
-        "categories": dict(env.categories),
-        "place_words": {k: list(v) for k, v in env.place_words.items()},
-    }
-
-
 def load_environment(name_or_path) -> Environment:
     """Load a builtin environment by name or a JSON document by path."""
     key = str(name_or_path)

@@ -1,10 +1,11 @@
+import re
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from homeplan.errors import FloorAccessError, HomeplanError, PlanningError, UnknownRoomError
+from homeplan.errors import FloorAccessError, HomeplanError, PlanningError, SchemaError, UnknownRoomError
 from homeplan.executor import (
     SUBTASK_FAILED,
     SUBTASK_SUCCEEDED,
@@ -13,10 +14,11 @@ from homeplan.executor import (
     run_assignments,
     search_order,
 )
-from homeplan.knowledge import KnowledgeBase, format_probability
-from homeplan.planner import Assignment, Subtask
+from homeplan.experiment import score_allocations
+from homeplan.knowledge import _DIVIDER, KnowledgeBase, _check_presence_row, format_probability
+from homeplan.planner import Assignment, Instruction, Subtask, allocate_random, decompose
 from homeplan.spatial import SpatialConceptModel
-from homeplan.world import GATHER, World
+from homeplan.world import GATHER, Environment, World
 
 
 def random_model(rng, num_concepts, num_regions, n_words=4, n_objects=3):
@@ -262,3 +264,102 @@ def reference_presence_table(kbs):
             lines.append(f"{obj} = [{rendered}]")
         blocks.append("\n".join(lines))
     return f"\n{'-' * 16}\n".join(blocks)
+
+
+# Oracles: inverses and summaries of the package's outputs that only the tests read.
+
+def skill_sequence(trace):
+    return [(s.skill, s.argument) for s in trace.steps]
+
+
+_PLACE_LINE = re.compile(r"^place(\d+): \[(.*)\]$")
+
+
+def parse_place_vocab(text: str) -> list[list[str]]:
+    """Invert :func:`render_place_vocab`, returning the per-region word lists."""
+    out = []
+    for line in text.splitlines():
+        m = _PLACE_LINE.match(line.strip())
+        if m:
+            body = m.group(2)
+            out.append([w for w in body.split(", ") if w] if body else [])
+    return out
+
+
+_ROW_LINE = re.compile(r"^(\S+) = \[(.*)\]$")
+_ROOMS_LINE = re.compile(r"^\[(.*)\]$")
+
+
+def parse_presence_table(text: str) -> list[KnowledgeBase]:
+    """Invert :func:`render_presence_table`.
+
+    Rows are renormalized to absorb rendering precision; the place vocabulary
+    is not part of this block, so parsed bases carry empty vocab lists.
+    """
+    kbs = []
+    for block in text.split(_DIVIDER):
+        lines = [ln.strip() for ln in block.strip().splitlines() if ln.strip()]
+        if len(lines) < 3:
+            raise SchemaError("presence table block too short")
+        robot_id = lines[0]
+        if "List of probabilities" not in lines[1]:
+            raise SchemaError(f"missing table title in block for {robot_id!r}")
+        rooms_match = _ROOMS_LINE.match(lines[2])
+        if not rooms_match:
+            raise SchemaError(f"missing room-name line in block for {robot_id!r}")
+        rooms = [r for r in rooms_match.group(1).split(", ") if r]
+        presence = {}
+        for line in lines[3:]:
+            m = _ROW_LINE.match(line)
+            if not m:
+                raise SchemaError(f"unparseable presence row: {line!r}")
+            try:
+                row = [float(v) for v in m.group(2).split(", ")]
+            except ValueError:
+                raise SchemaError(f"non-numeric presence row: {line!r}") from None
+            _check_presence_row(m.group(1), row)
+            values = np.array(row)
+            if values.sum() > 0:
+                values = values / values.sum()
+            presence[m.group(1)] = values.tolist()
+        kbs.append(KnowledgeBase(
+            robot_id=robot_id,
+            room_names=rooms,
+            place_vocab=[[] for _ in rooms],
+            presence_table=presence,
+        ))
+    return kbs
+
+
+def random_allocation_totals(env: Environment, instructions: dict[str, list[Instruction]],
+                             robot_ids: list[str], floor_of_robot: dict[str, str],
+                             repetitions: int, seed: int = 0) -> np.ndarray:
+    """Suite totals for many seeded repetitions of the random baseline."""
+    object_vocab = sorted(env.placements)
+    all_subtasks: list[Subtask] = []
+    for instrs in instructions.values():
+        for instr in instrs:
+            all_subtasks.extend(decompose(instr, object_vocab))
+    totals = np.zeros(repetitions, dtype=int)
+    for rep in range(repetitions):
+        assignments = allocate_random(all_subtasks, robot_ids, seed=seed + rep)
+        totals[rep] = sum(score_allocations(assignments, env, floor_of_robot))
+    return totals
+
+
+def environment_to_dict(env: Environment) -> dict:
+    return {
+        "floors": list(env.floors),
+        "rooms": [
+            {
+                "name": r.name,
+                "floor": r.floor,
+                "center": list(r.center),
+                "scatter": [list(row) for row in r.scatter],
+            }
+            for r in env.rooms
+        ],
+        "placements": dict(env.placements),
+        "categories": dict(env.categories),
+        "place_words": {k: list(v) for k, v in env.place_words.items()},
+    }

@@ -13,14 +13,11 @@ from homeplan.cli import main
 from homeplan.experiment import (
     best_room_recovery,
     build_suite_instructions,
-    random_allocation_totals,
     run_field_trip_scenario,
 )
 from homeplan.knowledge import (
     extract_knowledge,
     match_room_names,
-    parse_place_vocab,
-    parse_presence_table,
     render_place_vocab,
     render_presence_table,
 )
@@ -49,7 +46,14 @@ from homeplan.world import (
     load_environment,
 )
 
-from conftest import random_model, scripted_run
+from conftest import (
+    parse_place_vocab,
+    parse_presence_table,
+    random_allocation_totals,
+    random_model,
+    scripted_run,
+    skill_sequence,
+)
 from test_spatial import brute_force_object_posterior, brute_force_word_posterior
 
 ACCEPTANCE_SEED = 7
@@ -227,7 +231,7 @@ def test_c5_executor_trace_replay():
     fail = SkillOutcome("failed", "grasp_failed")
     queue = [ok_out, ok_out, fail, ok_out, ok_out, ok_out]
     scripted = scripted_run("cup", ["living_room"], queue, retries=2, destination="kitchen")
-    picks = [s for s in scripted.skill_sequence() if s[0] == "pick"]
+    picks = [s for s in skill_sequence(scripted) if s[0] == "pick"]
     pick_ok = len(picks) == 2 and scripted.result == "subtask_succeeded"
 
     report("C5 executor trace replay", trace_ok and pick_ok,

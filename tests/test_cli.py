@@ -15,9 +15,9 @@ from homeplan.experiment import SuiteConfig, run_suite
 from homeplan.knowledge import PROMPTS, knowledge_from_environment, save_knowledge
 from homeplan.planner import ReplayBackend, render_decomposition_prompt
 from homeplan.spatial import save_model
-from homeplan.world import environment_to_dict, load_environment
+from homeplan.world import load_environment
 
-from conftest import random_model
+from conftest import environment_to_dict, random_model
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from homeplan.knowledge import KnowledgeBase, knowledge_from_environment
 from homeplan.planner import Assignment, Subtask
 from homeplan.world import GATHER, RobotState, SkillOutcome, World, load_environment
 
-from conftest import reference_run_assignments, scripted_run
+from conftest import reference_run_assignments, scripted_run, skill_sequence
 
 
 def sure_robot(robot_id, floor, room, **overrides):
@@ -41,7 +41,7 @@ def test_happy_path_is_five_steps():
     assignment = Assignment(Subtask("bring", "cup"), "Robot2")
     [trace] = run_assignments(world, [assignment], [kb])
     assert trace.result == SUBTASK_SUCCEEDED
-    assert trace.skill_sequence() == [
+    assert skill_sequence(trace) == [
         ("navigation", "kitchen"),
         ("object_detection", "cup"),
         ("pick", "cup"),
@@ -56,7 +56,7 @@ def test_scripted_pick_fails_once_then_succeeds():
     fail = SkillOutcome("failed", "grasp_failed")
     trace = scripted_run("cup", ["living_room"], [ok, ok, fail, ok, ok, ok],
                          destination="kitchen")
-    skills = [s for s, _ in trace.skill_sequence()]
+    skills = [s for s, _ in skill_sequence(trace)]
     assert skills == ["navigation", "object_detection", "pick", "pick", "navigation", "place"]
     assert skills.count("pick") == 2
     assert trace.result == SUBTASK_SUCCEEDED
@@ -74,7 +74,7 @@ def test_absent_object_visits_every_room_once(rooms, retries):
     assert trace.result == SUBTASK_FAILED
     assert trace.rooms_visited == rooms
     assert len(trace.steps) == len(outcomes)
-    nav_args = [a for s, a in trace.skill_sequence() if s == "navigation"]
+    nav_args = [a for s, a in skill_sequence(trace) if s == "navigation"]
     assert nav_args == rooms
 
 
@@ -86,7 +86,7 @@ def test_navigation_exhaustion_advances_to_next_room():
     trace = scripted_run("cup", ["r1", "r2"], outcomes, retries=1)
     assert trace.result == SUBTASK_SUCCEEDED
     assert trace.rooms_visited == ["r2", GATHER]
-    nav_args = [a for s, a in trace.skill_sequence() if s == "navigation"]
+    nav_args = [a for s, a in skill_sequence(trace) if s == "navigation"]
     assert nav_args == ["r1", "r1", "r2", GATHER]
 
 
@@ -202,7 +202,7 @@ def test_replaying_outcomes_reproduces_skill_sequence():
 
     recorded = [step.outcome for step in trace.steps]
     replay = scripted_run("water_bottle", search_order(kb, "water_bottle"), recorded)
-    assert replay.skill_sequence() == trace.skill_sequence()
+    assert skill_sequence(replay) == skill_sequence(trace)
     assert replay.result == trace.result
 
 
@@ -220,7 +220,7 @@ def test_back_to_back_subtasks_on_one_robot():
     ]
     traces = run_assignments(world, assignments, [kb])
     assert [t.result for t in traces] == [SUBTASK_SUCCEEDED] * 2
-    combined = traces[0].skill_sequence() + traces[1].skill_sequence()
+    combined = skill_sequence(traces[0]) + skill_sequence(traces[1])
     assert combined == [
         ("navigation", "kitchen"), ("object_detection", "cup"), ("pick", "cup"),
         ("navigation", GATHER), ("place", GATHER),
@@ -253,7 +253,7 @@ def test_interleaving_matches_sequential_for_disjoint_robots():
         *run_assignments(world, [assignments[1]], [kbs[1]]),
     ]
     for a, b in zip(interleaved, sequential):
-        assert a.skill_sequence() == b.skill_sequence()
+        assert skill_sequence(a) == skill_sequence(b)
         assert [s.outcome for s in a.steps] == [s.outcome for s in b.steps]
         assert a.result == b.result
 

@@ -13,7 +13,6 @@ from homeplan.experiment import (
     default_robots,
     floor_robot,
     generate_instructions,
-    random_allocation_totals,
     run_field_trip_scenario,
     run_suite,
     score_allocations,
@@ -21,6 +20,8 @@ from homeplan.experiment import (
 from homeplan.knowledge import knowledge_from_environment, save_knowledge
 from homeplan.planner import Assignment, Subtask, allocate, decompose
 from homeplan.world import CATEGORY_COMMON, CATEGORY_HARD, load_environment
+
+from conftest import random_allocation_totals
 
 
 @pytest.fixture(scope="module")

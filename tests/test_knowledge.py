@@ -11,8 +11,6 @@ from homeplan.knowledge import (
     knowledge_from_environment,
     load_knowledge,
     match_room_names,
-    parse_place_vocab,
-    parse_presence_table,
     render_place_vocab,
     render_presence_table,
     save_knowledge,
@@ -21,7 +19,7 @@ from homeplan.errors import ConfigurationError, SchemaError
 from homeplan.spatial import object_location_posterior, word_posterior
 from homeplan.world import load_environment
 
-from conftest import random_model, reference_presence_table
+from conftest import parse_place_vocab, parse_presence_table, random_model, reference_presence_table
 
 
 @pytest.fixture

@@ -13,7 +13,6 @@ from homeplan.learner import (
     _OBJ_TOTAL,
     _WORDS,
     _Batch,
-    _log_grid,
     _logsumexp,
     _sample_grid,
     _shifted_exp,
@@ -229,7 +228,7 @@ def test_bad_learner_input_is_a_typed_error(sessions, kwargs, error):
 # Per-particle reference: the single-particle collapsed conditional, written
 # out term by term as the learner computed it before particles were batched.
 
-def _ref_dirichlet_multinomial_log(counts, totals, conc, idx, cnt, m):
+def _ref_tokens_log(counts, totals, conc, idx, cnt, m):
     if m == 0:
         return np.zeros(len(totals))
     vocab_mass = counts.shape[1] * conc
@@ -238,7 +237,7 @@ def _ref_dirichlet_multinomial_log(counts, totals, conc, idx, cnt, m):
     return per_word + gammaln(totals + vocab_mass) - gammaln(totals + m + vocab_mass)
 
 
-def _ref_position_log_predictive(p, x, hp):
+def _ref_position_log(p, x, hp):
     n = p.pos_n
     kappa_n = hp.kappa + n
     nu_n = hp.nu0 + n
@@ -259,15 +258,15 @@ def _ref_position_log_predictive(p, x, hp):
             - 0.5 * np.log(det) - ((df + 2) / 2.0) * np.log1p(quad / df))
 
 
-def _ref_log_grid(p, s, hp):
+def _ref_conditional(p, s, hp):
     K, R = p.link_counts.shape
     log_pc = np.log(p.concept_counts + hp.alpha) - math.log(p.concept_counts.sum() + K * hp.alpha)
     log_pr = np.log(p.link_counts + hp.gamma) - np.log(p.concept_counts + R * hp.gamma)[:, None]
-    log_words = _ref_dirichlet_multinomial_log(p.word_counts, p.word_totals, hp.beta,
-                                               s.word_idx, s.word_cnt, s.word_total)
-    log_objects = _ref_dirichlet_multinomial_log(p.object_counts, p.object_totals, hp.chi,
-                                                 s.obj_idx, s.obj_cnt, s.obj_total)
-    log_pos = _ref_position_log_predictive(p, s.x, hp)
+    log_words = _ref_tokens_log(p.word_counts, p.word_totals, hp.beta,
+                                s.word_idx, s.word_cnt, s.word_total)
+    log_objects = _ref_tokens_log(p.object_counts, p.object_totals, hp.chi,
+                                  s.obj_idx, s.obj_cnt, s.obj_total)
+    log_pos = _ref_position_log(p, s.x, hp)
     return (log_pc + log_words + log_objects)[:, None] + log_pr + log_pos[None, :]
 
 
@@ -299,20 +298,23 @@ def _vocabulary_indexed(s, n_words):
                            obj_total=s.obj_total, x=s.x)
 
 
-def _assert_grids_match_reference(batch, tables, stats, hp, n_words, n_objects):
-    """Both kernels against the reference: ``_log_grid`` exactly, ``_sweep_grid`` once the
-    per-particle constant it leaves out, log(N + K alpha) of the concept prior, is added."""
-    P, K, R = len(batch.counts), batch.counts.shape[1], batch.moments.shape[2]
-    left_out = math.log(batch.counts[0, :, 0].sum() + K * hp.alpha)
-    for s in stats:
-        grid = _log_grid(batch, s, tables)
-        sweep = _sweep_grid(batch, s, tables) - left_out
-        assert grid.shape == sweep.shape == (P, K, R)
-        for i in range(P):
-            reference = _ref_log_grid(_per_particle(batch, i, n_words, n_objects),
+def _ref_grids(batch, s, hp, n_words, n_objects):
+    """The reference grid of every particle of a batch, stacked to shape (P, K, R)."""
+    return np.stack([_ref_conditional(_per_particle(batch, i, n_words, n_objects),
                                       _vocabulary_indexed(s, n_words), hp)
-            np.testing.assert_allclose(grid[i], reference, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(sweep[i], reference, rtol=1e-12, atol=1e-12)
+                     for i in range(len(batch.counts))])
+
+
+def _assert_grids_match_reference(batch, tables, stats, hp, n_words, n_objects):
+    """The kernel against the reference once the constant it leaves out, the concept
+    prior's normaliser log(N + K alpha), is subtracted: the grid that scores an arrival."""
+    P, K, R = len(batch.counts), batch.counts.shape[1], batch.moments.shape[2]
+    normaliser = math.log(batch.counts[0, :, 0].sum() + K * hp.alpha)
+    for s in stats:
+        grid = _sweep_grid(batch, s, tables) - normaliser
+        reference = _ref_grids(batch, s, hp, n_words, n_objects)
+        assert grid.shape == reference.shape == (P, K, R)
+        np.testing.assert_allclose(grid, reference, rtol=1e-12, atol=1e-12)
 
 
 def _random_batch(case):
@@ -348,12 +350,13 @@ def _draw(grid, u, cells):
 
 @pytest.mark.parametrize("case", range(12))
 def test_both_kernels_sample_the_same_cells(case):
-    batch, tables, stats, *_ = _random_batch(case)
+    # The kernel and the per-particle reference draw the same cells from the same uniforms.
+    batch, tables, stats, hp, n_words, n_objects = _random_batch(case)
     P = len(batch.counts)
     u = np.random.default_rng(100 + case).random((len(stats), P))
     exact, swept = np.empty(P, dtype=int), np.empty(P, dtype=int)
     for s, u_s in zip(stats, u):
-        _draw(_log_grid(batch, s, tables), u_s, exact)
+        _draw(_ref_grids(batch, s, hp, n_words, n_objects), u_s, exact)
         _draw(_sweep_grid(batch, s, tables), u_s, swept)
         np.testing.assert_array_equal(swept, exact)
 
@@ -371,7 +374,7 @@ def test_saturated_grid_reads_the_largest_table_index():
         batch.add(np.zeros(3, dtype=int), s)
     batch.add(np.zeros(3, dtype=int), stats[-1], sign=-1)
     s = stats[-1]
-    assert batch.counts[0, 0, _OBJ_TOTAL] + s.obj_total == len(tables.objects[1]) - 1 == 4 * len(stats)
+    assert batch.counts[0, 0, _OBJ_TOTAL] + s.obj_total == len(tables.log_gamma) - 1 == 4 * len(stats)
     _assert_grids_match_reference(batch, tables, [s], hp, 1, 1)
     learn_fixed_lag(sessions, hp, seed=0, num_concepts=1, num_regions=1).validate()
 

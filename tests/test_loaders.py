@@ -18,13 +18,12 @@ from homeplan.knowledge import (
     knowledge_from_dict,
     knowledge_from_environment,
     knowledge_to_dict,
-    parse_presence_table,
 )
 from homeplan.planner import parse_allocation_response
 from homeplan.spatial import Hyperparameters, model_from_dict, model_to_dict
-from homeplan.world import environment_from_dict, environment_to_dict, paper_home
+from homeplan.world import environment_from_dict, paper_home
 
-from conftest import random_model
+from conftest import environment_to_dict, parse_presence_table, random_model
 
 JUNK = [None, 0, -1, 1e400, float("nan"), "x", [], {}, [1], [[1, 2]], True, 3.5, [None, None]]
 DELETE = object()

@@ -22,13 +22,12 @@ from homeplan.world import (
     Room,
     World,
     environment_from_dict,
-    environment_to_dict,
     generate_floor_sessions,
     load_environment,
     observe_session,
 )
 
-from conftest import EagerSeedWorld
+from conftest import EagerSeedWorld, environment_to_dict
 
 
 def sure_robot(robot_id="Robot1", floor="1F", room="kitchen", **overrides):
