@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,6 @@ from .errors import (
 )
 from .executor import ExecutionPolicy, run_assignments, traces_to_jsonl
 
-SEED_ENV_VAR = "HOMEPLAN_SEED"
-
 
 def _emit(text: str, out: str | None) -> None:
     if out:
@@ -32,33 +31,11 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _add_common(parser: argparse.ArgumentParser, env: bool = True) -> None:
-    if env:
-        parser.add_argument("--env", default="paper_home",
-                            help="builtin environment name or JSON path")
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"random seed (default: ${SEED_ENV_VAR} or 0)")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-
-
 def _seed_of(args) -> int:
-    """``--seed``, else ``$HOMEPLAN_SEED``, else 0; a seed must be a non-negative integer."""
-    source, value = (("--seed", args.seed) if args.seed is not None
-                     else (f"${SEED_ENV_VAR}", os.environ.get(SEED_ENV_VAR, "0")))
-    try:
-        seed = int(value)
-    except ValueError:
-        raise ConfigurationError(f"{source} must be an integer, got {value!r}") from None
-    if seed < 0:
-        raise ConfigurationError(f"{source} must be a non-negative integer, got {seed}")
-    return seed
-
-
-def _add_backend(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", choices=("rule", "remote", "replay"), default="rule")
-    parser.add_argument("--replay-dir", default=None, help="canned response directory (replay backend)")
-    parser.add_argument("--endpoint", default=None, help="chat completion URL (remote backend)")
-    parser.add_argument("--model", default="gpt-4", help="remote model name")
+    """``--seed``, which must be a non-negative integer."""
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
 
 
 def _backend_of(args) -> planner.PlannerBackend:
@@ -107,7 +84,7 @@ def cmd_learn(args) -> int:
                                         num_concepts=regions, num_regions=regions)
     elif args.floor:
         env = world.load_environment(args.env)
-        robot = experiment.floor_robot(env, args.floor, args.robot)
+        robot = experiment.floor_robot(env, args.floor, "learner")  # the id never reaches the model
         model = experiment.learn_floor_model(env, robot, seed, args.visits, hp=hp, num_regions=args.regions)
     else:
         raise ConfigurationError("learn needs --sessions or --floor")
@@ -142,9 +119,7 @@ def cmd_decompose(args) -> int:
     backend = _backend_of(args)
     instruction = planner.Instruction(args.text)
     subtasks = planner.decompose(instruction, sorted(env.placements), backend=backend)
-    payload = [{"verb": s.verb, "target_object": s.target_object, "destination": s.destination}
-               for s in subtasks]
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(json.dumps([asdict(s) for s in subtasks], indent=2), args.out)
     return 0
 
 
@@ -160,16 +135,8 @@ def cmd_allocate(args) -> int:
             raise ConfigurationError("allocate needs --text or --subtasks")
         subtasks = [subtask for subtask, _ in _read_subtasks(args.subtasks, "subtask")]
     assignments = planner.allocate(subtasks, kbs, backend=backend)
-    payload = [
-        {
-            "verb": a.subtask.verb,
-            "target_object": a.subtask.target_object,
-            "destination": a.subtask.destination,
-            "robot_id": a.robot_id,
-            "justification": None if a.justification is None else list(a.justification),
-        }
-        for a in assignments
-    ]
+    payload = [{**asdict(a.subtask), "robot_id": a.robot_id, "justification": a.justification}
+               for a in assignments]
     _emit(json.dumps(payload, indent=2), args.out)
     return 0
 
@@ -215,12 +182,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="homeplan",
                                      description="Multi-robot household task allocation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Shared flags, each a parent parser given only to the subcommands that read it.
+    env, seed, out, backend = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    env.add_argument("--env", default="paper_home", help="builtin environment name or JSON path")
+    seed.add_argument("--seed", type=int, default=0, help="random seed, a non-negative integer (default: 0)")
+    out.add_argument("--out", default=None, help="output path (default: stdout)")
+    backend.add_argument("--backend", choices=("rule", "remote", "replay"), default="rule")
+    backend.add_argument("--replay-dir", default=None, help="canned response directory (replay backend)")
+    backend.add_argument("--endpoint", default=None, help="chat completion URL (remote backend)")
+    backend.add_argument("--model", default="gpt-4", help="remote model name")
 
-    p = sub.add_parser("learn", help="learn a spatial concept model from sessions")
-    _add_common(p)
+    p = sub.add_parser("learn", parents=[env, seed, out], help="learn a spatial concept model from sessions")
     p.add_argument("--floor", default=None, help="generate the observation protocol on this floor")
     p.add_argument("--sessions", default=None, help="JSON session file instead of generation")
-    p.add_argument("--robot", default="Robot1")
     p.add_argument("--visits", type=int, default=30, help="visits per room")
     p.add_argument("--particles", type=int, default=30)
     p.add_argument("--lag", type=int, default=10)
@@ -228,44 +202,36 @@ def build_parser() -> argparse.ArgumentParser:
                    help="concept/region count (default: the floor's room count with --floor, 5 with --sessions)")
     p.set_defaults(func=cmd_learn)
 
-    p = sub.add_parser("extract", help="turn a model into a knowledge base")
-    _add_common(p)
+    p = sub.add_parser("extract", parents=[env, out], help="turn a model into a knowledge base")
     p.add_argument("--model-path", required=True, dest="model_path")
     p.add_argument("--floor", default=None, help="restrict room labels to this floor")
     p.add_argument("--robot", default="Robot1")
     p.add_argument("--threshold", type=float, default=0.05)
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("prompt", help="render a prompt component from knowledge bases")
-    _add_common(p, env=False)
+    p = sub.add_parser("prompt", parents=[out], help="render a prompt component from knowledge bases")
     p.add_argument("--kb", nargs="+", required=True)
     p.add_argument("--kind", default="presence_table",
                    choices=tuple(knowledge.PROMPTS))
     p.set_defaults(func=cmd_prompt)
 
-    p = sub.add_parser("decompose", help="split an instruction into subtasks")
-    _add_common(p)
-    _add_backend(p)
+    p = sub.add_parser("decompose", parents=[env, out, backend], help="split an instruction into subtasks")
     p.add_argument("--text", required=True)
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("allocate", help="assign subtasks to robots by knowledge")
-    _add_common(p)
-    _add_backend(p)
+    p = sub.add_parser("allocate", parents=[env, out, backend], help="assign subtasks to robots by knowledge")
     p.add_argument("--kb", nargs="+", required=True)
     p.add_argument("--text", default=None, help="instruction to decompose first")
     p.add_argument("--subtasks", default=None, help="JSON subtask file")
     p.set_defaults(func=cmd_allocate)
 
-    p = sub.add_parser("run", help="execute assignments and emit a JSONL trace")
-    _add_common(p)
+    p = sub.add_parser("run", parents=[env, seed, out], help="execute assignments and emit a JSONL trace")
     p.add_argument("--assignments", required=True, help="JSON assignment file")
     p.add_argument("--kb", nargs="+", required=True)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("suite", help="run the full allocation experiment")
-    _add_common(p)
-    _add_backend(p)
+    p = sub.add_parser("suite", parents=[env, seed, backend], help="run the full allocation experiment")
+    p.add_argument("--out", default=None, help="JSON report path (the table always goes to stdout)")
     p.add_argument("--strategies", default="proposed,random,commonsense")
     p.add_argument("--kb", nargs="*", default=None, help="pre-built knowledge bases")
     p.add_argument("--visits", type=int, default=30)

@@ -3,13 +3,13 @@
 A fetch subtask runs navigate -> detect -> pick -> navigate -> place against
 the world.  Failed skills retry in place; exhausted detection advances to the
 next room in descending presence order.  A batch is checked whole before its
-first skill: each robot must reach its destination and every room it would
-search, on its own floor or at ``gather``.  Each robot runs its assignments
-back to back as one generator that yields before every skill, and a batch
-advances the robots' generators in turn, one skill each, so per-robot traces
-are independent of scheduling when their state does not overlap.  A trace
-records only its steps: the subtask's result and the rooms it reached are
-read off them.
+first skill: each target must be an object of the world, and each robot must
+reach its destination and every room it would search, on its own floor or at
+``gather``.  Each robot runs its assignments back to back as one generator
+that yields before every skill, and a batch advances the robots' generators in
+turn, one skill each, so per-robot traces are independent of scheduling when
+their state does not overlap.  A trace records only its steps: the subtask's
+result and the rooms it reached are read off them.
 """
 
 from __future__ import annotations
@@ -115,6 +115,7 @@ def _setup(world: World, assignment: Assignment, kb: KnowledgeBase | None) -> tu
     destination = assignment.subtask.destination or GATHER
     _require_reachable(world, robot, destination, "destination {!r}")
     target = assignment.subtask.target_object
+    world.object_room(target)  # UnknownLabelError for an object the world lacks
     if kb is None or target not in kb.presence_table:
         raise PlanningError(f"object {target!r} is not in the knowledge base")
     rooms = search_order(kb, target)

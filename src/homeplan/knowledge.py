@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -252,12 +252,7 @@ PROMPTS = {
 
 
 def knowledge_to_dict(kb: KnowledgeBase) -> dict:
-    return {
-        "robot_id": kb.robot_id,
-        "room_names": list(kb.room_names),
-        "place_vocab": [list(v) for v in kb.place_vocab],
-        "presence_table": {k: list(v) for k, v in kb.presence_table.items()},
-    }
+    return asdict(kb)
 
 
 def knowledge_from_dict(data: dict) -> KnowledgeBase:

@@ -67,7 +67,7 @@ class _SessionStats:
     count row, the link shifted to region r.
     """
 
-    __slots__ = ("word_cols", "word_cnt", "word_total", "obj_cols", "obj_cnt", "obj_total",
+    __slots__ = ("word_cnt", "word_total", "obj_cnt", "obj_total",
                  "x", "cols", "vals", "neg_vals", "moments", "neg_moments", "sweep_index", "cell_cols")
 
     def __init__(self, session: Session, place_index: dict[str, int], object_index: dict[str, int]):
@@ -80,11 +80,9 @@ class _SessionStats:
         obj_idx, self.obj_cnt = np.unique(oidx, return_counts=True)
         self.word_total = int(self.word_cnt.sum())
         self.obj_total = int(self.obj_cnt.sum())
-        self.word_cols = _WORDS + word_idx
-        self.obj_cols = _WORDS + len(place_index) + obj_idx
         first_link = _WORDS + len(place_index) + len(object_index)
-        self.cols = np.concatenate(([_CONCEPT, _WORD_TOTAL, _OBJ_TOTAL], self.word_cols,
-                                    self.obj_cols, [first_link]))
+        self.cols = np.concatenate(([_CONCEPT, _WORD_TOTAL, _OBJ_TOTAL], _WORDS + word_idx,
+                                    _WORDS + len(place_index) + obj_idx, [first_link]))
         self.vals = np.concatenate(([1, self.word_total, self.obj_total], self.word_cnt,
                                     self.obj_cnt, [1]))
         self.neg_vals = -self.vals

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -77,34 +77,15 @@ class Hyperparameters:
         return np.asarray(self.V0, dtype=float)
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "chi": self.chi,
-            "m0": list(self.m0),
-            "kappa": self.kappa,
-            "V0": [list(row) for row in self.V0],
-            "nu0": self.nu0,
-            "num_particles": self.num_particles,
-            "lag_window": self.lag_window,
-        }
+        return {**asdict(self), "m0": list(self.m0), "V0": [list(row) for row in self.V0]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Hyperparameters":
         try:
-            return cls(
-                alpha=data["alpha"],
-                gamma=data["gamma"],
-                beta=data["beta"],
-                chi=data["chi"],
-                m0=tuple(data["m0"]),
-                kappa=data["kappa"],
-                V0=tuple(tuple(row) for row in data["V0"]),
-                nu0=data["nu0"],
-                num_particles=data["num_particles"],
-                lag_window=data["lag_window"],
-            )
+            values = {f.name: data[f.name] for f in fields(cls)}
+            values["m0"] = tuple(values["m0"])
+            values["V0"] = tuple(tuple(row) for row in values["V0"])
+            return cls(**values)
         except KeyError as exc:
             raise SchemaError(f"hyperparameters missing key: {exc.args[0]!r}") from None
         except TypeError:

@@ -226,6 +226,13 @@ class World:
         except KeyError:
             raise PlanningError(f"unknown robot {robot_id!r}") from None
 
+    def object_room(self, obj: str) -> str | None:
+        """The room ``obj`` is in, None while it is held; UnknownLabelError for an object the world lacks."""
+        try:
+            return self.object_rooms[obj]
+        except KeyError:
+            raise UnknownLabelError(f"unknown object {obj!r}") from None
+
     def location_floor(self, name: str, robot: RobotState) -> str | None:
         """The floor of location ``name`` for ``robot``: ``gather`` is on every floor.
         None for an unknown name."""
@@ -261,22 +268,20 @@ class World:
         return _NAVIGATION_FAILED
 
     def _detect(self, robot: RobotState, obj: str, rng) -> SkillOutcome:
-        if obj not in self.object_rooms:
-            raise UnknownLabelError(f"unknown object {obj!r}")
+        room = self.object_room(obj)
         # One draw per call, present or not, so a robot's stream does not depend on where objects are.
-        if rng.random() < robot.p_detect_present and self.object_rooms[obj] == robot.current_room:
+        if rng.random() < robot.p_detect_present and room == robot.current_room:
             self._detections[robot.robot_id] = (obj, robot.current_room)
             return _DETECTED
         return _NOT_FOUND
 
     def _pick(self, robot: RobotState, obj: str, rng) -> SkillOutcome:
-        if obj not in self.object_rooms:
-            raise UnknownLabelError(f"unknown object {obj!r}")
+        room = self.object_room(obj)
         if robot.held_object is not None:
             return _GRIPPER_OCCUPIED
         if self._detections[robot.robot_id] != (obj, robot.current_room):
             return _NOT_DETECTED
-        if self.object_rooms[obj] != robot.current_room:
+        if room != robot.current_room:
             return _OBJECT_NOT_PRESENT
         if rng.random() < robot.p_pick:
             robot.held_object = obj

@@ -5,7 +5,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from homeplan.errors import FloorAccessError, HomeplanError, PlanningError, SchemaError, UnknownRoomError
+from homeplan.errors import (
+    FloorAccessError,
+    HomeplanError,
+    PlanningError,
+    SchemaError,
+    UnknownLabelError,
+    UnknownRoomError,
+)
 from homeplan.executor import (
     SUBTASK_FAILED,
     SUBTASK_SUCCEEDED,
@@ -57,6 +64,9 @@ class ScriptedWorld:
 
     def robot(self, robot_id):
         return SimpleNamespace(robot_id=robot_id, floor="scripted")
+
+    def object_room(self, obj):
+        return None  # every object is known
 
     def location_floor(self, name, robot):
         return robot.floor  # every location is reachable
@@ -131,6 +141,8 @@ def _reference_setup(world, assignment, kb, policy):
     destination = assignment.subtask.destination or GATHER
     _reference_reachable(world, robot, destination, f"destination {destination!r}")
     target = assignment.subtask.target_object
+    if target not in world.env.placements:
+        raise UnknownLabelError(f"unknown object {target!r}")
     if kb is None or target not in kb.presence_table:
         raise PlanningError(f"object {target!r} is not in the knowledge base")
     room_order = search_order(kb, target)

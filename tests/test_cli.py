@@ -172,6 +172,20 @@ def test_run_rejects_a_destination_the_robot_cannot_reach(tmp_path, kb_files, ca
     assert not out_path.exists()
 
 
+def test_run_rejects_a_target_the_world_lacks(tmp_path, kb_files, capsys):
+    kb = json.loads(Path(kb_files[0]).read_text())
+    kb["presence_table"]["unicorn"] = [1.0] * len(kb["room_names"])
+    Path(kb_files[0]).write_text(json.dumps(kb))
+    assignments_path = tmp_path / "assignments.json"
+    assignments_path.write_text(json.dumps(
+        [{"verb": "bring", "target_object": target, "destination": None, "robot_id": "Robot1"}
+         for target in ("apple", "unicorn")]))
+    out_path = tmp_path / "trace.jsonl"
+    assert main(["run", "--kb", *kb_files, "--assignments", str(assignments_path), "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err == "error: assignment 1: unknown object 'unicorn'\n"
+    assert not out_path.exists()
+
+
 def test_allocate_output_runs_as_assignments(tmp_path, kb_files, capsys):
     assignments_path = tmp_path / "a.json"
     assert main(["allocate", "--kb", *kb_files, "--out", str(assignments_path),
@@ -202,13 +216,28 @@ def test_suite_command_with_prebuilt_kbs(tmp_path, kb_files, capsys):
     assert payload == want
 
 
-def test_seed_env_var_fallback(tmp_path, kb_files, monkeypatch, capsys):
+def test_seed_env_var_does_not_seed_the_suite(tmp_path, kb_files, monkeypatch, capsys):
+    # The seed comes from --seed alone: a stray variable in the shell changes nothing.
     monkeypatch.setenv("HOMEPLAN_SEED", "31")
     out_path = tmp_path / "report.json"
     code = main(["suite", "--env", "paper_home", "--strategies", "random",
                  "--kb", *kb_files, "--out", str(out_path)])
     assert code == 0
-    assert json.loads(out_path.read_text())["seed"] == 31
+    assert json.loads(out_path.read_text())["seed"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--model-path", "model.json", "--seed", "3"],
+    ["prompt", "--kb", "kb.json", "--seed", "3"],
+    ["decompose", "--text", "Bring me an apple.", "--seed", "3"],
+    ["allocate", "--kb", "kb.json", "--text", "Bring me an apple.", "--seed", "3"],
+    ["learn", "--floor", "2F", "--robot", "Robot2"],
+], ids=["extract-seed", "prompt-seed", "decompose-seed", "allocate-seed", "learn-robot"])
+def test_a_flag_the_command_does_not_read_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_domain_errors_exit_nonzero(capsys):
@@ -242,21 +271,23 @@ def test_decompose_without_placed_objects_is_an_error(tmp_path, capsys):
     assert "object_vocab" in err
 
 
-def test_non_integer_seed_env_var_is_an_error(monkeypatch, capsys):
-    monkeypatch.setenv("HOMEPLAN_SEED", "abc")
-    assert main(["learn", "--floor", "1F"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "HOMEPLAN_SEED" in err
+@pytest.mark.parametrize("argv", [["learn", "--floor", "1F"],
+                                  ["run", "--kb", "kb.json", "--assignments", "a.json"],
+                                  ["suite"]], ids=["learn", "run", "suite"])
+def test_non_integer_seed_flag_is_an_error(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--seed", "abc"])
+    assert excinfo.value.code == 2
+    assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["suite", "--seed", "-1"], ["learn", "--floor", "1F", "--seed", "-3"]],
-                         ids=["suite", "learn"])
+@pytest.mark.parametrize("argv", [["suite", "--seed", "-1"], ["learn", "--floor", "1F", "--seed", "-3"],
+                                  ["run", "--kb", "kb.json", "--assignments", "a.json", "--seed", "-5"]],
+                         ids=["suite", "learn", "run"])
 def test_negative_seed_flag_is_an_error(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "--seed must be a non-negative integer, got" in err
+    assert err == f"error: --seed must be a non-negative integer, got {argv[-1]}\n"
 
 
 @pytest.mark.parametrize("argv", [["learn", "--floor", "1F", "--visits", "0"], ["suite", "--visits", "-3"]],
@@ -267,14 +298,6 @@ def test_visit_count_below_one_is_an_error(capsys, argv):
     assert captured.err.startswith("error: ")
     assert f"visits_per_room must be >= 1, got {argv[-1]}" in captured.err
     assert captured.out == ""
-
-
-def test_negative_seed_env_var_is_an_error(monkeypatch, capsys):
-    monkeypatch.setenv("HOMEPLAN_SEED", "-5")
-    assert main(["suite"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "$HOMEPLAN_SEED must be a non-negative integer, got -5" in err
 
 
 def test_unreadable_replay_response_is_an_error(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from homeplan.errors import FloorAccessError, PlanningError, UnknownRoomError
+from homeplan.errors import FloorAccessError, PlanningError, UnknownLabelError, UnknownRoomError
 from homeplan.executor import (
     SUBTASK_FAILED,
     SUBTASK_SUCCEEDED,
@@ -359,12 +359,12 @@ def _home_world():
     return World(HOME, robots, seed=0)
 
 
-def _assert_unreachable_fails_at_setup(world, assignments, kbs, message):
+def _assert_fails_at_setup(world, assignments, kbs, message, cause=FloorAccessError):
     objects = dict(world.object_rooms)
     robots = {rid: vars(r).copy() for rid, r in world.robots.items()}
     with pytest.raises(PlanningError, match=f"^{message}$") as excinfo:
         run_assignments(world, assignments, kbs)
-    assert isinstance(excinfo.value.__cause__, FloorAccessError)
+    assert isinstance(excinfo.value.__cause__, cause)
     # No skill ran: no object moved, no robot stepped, no generator was built.
     assert world.object_rooms == objects
     assert {rid: vars(r) for rid, r in world.robots.items()} == robots
@@ -373,7 +373,7 @@ def _assert_unreachable_fails_at_setup(world, assignments, kbs, message):
 
 def test_a_destination_on_another_floor_fails_at_setup():
     kb = knowledge_from_environment(HOME, "1F", "Robot1")
-    _assert_unreachable_fails_at_setup(
+    _assert_fails_at_setup(
         _home_world(), [Assignment(Subtask("bring", "apple", destination="child_room"), "Robot1")], [kb],
         "assignment 0: destination 'child_room' is on floor '2F', robot 'Robot1' is on '1F'")
 
@@ -382,8 +382,19 @@ def test_a_search_room_on_another_floor_fails_at_setup():
     # Robot1's knowledge base names the 2F rooms, so every room it would search is upstairs.
     rooms = [r.name for r in HOME.rooms_on("2F")]
     kb = KnowledgeBase("Robot1", rooms, [[] for _ in rooms], {"apple": [1.0] * len(rooms)})
-    _assert_unreachable_fails_at_setup(
+    _assert_fails_at_setup(
         _home_world(), [Assignment(Subtask("bring", "banana"), "Robot2"),
                         Assignment(Subtask("bring", "apple"), "Robot1")],
         [knowledge_from_environment(HOME, "2F", "Robot2"), kb],
         "assignment 1: room 'front_of_stairs' in search order is on floor '2F', robot 'Robot1' is on '1F'")
+
+
+def test_a_target_the_world_lacks_fails_at_setup():
+    # Robot1's knowledge base has a row for the unicorn; the home has none.
+    kb = knowledge_from_environment(HOME, "1F", "Robot1")
+    kb.presence_table["unicorn"] = [1.0] * len(kb.room_names)
+    assignments = [Assignment(Subtask("bring", target), "Robot1") for target in ("apple", "unicorn")]
+    message = "assignment 1: unknown object 'unicorn'"
+    _assert_fails_at_setup(_home_world(), assignments, [kb], message, UnknownLabelError)
+    with pytest.raises(PlanningError, match=f"^{message}$"):
+        reference_run_assignments(_home_world(), assignments, [kb])

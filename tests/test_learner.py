@@ -270,6 +270,23 @@ def _ref_conditional(p, s, hp):
     return (log_pc + log_words + log_objects)[:, None] + log_pr + log_pos[None, :]
 
 
+def _vocabulary_indexed(session, place_index, object_index):
+    """A session's words and objects as vocabulary indices and counts, read from the session itself."""
+    word_idx, word_cnt = np.unique(np.array([place_index[w] for w in session.place_words], dtype=int),
+                                   return_counts=True)
+    obj_idx, obj_cnt = np.unique(np.array([object_index[o] for o in session.object_labels], dtype=int),
+                                 return_counts=True)
+    return SimpleNamespace(word_idx=word_idx, word_cnt=word_cnt, word_total=len(session.place_words),
+                           obj_idx=obj_idx, obj_cnt=obj_cnt, obj_total=len(session.object_labels),
+                           x=np.asarray(session.position, dtype=float))
+
+
+def _stats_and_views(sessions, place_index, object_index):
+    """Each session as the learner's stats and as the references' vocabulary-indexed view."""
+    return ([_SessionStats(s, place_index, object_index) for s in sessions],
+            [_vocabulary_indexed(s, place_index, object_index) for s in sessions])
+
+
 def _random_stats(rng, n, places, objects):
     place_index = {w: i for i, w in enumerate(places)}
     object_index = {o: i for i, o in enumerate(objects)}
@@ -277,7 +294,7 @@ def _random_stats(rng, n, places, objects):
                         [str(o) for o in rng.choice(objects, size=int(rng.integers(0, 5)))] if objects else [],
                         [str(w) for w in rng.choice(places, size=int(rng.integers(1, 4)))])
                 for _ in range(n)]
-    return [_SessionStats(s, place_index, object_index) for s in sessions]
+    return _stats_and_views(sessions, place_index, object_index)
 
 
 def _per_particle(batch, i, n_words, n_objects):
@@ -291,28 +308,20 @@ def _per_particle(batch, i, n_words, n_objects):
         pos_outer=moments[3:].T.reshape(R, 2, 2))
 
 
-def _vocabulary_indexed(s, n_words):
-    """Session stats with vocabulary indices in place of stacked-count columns."""
-    return SimpleNamespace(word_idx=s.word_cols - _WORDS, word_cnt=s.word_cnt, word_total=s.word_total,
-                           obj_idx=s.obj_cols - _WORDS - n_words, obj_cnt=s.obj_cnt,
-                           obj_total=s.obj_total, x=s.x)
-
-
-def _ref_grids(batch, s, hp, n_words, n_objects):
+def _ref_grids(batch, view, hp, n_words, n_objects):
     """The reference grid of every particle of a batch, stacked to shape (P, K, R)."""
-    return np.stack([_ref_conditional(_per_particle(batch, i, n_words, n_objects),
-                                      _vocabulary_indexed(s, n_words), hp)
+    return np.stack([_ref_conditional(_per_particle(batch, i, n_words, n_objects), view, hp)
                      for i in range(len(batch.counts))])
 
 
-def _assert_grids_match_reference(batch, tables, stats, hp, n_words, n_objects):
+def _assert_grids_match_reference(batch, tables, stats, views, hp, n_words, n_objects):
     """The kernel against the reference once the constant it leaves out, the concept
     prior's normaliser log(N + K alpha), is subtracted: the grid that scores an arrival."""
     P, K, R = len(batch.counts), batch.counts.shape[1], batch.moments.shape[2]
     normaliser = math.log(batch.counts[0, :, 0].sum() + K * hp.alpha)
-    for s in stats:
+    for s, view in zip(stats, views):
         grid = _sweep_grid(batch, s, tables) - normaliser
-        reference = _ref_grids(batch, s, hp, n_words, n_objects)
+        reference = _ref_grids(batch, view, hp, n_words, n_objects)
         assert grid.shape == reference.shape == (P, K, R)
         np.testing.assert_allclose(grid, reference, rtol=1e-12, atol=1e-12)
 
@@ -326,7 +335,7 @@ def _random_batch(case):
     objects = [f"o{i}" for i in range(int(rng.integers(0, 6)))]
     hp = Hyperparameters(alpha=float(rng.uniform(0.2, 3.0)), gamma=float(rng.uniform(0.2, 3.0)),
                          beta=float(rng.uniform(0.05, 1.0)), chi=float(rng.uniform(0.05, 1.0)))
-    stats = _random_stats(rng, int(rng.integers(1, 25)), places, objects)
+    stats, views = _random_stats(rng, int(rng.integers(1, 25)), places, objects)
     # Sessions still in the batch are rescored too, which can reach twice a learn's counts.
     tables = _Tables(hp, K, R, len(places), len(objects), stats * 2)
     batch = _Batch(P, K, R, len(places), len(objects), len(stats))
@@ -335,7 +344,7 @@ def _random_batch(case):
         batch.add(batch.assignments[:, t], s)
     # Take one session out again, as a Gibbs step does before rescoring it.
     batch.add(batch.assignments[:, 0], stats[0], sign=-1)
-    return batch, tables, stats, hp, len(places), len(objects)
+    return batch, tables, stats, views, hp, len(places), len(objects)
 
 
 @pytest.mark.parametrize("case", range(12))
@@ -351,12 +360,12 @@ def _draw(grid, u, cells):
 @pytest.mark.parametrize("case", range(12))
 def test_both_kernels_sample_the_same_cells(case):
     # The kernel and the per-particle reference draw the same cells from the same uniforms.
-    batch, tables, stats, hp, n_words, n_objects = _random_batch(case)
+    batch, tables, stats, views, hp, n_words, n_objects = _random_batch(case)
     P = len(batch.counts)
     u = np.random.default_rng(100 + case).random((len(stats), P))
     exact, swept = np.empty(P, dtype=int), np.empty(P, dtype=int)
-    for s, u_s in zip(stats, u):
-        _draw(_ref_grids(batch, s, hp, n_words, n_objects), u_s, exact)
+    for s, view, u_s in zip(stats, views, u):
+        _draw(_ref_grids(batch, view, hp, n_words, n_objects), u_s, exact)
         _draw(_sweep_grid(batch, s, tables), u_s, swept)
         np.testing.assert_array_equal(swept, exact)
 
@@ -366,16 +375,15 @@ def test_saturated_grid_reads_the_largest_table_index():
     # _random_stats draws (3 words, 4 objects) of a one-word, one-object vocabulary,
     # so rescoring a session reads each table at the largest count a learn reaches.
     sessions = [Session(np.array([0.5 * i, -0.25 * i]), ["cup"] * 4, ["kitchen"] * 3) for i in range(20)]
-    stats = [_SessionStats(s, {"kitchen": 0}, {"cup": 0}) for s in sessions]
+    stats, views = _stats_and_views(sessions, {"kitchen": 0}, {"cup": 0})
     hp = Hyperparameters(num_particles=3, lag_window=4)
     tables = _Tables(hp, 1, 1, 1, 1, stats)
     batch = _Batch(3, 1, 1, 1, 1, len(stats))
     for s in stats:
         batch.add(np.zeros(3, dtype=int), s)
     batch.add(np.zeros(3, dtype=int), stats[-1], sign=-1)
-    s = stats[-1]
-    assert batch.counts[0, 0, _OBJ_TOTAL] + s.obj_total == len(tables.log_gamma) - 1 == 4 * len(stats)
-    _assert_grids_match_reference(batch, tables, [s], hp, 1, 1)
+    assert batch.counts[0, 0, _OBJ_TOTAL] + views[-1].obj_total == len(tables.log_gamma) - 1 == 4 * len(stats)
+    _assert_grids_match_reference(batch, tables, stats[-1:], views[-1:], hp, 1, 1)
     learn_fixed_lag(sessions, hp, seed=0, num_concepts=1, num_regions=1).validate()
 
 
@@ -384,7 +392,7 @@ def test_sweep_tables_stay_finite_without_objects(objects):
     # gammaln(0) is inf: with no objects, a fused mass row must never difference two of them.
     sessions = [Session(np.array([0.3 * i, 1.0 - 0.2 * i]), objects * (i % 2), ["kitchen", "sink"][:1 + i % 2])
                 for i in range(8)]
-    stats = [_SessionStats(s, {"kitchen": 0, "sink": 1}, {o: i for i, o in enumerate(objects)}) for s in sessions]
+    stats, views = _stats_and_views(sessions, {"kitchen": 0, "sink": 1}, {o: i for i, o in enumerate(objects)})
     hp = Hyperparameters(num_particles=4, lag_window=3)
     tables = _Tables(hp, 2, 3, 2, len(objects), stats * 2)
     assert np.isfinite(tables.sweep).all()
@@ -393,24 +401,25 @@ def test_sweep_tables_stay_finite_without_objects(objects):
         batch.assignments[:, t] = (t % 2) * 3 + t % 3
         batch.add(batch.assignments[:, t], s)
     batch.add(batch.assignments[:, 0], stats[0], sign=-1)
-    _assert_grids_match_reference(batch, tables, stats, hp, 2, len(objects))
+    _assert_grids_match_reference(batch, tables, stats, views, hp, 2, len(objects))
     learn_fixed_lag(sessions, hp, seed=0, num_concepts=2, num_regions=3).validate()
 
 
-def _recount(batch, stats, K, R, n_words, n_objects):
-    """Counts and moment sums of every particle, summed afresh from its assignments."""
+def _recount(batch, views, K, R, n_words, n_objects):
+    """Counts and moment sums of every particle, summed afresh from its assignments and the
+    sessions' vocabulary-indexed views."""
     P = len(batch.assignments)
     counts = np.zeros((P, K, _WORDS + n_words + n_objects + R), dtype=int)
     moments = np.zeros((7, P, R))
     for i in range(P):
-        for s, cell in zip(stats, batch.assignments[i]):
+        for v, cell in zip(views, batch.assignments[i]):
             k, r = divmod(int(cell), R)
             row = counts[i, k]
-            row[:_WORDS] += [1, s.word_total, s.obj_total]
-            row[s.word_cols] += s.word_cnt
-            row[s.obj_cols] += s.obj_cnt
+            row[:_WORDS] += [1, v.word_total, v.obj_total]
+            row[_WORDS + v.word_idx] += v.word_cnt
+            row[_WORDS + n_words + v.obj_idx] += v.obj_cnt
             row[_WORDS + n_words + n_objects + r] += 1
-            x0, x1 = s.x
+            x0, x1 = v.x
             moments[:, i, r] += [1.0, x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1]
     return counts, moments
 
@@ -423,7 +432,7 @@ def test_batch_stays_a_recount_of_its_assignments_through_resampling(case):
     P, K, R = int(rng.integers(2, 8)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
     places = [f"w{i}" for i in range(int(rng.integers(1, 5)))]
     objects = [f"o{i}" for i in range(int(rng.integers(0, 5)))]
-    stats = _random_stats(rng, int(rng.integers(4, 20)), places, objects)
+    stats, views = _random_stats(rng, int(rng.integers(4, 20)), places, objects)
     _Tables(Hyperparameters(), K, R, len(places), len(objects), stats)
     batch = _Batch(P, K, R, len(places), len(objects), len(stats))
 
@@ -443,7 +452,7 @@ def test_batch_stays_a_recount_of_its_assignments_through_resampling(case):
     add_then_move(batch, half, len(stats))
     for array in (batch.counts, batch.moments, batch.assignments):
         assert array.flags.c_contiguous
-    counts, moments = _recount(batch, stats, K, R, len(places), len(objects))
+    counts, moments = _recount(batch, views, K, R, len(places), len(objects))
     np.testing.assert_array_equal(batch.counts, counts)
     np.testing.assert_allclose(batch.moments, moments, rtol=1e-12, atol=1e-12)
 
