@@ -21,13 +21,14 @@ The Gibbs sweep over the lag window, sequential over the window and parallel
 over particles, draws from it as it is.  An arriving session's grid is the
 kernel minus that normaliser, the collapsed log conditional: it doubles as
 the optimal proposal, and its log-sum-exp, the predictive marginal, is the
-particle weight increment.
+particle weight increment.  ``log_w`` sums them as unnormalised log weights
+since the last resample; each step normalises ``exp(log_w - max)``.
 
 Particles are systematically resampled, by one fancy-index of each array of
 the stacked state on its particle axis, when the effective sample size drops
-below half the particle count.  ``moments`` is resampled with
-``take(axis=1)``: ``moments[:, index]`` is not C-contiguous, and ``add``
-updates every array through a flat view of it.
+below half the particle count, and ``log_w`` restarts at zeros.  ``moments``
+is resampled with ``take(axis=1)``: ``moments[:, index]`` is not
+C-contiguous, and ``add`` updates every array through a flat view of it.
 Uniforms are drawn in the order a per-particle loop would draw them, so
 results do not depend on the batching.  The returned model is the
 maximum-weight particle's posterior-mean parameters, returned as the stacked
@@ -213,43 +214,17 @@ def _sweep_grid(p: _Batch, s: _SessionStats, t: _Tables) -> np.ndarray:
     return log_concept[..., None] + log_link + log_pos[..., None, :]
 
 
-def _shifted_exp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The maxima of ``a`` along its last axis (kept as an axis) and ``exp(a - max)``."""
-    a_max = a.max(axis=-1, keepdims=True)
-    return a_max, np.exp(a - a_max)
-
-
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """``scipy.special.logsumexp(a, axis=-1)`` for finite input, with its arithmetic."""
-    return _logsumexp_shifted(a, *_shifted_exp(a))
-
-
-def _logsumexp_shifted(a: np.ndarray, a_max: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """``_logsumexp(a)`` from ``_shifted_exp(a)``: the maxima are masked out of the sum
-    and added back as ``log(m)``.  Masking ``e`` to 0 is scipy's ``exp(-inf)`` bit for bit."""
-    top = a == a_max
-    m = top.sum(axis=-1, keepdims=True)
-    s = np.where(top, 0.0, e).sum(axis=-1, keepdims=True)
-    return (np.log1p(s / m) + np.log(m) + a_max).squeeze(-1)
-
-
 def _sample_grid(e: np.ndarray, u: np.ndarray, cells: np.ndarray) -> None:
-    """Write one flat cell ``k * R + r`` per particle into ``cells``, by inverse CDF on
-    the uniforms ``u``.  Row i of ``e`` is particle i's flattened (K, R) grid after
-    ``_shifted_exp``.
-
-    The arithmetic is that of ``Generator.choice(n, p=probs)``, so a draw of
-    ``u[i]`` picks exactly the cell that call would pick with the same uniform.
-    """
-    probs = e / e.sum(axis=1, keepdims=True)
-    cdf = probs.cumsum(axis=1)
-    cdf /= cdf[:, -1:]
-    (cdf <= u[:, None]).sum(axis=1, out=cells)
+    """Write one flat cell ``k * R + r`` per particle into ``cells``, by inverse CDF on the
+    uniforms ``u``.  Row i of ``e`` is particle i's flattened (K, R) grid, ``exp(grid - max)``;
+    for u < 1 the scaled total stays below the last cumulative sum, so each index is a cell."""
+    cdf = e.cumsum(axis=1)
+    (cdf <= u[:, None] * cdf[:, -1:]).sum(axis=1, out=cells)
 
 
-def _systematic_resample(log_w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    n = len(log_w)
-    w = np.exp(log_w - _logsumexp(log_w))
+def _systematic_resample(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Particle indices drawn systematically from the normalised weights ``w``."""
+    n = len(w)
     positions = (rng.random() + np.arange(n)) / n
     cumulative = np.cumsum(w)
     cumulative[-1] = 1.0  # rounding can leave it below the last position, indexing past n
@@ -297,13 +272,14 @@ def learn_fixed_lag(
     n_particles = hp.num_particles
     batch = _Batch(n_particles, num_concepts, num_regions, len(vocab_places),
                    len(vocab_objects), len(stats))
-    log_w = np.full(n_particles, -math.log(n_particles))
+    log_w = np.zeros(n_particles)  # unnormalised log weights since the last resample
 
     for t, s in enumerate(stats):
         # Less the normaliser over the t sessions held, the grid is the log conditional.
         grid = (_sweep_grid(batch, s, tables) - math.log(t + tables.k_alpha)).reshape(n_particles, -1)
-        top, e = _shifted_exp(grid)  # one exp serves the weight increment and the draw
-        log_w += _logsumexp_shifted(grid, top, e)
+        top = grid.max(axis=1, keepdims=True)
+        e = np.exp(grid - top)  # one exp serves the weight increment and the draw
+        log_w += top[:, 0] + np.log(e.sum(axis=1))
         cells = batch.assignments[:, t]
         _sample_grid(e, rng.random(n_particles), cells)
         batch.add(cells, s)
@@ -316,15 +292,15 @@ def learn_fixed_lag(
             cells = batch.assignments[:, tau]
             batch.add(cells, stats[tau], sign=-1)
             grid = _sweep_grid(batch, stats[tau], tables).reshape(n_particles, -1)
-            _sample_grid(_shifted_exp(grid)[1], u[:, j], cells)
+            _sample_grid(np.exp(grid - grid.max(axis=1, keepdims=True)), u[:, j], cells)
             batch.add(cells, stats[tau])
 
-        log_w = log_w - _logsumexp(log_w)
-        weights = np.exp(log_w)
-        ess = 1.0 / float((weights ** 2).sum())
+        w = np.exp(log_w - log_w.max())
+        w /= w.sum()
+        ess = 1.0 / float((w ** 2).sum())
         if ess < n_particles / 2.0:
-            batch = batch.take(_systematic_resample(log_w, rng))
-            log_w = np.full(n_particles, -math.log(n_particles))
+            batch = batch.take(_systematic_resample(w, rng))
+            log_w = np.zeros(n_particles)
 
     best = batch.take(int(np.argmax(log_w)))
     return _posterior_mean_model(best, hp, seed, vocab_places, vocab_objects)
@@ -342,15 +318,14 @@ def _posterior_mean_model(p: _Batch, hp: Hyperparameters, seed: int,
                    / (p.counts[:, _OBJ_TOTAL, None] + n_objects * hp.chi))
     region_dist = (p.counts[:, -R:] + hp.gamma) / (n_k[:, None] + R * hp.gamma)
 
-    # Each region's NIW posterior mean and scale from its (7, R) moment sums.
-    n, xsum = p.moments[0], p.moments[1:1 + _DIM]
+    # Each region's NIW posterior mean and scale from its (7, R) moment sums, in the kernel's a, V_n form.
+    n = p.moments[0]
     m0 = hp.m0_array.reshape(_DIM, 1)
     kappa_n = hp.kappa + n
-    xbar = xsum / np.maximum(n, 1.0)
-    scatter = p.moments[1 + _DIM:] - n * _outer(xbar, xbar)
-    means = ((hp.kappa * m0 + xsum) / kappa_n).T
-    dev = xbar - m0
-    V_n = (hp.V0_array.reshape(_DIM * _DIM, 1) + scatter + hp.kappa * n / kappa_n * _outer(dev, dev)).T
+    a = hp.kappa * m0 + p.moments[1:1 + _DIM]
+    means = a / kappa_n
+    V_n = (hp.V0_array.reshape(_DIM * _DIM, 1) + hp.kappa * _outer(m0, m0) + p.moments[1 + _DIM:]
+           - _outer(a, a) / kappa_n).T
     nu_n = hp.nu0 + n
     # The posterior-mean covariance needs nu_n > dim+1; empty regions fall
     # back to the inverse-Wishart mode, which is always defined.
@@ -358,6 +333,6 @@ def _posterior_mean_model(p: _Batch, hp: Hyperparameters, seed: int,
     covs = V_n.reshape(R, _DIM, _DIM) / np.where(denom > 0, denom, nu_n + _DIM + 1.0)[:, None, None]
 
     return SpatialConceptModel(pi=pi, word_dist=word_dist, object_dist=object_dist,
-                               region_dist=region_dist, means=means, covs=covs,
+                               region_dist=region_dist, means=means.T, covs=covs,
                                vocab_places=list(vocab_places), vocab_objects=list(vocab_objects),
                                hyperparameters=hp, seed=seed)

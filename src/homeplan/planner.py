@@ -450,10 +450,15 @@ def allocate(
     probability over its rooms (rows are normalized first, so rescaling a
     robot's table cannot change the outcome).  Chat-style backends are asked
     with the rendered allocation prompt; lines that fail to parse fall back
-    to the rule-based choice for that subtask.
+    to the rule-based choice for that subtask.  Knowledge bases that share a
+    robot id are a ``ConfigurationError``, raised before anything is allocated.
     """
     if not kbs:
         raise ValueError("need at least one knowledge base")
+    ids = [kb.robot_id for kb in kbs]
+    if len(set(ids)) < len(ids):
+        repeated = ", ".join(sorted({i for i in ids if ids.count(i) > 1}))
+        raise ConfigurationError(f"several knowledge bases have robot_id {repeated}")
     known = {obj for kb in kbs for obj in kb.presence_table}
     missing = [st.target_object for st in subtasks if st.target_object not in known]
     if missing:

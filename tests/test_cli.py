@@ -198,6 +198,22 @@ def test_allocate_output_runs_as_assignments(tmp_path, kb_files, capsys):
     assert {r["robot_id"] for r in records} == {"Robot1", "Robot2"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["allocate", "--text", "Could you please find apple. I need you to locate banana."],
+    ["suite", "--seed", "7"],
+], ids=["allocate", "suite"])
+def test_knowledge_bases_that_share_a_robot_id_are_rejected(tmp_path, argv, capsys):
+    # Extracted without --robot, both floors' knowledge bases are Robot1's.
+    env = load_environment("paper_home")
+    paths = [str(tmp_path / f"{floor}.json") for floor in ("1F", "2F")]
+    for floor, path in zip(("1F", "2F"), paths):
+        save_knowledge(knowledge_from_environment(env, floor, "Robot1"), path)
+    out_path = tmp_path / "out.json"
+    assert main([*argv, "--kb", *paths, "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err == "error: several knowledge bases have robot_id Robot1\n"
+    assert not out_path.exists()
+
+
 def test_suite_command_with_prebuilt_kbs(tmp_path, kb_files, capsys):
     out_path = tmp_path / "report.json"
     code = main(["suite", "--env", "paper_home", "--backend", "rule", "--seed", "7",

@@ -192,6 +192,14 @@ def test_allocate_object_with_only_massless_rows_raises():
         allocate([Subtask("find", "apple")], kbs)
 
 
+def test_allocate_rejects_knowledge_bases_that_share_a_robot_id(kb_robot1, kb_robot2):
+    kb_robot2.robot_id = kb_robot1.robot_id
+    backend = mock.Mock(tag="chat")
+    with pytest.raises(ConfigurationError, match="several knowledge bases have robot_id Robot1$"):
+        allocate([Subtask("find", "apple")], [kb_robot1, kb_robot2], backend=backend)
+    backend.complete.assert_not_called()
+
+
 def test_allocate_covers_each_subtask_once(kb_robot1, kb_robot2):
     subtasks = [Subtask("find", o) for o in ("apple", "banana", "cup", "towel")]
     assignments = allocate(subtasks, [kb_robot1, kb_robot2])
