@@ -62,27 +62,58 @@ class KnowledgeBase:
         return self.room_names[idx], float(row[idx])
 
 
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """The column of each row in a minimum-cost assignment of an (n, m) cost matrix, n <= m.
+
+    Kuhn-Munkres by shortest augmenting paths: rows join one at a time, and each
+    join is a Dijkstra search over reduced costs kept non-negative by row and
+    column potentials.  Among columns at the same distance a search settles the
+    lowest column index first, so tied optima resolve deterministically.
+    """
+    n, m = cost.shape
+    row_of = np.full(m + 1, -1)  # the row held by each column; column m is the search's virtual start
+    u, v = np.zeros(n), np.zeros(m + 1)
+    for i in range(n):
+        row_of[m], col = i, m
+        dist, prev, done = np.full(m, np.inf), np.full(m, m), np.zeros(m + 1, dtype=bool)
+        while row_of[col] >= 0:
+            done[col] = True
+            row = row_of[col]
+            reduced = cost[row] - u[row] - v[:m]
+            free = ~done[:m]
+            closer = free & (reduced < dist)
+            dist[closer], prev[closer] = reduced[closer], col
+            col = int(np.argmin(np.where(free, dist, np.inf)))
+            delta = dist[col]
+            u[row_of[done]] += delta
+            v[done] -= delta
+            dist[free] -= delta
+        while col != m:  # augment along the path back to the virtual start
+            row_of[col] = row_of[prev[col]]
+            col = prev[col]
+    assigned = np.flatnonzero(row_of[:m] >= 0)
+    out = np.empty(n, dtype=int)
+    out[row_of[assigned]] = assigned
+    return out
+
+
 def match_room_names(model: SpatialConceptModel, rooms: list[Room]) -> list[str]:
     """Label each learned region with the closest room, bijectively.
 
-    Uses a minimum-cost assignment on squared distances between region means
-    and room centers; purely an evaluation-side convenience, the learner
-    itself never sees room names.
+    Uses a minimum-cost assignment (``_min_cost_assignment``) on squared
+    distances between region means and room centers; ties between equally
+    cheap assignments go to the lower room index.  Purely an evaluation-side
+    convenience, the learner itself never sees room names.
     """
-    # Imported here: scipy.optimize adds about 23 MB and its import time to
-    # every command, and only room matching needs it.
-    from scipy.optimize import linear_sum_assignment
-
     if len(rooms) < model.num_regions:
         raise ConfigurationError(f"{len(rooms)} candidate rooms cannot name {model.num_regions} regions: "
                                  "need at least as many rooms as regions")
     centers = np.stack([r.center_array for r in rooms])
-    cost = ((model.means[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    region_idx, room_idx = linear_sum_assignment(cost)
-    names = [""] * model.num_regions
-    for reg, room in zip(region_idx, room_idx):
-        names[reg] = rooms[room].name
-    return names
+    with np.errstate(over="ignore"):  # an overflow is the typed error below
+        cost = ((model.means[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    if not np.isfinite(cost).all():
+        raise SchemaError("region means are too far from the rooms: their squared distances overflow")
+    return [rooms[room].name for room in _min_cost_assignment(cost)]
 
 
 def extract_knowledge(

@@ -15,8 +15,11 @@ update of each.
 One kernel, ``_sweep_grid``, scores a session over the (concept, region)
 cells.  Every term that depends on an integer count alone is one row of a
 fused table built once per learn (``_Tables``), so a grid is a few lookups
-plus the Student-t position term.  It leaves out the concept prior's
-normaliser log(N + K alpha), which is the same for every particle and cell.
+plus the Student-t position term.  Each log-gamma difference in those rows
+has an integer offset, so a row is a running sum of logs, and the Student-t
+constant has a closed form: the learner needs no special functions.  The
+kernel leaves out the concept prior's normaliser log(N + K alpha), which is
+the same for every particle and cell.
 The Gibbs sweep over the lag window, sequential over the window and parallel
 over particles, draws from it as it is.  An arriving session's grid is the
 kernel minus that normaliser, the collapsed log conditional: it doubles as
@@ -132,55 +135,50 @@ class _Batch:
 
 class _Tables:
     """Every grid term that depends on one integer count alone, indexed by that count, and
-    the prior constants, built once per learn as ``_sweep_grid`` reads them."""
+    the prior constants, built once per learn as ``_sweep_grid`` reads them.
+
+    The Dirichlet-multinomial rows are rising factorials, Gamma(n + b + c) / Gamma(n + b)
+    for an integer c, so each is a sum of c logs, built row by row; the mass rows are the
+    same sums negated.  The Student-t constant in two dimensions is -log(2 pi)."""
 
     def __init__(self, hp: Hyperparameters, K: int, R: int, n_words: int, n_objects: int,
                  stats: list[_SessionStats]):
-        # Imported here, its only use: scipy.special is most of the import time of
-        # every command, and only a learn needs it.
-        from scipy.special import gammaln
-
         # The largest count a learn of ``stats`` reaches: every session, word or object in one column.
         n_max = max(len(stats), sum(s.word_total for s in stats), sum(s.obj_total for s in stats))
         n = np.arange(n_max + 1, dtype=float)
         self.log_gamma = np.log(n + hp.gamma)
         self.k_alpha = K * hp.alpha
         # Per region count: 1 / kappa_n and the Student-t constants with the scale factor
-        # folded in (det(f V) = f^2 det V, so log f moves into the constant).
+        # folded in (det(f V) = f^2 det V, so log f moves into the constant).  With D = 2,
+        # Gamma((df + 2) / 2) / Gamma(df / 2) = df / 2, so the constant log(df / 2) - log(df)
+        # - log(pi) is -log(2 pi).
         kappa_n = hp.kappa + n
         df = hp.nu0 + n - _DIM + 1.0
-        half = (df + _DIM) / 2.0
         factor = (kappa_n + 1.0) / (kappa_n * df)
-        const = gammaln(half) - gammaln(df / 2.0) - np.log(df) - math.log(math.pi)
-        self.sweep_region = np.stack([1.0 / kappa_n, const - np.log(factor), 1.0 / (factor * df), half])
+        self.sweep_region = np.stack([1.0 / kappa_n, -math.log(2.0 * math.pi) - np.log(factor),
+                                      1.0 / (factor * df), (df + _DIM) / 2.0])
         # The prior as columns, broadcast along the moment planes.
         m0 = hp.m0_array.reshape(_DIM, 1, 1)
         self.kappa_m0 = hp.kappa * m0
         self.v0_m0 = hp.V0_array.reshape(_DIM * _DIM, 1, 1) + hp.kappa * _outer(m0, m0)
         # One row per term, indexed by a count: the concept prior over the link normaliser,
         # per session total m the DM mass terms, per token count c the rising factorials.
-        # Row 0 of each block is the empty term; it is never computed, since with an empty
-        # vocabulary gammaln(0) is inf and a difference of two would be nan.
-        def block(term, top):
-            return [np.zeros_like(n)] + [term(m) for m in range(1, top + 1)]
-
-        def top(values):
-            return max((int(v) for v in values), default=0)
+        # Row c of a rising block sums log(n + base + j) for j < c, so row 0 is zero.
+        def rising(base, values):
+            top = max((int(v) for v in values), default=0)
+            logs = np.log(n + base + np.arange(top)[:, None])
+            return np.concatenate([np.zeros((1, len(n))), logs.cumsum(axis=0)])
 
         word_mass, obj_mass = n_words * hp.beta, n_objects * hp.chi
         blocks = [
-            [np.log(n + hp.alpha) - np.log(n + R * hp.gamma)],
-            block(lambda m: gammaln(n + word_mass) - gammaln(n + m + word_mass),
-                  top(s.word_total for s in stats)),
-            block(lambda m: gammaln(n + obj_mass) - gammaln(n + m + obj_mass),
-                  top(s.obj_total for s in stats)),
-            block(lambda c: gammaln(n + c + hp.beta) - gammaln(n + hp.beta),
-                  top(c for s in stats for c in s.word_cnt)),
-            block(lambda c: gammaln(n + c + hp.chi) - gammaln(n + hp.chi),
-                  top(c for s in stats for c in s.obj_cnt)),
+            (np.log(n + hp.alpha) - np.log(n + R * hp.gamma))[None],
+            -rising(word_mass, (s.word_total for s in stats)),
+            -rising(obj_mass, (s.obj_total for s in stats)),
+            rising(hp.beta, (c for s in stats for c in s.word_cnt)),
+            rising(hp.chi, (c for s in stats for c in s.obj_cnt)),
         ]
         starts = np.cumsum([0] + [len(b) for b in blocks])
-        self.sweep = np.concatenate([row for b in blocks for row in b])
+        self.sweep = np.concatenate(blocks).reshape(-1)
         # A cell's count columns: concept k's row offset plus the session's columns, the
         # link column shifted from region 0 to the cell's region.
         F = _WORDS + n_words + n_objects + R

@@ -450,14 +450,15 @@ def allocate(
     probability over its rooms (rows are normalized first, so rescaling a
     robot's table cannot change the outcome).  Chat-style backends are asked
     with the rendered allocation prompt; lines that fail to parse fall back
-    to the rule-based choice for that subtask.  Knowledge bases that share a
-    robot id are a ``ConfigurationError``, raised before anything is allocated.
+    to the rule-based choice for that subtask.  Knowledge bases whose robot
+    ids are equal up to case are a ``ConfigurationError``, raised before
+    anything is allocated: the chat answer names its robot in any case.
     """
     if not kbs:
         raise ValueError("need at least one knowledge base")
-    ids = [kb.robot_id for kb in kbs]
-    if len(set(ids)) < len(ids):
-        repeated = ", ".join(sorted({i for i in ids if ids.count(i) > 1}))
+    folded = [kb.robot_id.casefold() for kb in kbs]
+    if len(set(folded)) < len(folded):
+        repeated = ", ".join(sorted({kb.robot_id for kb, f in zip(kbs, folded) if folded.count(f) > 1}))
         raise ConfigurationError(f"several knowledge bases have robot_id {repeated}")
     known = {obj for kb in kbs for obj in kb.presence_table}
     missing = [st.target_object for st in subtasks if st.target_object not in known]
@@ -468,10 +469,10 @@ def allocate(
 
     response = backend.complete(render_allocation_prompt(subtasks, kbs))
     parsed = parse_allocation_response(response)
-    by_id = {kb.robot_id.lower(): kb for kb in kbs}
+    by_id = dict(zip(folded, kbs))
     assignments = []
     for i, st in enumerate(subtasks, start=1):
-        choice = parsed.get(i, "").lower()
+        choice = parsed.get(i, "").casefold()
         kb = by_id.get(choice)
         if kb is None:
             assignments.append(_rule_assign(st, kbs))

@@ -317,7 +317,8 @@ def observe_session(env: Environment, robot: RobotState, room: str, rng: np.rand
     target = env.room(room)
     if target.floor != robot.floor:
         raise FloorAccessError(f"room {room!r} is on floor {target.floor!r}, robot is on {robot.floor!r}")
-    position = rng.multivariate_normal(target.center_array, target.scatter_array)
+    # The scatter was checked positive semi-definite when the environment was built.
+    position = rng.multivariate_normal(target.center_array, target.scatter_array, check_valid="ignore")
     labels = [o for o, placed in sorted(env.placements.items())
               if placed == room and rng.random() < robot.p_detect_present]
     words_pool = env.place_words.get(room, [])

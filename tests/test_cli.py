@@ -502,17 +502,19 @@ def test_bad_session_file_is_an_error(tmp_path, capsys, sessions, where):
 
 
 def test_commands_import_only_what_they_use(tmp_path, kb_files):
-    """In a fresh interpreter, planning commands load neither scipy nor the HTTP stack; a learn loads
-    scipy.special."""
+    """In a fresh interpreter no stage loads scipy, which only the tests use, and none loads
+    the HTTP stack: not planning, not a learn, not an extract and not a suite."""
     script = textwrap.dedent("""
         import json, sys
+        from pathlib import Path
         def loaded():
-            heavy = ("scipy", "scipy.special", "urllib.request", "http.client")
+            heavy = ("scipy", "urllib.request", "http.client")
             return [m for m in heavy if m in sys.modules]
+        out = Path(sys.argv[2])
         import homeplan.cli
         stages = {"import": loaded()}
-        assert homeplan.cli.main(["decompose", "--text", "Bring me an apple.", "--out", sys.argv[2]]) == 0
-        assert homeplan.cli.main(["prompt", "--kb", sys.argv[1], "--out", sys.argv[2]]) == 0
+        assert homeplan.cli.main(["decompose", "--text", "Bring me an apple.", "--out", str(out / "d.txt")]) == 0
+        assert homeplan.cli.main(["prompt", "--kb", sys.argv[1], "--out", str(out / "p.txt")]) == 0
         stages["decompose and prompt"] = loaded()
         import numpy as np
         from homeplan.learner import learn_fixed_lag
@@ -521,13 +523,18 @@ def test_commands_import_only_what_they_use(tmp_path, kb_files):
         hp = Hyperparameters(num_particles=2, lag_window=1)
         learn_fixed_lag([session], hp, num_concepts=1, num_regions=1)
         stages["learn"] = loaded()
-        print(json.dumps(stages))
+        assert homeplan.cli.main(["learn", "--floor", "1F", "--visits", "2", "--out", str(out / "m.json")]) == 0
+        assert homeplan.cli.main(["extract", "--model-path", str(out / "m.json"), "--floor", "1F",
+                                  "--out", str(out / "kb.json")]) == 0
+        stages["extract"] = loaded()
+        assert homeplan.cli.main(["suite", "--visits", "5", "--out", str(out / "suite.json")]) == 0
+        stages["suite --visits 5"] = loaded()
+        (out / "stages.json").write_text(json.dumps(stages))
     """)
     src = str(Path(homeplan.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", script, kb_files[0], str(tmp_path / "out.txt")],
-                            capture_output=True, text=True, env=env, check=True)
-    stages = json.loads(result.stdout)
-    assert stages["import"] == []
-    assert stages["decompose and prompt"] == []
-    assert {"scipy", "scipy.special"} <= set(stages["learn"])
+    subprocess.run([sys.executable, "-c", script, kb_files[0], str(tmp_path)],
+                   capture_output=True, text=True, env=env, check=True)
+    stages = json.loads((tmp_path / "stages.json").read_text())
+    assert stages == {"import": [], "decompose and prompt": [], "learn": [], "extract": [],
+                      "suite --visits 5": []}

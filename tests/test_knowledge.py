@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from homeplan.knowledge import (
     KnowledgeBase,
+    _min_cost_assignment,
     extract_knowledge,
     format_probability,
     knowledge_from_dict,
@@ -185,11 +187,54 @@ def test_match_room_names_is_a_bijection():
     assert names == [r.name for r in rooms]
 
 
+@st.composite
+def integer_costs(draw):
+    """An (n, m) cost matrix, n <= m <= 10, of small integers, so that many optima tie."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(n, 10))
+    return np.array(draw(st.lists(st.lists(st.integers(0, 12), min_size=m, max_size=m),
+                                  min_size=n, max_size=n)), dtype=float)
+
+
+@given(integer_costs())
+@settings(max_examples=300, deadline=None)
+def test_min_cost_assignment_is_scipys_optimum(cost):
+    """A bijection onto distinct columns with scipy's optimal total; where the optimum is unique,
+    scipy's assignment.  The optimum is unique when forbidding any one of its pairs raises the total."""
+    n = len(cost)
+    columns = _min_cost_assignment(cost)
+    assert len(set(columns.tolist())) == n
+    rows, oracle = linear_sum_assignment(cost)
+    best = cost[rows, oracle].sum()
+    assert cost[np.arange(n), columns].sum() == best
+    unique = True
+    for i, j in zip(rows, oracle):
+        forbidden = cost.copy()
+        forbidden[i, j] = 1e6
+        r, c = linear_sum_assignment(forbidden)
+        unique &= forbidden[r, c].sum() > best
+    if unique:
+        assert columns.tolist() == oracle.tolist()
+
+
+def test_min_cost_assignment_breaks_ties_to_the_lowest_column():
+    assert _min_cost_assignment(np.zeros((2, 3))).tolist() == [0, 1]
+    assert _min_cost_assignment(np.array([[1.0, 0.0, 0.0]])).tolist() == [1]
+
+
 def test_match_room_names_needs_enough_rooms():
     env = load_environment("robocup_arena")
     model = random_model(np.random.default_rng(13), 2, 5)
     with pytest.raises(ValueError):
         match_room_names(model, env.rooms_on("zone1"))  # 2 rooms < 5 regions
+
+
+def test_match_room_names_rejects_distances_that_overflow():
+    env = load_environment("paper_home")
+    model = random_model(np.random.default_rng(14), 3, 5)
+    model.means[2] = [1e200, 0.0]
+    with pytest.raises(SchemaError, match="overflow"):
+        match_room_names(model, env.rooms_on("1F"))
 
 
 def test_parse_presence_table_rejects_garbage():

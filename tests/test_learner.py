@@ -404,6 +404,42 @@ def test_sweep_tables_stay_finite_without_objects(objects):
     learn_fixed_lag(sessions, hp, seed=0, num_concepts=2, num_regions=3).validate()
 
 
+def test_sweep_table_rows_are_the_log_gamma_differences():
+    """Every row of every fused-table block, a running sum of logs, against the gammaln
+    difference it stands for, at counts up to about 3,000, and the closed-form Student-t
+    constant against its gammaln form, to 1e-10 absolute: at these counts the two forms
+    differ by up to about 1e-11, the rounding of gammaln's differences."""
+    rng = np.random.default_rng(20)
+    places, objects = ["kitchen", "sink", "stove"], ["cup", "plate"]
+    stats, _ = _random_stats(rng, 1500, places, objects)
+    hp = Hyperparameters(alpha=0.7, gamma=1.3, beta=0.3, chi=0.45)
+    K, R = 2, 3
+    tables = _Tables(hp, K, R, len(places), len(objects), stats)
+    n = np.arange(len(tables.log_gamma), dtype=float)
+    assert len(n) > 2500
+
+    def rows(term, values):
+        return [term(c) for c in range(max(values) + 1)]
+
+    word_mass, obj_mass = len(places) * hp.beta, len(objects) * hp.chi
+    blocks = [
+        [np.log(n + hp.alpha) - np.log(n + R * hp.gamma)],
+        rows(lambda m: gammaln(n + word_mass) - gammaln(n + m + word_mass), [s.word_total for s in stats]),
+        rows(lambda m: gammaln(n + obj_mass) - gammaln(n + m + obj_mass), [s.obj_total for s in stats]),
+        rows(lambda c: gammaln(n + c + hp.beta) - gammaln(n + hp.beta), [c for s in stats for c in s.word_cnt]),
+        rows(lambda c: gammaln(n + c + hp.chi) - gammaln(n + hp.chi), [c for s in stats for c in s.obj_cnt]),
+    ]
+    assert all(len(b) >= 4 for b in blocks[1:])  # every block reaches a count of 3
+    expected = np.stack([row for b in blocks for row in b])
+    np.testing.assert_allclose(tables.sweep.reshape(-1, len(n)), expected, rtol=0, atol=1e-10)
+
+    kappa_n = hp.kappa + n
+    df = hp.nu0 + n - 1.0
+    factor = (kappa_n + 1.0) / (kappa_n * df)
+    const = gammaln((df + 2.0) / 2.0) - gammaln(df / 2.0) - np.log(df) - math.log(math.pi) - np.log(factor)
+    np.testing.assert_allclose(tables.sweep_region[1], const, rtol=0, atol=1e-10)
+
+
 def _recount(batch, views, K, R, n_words, n_objects):
     """Counts and moment sums of every particle, summed afresh from its assignments and the
     sessions' vocabulary-indexed views."""

@@ -200,6 +200,16 @@ def test_allocate_rejects_knowledge_bases_that_share_a_robot_id(kb_robot1, kb_ro
     backend.complete.assert_not_called()
 
 
+def test_allocate_rejects_robot_ids_that_differ_only_in_case(kb_robot1, kb_robot2):
+    # A chat answer names its robot in any case, so Robot1 and robot1 are one robot to it.
+    kb_robot2.robot_id = kb_robot1.robot_id.lower()
+    backend = mock.Mock(tag="chat")
+    backend.complete.return_value = "SubTask 1: Find apple. -> Robot1"
+    with pytest.raises(ConfigurationError, match="several knowledge bases have robot_id Robot1, robot1$"):
+        allocate([Subtask("find", "apple")], [kb_robot1, kb_robot2], backend=backend)
+    backend.complete.assert_not_called()
+
+
 def test_allocate_covers_each_subtask_once(kb_robot1, kb_robot2):
     subtasks = [Subtask("find", o) for o in ("apple", "banana", "cup", "towel")]
     assignments = allocate(subtasks, [kb_robot1, kb_robot2])
