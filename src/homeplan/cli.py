@@ -95,8 +95,7 @@ def cmd_learn(args) -> int:
 def cmd_extract(args) -> int:
     model = spatial.load_model(args.model_path)
     env = world.load_environment(args.env)
-    rooms = env.rooms_on(args.floor) if args.floor else env.rooms
-    room_names = knowledge.match_room_names(model, rooms)
+    room_names = knowledge.match_room_names(model, env.rooms_on(args.floor))
     kb = knowledge.extract_knowledge(model, room_names, vocab_threshold=args.threshold,
                                      robot_id=args.robot)
     _emit(json.dumps(knowledge.knowledge_to_dict(kb), indent=2), args.out)
@@ -204,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", parents=[env, out], help="turn a model into a knowledge base")
     p.add_argument("--model-path", required=True, dest="model_path")
-    p.add_argument("--floor", default=None, help="restrict room labels to this floor")
+    p.add_argument("--floor", required=True, help="the floor the model was learned on, whose rooms name its regions")
     p.add_argument("--robot", default="Robot1")
     p.add_argument("--threshold", type=float, default=0.05)
     p.set_defaults(func=cmd_extract)

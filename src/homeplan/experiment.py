@@ -242,7 +242,7 @@ def learn_floor_model(env: Environment, robot: RobotState, seed: int, visits_per
     num_regions = len(env.rooms_on(robot.floor)) if num_regions is None else num_regions
     sessions = generate_floor_sessions(env, robot, np.random.default_rng(seed),
                                        visits_per_room=visits_per_room)
-    return learn_fixed_lag(sessions, hp or Hyperparameters(), seed=seed,
+    return learn_fixed_lag(sessions, hp, seed=seed,
                            num_concepts=num_regions, num_regions=num_regions)
 
 

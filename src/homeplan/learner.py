@@ -9,8 +9,9 @@ integers: its sessions, word and object totals, word and object counts, and
 its links to regions.  ``moments`` (7, P, R) holds each region's
 normal-inverse-Wishart moment sums component-major: n, the two position sums
 and the four sums of outer products, each a contiguous (P, R) plane that the
-kernel reads without striding.  Adding or removing a session is one indexed
-update of each.
+kernel reads without striding.  Positions are held less the floor's centre,
+the mean session position, which is every region's prior mean.  Adding or
+removing a session is one indexed update of each.
 
 One kernel, ``_sweep_grid``, scores a session over the (concept, region)
 cells.  Every term that depends on an integer count alone is one row of a
@@ -74,12 +75,11 @@ class _SessionStats:
     __slots__ = ("word_cnt", "word_total", "obj_cnt", "obj_total",
                  "x", "cols", "vals", "neg_vals", "moments", "neg_moments", "sweep_index", "cell_cols")
 
-    def __init__(self, session: Session, place_index: dict[str, int], object_index: dict[str, int]):
+    def __init__(self, session: Session, centre: np.ndarray, place_index: dict[str, int],
+                 object_index: dict[str, int]):
         widx = np.array([place_index[w] for w in session.place_words], dtype=int)
         oidx = np.array([object_index[o] for o in session.object_labels], dtype=int)
-        self.x = np.asarray(session.position, dtype=float)
-        if self.x.shape != (_DIM,) or not np.all(np.isfinite(self.x)):
-            raise SchemaError("session position must be a finite 2-vector")
+        self.x = np.asarray(session.position, dtype=float) - centre
         word_idx, self.word_cnt = np.unique(widx, return_counts=True)
         obj_idx, self.obj_cnt = np.unique(oidx, return_counts=True)
         self.word_total = int(self.word_cnt.sum())
@@ -157,10 +157,8 @@ class _Tables:
         factor = (kappa_n + 1.0) / (kappa_n * df)
         self.sweep_region = np.stack([1.0 / kappa_n, -math.log(2.0 * math.pi) - np.log(factor),
                                       1.0 / (factor * df), (df + _DIM) / 2.0])
-        # The prior as columns, broadcast along the moment planes.
-        m0 = hp.m0_array.reshape(_DIM, 1, 1)
-        self.kappa_m0 = hp.kappa * m0
-        self.v0_m0 = hp.V0_array.reshape(_DIM * _DIM, 1, 1) + hp.kappa * _outer(m0, m0)
+        # The prior scale as a column, broadcast along the moment planes.
+        self.v0 = hp.V0_array.reshape(_DIM * _DIM, 1, 1)
         # One row per term, indexed by a count: the concept prior over the link normaliser,
         # per session total m the DM mass terms, per token count c the rising factorials.
         # Row c of a rising block sums log(n + base + j) for j < c, so row 0 is zero.
@@ -195,16 +193,16 @@ class _Tables:
 def _sweep_grid(p: _Batch, s: _SessionStats, t: _Tables) -> np.ndarray:
     """The collapsed log conditional over (concept, region) for one session, shape
     (P, K, R), less the concept prior's normaliser log(N + K alpha), N the sessions
-    held.  Every count-only term is one fused table row, and the NIW scale is
-    V_n = V0 + kappa m0 m0^T + sum x x^T - a a^T / kappa_n with a = kappa m0 + sum x,
-    which needs no sample mean."""
+    held.  Every count-only term is one fused table row, and with the prior mean at
+    the origin of the centred positions the NIW scale is V_n = V0 + sum x x^T - a a^T
+    / kappa_n with a = sum x, which needs no sample mean."""
     counts, moments = p.counts, p.moments
     log_concept = t.sweep.take(counts[..., s.cols[:-1]] + s.sweep_index).sum(axis=-1)
     log_link = t.log_gamma.take(counts[..., -moments.shape[2]:])
     inv_kappa_n, const, inv_scale_df, half = t.sweep_region.take(moments[0].astype(int), axis=1)
-    a = moments[1:1 + _DIM] + t.kappa_m0
+    a = moments[1:1 + _DIM]
     m_n = a * inv_kappa_n
-    v00, v01, v10, v11 = moments[1 + _DIM:] + t.v0_m0 - _outer(a, m_n)
+    v00, v01, v10, v11 = moments[1 + _DIM:] + t.v0 - _outer(a, m_n)
     d0, d1 = s.x[:, None, None] - m_n
     det = v00 * v11 - v01 * v10
     quad = (v11 * d0 * d0 - 2.0 * v01 * d0 * d1 + v00 * d1 * d1) / det
@@ -246,9 +244,11 @@ def learn_fixed_lag(
 ) -> SpatialConceptModel:
     """Learn a spatial concept model from an ordered session stream.
 
-    The vocabularies are the sessions' own (``derive_vocabularies``).
-    Deterministic for fixed (sessions, hp, seed).  A lag window longer than
-    the stream is clamped, never an error.
+    It reads the whole stream before its first step: the vocabularies are the
+    sessions' own (``derive_vocabularies``), and every region's prior is centred
+    on the mean session position, so the model does not depend on where the
+    coordinate origin lies.  Deterministic for fixed (sessions, hp, seed).  A
+    lag window longer than the stream is clamped, never an error.
     """
     if num_concepts < 1 or num_regions < 1:
         raise ConfigurationError(
@@ -261,9 +261,15 @@ def learn_fixed_lag(
         raise SchemaError("sessions contain no place words")
     place_index = {w: i for i, w in enumerate(vocab_places)}
     object_index = {o: i for i, o in enumerate(vocab_objects)}
-    stats = [_SessionStats(s, place_index, object_index) for s in sessions]
-    if not math.isfinite(sum(v * v for s in stats for v in s.x.tolist())):
-        raise SchemaError("session positions are too large: their squares overflow")
+    try:
+        positions = np.array([s.position for s in sessions], dtype=float)
+    except (TypeError, ValueError):
+        raise SchemaError("session positions must be numbers, all of one shape") from None
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite square fails the check
+        centre = positions.mean(axis=0)
+        if positions.shape != (len(sessions), _DIM) or not np.isfinite(np.square(positions - centre).sum()):
+            raise SchemaError("session positions must be finite 2-vectors whose squares do not overflow")
+    stats = [_SessionStats(s, centre, place_index, object_index) for s in sessions]
     tables = _Tables(hp, num_concepts, num_regions, len(vocab_places), len(vocab_objects), stats)
 
     rng = np.random.default_rng(seed)
@@ -301,10 +307,10 @@ def learn_fixed_lag(
             log_w = np.zeros(n_particles)
 
     best = batch.take(int(np.argmax(log_w)))
-    return _posterior_mean_model(best, hp, seed, vocab_places, vocab_objects)
+    return _posterior_mean_model(best, hp, seed, centre, vocab_places, vocab_objects)
 
 
-def _posterior_mean_model(p: _Batch, hp: Hyperparameters, seed: int,
+def _posterior_mean_model(p: _Batch, hp: Hyperparameters, seed: int, centre: np.ndarray,
                           vocab_places: list[str], vocab_objects: list[str]) -> SpatialConceptModel:
     K, R = p.counts.shape[0], p.moments.shape[1]
     n_words, n_objects = len(vocab_places), len(vocab_objects)
@@ -316,14 +322,12 @@ def _posterior_mean_model(p: _Batch, hp: Hyperparameters, seed: int,
                    / (p.counts[:, _OBJ_TOTAL, None] + n_objects * hp.chi))
     region_dist = (p.counts[:, -R:] + hp.gamma) / (n_k[:, None] + R * hp.gamma)
 
-    # Each region's NIW posterior mean and scale from its (7, R) moment sums, in the kernel's a, V_n form.
+    # Each region's NIW posterior mean, shifted back by the centre, and scale from its (7, R) moment sums.
     n = p.moments[0]
-    m0 = hp.m0_array.reshape(_DIM, 1)
     kappa_n = hp.kappa + n
-    a = hp.kappa * m0 + p.moments[1:1 + _DIM]
-    means = a / kappa_n
-    V_n = (hp.V0_array.reshape(_DIM * _DIM, 1) + hp.kappa * _outer(m0, m0) + p.moments[1 + _DIM:]
-           - _outer(a, a) / kappa_n).T
+    a = p.moments[1:1 + _DIM]
+    means = (a / kappa_n).T + centre
+    V_n = (hp.V0_array.reshape(_DIM * _DIM, 1) + p.moments[1 + _DIM:] - _outer(a, a) / kappa_n).T
     nu_n = hp.nu0 + n
     # The posterior-mean covariance needs nu_n > dim+1; empty regions fall
     # back to the inverse-Wishart mode, which is always defined.
@@ -331,6 +335,6 @@ def _posterior_mean_model(p: _Batch, hp: Hyperparameters, seed: int,
     covs = V_n.reshape(R, _DIM, _DIM) / np.where(denom > 0, denom, nu_n + _DIM + 1.0)[:, None, None]
 
     return SpatialConceptModel(pi=pi, word_dist=word_dist, object_dist=object_dist,
-                               region_dist=region_dist, means=means.T, covs=covs,
+                               region_dist=region_dist, means=means, covs=covs,
                                vocab_places=list(vocab_places), vocab_objects=list(vocab_objects),
                                hyperparameters=hp, seed=seed)

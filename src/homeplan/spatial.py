@@ -30,17 +30,16 @@ _MODEL_SCHEMA_VERSION = 1
 class Hyperparameters:
     """Prior parameters for the mixture learner.
 
-    Concentrations are per-component symmetric Dirichlet parameters; the
-    Gaussian regions carry a normal-inverse-Wishart prior (m0, kappa, V0, nu0).
-    ``from_dict`` ignores unknown keys, so documents written with the removed
-    ``lambda_aux`` field still load.
+    Concentrations are per-component symmetric Dirichlet parameters; the Gaussian
+    regions carry a normal-inverse-Wishart prior (kappa, V0, nu0) that the learner
+    centres on the floor's mean session position.  ``from_dict`` ignores unknown
+    keys, so documents with the removed ``lambda_aux`` field or prior mean load.
     """
 
     alpha: float = 2.0
     gamma: float = 0.5
     beta: float = 0.1
     chi: float = 0.1
-    m0: tuple[float, float] = (0.0, 0.0)
     kappa: float = 1.0
     V0: tuple[tuple[float, float], tuple[float, float]] = ((2.0, 0.0), (0.0, 2.0))
     nu0: float = 3.0
@@ -58,38 +57,33 @@ class Hyperparameters:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise SchemaError(f"{name} must be an integer >= 1, not {value!r}")
         try:
-            m0, v0 = self.m0_array, self.V0_array
+            v0 = self.V0_array
         except (TypeError, ValueError, OverflowError):
-            raise SchemaError("m0 and V0 must be numeric") from None
-        if m0.shape != (2,) or v0.shape != (2, 2) or not (np.isfinite(m0).all() and np.isfinite(v0).all()):
-            raise SchemaError("m0 must be 2 finite numbers and V0 a finite 2x2 matrix")
+            raise SchemaError("V0 must be numeric") from None
+        if v0.shape != (2, 2) or not np.isfinite(v0).all():
+            raise SchemaError("V0 must be a finite 2x2 matrix")
         if not np.allclose(v0, v0.T):
             raise SchemaError("V0 must be symmetric")
         if np.any(np.linalg.eigvalsh(v0) <= 0):
             raise SchemaError("V0 must be positive-definite")
 
     @property
-    def m0_array(self) -> np.ndarray:
-        return np.asarray(self.m0, dtype=float)
-
-    @property
     def V0_array(self) -> np.ndarray:
         return np.asarray(self.V0, dtype=float)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "m0": list(self.m0), "V0": [list(row) for row in self.V0]}
+        return {**asdict(self), "V0": [list(row) for row in self.V0]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Hyperparameters":
         try:
             values = {f.name: data[f.name] for f in fields(cls)}
-            values["m0"] = tuple(values["m0"])
             values["V0"] = tuple(tuple(row) for row in values["V0"])
             return cls(**values)
         except KeyError as exc:
             raise SchemaError(f"hyperparameters missing key: {exc.args[0]!r}") from None
         except TypeError:
-            raise SchemaError("hyperparameters must be an object; m0 and V0 must be lists") from None
+            raise SchemaError("hyperparameters must be an object; V0 must be a list of lists") from None
 
 
 @dataclass

@@ -243,7 +243,7 @@ def test_seed_env_var_does_not_seed_the_suite(tmp_path, kb_files, monkeypatch, c
 
 
 @pytest.mark.parametrize("argv", [
-    ["extract", "--model-path", "model.json", "--seed", "3"],
+    ["extract", "--model-path", "model.json", "--floor", "1F", "--seed", "3"],
     ["prompt", "--kb", "kb.json", "--seed", "3"],
     ["decompose", "--text", "Bring me an apple.", "--seed", "3"],
     ["allocate", "--kb", "kb.json", "--text", "Bring me an apple.", "--seed", "3"],
@@ -263,7 +263,7 @@ def test_domain_errors_exit_nonzero(capsys):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--env", "robocup_arena"], "need at least as many rooms as regions"),
+    (["--env", "robocup_arena", "--floor", "zone1"], "need at least as many rooms as regions"),
     (["--floor", "3F"], "0 candidate rooms"),
     (["--floor", "1F", "--threshold", "2"], "vocab_threshold"),
 ])
@@ -274,6 +274,18 @@ def test_extract_configuration_errors_exit_nonzero(tmp_path, capsys, args, messa
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message in err
+
+
+def test_extract_needs_the_model_floor(tmp_path, capsys):
+    # Without --floor a 2F model's regions were named after rooms of the whole home, 1F rooms among them.
+    model_path = tmp_path / "model.json"
+    assert main(["learn", "--floor", "2F", "--visits", "3", "--particles", "2", "--lag", "2",
+                 "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["extract", "--model-path", str(model_path), "--robot", "Robot2"])
+    assert excinfo.value.code == 2
+    assert "the following arguments are required: --floor" in capsys.readouterr().err
 
 
 def test_decompose_without_placed_objects_is_an_error(tmp_path, capsys):
@@ -469,7 +481,7 @@ def test_an_unreadable_input_file_is_an_error(tmp_path, kb_files, capsys, comman
         "run": ["run", "--kb", *kb_files, "--assignments", path],
         "suite": ["suite", "--kb", path],
         "learn": ["learn", "--sessions", path],
-        "extract": ["extract", "--model-path", path],
+        "extract": ["extract", "--model-path", path, "--floor", "1F"],
         "allocate": ["allocate", "--kb", *kb_files, "--subtasks", path],
         "decompose": ["decompose", "--env", path, "--text", "Find the apple."],
     }[name]

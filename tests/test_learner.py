@@ -8,7 +8,13 @@ import pytest
 from scipy.special import gammaln
 
 from homeplan.errors import ConfigurationError, SchemaError
-from homeplan.experiment import default_robots, learn_floor_model
+from homeplan.experiment import (
+    _suite_seeds,
+    best_room_recovery,
+    default_robots,
+    learn_floor_knowledge,
+    learn_floor_model,
+)
 from homeplan.learner import (
     _OBJ_TOTAL,
     _WORDS,
@@ -27,7 +33,10 @@ from homeplan.spatial import (
     model_to_dict,
     object_location_posterior,
 )
-from homeplan.world import load_environment
+from homeplan.world import environment_from_dict, load_environment
+
+from conftest import environment_to_dict
+from test_acceptance import ACCEPTANCE_SEED
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -68,22 +77,16 @@ def test_single_session_populates_one_region():
     session = Session(np.array([3.0, 4.0]), ["cup"], ["kitchen"], room_hint=None)
     model = learn_fixed_lag([session], FAST_HP, seed=0, num_concepts=2, num_regions=3)
     hp = FAST_HP
-    # Exactly one region absorbed the observation; its mean is the NIW
-    # posterior mean blending the prior anchor with the measurement.
-    expected_mean = (hp.kappa * hp.m0_array + session.position) / (hp.kappa + 1.0)
-    hits = [mean for mean in model.means if np.allclose(mean, expected_mean)]
-    assert len(hits) == 1
-    untouched = [mean for mean in model.means if np.allclose(mean, hp.m0_array)]
-    assert len(untouched) == 2
-    # The occupied region takes the posterior-mean covariance; the empty ones, whose
-    # nu_n = nu0 leaves that undefined, take the inverse-Wishart mode.
-    dev = session.position - hp.m0_array
-    scale = hp.V0_array + hp.kappa / (hp.kappa + 1.0) * np.outer(dev, dev)
-    for mean, cov in zip(model.means, model.covs):
-        if np.allclose(mean, expected_mean):
-            np.testing.assert_allclose(cov, scale / (hp.nu0 + 1.0 - 3.0), rtol=1e-12)
-        else:
-            np.testing.assert_allclose(cov, hp.V0_array / (hp.nu0 + 3.0), rtol=1e-12)
+    # The prior is centred on the one position, so every region's posterior mean,
+    # the occupied one's and the empty ones', is that position.
+    np.testing.assert_array_equal(model.means, np.tile(session.position, (3, 1)))
+    # Exactly one region absorbed the observation, which sits on the prior mean: it takes
+    # the posterior-mean covariance V0 / (nu0 + 1 - 3).  The empty ones, whose nu_n = nu0
+    # leaves that undefined, take the inverse-Wishart mode.
+    occupied = hp.V0_array / (hp.nu0 + 1.0 - 3.0)
+    empty = hp.V0_array / (hp.nu0 + 3.0)
+    assert sum(np.allclose(cov, occupied, rtol=1e-12) for cov in model.covs) == 1
+    assert sum(np.allclose(cov, empty, rtol=1e-12) for cov in model.covs) == 2
     assert model.vocab_places == ["kitchen"]
     assert model.vocab_objects == ["cup"]
 
@@ -217,6 +220,8 @@ def test_systematic_resample_stays_in_range_at_the_top_draw():
     ([Session(np.array([np.nan, 0.0]), ["o"], ["w"])], {}, SchemaError),
     ([Session(np.array([0.0, np.inf]), ["o"], ["w"])], {}, SchemaError),
     ([Session(np.array([1e200, 0.0]), ["o"], ["w"]), Session(np.zeros(2), ["o"], ["w"])], {}, SchemaError),
+    ([Session(np.zeros(3), ["o"], ["w"])], {}, SchemaError),
+    ([Session(np.zeros(2), ["o"], ["w"]), Session(np.zeros(3), ["o"], ["w"])], {}, SchemaError),
 ])
 def test_bad_learner_input_is_a_typed_error(sessions, kwargs, error):
     with pytest.raises(error):
@@ -241,10 +246,10 @@ def _ref_position_log(p, x, hp):
     nu_n = hp.nu0 + n
     xbar = p.pos_sum / np.maximum(n, 1.0)[:, None]
     scatter = p.pos_outer - n[:, None, None] * (xbar[:, :, None] * xbar[:, None, :])
-    m_n = (hp.kappa * hp.m0_array + p.pos_sum) / kappa_n[:, None]
-    dev = xbar - hp.m0_array
+    # The learner holds positions less the floor's centre, where the prior mean is zero.
+    m_n = p.pos_sum / kappa_n[:, None]
     shrink = (hp.kappa * n / kappa_n)[:, None, None]
-    V_n = hp.V0_array + scatter + shrink * (dev[:, :, None] * dev[:, None, :])
+    V_n = hp.V0_array + scatter + shrink * (xbar[:, :, None] * xbar[:, None, :])
     df = nu_n - 1.0
     scale = V_n * ((kappa_n + 1.0) / (kappa_n * df))[:, None, None]
     det = scale[:, 0, 0] * scale[:, 1, 1] - scale[:, 0, 1] * scale[:, 1, 0]
@@ -268,21 +273,24 @@ def _ref_conditional(p, s, hp):
     return (log_pc + log_words + log_objects)[:, None] + log_pr + log_pos[None, :]
 
 
-def _vocabulary_indexed(session, place_index, object_index):
-    """A session's words and objects as vocabulary indices and counts, read from the session itself."""
+def _vocabulary_indexed(session, centre, place_index, object_index):
+    """A session's words and objects as vocabulary indices and counts, read from the session itself,
+    and its position less the centre."""
     word_idx, word_cnt = np.unique(np.array([place_index[w] for w in session.place_words], dtype=int),
                                    return_counts=True)
     obj_idx, obj_cnt = np.unique(np.array([object_index[o] for o in session.object_labels], dtype=int),
                                  return_counts=True)
     return SimpleNamespace(word_idx=word_idx, word_cnt=word_cnt, word_total=len(session.place_words),
                            obj_idx=obj_idx, obj_cnt=obj_cnt, obj_total=len(session.object_labels),
-                           x=np.asarray(session.position, dtype=float))
+                           x=np.asarray(session.position, dtype=float) - centre)
 
 
 def _stats_and_views(sessions, place_index, object_index):
-    """Each session as the learner's stats and as the references' vocabulary-indexed view."""
-    return ([_SessionStats(s, place_index, object_index) for s in sessions],
-            [_vocabulary_indexed(s, place_index, object_index) for s in sessions])
+    """Each session as the learner's stats and as the references' vocabulary-indexed view, both
+    centred on the mean position as a learn centres them."""
+    centre = np.mean([s.position for s in sessions], axis=0)
+    return ([_SessionStats(s, centre, place_index, object_index) for s in sessions],
+            [_vocabulary_indexed(s, centre, place_index, object_index) for s in sessions])
 
 
 def _random_stats(rng, n, places, objects):
@@ -531,10 +539,41 @@ def _assert_documents_close(actual, expected, path="model"):
 
 
 def test_paper_home_models_match_the_per_particle_learner():
-    """Both floors at 5 visits per room, seed 7, against models stored from
-    the per-particle learner (a different libm may move the last digits)."""
+    """Both floors at 5 visits per room, seed 7, against models stored from this
+    learner with the prior centred on each floor (a different libm may move the
+    last digits)."""
     expected = json.loads((FIXTURES / "paper_home_models_visits5_seed7.json").read_text())
     env = load_environment("paper_home")
     for robot in default_robots(env):
         model = learn_floor_model(env, robot, 7, visits_per_room=5)
         _assert_documents_close(model_to_dict(model), expected[robot.floor], robot.floor)
+
+
+# C2: best rooms right of the floor's objects (acceptance suite, test_c2_learning_recovery).
+C2_BEST_ROOMS = {"1F": (11, 13), "2F": (9, 11)}
+
+
+def _meets_c2(env, robot, seed):
+    right, total = best_room_recovery(env, robot.floor, learn_floor_knowledge(env, robot, seed))
+    need, objects = C2_BEST_ROOMS[robot.floor]
+    return right >= need and total == objects
+
+
+@pytest.mark.parametrize("cli_seed", [8, 12, 21, 58])
+def test_suite_first_floor_learns_meet_c2(cli_seed):
+    # With the prior mean at the coordinate origin, on the entrance, these 1F learns of
+    # `homeplan suite --seed S` split the entrance across two regions and missed C2.
+    env = load_environment("paper_home")
+    assert _meets_c2(env, default_robots(env)[0], _suite_seeds(cli_seed)["learn_base"])
+
+
+@pytest.mark.parametrize("shift", [(50.0, 50.0), (-1e4, 3e3)])
+def test_a_shifted_home_meets_c2(shift):
+    # Where the coordinate origin lies must not matter.  The learns are not bit-identical
+    # across shifts (rounding can send the filter down another path), so C2 is asserted.
+    doc = environment_to_dict(load_environment("paper_home"))
+    for room in doc["rooms"]:
+        room["center"] = [c + d for c, d in zip(room["center"], shift)]
+    env = environment_from_dict(doc)
+    for i, robot in enumerate(default_robots(env)):
+        assert _meets_c2(env, robot, ACCEPTANCE_SEED + i), robot.floor

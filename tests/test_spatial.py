@@ -252,7 +252,7 @@ def test_hyperparameter_validation():
 @pytest.mark.parametrize("key, value", [
     ("alpha", 0), ("alpha", float("nan")), ("kappa", float("inf")), ("beta", "x"), ("gamma", None),
     ("chi", True), ("nu0", 1.0), ("num_particles", 2.5), ("lag_window", 0),
-    ("m0", 5), ("m0", "x"), ("m0", [0.0]), ("m0", [0.0, float("nan")]),
+    ("gamma", -0.5), ("nu0", 0.5), ("num_particles", True), ("lag_window", 2.0),
     ("V0", "x"), ("V0", 2.0), ("V0", [[1.0, 0.0]]), ("V0", [[1.0, 0.0], [0.0, None]]),
     ("V0", [[1.0, 2.0], [0.0, 1.0]]), ("V0", [[1.0, 0.0], [0.0, -1.0]]),
 ])
@@ -271,6 +271,7 @@ def test_hyperparameter_documents_without_fields_are_schema_errors(data):
 
 def test_hyperparameters_load_from_documents_with_lambda_aux():
     data = Hyperparameters().to_dict()
-    assert "lambda_aux" not in data
+    assert "lambda_aux" not in data and "m0" not in data
     data["lambda_aux"] = 0.1  # written by older versions
+    data["m0"] = [0.0, 0.0]  # the prior mean older versions took as a field
     assert Hyperparameters.from_dict(data) == Hyperparameters()
