@@ -5,7 +5,7 @@ import argparse
 from pathlib import Path
 
 from homeplan.experiment import best_room_recovery, default_robots, learn_floor_model
-from homeplan.knowledge import extract_knowledge, match_room_names, save_knowledge
+from homeplan.knowledge import extract_knowledge, save_knowledge
 from homeplan.spatial import save_model
 from homeplan.world import load_environment
 
@@ -25,7 +25,7 @@ def main():
     for i, robot in enumerate(default_robots(env)):
         rooms = env.rooms_on(robot.floor)
         model = learn_floor_model(env, robot, args.seed + i, visits_per_room=args.visits)
-        kb = extract_knowledge(model, match_room_names(model, rooms), robot_id=robot.robot_id)
+        kb = extract_knowledge(model, [r.name for r in rooms], robot_id=robot.robot_id)
 
         model_path = out_dir / f"{robot.robot_id}_model.json"
         kb_path = out_dir / f"{robot.robot_id}_knowledge.json"

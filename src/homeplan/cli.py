@@ -95,9 +95,8 @@ def cmd_learn(args) -> int:
 def cmd_extract(args) -> int:
     model = spatial.load_model(args.model_path)
     env = world.load_environment(args.env)
-    room_names = knowledge.match_room_names(model, env.rooms_on(args.floor))
-    kb = knowledge.extract_knowledge(model, room_names, vocab_threshold=args.threshold,
-                                     robot_id=args.robot)
+    kb = knowledge.extract_knowledge(model, [r.name for r in env.rooms_on(args.floor)],
+                                     vocab_threshold=args.threshold, robot_id=args.robot)
     _emit(json.dumps(knowledge.knowledge_to_dict(kb), indent=2), args.out)
     return 0
 

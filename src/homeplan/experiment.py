@@ -21,7 +21,6 @@ from .knowledge import (
     extract_knowledge,
     knowledge_from_environment,
     load_knowledge,
-    match_room_names,
 )
 from .learner import learn_fixed_lag
 from .planner import (
@@ -250,8 +249,7 @@ def learn_floor_knowledge(env: Environment, robot: RobotState, seed: int,
                           visits_per_room: int = 30) -> KnowledgeBase:
     """Learn the robot's floor model and extract its knowledge."""
     model = learn_floor_model(env, robot, seed, visits_per_room)
-    room_names = match_room_names(model, env.rooms_on(robot.floor))
-    return extract_knowledge(model, room_names, robot_id=robot.robot_id)
+    return extract_knowledge(model, [r.name for r in env.rooms_on(robot.floor)], robot_id=robot.robot_id)
 
 
 def best_room_recovery(env: Environment, floor: str, kb: KnowledgeBase) -> tuple[int, int]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SchemaError, is_finite_real, read_json, require, require_fields
 from .spatial import SpatialConceptModel, object_location_posterior, word_posterior
-from .world import SKILLS, Environment, Room
+from .world import SKILLS, Environment
 
 _DIVIDER = "-" * 16
 
@@ -97,23 +97,27 @@ def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     return out
 
 
-def match_room_names(model: SpatialConceptModel, rooms: list[Room]) -> list[str]:
-    """Label each learned region with the closest room, bijectively.
+def match_room_names(model: SpatialConceptModel, room_names: list[str]) -> list[str]:
+    """Name the learned regions by the room names they heard, bijectively.
 
-    Uses a minimum-cost assignment (``_min_cost_assignment``) on squared
-    distances between region means and room centers; ties between equally
-    cheap assignments go to the lower room index.  Purely an evaluation-side
-    convenience, the learner itself never sees room names.
+    A region's cost for a name is ``-log P(name | region)`` under
+    ``word_posterior``, floored at the smallest normal float so that a name the
+    model never heard costs about 708 everywhere and takes a leftover region.
+    ``_min_cost_assignment`` solves the costs; ties go to the lower name index.
+    The names are the candidates, so no room geometry enters the naming.
     """
-    if len(rooms) < model.num_regions:
-        raise ConfigurationError(f"{len(rooms)} candidate rooms cannot name {model.num_regions} regions: "
+    if len(room_names) < model.num_regions:
+        raise ConfigurationError(f"{len(room_names)} candidate rooms cannot name {model.num_regions} regions: "
                                  "need at least as many rooms as regions")
-    centers = np.stack([r.center_array for r in rooms])
-    with np.errstate(over="ignore"):  # an overflow is the typed error below
-        cost = ((model.means[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    if not np.isfinite(cost).all():
-        raise SchemaError("region means are too far from the rooms: their squared distances overflow")
-    return [rooms[room].name for room in _min_cost_assignment(cost)]
+    heard = {w: i for i, w in enumerate(model.vocab_places)}
+    if not any(name in heard for name in room_names):
+        raise ConfigurationError(f"the model heard none of the room names {room_names}: "
+                                 "was it learned on another floor?")
+    # A zero column after the vocabulary stands for every name the model never heard.
+    words = np.pad([word_posterior(model, r) for r in range(model.num_regions)], ((0, 0), (0, 1)))
+    probs = words[:, [heard.get(name, -1) for name in room_names]]
+    cost = -np.log(np.maximum(probs, np.finfo(float).tiny))
+    return [room_names[j] for j in _min_cost_assignment(cost)]
 
 
 def extract_knowledge(
@@ -122,14 +126,12 @@ def extract_knowledge(
     vocab_threshold: float = 0.05,
     robot_id: str = "robot",
 ) -> KnowledgeBase:
-    """Turn a learned model into place-vocabulary lists and a presence table.
+    """Turn a learned model into named regions, place-vocabulary lists and a presence table.
 
-    ``room_names`` supplies the display name for each region index, so its
-    length must equal the model's region count.  Presence rows are exactly
-    the object-location posteriors, with no further smoothing.
+    ``room_names`` are the candidates, the rooms of the model's floor, and
+    ``match_room_names`` names each region by the words it heard.  Presence
+    rows are exactly the object-location posteriors, with no further smoothing.
     """
-    if len(room_names) != model.num_regions:
-        raise ConfigurationError("room_names must name every region")
     if not 0.0 < vocab_threshold < 1.0:
         raise ConfigurationError(f"vocab_threshold must be in (0, 1), not {vocab_threshold!r}")
     place_vocab = []
@@ -142,7 +144,7 @@ def extract_knowledge(
         presence[obj] = object_location_posterior(model, obj).tolist()
     return KnowledgeBase(
         robot_id=robot_id,
-        room_names=list(room_names),
+        room_names=match_room_names(model, room_names),
         place_vocab=place_vocab,
         presence_table=presence,
     )

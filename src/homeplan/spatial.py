@@ -57,14 +57,14 @@ class Hyperparameters:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise SchemaError(f"{name} must be an integer >= 1, not {value!r}")
         try:
-            v0 = self.V0_array
-        except (TypeError, ValueError, OverflowError):
-            raise SchemaError("V0 must be numeric") from None
-        if v0.shape != (2, 2) or not np.isfinite(v0).all():
-            raise SchemaError("V0 must be a finite 2x2 matrix")
-        if not np.allclose(v0, v0.T):
+            finite = len(self.V0) == 2 and all(len(row) == 2 and all(map(is_finite_real, row)) for row in self.V0)
+        except TypeError:  # V0, or a row of it, is not a sequence
+            finite = False
+        if not finite:
+            raise SchemaError("V0 must be a 2x2 matrix of finite numbers")
+        if not np.allclose(self.V0_array, self.V0_array.T):
             raise SchemaError("V0 must be symmetric")
-        if np.any(np.linalg.eigvalsh(v0) <= 0):
+        if np.any(np.linalg.eigvalsh(self.V0_array) <= 0):
             raise SchemaError("V0 must be positive-definite")
 
     @property

@@ -17,7 +17,6 @@ from homeplan.experiment import (
 )
 from homeplan.knowledge import (
     extract_knowledge,
-    match_room_names,
     render_place_vocab,
     render_presence_table,
 )
@@ -86,7 +85,7 @@ def learned(home):
         model = learn_fixed_lag(sessions, Hyperparameters(), seed=seed,
                                 num_concepts=len(rooms), num_regions=len(rooms))
         elapsed = time.monotonic() - start
-        kb = extract_knowledge(model, match_room_names(model, rooms), robot_id=robot_id)
+        kb = extract_knowledge(model, [r.name for r in rooms], robot_id=robot_id)
         out[floor] = {"model": model, "kb": kb, "elapsed": elapsed,
                       "sessions": len(sessions)}
     return out

@@ -266,6 +266,7 @@ def test_domain_errors_exit_nonzero(capsys):
     (["--env", "robocup_arena", "--floor", "zone1"], "need at least as many rooms as regions"),
     (["--floor", "3F"], "0 candidate rooms"),
     (["--floor", "1F", "--threshold", "2"], "vocab_threshold"),
+    (["--floor", "1F"], "heard none of the room names"),
 ])
 def test_extract_configuration_errors_exit_nonzero(tmp_path, capsys, args, message):
     model_path = tmp_path / "model.json"
@@ -273,7 +274,7 @@ def test_extract_configuration_errors_exit_nonzero(tmp_path, capsys, args, messa
     assert main(["extract", "--model-path", str(model_path), *args]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert message in err
+    assert message in err and "Traceback" not in err
 
 
 def test_extract_needs_the_model_floor(tmp_path, capsys):

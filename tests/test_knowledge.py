@@ -18,7 +18,7 @@ from homeplan.knowledge import (
     save_knowledge,
 )
 from homeplan.errors import ConfigurationError, SchemaError
-from homeplan.spatial import object_location_posterior, word_posterior
+from homeplan.spatial import load_model, object_location_posterior, save_model, word_posterior
 from homeplan.world import load_environment
 
 from conftest import parse_place_vocab, parse_presence_table, random_model, reference_presence_table
@@ -31,19 +31,19 @@ def model():
 
 
 def test_extract_rows_equal_posteriors_exactly(model):
-    kb = extract_knowledge(model, ["a", "b", "c"], robot_id="R")
+    kb = extract_knowledge(model, model.vocab_places[:3], robot_id="R")
     for obj in model.vocab_objects:
         np.testing.assert_array_equal(kb.row(obj), object_location_posterior(model, obj))
 
 
 def test_extract_rows_resum_to_one(model):
-    kb = extract_knowledge(model, ["a", "b", "c"])
+    kb = extract_knowledge(model, model.vocab_places[:3])
     for obj, row in kb.presence_table.items():
         assert abs(sum(row) - 1.0) <= 1e-6
 
 
 def test_extract_vocab_threshold_and_order(model):
-    kb = extract_knowledge(model, ["a", "b", "c"], vocab_threshold=0.05)
+    kb = extract_knowledge(model, model.vocab_places[:3], vocab_threshold=0.05)
     for region, words in enumerate(kb.place_vocab):
         probs = word_posterior(model, region)
         by_word = {w: probs[i] for i, w in enumerate(model.vocab_places)}
@@ -58,7 +58,7 @@ def test_extract_near_one_threshold_on_delta_words():
     word = np.zeros(3)
     word[1] = 1.0
     model.word_dist[0] = word
-    kb = extract_knowledge(model, ["a", "b"], vocab_threshold=1.0 - 1e-9)
+    kb = extract_knowledge(model, model.vocab_places[:2], vocab_threshold=1.0 - 1e-9)
     assert kb.place_vocab == [["word1"], ["word1"]]
 
 
@@ -92,7 +92,7 @@ def test_render_place_vocab_empty_list():
 
 
 def test_place_vocab_round_trip(model):
-    kb = extract_knowledge(model, ["a", "b", "c"], vocab_threshold=0.01)
+    kb = extract_knowledge(model, model.vocab_places[:3], vocab_threshold=0.01)
     assert parse_place_vocab(render_place_vocab(kb)) == kb.place_vocab
 
 
@@ -176,15 +176,49 @@ def test_knowledge_json_round_trip(tmp_path, kb_robot1):
     assert loaded.presence_table == kb_robot1.presence_table
 
 
+FIRST_FLOOR = [r.name for r in load_environment("paper_home").rooms_on("1F")]
+
+
+def heard_model(seed, word_dist):
+    """A five-region model whose concept k lives in region k and hears ``word_dist[k]`` over the 1F room names."""
+    model = random_model(np.random.default_rng(seed), 5, 5, n_words=5)
+    model.vocab_places = list(FIRST_FLOOR)
+    model.region_dist = np.eye(5)
+    model.word_dist = np.asarray(word_dist, dtype=float)
+    model.validate()
+    return model
+
+
 def test_match_room_names_is_a_bijection():
-    env = load_environment("paper_home")
-    model = random_model(np.random.default_rng(12), 3, 5)
-    rooms = env.rooms_on("1F")
-    for i, room in enumerate(rooms):
-        model.means[i] = room.center_array + 0.1
-    names = match_room_names(model, rooms)
-    assert sorted(names) == sorted(r.name for r in rooms)
-    assert names == [r.name for r in rooms]
+    model = heard_model(12, 0.05 + 0.75 * np.eye(5))
+    model.word_dist[1] = [0.4, 0.35, 0.1, 0.1, 0.05]  # region 1 heard room 0's name most, but region 0 more so
+    assert match_room_names(model, FIRST_FLOOR) == FIRST_FLOOR
+    assert match_room_names(model, FIRST_FLOOR[::-1]) == FIRST_FLOOR
+    assert match_room_names(model, ["garage", *FIRST_FLOOR]) == FIRST_FLOOR
+
+
+def test_match_room_names_reads_no_geometry():
+    model = heard_model(14, 0.05 + 0.75 * np.eye(5))
+    model.means[2] = [1e200, 0.0]  # its squared distance to any room overflows
+    assert match_room_names(model, FIRST_FLOOR) == FIRST_FLOOR
+
+
+def test_an_unheard_name_takes_the_leftover_region():
+    model = heard_model(15, 0.05 + 0.75 * np.eye(5))
+    model.vocab_places[3] = "sofa"  # region 3 never heard "office_room"
+    for _ in range(2):
+        assert match_room_names(model, FIRST_FLOOR) == FIRST_FLOOR
+    model.vocab_places[4] = "sink"  # two unheard names tie in both leftover regions: the lower index wins
+    assert match_room_names(model, FIRST_FLOOR) == FIRST_FLOOR
+    assert match_room_names(model, FIRST_FLOOR[::-1])[3:] == ["kitchen", "office_room"]
+
+
+def test_a_model_document_with_exact_zero_words_is_named(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(heard_model(16, np.eye(5)), path)  # each region heard one name and never the other four
+    kb = extract_knowledge(load_model(path), FIRST_FLOOR)
+    assert kb.room_names == FIRST_FLOOR
+    assert kb.place_vocab == [[name] for name in FIRST_FLOOR]
 
 
 @st.composite
@@ -226,15 +260,7 @@ def test_match_room_names_needs_enough_rooms():
     env = load_environment("robocup_arena")
     model = random_model(np.random.default_rng(13), 2, 5)
     with pytest.raises(ValueError):
-        match_room_names(model, env.rooms_on("zone1"))  # 2 rooms < 5 regions
-
-
-def test_match_room_names_rejects_distances_that_overflow():
-    env = load_environment("paper_home")
-    model = random_model(np.random.default_rng(14), 3, 5)
-    model.means[2] = [1e200, 0.0]
-    with pytest.raises(SchemaError, match="overflow"):
-        match_room_names(model, env.rooms_on("1F"))
+        match_room_names(model, [r.name for r in env.rooms_on("zone1")])  # 2 rooms < 5 regions
 
 
 def test_parse_presence_table_rejects_garbage():

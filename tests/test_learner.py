@@ -553,8 +553,9 @@ def test_paper_home_models_match_the_per_particle_learner():
 C2_BEST_ROOMS = {"1F": (11, 13), "2F": (9, 11)}
 
 
-def _meets_c2(env, robot, seed):
-    right, total = best_room_recovery(env, robot.floor, learn_floor_knowledge(env, robot, seed))
+def _meets_c2(env, robot, seed, visits_per_room=30):
+    kb = learn_floor_knowledge(env, robot, seed, visits_per_room)
+    right, total = best_room_recovery(env, robot.floor, kb)
     need, objects = C2_BEST_ROOMS[robot.floor]
     return right >= need and total == objects
 
@@ -565,6 +566,15 @@ def test_suite_first_floor_learns_meet_c2(cli_seed):
     # `homeplan suite --seed S` split the entrance across two regions and missed C2.
     env = load_environment("paper_home")
     assert _meets_c2(env, default_robots(env)[0], _suite_seeds(cli_seed)["learn_base"])
+
+
+@pytest.mark.parametrize("cli_seed, floor", [(12, "1F"), (13, "2F"), (14, "1F")])
+def test_suite_five_visit_learns_named_by_their_words_meet_c2(cli_seed, floor):
+    # At 5 visits a region's mean can lie nearer another room's centre than its own, so
+    # these learns meet C2 only when regions are named by the words they heard.
+    env = load_environment("paper_home")
+    i, robot = next((i, r) for i, r in enumerate(default_robots(env)) if r.floor == floor)
+    assert _meets_c2(env, robot, _suite_seeds(cli_seed)["learn_base"] + i, visits_per_room=5)
 
 
 @pytest.mark.parametrize("shift", [(50.0, 50.0), (-1e4, 3e3)])

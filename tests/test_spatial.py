@@ -255,6 +255,7 @@ def test_hyperparameter_validation():
     ("gamma", -0.5), ("nu0", 0.5), ("num_particles", True), ("lag_window", 2.0),
     ("V0", "x"), ("V0", 2.0), ("V0", [[1.0, 0.0]]), ("V0", [[1.0, 0.0], [0.0, None]]),
     ("V0", [[1.0, 2.0], [0.0, 1.0]]), ("V0", [[1.0, 0.0], [0.0, -1.0]]),
+    ("V0", [["2", "0"], ["0", "2"]]), ("V0", [[True, False], [False, True]]),
 ])
 def test_bad_hyperparameters_are_schema_errors(key, value):
     data = Hyperparameters().to_dict()
