@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import FloorAccessError, HomeplanError, PlanningError, UnknownRoomError
+from .errors import ConfigurationError, FloorAccessError, HomeplanError, PlanningError, UnknownRoomError
 from .knowledge import KnowledgeBase
 from .planner import Assignment
 from .world import GATHER, RobotState, SkillOutcome, World
@@ -34,7 +34,7 @@ class ExecutionPolicy:
 
     def __post_init__(self):
         if self.max_retries_per_skill < 0:
-            raise ValueError("max_retries_per_skill must be >= 0")
+            raise ConfigurationError("max_retries_per_skill must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,13 @@ def search_order(kb: KnowledgeBase, target: str) -> list[str]:
 
 def _attempt(world: World, trace: ExecutionTrace, skill: str, argument: str, attempts: int):
     """Take one skill up to ``attempts`` times, yielding before each; return whether it succeeded."""
+    step = None
     for _ in range(attempts):
         yield True
         outcome = world.step_skill(trace.robot_id, skill, argument)
-        trace.steps.append(TraceStep(skill, argument, outcome))
+        if step is None or step.outcome is not outcome:  # steps are frozen: a repeat shares one
+            step = TraceStep(skill, argument, outcome)
+        trace.steps.append(step)
         if outcome.succeeded:
             return True
     return False
@@ -138,11 +141,16 @@ def run_assignments(world: World, assignments: list[Assignment],
 
     The whole batch is checked before its first skill: if any assignment
     cannot be set up, a ``PlanningError`` whose message starts
-    ``assignment i:`` is raised and nothing has run.  A robot's assignments
-    run back-to-back.
+    ``assignment i:`` is raised, or a ``ConfigurationError`` if two knowledge
+    bases share a robot id, and nothing has run.  A robot's assignments run
+    back-to-back.
     """
     policy = policy or ExecutionPolicy()
-    kb_by_robot = {kb.robot_id: kb for kb in kbs}
+    ids = [kb.robot_id for kb in kbs]
+    kb_by_robot = dict(zip(ids, kbs))
+    if len(kb_by_robot) < len(ids):
+        repeated = ", ".join(sorted({i for i in ids if ids.count(i) > 1}))
+        raise ConfigurationError(f"several knowledge bases have robot_id {repeated}")
     traces, jobs = [], {}  # jobs: each robot's (trace, rooms, destination), in order of its first assignment
     for idx, assignment in enumerate(assignments):
         try:

@@ -202,7 +202,7 @@ def _presence_line(obj: str, row: bytes) -> str:
 def render_presence_table(kbs: list[KnowledgeBase]) -> str:
     """Per-robot presence-table blocks separated by a dashed divider."""
     if not kbs:
-        raise ValueError("need at least one knowledge base")
+        raise ConfigurationError("need at least one knowledge base")
     blocks = []
     for kb in kbs:
         lines = [

@@ -455,7 +455,7 @@ def allocate(
     anything is allocated: the chat answer names its robot in any case.
     """
     if not kbs:
-        raise ValueError("need at least one knowledge base")
+        raise ConfigurationError("need at least one knowledge base")
     folded = [kb.robot_id.casefold() for kb in kbs]
     if len(set(folded)) < len(folded):
         repeated = ", ".join(sorted({kb.robot_id for kb, f in zip(kbs, folded) if folded.count(f) > 1}))
@@ -484,7 +484,7 @@ def allocate(
 def allocate_random(subtasks: list[Subtask], robot_ids: list[str], seed: int = 0) -> list[Assignment]:
     """Knowledge-free baseline: independent uniform choice per subtask."""
     if not robot_ids:
-        raise ValueError("need at least one robot id")
+        raise ConfigurationError("need at least one robot id")
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, len(robot_ids), size=len(subtasks))
     return [Assignment(st, robot_ids[int(p)]) for st, p in zip(subtasks, picks)]

@@ -8,6 +8,7 @@ delivery point named ``gather`` where fetched objects are dropped off.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -32,6 +33,8 @@ GATHER = "gather"
 CATEGORY_COMMON = "common_sense"
 CATEGORY_HARD = "hard_to_predict"
 CATEGORIES = (CATEGORY_COMMON, CATEGORY_HARD)
+
+_BLOCK = 32  # uniforms drawn per refill of a robot's outcome stream
 
 _ENV_KEYS = ("floors", "rooms", "placements", "categories", "place_words")
 
@@ -149,8 +152,12 @@ class RobotState:
     def __post_init__(self):
         for name in ("p_navigate", "p_detect_present", "p_pick", "p_place"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+            try:
+                if 0.0 <= v <= 1.0:
+                    continue
+            except TypeError:  # not a number
+                pass
+            raise ConfigurationError(f"{name} must be a number in [0, 1], got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -183,10 +190,10 @@ class World:
 
     Each robot draws from its own child generator, so one robot's outcome
     stream does not depend on how other robots' skills are interleaved.  The
-    i-th robot's generator is the i-th child of ``SeedSequence(seed).spawn(n)``;
-    it is built on that robot's first skill after a (re)seed, so a robot that
-    never steps costs nothing.  Rooms are looked up by name in the
-    environment's room table.
+    i-th robot's generator is the i-th child of ``SeedSequence(seed).spawn(n)``,
+    built on its first draw after a (re)seed; its draws come in blocks of its
+    own stream, the same doubles as scalar draws, and a skill takes one only
+    where it draws.  Rooms are looked up by name in the environment's room table.
     The world steps copies of the given robots, so the caller's objects keep
     their starting state and can start further worlds.
     """
@@ -210,15 +217,7 @@ class World:
     def reseed(self, seed: int) -> None:
         """Restart every robot's outcome stream from ``seed``."""
         self._seed = seed
-        self._rngs: dict[str, np.random.Generator] = {}
-
-    def _rng(self, robot_id: str) -> np.random.Generator:
-        rng = self._rngs.get(robot_id)
-        if rng is None:
-            # Bit for bit the robot's child of SeedSequence(seed).spawn(len(robots)).
-            child = np.random.SeedSequence(self._seed, spawn_key=(self._robot_index[robot_id],))
-            rng = self._rngs[robot_id] = np.random.default_rng(child)
-        return rng
+        self._streams: dict[str, Iterator[float]] = {}
 
     def robot(self, robot_id: str) -> RobotState:
         try:
@@ -245,37 +244,35 @@ class World:
 
     def step_skill(self, robot_id: str, skill: str, argument: str) -> SkillOutcome:
         robot = self.robot(robot_id)
-        rng = self._rng(robot_id)
-        if skill == "navigation":
-            return self._navigate(robot, argument, rng)
-        if skill == "object_detection":
-            return self._detect(robot, argument, rng)
-        if skill == "pick":
-            return self._pick(robot, argument, rng)
-        if skill == "place":
-            return self._place(robot, argument, rng)
-        raise PlanningError(f"unknown skill {skill!r}; expected one of {SKILLS}")
+        try:
+            take = _SKILL_STEPS[skill]
+        except KeyError:
+            raise PlanningError(f"unknown skill {skill!r}; expected one of {SKILLS}") from None
+        stream = self._streams.get(robot_id)
+        if stream is None:
+            stream = self._streams[robot_id] = _uniforms(self._seed, self._robot_index[robot_id])
+        return take(self, robot, argument, stream)
 
-    def _navigate(self, robot: RobotState, room: str, rng) -> SkillOutcome:
+    def _navigate(self, robot: RobotState, room: str, uniforms: Iterator[float]) -> SkillOutcome:
         floor = self.location_floor(room, robot)
         if floor is None:
             raise UnknownRoomError(f"unknown room {room!r}")
         if floor != robot.floor:
             return _FLOOR_BARRIER
-        if rng.random() < robot.p_navigate:
+        if next(uniforms) < robot.p_navigate:
             robot.current_room = room
             return _SUCCEEDED
         return _NAVIGATION_FAILED
 
-    def _detect(self, robot: RobotState, obj: str, rng) -> SkillOutcome:
+    def _detect(self, robot: RobotState, obj: str, uniforms: Iterator[float]) -> SkillOutcome:
         room = self.object_room(obj)
         # One draw per call, present or not, so a robot's stream does not depend on where objects are.
-        if rng.random() < robot.p_detect_present and room == robot.current_room:
+        if next(uniforms) < robot.p_detect_present and room == robot.current_room:
             self._detections[robot.robot_id] = (obj, robot.current_room)
             return _DETECTED
         return _NOT_FOUND
 
-    def _pick(self, robot: RobotState, obj: str, rng) -> SkillOutcome:
+    def _pick(self, robot: RobotState, obj: str, uniforms: Iterator[float]) -> SkillOutcome:
         room = self.object_room(obj)
         if robot.held_object is not None:
             return _GRIPPER_OCCUPIED
@@ -283,20 +280,20 @@ class World:
             return _NOT_DETECTED
         if room != robot.current_room:
             return _OBJECT_NOT_PRESENT
-        if rng.random() < robot.p_pick:
+        if next(uniforms) < robot.p_pick:
             robot.held_object = obj
             self.object_rooms[obj] = None
             return _SUCCEEDED
         return _GRASP_FAILED
 
-    def _place(self, robot: RobotState, location: str, rng) -> SkillOutcome:
+    def _place(self, robot: RobotState, location: str, uniforms: Iterator[float]) -> SkillOutcome:
         if self.location_floor(location, robot) is None:
             raise UnknownRoomError(f"unknown room {location!r}")
         if robot.held_object is None:
             return _NO_OBJECT_HELD
         if location != robot.current_room:
             return _NOT_AT_LOCATION
-        if rng.random() < robot.p_place:
+        if next(uniforms) < robot.p_place:
             self.object_rooms[robot.held_object] = robot.current_room
             robot.held_object = None
             return _SUCCEEDED
@@ -310,6 +307,17 @@ class World:
         for obj, room in self.object_rooms.items():
             if (room is None) != (obj in held):
                 raise AssertionError(f"object {obj!r} is in an inconsistent location")
+
+
+_SKILL_STEPS = {"navigation": World._navigate, "object_detection": World._detect,
+                "pick": World._pick, "place": World._place}
+
+
+def _uniforms(seed: int, index: int) -> Iterator[float]:
+    """Robot ``index``'s uniforms in blocks: its child of ``SeedSequence(seed)``, built on first draw."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    while True:
+        yield from rng.random(_BLOCK).tolist()
 
 
 def observe_session(env: Environment, robot: RobotState, room: str, rng: np.random.Generator) -> Session:

@@ -44,16 +44,19 @@ def random_model(rng, num_concepts, num_regions, n_words=4, n_objects=3):
 
 
 class EagerSeedWorld(World):
-    """A World that builds every robot's generator when seeded, as ``SeedSequence(seed).spawn(n)``.
+    """A World that builds every robot's generator when seeded, as ``SeedSequence(seed).spawn(n)``,
+    and draws its uniforms one scalar ``random()`` call at a time.
 
-    ``World`` builds a robot's generator on its first skill; its outcomes and
-    state must match this reference under any interleaving and reseeding.
+    ``World`` builds a robot's generator on its first draw and draws in
+    blocks; its outcomes and state must match this reference under any
+    interleaving and reseeding.
     """
 
     def reseed(self, seed):
         super().reseed(seed)
         children = np.random.SeedSequence(seed).spawn(len(self.robots))
-        self._rngs = {rid: np.random.default_rng(ss) for rid, ss in zip(self.robots, children)}
+        self._streams = {rid: iter(np.random.default_rng(ss).random, None)
+                         for rid, ss in zip(self.robots, children)}
 
 
 class ScriptedWorld:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from homeplan.errors import FloorAccessError, PlanningError, UnknownLabelError, UnknownRoomError
+from homeplan.errors import ConfigurationError, FloorAccessError, PlanningError, UnknownLabelError, UnknownRoomError
+from homeplan.experiment import default_robots
 from homeplan.executor import (
     SUBTASK_FAILED,
     SUBTASK_SUCCEEDED,
@@ -268,10 +270,10 @@ def test_a_setup_error_runs_no_assignment_of_the_batch():
     objects, robot = dict(world.object_rooms), vars(world.robots["Robot2"]).copy()
     with pytest.raises(PlanningError, match="^assignment 1: unknown destination 'mars'$"):
         run_assignments(world, assignments, [kb])
-    # The valid first assignment did not run: no object moved, no robot stepped, no generator was built.
+    # The valid first assignment did not run: no object moved, no robot stepped, no stream was started.
     assert world.object_rooms == objects
     assert vars(world.robots["Robot2"]) == robot
-    assert world._rngs == {}
+    assert world._streams == {}
 
 
 def test_traces_to_jsonl_shape():
@@ -365,10 +367,10 @@ def _assert_fails_at_setup(world, assignments, kbs, message, cause=FloorAccessEr
     with pytest.raises(PlanningError, match=f"^{message}$") as excinfo:
         run_assignments(world, assignments, kbs)
     assert isinstance(excinfo.value.__cause__, cause)
-    # No skill ran: no object moved, no robot stepped, no generator was built.
+    # No skill ran: no object moved, no robot stepped, no stream was started.
     assert world.object_rooms == objects
     assert {rid: vars(r) for rid, r in world.robots.items()} == robots
-    assert world._rngs == {}
+    assert world._streams == {}
 
 
 def test_a_destination_on_another_floor_fails_at_setup():
@@ -398,3 +400,42 @@ def test_a_target_the_world_lacks_fails_at_setup():
     _assert_fails_at_setup(_home_world(), assignments, [kb], message, UnknownLabelError)
     with pytest.raises(PlanningError, match=f"^{message}$"):
         reference_run_assignments(_home_world(), assignments, [kb])
+
+
+def test_knowledge_bases_that_share_a_robot_id_run_no_skill():
+    env, world = arena_world()
+    kbs = [knowledge_from_environment(env, "zone2", "Robot2"), knowledge_from_environment(env, "zone1", "Robot2")]
+    objects, robot = dict(world.object_rooms), vars(world.robots["Robot2"]).copy()
+    with pytest.raises(ConfigurationError, match="^several knowledge bases have robot_id Robot2$"):
+        run_assignments(world, [Assignment(Subtask("bring", "cup"), "Robot2")], kbs)
+    assert world.object_rooms == objects
+    assert vars(world.robots["Robot2"]) == robot
+    assert world._streams == {}
+
+
+def test_a_negative_retry_budget_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="max_retries_per_skill must be >= 0"):
+        ExecutionPolicy(max_retries_per_skill=-1)
+
+
+# sha256 of a fixed paper_home batch's traces_to_jsonl, a newline and the final
+# object_rooms as sorted JSON, at each world seed.  Any change to a robot's
+# outcome stream, or to how the executor steps through it, moves these.
+GOLDEN_DIGESTS = {
+    0: "52a40fa777a2a57543e53e1375bd8d0ffbd0d04b951ae4a14a91b3ca34d48d41",
+    7: "c410fc9d3959530f22ed9448c525c7e7c04f2ada8e657545cb53d3415aa6a9a7",
+    123: "4123cc680a4a4bcf1eeac7b4a44b1afc170cc326883b0a73d34a0915834243ee",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_DIGESTS))
+def test_golden_traces(seed):
+    kbs = [knowledge_from_environment(HOME, "1F", "Robot1"), knowledge_from_environment(HOME, "2F", "Robot2")]
+    batch = [Assignment(Subtask("bring", "apple"), "Robot1"), Assignment(Subtask("bring", "banana"), "Robot2"),
+             Assignment(Subtask("bring", "towel", "kitchen"), "Robot1"), Assignment(Subtask("bring", "cup"), "Robot2"),
+             Assignment(Subtask("bring", "tooth_paste"), "Robot1"),
+             Assignment(Subtask("bring", "car_toy", "corridor"), "Robot2")]
+    world = World(HOME, default_robots(HOME), seed=seed)
+    traces = run_assignments(world, batch, kbs)
+    text = traces_to_jsonl(traces) + "\n" + json.dumps(world.object_rooms, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[seed]

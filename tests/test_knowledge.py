@@ -109,6 +109,11 @@ def test_render_single_robot_has_no_divider(kb_robot2):
     assert "----" not in render_presence_table([kb_robot2])
 
 
+def test_render_presence_table_of_no_knowledge_base_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="need at least one knowledge base"):
+        render_presence_table([])
+
+
 def test_render_two_robots_separated_by_divider(kb_robot1, kb_robot2):
     text = render_presence_table([kb_robot1, kb_robot2])
     assert "\n----------------\n" in text

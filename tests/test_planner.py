@@ -200,6 +200,14 @@ def test_allocate_rejects_knowledge_bases_that_share_a_robot_id(kb_robot1, kb_ro
     backend.complete.assert_not_called()
 
 
+def test_allocating_without_robots_is_a_configuration_error():
+    subtasks = [Subtask("find", "apple")]
+    with pytest.raises(ConfigurationError, match="need at least one knowledge base"):
+        allocate(subtasks, [])
+    with pytest.raises(ConfigurationError, match="need at least one robot id"):
+        allocate_random(subtasks, [])
+
+
 def test_allocate_rejects_robot_ids_that_differ_only_in_case(kb_robot1, kb_robot2):
     # A chat answer names its robot in any case, so Robot1 and robot1 are one robot to it.
     kb_robot2.robot_id = kb_robot1.robot_id.lower()

@@ -15,6 +15,7 @@ from homeplan.errors import (
     UnknownRoomError,
 )
 from homeplan.world import (
+    _BLOCK,
     BUILTIN_ENVIRONMENTS,
     GATHER,
     Environment,
@@ -34,6 +35,16 @@ def sure_robot(robot_id="Robot1", floor="1F", room="kitchen", **overrides):
     probs = dict(p_navigate=1.0, p_detect_present=1.0, p_pick=1.0, p_place=1.0)
     probs.update(overrides)
     return RobotState(robot_id=robot_id, floor=floor, current_room=room, **probs)
+
+
+# Enough steps of one skill to run a robot's stream through more than two blocks.
+STREAM_STEPS = 2 * _BLOCK + 7
+
+
+def scalar_draws(seed, n):
+    """The first ``n`` uniforms of the first robot's child of ``SeedSequence(seed)``, one scalar call each."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    return [rng.random() for _ in range(n)]
 
 
 @pytest.fixture
@@ -172,10 +183,20 @@ def test_unknown_room_and_object_are_typed_errors(home):
 
 
 def test_unknown_skill_is_planning_error(home):
-    world = World(home, [sure_robot()], seed=0)
+    world = World(home, [sure_robot(p_navigate=0.5)], seed=0)
     with pytest.raises(PlanningError, match="unknown skill 'teleport'"):
         world.step_skill("Robot1", "teleport", "kitchen")
     assert world.robots["Robot1"].current_room == "kitchen"
+    assert world._streams == {}
+    # The robot's next draw is still its first.
+    details = [world.step_skill("Robot1", "navigation", "dining").detail for _ in range(3)]
+    assert details == [None if u < 0.5 else "navigation_failed" for u in scalar_draws(0, 3)]
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.5, float("nan"), float("inf"), "0.5", None])
+def test_a_bad_skill_probability_is_a_configuration_error(value):
+    with pytest.raises(ConfigurationError, match=r"^p_pick must be a number in \[0, 1\], got "):
+        sure_robot(p_pick=value)
 
 
 def test_duplicate_robot_ids_are_schema_error(home):
@@ -403,12 +424,65 @@ def test_a_pick_fails_once_another_robot_has_taken_the_object(home):
 @pytest.mark.parametrize("seed", [0, 7, 123])
 def test_a_detection_draws_once_whether_or_not_the_object_is_there(home, seed):
     world = World(home, [sure_robot(p_detect_present=0.5)], seed=seed)
-    n = 40
-    draws = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,))).random(n)
     # Banana is on the other floor, apple in Robot1's kitchen.
     details = [world.step_skill("Robot1", "object_detection", "banana" if i % 2 == 0 else "apple").detail
-               for i in range(n)]
-    assert details == ["detected" if i % 2 and u < 0.5 else "not_found" for i, u in enumerate(draws)]
+               for i in range(STREAM_STEPS)]
+    assert details == ["detected" if i % 2 and u < 0.5 else "not_found"
+                       for i, u in enumerate(scalar_draws(seed, STREAM_STEPS))]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_navigations_take_the_scalar_draws_across_blocks(home, seed):
+    world = World(home, [sure_robot(p_navigate=0.5)], seed=seed)
+    details = [world.step_skill("Robot1", "navigation", "dining").detail for _ in range(STREAM_STEPS)]
+    assert details == [None if u < 0.5 else "navigation_failed" for u in scalar_draws(seed, STREAM_STEPS)]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_picks_take_the_scalar_draws_and_failed_preconditions_draw_none(home, seed):
+    world = World(home, [sure_robot(p_pick=0.5)], seed=seed)
+    draws = iter(scalar_draws(seed, 3 * STREAM_STEPS + 1))
+    for _ in range(STREAM_STEPS):
+        assert world.step_skill("Robot1", "pick", "orange").detail == "not_detected"
+        assert world.step_skill("Robot1", "object_detection", "apple").detail == "detected"
+        next(draws)
+        if next(draws) < 0.5:
+            assert world.step_skill("Robot1", "pick", "apple").succeeded
+            assert world.step_skill("Robot1", "pick", "apple").detail == "gripper_occupied"
+            assert world.step_skill("Robot1", "place", "kitchen").succeeded
+            next(draws)
+        else:
+            assert world.step_skill("Robot1", "pick", "apple").detail == "grasp_failed"
+    assert next(world._streams["Robot1"]) == next(draws)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_places_take_the_scalar_draws_and_failed_preconditions_draw_none(home, seed):
+    world = World(home, [sure_robot(p_place=0.5)], seed=seed)
+    draws = iter(scalar_draws(seed, 3 * STREAM_STEPS + 1))
+    places = 0
+    while places < STREAM_STEPS:
+        assert world.step_skill("Robot1", "place", "kitchen").detail == "no_object_held"
+        for skill in ("object_detection", "pick"):
+            assert world.step_skill("Robot1", skill, "apple").succeeded
+            next(draws)
+        assert world.step_skill("Robot1", "place", "dining").detail == "not_at_location"
+        while next(draws) >= 0.5:
+            assert world.step_skill("Robot1", "place", "kitchen").detail == "place_failed"
+            places += 1
+        assert world.step_skill("Robot1", "place", "kitchen").succeeded
+        places += 1
+    assert next(world._streams["Robot1"]) == next(draws)
+
+
+@pytest.mark.parametrize("new_seed", [3, 11])
+def test_a_reseed_in_the_middle_of_a_block_restarts_the_stream(home, new_seed):
+    world = World(home, [sure_robot(p_navigate=0.5)], seed=3)
+    for _ in range(_BLOCK // 2 + 3):
+        world.step_skill("Robot1", "navigation", "dining")
+    world.reseed(new_seed)
+    details = [world.step_skill("Robot1", "navigation", "dining").detail for _ in range(STREAM_STEPS)]
+    assert details == [None if u < 0.5 else "navigation_failed" for u in scalar_draws(new_seed, STREAM_STEPS)]
 
 
 def test_worlds_do_not_share_the_callers_robots(home):
