@@ -11,7 +11,7 @@ normal-inverse-Wishart moment sums component-major: n, the two position sums
 and the four sums of outer products, each a contiguous (P, R) plane that the
 kernel reads without striding.  Positions are held less the floor's centre,
 the mean session position, which is every region's prior mean.  Adding or
-removing a session is one indexed update of each.
+removing a session is one indexed update of each, through flat views.
 
 One kernel, ``_sweep_grid``, scores a session over the (concept, region)
 cells.  Every term that depends on an integer count alone is one row of a
@@ -26,23 +26,24 @@ over particles, draws from it as it is.  An arriving session's grid is the
 kernel minus that normaliser, the collapsed log conditional: it doubles as
 the optimal proposal, and its log-sum-exp, the predictive marginal, is the
 particle weight increment.  ``log_w`` sums them as unnormalised log weights
-since the last resample; each step normalises ``exp(log_w - max)``.
+since the last resample; each step normalises ``exp(log_w - max)``.  Grid
+buffers are updated in place, with no change to any element's arithmetic.
 
-Particles are systematically resampled, by one fancy-index of each array of
-the stacked state on its particle axis, when the effective sample size drops
-below half the particle count, and ``log_w`` restarts at zeros.  ``moments``
-is resampled with ``take(axis=1)``: ``moments[:, index]`` is not
-C-contiguous, and ``add`` updates every array through a flat view of it.
-Uniforms are drawn in the order a per-particle loop would draw them, so
-results do not depend on the batching.  The returned model is the
-maximum-weight particle's posterior-mean parameters, returned as the stacked
-arrays ``SpatialConceptModel`` holds: each is computed from the particle's
-count rows and moment sums in one expression.
+``_filter`` runs the loop.  Particles are systematically resampled, by one
+``ndarray.take`` gather of each array on its particle axis, when the
+effective sample size drops below half the particle count, and ``log_w``
+restarts at zeros; the gathered state takes its views afresh.  Uniforms are
+drawn in the order a per-particle loop would draw them, so results do not
+depend on the batching.  The returned model is the maximum-weight particle's
+posterior-mean parameters, returned as the stacked arrays
+``SpatialConceptModel`` holds: each is computed from the particle's count
+rows and moment sums in one expression.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -52,6 +53,8 @@ from .spatial import Hyperparameters, Session, SpatialConceptModel
 _DIM = 2
 # Leading columns of the stacked counts; word, object and link columns follow.
 _CONCEPT, _WORD_TOTAL, _OBJ_TOTAL, _WORDS = 0, 1, 2, 3
+# Scales the (v11, v01) planes of a NIW scale to the quadratic form's coefficients.
+_V11_2V01 = np.array([1.0, 2.0])[:, None, None]
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -77,19 +80,18 @@ class _SessionStats:
 
     def __init__(self, session: Session, centre: np.ndarray, place_index: dict[str, int],
                  object_index: dict[str, int]):
-        widx = np.array([place_index[w] for w in session.place_words], dtype=int)
-        oidx = np.array([object_index[o] for o in session.object_labels], dtype=int)
-        self.x = np.asarray(session.position, dtype=float) - centre
-        word_idx, self.word_cnt = np.unique(widx, return_counts=True)
-        obj_idx, self.obj_cnt = np.unique(oidx, return_counts=True)
-        self.word_total = int(self.word_cnt.sum())
-        self.obj_total = int(self.obj_cnt.sum())
-        first_link = _WORDS + len(place_index) + len(object_index)
-        self.cols = np.concatenate(([_CONCEPT, _WORD_TOTAL, _OBJ_TOTAL], _WORDS + word_idx,
-                                    _WORDS + len(place_index) + obj_idx, [first_link]))
-        self.vals = np.concatenate(([1, self.word_total, self.obj_total], self.word_cnt,
-                                    self.obj_cnt, [1]))
+        words = sorted(Counter(place_index[w] for w in session.place_words).items())
+        objects = sorted(Counter(object_index[o] for o in session.object_labels).items())
+        self.word_cnt = np.array([c for _, c in words], dtype=int)
+        self.obj_cnt = np.array([c for _, c in objects], dtype=int)
+        self.word_total, self.obj_total = len(session.place_words), len(session.object_labels)
+        first_obj = _WORDS + len(place_index)
+        self.cols = np.array([_CONCEPT, _WORD_TOTAL, _OBJ_TOTAL, *(_WORDS + i for i, _ in words),
+                              *(first_obj + i for i, _ in objects), first_obj + len(object_index)])
+        self.vals = np.array([1, self.word_total, self.obj_total, *(c for _, c in words),
+                              *(c for _, c in objects), 1])
         self.neg_vals = -self.vals
+        self.x = np.asarray(session.position, dtype=float) - centre
         x0, x1 = self.x.tolist()  # Python floats: a square that overflows is inf, not a warning
         self.moments = np.array([[1.0], [x0], [x1], [x0 * x0], [x0 * x1], [x1 * x0], [x1 * x1]])
         self.neg_moments = -self.moments
@@ -100,15 +102,18 @@ class _Batch:
 
     ``counts`` (P, K, F) columns: sessions, word total, object total, V words, O
     objects, R links.  ``moments`` (7, P, R): one plane per moment sum.
-    ``assignments`` (P, T): each session's flat cell ``k * R + r``.  ``add``
-    writes through flat views, so every array must stay C-contiguous: on a copy
-    ``reshape`` would return a new array and the update would be lost.  That is
-    why ``take`` resamples ``moments`` with ``take(axis=1)``: ``moments[:, index]``
-    is not C-contiguous.  The offsets in the flat views, of each particle's count
-    rows and of each (moment, particle) row of R regions, are fixed at construction.
+    ``assignments`` (P, T): each session's flat cell ``k * R + r``.  The views
+    that ``add`` writes through (flat) and ``_sweep_grid`` reads (``links``,
+    ``region_n``, ``sums``, ``outers``) are taken whenever the arrays are made, in
+    ``__init__`` and in ``take``: views of replaced arrays would read stale counts
+    and lose their writes.  ``take`` gathers with ``ndarray.take``, which returns
+    C-contiguous arrays (``moments[:, index]`` would not be), so the flat views are
+    views, not copies.  The offsets into them and each cell's region are fixed at
+    construction.
     """
 
-    __slots__ = ("counts", "moments", "assignments", "count_rows", "moment_rows")
+    __slots__ = ("counts", "moments", "assignments", "count_rows", "moment_rows", "cell_region",
+                 "flat_counts", "flat_moments", "links", "region_n", "sums", "outers")
 
     def __init__(self, P: int, K: int, R: int, n_words: int, n_objects: int, T: int):
         F = _WORDS + n_words + n_objects + R
@@ -117,20 +122,29 @@ class _Batch:
         self.assignments = np.zeros((P, T), dtype=int)
         self.count_rows = (np.arange(P) * (K * F))[:, None]
         self.moment_rows = (np.arange(len(self.moments)) * (P * R))[:, None] + np.arange(P) * R
+        self.cell_region = np.tile(np.arange(R), K)
+        self._set_views()
+
+    def _set_views(self) -> None:
+        R = self.moments.shape[-1]
+        self.flat_counts, self.flat_moments = self.counts.reshape(-1), self.moments.reshape(-1)
+        self.links = self.counts[..., -R:]
+        self.region_n, self.sums, self.outers = self.moments[0], self.moments[1:1 + _DIM], self.moments[1 + _DIM:]
 
     def take(self, index) -> "_Batch":
         """Particles at ``index``: an index array resamples, an int selects one particle."""
         out = _Batch.__new__(_Batch)
-        out.counts, out.assignments = self.counts[index], self.assignments[index]
+        out.counts, out.assignments = self.counts.take(index, axis=0), self.assignments.take(index, axis=0)
         out.moments = self.moments.take(index, axis=1)
-        out.count_rows, out.moment_rows = self.count_rows, self.moment_rows
+        out.count_rows, out.moment_rows, out.cell_region = self.count_rows, self.moment_rows, self.cell_region
+        out._set_views()
         return out
 
     def add(self, cells: np.ndarray, s: _SessionStats, sign: int = 1) -> None:
         """Add ``s`` to particle i at cell ``cells[i]``; ``sign=-1`` removes it."""
         vals, moments = (s.vals, s.moments) if sign > 0 else (s.neg_vals, s.neg_moments)
-        self.counts.reshape(-1)[self.count_rows + s.cell_cols[cells]] += vals
-        self.moments.reshape(-1)[self.moment_rows + cells % self.moments.shape[2]] += moments
+        self.flat_counts[self.count_rows + s.cell_cols.take(cells, axis=0)] += vals
+        self.flat_moments[self.moment_rows + self.cell_region.take(cells)] += moments
 
 
 class _Tables:
@@ -196,18 +210,28 @@ def _sweep_grid(p: _Batch, s: _SessionStats, t: _Tables) -> np.ndarray:
     held.  Every count-only term is one fused table row, and with the prior mean at
     the origin of the centred positions the NIW scale is V_n = V0 + sum x x^T - a a^T
     / kappa_n with a = sum x, which needs no sample mean."""
-    counts, moments = p.counts, p.moments
-    log_concept = t.sweep.take(counts[..., s.cols[:-1]] + s.sweep_index).sum(axis=-1)
-    log_link = t.log_gamma.take(counts[..., -moments.shape[2]:])
-    inv_kappa_n, const, inv_scale_df, half = t.sweep_region.take(moments[0].astype(int), axis=1)
-    a = moments[1:1 + _DIM]
-    m_n = a * inv_kappa_n
-    v00, v01, v10, v11 = moments[1 + _DIM:] + t.v0 - _outer(a, m_n)
-    d0, d1 = s.x[:, None, None] - m_n
+    log_concept = t.sweep.take(p.counts.take(s.cols[:-1], axis=2) + s.sweep_index).sum(axis=-1, keepdims=True)
+    grid = log_concept + t.log_gamma.take(p.links)
+    inv_kappa_n, const, inv_scale_df, half = t.sweep_region.take(p.region_n.astype(int), axis=1)
+    m_n = p.sums * inv_kappa_n
+    v = p.outers + t.v0
+    v -= _outer(p.sums, m_n)
+    d = s.x[:, None, None] - m_n
+    v00, v01, v10, v11 = v
     det = v00 * v11 - v01 * v10
-    quad = (v11 * d0 * d0 - 2.0 * v01 * d0 * d1 + v00 * d1 * d1) / det
-    log_pos = const - 0.5 * np.log(det) - half * np.log1p(quad * inv_scale_df)
-    return log_concept[..., None] + log_link + log_pos[..., None, :]
+    # The quadratic form v11 d0 d0 - 2 v01 d0 d1 + v00 d1 d1, its first two terms as
+    # [v11, 2 v01] d0 [d0, d1]: scaling by 1 and 2 is exact.
+    terms = v[3:0:-2] * _V11_2V01
+    terms *= d[0]
+    terms *= d
+    quad = terms[0] - terms[1]
+    quad += v00 * d[1] * d[1]
+    quad /= det
+    quad *= inv_scale_df
+    const -= 0.5 * np.log(det, out=det)
+    const -= half * np.log1p(quad, out=quad)
+    grid += const[:, None]
+    return grid
 
 
 def _sample_grid(e: np.ndarray, u: np.ndarray, cells: np.ndarray) -> None:
@@ -272,17 +296,27 @@ def learn_fixed_lag(
     stats = [_SessionStats(s, centre, place_index, object_index) for s in sessions]
     tables = _Tables(hp, num_concepts, num_regions, len(vocab_places), len(vocab_objects), stats)
 
-    rng = np.random.default_rng(seed)
-    n_particles = hp.num_particles
-    batch = _Batch(n_particles, num_concepts, num_regions, len(vocab_places),
-                   len(vocab_objects), len(stats))
-    log_w = np.zeros(n_particles)  # unnormalised log weights since the last resample
+    batch = _Batch(hp.num_particles, num_concepts, num_regions, len(vocab_places), len(vocab_objects), len(stats))
+    batch, log_w, _, _ = _filter(batch, stats, tables, hp, np.random.default_rng(seed))
+    best = batch.take(int(np.argmax(log_w)))
+    return _posterior_mean_model(best, hp, seed, centre, vocab_places, vocab_objects)
 
+
+def _filter(batch: _Batch, stats: list[_SessionStats], tables: _Tables, hp: Hyperparameters,
+            rng: np.random.Generator) -> tuple[_Batch, np.ndarray, list[float], list[bool]]:
+    """Run the filter over ``stats`` from the empty ``batch``: the final particles, their
+    unnormalised log weights since the last resample, and each step's effective sample
+    size and whether the step resampled."""
+    n_particles = hp.num_particles
+    log_w = np.zeros(n_particles)
+    ess_steps, resampled = [], []
     for t, s in enumerate(stats):
         # Less the normaliser over the t sessions held, the grid is the log conditional.
-        grid = (_sweep_grid(batch, s, tables) - math.log(t + tables.k_alpha)).reshape(n_particles, -1)
+        grid = _sweep_grid(batch, s, tables).reshape(n_particles, -1)
+        grid -= math.log(t + tables.k_alpha)
         top = grid.max(axis=1, keepdims=True)
-        e = np.exp(grid - top)  # one exp serves the weight increment and the draw
+        grid -= top
+        e = np.exp(grid, out=grid)  # one exp serves the weight increment and the draw
         log_w += top[:, 0] + np.log(e.sum(axis=1))
         cells = batch.assignments[:, t]
         _sample_grid(e, rng.random(n_particles), cells)
@@ -296,18 +330,19 @@ def learn_fixed_lag(
             cells = batch.assignments[:, tau]
             batch.add(cells, stats[tau], sign=-1)
             grid = _sweep_grid(batch, stats[tau], tables).reshape(n_particles, -1)
-            _sample_grid(np.exp(grid - grid.max(axis=1, keepdims=True)), u[:, j], cells)
+            grid -= grid.max(axis=1, keepdims=True)
+            _sample_grid(np.exp(grid, out=grid), u[:, j], cells)
             batch.add(cells, stats[tau])
 
         w = np.exp(log_w - log_w.max())
         w /= w.sum()
         ess = 1.0 / float((w ** 2).sum())
-        if ess < n_particles / 2.0:
+        ess_steps.append(ess)
+        resampled.append(ess < n_particles / 2.0)
+        if resampled[-1]:
             batch = batch.take(_systematic_resample(w, rng))
             log_w = np.zeros(n_particles)
-
-    best = batch.take(int(np.argmax(log_w)))
-    return _posterior_mean_model(best, hp, seed, centre, vocab_places, vocab_objects)
+    return batch, log_w, ess_steps, resampled
 
 
 def _posterior_mean_model(p: _Batch, hp: Hyperparameters, seed: int, centre: np.ndarray,
@@ -320,14 +355,13 @@ def _posterior_mean_model(p: _Batch, hp: Hyperparameters, seed: int, centre: np.
                  / (p.counts[:, _WORD_TOTAL, None] + n_words * hp.beta))
     object_dist = ((p.counts[:, _WORDS + n_words:_WORDS + n_words + n_objects] + hp.chi)
                    / (p.counts[:, _OBJ_TOTAL, None] + n_objects * hp.chi))
-    region_dist = (p.counts[:, -R:] + hp.gamma) / (n_k[:, None] + R * hp.gamma)
+    region_dist = (p.links + hp.gamma) / (n_k[:, None] + R * hp.gamma)
 
     # Each region's NIW posterior mean, shifted back by the centre, and scale from its (7, R) moment sums.
-    n = p.moments[0]
+    n, a = p.region_n, p.sums
     kappa_n = hp.kappa + n
-    a = p.moments[1:1 + _DIM]
     means = (a / kappa_n).T + centre
-    V_n = (hp.V0_array.reshape(_DIM * _DIM, 1) + p.moments[1 + _DIM:] - _outer(a, a) / kappa_n).T
+    V_n = (hp.V0_array.reshape(_DIM * _DIM, 1) + p.outers - _outer(a, a) / kappa_n).T
     nu_n = hp.nu0 + n
     # The posterior-mean covariance needs nu_n > dim+1; empty regions fall
     # back to the inverse-Wishart mode, which is always defined.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,14 @@ class Room:
     @property
     def scatter_array(self) -> np.ndarray:
         return np.asarray(self.scatter, dtype=float)
+
+    @cached_property
+    def draw_factor(self) -> np.ndarray:
+        """``Generator.multivariate_normal``'s transposed SVD factor of ``scatter``, taken once."""
+        u, s, _ = np.linalg.svd(self.scatter_array)
+        factor = (u * np.sqrt(s)).T
+        factor.flags.writeable = False  # every draw from this room shares it
+        return factor
 
 
 def _footprint_problems(room: Room) -> list[str]:
@@ -325,8 +334,10 @@ def observe_session(env: Environment, robot: RobotState, room: str, rng: np.rand
     target = env.room(room)
     if target.floor != robot.floor:
         raise FloorAccessError(f"room {room!r} is on floor {target.floor!r}, robot is on {robot.floor!r}")
-    # The scatter was checked positive semi-definite when the environment was built.
-    position = rng.multivariate_normal(target.center_array, target.scatter_array, check_valid="ignore")
+    # multivariate_normal(center, scatter, check_valid="ignore"), bit for bit: the scatter was
+    # checked positive semi-definite when the environment was built.
+    position = rng.standard_normal((1, 2)) @ target.draw_factor
+    position += target.center_array
     labels = [o for o, placed in sorted(env.placements.items())
               if placed == room and rng.random() < robot.p_detect_present]
     words_pool = env.place_words.get(room, [])
@@ -335,7 +346,7 @@ def observe_session(env: Environment, robot: RobotState, room: str, rng: np.rand
         words = [str(w) for w in rng.choice(words_pool, size=count, replace=True)]
     else:
         words = []
-    return Session(position=np.asarray(position), object_labels=labels, place_words=words, room_hint=room)
+    return Session(position=position[0], object_labels=labels, place_words=words, room_hint=room)
 
 
 def generate_floor_sessions(env: Environment, robot: RobotState, rng: np.random.Generator,

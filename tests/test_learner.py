@@ -19,6 +19,7 @@ from homeplan.learner import (
     _OBJ_TOTAL,
     _WORDS,
     _Batch,
+    _filter,
     _sample_grid,
     _SessionStats,
     _sweep_grid,
@@ -498,6 +499,80 @@ def test_batch_stays_a_recount_of_its_assignments_through_resampling(case):
     counts, moments = _recount(batch, views, K, R, len(places), len(objects))
     np.testing.assert_array_equal(batch.counts, counts)
     np.testing.assert_allclose(batch.moments, moments, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_a_gathered_batch_reads_and_writes_its_own_arrays(case):
+    # A view left on the arrays a gather replaced would score a grid against stale counts
+    # and write its updates where nothing reads them.
+    batch, tables, stats, views, hp, n_words, n_objects = _random_batch(case)
+    P = len(batch.counts)
+    for index in (np.random.default_rng(case).integers(0, P, P), P // 2):
+        taken = batch.take(index)
+        for view in (taken.flat_counts, taken.links):
+            assert np.shares_memory(view, taken.counts) and not np.shares_memory(view, batch.counts)
+        for view in (taken.flat_moments, taken.region_n, taken.sums, taken.outers):
+            assert np.shares_memory(view, taken.moments) and not np.shares_memory(view, batch.moments)
+        if not isinstance(index, int):
+            _assert_grids_match_reference(taken, tables, stats, views, hp, n_words, n_objects)
+
+
+@pytest.mark.parametrize("objects", [[], ["cup", "plate", "fork"]], ids=["empty-object-vocabulary", "objects"])
+def test_session_stats_match_the_vocabulary_indexed_reference(objects):
+    # Sessions repeat words and objects, and some hold no object.
+    rng = np.random.default_rng(40 + len(objects))
+    places = ["kitchen", "sink", "stove", "oven"]
+    stats, views = _random_stats(rng, 60, places, objects)
+    assert any(v.obj_total == 0 for v in views) and any(len(v.word_idx) < v.word_total for v in views)
+    assert not objects or any(len(v.obj_idx) < v.obj_total for v in views)
+    first_obj = _WORDS + len(places)
+    for s, v in zip(stats, views):
+        cols = np.concatenate(([0, 1, 2], _WORDS + v.word_idx, first_obj + v.obj_idx, [first_obj + len(objects)]))
+        vals = np.concatenate(([1, v.word_total, v.obj_total], v.word_cnt, v.obj_cnt, [1]))
+        for actual, expected in ((s.word_cnt, v.word_cnt), (s.obj_cnt, v.obj_cnt), (s.cols, cols),
+                                 (s.vals, vals), (s.neg_vals, -vals)):
+            assert actual.dtype == expected.dtype
+            np.testing.assert_array_equal(actual, expected)
+        assert (s.word_total, s.obj_total) == (v.word_total, v.obj_total)
+        assert type(s.word_total) is type(s.obj_total) is int
+        np.testing.assert_array_equal(s.x, v.x)
+        x0, x1 = v.x
+        np.testing.assert_array_equal(s.moments[:, 0], [1.0, x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1])
+        np.testing.assert_array_equal(s.neg_moments, -s.moments)
+
+
+def test_filter_reports_every_step_and_ends_on_a_recount():
+    resampling_cases = 0
+    for case in range(16):
+        rng = np.random.default_rng(500 + case)
+        P, K, R = int(rng.integers(1, 9)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        places = [f"w{i}" for i in range(int(rng.integers(1, 5)))]
+        objects = [f"o{i}" for i in range(int(rng.integers(0, 5)))]
+        stats, views = _random_stats(rng, int(rng.integers(1, 30)), places, objects)
+        hp = Hyperparameters(num_particles=P, lag_window=int(rng.integers(1, 8)))
+        tables = _Tables(hp, K, R, len(places), len(objects), stats)
+
+        def run(T):
+            """The filter over the first T sessions, from seed ``case``."""
+            batch = _Batch(P, K, R, len(places), len(objects), T)
+            return _filter(batch, stats[:T], tables, hp, np.random.default_rng(case))
+
+        batch, log_w, ess, resampled = run(len(stats))
+        assert len(ess) == len(resampled) == len(stats)
+        # The ESS of normalised weights lies in [1, P], up to the rounding of 1 / sum(w^2).
+        assert all(1.0 - 1e-12 <= e <= P * (1.0 + 1e-12) for e in ess)
+        assert resampled == [e < P / 2.0 for e in ess]
+        counts, moments = _recount(batch, views, K, R, len(places), len(objects))
+        np.testing.assert_array_equal(batch.counts, counts)
+        np.testing.assert_allclose(batch.moments, moments, rtol=1e-12, atol=1e-12)
+        if any(resampled):
+            # Stopped at a step that resampled, the filter hands back zero log weights.
+            T = resampled.index(True) + 1
+            _, log_w, ess_T, resampled_T = run(T)
+            assert (ess_T, resampled_T) == (ess[:T], resampled[:T])
+            np.testing.assert_array_equal(log_w, np.zeros(P))
+            resampling_cases += 1
+    assert resampling_cases >= 4
 
 
 def test_batched_sampling_picks_what_generator_choice_picks():

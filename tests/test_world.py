@@ -374,6 +374,39 @@ def test_observe_session_deterministic_limit(home):
     assert set(session.place_words) <= set(env.place_words["kitchen"])
 
 
+def _homes_with_edge_scatters():
+    """Both builtin homes, and paper_home with random centres on an all-zero, two rank-1 and two
+    random full-rank scatters; none places objects or names rooms, so a session draws only its
+    position."""
+    rng = np.random.default_rng(11)
+    edges = [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]], [[0.25, -0.5], [-0.5, 1.0]]]
+    for _ in range(2):
+        a = rng.normal(size=(2, 2))
+        edges.append((a @ a.T).tolist())
+    docs = [environment_to_dict(load_environment(name)) for name in sorted(BUILTIN_ENVIRONMENTS)]
+    docs.append(environment_to_dict(load_environment("paper_home")))
+    for room, scatter in zip(docs[-1]["rooms"], edges):
+        room["center"], room["scatter"] = rng.normal(scale=5.0, size=2).tolist(), scatter
+    for doc in docs:
+        doc["placements"], doc["place_words"] = {}, {}
+        yield environment_from_dict(doc)
+
+
+def test_observe_session_draws_what_multivariate_normal_draws():
+    # multivariate_normal is the oracle: the same positions, bit for bit, and the same
+    # generator state after each draw, so the label and word draws that follow are unchanged.
+    for env in _homes_with_edge_scatters():
+        for room in env.rooms:
+            rng, oracle = np.random.default_rng(5), np.random.default_rng(5)
+            robot = sure_robot(floor=room.floor, room=room.name)
+            for _ in range(20):
+                position = observe_session(env, robot, room.name, rng).position
+                expected = oracle.multivariate_normal(room.center_array, room.scatter_array, check_valid="ignore")
+                assert position.shape == expected.shape and position.dtype == expected.dtype
+                np.testing.assert_array_equal(position, expected, err_msg=room.name)
+            assert rng.random() == oracle.random()
+
+
 def test_observe_session_cross_floor_is_error(home):
     with pytest.raises(FloorAccessError):
         observe_session(home, sure_robot(), "parent_room", np.random.default_rng(0))
