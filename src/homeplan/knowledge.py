@@ -3,7 +3,9 @@
 A robot's knowledge base holds two things extracted from its learned model:
 per-region lists of high-probability place words, and a presence table
 mapping each object label to a probability row over the robot's rooms.
-Renderers emit the prompt-component text blocks consumed by the planner.
+A base is checked and frozen when built, by any builder, and renders its
+presence-table block once.  Renderers emit the prompt-component text blocks
+consumed by the planner.
 ``PROMPTS`` maps each component kind to the text it renders from the
 knowledge bases.
 """
@@ -12,13 +14,14 @@ from __future__ import annotations
 
 import functools
 import json
-import struct
-from dataclasses import asdict, dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigurationError, SchemaError, is_finite_real, read_json, require, require_fields
+from .errors import ConfigurationError, SchemaError, is_finite_real, read_json, require_fields
 from .spatial import SpatialConceptModel, object_location_posterior, word_posterior
 from .world import SKILLS, Environment
 
@@ -30,21 +33,44 @@ _COUNT_WORDS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class KnowledgeBase:
-    """A robot's floor-local knowledge: room names, place vocab, presence rows."""
+    """A robot's floor-local knowledge: room names, place vocab, presence rows.
+
+    However it is built, a base is checked once and then frozen: names and word
+    lists become tuples, each row a tuple of its values as given, and the table
+    a read-only mapping.  So each base renders its presence block only once.
+    """
 
     robot_id: str
-    room_names: list[str]
-    place_vocab: list[list[str]]
-    presence_table: dict[str, list[float]]
+    room_names: tuple[str, ...]
+    place_vocab: tuple[tuple[str, ...], ...]
+    presence_table: Mapping[str, tuple[float, ...]]
 
     def __post_init__(self):
-        if len(self.place_vocab) != len(self.room_names):
+        if not (isinstance(self.robot_id, str) and self.robot_id):
+            raise SchemaError("robot_id must be a non-empty str")
+        rooms = _tuple_of(self.room_names, str, "room_names")
+        if len(set(rooms)) != len(rooms):
+            raise SchemaError(f"room_names must not repeat a name: {list(rooms)}")
+        vocab = tuple(_tuple_of(words, str, f"place_vocab[{i}]")
+                      for i, words in enumerate(_tuple_of(self.place_vocab, object, "place_vocab")))
+        if len(vocab) != len(rooms):
             raise SchemaError("place_vocab must have one entry per room")
+        if not isinstance(self.presence_table, Mapping):
+            raise SchemaError("presence_table must be a mapping")
         for obj, row in self.presence_table.items():
-            if len(row) != len(self.room_names):
-                raise SchemaError(f"presence row for {obj!r} has wrong length")
+            _check_presence_row(obj, row, len(rooms))
+        table = MappingProxyType({obj: tuple(row) for obj, row in self.presence_table.items()})
+        for name, value in (("room_names", rooms), ("place_vocab", vocab), ("presence_table", table)):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def presence_block(self) -> str:
+        """This robot's block of the presence-table prompt."""
+        rows = [f"{obj} = [{', '.join(map(format_probability, row))}]" for obj, row in self.presence_table.items()]
+        return "\n".join([self.robot_id, '"List of probabilities that an object exists":',
+                          f"[{', '.join(self.room_names)}]", *rows])
 
     def row(self, obj: str) -> np.ndarray:
         return np.asarray(self.presence_table[obj], dtype=float)
@@ -60,6 +86,21 @@ class KnowledgeBase:
         row = row / total
         idx = int(np.argmax(row))
         return self.room_names[idx], float(row[idx])
+
+
+def _tuple_of(value, item: type, where: str) -> tuple:
+    """``value`` as a tuple; SchemaError unless it is a list or tuple of ``item``."""
+    if not (isinstance(value, (list, tuple)) and all(isinstance(v, item) for v in value)):
+        raise SchemaError(f"{where} must be a list" + ("" if item is object else f" of {item.__name__}"))
+    return tuple(value)
+
+
+def _check_presence_row(obj, row, n: int) -> None:
+    """SchemaError unless ``row`` is a list or tuple of ``n`` finite non-negative numbers with a finite sum."""
+    if not (isinstance(obj, str) and isinstance(row, (list, tuple)) and len(row) == n
+            and all(is_finite_real(v) and v >= 0 for v in row) and is_finite_real(sum(row))):
+        raise SchemaError(f"presence row for {obj!r} must be a list of {n} finite non-negative numbers "
+                          "with a finite sum")
 
 
 def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
@@ -139,9 +180,7 @@ def extract_knowledge(
         probs = word_posterior(model, region)
         order = np.argsort(-probs, kind="stable")
         place_vocab.append([model.vocab_places[i] for i in order if probs[i] >= vocab_threshold])
-    presence = {}
-    for obj in model.vocab_objects:
-        presence[obj] = object_location_posterior(model, obj).tolist()
+    presence = {obj: object_location_posterior(model, obj).tolist() for obj in model.vocab_objects}
     return KnowledgeBase(
         robot_id=robot_id,
         room_names=match_room_names(model, room_names),
@@ -156,12 +195,8 @@ def knowledge_from_environment(env: Environment, floor: str, robot_id: str) -> K
     if not rooms:
         raise ConfigurationError(f"floor {floor!r} has no rooms")
     names = [r.name for r in rooms]
-    presence = {}
-    for obj in env.objects_on(floor):
-        row = [0.0] * len(names)
-        row[names.index(env.placements[obj])] = 1.0
-        presence[obj] = row
-    vocab = [list(env.place_words.get(n, [])) for n in names]
+    presence = {obj: [float(name == env.placements[obj]) for name in names] for obj in env.objects_on(floor)}
+    vocab = [env.place_words.get(n, []) for n in names]
     return KnowledgeBase(robot_id=robot_id, room_names=names, place_vocab=vocab, presence_table=presence)
 
 
@@ -189,42 +224,11 @@ def format_probability(p: float) -> str:
     return s + "0" if s.endswith(".") else s
 
 
-@functools.lru_cache(maxsize=4096)
-def _presence_line(obj: str, row: bytes) -> str:
-    """One rendered presence row, keyed by its IEEE-754 doubles.
-
-    Bytes, not floats, key the cache: ``0.0 == -0.0`` but they render apart.
-    """
-    values = struct.unpack(f"{len(row) // 8}d", row)
-    return f"{obj} = [{', '.join(format_probability(p) for p in values)}]"
-
-
 def render_presence_table(kbs: list[KnowledgeBase]) -> str:
     """Per-robot presence-table blocks separated by a dashed divider."""
     if not kbs:
         raise ConfigurationError("need at least one knowledge base")
-    blocks = []
-    for kb in kbs:
-        lines = [
-            kb.robot_id,
-            '"List of probabilities that an object exists":',
-            f"[{', '.join(kb.room_names)}]",
-        ]
-        for obj, row in kb.presence_table.items():
-            lines.append(_presence_line(obj, struct.pack(f"{len(row)}d", *row)))
-        blocks.append("\n".join(lines))
-    return f"\n{_DIVIDER}\n".join(blocks)
-
-
-def _check_presence_row(obj: str, row) -> None:
-    """SchemaError unless ``row`` is a list of finite non-negative numbers with a finite sum.
-
-    The knowledge-document loader runs it, and so does the tests' parser of rendered tables.
-    """
-    if not (isinstance(row, list) and all(is_finite_real(v) and v >= 0 for v in row)
-            and is_finite_real(sum(row))):
-        raise SchemaError(f"presence row for {obj!r} must be a list of finite non-negative numbers "
-                          "with a finite sum")
+    return f"\n{_DIVIDER}\n".join(kb.presence_block for kb in kbs)
 
 
 def render_objects(kbs: list[KnowledgeBase]) -> str:
@@ -285,29 +289,22 @@ PROMPTS = {
 
 
 def knowledge_to_dict(kb: KnowledgeBase) -> dict:
-    return asdict(kb)
+    return {
+        "robot_id": kb.robot_id,
+        "room_names": list(kb.room_names),
+        "place_vocab": [list(words) for words in kb.place_vocab],
+        "presence_table": {obj: list(row) for obj, row in kb.presence_table.items()},
+    }
 
 
 def knowledge_from_dict(data: dict) -> KnowledgeBase:
     fields = ("robot_id", "room_names", "place_vocab", "presence_table")
-    robot_id, room_names, place_vocab, table = require_fields(data, fields, "knowledge document")
-    # Containers and rows are checked here, once per load, so rendering and allocation read them unchecked.
-    require(robot_id, str, "robot_id")
-    require(room_names, list, "room_names", str)
-    for i, words in enumerate(require(place_vocab, list, "place_vocab")):
-        require(words, list, f"place_vocab[{i}]", str)
-    for obj, row in require(table, dict, "presence_table").items():
-        _check_presence_row(obj, row)
-    return KnowledgeBase(
-        robot_id=robot_id,
-        room_names=list(room_names),
-        place_vocab=[list(v) for v in place_vocab],
-        presence_table={k: list(v) for k, v in table.items()},
-    )
+    return KnowledgeBase(*require_fields(data, fields, "knowledge document"))
 
 
 def save_knowledge(kb: KnowledgeBase, path) -> None:
-    Path(path).write_text(json.dumps(knowledge_to_dict(kb), indent=2))
+    """Write ``kb`` as ``homeplan extract --out`` does, byte for byte."""
+    Path(path).write_text(json.dumps(knowledge_to_dict(kb), indent=2) + "\n")
 
 
 def load_knowledge(path) -> KnowledgeBase:

@@ -249,9 +249,9 @@ ROBOT2_TABLE = {
 def kb_robot1():
     return KnowledgeBase(
         robot_id="Robot1",
-        room_names=list(ROBOT1_ROOMS),
+        room_names=ROBOT1_ROOMS,
         place_vocab=[[] for _ in ROBOT1_ROOMS],
-        presence_table={k: list(v) for k, v in ROBOT1_TABLE.items()},
+        presence_table=ROBOT1_TABLE,
     )
 
 
@@ -259,14 +259,14 @@ def kb_robot1():
 def kb_robot2():
     return KnowledgeBase(
         robot_id="Robot2",
-        room_names=list(ROBOT2_ROOMS),
+        room_names=ROBOT2_ROOMS,
         place_vocab=[[] for _ in ROBOT2_ROOMS],
-        presence_table={k: list(v) for k, v in ROBOT2_TABLE.items()},
+        presence_table=ROBOT2_TABLE,
     )
 
 
 def reference_presence_table(kbs):
-    """The presence-table renderer without its row cache: every row formatted on every call."""
+    """The presence-table renderer written out: every base's block formatted anew on every call."""
     blocks = []
     for kb in kbs:
         lines = [
@@ -290,15 +290,14 @@ def skill_sequence(trace):
 _PLACE_LINE = re.compile(r"^place(\d+): \[(.*)\]$")
 
 
-def parse_place_vocab(text: str) -> list[list[str]]:
-    """Invert :func:`render_place_vocab`, returning the per-region word lists."""
+def parse_place_vocab(text: str) -> tuple[tuple[str, ...], ...]:
+    """Invert :func:`render_place_vocab`, returning the per-region word tuples of a knowledge base."""
     out = []
     for line in text.splitlines():
         m = _PLACE_LINE.match(line.strip())
         if m:
-            body = m.group(2)
-            out.append([w for w in body.split(", ") if w] if body else [])
-    return out
+            out.append(tuple(w for w in m.group(2).split(", ") if w))
+    return tuple(out)
 
 
 _ROW_LINE = re.compile(r"^(\S+) = \[(.*)\]$")
@@ -332,7 +331,7 @@ def parse_presence_table(text: str) -> list[KnowledgeBase]:
                 row = [float(v) for v in m.group(2).split(", ")]
             except ValueError:
                 raise SchemaError(f"non-numeric presence row: {line!r}") from None
-            _check_presence_row(m.group(1), row)
+            _check_presence_row(m.group(1), row, len(rooms))
             values = np.array(row)
             if values.sum() > 0:
                 values = values / values.sum()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,8 +114,9 @@ def test_search_order_is_descending_presence(kb_robot2):
     assert set(order) == set(kb_robot2.room_names)
 
 
+# Only valid rows: a knowledge base rejects negative, non-finite and overflowing ones when built.
 _PRESENCE = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 5e-324]),
-                     st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 3))
+                     st.floats(min_value=0.0, max_value=1e300), st.integers(0, 3))
 
 
 @given(st.lists(_PRESENCE, min_size=1, max_size=9))
@@ -147,10 +149,10 @@ def test_object_missing_from_kb_without_room_order():
         run_assignments(world, [assignment], [kb])
     assert type(excinfo.value.__cause__) is PlanningError
     # A knowledge base that lists it unblocks it; every room is searched and detection fails honestly.
-    kb.presence_table["bag"] = [1.0] * len(kb.room_names)
+    kb = replace(kb, presence_table={**kb.presence_table, "bag": [1.0] * len(kb.room_names)})
     [trace] = run_assignments(world, [assignment], [kb])
     assert trace.result == SUBTASK_FAILED
-    assert trace.rooms_visited == kb.room_names
+    assert trace.rooms_visited == list(kb.room_names)
 
 
 def test_mismatched_robot_id_rejected():
@@ -394,7 +396,7 @@ def test_a_search_room_on_another_floor_fails_at_setup():
 def test_a_target_the_world_lacks_fails_at_setup():
     # Robot1's knowledge base has a row for the unicorn; the home has none.
     kb = knowledge_from_environment(HOME, "1F", "Robot1")
-    kb.presence_table["unicorn"] = [1.0] * len(kb.room_names)
+    kb = replace(kb, presence_table={**kb.presence_table, "unicorn": [1.0] * len(kb.room_names)})
     assignments = [Assignment(Subtask("bring", target), "Robot1") for target in ("apple", "unicorn")]
     message = "assignment 1: unknown object 'unicorn'"
     _assert_fails_at_setup(_home_world(), assignments, [kb], message, UnknownLabelError)

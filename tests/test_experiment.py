@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -43,13 +44,14 @@ def test_best_room_recovery_counts_the_floors_objects(home, truth_kbs):
     assert best_room_recovery(home, "2F", truth_kbs[1]) == (11, 11)
     kb = knowledge_from_environment(home, "1F", "Robot1")
     moved, dropped = sorted(kb.presence_table)[:2]
-    kb.presence_table[moved] = kb.presence_table[moved][1:] + kb.presence_table[moved][:1]
-    del kb.presence_table[dropped]
-    assert best_room_recovery(home, "1F", kb) == (11, 13)
+    table = dict(kb.presence_table)
+    table[moved] = table[moved][1:] + table[moved][:1]
+    del table[dropped]
+    assert best_room_recovery(home, "1F", replace(kb, presence_table=table)) == (11, 13)
     # A massless row is not recovered, even for an object in the first room.
     kb = knowledge_from_environment(home, "2F", "Robot2")
     massless = next(obj for obj, row in sorted(kb.presence_table.items()) if row[0] == 1.0)
-    kb.presence_table[massless] = [0.0] * len(kb.room_names)
+    kb = replace(kb, presence_table={**kb.presence_table, massless: [0.0] * len(kb.room_names)})
     assert best_room_recovery(home, "2F", kb) == (10, 11)
 
 
@@ -231,10 +233,8 @@ def test_corrupting_knowledge_cannot_increase_score(home, truth_kbs):
 
     # Move apple's knowledge to the wrong robot: Robot2 now claims it.
     kb1, kb2 = truth_kbs
-    corrupt1 = knowledge_from_environment(home, "1F", "Robot1")
-    corrupt2 = knowledge_from_environment(home, "2F", "Robot2")
-    del corrupt1.presence_table["apple"]
-    corrupt2.presence_table["apple"] = [0.0, 0.0, 0.0, 0.0, 1.0]
+    corrupt1 = replace(kb1, presence_table={o: r for o, r in kb1.presence_table.items() if o != "apple"})
+    corrupt2 = replace(kb2, presence_table={**kb2.presence_table, "apple": [0.0, 0.0, 0.0, 0.0, 1.0]})
     corrupted = sum(score_allocations(allocate(subtasks, [corrupt1, corrupt2]),
                                       home, FLOOR_OF_ROBOT))
     assert corrupted <= baseline

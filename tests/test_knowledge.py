@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,7 +50,7 @@ def test_extract_vocab_threshold_and_order(model):
         probs = word_posterior(model, region)
         by_word = {w: probs[i] for i, w in enumerate(model.vocab_places)}
         assert all(by_word[w] >= 0.05 for w in words)
-        assert words == sorted(words, key=lambda w: -by_word[w])
+        assert list(words) == sorted(words, key=lambda w: -by_word[w])
         # nothing above threshold was dropped
         assert len(words) == int((probs >= 0.05).sum())
 
@@ -59,7 +61,7 @@ def test_extract_near_one_threshold_on_delta_words():
     word[1] = 1.0
     model.word_dist[0] = word
     kb = extract_knowledge(model, model.vocab_places[:2], vocab_threshold=1.0 - 1e-9)
-    assert kb.place_vocab == [["word1"], ["word1"]]
+    assert kb.place_vocab == (("word1",), ("word1",))
 
 
 def test_extract_validates_room_names(model):
@@ -142,19 +144,56 @@ def test_presence_round_trip_random_tables(seed):
              for i in range(int(rng.integers(1, 5)))}
     kb = KnowledgeBase("RobotX", rooms, [[] for _ in rooms], table)
     parsed = parse_presence_table(render_presence_table([kb]))[0]
-    assert parsed.room_names == rooms
+    assert parsed.room_names == tuple(rooms)
     for obj in table:
         np.testing.assert_allclose(parsed.row(obj), kb.row(obj), atol=5e-4)
 
 
-def test_presence_rows_render_apart_by_sign_and_after_mutation():
+def test_presence_rows_render_apart_by_sign_and_after_a_rebuild():
     kb = KnowledgeBase("R", ["a", "b", "c"], [[], [], []], {"cup": [0.0, 1.0, 5e-5]})
     assert render_presence_table([kb]).endswith("cup = [0.0, 1.0, 0.0001]")
-    kb.presence_table["cup"][0] = -0.0  # equal to 0.0, rendered apart
-    assert render_presence_table([kb]).endswith("cup = [-0.0, 1.0, 0.0001]")
-    kb.presence_table["cup"] = [4.9999e-5, 0.99994, 1]
+    signed = replace(kb, presence_table={"cup": [-0.0, 1.0, 5e-5]})  # equal to kb, rendered apart
+    assert signed == kb
+    assert render_presence_table([signed]).endswith("cup = [-0.0, 1.0, 0.0001]")
+    assert render_presence_table([kb]).endswith("cup = [0.0, 1.0, 0.0001]")
+    kb = replace(kb, presence_table={"cup": [4.9999e-5, 0.99994, 1]})
+    assert kb.presence_table["cup"] == (4.9999e-5, 0.99994, 1)  # values as given: the int stays an int
     assert render_presence_table([kb]).endswith("cup = [0.0, 0.9999, 1.0]")
     assert render_presence_table([kb]) == reference_presence_table([kb])
+
+
+def test_a_knowledge_base_cannot_change_in_place():
+    kb = KnowledgeBase("R", ["a", "b"], [["sink"], []], {"cup": [1.0, 0.0]})
+    render_presence_table([kb])
+    with pytest.raises(FrozenInstanceError):
+        kb.robot_id = "S"
+    with pytest.raises(TypeError):
+        kb.presence_table["plate"] = [0.5, 0.5]
+    with pytest.raises(TypeError):
+        kb.presence_table["cup"][0] = 0.0
+    with pytest.raises(AttributeError):
+        kb.room_names.append("c")
+    with pytest.raises(AttributeError):
+        kb.place_vocab[0].append("oven")
+    assert render_presence_table([kb]) == reference_presence_table([kb])
+
+
+@pytest.mark.parametrize("row", [[float("nan"), -1.0], [float("nan"), 1.0], [-0.1, 1.1],
+                                 [float("inf"), 0.0], [1e308, 1e308], (0.5, "0.5"), np.array([0.5, 0.5])])
+def test_a_knowledge_base_built_directly_rejects_bad_presence_rows(row):
+    with pytest.raises(SchemaError, match="cup"):
+        KnowledgeBase("R", ["a", "b"], [[], []], {"cup": row})
+
+
+@pytest.mark.parametrize("robot_id, rooms", [("R", ["kitchen", "kitchen"]), ("", ["kitchen", "bedroom"]),
+                                             (None, ["kitchen", "bedroom"]), ("R", "ab")])
+def test_a_knowledge_base_rejects_repeated_rooms_and_an_empty_robot_id(robot_id, rooms):
+    with pytest.raises(SchemaError):
+        KnowledgeBase(robot_id, rooms, [[], []], {"cup": [0.5, 0.5]})
+    data = {"robot_id": robot_id, "room_names": rooms, "place_vocab": [[], []],
+            "presence_table": {"cup": [0.5, 0.5]}}
+    with pytest.raises(SchemaError):
+        knowledge_from_dict(data)
 
 
 def test_format_probability_examples():
@@ -179,6 +218,9 @@ def test_knowledge_json_round_trip(tmp_path, kb_robot1):
     assert loaded.robot_id == kb_robot1.robot_id
     assert loaded.room_names == kb_robot1.room_names
     assert loaded.presence_table == kb_robot1.presence_table
+    assert loaded == kb_robot1
+    save_knowledge(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 FIRST_FLOOR = [r.name for r in load_environment("paper_home").rooms_on("1F")]
@@ -222,8 +264,8 @@ def test_a_model_document_with_exact_zero_words_is_named(tmp_path):
     path = tmp_path / "model.json"
     save_model(heard_model(16, np.eye(5)), path)  # each region heard one name and never the other four
     kb = extract_knowledge(load_model(path), FIRST_FLOOR)
-    assert kb.room_names == FIRST_FLOOR
-    assert kb.place_vocab == [[name] for name in FIRST_FLOOR]
+    assert kb.room_names == tuple(FIRST_FLOOR)
+    assert kb.place_vocab == tuple((name,) for name in FIRST_FLOOR)
 
 
 @st.composite

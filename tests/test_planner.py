@@ -2,6 +2,7 @@ import io
 import json
 import re
 import urllib.error
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -193,7 +194,7 @@ def test_allocate_object_with_only_massless_rows_raises():
 
 
 def test_allocate_rejects_knowledge_bases_that_share_a_robot_id(kb_robot1, kb_robot2):
-    kb_robot2.robot_id = kb_robot1.robot_id
+    kb_robot2 = replace(kb_robot2, robot_id=kb_robot1.robot_id)
     backend = mock.Mock(tag="chat")
     with pytest.raises(ConfigurationError, match="several knowledge bases have robot_id Robot1$"):
         allocate([Subtask("find", "apple")], [kb_robot1, kb_robot2], backend=backend)
@@ -210,7 +211,7 @@ def test_allocating_without_robots_is_a_configuration_error():
 
 def test_allocate_rejects_robot_ids_that_differ_only_in_case(kb_robot1, kb_robot2):
     # A chat answer names its robot in any case, so Robot1 and robot1 are one robot to it.
-    kb_robot2.robot_id = kb_robot1.robot_id.lower()
+    kb_robot2 = replace(kb_robot2, robot_id=kb_robot1.robot_id.lower())
     backend = mock.Mock(tag="chat")
     backend.complete.return_value = "SubTask 1: Find apple. -> Robot1"
     with pytest.raises(ConfigurationError, match="several knowledge bases have robot_id Robot1, robot1$"):
@@ -302,9 +303,10 @@ def test_commonsense_table_covers_all_24_objects():
     assert set(COMMONSENSE_TYPICAL_ROOM) == set(VOCAB_24)
 
 
+# Only valid entries: a knowledge base rejects negative, non-finite and overflowing rows when built.
 _PROBABILITIES = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, 5e-5, 4.9999e-5, 0.00015, 0.99995, 1 / 3, 0.5]),
-    st.floats(), st.integers(0, 10**6))
+    st.floats(min_value=0.0, max_value=1e300), st.integers(0, 10**6))
 
 
 @st.composite
@@ -328,10 +330,12 @@ def test_allocation_prompt_matches_the_uncached_reference(kb1, kb2, data):
         assert render_allocation_prompt(subtasks, kbs) == expected
 
     assert_matches_reference()
-    # Mutated in place after a render: the new row must be rendered.
-    kb = data.draw(st.sampled_from(kbs))
-    row = kb.presence_table[data.draw(st.sampled_from(sorted(kb.presence_table)))]
+    # Rebuilt with one entry changed after a render: the new row must be rendered.
+    i = data.draw(st.integers(0, 1))
+    obj = data.draw(st.sampled_from(sorted(kbs[i].presence_table)))
+    row = list(kbs[i].presence_table[obj])
     row[data.draw(st.integers(0, len(row) - 1))] = data.draw(_PROBABILITIES)
+    kbs[i] = replace(kbs[i], presence_table={**kbs[i].presence_table, obj: row})
     assert_matches_reference()
 
 

@@ -199,6 +199,14 @@ def test_a_bad_skill_probability_is_a_configuration_error(value):
         sure_robot(p_pick=value)
 
 
+def test_a_world_rejects_a_skill_probability_set_after_construction(home):
+    # RobotState is mutable: the world re-checks every robot it copies, and nothing else catches this.
+    robot = sure_robot()
+    robot.p_pick = 5.0
+    with pytest.raises(ConfigurationError, match=r"^p_pick must be a number in \[0, 1\], got 5.0$"):
+        World(home, [robot])
+
+
 def test_duplicate_robot_ids_are_schema_error(home):
     with pytest.raises(SchemaError, match="duplicate robot ids"):
         World(home, [sure_robot(), sure_robot(floor="2F", room="child_room")])
