@@ -81,6 +81,13 @@ def require(value, kind: type, where: str, items: type | None = None):
     return value
 
 
+def tuple_of(value, item: type, where: str) -> tuple:
+    """``value`` as a tuple; SchemaError unless it is a list or tuple of ``item``."""
+    if not (isinstance(value, (list, tuple)) and all(isinstance(v, item) for v in value)):
+        raise SchemaError(f"{where} must be a list" + ("" if item is object else f" of {item.__name__}"))
+    return tuple(value)
+
+
 def require_fields(data, keys: tuple[str, ...], where: str) -> list:
     """The values of ``keys`` in the JSON object ``data``; SchemaError if it is not one or lacks any."""
     require(data, dict, where)

@@ -21,7 +21,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigurationError, SchemaError, is_finite_real, read_json, require_fields
+from .errors import ConfigurationError, SchemaError, is_finite_real, read_json, require_fields, tuple_of
 from .spatial import SpatialConceptModel, object_location_posterior, word_posterior
 from .world import SKILLS, Environment
 
@@ -50,11 +50,11 @@ class KnowledgeBase:
     def __post_init__(self):
         if not (isinstance(self.robot_id, str) and self.robot_id):
             raise SchemaError("robot_id must be a non-empty str")
-        rooms = _tuple_of(self.room_names, str, "room_names")
+        rooms = tuple_of(self.room_names, str, "room_names")
         if len(set(rooms)) != len(rooms):
             raise SchemaError(f"room_names must not repeat a name: {list(rooms)}")
-        vocab = tuple(_tuple_of(words, str, f"place_vocab[{i}]")
-                      for i, words in enumerate(_tuple_of(self.place_vocab, object, "place_vocab")))
+        vocab = tuple(tuple_of(words, str, f"place_vocab[{i}]")
+                      for i, words in enumerate(tuple_of(self.place_vocab, object, "place_vocab")))
         if len(vocab) != len(rooms):
             raise SchemaError("place_vocab must have one entry per room")
         if not isinstance(self.presence_table, Mapping):
@@ -86,13 +86,6 @@ class KnowledgeBase:
         row = row / total
         idx = int(np.argmax(row))
         return self.room_names[idx], float(row[idx])
-
-
-def _tuple_of(value, item: type, where: str) -> tuple:
-    """``value`` as a tuple; SchemaError unless it is a list or tuple of ``item``."""
-    if not (isinstance(value, (list, tuple)) and all(isinstance(v, item) for v in value)):
-        raise SchemaError(f"{where} must be a list" + ("" if item is object else f" of {item.__name__}"))
-    return tuple(value)
 
 
 def _check_presence_row(obj, row, n: int) -> None:

@@ -368,7 +368,5 @@ def _posterior_mean_model(p: _Batch, hp: Hyperparameters, seed: int, centre: np.
     denom = nu_n - _DIM - 1.0
     covs = V_n.reshape(R, _DIM, _DIM) / np.where(denom > 0, denom, nu_n + _DIM + 1.0)[:, None, None]
 
-    return SpatialConceptModel(pi=pi, word_dist=word_dist, object_dist=object_dist,
-                               region_dist=region_dist, means=means, covs=covs,
-                               vocab_places=list(vocab_places), vocab_objects=list(vocab_objects),
-                               hyperparameters=hp, seed=seed)
+    return SpatialConceptModel(pi, word_dist, object_dist, region_dist, means, covs,
+                               vocab_places, vocab_objects, hyperparameters=hp, seed=seed)

@@ -1,25 +1,25 @@
 """Generative spatial concept model and its cross-modal posterior queries.
 
 A model ties K latent concepts to place words, object labels, and R Gaussian
-position regions.  It holds them as the stacked arrays the learner writes and
-the queries read: ``pi`` (K,), ``word_dist`` (K, V), ``object_dist`` (K, O),
-``region_dist`` (K, R), ``means`` (R, 2) and ``covs`` (R, 2, 2).  The JSON
-document keeps one entry per concept and per region.  The two queries
-implemented here marginalize the concept index and return the normalized
-categorical as a NumPy array: the per-region word posterior and the per-object
-region posterior that feeds the room-wise presence tables.
+position regions.  It is checked once when built and then frozen: tuples for
+its vocabularies, read-only float copies of the stacked arrays the learner
+writes and the queries read: ``pi`` (K,), ``word_dist`` (K, V), ``object_dist``
+(K, O), ``region_dist`` (K, R), ``means`` (R, 2) and ``covs`` (R, 2, 2).  The
+JSON document keeps one entry per concept and per region.  The two queries
+marginalize the concept index into normalized categoricals: the per-region
+word posterior, and the per-object region posterior behind the presence tables.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, UnknownLabelError, is_finite_real, read_json, require, require_fields
+from .errors import SchemaError, UnknownLabelError, is_finite_real, read_json, require, require_fields, tuple_of
 
 CATEGORICAL_ATOL = 1e-9
 
@@ -103,12 +103,12 @@ class Session:
 _ARRAYS = ("pi", "word_dist", "object_dist", "region_dist", "means", "covs")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpatialConceptModel:
     """Learned mixture linking place words, object labels, and 2D regions.
 
     Row k of each ``*_dist`` array is concept k's categorical; region r is the
-    Gaussian (``means[r]``, ``covs[r]``).
+    Gaussian (``means[r]``, ``covs[r]``).  Change one with ``dataclasses.replace``.
     """
 
     pi: np.ndarray
@@ -117,33 +117,21 @@ class SpatialConceptModel:
     region_dist: np.ndarray
     means: np.ndarray
     covs: np.ndarray
-    vocab_places: list[str]
-    vocab_objects: list[str]
+    vocab_places: tuple[str, ...]
+    vocab_objects: tuple[str, ...]
     hyperparameters: Hyperparameters | None = None
     seed: int | None = None
-    _object_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         # Checked here, once per construction or load, so the posterior queries read it unchecked.
         for name in ("vocab_places", "vocab_objects"):
-            vocab = getattr(self, name)
-            if not isinstance(vocab, list) or not all(isinstance(w, str) for w in vocab) \
-                    or len(set(vocab)) != len(vocab):
+            vocab = tuple_of(getattr(self, name), str, name)
+            if len(set(vocab)) != len(vocab):
                 raise SchemaError(f"{name} must be a list of distinct strings")
+            object.__setattr__(self, name, vocab)
         for name in _ARRAYS:
-            setattr(self, name, _real_array(getattr(self, name), name))
-        self._object_index = {o: i for i, o in enumerate(self.vocab_objects)}
-        self.validate()
-
-    @property
-    def num_concepts(self) -> int:
-        return len(self.pi)
-
-    @property
-    def num_regions(self) -> int:
-        return len(self.means)
-
-    def validate(self) -> None:
+            object.__setattr__(self, name, _real_array(getattr(self, name), name))
+        object.__setattr__(self, "_object_index", {o: i for i, o in enumerate(self.vocab_objects)})
         if self.pi.ndim != 1 or self.means.ndim != 2:
             raise SchemaError("pi must be a vector and means a matrix, a row per region")
         K, R = self.num_concepts, self.num_regions
@@ -160,6 +148,14 @@ class SpatialConceptModel:
         if np.any(np.linalg.eigvalsh(self.covs) <= 0):
             raise SchemaError("region covariance not positive-definite")
 
+    @property
+    def num_concepts(self) -> int:
+        return len(self.pi)
+
+    @property
+    def num_regions(self) -> int:
+        return len(self.means)
+
     def object_id(self, label: str) -> int:
         try:
             return self._object_index[label]
@@ -168,14 +164,16 @@ class SpatialConceptModel:
 
 
 def _real_array(value, name: str) -> np.ndarray:
-    """``value`` as a float array; SchemaError if it is ragged, non-numeric or non-finite."""
+    """A read-only float copy of ``value``; SchemaError if it is ragged, non-numeric or non-finite."""
     try:
         arr = np.asarray(value)
     except ValueError:
         raise SchemaError(f"{name} is ragged") from None
     if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
         raise SchemaError(f"{name} must hold finite numbers only")
-    return np.asarray(arr, dtype=float)
+    arr = np.array(arr, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 def _check_categorical(arr: np.ndarray, name: str) -> None:
@@ -246,6 +244,8 @@ def model_to_dict(model: SpatialConceptModel) -> dict:
 def model_from_dict(data: dict) -> SpatialConceptModel:
     fields = ("pi", "concepts", "regions", "vocab_places", "vocab_objects")
     pi, concepts, regions, vocab_places, vocab_objects = require_fields(data, fields, "model document")
+    if type(version := data.get("schema_version")) is not int or version != _MODEL_SCHEMA_VERSION:
+        raise SchemaError(f"model document has schema_version {version!r}, expected {_MODEL_SCHEMA_VERSION}")
     concepts = [require_fields(c, _CONCEPT_FIELDS, f"concepts[{i}]")
                 for i, c in enumerate(require(concepts, list, "concepts"))]
     regions = [require_fields(r, _REGION_FIELDS, f"regions[{i}]")
@@ -271,7 +271,8 @@ def model_from_dict(data: dict) -> SpatialConceptModel:
 
 
 def save_model(model: SpatialConceptModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2))
+    """Write ``model`` as ``homeplan learn --out`` does, byte for byte."""
+    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
 
 
 def load_model(path) -> SpatialConceptModel:

@@ -1,17 +1,19 @@
 """Two-floor household simulator: rooms, placements, robots, skill outcomes.
 
-Rooms are abstract nodes with Gaussian position footprints.  Robots are
-pinned to a floor; navigation across floors always fails with a
-``floor_barrier`` reason.  Every floor additionally exposes an implicit
-delivery point named ``gather`` where fetched objects are dropped off.
+Rooms are abstract nodes with Gaussian position footprints.  An environment
+is checked once when built and then frozen.  Robots are pinned to a floor;
+navigation across floors always fails with a ``floor_barrier`` reason.  Every
+floor additionally exposes an implicit delivery point named ``gather`` where
+fetched objects are dropped off.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .errors import (
     read_json,
     require,
     require_fields,
+    tuple_of,
 )
 from .spatial import Session
 
@@ -36,8 +39,6 @@ CATEGORY_HARD = "hard_to_predict"
 CATEGORIES = (CATEGORY_COMMON, CATEGORY_HARD)
 
 _BLOCK = 32  # uniforms drawn per refill of a robot's outcome stream
-
-_ENV_KEYS = ("floors", "rooms", "placements", "categories", "place_words")
 
 
 @dataclass(frozen=True)
@@ -80,25 +81,29 @@ def _footprint_problems(room: Room) -> list[str]:
     return problems
 
 
-@dataclass
+@dataclass(frozen=True)
 class Environment:
-    floors: list[str]
-    rooms: list[Room]
-    placements: dict[str, str]
-    categories: dict[str, str]
-    place_words: dict[str, list[str]]
+    """A home's rooms and objects, frozen as tuples and read-only mappings; change one with ``dataclasses.replace``."""
+
+    floors: tuple[str, ...]
+    rooms: tuple[Room, ...]
+    placements: Mapping[str, str]
+    categories: Mapping[str, str]
+    place_words: Mapping[str, tuple[str, ...]]
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
+        rooms = tuple_of(self.rooms, Room, "rooms")
+        words = {room: tuple_of(w, str, f"place_words[{room}]") for room, w in self.place_words.items()}
+        for name, value in (("floors", tuple_of(self.floors, str, "floors")), ("rooms", rooms),
+                            ("placements", MappingProxyType(dict(self.placements))),
+                            ("categories", MappingProxyType(dict(self.categories))),
+                            ("place_words", MappingProxyType(words)), ("_rooms_by_name", {r.name: r for r in rooms})):
+            object.__setattr__(self, name, value)
         problems = []
         if not self.floors:
             problems.append("floors: empty")
         if not self.rooms:
             problems.append("rooms: empty")
-        # Built here, so that re-validating after a change to ``rooms`` refreshes every lookup.
-        self._rooms_by_name = {r.name: r for r in self.rooms}
         if len(self._rooms_by_name) != len(self.rooms):
             problems.append("rooms: duplicate names")
         if GATHER in self._rooms_by_name:
@@ -218,7 +223,7 @@ class World:
                 raise SchemaError(f"robot {r.robot_id!r} assigned to unknown floor {r.floor!r}")
             if r.current_room != GATHER and env.floor_of_room(r.current_room) != r.floor:
                 raise FloorAccessError(f"robot {r.robot_id!r} starts off its floor")
-        self.object_rooms: dict[str, str | None] = dict(env.placements)
+        self.object_rooms: dict[str, str | None] = env.placements.copy()
         self._detections: dict[str, tuple[str, str] | None] = {r.robot_id: None for r in robots}
         self._robot_index = {r.robot_id: i for i, r in enumerate(robots)}
         self.reseed(seed)
@@ -374,16 +379,14 @@ def _room_from_dict(data: dict, idx: int) -> Room:
 
 
 def environment_from_dict(data: dict) -> Environment:
-    floors, rooms, placements, categories, place_words = require_fields(
-        data, _ENV_KEYS, "environment document")
-    for room, words in require(place_words, dict, "place_words").items():
-        require(words, list, f"place_words[{room}]", str)
+    fields = ("floors", "rooms", "placements", "categories", "place_words")
+    floors, rooms, placements, categories, place_words = require_fields(data, fields, "environment document")
     return Environment(
-        floors=list(require(floors, list, "floors", str)),
+        floors=floors,
         rooms=[_room_from_dict(r, i) for i, r in enumerate(require(rooms, list, "rooms"))],
-        placements=dict(require(placements, dict, "placements", str)),
-        categories=dict(require(categories, dict, "categories", str)),
-        place_words={k: list(v) for k, v in place_words.items()},
+        placements=require(placements, dict, "placements", str),
+        categories=require(categories, dict, "categories", str),
+        place_words=require(place_words, dict, "place_words"),
     )
 
 

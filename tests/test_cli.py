@@ -14,7 +14,7 @@ from homeplan.cli import main
 from homeplan.experiment import SuiteConfig, run_suite
 from homeplan.knowledge import PROMPTS, knowledge_from_environment, save_knowledge
 from homeplan.planner import ReplayBackend, render_decomposition_prompt
-from homeplan.spatial import save_model
+from homeplan.spatial import load_model, save_model
 from homeplan.world import load_environment
 
 from conftest import environment_to_dict, random_model
@@ -51,6 +51,14 @@ def test_learn_and_extract_round_trip(tmp_path, capsys):
     kb = json.loads(kb_path.read_text())
     assert kb["robot_id"] == "Robot2"
     assert sorted(kb["room_names"]) == ["corridor", "kitchen"]
+
+
+def test_save_model_writes_what_learn_out_writes(tmp_path, capsys):
+    learned, resaved = tmp_path / "model.json", tmp_path / "resaved.json"
+    assert main(["learn", "--env", "robocup_arena", "--floor", "zone1", "--visits", "4", "--particles", "3",
+                 "--lag", "2", "--seed", "5", "--out", str(learned)]) == 0
+    save_model(load_model(learned), resaved)
+    assert resaved.read_bytes() == learned.read_bytes()
 
 
 def test_learn_from_sessions_file(tmp_path, capsys):

@@ -56,10 +56,9 @@ def test_extract_vocab_threshold_and_order(model):
 
 
 def test_extract_near_one_threshold_on_delta_words():
-    model = random_model(np.random.default_rng(11), 1, 2, n_words=3)
-    word = np.zeros(3)
-    word[1] = 1.0
-    model.word_dist[0] = word
+    word = np.zeros((1, 3))
+    word[0, 1] = 1.0
+    model = replace(random_model(np.random.default_rng(11), 1, 2, n_words=3), word_dist=word)
     kb = extract_knowledge(model, model.vocab_places[:2], vocab_threshold=1.0 - 1e-9)
     assert kb.place_vocab == (("word1",), ("word1",))
 
@@ -229,16 +228,13 @@ FIRST_FLOOR = [r.name for r in load_environment("paper_home").rooms_on("1F")]
 def heard_model(seed, word_dist):
     """A five-region model whose concept k lives in region k and hears ``word_dist[k]`` over the 1F room names."""
     model = random_model(np.random.default_rng(seed), 5, 5, n_words=5)
-    model.vocab_places = list(FIRST_FLOOR)
-    model.region_dist = np.eye(5)
-    model.word_dist = np.asarray(word_dist, dtype=float)
-    model.validate()
-    return model
+    return replace(model, vocab_places=FIRST_FLOOR, region_dist=np.eye(5), word_dist=word_dist)
 
 
 def test_match_room_names_is_a_bijection():
-    model = heard_model(12, 0.05 + 0.75 * np.eye(5))
-    model.word_dist[1] = [0.4, 0.35, 0.1, 0.1, 0.05]  # region 1 heard room 0's name most, but region 0 more so
+    word_dist = 0.05 + 0.75 * np.eye(5)
+    word_dist[1] = [0.4, 0.35, 0.1, 0.1, 0.05]  # region 1 heard room 0's name most, but region 0 more so
+    model = heard_model(12, word_dist)
     assert match_room_names(model, FIRST_FLOOR) == FIRST_FLOOR
     assert match_room_names(model, FIRST_FLOOR[::-1]) == FIRST_FLOOR
     assert match_room_names(model, ["garage", *FIRST_FLOOR]) == FIRST_FLOOR
@@ -246,16 +242,19 @@ def test_match_room_names_is_a_bijection():
 
 def test_match_room_names_reads_no_geometry():
     model = heard_model(14, 0.05 + 0.75 * np.eye(5))
-    model.means[2] = [1e200, 0.0]  # its squared distance to any room overflows
+    means = model.means.copy()
+    means[2] = [1e200, 0.0]  # its squared distance to any room overflows
+    model = replace(model, means=means)
     assert match_room_names(model, FIRST_FLOOR) == FIRST_FLOOR
 
 
 def test_an_unheard_name_takes_the_leftover_region():
     model = heard_model(15, 0.05 + 0.75 * np.eye(5))
-    model.vocab_places[3] = "sofa"  # region 3 never heard "office_room"
+    model = replace(model, vocab_places=[*FIRST_FLOOR[:3], "sofa", FIRST_FLOOR[4]])  # region 3 never heard "office_room"
     for _ in range(2):
         assert match_room_names(model, FIRST_FLOOR) == FIRST_FLOOR
-    model.vocab_places[4] = "sink"  # two unheard names tie in both leftover regions: the lower index wins
+    # Two unheard names tie in both leftover regions: the lower index wins.
+    model = replace(model, vocab_places=[*FIRST_FLOOR[:3], "sofa", "sink"])
     assert match_room_names(model, FIRST_FLOOR) == FIRST_FLOOR
     assert match_room_names(model, FIRST_FLOOR[::-1])[3:] == ["kitchen", "office_room"]
 

@@ -88,8 +88,8 @@ def test_single_session_populates_one_region():
     empty = hp.V0_array / (hp.nu0 + 3.0)
     assert sum(np.allclose(cov, occupied, rtol=1e-12) for cov in model.covs) == 1
     assert sum(np.allclose(cov, empty, rtol=1e-12) for cov in model.covs) == 2
-    assert model.vocab_places == ["kitchen"]
-    assert model.vocab_objects == ["cup"]
+    assert model.vocab_places == ("kitchen",)
+    assert model.vocab_objects == ("cup",)
 
 
 def test_lag_longer_than_stream_is_clamped():
@@ -103,8 +103,8 @@ def test_lag_longer_than_stream_is_clamped():
 def test_vocabularies_are_derived_from_the_sessions():
     sessions = [Session(np.zeros(2), ["mystery", "known"], ["w"]), Session(np.ones(2), ["known"], ["v", "w"])]
     model = learn_fixed_lag(sessions, FAST_HP, seed=0, num_concepts=2, num_regions=2)
-    assert (model.vocab_places, model.vocab_objects) == derive_vocabularies(sessions)
-    assert (model.vocab_places, model.vocab_objects) == (["v", "w"], ["known", "mystery"])
+    assert (model.vocab_places, model.vocab_objects) == tuple(map(tuple, derive_vocabularies(sessions)))
+    assert (model.vocab_places, model.vocab_objects) == (("v", "w"), ("known", "mystery"))
     assert model.word_dist.shape == model.object_dist.shape == (2, 2)
 
 
@@ -132,8 +132,7 @@ def test_different_seeds_may_differ_but_stay_valid():
     sessions, _, _, _ = synthetic_rooms(rng, n_rooms=2, sessions_per_room=6)
     hp = Hyperparameters(num_particles=4, lag_window=3)
     for seed in (0, 1):
-        model = learn_fixed_lag(sessions, hp, seed=seed, num_concepts=2, num_regions=2)
-        model.validate()
+        learn_fixed_lag(sessions, hp, seed=seed, num_concepts=2, num_regions=2)  # a model is checked when built
 
 
 def test_generate_then_recover_synthetic_five_rooms():
@@ -183,8 +182,7 @@ def test_learner_always_yields_a_valid_model(sessions, seed, k, r):
     """Robustness oracle: any session batch (duplicate positions included)
     must produce a model that passes full validation."""
     hp = Hyperparameters(num_particles=3, lag_window=2)
-    model = learn_fixed_lag(sessions, hp, seed=seed, num_concepts=k, num_regions=r)
-    model.validate()
+    model = learn_fixed_lag(sessions, hp, seed=seed, num_concepts=k, num_regions=r)  # checked when built
     for region in range(model.num_regions):
         probs = object_location_posterior(model, model.vocab_objects[0]) \
             if model.vocab_objects else None
@@ -392,7 +390,7 @@ def test_saturated_grid_reads_the_largest_table_index():
     batch.add(np.zeros(3, dtype=int), stats[-1], sign=-1)
     assert batch.counts[0, 0, _OBJ_TOTAL] + views[-1].obj_total == len(tables.log_gamma) - 1 == 4 * len(stats)
     _assert_grids_match_reference(batch, tables, stats[-1:], views[-1:], hp, 1, 1)
-    learn_fixed_lag(sessions, hp, seed=0, num_concepts=1, num_regions=1).validate()
+    learn_fixed_lag(sessions, hp, seed=0, num_concepts=1, num_regions=1)  # a model is checked when built
 
 
 @pytest.mark.parametrize("objects", [[], ["cup"]], ids=["empty-object-vocabulary", "sessions-without-objects"])
@@ -410,7 +408,7 @@ def test_sweep_tables_stay_finite_without_objects(objects):
         batch.add(batch.assignments[:, t], s)
     batch.add(batch.assignments[:, 0], stats[0], sign=-1)
     _assert_grids_match_reference(batch, tables, stats, views, hp, 2, len(objects))
-    learn_fixed_lag(sessions, hp, seed=0, num_concepts=2, num_regions=3).validate()
+    learn_fixed_lag(sessions, hp, seed=0, num_concepts=2, num_regions=3)  # a model is checked when built
 
 
 def test_sweep_table_rows_are_the_log_gamma_differences():

@@ -7,6 +7,7 @@ parsers arbitrary and near-valid text.
 """
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,8 +32,7 @@ DELETE = object()
 
 def _documents():
     env = paper_home()
-    model = random_model(np.random.default_rng(0), 2, 3)
-    model.hyperparameters, model.seed = Hyperparameters(), 5
+    model = replace(random_model(np.random.default_rng(0), 2, 3), hyperparameters=Hyperparameters(), seed=5)
     kb = knowledge_from_environment(env, "1F", "Robot1")
     return {
         "environment": (environment_to_dict(env), environment_from_dict),

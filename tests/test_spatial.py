@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from homeplan.spatial import (
 from conftest import random_model
 
 FIXTURE = Path(__file__).parent / "fixtures" / "paper_home_models_visits5_seed7.json"
+ARRAYS = ("pi", "word_dist", "object_dist", "region_dist", "means", "covs")
 
 
 def brute_force_word_posterior(model, region):
@@ -180,14 +183,55 @@ def test_normalization_invariant_under_positive_rescaling(values, scale):
     np.testing.assert_allclose(scaled_p, p, rtol=1e-9)
 
 
+def _write_nan_word_row(model):
+    word_dist = model.word_dist.copy()
+    word_dist[0] = np.nan
+    replace(model, word_dist=word_dist)
+
+
+@pytest.mark.parametrize("change, error", [
+    *(pytest.param(lambda m, name=name: getattr(m, name).fill(0.5), ValueError, id=f"write-{name}")
+      for name in ARRAYS),
+    pytest.param(lambda m: setattr(m, "seed", 1), FrozenInstanceError, id="assign-seed"),
+    pytest.param(lambda m: setattr(m, "pi", np.ones(2) / 2), FrozenInstanceError, id="assign-pi"),
+    pytest.param(lambda m: m.vocab_places.append("sofa"), AttributeError, id="append-word"),
+    pytest.param(_write_nan_word_row, SchemaError, id="replace-nan-word-row"),
+])
+def test_a_built_model_cannot_change(change, error):
+    model = random_model(np.random.default_rng(4), 2, 3)
+    before = model_to_dict(model)
+    with pytest.raises(error):
+        change(model)
+    assert model_to_dict(model) == before
+
+
+def test_a_model_copies_the_arrays_it_is_given():
+    source = random_model(np.random.default_rng(6), 2, 3)
+    arrays = {name: getattr(source, name).copy() for name in ARRAYS}
+    model = SpatialConceptModel(**arrays, vocab_places=list(source.vocab_places), vocab_objects=source.vocab_objects)
+    for name, given in arrays.items():
+        assert given.flags.writeable and not getattr(model, name).flags.writeable
+        given.fill(0.0)
+    assert model_to_dict(model) == model_to_dict(source)
+    assert model.vocab_places == source.vocab_places
+
+
+@pytest.mark.parametrize("version", [99, 2, 0, "x", "1", True, 1.0, None, "missing"])
+def test_a_model_document_of_another_schema_version_is_refused(version):
+    doc = model_to_dict(random_model(np.random.default_rng(3), 2, 2))
+    assert model_from_dict(doc).num_regions == 2
+    del doc["schema_version"]
+    found = None if version == "missing" else version
+    with pytest.raises(SchemaError, match=re.escape(f"schema_version {found!r}, expected 1")):
+        model_from_dict(doc if version == "missing" else {**doc, "schema_version": version})
+
+
 def test_model_serialization_round_trip(tmp_path):
-    model = random_model(np.random.default_rng(8), 3, 4)
-    model.hyperparameters = Hyperparameters()
-    model.seed = 99
+    model = replace(random_model(np.random.default_rng(8), 3, 4), hyperparameters=Hyperparameters(), seed=99)
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
-    for name in ("pi", "word_dist", "object_dist", "region_dist", "means", "covs"):
+    for name in ARRAYS:
         np.testing.assert_allclose(getattr(loaded, name), getattr(model, name), atol=1e-12)
     assert loaded.vocab_places == model.vocab_places
     assert loaded.vocab_objects == model.vocab_objects

@@ -1,5 +1,6 @@
 import json
-from dataclasses import replace
+import operator
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -357,12 +358,39 @@ def test_room_lookups_match_a_linear_scan(env_name):
             assert env.floor_of_room(name) == expected.floor
 
 
-def test_revalidated_environment_looks_up_its_new_rooms(home):
+@pytest.mark.parametrize("change, error", [
+    pytest.param(lambda env: env.rooms.append(Room("kitchen", "1F", (0.0, 0.0))), AttributeError, id="append-room"),
+    pytest.param(lambda env: env.floors.append("3F"), AttributeError, id="append-floor"),
+    pytest.param(lambda env: operator.setitem(env.placements, "apple", "bathroom"), TypeError, id="move-object"),
+    pytest.param(lambda env: env.categories.clear(), AttributeError, id="clear-categories"),
+    pytest.param(lambda env: env.place_words["kitchen"].append("oven"), AttributeError, id="add-place-word"),
+    pytest.param(lambda env: setattr(env, "rooms", []), FrozenInstanceError, id="assign-rooms"),
+    pytest.param(lambda env: replace(env, rooms=[*env.rooms, Room("kitchen", "1F", (0.0, 0.0))]), SchemaError,
+                 id="replace-with-duplicate-room"),
+])
+def test_a_built_environment_cannot_change(home, change, error):
+    before = environment_to_dict(home)
+    with pytest.raises(error):
+        change(home)
+    assert environment_to_dict(home) == before
+    assert [r.name for r in home.rooms_on("1F")] == ["entrance", "dining", "living_room", "office_room", "kitchen"]
+
+
+def test_an_environment_copies_the_tables_it_is_given(home):
+    tables = environment_to_dict(home)
+    env = Environment(floors=tables["floors"], rooms=list(home.rooms), placements=tables["placements"],
+                      categories=tables["categories"], place_words=tables["place_words"])
+    tables["placements"]["apple"] = "bathroom"
+    tables["place_words"]["kitchen"].append("oven")
+    tables["floors"].append("3F")
+    assert env == home
+    assert env.floor_of_object("apple") == "1F" and "oven" not in env.place_words["kitchen"]
+
+
+def test_replaced_environment_looks_up_its_new_rooms(home):
     renamed = {r.name: f"new_{r.name}" for r in home.rooms_on("2F")}
-    home.rooms = [replace(r, name=renamed.get(r.name, r.name)) for r in home.rooms]
-    home.placements = {o: renamed.get(room, room) for o, room in home.placements.items()}
-    home.place_words = {}
-    home.validate()
+    home = replace(home, rooms=[replace(r, name=renamed.get(r.name, r.name)) for r in home.rooms],
+                   placements={o: renamed.get(room, room) for o, room in home.placements.items()}, place_words={})
     assert home.has_room("new_bathroom") and not home.has_room("bathroom")
     assert home.floor_of_room("new_bathroom") == "2F"
     assert home.floor_of_object("banana") == "2F"
