@@ -3,28 +3,26 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from . import experiment, knowledge, learner, planner, spatial, world
 from .errors import (
     ConfigurationError,
     HomeplanError,
     SchemaError,
-    is_finite_real,
     read_json,
     require,
     require_fields,
+    write_json,
 )
 from .executor import ExecutionPolicy, run_assignments, traces_to_jsonl
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write the non-JSON text ``text`` to ``out`` or stdout, ending in one newline."""
     if out:
         Path(out).write_text(text + ("" if text.endswith("\n") else "\n"))
     else:
@@ -43,22 +41,15 @@ def _backend_of(args) -> planner.PlannerBackend:
 
 
 def _load_sessions(path: str) -> list[spatial.Session]:
-    """The sessions of a JSON list of session objects, each checked here, once."""
+    """The sessions of a JSON list of session objects; an error names the session."""
     sessions = []
     for i, item in enumerate(require(read_json(path, "session"), list, f"{path}: the sessions")):
         where = f"{path}: session {i}"
-        position, labels, words = require_fields(item, ("position", "object_labels", "place_words"), where)
-        if not (isinstance(position, list) and len(position) == 2 and all(map(is_finite_real, position))):
-            raise SchemaError(f"{where}: position must be two finite numbers")
-        hint = item.get("room_hint")
-        if hint is not None:
-            require(hint, str, f"{where}: room_hint")
-        sessions.append(spatial.Session(
-            position=np.asarray(position, dtype=float),
-            object_labels=list(require(labels, list, f"{where}: object_labels", str)),
-            place_words=list(require(words, list, f"{where}: place_words", str)),
-            room_hint=hint,
-        ))
+        fields = require_fields(item, ("position", "object_labels", "place_words"), where)
+        try:
+            sessions.append(spatial.Session(*fields, item.get("room_hint")))
+        except SchemaError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
     return sessions
 
 
@@ -88,7 +79,7 @@ def cmd_learn(args) -> int:
         model = experiment.learn_floor_model(env, robot, seed, args.visits, hp=hp, num_regions=args.regions)
     else:
         raise ConfigurationError("learn needs --sessions or --floor")
-    _emit(json.dumps(spatial.model_to_dict(model), indent=2), args.out)
+    write_json(spatial.model_to_dict(model), args.out)
     return 0
 
 
@@ -97,7 +88,7 @@ def cmd_extract(args) -> int:
     env = world.load_environment(args.env)
     kb = knowledge.extract_knowledge(model, [r.name for r in env.rooms_on(args.floor)],
                                      vocab_threshold=args.threshold, robot_id=args.robot)
-    _emit(json.dumps(knowledge.knowledge_to_dict(kb), indent=2), args.out)
+    write_json(knowledge.knowledge_to_dict(kb), args.out)
     return 0
 
 
@@ -117,7 +108,7 @@ def cmd_decompose(args) -> int:
     backend = _backend_of(args)
     instruction = planner.Instruction(args.text)
     subtasks = planner.decompose(instruction, sorted(env.placements), backend=backend)
-    _emit(json.dumps([asdict(s) for s in subtasks], indent=2), args.out)
+    write_json([asdict(s) for s in subtasks], args.out)
     return 0
 
 
@@ -133,9 +124,8 @@ def cmd_allocate(args) -> int:
             raise ConfigurationError("allocate needs --text or --subtasks")
         subtasks = [subtask for subtask, _ in _read_subtasks(args.subtasks, "subtask")]
     assignments = planner.allocate(subtasks, kbs, backend=backend)
-    payload = [{**asdict(a.subtask), "robot_id": a.robot_id, "justification": a.justification}
-               for a in assignments]
-    _emit(json.dumps(payload, indent=2), args.out)
+    write_json([{**asdict(a.subtask), "robot_id": a.robot_id, "justification": a.justification}
+                for a in assignments], args.out)
     return 0
 
 
@@ -170,7 +160,7 @@ def cmd_suite(args) -> int:
     report = experiment.run_suite(cfg)
     text = report.text_table()
     if args.out:
-        Path(args.out).write_text(json.dumps(report.to_dict(), indent=2))
+        write_json(report.to_dict(), args.out)
         text += f"\n\nreport written to {args.out}"
     print(text)
     return 0

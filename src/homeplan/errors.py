@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the checks the loaders share."""
+"""Exception types shared across the package, the checks the documents share, and JSON reading and writing."""
 
 import json
 import math
 import numbers
+import sys
 from pathlib import Path
 
 
@@ -69,15 +70,10 @@ def is_finite_real(v) -> bool:
         return False
 
 
-def require(value, kind: type, where: str, items: type | None = None):
-    """``value`` if it is a ``kind`` whose items (values, for a dict) are all ``items``.
-
-    Raises SchemaError otherwise.  Loaders call it once per container of a document.
-    """
-    if not isinstance(value, kind) or items is not None and not all(
-            isinstance(v, items) for v in (value.values() if isinstance(value, dict) else value)):
-        what = kind.__name__ if items is None else f"{kind.__name__} of {items.__name__}"
-        raise SchemaError(f"{where} must be a {what}")
+def require(value, kind: type, where: str):
+    """``value`` if it is a ``kind``; SchemaError otherwise."""
+    if not isinstance(value, kind):
+        raise SchemaError(f"{where} must be a {kind.__name__}")
     return value
 
 
@@ -107,3 +103,12 @@ def read_json(path, what: str):
         raise SchemaError(f"{what} file {str(path)!r} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what} file {str(path)!r} is not valid JSON: {exc}") from None
+
+
+def write_json(doc, out=None) -> None:
+    """Write ``doc`` to the file ``out`` or stdout as every JSON document is: indented by two, one final newline."""
+    text = json.dumps(doc, indent=2) + "\n"
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)

@@ -13,15 +13,13 @@ knowledge bases.
 from __future__ import annotations
 
 import functools
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass
-from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigurationError, SchemaError, is_finite_real, read_json, require_fields, tuple_of
+from .errors import ConfigurationError, SchemaError, is_finite_real, read_json, require_fields, tuple_of, write_json
 from .spatial import SpatialConceptModel, object_location_posterior, word_posterior
 from .world import SKILLS, Environment
 
@@ -297,7 +295,7 @@ def knowledge_from_dict(data: dict) -> KnowledgeBase:
 
 def save_knowledge(kb: KnowledgeBase, path) -> None:
     """Write ``kb`` as ``homeplan extract --out`` does, byte for byte."""
-    Path(path).write_text(json.dumps(knowledge_to_dict(kb), indent=2) + "\n")
+    write_json(knowledge_to_dict(kb), path)
 
 
 def load_knowledge(path) -> KnowledgeBase:

@@ -91,7 +91,7 @@ class _SessionStats:
         self.vals = np.array([1, self.word_total, self.obj_total, *(c for _, c in words),
                               *(c for _, c in objects), 1])
         self.neg_vals = -self.vals
-        self.x = np.asarray(session.position, dtype=float) - centre
+        self.x = session.position - centre
         x0, x1 = self.x.tolist()  # Python floats: a square that overflows is inf, not a warning
         self.moments = np.array([[1.0], [x0], [x1], [x0 * x0], [x0 * x1], [x1 * x0], [x1 * x1]])
         self.neg_moments = -self.moments
@@ -285,14 +285,11 @@ def learn_fixed_lag(
         raise SchemaError("sessions contain no place words")
     place_index = {w: i for i, w in enumerate(vocab_places)}
     object_index = {o: i for i, o in enumerate(vocab_objects)}
-    try:
-        positions = np.array([s.position for s in sessions], dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError("session positions must be numbers, all of one shape") from None
+    positions = np.array([s.position for s in sessions])  # each a finite 2-vector, checked by Session
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite square fails the check
         centre = positions.mean(axis=0)
-        if positions.shape != (len(sessions), _DIM) or not np.isfinite(np.square(positions - centre).sum()):
-            raise SchemaError("session positions must be finite 2-vectors whose squares do not overflow")
+        if not np.isfinite(np.square(positions - centre).sum()):
+            raise SchemaError("session positions must be small enough that their squares do not overflow")
     stats = [_SessionStats(s, centre, place_index, object_index) for s in sessions]
     tables = _Tables(hp, num_concepts, num_regions, len(vocab_places), len(vocab_objects), stats)
 

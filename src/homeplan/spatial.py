@@ -12,14 +12,12 @@ word posterior, and the per-object region posterior behind the presence tables.
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, UnknownLabelError, is_finite_real, read_json, require, require_fields, tuple_of
+from .errors import SchemaError, UnknownLabelError, is_finite_real, read_json, require_fields, tuple_of, write_json
 
 CATEGORICAL_ATOL = 1e-9
 
@@ -86,17 +84,35 @@ class Hyperparameters:
             raise SchemaError("hyperparameters must be an object; V0 must be a list of lists") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Session:
     """One learning observation: pose, detected labels, uttered place words.
 
-    ``room_hint`` is evaluation-side ground truth; the learner never reads it.
+    Checked once when built and then frozen: ``position`` a read-only float
+    2-vector, labels and words tuples of str.  ``room_hint`` is evaluation-side
+    ground truth; the learner never reads it.
     """
 
     position: np.ndarray
-    object_labels: list[str]
-    place_words: list[str]
+    object_labels: tuple[str, ...]
+    place_words: tuple[str, ...]
     room_hint: str | None = None
+
+    def __post_init__(self):
+        position = self.position
+        try:  # a numpy row unpacks several times faster as a list
+            x, y = position.tolist() if isinstance(position, np.ndarray) else position
+        except (TypeError, ValueError):  # not a sequence of two
+            x = y = None
+        if not (is_finite_real(x) and is_finite_real(y)):
+            raise SchemaError("position must be two finite numbers")
+        position = np.array((x, y), dtype=float)
+        position.flags.writeable = False
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "object_labels", tuple_of(self.object_labels, str, "object_labels"))
+        object.__setattr__(self, "place_words", tuple_of(self.place_words, str, "place_words"))
+        if self.room_hint is not None and not isinstance(self.room_hint, str):
+            raise SchemaError(f"room_hint must be a str or null, not {self.room_hint!r}")
 
 
 # The stacked arrays of a model: pi, the three per-concept categoricals, the region Gaussians.
@@ -147,6 +163,10 @@ class SpatialConceptModel:
             raise SchemaError("region covariance not symmetric")
         if np.any(np.linalg.eigvalsh(self.covs) <= 0):
             raise SchemaError("region covariance not positive-definite")
+        if not (self.hyperparameters is None or isinstance(self.hyperparameters, Hyperparameters)):
+            raise SchemaError(f"hyperparameters must be Hyperparameters or null, not {self.hyperparameters!r}")
+        if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, int)):
+            raise SchemaError(f"seed must be an integer or null, not {self.seed!r}")
 
     @property
     def num_concepts(self) -> int:
@@ -247,32 +267,20 @@ def model_from_dict(data: dict) -> SpatialConceptModel:
     if type(version := data.get("schema_version")) is not int or version != _MODEL_SCHEMA_VERSION:
         raise SchemaError(f"model document has schema_version {version!r}, expected {_MODEL_SCHEMA_VERSION}")
     concepts = [require_fields(c, _CONCEPT_FIELDS, f"concepts[{i}]")
-                for i, c in enumerate(require(concepts, list, "concepts"))]
+                for i, c in enumerate(tuple_of(concepts, object, "concepts"))]
     regions = [require_fields(r, _REGION_FIELDS, f"regions[{i}]")
-               for i, r in enumerate(require(regions, list, "regions"))]
+               for i, r in enumerate(tuple_of(regions, object, "regions"))]
     # One list per field, a row per concept or region; ``_real_array`` rejects ragged ones.
     word_dist, object_dist, region_dist = ([c[j] for c in concepts] for j in range(3))
     means, covs = ([r[j] for r in regions] for j in range(2))
-    hp, seed = data.get("hyperparameters"), data.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise SchemaError(f"seed must be an integer or null, not {seed!r}")
-    return SpatialConceptModel(
-        pi=pi,
-        word_dist=word_dist,
-        object_dist=object_dist,
-        region_dist=region_dist,
-        means=means,
-        covs=covs,
-        vocab_places=vocab_places,
-        vocab_objects=vocab_objects,
-        hyperparameters=None if hp is None else Hyperparameters.from_dict(hp),
-        seed=seed,
-    )
+    hp = data.get("hyperparameters")
+    return SpatialConceptModel(pi, word_dist, object_dist, region_dist, means, covs, vocab_places, vocab_objects,
+                               None if hp is None else Hyperparameters.from_dict(hp), data.get("seed"))
 
 
 def save_model(model: SpatialConceptModel, path) -> None:
     """Write ``model`` as ``homeplan learn --out`` does, byte for byte."""
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
+    write_json(model_to_dict(model), path)
 
 
 def load_model(path) -> SpatialConceptModel:

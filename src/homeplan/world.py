@@ -92,8 +92,16 @@ class Environment:
     place_words: Mapping[str, tuple[str, ...]]
 
     def __post_init__(self):
+        # Every field's type first, so the checks below and every query read them unchecked.
         rooms = tuple_of(self.rooms, Room, "rooms")
-        words = {room: tuple_of(w, str, f"place_words[{room}]") for room, w in self.place_words.items()}
+        for i, r in enumerate(rooms):
+            require(r.name, str, f"rooms[{i}].name")
+            require(r.floor, str, f"rooms[{i}].floor")
+        for name, table in (("placements", self.placements), ("categories", self.categories)):
+            if not (isinstance(table, Mapping) and all(isinstance(x, str) for item in table.items() for x in item)):
+                raise SchemaError(f"{name} must be a mapping of str to str")
+        words = {room: tuple_of(w, str, f"place_words[{room}]")
+                 for room, w in require(self.place_words, Mapping, "place_words").items()}
         for name, value in (("floors", tuple_of(self.floors, str, "floors")), ("rooms", rooms),
                             ("placements", MappingProxyType(dict(self.placements))),
                             ("categories", MappingProxyType(dict(self.categories))),
@@ -368,8 +376,6 @@ def generate_floor_sessions(env: Environment, robot: RobotState, rng: np.random.
 
 def _room_from_dict(data: dict, idx: int) -> Room:
     name, floor, center = require_fields(data, ("name", "floor", "center"), f"rooms[{idx}]")
-    require(name, str, f"rooms[{idx}].name")
-    require(floor, str, f"rooms[{idx}].floor")
     try:
         center = tuple(center)
         scatter = tuple(tuple(row) for row in data.get("scatter", Room.scatter))
@@ -381,13 +387,8 @@ def _room_from_dict(data: dict, idx: int) -> Room:
 def environment_from_dict(data: dict) -> Environment:
     fields = ("floors", "rooms", "placements", "categories", "place_words")
     floors, rooms, placements, categories, place_words = require_fields(data, fields, "environment document")
-    return Environment(
-        floors=floors,
-        rooms=[_room_from_dict(r, i) for i, r in enumerate(require(rooms, list, "rooms"))],
-        placements=require(placements, dict, "placements", str),
-        categories=require(categories, dict, "categories", str),
-        place_words=require(place_words, dict, "place_words"),
-    )
+    rooms = [_room_from_dict(r, i) for i, r in enumerate(require(rooms, list, "rooms"))]
+    return Environment(floors, rooms, placements, categories, place_words)
 
 
 def load_environment(name_or_path) -> Environment:

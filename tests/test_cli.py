@@ -12,7 +12,7 @@ import homeplan
 
 from homeplan.cli import main
 from homeplan.experiment import SuiteConfig, run_suite
-from homeplan.knowledge import PROMPTS, knowledge_from_environment, save_knowledge
+from homeplan.knowledge import PROMPTS, knowledge_from_environment, load_knowledge, save_knowledge
 from homeplan.planner import ReplayBackend, render_decomposition_prompt
 from homeplan.spatial import load_model, save_model
 from homeplan.world import load_environment
@@ -53,12 +53,37 @@ def test_learn_and_extract_round_trip(tmp_path, capsys):
     assert sorted(kb["room_names"]) == ["corridor", "kitchen"]
 
 
-def test_save_model_writes_what_learn_out_writes(tmp_path, capsys):
-    learned, resaved = tmp_path / "model.json", tmp_path / "resaved.json"
-    assert main(["learn", "--env", "robocup_arena", "--floor", "zone1", "--visits", "4", "--particles", "3",
-                 "--lag", "2", "--seed", "5", "--out", str(learned)]) == 0
-    save_model(load_model(learned), resaved)
-    assert resaved.read_bytes() == learned.read_bytes()
+_LEARN = ["learn", "--env", "robocup_arena", "--floor", "zone1", "--visits", "4", "--particles", "3",
+          "--lag", "2", "--seed", "5"]
+_EXTRACT = ["extract", "--env", "robocup_arena", "--floor", "zone1"]
+
+
+@pytest.mark.parametrize("writer", ["learn", "extract", "decompose", "allocate", "suite", "save_model",
+                                    "save_knowledge"])
+def test_json_writers_write_one_format(tmp_path, capsys, kb_files, writer):
+    """Every JSON file is ``json.dumps(doc, indent=2)`` and one newline.  A command that also
+    prints prints its file byte for byte; a re-save writes what the command wrote."""
+    model, kb, out = tmp_path / "model.json", tmp_path / "kb.json", tmp_path / "out.json"
+    assert main([*_LEARN, "--out", str(model)]) == 0
+    assert main([*_EXTRACT, "--model-path", str(model), "--out", str(kb)]) == 0
+    if writer == "save_model":
+        save_model(load_model(model), out)
+        assert out.read_bytes() == model.read_bytes()
+    elif writer == "save_knowledge":
+        save_knowledge(load_knowledge(kb), out)
+        assert out.read_bytes() == kb.read_bytes()
+    else:
+        argv = {"learn": _LEARN, "extract": [*_EXTRACT, "--model-path", str(model)],
+                "decompose": ["decompose", "--text", "Find the apple."],
+                "allocate": ["allocate", "--kb", *kb_files, "--text", "Find the apple."],
+                "suite": ["suite", "--kb", *kb_files]}[writer]
+        assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        if writer != "suite":  # the suite prints its table, not its report
+            assert main(argv) == 0
+            assert capsys.readouterr().out == out.read_text()
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_learn_from_sessions_file(tmp_path, capsys):
@@ -234,7 +259,7 @@ def test_suite_command_with_prebuilt_kbs(tmp_path, kb_files, capsys):
     text = out_path.read_text()
     payload = json.loads(text)
     assert payload["totals"]["proposed"] == [50, 50]
-    assert text == json.dumps(payload, indent=2)  # indented, with no trailing newline
+    assert text == json.dumps(payload, indent=2) + "\n"  # one format, as every JSON writer writes
     want = run_suite(SuiteConfig(seed=7, kb_paths=tuple(kb_files))).to_dict()
     del payload["elapsed_seconds"], want["elapsed_seconds"]
     assert payload == want

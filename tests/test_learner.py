@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -210,21 +211,51 @@ def test_systematic_resample_stays_in_range_at_the_top_draw():
     assert np.all(chosen < n)
 
 
+class _BadPosition(list):
+    """A session position that ``Session`` itself rejects, before the learner sees it."""
+
+
 @pytest.mark.parametrize("sessions, kwargs, error", [
-    ([Session(np.zeros(2), ["o"], ["w"])], {"num_concepts": 0}, ConfigurationError),
-    ([Session(np.zeros(2), ["o"], ["w"])], {"num_concepts": -1}, ConfigurationError),
-    ([Session(np.zeros(2), ["o"], ["w"])], {"num_regions": 0}, ConfigurationError),
+    ([([0.0, 0.0], ["w"])], {"num_concepts": 0}, ConfigurationError),
+    ([([0.0, 0.0], ["w"])], {"num_concepts": -1}, ConfigurationError),
+    ([([0.0, 0.0], ["w"])], {"num_regions": 0}, ConfigurationError),
     ([], {}, SchemaError),
-    ([Session(np.zeros(2), ["o"], [])], {}, SchemaError),
-    ([Session(np.array([np.nan, 0.0]), ["o"], ["w"])], {}, SchemaError),
-    ([Session(np.array([0.0, np.inf]), ["o"], ["w"])], {}, SchemaError),
-    ([Session(np.array([1e200, 0.0]), ["o"], ["w"]), Session(np.zeros(2), ["o"], ["w"])], {}, SchemaError),
-    ([Session(np.zeros(3), ["o"], ["w"])], {}, SchemaError),
-    ([Session(np.zeros(2), ["o"], ["w"]), Session(np.zeros(3), ["o"], ["w"])], {}, SchemaError),
+    ([([0.0, 0.0], [])], {}, SchemaError),
+    ([(_BadPosition([np.nan, 0.0]), ["w"])], {}, SchemaError),
+    ([(_BadPosition([0.0, np.inf]), ["w"])], {}, SchemaError),
+    ([([1e200, 0.0], ["w"]), ([0.0, 0.0], ["w"])], {}, SchemaError),
+    ([(_BadPosition([0.0, 0.0, 0.0]), ["w"])], {}, SchemaError),
+    ([([0.0, 0.0], ["w"]), (_BadPosition([0.0, 0.0, 0.0]), ["w"])], {}, SchemaError),
+    ([(_BadPosition([True, 1]), ["w"])], {}, SchemaError),
 ])
 def test_bad_learner_input_is_a_typed_error(sessions, kwargs, error):
+    """Each session is given as (position, place words)."""
+    built = []
+    for position, words in sessions:
+        if isinstance(position, _BadPosition):
+            with pytest.raises(error, match="position"):
+                Session(position, ["o"], words)
+            return
+        built.append(Session(position, ["o"], words))
     with pytest.raises(error):
-        learn_fixed_lag(sessions, FAST_HP, seed=0, **kwargs)
+        learn_fixed_lag(built, FAST_HP, seed=0, **kwargs)
+
+
+def test_a_session_is_checked_and_frozen_when_built():
+    session = Session([1, 2.5], ["o"], ["w"], room_hint="kitchen")
+    assert session.position.tolist() == [1.0, 2.5] and session.position.dtype == float
+    assert session.object_labels == ("o",) and session.place_words == ("w",)
+    with pytest.raises(ValueError):
+        session.position[0] = 3.0
+    with pytest.raises(FrozenInstanceError):
+        session.room_hint = None
+    for position in (None, np.zeros((2, 2)), [0.0, "1"]):
+        with pytest.raises(SchemaError, match="position"):
+            Session(position, ["o"], ["w"])
+    for labels, words, hint, where in ((["o", 1], ["w"], None, "object_labels"), (["o"], "w", None, "place_words"),
+                                       (["o"], ["w"], 3, "room_hint")):
+        with pytest.raises(SchemaError, match=where):
+            Session([0.0, 0.0], labels, words, hint)
 
 
 # Per-particle reference: the single-particle collapsed conditional, written

@@ -216,6 +216,13 @@ def test_a_model_copies_the_arrays_it_is_given():
     assert model.vocab_places == source.vocab_places
 
 
+@pytest.mark.parametrize("field, value", [("seed", "5"), ("seed", True), ("seed", 1.5),
+                                          ("hyperparameters", {"alpha": 2.0})])
+def test_a_built_model_rejects_an_untyped_seed_or_hyperparameters(field, value):
+    with pytest.raises(SchemaError, match=field):
+        replace(random_model(np.random.default_rng(5), 2, 2), **{field: value})
+
+
 @pytest.mark.parametrize("version", [99, 2, 0, "x", "1", True, 1.0, None, "missing"])
 def test_a_model_document_of_another_schema_version_is_refused(version):
     doc = model_to_dict(random_model(np.random.default_rng(3), 2, 2))

@@ -1,5 +1,6 @@
 import json
 import operator
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -155,6 +156,21 @@ def test_built_environment_checks_room_footprints():
     # Integer coordinates, as JSON often writes them, and singular scatters are fine.
     Environment(["1F"], [Room("a", "1F", (0, 1), ((1, 0), (0, 2))),
                          Room("b", "1F", (0.0, 1.0), ((1.0, 1.0), (1.0, 1.0)))], {}, {}, {})
+
+
+@pytest.mark.parametrize("fields, where", [
+    ({"placements": {"x": ["a"]}}, "placements"),
+    ({"placements": "x"}, "placements"),
+    ({"categories": {"x": 1}}, "categories"),
+    ({"place_words": []}, "place_words"),
+    ({"rooms": [Room(3, "1F", (0.0, 0.0))]}, "rooms[0].name"),
+    ({"rooms": [Room("a", ["1F"], (0.0, 0.0))]}, "rooms[0].floor"),
+])
+def test_a_built_environment_rejects_untyped_tables(fields, where):
+    valid = {"floors": ["1F"], "rooms": [Room("a", "1F", (0.0, 0.0))], "placements": {}, "categories": {},
+             "place_words": {}}
+    with pytest.raises(SchemaError, match=re.escape(where)):
+        Environment(**{**valid, **fields})
 
 
 def test_unknown_builtin_or_path():
@@ -405,7 +421,7 @@ def test_observe_session_deterministic_limit(home):
     session = observe_session(env, robot, "kitchen", np.random.default_rng(0))
     np.testing.assert_allclose(session.position, env.room("kitchen").center_array)
     expected = sorted(o for o, r in env.placements.items() if r == "kitchen")
-    assert session.object_labels == expected
+    assert session.object_labels == tuple(expected)
     assert 1 <= len(session.place_words) <= 3
     assert set(session.place_words) <= set(env.place_words["kitchen"])
 
