@@ -40,30 +40,18 @@ def _backend_of(args) -> planner.PlannerBackend:
     return planner.make_backend(args.backend, args.replay_dir, args.endpoint, args.model)
 
 
-def _load_sessions(path: str) -> list[spatial.Session]:
-    """The sessions of a JSON list of session objects; an error names the session."""
-    sessions = []
-    for i, item in enumerate(require(read_json(path, "session"), list, f"{path}: the sessions")):
-        where = f"{path}: session {i}"
-        fields = require_fields(item, ("position", "object_labels", "place_words"), where)
+def _read_entries(path: str, what: str, label: str, keys: tuple[str, ...], build) -> list:
+    """``build(*values of keys, entry)`` of each object of the JSON list in the ``what`` file
+    ``path``, which checks it; an error names the entry by ``label`` and index."""
+    built = []
+    for i, entry in enumerate(require(read_json(path, what), list, f"{path}: the {what}s")):
+        where = f"{path}: {label} {i}"
+        values = require_fields(entry, keys, where)
         try:
-            sessions.append(spatial.Session(*fields, item.get("room_hint")))
+            built.append(build(*values, entry))
         except SchemaError as exc:
             raise SchemaError(f"{where}: {exc}") from None
-    return sessions
-
-
-def _read_subtasks(path: str, what: str, *extra_keys: str) -> list[tuple[planner.Subtask, dict]]:
-    """Each entry of a JSON list of subtask objects, as (subtask, entry); an error names the entry."""
-    entries = []
-    for i, d in enumerate(require(read_json(path, what), list, f"{path}: the {what}s")):
-        where = f"{path}: entry {i}"
-        verb, target, *_ = require_fields(d, ("verb", "target_object", *extra_keys), where)
-        try:
-            entries.append((planner.Subtask(verb, target, d.get("destination")), d))
-        except SchemaError as exc:
-            raise SchemaError(f"{where}: {exc}") from None
-    return entries
+    return built
 
 
 def cmd_learn(args) -> int:
@@ -71,8 +59,9 @@ def cmd_learn(args) -> int:
     hp = spatial.Hyperparameters(num_particles=args.particles, lag_window=args.lag)
     if args.sessions:
         regions = 5 if args.regions is None else args.regions
-        model = learner.learn_fixed_lag(_load_sessions(args.sessions), hp, seed=seed,
-                                        num_concepts=regions, num_regions=regions)
+        sessions = _read_entries(args.sessions, "session", "session", ("position", "object_labels", "place_words"),
+                                 lambda x, labels, words, d: spatial.Session(x, labels, words, d.get("room_hint")))
+        model = learner.learn_fixed_lag(sessions, hp, seed=seed, num_concepts=regions, num_regions=regions)
     elif args.floor:
         env = world.load_environment(args.env)
         robot = experiment.floor_robot(env, args.floor, "learner")  # the id never reaches the model
@@ -122,7 +111,8 @@ def cmd_allocate(args) -> int:
     else:
         if not args.subtasks:
             raise ConfigurationError("allocate needs --text or --subtasks")
-        subtasks = [subtask for subtask, _ in _read_subtasks(args.subtasks, "subtask")]
+        subtasks = _read_entries(args.subtasks, "subtask", "entry", ("verb", "target_object"),
+                                 lambda verb, target, d: planner.Subtask(verb, target, d.get("destination")))
     assignments = planner.allocate(subtasks, kbs, backend=backend)
     write_json([{**asdict(a.subtask), "robot_id": a.robot_id, "justification": a.justification}
                 for a in assignments], args.out)
@@ -133,9 +123,9 @@ def cmd_run(args) -> int:
     seed = _seed_of(args)
     env = world.load_environment(args.env)
     kbs = [knowledge.load_knowledge(p) for p in args.kb]
-    assignments = [
-        planner.Assignment(subtask, require(d["robot_id"], str, f"{args.assignments}: entry {i}: robot_id"))
-        for i, (subtask, d) in enumerate(_read_subtasks(args.assignments, "assignment", "robot_id"))]
+    assignments = _read_entries(args.assignments, "assignment", "entry", ("verb", "target_object", "robot_id"),
+                                lambda verb, target, robot_id, d: planner.Assignment(
+                                    planner.Subtask(verb, target, d.get("destination")), robot_id))
     robots = []
     for kb in kbs:
         floors = {env.floor_of_room(r) for r in kb.room_names if env.has_room(r)}

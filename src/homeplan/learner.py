@@ -9,9 +9,9 @@ integers: its sessions, word and object totals, word and object counts, and
 its links to regions.  ``moments`` (7, P, R) holds each region's
 normal-inverse-Wishart moment sums component-major: n, the two position sums
 and the four sums of outer products, each a contiguous (P, R) plane that the
-kernel reads without striding.  Positions are held less the floor's centre,
-the mean session position, which is every region's prior mean.  Adding or
-removing a session is one indexed update of each, through flat views.
+kernel reads without striding.  Positions are held standardized, less the
+floor's mean session position and over one scale.  Adding or removing a
+session is one indexed update of each, through flat views.
 
 One kernel, ``_sweep_grid``, scores a session over the (concept, region)
 cells.  Every term that depends on an integer count alone is one row of a
@@ -54,7 +54,7 @@ _DIM = 2
 # Leading columns of the stacked counts; word, object and link columns follow.
 _CONCEPT, _WORD_TOTAL, _OBJ_TOTAL, _WORDS = 0, 1, 2, 3
 # Scales the (v11, v01) planes of a NIW scale to the quadratic form's coefficients.
-_V11_2V01 = np.array([1.0, 2.0])[:, None, None]
+_QUAD_SCALE = np.array([1.0, 2.0])[:, None, None]
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -66,19 +66,19 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _SessionStats:
     """Per-session data in index space, precomputed once.
 
-    ``cols``/``vals`` are the count columns a session adds to and by how much;
-    the last column is the link to region 0.  ``moments`` is the (7, 1) column
-    it adds to its region's moment sums; the ``neg_`` arrays remove it.  Two
-    fields are set by ``_Tables``: ``sweep_index``, the flat index offsets of
-    the session's rows of the fused sweep table, one per column but the link,
-    and ``cell_cols``, per cell ``k * R + r`` the flat columns of concept k's
-    count row, the link shifted to region r.
+    ``x`` is the standardized position, ``cols``/``vals`` the count columns a session adds
+    to and by how much; the last column is the link to region 0.  ``moments`` is the
+    (7, 1) column it adds to its region's moment sums; the ``neg_`` arrays remove it.
+    Two fields are set by ``_Tables``: ``sweep_index``, the flat index offsets of the
+    session's rows of the fused sweep table, one per column but the link, and
+    ``cell_cols``, per cell ``k * R + r`` the flat columns of concept k's count row,
+    the link shifted to region r.
     """
 
     __slots__ = ("word_cnt", "word_total", "obj_cnt", "obj_total",
                  "x", "cols", "vals", "neg_vals", "moments", "neg_moments", "sweep_index", "cell_cols")
 
-    def __init__(self, session: Session, centre: np.ndarray, place_index: dict[str, int],
+    def __init__(self, session: Session, x: np.ndarray, place_index: dict[str, int],
                  object_index: dict[str, int]):
         words = sorted(Counter(place_index[w] for w in session.place_words).items())
         objects = sorted(Counter(object_index[o] for o in session.object_labels).items())
@@ -91,7 +91,7 @@ class _SessionStats:
         self.vals = np.array([1, self.word_total, self.obj_total, *(c for _, c in words),
                               *(c for _, c in objects), 1])
         self.neg_vals = -self.vals
-        self.x = session.position - centre
+        self.x = x
         x0, x1 = self.x.tolist()  # Python floats: a square that overflows is inf, not a warning
         self.moments = np.array([[1.0], [x0], [x1], [x0 * x0], [x0 * x1], [x1 * x0], [x1 * x1]])
         self.neg_moments = -self.moments
@@ -155,7 +155,7 @@ class _Tables:
     for an integer c, so each is a sum of c logs, built row by row; the mass rows are the
     same sums negated.  The Student-t constant in two dimensions is -log(2 pi)."""
 
-    def __init__(self, hp: Hyperparameters, K: int, R: int, n_words: int, n_objects: int,
+    def __init__(self, hp: Hyperparameters, v0: np.ndarray, K: int, R: int, n_words: int, n_objects: int,
                  stats: list[_SessionStats]):
         # The largest count a learn of ``stats`` reaches: every session, word or object in one column.
         n_max = max(len(stats), sum(s.word_total for s in stats), sum(s.obj_total for s in stats))
@@ -171,8 +171,8 @@ class _Tables:
         factor = (kappa_n + 1.0) / (kappa_n * df)
         self.sweep_region = np.stack([1.0 / kappa_n, -math.log(2.0 * math.pi) - np.log(factor),
                                       1.0 / (factor * df), (df + _DIM) / 2.0])
-        # The prior scale as a column, broadcast along the moment planes.
-        self.v0 = hp.V0_array.reshape(_DIM * _DIM, 1, 1)
+        # The prior scale ``v0`` (2, 2) as a column, broadcast along the moment planes.
+        self.v0 = v0.reshape(_DIM * _DIM, 1, 1)
         # One row per term, indexed by a count: the concept prior over the link normaliser,
         # per session total m the DM mass terms, per token count c the rising factorials.
         # Row c of a rising block sums log(n + base + j) for j < c, so row 0 is zero.
@@ -208,7 +208,7 @@ def _sweep_grid(p: _Batch, s: _SessionStats, t: _Tables) -> np.ndarray:
     """The collapsed log conditional over (concept, region) for one session, shape
     (P, K, R), less the concept prior's normaliser log(N + K alpha), N the sessions
     held.  Every count-only term is one fused table row, and with the prior mean at
-    the origin of the centred positions the NIW scale is V_n = V0 + sum x x^T - a a^T
+    the origin of the standardized positions the NIW scale is V_n = v0 + sum x x^T - a a^T
     / kappa_n with a = sum x, which needs no sample mean."""
     log_concept = t.sweep.take(p.counts.take(s.cols[:-1], axis=2) + s.sweep_index).sum(axis=-1, keepdims=True)
     grid = log_concept + t.log_gamma.take(p.links)
@@ -221,7 +221,7 @@ def _sweep_grid(p: _Batch, s: _SessionStats, t: _Tables) -> np.ndarray:
     det = v00 * v11 - v01 * v10
     # The quadratic form v11 d0 d0 - 2 v01 d0 d1 + v00 d1 d1, its first two terms as
     # [v11, 2 v01] d0 [d0, d1]: scaling by 1 and 2 is exact.
-    terms = v[3:0:-2] * _V11_2V01
+    terms = v[3:0:-2] * _QUAD_SCALE
     terms *= d[0]
     terms *= d
     quad = terms[0] - terms[1]
@@ -269,10 +269,10 @@ def learn_fixed_lag(
     """Learn a spatial concept model from an ordered session stream.
 
     It reads the whole stream before its first step: the vocabularies are the
-    sessions' own (``derive_vocabularies``), and every region's prior is centred
-    on the mean session position, so the model does not depend on where the
-    coordinate origin lies.  Deterministic for fixed (sessions, hp, seed).  A
-    lag window longer than the stream is clamped, never an error.
+    sessions' own (``derive_vocabularies``), and the positions are standardized
+    by their own mean and scale, so the model depends neither on where the
+    coordinate origin lies nor on the unit of length.  Deterministic for fixed
+    (sessions, hp, seed).  A lag window longer than the stream is clamped.
     """
     if num_concepts < 1 or num_regions < 1:
         raise ConfigurationError(
@@ -290,13 +290,20 @@ def learn_fixed_lag(
         centre = positions.mean(axis=0)
         if not np.isfinite(np.square(positions - centre).sum()):
             raise SchemaError("session positions must be small enough that their squares do not overflow")
-    stats = [_SessionStats(s, centre, place_index, object_index) for s in sessions]
-    tables = _Tables(hp, num_concepts, num_regions, len(vocab_places), len(vocab_objects), stats)
+    # Learn on z = (x - centre) / scale, scale the root mean square deviation or 1: tr Cov(z) = 2.
+    z = positions - centre
+    scale = math.sqrt(np.square(z).mean()) or 1.0
+    z /= scale
+    # The prior scale: Cov(z) / R (Fraley & Raftery 2007), or I / R for positions on a point or a line.
+    cov = z.T @ z / len(z)
+    v0 = (cov if np.linalg.det(cov) > 1e-6 else np.eye(_DIM)) / num_regions
+    stats = [_SessionStats(s, x, place_index, object_index) for s, x in zip(sessions, z)]
+    tables = _Tables(hp, v0, num_concepts, num_regions, len(vocab_places), len(vocab_objects), stats)
 
     batch = _Batch(hp.num_particles, num_concepts, num_regions, len(vocab_places), len(vocab_objects), len(stats))
     batch, log_w, _, _ = _filter(batch, stats, tables, hp, np.random.default_rng(seed))
     best = batch.take(int(np.argmax(log_w)))
-    return _posterior_mean_model(best, hp, seed, centre, vocab_places, vocab_objects)
+    return _posterior_mean_model(best, hp, seed, v0, centre, scale, vocab_places, vocab_objects)
 
 
 def _filter(batch: _Batch, stats: list[_SessionStats], tables: _Tables, hp: Hyperparameters,
@@ -342,8 +349,8 @@ def _filter(batch: _Batch, stats: list[_SessionStats], tables: _Tables, hp: Hype
     return batch, log_w, ess_steps, resampled
 
 
-def _posterior_mean_model(p: _Batch, hp: Hyperparameters, seed: int, centre: np.ndarray,
-                          vocab_places: list[str], vocab_objects: list[str]) -> SpatialConceptModel:
+def _posterior_mean_model(p: _Batch, hp: Hyperparameters, seed: int, v0: np.ndarray, centre: np.ndarray,
+                          scale: float, vocab_places: list[str], vocab_objects: list[str]) -> SpatialConceptModel:
     K, R = p.counts.shape[0], p.moments.shape[1]
     n_words, n_objects = len(vocab_places), len(vocab_objects)
     n_k = p.counts[:, _CONCEPT]
@@ -354,16 +361,16 @@ def _posterior_mean_model(p: _Batch, hp: Hyperparameters, seed: int, centre: np.
                    / (p.counts[:, _OBJ_TOTAL, None] + n_objects * hp.chi))
     region_dist = (p.links + hp.gamma) / (n_k[:, None] + R * hp.gamma)
 
-    # Each region's NIW posterior mean, shifted back by the centre, and scale from its (7, R) moment sums.
+    # Each region's NIW posterior mean and scale from its (7, R) moment sums, mapped back by z s + c and s^2.
     n, a = p.region_n, p.sums
     kappa_n = hp.kappa + n
-    means = (a / kappa_n).T + centre
-    V_n = (hp.V0_array.reshape(_DIM * _DIM, 1) + p.outers - _outer(a, a) / kappa_n).T
+    means = (a / kappa_n).T * scale + centre
+    V_n = (v0.reshape(_DIM * _DIM, 1) + p.outers - _outer(a, a) / kappa_n).T
     nu_n = hp.nu0 + n
     # The posterior-mean covariance needs nu_n > dim+1; empty regions fall
     # back to the inverse-Wishart mode, which is always defined.
     denom = nu_n - _DIM - 1.0
-    covs = V_n.reshape(R, _DIM, _DIM) / np.where(denom > 0, denom, nu_n + _DIM + 1.0)[:, None, None]
+    covs = V_n.reshape(R, _DIM, _DIM) / np.where(denom > 0, denom, nu_n + _DIM + 1.0)[:, None, None] * scale ** 2
 
     return SpatialConceptModel(pi, word_dist, object_dist, region_dist, means, covs,
                                vocab_places, vocab_objects, hyperparameters=hp, seed=seed)

@@ -110,8 +110,8 @@ class Instruction:
     gold_objects: list[str] | None = None
 
     def __post_init__(self):
-        if not self.text:
-            raise SchemaError("instruction text must be non-empty")
+        if not self.text or not isinstance(self.text, str):
+            raise SchemaError("instruction text must be a non-empty string")
         if self.category not in INSTRUCTION_CATEGORIES:
             raise SchemaError(f"unknown instruction category {self.category!r}")
 
@@ -143,6 +143,12 @@ class Assignment:
     subtask: Subtask
     robot_id: str
     justification: tuple[str, float] | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.subtask, Subtask):
+            raise SchemaError(f"assignment subtask must be a Subtask, not {self.subtask!r}")
+        if not self.robot_id or not isinstance(self.robot_id, str):
+            raise SchemaError("assignment robot_id must be a non-empty string")
 
 
 class PlannerBackend(Protocol):

@@ -29,9 +29,10 @@ class Hyperparameters:
     """Prior parameters for the mixture learner.
 
     Concentrations are per-component symmetric Dirichlet parameters; the Gaussian
-    regions carry a normal-inverse-Wishart prior (kappa, V0, nu0) that the learner
-    centres on the floor's mean session position.  ``from_dict`` ignores unknown
-    keys, so documents with the removed ``lambda_aux`` field or prior mean load.
+    regions carry a normal-inverse-Wishart prior (kappa, nu0) whose mean and scale
+    the learner takes from the floor's sessions.  ``from_dict`` ignores unknown
+    keys, so documents with the removed ``lambda_aux`` field, prior mean or prior
+    scale load.
     """
 
     alpha: float = 2.0
@@ -39,7 +40,6 @@ class Hyperparameters:
     beta: float = 0.1
     chi: float = 0.1
     kappa: float = 1.0
-    V0: tuple[tuple[float, float], tuple[float, float]] = ((2.0, 0.0), (0.0, 2.0))
     nu0: float = 3.0
     num_particles: int = 30
     lag_window: int = 10
@@ -54,34 +54,18 @@ class Hyperparameters:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise SchemaError(f"{name} must be an integer >= 1, not {value!r}")
-        try:
-            finite = len(self.V0) == 2 and all(len(row) == 2 and all(map(is_finite_real, row)) for row in self.V0)
-        except TypeError:  # V0, or a row of it, is not a sequence
-            finite = False
-        if not finite:
-            raise SchemaError("V0 must be a 2x2 matrix of finite numbers")
-        if not np.allclose(self.V0_array, self.V0_array.T):
-            raise SchemaError("V0 must be symmetric")
-        if np.any(np.linalg.eigvalsh(self.V0_array) <= 0):
-            raise SchemaError("V0 must be positive-definite")
-
-    @property
-    def V0_array(self) -> np.ndarray:
-        return np.asarray(self.V0, dtype=float)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "V0": [list(row) for row in self.V0]}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Hyperparameters":
         try:
-            values = {f.name: data[f.name] for f in fields(cls)}
-            values["V0"] = tuple(tuple(row) for row in values["V0"])
-            return cls(**values)
+            return cls(**{f.name: data[f.name] for f in fields(cls)})
         except KeyError as exc:
             raise SchemaError(f"hyperparameters missing key: {exc.args[0]!r}") from None
         except TypeError:
-            raise SchemaError("hyperparameters must be an object; V0 must be a list of lists") from None
+            raise SchemaError("hyperparameters must be an object") from None
 
 
 @dataclass(frozen=True)

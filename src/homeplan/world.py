@@ -97,6 +97,9 @@ class Environment:
         for i, r in enumerate(rooms):
             require(r.name, str, f"rooms[{i}].name")
             require(r.floor, str, f"rooms[{i}].floor")
+            tuple_of(r.center, object, f"rooms[{i}].center")
+            for row in tuple_of(r.scatter, object, f"rooms[{i}].scatter"):
+                tuple_of(row, object, f"rooms[{i}].scatter rows")
         for name, table in (("placements", self.placements), ("categories", self.categories)):
             if not (isinstance(table, Mapping) and all(isinstance(x, str) for item in table.items() for x in item)):
                 raise SchemaError(f"{name} must be a mapping of str to str")

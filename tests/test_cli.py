@@ -113,6 +113,23 @@ def test_learn_from_sessions_file(tmp_path, capsys):
     assert "cup" in model["vocab_objects"]
 
 
+def test_learn_from_a_session_file_at_a_huge_scale_meets_c2(tmp_path):
+    # A floor's sessions at 1e100 times their scale learn, and their extracted knowledge
+    # base meets C2 (11 of 13 best rooms right), as at their own scale.
+    from homeplan.experiment import best_room_recovery, floor_robot
+    from homeplan.world import generate_floor_sessions
+
+    env = load_environment("paper_home")
+    sessions = generate_floor_sessions(env, floor_robot(env, "1F", "Robot1"), np.random.default_rng(7))
+    path, model_path, kb_path = (tmp_path / name for name in ("sessions.json", "m.json", "kb.json"))
+    path.write_text(json.dumps([{"position": (s.position * 1e100).tolist(), "object_labels": s.object_labels,
+                                 "place_words": s.place_words} for s in sessions]))
+    assert main(["learn", "--sessions", str(path), "--regions", "5", "--seed", "7", "--out", str(model_path)]) == 0
+    assert main(["extract", "--model-path", str(model_path), "--floor", "1F", "--out", str(kb_path)]) == 0
+    right, total = best_room_recovery(env, "1F", load_knowledge(kb_path))
+    assert right >= 11 and total == 13
+
+
 @pytest.mark.parametrize("source", ["floor", "sessions"])
 def test_learn_rejects_zero_regions(tmp_path, capsys, source):
     sessions_path = tmp_path / "sessions.json"
@@ -412,7 +429,7 @@ def test_malformed_assignment_is_an_error(tmp_path, kb_files, capsys, entry, whe
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("key, value", [("alpha", 0), ("V0", "x")])
+@pytest.mark.parametrize("key, value", [("alpha", 0), ("kappa", "x")])
 def test_bad_model_hyperparameters_are_an_error(tmp_path, capsys, key, value):
     model_path = tmp_path / "model.json"
     assert main(["learn", "--env", "robocup_arena", "--floor", "zone2", "--visits", "3",

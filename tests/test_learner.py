@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 from types import SimpleNamespace
@@ -82,15 +83,40 @@ def test_single_session_populates_one_region():
     # The prior is centred on the one position, so every region's posterior mean,
     # the occupied one's and the empty ones', is that position.
     np.testing.assert_array_equal(model.means, np.tile(session.position, (3, 1)))
-    # Exactly one region absorbed the observation, which sits on the prior mean: it takes
-    # the posterior-mean covariance V0 / (nu0 + 1 - 3).  The empty ones, whose nu_n = nu0
+    # One position has no spread, so the scale is 1 and the prior scale I / R.  Exactly one
+    # region absorbed the observation, which sits on the prior mean: it takes the
+    # posterior-mean covariance (I / R) / (nu0 + 1 - 3).  The empty ones, whose nu_n = nu0
     # leaves that undefined, take the inverse-Wishart mode.
-    occupied = hp.V0_array / (hp.nu0 + 1.0 - 3.0)
-    empty = hp.V0_array / (hp.nu0 + 3.0)
+    v0 = np.eye(2) / 3
+    occupied = v0 / (hp.nu0 + 1.0 - 3.0)
+    empty = v0 / (hp.nu0 + 3.0)
     assert sum(np.allclose(cov, occupied, rtol=1e-12) for cov in model.covs) == 1
     assert sum(np.allclose(cov, empty, rtol=1e-12) for cov in model.covs) == 2
     assert model.vocab_places == ("kitchen",)
     assert model.vocab_objects == ("cup",)
+
+
+@pytest.mark.parametrize("position, line", [
+    (lambda i: (2.0, -1.0), None),
+    (lambda i: (0.7 * i, 0.0), (0.0, 1.0, 0.0)),
+    (lambda i: (0.7 * i, 0.7 * i), (1.0, -1.0, 0.0)),
+    (lambda i: (0.1 * i, 3.0 * (0.1 * i) + 1.0), (3.0, -1.0, 1.0)),
+], ids=["all-equal", "axis-aligned-line", "diagonal-line", "y=3x+1"])
+def test_degenerate_positions_learn_without_warnings(position, line):
+    # Positions on a point or a line have a (nearly) singular covariance, so the prior scale
+    # falls back to I / R: every grid stays finite and every region covariance positive-definite.
+    sessions = [Session(position(i), ["cup"] if i % 2 else [], ["kitchen", "sink", "stove"][i % 3:][:2])
+                for i in range(24)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = learn_fixed_lag(sessions, FAST_HP, seed=0, num_concepts=3, num_regions=3)
+    assert np.all(np.linalg.eigvalsh(model.covs) > 0)
+    if line is None:
+        np.testing.assert_array_equal(model.means, np.tile(sessions[0].position, (3, 1)))
+    else:
+        # A posterior mean averages the mean position and some positions, so it lies on their line.
+        a, b, c = line
+        np.testing.assert_allclose(model.means @ [a, b] + c, 0.0, atol=1e-12)
 
 
 def test_lag_longer_than_stream_is_clamped():
@@ -270,16 +296,16 @@ def _ref_tokens_log(counts, totals, conc, idx, cnt, m):
     return per_word + gammaln(totals + vocab_mass) - gammaln(totals + m + vocab_mass)
 
 
-def _ref_position_log(p, x, hp):
+def _ref_position_log(p, x, hp, v0):
     n = p.pos_n
     kappa_n = hp.kappa + n
     nu_n = hp.nu0 + n
     xbar = p.pos_sum / np.maximum(n, 1.0)[:, None]
     scatter = p.pos_outer - n[:, None, None] * (xbar[:, :, None] * xbar[:, None, :])
-    # The learner holds positions less the floor's centre, where the prior mean is zero.
+    # The learner holds standardized positions, where the prior mean is zero.
     m_n = p.pos_sum / kappa_n[:, None]
     shrink = (hp.kappa * n / kappa_n)[:, None, None]
-    V_n = hp.V0_array + scatter + shrink * (xbar[:, :, None] * xbar[:, None, :])
+    V_n = v0 + scatter + shrink * (xbar[:, :, None] * xbar[:, None, :])
     df = nu_n - 1.0
     scale = V_n * ((kappa_n + 1.0) / (kappa_n * df))[:, None, None]
     det = scale[:, 0, 0] * scale[:, 1, 1] - scale[:, 0, 1] * scale[:, 1, 0]
@@ -291,7 +317,7 @@ def _ref_position_log(p, x, hp):
             - 0.5 * np.log(det) - ((df + 2) / 2.0) * np.log1p(quad / df))
 
 
-def _ref_conditional(p, s, hp):
+def _ref_conditional(p, s, hp, v0):
     K, R = p.link_counts.shape
     log_pc = np.log(p.concept_counts + hp.alpha) - math.log(p.concept_counts.sum() + K * hp.alpha)
     log_pr = np.log(p.link_counts + hp.gamma) - np.log(p.concept_counts + R * hp.gamma)[:, None]
@@ -299,38 +325,48 @@ def _ref_conditional(p, s, hp):
                                 s.word_idx, s.word_cnt, s.word_total)
     log_objects = _ref_tokens_log(p.object_counts, p.object_totals, hp.chi,
                                   s.obj_idx, s.obj_cnt, s.obj_total)
-    log_pos = _ref_position_log(p, s.x, hp)
+    log_pos = _ref_position_log(p, s.x, hp, v0)
     return (log_pc + log_words + log_objects)[:, None] + log_pr + log_pos[None, :]
 
 
-def _vocabulary_indexed(session, centre, place_index, object_index):
+def _vocabulary_indexed(session, x, place_index, object_index):
     """A session's words and objects as vocabulary indices and counts, read from the session itself,
-    and its position less the centre."""
+    and its standardized position ``x``."""
     word_idx, word_cnt = np.unique(np.array([place_index[w] for w in session.place_words], dtype=int),
                                    return_counts=True)
     obj_idx, obj_cnt = np.unique(np.array([object_index[o] for o in session.object_labels], dtype=int),
                                  return_counts=True)
     return SimpleNamespace(word_idx=word_idx, word_cnt=word_cnt, word_total=len(session.place_words),
-                           obj_idx=obj_idx, obj_cnt=obj_cnt, obj_total=len(session.object_labels),
-                           x=np.asarray(session.position, dtype=float) - centre)
+                           obj_idx=obj_idx, obj_cnt=obj_cnt, obj_total=len(session.object_labels), x=x)
 
 
-def _stats_and_views(sessions, place_index, object_index):
+def _standardized(sessions, R):
+    """The sessions' positions standardized and the prior scale for R regions, by their
+    definitions: z = (x - c) / s with c the mean and s = sqrt(mean((x - c)^2)), 1 if that
+    is 0, and Cov(z) / R, or I / R when det Cov(z) <= 1e-6."""
+    z = np.array([s.position for s in sessions])
+    z = z - z.mean(axis=0)
+    z /= np.sqrt(np.mean(z ** 2)) or 1.0
+    cov = np.cov(z.T, bias=True)
+    return z, (cov if np.linalg.det(cov) > 1e-6 else np.eye(2)) / R
+
+
+def _stats_and_views(sessions, place_index, object_index, R=1):
     """Each session as the learner's stats and as the references' vocabulary-indexed view, both
-    centred on the mean position as a learn centres them."""
-    centre = np.mean([s.position for s in sessions], axis=0)
-    return ([_SessionStats(s, centre, place_index, object_index) for s in sessions],
-            [_vocabulary_indexed(s, centre, place_index, object_index) for s in sessions])
+    at the standardized position, and the prior scale for R regions."""
+    z, v0 = _standardized(sessions, R)
+    return ([_SessionStats(s, x, place_index, object_index) for s, x in zip(sessions, z)],
+            [_vocabulary_indexed(s, x, place_index, object_index) for s, x in zip(sessions, z)], v0)
 
 
-def _random_stats(rng, n, places, objects):
+def _random_stats(rng, n, places, objects, R=1):
     place_index = {w: i for i, w in enumerate(places)}
     object_index = {o: i for i, o in enumerate(objects)}
     sessions = [Session(rng.normal(scale=4.0, size=2),
                         [str(o) for o in rng.choice(objects, size=int(rng.integers(0, 5)))] if objects else [],
                         [str(w) for w in rng.choice(places, size=int(rng.integers(1, 4)))])
                 for _ in range(n)]
-    return _stats_and_views(sessions, place_index, object_index)
+    return _stats_and_views(sessions, place_index, object_index, R)
 
 
 def _per_particle(batch, i, n_words, n_objects):
@@ -344,20 +380,22 @@ def _per_particle(batch, i, n_words, n_objects):
         pos_outer=moments[3:].T.reshape(R, 2, 2))
 
 
-def _ref_grids(batch, view, hp, n_words, n_objects):
-    """The reference grid of every particle of a batch, stacked to shape (P, K, R)."""
-    return np.stack([_ref_conditional(_per_particle(batch, i, n_words, n_objects), view, hp)
+def _ref_grids(batch, view, hp, v0, n_words, n_objects):
+    """The reference grid of every particle of a batch, stacked to shape (P, K, R), under
+    the prior scale ``v0``."""
+    return np.stack([_ref_conditional(_per_particle(batch, i, n_words, n_objects), view, hp, v0)
                      for i in range(len(batch.counts))])
 
 
 def _assert_grids_match_reference(batch, tables, stats, views, hp, n_words, n_objects):
     """The kernel against the reference once the constant it leaves out, the concept
-    prior's normaliser log(N + K alpha), is subtracted: the grid that scores an arrival."""
+    prior's normaliser log(N + K alpha), is subtracted: the grid that scores an arrival.
+    Both read the prior scale the tables were built with."""
     P, K, R = len(batch.counts), batch.counts.shape[1], batch.moments.shape[2]
     normaliser = math.log(batch.counts[0, :, 0].sum() + K * hp.alpha)
     for s, view in zip(stats, views):
         grid = _sweep_grid(batch, s, tables) - normaliser
-        reference = _ref_grids(batch, view, hp, n_words, n_objects)
+        reference = _ref_grids(batch, view, hp, tables.v0.reshape(2, 2), n_words, n_objects)
         assert grid.shape == reference.shape == (P, K, R)
         np.testing.assert_allclose(grid, reference, rtol=1e-12, atol=1e-12)
 
@@ -371,9 +409,9 @@ def _random_batch(case):
     objects = [f"o{i}" for i in range(int(rng.integers(0, 6)))]
     hp = Hyperparameters(alpha=float(rng.uniform(0.2, 3.0)), gamma=float(rng.uniform(0.2, 3.0)),
                          beta=float(rng.uniform(0.05, 1.0)), chi=float(rng.uniform(0.05, 1.0)))
-    stats, views = _random_stats(rng, int(rng.integers(1, 25)), places, objects)
+    stats, views, v0 = _random_stats(rng, int(rng.integers(1, 25)), places, objects, R)
     # Sessions still in the batch are rescored too, which can reach twice a learn's counts.
-    tables = _Tables(hp, K, R, len(places), len(objects), stats * 2)
+    tables = _Tables(hp, v0, K, R, len(places), len(objects), stats * 2)
     batch = _Batch(P, K, R, len(places), len(objects), len(stats))
     for t, s in enumerate(stats):
         batch.assignments[:, t] = rng.integers(0, K, P) * R + rng.integers(0, R, P)
@@ -402,7 +440,7 @@ def test_both_kernels_sample_the_same_cells(case):
     u = np.random.default_rng(100 + case).random((len(stats), P))
     exact, swept = np.empty(P, dtype=int), np.empty(P, dtype=int)
     for s, view, u_s in zip(stats, views, u):
-        _draw(_ref_grids(batch, view, hp, n_words, n_objects), u_s, exact)
+        _draw(_ref_grids(batch, view, hp, tables.v0.reshape(2, 2), n_words, n_objects), u_s, exact)
         _draw(_sweep_grid(batch, s, tables), u_s, swept)
         np.testing.assert_array_equal(swept, exact)
 
@@ -412,9 +450,9 @@ def test_saturated_grid_reads_the_largest_table_index():
     # _random_stats draws (3 words, 4 objects) of a one-word, one-object vocabulary,
     # so rescoring a session reads each table at the largest count a learn reaches.
     sessions = [Session(np.array([0.5 * i, -0.25 * i]), ["cup"] * 4, ["kitchen"] * 3) for i in range(20)]
-    stats, views = _stats_and_views(sessions, {"kitchen": 0}, {"cup": 0})
+    stats, views, v0 = _stats_and_views(sessions, {"kitchen": 0}, {"cup": 0})
     hp = Hyperparameters(num_particles=3, lag_window=4)
-    tables = _Tables(hp, 1, 1, 1, 1, stats)
+    tables = _Tables(hp, v0, 1, 1, 1, 1, stats)
     batch = _Batch(3, 1, 1, 1, 1, len(stats))
     for s in stats:
         batch.add(np.zeros(3, dtype=int), s)
@@ -429,9 +467,10 @@ def test_sweep_tables_stay_finite_without_objects(objects):
     # gammaln(0) is inf: with no objects, a fused mass row must never difference two of them.
     sessions = [Session(np.array([0.3 * i, 1.0 - 0.2 * i]), objects * (i % 2), ["kitchen", "sink"][:1 + i % 2])
                 for i in range(8)]
-    stats, views = _stats_and_views(sessions, {"kitchen": 0, "sink": 1}, {o: i for i, o in enumerate(objects)})
+    stats, views, v0 = _stats_and_views(sessions, {"kitchen": 0, "sink": 1},
+                                        {o: i for i, o in enumerate(objects)}, R=3)
     hp = Hyperparameters(num_particles=4, lag_window=3)
-    tables = _Tables(hp, 2, 3, 2, len(objects), stats * 2)
+    tables = _Tables(hp, v0, 2, 3, 2, len(objects), stats * 2)
     assert np.isfinite(tables.sweep).all()
     batch = _Batch(4, 2, 3, 2, len(objects), len(stats))
     for t, s in enumerate(stats):
@@ -449,10 +488,10 @@ def test_sweep_table_rows_are_the_log_gamma_differences():
     differ by up to about 1e-11, the rounding of gammaln's differences."""
     rng = np.random.default_rng(20)
     places, objects = ["kitchen", "sink", "stove"], ["cup", "plate"]
-    stats, _ = _random_stats(rng, 1500, places, objects)
-    hp = Hyperparameters(alpha=0.7, gamma=1.3, beta=0.3, chi=0.45)
     K, R = 2, 3
-    tables = _Tables(hp, K, R, len(places), len(objects), stats)
+    stats, _, v0 = _random_stats(rng, 1500, places, objects, R)
+    hp = Hyperparameters(alpha=0.7, gamma=1.3, beta=0.3, chi=0.45)
+    tables = _Tables(hp, v0, K, R, len(places), len(objects), stats)
     n = np.arange(len(tables.log_gamma), dtype=float)
     assert len(n) > 2500
 
@@ -505,8 +544,8 @@ def test_batch_stays_a_recount_of_its_assignments_through_resampling(case):
     P, K, R = int(rng.integers(2, 8)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
     places = [f"w{i}" for i in range(int(rng.integers(1, 5)))]
     objects = [f"o{i}" for i in range(int(rng.integers(0, 5)))]
-    stats, views = _random_stats(rng, int(rng.integers(4, 20)), places, objects)
-    _Tables(Hyperparameters(), K, R, len(places), len(objects), stats)
+    stats, views, v0 = _random_stats(rng, int(rng.integers(4, 20)), places, objects, R)
+    _Tables(Hyperparameters(), v0, K, R, len(places), len(objects), stats)
     batch = _Batch(P, K, R, len(places), len(objects), len(stats))
 
     def add_then_move(batch, start, stop):
@@ -551,7 +590,7 @@ def test_session_stats_match_the_vocabulary_indexed_reference(objects):
     # Sessions repeat words and objects, and some hold no object.
     rng = np.random.default_rng(40 + len(objects))
     places = ["kitchen", "sink", "stove", "oven"]
-    stats, views = _random_stats(rng, 60, places, objects)
+    stats, views, _ = _random_stats(rng, 60, places, objects)
     assert any(v.obj_total == 0 for v in views) and any(len(v.word_idx) < v.word_total for v in views)
     assert not objects or any(len(v.obj_idx) < v.obj_total for v in views)
     first_obj = _WORDS + len(places)
@@ -572,14 +611,14 @@ def test_session_stats_match_the_vocabulary_indexed_reference(objects):
 
 def test_filter_reports_every_step_and_ends_on_a_recount():
     resampling_cases = 0
-    for case in range(16):
+    for case in range(32):
         rng = np.random.default_rng(500 + case)
         P, K, R = int(rng.integers(1, 9)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
         places = [f"w{i}" for i in range(int(rng.integers(1, 5)))]
         objects = [f"o{i}" for i in range(int(rng.integers(0, 5)))]
-        stats, views = _random_stats(rng, int(rng.integers(1, 30)), places, objects)
+        stats, views, v0 = _random_stats(rng, int(rng.integers(1, 30)), places, objects, R)
         hp = Hyperparameters(num_particles=P, lag_window=int(rng.integers(1, 8)))
-        tables = _Tables(hp, K, R, len(places), len(objects), stats)
+        tables = _Tables(hp, v0, K, R, len(places), len(objects), stats)
 
         def run(T):
             """The filter over the first T sessions, from seed ``case``."""
@@ -644,8 +683,8 @@ def _assert_documents_close(actual, expected, path="model"):
 
 def test_paper_home_models_match_the_per_particle_learner():
     """Both floors at 5 visits per room, seed 7, against models stored from this
-    learner with the prior centred on each floor (a different libm may move the
-    last digits)."""
+    learner on standardized positions with the prior scale from the data (a
+    different libm may move the last digits)."""
     expected = json.loads((FIXTURES / "paper_home_models_visits5_seed7.json").read_text())
     env = load_environment("paper_home")
     for robot in default_robots(env):
@@ -688,6 +727,19 @@ def test_a_shifted_home_meets_c2(shift):
     doc = environment_to_dict(load_environment("paper_home"))
     for room in doc["rooms"]:
         room["center"] = [c + d for c, d in zip(room["center"], shift)]
+    env = environment_from_dict(doc)
+    for i, robot in enumerate(default_robots(env)):
+        assert _meets_c2(env, robot, ACCEPTANCE_SEED + i), robot.floor
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-3, 1e3, 1e100])
+def test_a_scaled_home_meets_c2(scale):
+    # Nor must the unit of length: the learner standardizes positions by their own scale, so
+    # a home in kilometres, in millimetres or near either end of the float range learns alike.
+    doc = environment_to_dict(load_environment("paper_home"))
+    for room in doc["rooms"]:
+        room["center"] = [c * scale for c in room["center"]]
+        room["scatter"] = [[v * scale ** 2 for v in row] for row in room["scatter"]]
     env = environment_from_dict(doc)
     for i, robot in enumerate(default_robots(env)):
         assert _meets_c2(env, robot, ACCEPTANCE_SEED + i), robot.floor

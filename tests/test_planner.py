@@ -15,6 +15,7 @@ from homeplan.errors import (
     ConfigurationError,
     EmptyDecompositionError,
     ReplayMissError,
+    SchemaError,
     UnallocatableError,
 )
 from homeplan import planner
@@ -22,6 +23,7 @@ from homeplan.knowledge import KnowledgeBase
 from homeplan.planner import (
     COMMONSENSE_TYPICAL_ROOM,
     SYNONYMS,
+    Assignment,
     Instruction,
     RemoteChatBackend,
     ReplayBackend,
@@ -404,6 +406,22 @@ def test_subtask_describe_grammar():
     assert Subtask("find", "apple").describe() == "Find an apple."
     assert Subtask("bring", "cup").describe() == "Bring a cup."
     assert Subtask("bring", "cup", "kitchen").describe() == "Bring a cup to the kitchen."
+
+
+@pytest.mark.parametrize("text", [3, None, "", ["bring", "apple"]])
+def test_instruction_text_must_be_a_non_empty_string(text):
+    with pytest.raises(SchemaError, match="instruction text"):
+        decompose(Instruction(text), ["apple"])
+
+
+@pytest.mark.parametrize("subtask, robot_id, where", [
+    (Subtask("bring", "apple"), ["Robot1"], "robot_id"),
+    (Subtask("bring", "apple"), "", "robot_id"),
+    ("Bring an apple.", "Robot1", "subtask"),
+], ids=["list-robot-id", "empty-robot-id", "str-subtask"])
+def test_an_assignment_checks_its_subtask_and_robot_id(subtask, robot_id, where):
+    with pytest.raises(SchemaError, match=where):
+        Assignment(subtask, robot_id)
 
 
 def test_parse_allocation_response_grammar():

@@ -296,23 +296,33 @@ def test_hyperparameter_validation():
         Hyperparameters(nu0=1.0)
     with pytest.raises(ValueError):
         Hyperparameters(num_particles=0)
-    with pytest.raises(ValueError):
-        Hyperparameters(V0=((1.0, 2.0), (0.0, 1.0)))  # asymmetric
+    with pytest.raises(TypeError):  # the prior scale comes from the data, not a field
+        Hyperparameters(V0=((2.0, 0.0), (0.0, 2.0)))
 
 
 @pytest.mark.parametrize("key, value", [
     ("alpha", 0), ("alpha", float("nan")), ("kappa", float("inf")), ("beta", "x"), ("gamma", None),
     ("chi", True), ("nu0", 1.0), ("num_particles", 2.5), ("lag_window", 0),
     ("gamma", -0.5), ("nu0", 0.5), ("num_particles", True), ("lag_window", 2.0),
-    ("V0", "x"), ("V0", 2.0), ("V0", [[1.0, 0.0]]), ("V0", [[1.0, 0.0], [0.0, None]]),
-    ("V0", [[1.0, 2.0], [0.0, 1.0]]), ("V0", [[1.0, 0.0], [0.0, -1.0]]),
-    ("V0", [["2", "0"], ["0", "2"]]), ("V0", [[True, False], [False, True]]),
 ])
 def test_bad_hyperparameters_are_schema_errors(key, value):
     data = Hyperparameters().to_dict()
     data[key] = value
     with pytest.raises(SchemaError):
         Hyperparameters.from_dict(data)
+
+
+@pytest.mark.parametrize("v0", [
+    [[2.0, 0.0], [0.0, 2.0]], "x", 2.0, [[1.0, 0.0]], [[1.0, 0.0], [0.0, None]], [[1.0, 2.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, -1.0]], [["2", "0"], ["0", "2"]], [[True, False], [False, True]],
+], ids=["default", "str", "number", "one-row", "null-entry", "asymmetric", "negative-definite", "numeric-strings",
+        "bools"])
+def test_a_hyperparameters_document_with_any_V0_loads_and_ignores_it(v0):
+    # Documents written with a V0 hyperparameter load: the learner takes its prior scale from the data.
+    data = Hyperparameters().to_dict()
+    assert "V0" not in data
+    data["V0"] = v0
+    assert Hyperparameters.from_dict(data) == Hyperparameters()
 
 
 @pytest.mark.parametrize("data", [{}, [], "x", {"alpha": 1.0}])

@@ -165,6 +165,9 @@ def test_built_environment_checks_room_footprints():
     ({"place_words": []}, "place_words"),
     ({"rooms": [Room(3, "1F", (0.0, 0.0))]}, "rooms[0].name"),
     ({"rooms": [Room("a", ["1F"], (0.0, 0.0))]}, "rooms[0].floor"),
+    ({"rooms": [Room("a", "1F", 3)]}, "rooms[0].center"),
+    ({"rooms": [Room("a", "1F", (0.0, 0.0), 5)]}, "rooms[0].scatter"),
+    ({"rooms": [Room("a", "1F", (0.0, 0.0), (1.0, 1.0))]}, "rooms[0].scatter"),
 ])
 def test_a_built_environment_rejects_untyped_tables(fields, where):
     valid = {"floors": ["1F"], "rooms": [Room("a", "1F", (0.0, 0.0))], "placements": {}, "categories": {},
