@@ -7,14 +7,14 @@ from pathlib import Path
 from homeplan.experiment import best_room_recovery, default_robots, learn_floor_model
 from homeplan.knowledge import extract_knowledge, save_knowledge
 from homeplan.spatial import save_model
-from homeplan.world import load_environment
+from homeplan.world import VISITS_PER_ROOM, load_environment
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--env", default="paper_home")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--visits", type=int, default=30)
+    parser.add_argument("--visits", type=int, default=VISITS_PER_ROOM)
     parser.add_argument("--out-dir", default="models")
     args = parser.parse_args()
 

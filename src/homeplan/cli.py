@@ -61,7 +61,7 @@ def cmd_learn(args) -> int:
         regions = 5 if args.regions is None else args.regions
         sessions = _read_entries(args.sessions, "session", "session", ("position", "object_labels", "place_words"),
                                  lambda x, labels, words, d: spatial.Session(x, labels, words, d.get("room_hint")))
-        model = learner.learn_fixed_lag(sessions, hp, seed=seed, num_concepts=regions, num_regions=regions)
+        model = learner.learn_fixed_lag(sessions, hp, seed=seed, num_regions=regions)
     elif args.floor:
         env = world.load_environment(args.env)
         robot = experiment.floor_robot(env, args.floor, "learner")  # the id never reaches the model
@@ -75,8 +75,7 @@ def cmd_learn(args) -> int:
 def cmd_extract(args) -> int:
     model = spatial.load_model(args.model_path)
     env = world.load_environment(args.env)
-    kb = knowledge.extract_knowledge(model, [r.name for r in env.rooms_on(args.floor)],
-                                     vocab_threshold=args.threshold, robot_id=args.robot)
+    kb = knowledge.extract_knowledge(model, [r.name for r in env.rooms_on(args.floor)], robot_id=args.robot)
     write_json(knowledge.knowledge_to_dict(kb), args.out)
     return 0
 
@@ -139,15 +138,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    cfg = experiment.SuiteConfig(
-        env=args.env,
-        seed=_seed_of(args),
-        strategies=tuple(args.strategies.split(",")),
-        backend=_backend_of(args),
-        kb_paths=tuple(args.kb) if args.kb else None,
-        visits_per_room=args.visits,
-    )
-    report = experiment.run_suite(cfg)
+    report = experiment.run_suite(env=args.env, seed=_seed_of(args), backend=_backend_of(args),
+                                  kb_paths=tuple(args.kb) if args.kb else None, visits_per_room=args.visits)
     text = report.text_table()
     if args.out:
         write_json(report.to_dict(), args.out)
@@ -168,23 +160,22 @@ def build_parser() -> argparse.ArgumentParser:
     backend.add_argument("--backend", choices=("rule", "remote", "replay"), default="rule")
     backend.add_argument("--replay-dir", default=None, help="canned response directory (replay backend)")
     backend.add_argument("--endpoint", default=None, help="chat completion URL (remote backend)")
-    backend.add_argument("--model", default="gpt-4", help="remote model name")
+    backend.add_argument("--model", default=planner.REMOTE_MODEL, help="remote model name")
 
     p = sub.add_parser("learn", parents=[env, seed, out], help="learn a spatial concept model from sessions")
     p.add_argument("--floor", default=None, help="generate the observation protocol on this floor")
     p.add_argument("--sessions", default=None, help="JSON session file instead of generation")
-    p.add_argument("--visits", type=int, default=30, help="visits per room")
-    p.add_argument("--particles", type=int, default=30)
-    p.add_argument("--lag", type=int, default=10)
+    p.add_argument("--visits", type=int, default=world.VISITS_PER_ROOM, help="visits per room")
+    p.add_argument("--particles", type=int, default=spatial.Hyperparameters.num_particles)
+    p.add_argument("--lag", type=int, default=spatial.Hyperparameters.lag_window)
     p.add_argument("--regions", type=int, default=None,
-                   help="concept/region count (default: the floor's room count with --floor, 5 with --sessions)")
+                   help="region count (default: the floor's room count with --floor, 5 with --sessions)")
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("extract", parents=[env, out], help="turn a model into a knowledge base")
     p.add_argument("--model-path", required=True, dest="model_path")
     p.add_argument("--floor", required=True, help="the floor the model was learned on, whose rooms name its regions")
     p.add_argument("--robot", default="Robot1")
-    p.add_argument("--threshold", type=float, default=0.05)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("prompt", parents=[out], help="render a prompt component from knowledge bases")
@@ -210,9 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", parents=[env, seed, backend], help="run the full allocation experiment")
     p.add_argument("--out", default=None, help="JSON report path (the table always goes to stdout)")
-    p.add_argument("--strategies", default="proposed,random,commonsense")
     p.add_argument("--kb", nargs="*", default=None, help="pre-built knowledge bases")
-    p.add_argument("--visits", type=int, default=30)
+    p.add_argument("--visits", type=int, default=world.VISITS_PER_ROOM)
     p.set_defaults(func=cmd_suite)
 
     return parser

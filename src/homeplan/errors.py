@@ -70,6 +70,11 @@ def is_finite_real(v) -> bool:
         return False
 
 
+def is_count(v) -> bool:
+    """Whether ``v`` is an integer, not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def require(value, kind: type, where: str):
     """``value`` if it is a ``kind``; SchemaError otherwise."""
     if not isinstance(value, kind):

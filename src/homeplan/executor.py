@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError, FloorAccessError, HomeplanError, PlanningError, UnknownRoomError
+from .errors import ConfigurationError, FloorAccessError, HomeplanError, PlanningError, UnknownRoomError, is_count
 from .knowledge import KnowledgeBase
 from .planner import Assignment
 from .world import GATHER, RobotState, SkillOutcome, World
@@ -33,8 +33,8 @@ class ExecutionPolicy:
     max_retries_per_skill: int = 2
 
     def __post_init__(self):
-        if self.max_retries_per_skill < 0:
-            raise ConfigurationError("max_retries_per_skill must be >= 0")
+        if not is_count(self.max_retries_per_skill) or self.max_retries_per_skill < 0:
+            raise ConfigurationError("max_retries_per_skill must be an integer >= 0")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .planner import (
     Assignment,
     Instruction,
     PlannerBackend,
-    RuleBasedBackend,
     Subtask,
     allocate,
     allocate_commonsense,
@@ -39,6 +38,7 @@ from .spatial import Hyperparameters, SpatialConceptModel
 from .world import (
     CATEGORY_COMMON,
     CATEGORY_HARD,
+    VISITS_PER_ROOM,
     Environment,
     RobotState,
     World,
@@ -71,27 +71,6 @@ REFERENCE_REPORTED = {
     "commonsense": {"random": [10, 20], "hard_to_predict": [3, 10],
                     "common_sense": [6, 10], "mixed": [7, 10], "total": [26, 50]},
 }
-
-
-@dataclass
-class SuiteConfig:
-    """One suite run; without ``kb_paths`` the proposed strategy learns each floor's knowledge."""
-
-    env: str = "paper_home"
-    seed: int = 0
-    strategies: tuple[str, ...] = STRATEGIES
-    backend: PlannerBackend = field(default_factory=RuleBasedBackend)
-    kb_paths: tuple[str, ...] | None = None
-    visits_per_room: int = 30
-
-    def __post_init__(self):
-        if not self.strategies:
-            raise ConfigurationError("at least one strategy is required")
-        if len(set(self.strategies)) != len(self.strategies):
-            raise ConfigurationError(f"strategies must be distinct, not {list(self.strategies)}")
-        unknown = [s for s in self.strategies if s not in STRATEGIES]
-        if unknown:
-            raise ConfigurationError(f"unknown strategies: {unknown}")
 
 
 @dataclass
@@ -234,19 +213,18 @@ def default_robots(env: Environment) -> list[RobotState]:
     return [floor_robot(env, floor, f"Robot{i}") for i, floor in enumerate(env.floors, start=1)]
 
 
-def learn_floor_model(env: Environment, robot: RobotState, seed: int, visits_per_room: int = 30,
+def learn_floor_model(env: Environment, robot: RobotState, seed: int, visits_per_room: int = VISITS_PER_ROOM,
                       hp: Hyperparameters | None = None,
                       num_regions: int | None = None) -> SpatialConceptModel:
     """Run the observation protocol on the robot's floor and learn its model (default: a region per room)."""
     num_regions = len(env.rooms_on(robot.floor)) if num_regions is None else num_regions
     sessions = generate_floor_sessions(env, robot, np.random.default_rng(seed),
                                        visits_per_room=visits_per_room)
-    return learn_fixed_lag(sessions, hp, seed=seed,
-                           num_concepts=num_regions, num_regions=num_regions)
+    return learn_fixed_lag(sessions, hp, seed=seed, num_regions=num_regions)
 
 
 def learn_floor_knowledge(env: Environment, robot: RobotState, seed: int,
-                          visits_per_room: int = 30) -> KnowledgeBase:
+                          visits_per_room: int = VISITS_PER_ROOM) -> KnowledgeBase:
     """Learn the robot's floor model and extract its knowledge."""
     model = learn_floor_model(env, robot, seed, visits_per_room)
     return extract_knowledge(model, [r.name for r in env.rooms_on(robot.floor)], robot_id=robot.robot_id)
@@ -277,39 +255,39 @@ def build_suite_instructions(env: Environment, seed: int) -> dict[str, list[Inst
             for cat, count in SUITE_COUNTS.items()}
 
 
-def run_suite(cfg: SuiteConfig) -> SuiteReport:
-    """Decompose, allocate, and score the full category grid for each strategy."""
+def run_suite(*, env: str = "paper_home", seed: int = 0, backend: PlannerBackend | None = None,
+              kb_paths: tuple[str, ...] | None = None, visits_per_room: int = VISITS_PER_ROOM) -> SuiteReport:
+    """Decompose, allocate, and score the full category grid for each of ``STRATEGIES``; without
+    ``kb_paths`` the proposed strategy learns each floor's knowledge.  ``backend=None`` is the rule backend."""
     started = time.monotonic()
-    env = load_environment(cfg.env)
-    robots = default_robots(env)
+    environment = load_environment(env)
+    robots = default_robots(environment)
     robot_ids = [r.robot_id for r in robots]
     floor_of_robot = {r.robot_id: r.floor for r in robots}
-    room_to_robot = {room.name: r.robot_id for r in robots for room in env.rooms_on(r.floor)}
-    object_vocab = sorted(env.placements)
-    seeds = _suite_seeds(cfg.seed)
+    room_to_robot = {room.name: r.robot_id for r in robots for room in environment.rooms_on(r.floor)}
+    object_vocab = sorted(environment.placements)
+    seeds = _suite_seeds(seed)
 
-    kbs: list[KnowledgeBase] | None = None
-    if "proposed" in cfg.strategies:
-        if cfg.kb_paths:
-            kbs = [load_knowledge(p) for p in cfg.kb_paths]
-        else:
-            kbs = [learn_floor_knowledge(env, robot, seed=seeds["learn_base"] + i,
-                                         visits_per_room=cfg.visits_per_room)
-                   for i, robot in enumerate(robots)]
+    if kb_paths:
+        kbs = [load_knowledge(p) for p in kb_paths]
+    else:
+        kbs = [learn_floor_knowledge(environment, robot, seed=seeds["learn_base"] + i,
+                                     visits_per_room=visits_per_room)
+               for i, robot in enumerate(robots)]
 
     allocators = {
-        "proposed": lambda subtasks, i: allocate(subtasks, kbs, backend=cfg.backend),
+        "proposed": lambda subtasks, i: allocate(subtasks, kbs, backend=backend),
         "random": lambda subtasks, i: allocate_random(subtasks, robot_ids,
                                                       seed=seeds["random_allocation"] + i),
         "commonsense": lambda subtasks, i: allocate_commonsense(subtasks, COMMONSENSE_TYPICAL_ROOM,
                                                                 room_to_robot),
     }
     # Decomposition does not depend on the strategy, so each instruction is decomposed once.
-    decomposed = [(category, instr, decompose(instr, object_vocab, backend=cfg.backend))
-                  for category, instrs in build_suite_instructions(env, cfg.seed).items()
+    decomposed = [(category, instr, decompose(instr, object_vocab, backend=backend))
+                  for category, instrs in build_suite_instructions(environment, seed).items()
                   for instr in instrs]
     trials = []
-    for strategy in cfg.strategies:
+    for strategy in STRATEGIES:
         for i, (category, instr, subtasks) in enumerate(decomposed):
             assignments = allocators[strategy](subtasks, i)
             trials.append({
@@ -318,11 +296,11 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
                 "instruction": instr.text,
                 "subtasks": [st.target_object for st in subtasks],
                 "assignments": [a.robot_id for a in assignments],
-                "gold_floors": [env.floor_of_object(st.target_object) for st in subtasks],
-                "correct": score_allocations(assignments, env, floor_of_robot),
+                "gold_floors": [environment.floor_of_object(st.target_object) for st in subtasks],
+                "correct": score_allocations(assignments, environment, floor_of_robot),
             })
 
-    return SuiteReport(env=cfg.env, seed=cfg.seed, trials=trials,
+    return SuiteReport(env=env, seed=seed, trials=trials,
                        elapsed_seconds=time.monotonic() - started)
 
 

@@ -24,6 +24,8 @@ from .spatial import SpatialConceptModel, object_location_posterior, word_poster
 from .world import SKILLS, Environment
 
 _DIVIDER = "-" * 16
+# The least posterior probability of a word in a region's place vocabulary.
+PLACE_VOCAB_THRESHOLD = 0.05
 
 _COUNT_WORDS = {
     1: "one", 2: "two", 3: "three", 4: "four", 5: "five", 6: "six",
@@ -155,22 +157,20 @@ def match_room_names(model: SpatialConceptModel, room_names: list[str]) -> list[
 def extract_knowledge(
     model: SpatialConceptModel,
     room_names: list[str],
-    vocab_threshold: float = 0.05,
     robot_id: str = "robot",
 ) -> KnowledgeBase:
     """Turn a learned model into named regions, place-vocabulary lists and a presence table.
 
     ``room_names`` are the candidates, the rooms of the model's floor, and
-    ``match_room_names`` names each region by the words it heard.  Presence
-    rows are exactly the object-location posteriors, with no further smoothing.
+    ``match_room_names`` names each region by the words it heard.  Place
+    vocabularies keep words of posterior ``>= PLACE_VOCAB_THRESHOLD``, likeliest
+    first.  Presence rows are exactly the object-location posteriors.
     """
-    if not 0.0 < vocab_threshold < 1.0:
-        raise ConfigurationError(f"vocab_threshold must be in (0, 1), not {vocab_threshold!r}")
     place_vocab = []
     for region in range(model.num_regions):
         probs = word_posterior(model, region)
         order = np.argsort(-probs, kind="stable")
-        place_vocab.append([model.vocab_places[i] for i in order if probs[i] >= vocab_threshold])
+        place_vocab.append([model.vocab_places[i] for i in order if probs[i] >= PLACE_VOCAB_THRESHOLD])
     presence = {obj: object_location_posterior(model, obj).tolist() for obj in model.vocab_objects}
     return KnowledgeBase(
         robot_id=robot_id,

@@ -47,7 +47,7 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import ConfigurationError, SchemaError
+from .errors import ConfigurationError, SchemaError, is_count
 from .spatial import Hyperparameters, Session, SpatialConceptModel
 
 _DIM = 2
@@ -263,10 +263,9 @@ def learn_fixed_lag(
     hp: Hyperparameters | None = None,
     seed: int = 0,
     *,
-    num_concepts: int = 5,
     num_regions: int = 5,
 ) -> SpatialConceptModel:
-    """Learn a spatial concept model from an ordered session stream.
+    """Learn a spatial concept model from an ordered session stream, one concept per region.
 
     It reads the whole stream before its first step: the vocabularies are the
     sessions' own (``derive_vocabularies``), and the positions are standardized
@@ -274,9 +273,8 @@ def learn_fixed_lag(
     coordinate origin lies nor on the unit of length.  Deterministic for fixed
     (sessions, hp, seed).  A lag window longer than the stream is clamped.
     """
-    if num_concepts < 1 or num_regions < 1:
-        raise ConfigurationError(
-            f"num_concepts and num_regions must be >= 1, got {num_concepts} and {num_regions}")
+    if not is_count(num_regions) or num_regions < 1:
+        raise ConfigurationError(f"num_regions must be an integer >= 1, got {num_regions!r}")
     if not sessions:
         raise SchemaError("cannot learn from an empty session list")
     hp = hp or Hyperparameters()
@@ -295,12 +293,13 @@ def learn_fixed_lag(
     scale = math.sqrt(np.square(z).mean()) or 1.0
     z /= scale
     # The prior scale: Cov(z) / R (Fraley & Raftery 2007), or I / R for positions on a point or a line.
+    # Its determinant is taken in closed form: np.linalg.det warns on a subnormal entry.
     cov = z.T @ z / len(z)
-    v0 = (cov if np.linalg.det(cov) > 1e-6 else np.eye(_DIM)) / num_regions
+    v0 = (cov if cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0] > 1e-6 else np.eye(_DIM)) / num_regions
     stats = [_SessionStats(s, x, place_index, object_index) for s, x in zip(sessions, z)]
-    tables = _Tables(hp, v0, num_concepts, num_regions, len(vocab_places), len(vocab_objects), stats)
+    tables = _Tables(hp, v0, num_regions, num_regions, len(vocab_places), len(vocab_objects), stats)
 
-    batch = _Batch(hp.num_particles, num_concepts, num_regions, len(vocab_places), len(vocab_objects), len(stats))
+    batch = _Batch(hp.num_particles, num_regions, num_regions, len(vocab_places), len(vocab_objects), len(stats))
     batch, log_w, _, _ = _filter(batch, stats, tables, hp, np.random.default_rng(seed))
     best = batch.take(int(np.argmax(log_w)))
     return _posterior_mean_model(best, hp, seed, v0, centre, scale, vocab_places, vocab_objects)

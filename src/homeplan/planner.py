@@ -39,6 +39,7 @@ from .knowledge import (
 )
 
 API_KEY_ENV_VAR = "HOMEPLAN_LLM_KEY"
+REMOTE_MODEL = "gpt-4"  # the remote backend's chat model unless one is named
 # The remote backend's seconds per request, retries after a failed attempt, and seconds between attempts.
 REMOTE_TIMEOUT_S = 30.0
 REMOTE_RETRIES = 2
@@ -224,7 +225,7 @@ class RemoteChatBackend:
 
     tag = "remote_chat"
 
-    def __init__(self, endpoint: str, model: str = "gpt-4"):
+    def __init__(self, endpoint: str, model: str = REMOTE_MODEL):
         self.endpoint = endpoint
         self.model = model
 
@@ -273,7 +274,7 @@ class RemoteChatBackend:
 
 
 def make_backend(name: str, replay_dir=None, endpoint: str | None = None,
-                 model: str = "gpt-4") -> PlannerBackend:
+                 model: str = REMOTE_MODEL) -> PlannerBackend:
     """The planner backend called ``name``: rule, replay or remote."""
     if name == "rule":
         return RuleBasedBackend()

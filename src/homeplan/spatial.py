@@ -12,12 +12,12 @@ word posterior, and the per-object region posterior behind the presence tables.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import SchemaError, UnknownLabelError, is_finite_real, read_json, require_fields, tuple_of, write_json
+from .errors import (SchemaError, UnknownLabelError, is_count, is_finite_real, read_json, require_fields,
+                     tuple_of, write_json)
 
 CATEGORICAL_ATOL = 1e-9
 
@@ -52,7 +52,7 @@ class Hyperparameters:
                 raise SchemaError(f"{name} must be a finite number above {floor}, not {value!r}")
         for name in ("num_particles", "lag_window"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            if not is_count(value) or value < 1:
                 raise SchemaError(f"{name} must be an integer >= 1, not {value!r}")
 
     def to_dict(self) -> dict:

@@ -24,6 +24,7 @@ from .errors import (
     SchemaError,
     UnknownLabelError,
     UnknownRoomError,
+    is_count,
     is_finite_real,
     read_json,
     require,
@@ -39,6 +40,7 @@ CATEGORY_HARD = "hard_to_predict"
 CATEGORIES = (CATEGORY_COMMON, CATEGORY_HARD)
 
 _BLOCK = 32  # uniforms drawn per refill of a robot's outcome stream
+VISITS_PER_ROOM = 30  # the observation protocol's visits to each room of a floor
 
 
 @dataclass(frozen=True)
@@ -366,10 +368,10 @@ def observe_session(env: Environment, robot: RobotState, room: str, rng: np.rand
 
 
 def generate_floor_sessions(env: Environment, robot: RobotState, rng: np.random.Generator,
-                            visits_per_room: int = 30) -> list[Session]:
+                            visits_per_room: int = VISITS_PER_ROOM) -> list[Session]:
     """Room-by-room observation protocol: each room visited ``visits_per_room`` times."""
-    if visits_per_room < 1:
-        raise ConfigurationError(f"visits_per_room must be >= 1, got {visits_per_room}")
+    if not is_count(visits_per_room) or visits_per_room < 1:
+        raise ConfigurationError(f"visits_per_room must be an integer >= 1, got {visits_per_room!r}")
     sessions = []
     for room in env.rooms_on(robot.floor):
         for _ in range(visits_per_room):

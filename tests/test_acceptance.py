@@ -82,8 +82,7 @@ def learned(home):
         sessions = generate_floor_sessions(home, robot, np.random.default_rng(seed),
                                            visits_per_room=30)
         start = time.monotonic()
-        model = learn_fixed_lag(sessions, Hyperparameters(), seed=seed,
-                                num_concepts=len(rooms), num_regions=len(rooms))
+        model = learn_fixed_lag(sessions, Hyperparameters(), seed=seed, num_regions=len(rooms))
         elapsed = time.monotonic() - start
         kb = extract_knowledge(model, [r.name for r in rooms], robot_id=robot_id)
         out[floor] = {"model": model, "kb": kb, "elapsed": elapsed,

@@ -11,7 +11,7 @@ import pytest
 import homeplan
 
 from homeplan.cli import main
-from homeplan.experiment import SuiteConfig, run_suite
+from homeplan.experiment import run_suite
 from homeplan.knowledge import PROMPTS, knowledge_from_environment, load_knowledge, save_knowledge
 from homeplan.planner import ReplayBackend, render_decomposition_prompt
 from homeplan.spatial import load_model, save_model
@@ -277,7 +277,7 @@ def test_suite_command_with_prebuilt_kbs(tmp_path, kb_files, capsys):
     payload = json.loads(text)
     assert payload["totals"]["proposed"] == [50, 50]
     assert text == json.dumps(payload, indent=2) + "\n"  # one format, as every JSON writer writes
-    want = run_suite(SuiteConfig(seed=7, kb_paths=tuple(kb_files))).to_dict()
+    want = run_suite(seed=7, kb_paths=tuple(kb_files)).to_dict()
     del payload["elapsed_seconds"], want["elapsed_seconds"]
     assert payload == want
 
@@ -286,8 +286,7 @@ def test_seed_env_var_does_not_seed_the_suite(tmp_path, kb_files, monkeypatch, c
     # The seed comes from --seed alone: a stray variable in the shell changes nothing.
     monkeypatch.setenv("HOMEPLAN_SEED", "31")
     out_path = tmp_path / "report.json"
-    code = main(["suite", "--env", "paper_home", "--strategies", "random",
-                 "--kb", *kb_files, "--out", str(out_path)])
+    code = main(["suite", "--env", "paper_home", "--kb", *kb_files, "--out", str(out_path)])
     assert code == 0
     assert json.loads(out_path.read_text())["seed"] == 0
 
@@ -298,7 +297,10 @@ def test_seed_env_var_does_not_seed_the_suite(tmp_path, kb_files, monkeypatch, c
     ["decompose", "--text", "Bring me an apple.", "--seed", "3"],
     ["allocate", "--kb", "kb.json", "--text", "Bring me an apple.", "--seed", "3"],
     ["learn", "--floor", "2F", "--robot", "Robot2"],
-], ids=["extract-seed", "prompt-seed", "decompose-seed", "allocate-seed", "learn-robot"])
+    ["suite", "--strategies", "random"],
+    ["extract", "--model-path", "model.json", "--floor", "1F", "--threshold", "0.1"],
+], ids=["extract-seed", "prompt-seed", "decompose-seed", "allocate-seed", "learn-robot", "suite-strategies",
+        "extract-threshold"])
 def test_a_flag_the_command_does_not_read_is_rejected(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
@@ -315,7 +317,6 @@ def test_domain_errors_exit_nonzero(capsys):
 @pytest.mark.parametrize("args, message", [
     (["--env", "robocup_arena", "--floor", "zone1"], "need at least as many rooms as regions"),
     (["--floor", "3F"], "0 candidate rooms"),
-    (["--floor", "1F", "--threshold", "2"], "vocab_threshold"),
     (["--floor", "1F"], "heard none of the room names"),
 ])
 def test_extract_configuration_errors_exit_nonzero(tmp_path, capsys, args, message):
@@ -375,7 +376,7 @@ def test_visit_count_below_one_is_an_error(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
-    assert f"visits_per_room must be >= 1, got {argv[-1]}" in captured.err
+    assert f"visits_per_room must be an integer >= 1, got {argv[-1]}" in captured.err
     assert captured.out == ""
 
 
@@ -584,7 +585,7 @@ def test_commands_import_only_what_they_use(tmp_path, kb_files):
         from homeplan.spatial import Hyperparameters, Session
         session = Session(np.zeros(2), ["cup"], ["kitchen"])
         hp = Hyperparameters(num_particles=2, lag_window=1)
-        learn_fixed_lag([session], hp, num_concepts=1, num_regions=1)
+        learn_fixed_lag([session], hp, num_regions=1)
         stages["learn"] = loaded()
         assert homeplan.cli.main(["learn", "--floor", "1F", "--visits", "2", "--out", str(out / "m.json")]) == 0
         assert homeplan.cli.main(["extract", "--model-path", str(out / "m.json"), "--floor", "1F",

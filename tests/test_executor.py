@@ -416,7 +416,7 @@ def test_knowledge_bases_that_share_a_robot_id_run_no_skill():
 
 
 def test_a_negative_retry_budget_is_a_configuration_error():
-    with pytest.raises(ConfigurationError, match="max_retries_per_skill must be >= 0"):
+    with pytest.raises(ConfigurationError, match="max_retries_per_skill must be an integer >= 0"):
         ExecutionPolicy(max_retries_per_skill=-1)
 
 

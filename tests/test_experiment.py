@@ -8,7 +8,6 @@ from homeplan.errors import ConfigurationError, GenerationError, ScoringError
 from homeplan.experiment import (
     REFERENCE_REPORTED,
     SUITE_CATEGORIES,
-    SuiteConfig,
     best_room_recovery,
     build_suite_instructions,
     default_robots,
@@ -151,7 +150,7 @@ def test_run_suite_grid_with_truth_kbs(home, truth_kbs, tmp_path):
         path = tmp_path / f"{kb.robot_id}.json"
         save_knowledge(kb, path)
         paths.append(str(path))
-    report = run_suite(SuiteConfig(seed=5, kb_paths=tuple(paths)))
+    report = run_suite(seed=5, kb_paths=tuple(paths))
 
     assert set(report.grid) == {"proposed", "random", "commonsense"}
     for strategy, by_cat in report.grid.items():
@@ -186,20 +185,26 @@ def test_suite_category_sizes_match_protocol(home):
     assert sizes == {"random": 20, "hard_to_predict": 10, "common_sense": 10, "mixed": 10}
 
 
-def test_suite_learns_only_for_proposed(home):
+def test_suite_learns_only_for_proposed(home, truth_kbs, tmp_path):
+    # Only the proposed strategy reads knowledge: given knowledge bases, the suite learns none.
     learned = []
 
     def learn(env, robot, seed, visits_per_room):
         learned.append((robot.robot_id, seed, visits_per_room))
         return knowledge_from_environment(env, robot.floor, robot.robot_id)
 
+    paths = []
+    for kb in truth_kbs:
+        save_knowledge(kb, tmp_path / f"{kb.robot_id}.json")
+        paths.append(str(tmp_path / f"{kb.robot_id}.json"))
     with mock.patch.object(experiment, "learn_floor_knowledge", learn):
-        run_suite(SuiteConfig(seed=1, strategies=("random", "commonsense")))
+        run_suite(seed=1, kb_paths=tuple(paths))
         assert learned == []
-        report = run_suite(SuiteConfig(seed=1, strategies=("proposed",), visits_per_room=4))
+        report = run_suite(seed=1, visits_per_room=4)
     base = experiment._suite_seeds(1)["learn_base"]
     assert learned == [("Robot1", base, 4), ("Robot2", base + 1, 4)]
-    assert report.totals == {"proposed": (50, 50)}
+    assert list(report.totals) == list(experiment.STRATEGIES)
+    assert report.totals["proposed"] == (50, 50)
 
 
 def test_suite_decomposes_each_instruction_once(home, truth_kbs, tmp_path):
@@ -208,18 +213,9 @@ def test_suite_decomposes_each_instruction_once(home, truth_kbs, tmp_path):
         save_knowledge(kb, tmp_path / f"{kb.robot_id}.json")
         paths.append(str(tmp_path / f"{kb.robot_id}.json"))
     with mock.patch.object(experiment, "decompose", wraps=decompose) as spy:
-        report = run_suite(SuiteConfig(seed=4, kb_paths=tuple(paths)))
+        report = run_suite(seed=4, kb_paths=tuple(paths))
     assert spy.call_count == sum(experiment.SUITE_COUNTS.values()) == 25
     assert len(report.trials) == 3 * 25
-
-
-def test_suite_config_validation():
-    with pytest.raises(ConfigurationError):
-        SuiteConfig(strategies=())
-    with pytest.raises(ConfigurationError):
-        SuiteConfig(strategies=("nonsense",))
-    with pytest.raises(ConfigurationError, match="distinct"):
-        SuiteConfig(strategies=("random", "random"))
 
 
 def test_corrupting_knowledge_cannot_increase_score(home, truth_kbs):
@@ -271,7 +267,7 @@ def test_text_table_shape(home, truth_kbs, tmp_path):
         path = tmp_path / f"{kb.robot_id}.json"
         save_knowledge(kb, path)
         paths.append(str(path))
-    report = run_suite(SuiteConfig(seed=2, kb_paths=tuple(paths)))
+    report = run_suite(seed=2, kb_paths=tuple(paths))
     table = report.text_table()
     lines = table.splitlines()
     assert lines[0].split("|")[0].strip() == "Method"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from homeplan.knowledge import (
+    PLACE_VOCAB_THRESHOLD,
     KnowledgeBase,
     _min_cost_assignment,
     extract_knowledge,
@@ -45,7 +46,8 @@ def test_extract_rows_resum_to_one(model):
 
 
 def test_extract_vocab_threshold_and_order(model):
-    kb = extract_knowledge(model, model.vocab_places[:3], vocab_threshold=0.05)
+    assert PLACE_VOCAB_THRESHOLD == 0.05
+    kb = extract_knowledge(model, model.vocab_places[:3])
     for region, words in enumerate(kb.place_vocab):
         probs = word_posterior(model, region)
         by_word = {w: probs[i] for i, w in enumerate(model.vocab_places)}
@@ -55,11 +57,11 @@ def test_extract_vocab_threshold_and_order(model):
         assert len(words) == int((probs >= 0.05).sum())
 
 
-def test_extract_near_one_threshold_on_delta_words():
+def test_extract_keeps_only_the_word_of_a_delta_distribution():
     word = np.zeros((1, 3))
     word[0, 1] = 1.0
     model = replace(random_model(np.random.default_rng(11), 1, 2, n_words=3), word_dist=word)
-    kb = extract_knowledge(model, model.vocab_places[:2], vocab_threshold=1.0 - 1e-9)
+    kb = extract_knowledge(model, model.vocab_places[:2])
     assert kb.place_vocab == (("word1",), ("word1",))
 
 
@@ -93,7 +95,7 @@ def test_render_place_vocab_empty_list():
 
 
 def test_place_vocab_round_trip(model):
-    kb = extract_knowledge(model, model.vocab_places[:3], vocab_threshold=0.01)
+    kb = extract_knowledge(model, model.vocab_places[:3])
     assert parse_place_vocab(render_place_vocab(kb)) == kb.place_vocab
 
 

@@ -16,6 +16,8 @@ from homeplan.errors import (
     UnknownLabelError,
     UnknownRoomError,
 )
+from homeplan.executor import ExecutionPolicy
+from homeplan.spatial import Hyperparameters
 from homeplan.world import (
     _BLOCK,
     BUILTIN_ENVIRONMENTS,
@@ -28,6 +30,7 @@ from homeplan.world import (
     generate_floor_sessions,
     load_environment,
     observe_session,
+    paper_home,
 )
 
 from conftest import EagerSeedWorld, environment_to_dict
@@ -477,8 +480,21 @@ def test_protocol_session_count(home):
 
 @pytest.mark.parametrize("visits", [0, -3])
 def test_protocol_rejects_a_visit_count_below_one(home, visits):
-    with pytest.raises(ConfigurationError, match=f"visits_per_room must be >= 1, got {visits}"):
+    with pytest.raises(ConfigurationError, match=f"visits_per_room must be an integer >= 1, got {visits}"):
         generate_floor_sessions(home, sure_robot(), np.random.default_rng(0), visits_per_room=visits)
+
+
+@pytest.mark.parametrize("count", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize("build, error", [
+    (lambda n: generate_floor_sessions(paper_home(), sure_robot(), np.random.default_rng(0), visits_per_room=n),
+     ConfigurationError),
+    (lambda n: ExecutionPolicy(max_retries_per_skill=n), ConfigurationError),
+    (lambda n: Hyperparameters(lag_window=n), SchemaError),
+], ids=["visits_per_room", "max_retries_per_skill", "lag_window"])
+def test_a_count_is_an_int_not_a_bool(build, error, count):
+    # A bool or a float count is refused where it is given, not used as 1 or failed on later.
+    with pytest.raises(error, match="must be an integer"):
+        build(count)
 
 
 def test_sampled_positions_center_on_room_mean(home):
