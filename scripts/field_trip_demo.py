@@ -7,11 +7,8 @@ from homeplan.experiment import run_field_trip_scenario
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-
-    result = run_field_trip_scenario(seed=args.seed)
+    argparse.ArgumentParser(description=__doc__).parse_args()  # no options: the scenario takes no seed
+    result = run_field_trip_scenario()
     print(f"instruction: {result['instruction'].text}\n")
     for robot_id, steps in result["robot_steps"].items():
         print(robot_id)

@@ -56,18 +56,15 @@ def _read_entries(path: str, what: str, label: str, keys: tuple[str, ...], build
 
 def cmd_learn(args) -> int:
     seed = _seed_of(args)
-    hp = spatial.Hyperparameters(num_particles=args.particles, lag_window=args.lag)
-    if args.sessions:
+    if args.sessions is not None:
         regions = 5 if args.regions is None else args.regions
         sessions = _read_entries(args.sessions, "session", "session", ("position", "object_labels", "place_words"),
                                  lambda x, labels, words, d: spatial.Session(x, labels, words, d.get("room_hint")))
-        model = learner.learn_fixed_lag(sessions, hp, seed=seed, num_regions=regions)
-    elif args.floor:
+        model = learner.learn_fixed_lag(sessions, seed=seed, num_regions=regions)
+    else:
         env = world.load_environment(args.env)
         robot = experiment.floor_robot(env, args.floor, "learner")  # the id never reaches the model
-        model = experiment.learn_floor_model(env, robot, seed, args.visits, hp=hp, num_regions=args.regions)
-    else:
-        raise ConfigurationError("learn needs --sessions or --floor")
+        model = experiment.learn_floor_model(env, robot, seed, args.visits, num_regions=args.regions)
     write_json(spatial.model_to_dict(model), args.out)
     return 0
 
@@ -104,12 +101,10 @@ def cmd_allocate(args) -> int:
     env = world.load_environment(args.env)
     backend = _backend_of(args)
     kbs = [knowledge.load_knowledge(p) for p in args.kb]
-    if args.text:
+    if args.text is not None:
         instruction = planner.Instruction(args.text)
         subtasks = planner.decompose(instruction, sorted(env.placements), backend=backend)
     else:
-        if not args.subtasks:
-            raise ConfigurationError("allocate needs --text or --subtasks")
         subtasks = _read_entries(args.subtasks, "subtask", "entry", ("verb", "target_object"),
                                  lambda verb, target, d: planner.Subtask(verb, target, d.get("destination")))
     assignments = planner.allocate(subtasks, kbs, backend=backend)
@@ -163,11 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
     backend.add_argument("--model", default=planner.REMOTE_MODEL, help="remote model name")
 
     p = sub.add_parser("learn", parents=[env, seed, out], help="learn a spatial concept model from sessions")
-    p.add_argument("--floor", default=None, help="generate the observation protocol on this floor")
-    p.add_argument("--sessions", default=None, help="JSON session file instead of generation")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--floor", help="generate the observation protocol on this floor")
+    source.add_argument("--sessions", help="JSON session file instead of generation")
     p.add_argument("--visits", type=int, default=world.VISITS_PER_ROOM, help="visits per room")
-    p.add_argument("--particles", type=int, default=spatial.Hyperparameters.num_particles)
-    p.add_argument("--lag", type=int, default=spatial.Hyperparameters.lag_window)
     p.add_argument("--regions", type=int, default=None,
                    help="region count (default: the floor's room count with --floor, 5 with --sessions)")
     p.set_defaults(func=cmd_learn)
@@ -190,8 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("allocate", parents=[env, out, backend], help="assign subtasks to robots by knowledge")
     p.add_argument("--kb", nargs="+", required=True)
-    p.add_argument("--text", default=None, help="instruction to decompose first")
-    p.add_argument("--subtasks", default=None, help="JSON subtask file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--text", help="instruction to decompose first")
+    source.add_argument("--subtasks", help="JSON subtask file")
     p.set_defaults(func=cmd_allocate)
 
     p = sub.add_parser("run", parents=[env, seed, out], help="execute assignments and emit a JSONL trace")
@@ -201,8 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", parents=[env, seed, backend], help="run the full allocation experiment")
     p.add_argument("--out", default=None, help="JSON report path (the table always goes to stdout)")
-    p.add_argument("--kb", nargs="*", default=None, help="pre-built knowledge bases")
-    p.add_argument("--visits", type=int, default=world.VISITS_PER_ROOM)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--kb", nargs="+", help="score these knowledge bases instead of learning each floor's")
+    source.add_argument("--visits", type=int, default=world.VISITS_PER_ROOM, help="visits per room of each learn")
     p.set_defaults(func=cmd_suite)
 
     return parser

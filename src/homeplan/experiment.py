@@ -34,7 +34,7 @@ from .planner import (
     allocate_random,
     decompose,
 )
-from .spatial import Hyperparameters, SpatialConceptModel
+from .spatial import SpatialConceptModel
 from .world import (
     CATEGORY_COMMON,
     CATEGORY_HARD,
@@ -214,13 +214,12 @@ def default_robots(env: Environment) -> list[RobotState]:
 
 
 def learn_floor_model(env: Environment, robot: RobotState, seed: int, visits_per_room: int = VISITS_PER_ROOM,
-                      hp: Hyperparameters | None = None,
                       num_regions: int | None = None) -> SpatialConceptModel:
     """Run the observation protocol on the robot's floor and learn its model (default: a region per room)."""
     num_regions = len(env.rooms_on(robot.floor)) if num_regions is None else num_regions
     sessions = generate_floor_sessions(env, robot, np.random.default_rng(seed),
                                        visits_per_room=visits_per_room)
-    return learn_fixed_lag(sessions, hp, seed=seed, num_regions=num_regions)
+    return learn_fixed_lag(sessions, seed=seed, num_regions=num_regions)
 
 
 def learn_floor_knowledge(env: Environment, robot: RobotState, seed: int,
@@ -304,10 +303,10 @@ def run_suite(*, env: str = "paper_home", seed: int = 0, backend: PlannerBackend
                        elapsed_seconds=time.monotonic() - started)
 
 
-def run_field_trip_scenario(seed: int = 0) -> dict:
+def run_field_trip_scenario() -> dict:
     """Scripted two-zone demonstration for "Get ready for a field trip.".
 
-    All skill probabilities are 1 so the log is exactly reproducible.  Robot2
+    All skill probabilities are 1, so the log takes no seed and is always the same.  Robot2
     fetches the cup and then the water bottle from the kitchen to the gather
     point; after its last delivery each robot navigates back to its primary
     search room, which closes the log with a trailing navigation step.
@@ -315,7 +314,7 @@ def run_field_trip_scenario(seed: int = 0) -> dict:
     env = load_environment("robocup_arena")
     robots = [replace(r, p_navigate=1.0, p_detect_present=1.0, p_pick=1.0, p_place=1.0)
               for r in default_robots(env)]
-    world = World(env, robots, seed=seed)
+    world = World(env, robots)
     kbs = [
         knowledge_from_environment(env, "zone1", "Robot1"),
         knowledge_from_environment(env, "zone2", "Robot2"),

@@ -290,7 +290,10 @@ def learn_fixed_lag(
             raise SchemaError("session positions must be small enough that their squares do not overflow")
     # Learn on z = (x - centre) / scale, scale the root mean square deviation or 1: tr Cov(z) = 2.
     z = positions - centre
-    scale = math.sqrt(np.square(z).mean()) or 1.0
+    scale = math.sqrt(np.square(z).mean())
+    if not scale and (positions != positions[0]).any():  # all equal: no spread, so the scale is 1
+        raise SchemaError("session positions must spread enough that their squared deviations do not underflow")
+    scale = scale or 1.0
     z /= scale
     # The prior scale: Cov(z) / R (Fraley & Raftery 2007), or I / R for positions on a point or a line.
     # Its determinant is taken in closed form: np.linalg.det warns on a subnormal entry.

@@ -10,7 +10,7 @@ fetched objects are dropped off.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -170,7 +170,7 @@ class RobotState:
     robot_id: str
     floor: str
     current_room: str
-    held_object: str | None = None
+    held_object: str | None = field(default=None, init=False)  # a robot starts with an empty gripper
     p_navigate: float = 1.0
     p_detect_present: float = 0.9
     p_pick: float = 0.8

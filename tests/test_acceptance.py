@@ -208,7 +208,7 @@ def test_c4_baseline_separation(home, learned):
 
 
 def test_c5_executor_trace_replay():
-    result = run_field_trip_scenario(seed=ACCEPTANCE_SEED)
+    result = run_field_trip_scenario()
     steps = [(s.skill, s.argument) for s in result["robot_steps"]["Robot2"]]
     expected = [
         ("navigation", "kitchen"),

@@ -36,8 +36,7 @@ def test_learn_and_extract_round_trip(tmp_path, capsys):
     model_path = tmp_path / "model.json"
     # tiny protocol: keeps the CLI test fast while exercising the real path
     code = main(["learn", "--env", "robocup_arena", "--floor", "zone2",
-                 "--visits", "6", "--particles", "4", "--lag", "3",
-                 "--seed", "3", "--out", str(model_path)])
+                 "--visits", "6", "--seed", "3", "--out", str(model_path)])
     assert code == 0
     model = json.loads(model_path.read_text())
     assert model["schema_version"] == 1
@@ -53,8 +52,7 @@ def test_learn_and_extract_round_trip(tmp_path, capsys):
     assert sorted(kb["room_names"]) == ["corridor", "kitchen"]
 
 
-_LEARN = ["learn", "--env", "robocup_arena", "--floor", "zone1", "--visits", "4", "--particles", "3",
-          "--lag", "2", "--seed", "5"]
+_LEARN = ["learn", "--env", "robocup_arena", "--floor", "zone1", "--visits", "4", "--seed", "5"]
 _EXTRACT = ["extract", "--env", "robocup_arena", "--floor", "zone1"]
 
 
@@ -105,8 +103,7 @@ def test_learn_from_sessions_file(tmp_path, capsys):
     sessions_path = tmp_path / "sessions.json"
     sessions_path.write_text(json.dumps(sessions))
 
-    code = main(["learn", "--sessions", str(sessions_path), "--regions", "2",
-                 "--particles", "4", "--lag", "3", "--seed", "2"])
+    code = main(["learn", "--sessions", str(sessions_path), "--regions", "2", "--seed", "2"])
     assert code == 0
     model = json.loads(capsys.readouterr().out)
     assert len(model["regions"]) == 2
@@ -136,7 +133,7 @@ def test_learn_rejects_zero_regions(tmp_path, capsys, source):
     sessions_path.write_text(json.dumps([{"position": [0, 0], "object_labels": ["cup"],
                                           "place_words": ["kitchen"]}]))
     args = ["--floor", "1F"] if source == "floor" else ["--sessions", str(sessions_path)]
-    assert main(["learn", *args, "--regions", "0", "--particles", "2", "--lag", "1"]) == 1
+    assert main(["learn", *args, "--regions", "0"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "num_regions" in captured.err
@@ -144,8 +141,41 @@ def test_learn_rejects_zero_regions(tmp_path, capsys, source):
 
 
 def test_learn_requires_floor_or_sessions(capsys):
-    assert main(["learn"]) == 1
-    assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["learn"])
+    assert excinfo.value.code == 2
+    assert "one of the arguments --floor --sessions is required" in capsys.readouterr().err
+
+
+def test_allocate_requires_text_or_subtasks(kb_files, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["allocate", "--kb", *kb_files])
+    assert excinfo.value.code == 2
+    assert "one of the arguments --text --subtasks is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, clash", [
+    ("learn", "argument --sessions: not allowed with argument --floor"),
+    ("allocate", "argument --subtasks: not allowed with argument --text"),
+    ("suite", "argument --visits: not allowed with argument --kb"),
+    ("suite-bare-kb", "argument --kb: expected at least one argument"),
+], ids=["learn", "allocate", "suite", "suite-bare-kb"])
+def test_either_or_flags_given_together_are_rejected(tmp_path, kb_files, capsys, command, clash):
+    # Each pair names two sources of one input; the command used to read one and ignore the other.
+    sessions = tmp_path / "sessions.json"
+    sessions.write_text(json.dumps([{"position": [0, 0], "object_labels": ["cup"], "place_words": ["kitchen"]}]))
+    subtasks = tmp_path / "subtasks.json"
+    subtasks.write_text(json.dumps([{"verb": "find", "target_object": "banana"}]))
+    out = tmp_path / "out.json"
+    argv = {"learn": ["learn", "--floor", "1F", "--sessions", str(sessions), "--regions", "1"],
+            "allocate": ["allocate", "--kb", *kb_files, "--text", "Find the apple.", "--subtasks", str(subtasks)],
+            "suite": ["suite", "--kb", *kb_files, "--visits", "0"],
+            "suite-bare-kb": ["suite", "--kb"]}[command]
+    with pytest.raises(SystemExit) as excinfo:
+        main([argv[0], "--out", str(out), *argv[1:]])
+    assert excinfo.value.code == 2
+    assert clash in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_prompt_presence_table(kb_files, capsys):
@@ -299,8 +329,10 @@ def test_seed_env_var_does_not_seed_the_suite(tmp_path, kb_files, monkeypatch, c
     ["learn", "--floor", "2F", "--robot", "Robot2"],
     ["suite", "--strategies", "random"],
     ["extract", "--model-path", "model.json", "--floor", "1F", "--threshold", "0.1"],
+    ["learn", "--floor", "1F", "--particles", "4"],
+    ["learn", "--floor", "1F", "--lag", "3"],
 ], ids=["extract-seed", "prompt-seed", "decompose-seed", "allocate-seed", "learn-robot", "suite-strategies",
-        "extract-threshold"])
+        "extract-threshold", "learn-particles", "learn-lag"])
 def test_a_flag_the_command_does_not_read_is_rejected(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
@@ -331,8 +363,7 @@ def test_extract_configuration_errors_exit_nonzero(tmp_path, capsys, args, messa
 def test_extract_needs_the_model_floor(tmp_path, capsys):
     # Without --floor a 2F model's regions were named after rooms of the whole home, 1F rooms among them.
     model_path = tmp_path / "model.json"
-    assert main(["learn", "--floor", "2F", "--visits", "3", "--particles", "2", "--lag", "2",
-                 "--out", str(model_path)]) == 0
+    assert main(["learn", "--floor", "2F", "--visits", "3", "--out", str(model_path)]) == 0
     capsys.readouterr()
     with pytest.raises(SystemExit) as excinfo:
         main(["extract", "--model-path", str(model_path), "--robot", "Robot2"])
@@ -434,7 +465,7 @@ def test_malformed_assignment_is_an_error(tmp_path, kb_files, capsys, entry, whe
 def test_bad_model_hyperparameters_are_an_error(tmp_path, capsys, key, value):
     model_path = tmp_path / "model.json"
     assert main(["learn", "--env", "robocup_arena", "--floor", "zone2", "--visits", "3",
-                 "--particles", "2", "--lag", "2", "--out", str(model_path)]) == 0
+                 "--out", str(model_path)]) == 0
     model = json.loads(model_path.read_text())
     model["hyperparameters"][key] = value
     model_path.write_text(json.dumps(model))
@@ -455,7 +486,7 @@ def test_bad_model_hyperparameters_are_an_error(tmp_path, capsys, key, value):
 def test_bad_model_documents_are_an_error(tmp_path, capsys, edit):
     model_path = tmp_path / "model.json"
     assert main(["learn", "--env", "paper_home", "--floor", "1F", "--visits", "3",
-                 "--particles", "2", "--lag", "2", "--out", str(model_path)]) == 0
+                 "--out", str(model_path)]) == 0
     model = json.loads(model_path.read_text())
     edit(model)
     model_path.write_text(json.dumps(model))

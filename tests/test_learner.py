@@ -36,7 +36,7 @@ from homeplan.spatial import (
     model_to_dict,
     object_location_posterior,
 )
-from homeplan.world import environment_from_dict, load_environment
+from homeplan.world import environment_from_dict, generate_floor_sessions, load_environment
 
 from conftest import environment_to_dict
 from test_acceptance import ACCEPTANCE_SEED
@@ -237,6 +237,28 @@ def test_systematic_resample_stays_in_range_at_the_top_draw():
     chosen = _systematic_resample(np.full(n, 1.0 / n), TopDraw())
     assert chosen.shape == (n,)
     assert np.all(chosen < n)
+
+
+def _first_floor_sessions(factor):
+    env = load_environment("paper_home")
+    sessions = generate_floor_sessions(env, default_robots(env)[0], np.random.default_rng(ACCEPTANCE_SEED))
+    return [Session(s.position * factor, s.object_labels, s.place_words) for s in sessions]
+
+
+@pytest.mark.parametrize("factor", [1e-170, 1e-300])
+def test_positions_whose_squared_deviations_underflow_are_an_error(factor):
+    # Every squared deviation underflows to 0, so the scale would fall back to 1 and the
+    # regions collapse onto the floor's centre (2 of 13 best rooms right at 1e-170).
+    with pytest.raises(SchemaError, match="squared deviations do not underflow"):
+        learn_fixed_lag(_first_floor_sessions(factor), seed=ACCEPTANCE_SEED)
+
+
+def test_positions_just_above_the_underflow_learn_as_at_unit_scale():
+    unit = learn_fixed_lag(_first_floor_sessions(1.0), seed=ACCEPTANCE_SEED)
+    tiny = learn_fixed_lag(_first_floor_sessions(1e-160), seed=ACCEPTANCE_SEED)
+    np.testing.assert_array_equal(tiny.pi, unit.pi)
+    np.testing.assert_allclose(tiny.object_dist, unit.object_dist, rtol=1e-12)
+    np.testing.assert_allclose(tiny.means, unit.means * 1e-160, rtol=1e-9, atol=0)
 
 
 class _BadPosition(list):

@@ -589,6 +589,14 @@ def test_a_reseed_in_the_middle_of_a_block_restarts_the_stream(home, new_seed):
     assert details == [None if u < 0.5 else "navigation_failed" for u in scalar_draws(new_seed, STREAM_STEPS)]
 
 
+def test_a_robot_starts_with_an_empty_gripper():
+    # Nothing builds a robot that already holds an object: one that held the placed apple, or
+    # an unknown object, would break conservation before the first skill.
+    assert RobotState("R", "1F", "kitchen").held_object is None
+    with pytest.raises(TypeError, match="held_object"):
+        RobotState("R", "1F", "kitchen", held_object="apple")
+
+
 def test_worlds_do_not_share_the_callers_robots(home):
     from homeplan.experiment import default_robots
 
