@@ -57,14 +57,18 @@ def _read_entries(path: str, what: str, label: str, keys: tuple[str, ...], build
 def cmd_learn(args) -> int:
     seed = _seed_of(args)
     if args.sessions is not None:
+        for flag, value in (("--env", args.env), ("--visits", args.visits)):
+            if value is not None:
+                raise ConfigurationError(f"{flag} is read only with --floor, not with --sessions")
         regions = 5 if args.regions is None else args.regions
         sessions = _read_entries(args.sessions, "session", "session", ("position", "object_labels", "place_words"),
                                  lambda x, labels, words, d: spatial.Session(x, labels, words, d.get("room_hint")))
         model = learner.learn_fixed_lag(sessions, seed=seed, num_regions=regions)
     else:
-        env = world.load_environment(args.env)
+        env = world.load_environment("paper_home" if args.env is None else args.env)
         robot = experiment.floor_robot(env, args.floor, "learner")  # the id never reaches the model
-        model = experiment.learn_floor_model(env, robot, seed, args.visits, num_regions=args.regions)
+        visits = world.VISITS_PER_ROOM if args.visits is None else args.visits
+        model = experiment.learn_floor_model(env, robot, seed, visits, num_regions=args.regions)
     write_json(spatial.model_to_dict(model), args.out)
     return 0
 
@@ -157,11 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
     backend.add_argument("--endpoint", default=None, help="chat completion URL (remote backend)")
     backend.add_argument("--model", default=planner.REMOTE_MODEL, help="remote model name")
 
-    p = sub.add_parser("learn", parents=[env, seed, out], help="learn a spatial concept model from sessions")
+    # learn declares its own --env: a default set on a subparser is set on the action its parents share.
+    p = sub.add_parser("learn", parents=[seed, out], help="learn a spatial concept model from sessions")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--floor", help="generate the observation protocol on this floor")
     source.add_argument("--sessions", help="JSON session file instead of generation")
-    p.add_argument("--visits", type=int, default=world.VISITS_PER_ROOM, help="visits per room")
+    p.add_argument("--env", help="builtin environment name or JSON path (--floor only; default: paper_home)")
+    p.add_argument("--visits", type=int, help=f"visits per room (--floor only; default: {world.VISITS_PER_ROOM})")
     p.add_argument("--regions", type=int, default=None,
                    help="region count (default: the floor's room count with --floor, 5 with --sessions)")
     p.set_defaults(func=cmd_learn)

@@ -140,6 +140,18 @@ def test_learn_rejects_zero_regions(tmp_path, capsys, source):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag, value", [("--visits", "0"), ("--visits", "30"), ("--env", "nowhere"),
+                                         ("--env", "paper_home")])
+def test_learn_from_sessions_refuses_the_floor_only_flags(tmp_path, capsys, flag, value):
+    # A session file fixes the positions and the stream, so --env and --visits, which only
+    # shape a generated protocol, are an error with --sessions, even at their defaults.
+    sessions, out = tmp_path / "sessions.json", tmp_path / "model.json"
+    sessions.write_text(json.dumps([{"position": [0, 0], "object_labels": ["cup"], "place_words": ["kitchen"]}]))
+    assert main(["learn", "--sessions", str(sessions), "--regions", "1", flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {flag} is read only with --floor, not with --sessions\n"
+    assert not out.exists()
+
+
 def test_learn_requires_floor_or_sessions(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["learn"])
@@ -208,11 +220,12 @@ def test_place_vocab_of_several_knowledge_bases_is_an_error(kb_files, capsys):
 
 
 def test_decompose_command(capsys):
-    code = main(["decompose", "--env", "paper_home",
-                 "--text", "Could you please find apple."])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload == [{"verb": "find", "target_object": "apple", "destination": None}]
+    # A direct request and a scenario, which the rule backend expands into its objects.
+    for text, subtasks in (("Could you please find apple.", [("find", "apple")]),
+                           ("I want to take a bath.", [("bring", "towel"), ("bring", "body_sponge")])):
+        assert main(["decompose", "--env", "paper_home", "--text", text]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == [{"verb": verb, "target_object": target, "destination": None} for verb, target in subtasks]
 
 
 def test_allocate_command(kb_files, capsys):
@@ -252,6 +265,17 @@ def test_run_rejects_a_destination_the_robot_cannot_reach(tmp_path, kb_files, ca
     assert not out_path.exists()
 
 
+def test_run_rejects_a_target_the_robots_knowledge_base_lacks(tmp_path, kb_files, capsys):
+    # The banana is upstairs, so it is in Robot2's knowledge base but not in Robot1's.
+    assignments_path = tmp_path / "assignments.json"
+    assignments_path.write_text(json.dumps(
+        [{"verb": "bring", "target_object": "banana", "destination": None, "robot_id": "Robot1"}]))
+    out_path = tmp_path / "trace.jsonl"
+    assert main(["run", "--kb", *kb_files, "--assignments", str(assignments_path), "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err == "error: assignment 0: object 'banana' is not in the knowledge base\n"
+    assert not out_path.exists()
+
+
 def test_run_rejects_a_target_the_world_lacks(tmp_path, kb_files, capsys):
     kb = json.loads(Path(kb_files[0]).read_text())
     kb["presence_table"]["unicorn"] = [1.0] * len(kb["room_names"])
@@ -276,6 +300,32 @@ def test_allocate_output_runs_as_assignments(tmp_path, kb_files, capsys):
     assert main(["run", "--kb", *kb_files, "--assignments", str(assignments_path), "--seed", "7"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert {r["robot_id"] for r in records} == {"Robot1", "Robot2"}
+
+
+@pytest.mark.parametrize("command", ["learn-floor", "learn-sessions", "run"])
+def test_a_command_run_twice_writes_the_same_bytes(tmp_path, kb_files, command):
+    # Every random draw comes from --seed, so two runs of one argv write identical files.
+    from homeplan.experiment import floor_robot
+    from homeplan.world import generate_floor_sessions
+
+    env = load_environment("paper_home")
+    sessions = generate_floor_sessions(env, floor_robot(env, "1F", "Robot1"), np.random.default_rng(7), 5)
+    sessions_path = tmp_path / "sessions.json"
+    sessions_path.write_text(json.dumps([{"position": s.position.tolist(), "object_labels": s.object_labels,
+                                          "place_words": s.place_words} for s in sessions]))
+    # Six fetches, so that a trace drawn from another seed would differ.
+    assignments_path = tmp_path / "assignments.json"
+    assignments_path.write_text(json.dumps(
+        [{"verb": "bring", "target_object": target, "destination": None, "robot_id": robot_id}
+         for target, robot_id in (("apple", "Robot1"), ("banana", "Robot2"), ("towel", "Robot1"),
+                                  ("cup", "Robot2"), ("orange", "Robot1"), ("pig_doll", "Robot2"))]))
+    argv = {"learn-floor": ["learn", "--floor", "1F", "--visits", "5", "--seed", "7"],
+            "learn-sessions": ["learn", "--sessions", str(sessions_path), "--seed", "7"],
+            "run": ["run", "--kb", *kb_files, "--assignments", str(assignments_path), "--seed", "7"]}[command]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([*argv, "--out", str(first)]) == 0
+    assert main([*argv, "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
 
 
 @pytest.mark.parametrize("argv", [
@@ -586,14 +636,18 @@ def test_an_unreadable_input_file_is_an_error(tmp_path, kb_files, capsys, comman
     ([{"position": [0, 0], "object_labels": [1], "place_words": []}], "object_labels"),
     ([{"position": [0, 0], "object_labels": [], "place_words": [None]}], "place_words"),
     ([{"position": [0, 0], "object_labels": [], "place_words": [], "room_hint": 3}], "room_hint"),
+    ([{"position": [0, 0], "object_labels": [], "place_words": ["kitchen"]},
+      {"position": [1e-170, 0], "object_labels": [], "place_words": ["kitchen"]}],
+     "squared deviations do not underflow"),
 ])
 def test_bad_session_file_is_an_error(tmp_path, capsys, sessions, where):
-    path = tmp_path / "sessions.json"
+    path, out = tmp_path / "sessions.json", tmp_path / "model.json"
     path.write_text(json.dumps(sessions))
-    assert main(["learn", "--sessions", str(path)]) == 1
+    assert main(["learn", "--sessions", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert where in err
+    assert not out.exists()
 
 
 def test_commands_import_only_what_they_use(tmp_path, kb_files):
