@@ -26,7 +26,7 @@ SUBTASK_SUCCEEDED = "subtask_succeeded"
 SUBTASK_FAILED = "subtask_failed"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExecutionPolicy:
     """Retry budget for each skill; a subtask searches every room of its robot's knowledge base."""
 

@@ -258,26 +258,22 @@ def derive_vocabularies(sessions: list[Session]) -> tuple[list[str], list[str]]:
     return places, objects
 
 
-def learn_fixed_lag(
-    sessions: list[Session],
-    hp: Hyperparameters | None = None,
-    seed: int = 0,
-    *,
-    num_regions: int = 5,
-) -> SpatialConceptModel:
+def learn_fixed_lag(sessions: list[Session], *, seed: int = 0, num_regions: int = 5) -> SpatialConceptModel:
     """Learn a spatial concept model from an ordered session stream, one concept per region.
 
     It reads the whole stream before its first step: the vocabularies are the
     sessions' own (``derive_vocabularies``), and the positions are standardized
     by their own mean and scale, so the model depends neither on where the
-    coordinate origin lies nor on the unit of length.  Deterministic for fixed
-    (sessions, hp, seed).  A lag window longer than the stream is clamped.
+    coordinate origin lies nor on the unit of length.  The priors, particle count
+    and lag window are ``Hyperparameters()``, recorded in the model.
+    Deterministic for fixed (sessions, seed).  A lag window longer than the
+    stream is clamped.
     """
     if not is_count(num_regions) or num_regions < 1:
         raise ConfigurationError(f"num_regions must be an integer >= 1, got {num_regions!r}")
     if not sessions:
         raise SchemaError("cannot learn from an empty session list")
-    hp = hp or Hyperparameters()
+    hp = Hyperparameters()
     vocab_places, vocab_objects = derive_vocabularies(sessions)
     if not vocab_places:
         raise SchemaError("sessions contain no place words")

@@ -104,7 +104,7 @@ _BRING_VERB = re.compile(rf"\b(?:{'|'.join(_BRING_WORDS)})\b")
 _ARTICLES = re.compile(r"^(a|an|the|some)\s+", re.IGNORECASE)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Instruction:
     text: str
     category: str = "random"

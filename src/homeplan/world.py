@@ -1,7 +1,8 @@
 """Two-floor household simulator: rooms, placements, robots, skill outcomes.
 
-Rooms are abstract nodes with Gaussian position footprints.  An environment
-is checked once when built and then frozen.  Robots are pinned to a floor;
+Rooms are abstract nodes with Gaussian position footprints.  A room checks
+its own fields when built and an environment checks its tables and what they
+refer to; both are then frozen.  Robots are pinned to a floor;
 navigation across floors always fails with a ``floor_barrier`` reason.  Every
 floor additionally exposes an implicit delivery point named ``gather`` where
 fetched objects are dropped off.
@@ -45,42 +46,43 @@ VISITS_PER_ROOM = 30  # the observation protocol's visits to each room of a floo
 
 @dataclass(frozen=True)
 class Room:
+    """A named room on a floor with a Gaussian position footprint, checked when built and stored as tuples:
+    ``center`` two finite numbers, ``scatter`` a finite, symmetric, positive semi-definite 2x2 matrix
+    (an all-zero scatter is the deterministic limit: every position is the center)."""
+
     name: str
     floor: str
     center: tuple[float, float]
     scatter: tuple[tuple[float, float], tuple[float, float]] = ((0.25, 0.0), (0.0, 0.25))
 
-    @property
-    def center_array(self) -> np.ndarray:
-        return np.asarray(self.center, dtype=float)
-
-    @property
-    def scatter_array(self) -> np.ndarray:
-        return np.asarray(self.scatter, dtype=float)
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise SchemaError(f"room name must be a str, not {self.name!r}")
+        if not isinstance(self.floor, str):
+            raise SchemaError(f"room {self.name!r}: floor must be a str, not {self.floor!r}")
+        if not _finite_pair(self.center):
+            raise SchemaError(f"room {self.name!r}: center must be two finite numbers, not {self.center!r}")
+        rows = self.scatter
+        if (not (isinstance(rows, (list, tuple)) and len(rows) == 2 and all(_finite_pair(row) for row in rows))
+                or rows[0][1] != rows[1][0] or rows[0][0] < 0 or rows[1][1] < 0
+                or rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0] < 0):
+            raise SchemaError(f"room {self.name!r}: scatter must be a finite, symmetric, "
+                              f"positive semi-definite 2x2 matrix, not {rows!r}")
+        object.__setattr__(self, "center", tuple(self.center))
+        object.__setattr__(self, "scatter", tuple(tuple(row) for row in rows))
 
     @cached_property
     def draw_factor(self) -> np.ndarray:
         """``Generator.multivariate_normal``'s transposed SVD factor of ``scatter``, taken once."""
-        u, s, _ = np.linalg.svd(self.scatter_array)
+        u, s, _ = np.linalg.svd(self.scatter)
         factor = (u * np.sqrt(s)).T
         factor.flags.writeable = False  # every draw from this room shares it
         return factor
 
 
-def _footprint_problems(room: Room) -> list[str]:
-    """What is wrong with a room's Gaussian footprint: ``center`` must be two finite
-    numbers, ``scatter`` a finite, symmetric, positive semi-definite 2x2 matrix (an
-    all-zero scatter is the deterministic limit: every position is the center)."""
-    problems = []
-    if len(room.center) != 2 or not all(is_finite_real(v) for v in room.center):
-        problems.append(f"rooms[{room.name}].center: must be two finite numbers")
-    rows = room.scatter
-    if (len(rows) != 2 or any(len(row) != 2 or not all(is_finite_real(v) for v in row) for row in rows)
-            or rows[0][1] != rows[1][0] or rows[0][0] < 0 or rows[1][1] < 0
-            or rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0] < 0):
-        problems.append(f"rooms[{room.name}].scatter: must be a finite, symmetric, "
-                        "positive semi-definite 2x2 matrix")
-    return problems
+def _finite_pair(value) -> bool:
+    """Whether ``value`` is a list or tuple of two finite numbers."""
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(is_finite_real(v) for v in value)
 
 
 @dataclass(frozen=True)
@@ -94,14 +96,9 @@ class Environment:
     place_words: Mapping[str, tuple[str, ...]]
 
     def __post_init__(self):
-        # Every field's type first, so the checks below and every query read them unchecked.
+        # Every table's type first, so the checks below and every query read them unchecked;
+        # a room checked its own fields when it was built.
         rooms = tuple_of(self.rooms, Room, "rooms")
-        for i, r in enumerate(rooms):
-            require(r.name, str, f"rooms[{i}].name")
-            require(r.floor, str, f"rooms[{i}].floor")
-            tuple_of(r.center, object, f"rooms[{i}].center")
-            for row in tuple_of(r.scatter, object, f"rooms[{i}].scatter"):
-                tuple_of(row, object, f"rooms[{i}].scatter rows")
         for name, table in (("placements", self.placements), ("categories", self.categories)):
             if not (isinstance(table, Mapping) and all(isinstance(x, str) for item in table.items() for x in item)):
                 raise SchemaError(f"{name} must be a mapping of str to str")
@@ -124,7 +121,6 @@ class Environment:
         for r in self.rooms:
             if r.floor not in self.floors:
                 problems.append(f"rooms[{r.name}].floor: unknown floor {r.floor!r}")
-            problems.extend(_footprint_problems(r))
         for obj, room in self.placements.items():
             if room not in self._rooms_by_name:
                 problems.append(f"placements[{obj}]: unknown room {room!r}")
@@ -353,9 +349,9 @@ def observe_session(env: Environment, robot: RobotState, room: str, rng: np.rand
     if target.floor != robot.floor:
         raise FloorAccessError(f"room {room!r} is on floor {target.floor!r}, robot is on {robot.floor!r}")
     # multivariate_normal(center, scatter, check_valid="ignore"), bit for bit: the scatter was
-    # checked positive semi-definite when the environment was built.
+    # checked positive semi-definite when the room was built.
     position = rng.standard_normal((1, 2)) @ target.draw_factor
-    position += target.center_array
+    position += target.center
     labels = [o for o, placed in sorted(env.placements.items())
               if placed == room and rng.random() < robot.p_detect_present]
     words_pool = env.place_words.get(room, [])
@@ -382,11 +378,9 @@ def generate_floor_sessions(env: Environment, robot: RobotState, rng: np.random.
 def _room_from_dict(data: dict, idx: int) -> Room:
     name, floor, center = require_fields(data, ("name", "floor", "center"), f"rooms[{idx}]")
     try:
-        center = tuple(center)
-        scatter = tuple(tuple(row) for row in data.get("scatter", Room.scatter))
-    except TypeError:
-        raise SchemaError(f"rooms[{idx}]: center and scatter must be lists of numbers") from None
-    return Room(name=name, floor=floor, center=center, scatter=scatter)
+        return Room(name, floor, center, data.get("scatter", Room.scatter))
+    except SchemaError as exc:  # name the room's place in the file: its name may be what is wrong
+        raise SchemaError(f"rooms[{idx}]: {exc}") from None
 
 
 def environment_from_dict(data: dict) -> Environment:

@@ -30,7 +30,6 @@ from homeplan.planner import (
     render_allocation_prompt,
 )
 from homeplan.spatial import (
-    Hyperparameters,
     model_from_dict,
     model_to_dict,
     object_location_posterior,
@@ -82,7 +81,7 @@ def learned(home):
         sessions = generate_floor_sessions(home, robot, np.random.default_rng(seed),
                                            visits_per_room=30)
         start = time.monotonic()
-        model = learn_fixed_lag(sessions, Hyperparameters(), seed=seed, num_regions=len(rooms))
+        model = learn_fixed_lag(sessions, seed=seed, num_regions=len(rooms))
         elapsed = time.monotonic() - start
         kb = extract_knowledge(model, [r.name for r in rooms], robot_id=robot_id)
         out[floor] = {"model": model, "kb": kb, "elapsed": elapsed,
@@ -296,9 +295,8 @@ def test_c6_invariant_suites(home, learned, tmp_path):
     # Determinism under fixed seeds: learner bit-reproducibility on a short stream.
     robot = RobotState("Robot1", "1F", "entrance")
     sessions = generate_floor_sessions(home, robot, np.random.default_rng(3), visits_per_room=3)
-    hp = Hyperparameters(num_particles=5, lag_window=4)
-    m1 = learn_fixed_lag(sessions, hp, seed=3)
-    m2 = learn_fixed_lag(sessions, hp, seed=3)
+    m1 = learn_fixed_lag(sessions, seed=3)
+    m2 = learn_fixed_lag(sessions, seed=3)
     checks["seeded determinism"] = json.dumps(model_to_dict(m1)) == json.dumps(model_to_dict(m2))
 
     ok = all(checks.values())

@@ -667,10 +667,8 @@ def test_commands_import_only_what_they_use(tmp_path, kb_files):
         stages["decompose and prompt"] = loaded()
         import numpy as np
         from homeplan.learner import learn_fixed_lag
-        from homeplan.spatial import Hyperparameters, Session
-        session = Session(np.zeros(2), ["cup"], ["kitchen"])
-        hp = Hyperparameters(num_particles=2, lag_window=1)
-        learn_fixed_lag([session], hp, num_regions=1)
+        from homeplan.spatial import Session
+        learn_fixed_lag([Session(np.zeros(2), ["cup"], ["kitchen"])], num_regions=1)
         stages["learn"] = loaded()
         assert homeplan.cli.main(["learn", "--floor", "1F", "--visits", "2", "--out", str(out / "m.json")]) == 0
         assert homeplan.cli.main(["extract", "--model-path", str(out / "m.json"), "--floor", "1F",

@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -418,6 +418,14 @@ def test_knowledge_bases_that_share_a_robot_id_run_no_skill():
 def test_a_negative_retry_budget_is_a_configuration_error():
     with pytest.raises(ConfigurationError, match="max_retries_per_skill must be an integer >= 0"):
         ExecutionPolicy(max_retries_per_skill=-1)
+
+
+@pytest.mark.parametrize("value", [-1, "2"])
+def test_a_built_policy_cannot_change(value):
+    policy = ExecutionPolicy()
+    with pytest.raises(FrozenInstanceError):
+        policy.max_retries_per_skill = value
+    assert policy.max_retries_per_skill == 2
 
 
 # sha256 of a fixed paper_home batch's traces_to_jsonl, a newline and the final

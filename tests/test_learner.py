@@ -43,8 +43,6 @@ from test_acceptance import ACCEPTANCE_SEED
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-FAST_HP = Hyperparameters(num_particles=8, lag_window=5)
-
 
 def synthetic_rooms(rng, n_rooms=5, sessions_per_room=30, p_detect=1.0):
     """Generate-then-recover fixture: each room emits its own objects and words.
@@ -73,13 +71,13 @@ def synthetic_rooms(rng, n_rooms=5, sessions_per_room=30, p_detect=1.0):
 
 def test_empty_sessions_is_an_error():
     with pytest.raises(ValueError):
-        learn_fixed_lag([], FAST_HP, seed=0)
+        learn_fixed_lag([], seed=0)
 
 
 def test_single_session_populates_one_region():
     session = Session(np.array([3.0, 4.0]), ["cup"], ["kitchen"], room_hint=None)
-    model = learn_fixed_lag([session], FAST_HP, seed=0, num_regions=3)
-    hp = FAST_HP
+    model = learn_fixed_lag([session], seed=0, num_regions=3)
+    hp = Hyperparameters()
     # The prior is centred on the one position, so every region's posterior mean,
     # the occupied one's and the empty ones', is that position.
     np.testing.assert_array_equal(model.means, np.tile(session.position, (3, 1)))
@@ -111,7 +109,7 @@ def test_degenerate_positions_learn_without_warnings(position, line):
                 for i in range(24)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        model = learn_fixed_lag(sessions, FAST_HP, seed=0, num_regions=3)
+        model = learn_fixed_lag(sessions, seed=0, num_regions=3)
     assert np.all(np.linalg.eigvalsh(model.covs) > 0)
     if line is None:
         np.testing.assert_array_equal(model.means, np.tile(sessions[0].position, (3, 1)))
@@ -124,14 +122,14 @@ def test_degenerate_positions_learn_without_warnings(position, line):
 def test_lag_longer_than_stream_is_clamped():
     rng = np.random.default_rng(0)
     sessions = [Session(rng.normal(size=2), ["o"], ["w"]) for _ in range(3)]
-    hp = Hyperparameters(num_particles=4, lag_window=50)
-    model = learn_fixed_lag(sessions, hp, seed=1, num_regions=2)
+    assert Hyperparameters().lag_window > len(sessions)
+    model = learn_fixed_lag(sessions, seed=1, num_regions=2)
     assert model.num_regions == 2
 
 
 def test_vocabularies_are_derived_from_the_sessions():
     sessions = [Session(np.zeros(2), ["mystery", "known"], ["w"]), Session(np.ones(2), ["known"], ["v", "w"])]
-    model = learn_fixed_lag(sessions, FAST_HP, seed=0, num_regions=2)
+    model = learn_fixed_lag(sessions, seed=0, num_regions=2)
     assert (model.vocab_places, model.vocab_objects) == tuple(map(tuple, derive_vocabularies(sessions)))
     assert (model.vocab_places, model.vocab_objects) == (("v", "w"), ("known", "mystery"))
     assert model.word_dist.shape == model.object_dist.shape == (2, 2)
@@ -150,18 +148,16 @@ def test_derive_vocabularies_sorted_union():
 def test_learning_is_bit_reproducible():
     rng = np.random.default_rng(5)
     sessions, _, _, _ = synthetic_rooms(rng, n_rooms=3, sessions_per_room=8)
-    hp = Hyperparameters(num_particles=6, lag_window=4)
-    m1 = learn_fixed_lag(sessions, hp, seed=11, num_regions=3)
-    m2 = learn_fixed_lag(sessions, hp, seed=11, num_regions=3)
+    m1 = learn_fixed_lag(sessions, seed=11, num_regions=3)
+    m2 = learn_fixed_lag(sessions, seed=11, num_regions=3)
     assert json.dumps(model_to_dict(m1)) == json.dumps(model_to_dict(m2))
 
 
 def test_different_seeds_may_differ_but_stay_valid():
     rng = np.random.default_rng(6)
     sessions, _, _, _ = synthetic_rooms(rng, n_rooms=2, sessions_per_room=6)
-    hp = Hyperparameters(num_particles=4, lag_window=3)
     for seed in (0, 1):
-        learn_fixed_lag(sessions, hp, seed=seed, num_regions=2)  # a model is checked when built
+        learn_fixed_lag(sessions, seed=seed, num_regions=2)  # a model is checked when built
 
 
 def test_generate_then_recover_synthetic_five_rooms():
@@ -169,8 +165,7 @@ def test_generate_then_recover_synthetic_five_rooms():
     rng = np.random.default_rng(123)
     sessions, room_names, objects_of_room, centers = synthetic_rooms(
         rng, n_rooms=5, sessions_per_room=30, p_detect=0.9)
-    model = learn_fixed_lag(sessions, Hyperparameters(num_particles=12, lag_window=10),
-                            seed=123, num_regions=5)
+    model = learn_fixed_lag(sessions, seed=123, num_regions=5)
 
     # Map each region to the closest generating center (greedy is fine here:
     # recovered means sit essentially on the centers).
@@ -210,8 +205,7 @@ def session_batches(draw):
 def test_learner_always_yields_a_valid_model(sessions, seed, r):
     """Robustness oracle: any session batch (duplicate positions included)
     must produce a model that passes full validation."""
-    hp = Hyperparameters(num_particles=3, lag_window=2)
-    model = learn_fixed_lag(sessions, hp, seed=seed, num_regions=r)  # checked when built
+    model = learn_fixed_lag(sessions, seed=seed, num_regions=r)  # checked when built
     for region in range(model.num_regions):
         probs = object_location_posterior(model, model.vocab_objects[0]) \
             if model.vocab_objects else None
@@ -221,9 +215,9 @@ def test_learner_always_yields_a_valid_model(sessions, seed, r):
 
 def test_model_carries_hyperparameters_and_seed():
     sessions = [Session(np.zeros(2), ["o"], ["w"])]
-    model = learn_fixed_lag(sessions, FAST_HP, seed=77, num_regions=1)
+    model = learn_fixed_lag(sessions, seed=77, num_regions=1)
     assert model.seed == 77
-    assert model.hyperparameters == FAST_HP
+    assert model.hyperparameters == Hyperparameters()
 
 
 def test_systematic_resample_stays_in_range_at_the_top_draw():
@@ -288,7 +282,7 @@ def test_bad_learner_input_is_a_typed_error(sessions, kwargs, error):
             return
         built.append(Session(position, ["o"], words))
     with pytest.raises(error):
-        learn_fixed_lag(built, FAST_HP, seed=0, **kwargs)
+        learn_fixed_lag(built, seed=0, **kwargs)
 
 
 def test_a_session_is_checked_and_frozen_when_built():
@@ -483,7 +477,7 @@ def test_saturated_grid_reads_the_largest_table_index():
     batch.add(np.zeros(3, dtype=int), stats[-1], sign=-1)
     assert batch.counts[0, 0, _OBJ_TOTAL] + views[-1].obj_total == len(tables.log_gamma) - 1 == 4 * len(stats)
     _assert_grids_match_reference(batch, tables, stats[-1:], views[-1:], hp, 1, 1)
-    learn_fixed_lag(sessions, hp, seed=0, num_regions=1)  # a model is checked when built
+    learn_fixed_lag(sessions, seed=0, num_regions=1)  # a model is checked when built
 
 
 @pytest.mark.parametrize("objects", [[], ["cup"]], ids=["empty-object-vocabulary", "sessions-without-objects"])
@@ -502,7 +496,7 @@ def test_sweep_tables_stay_finite_without_objects(objects):
         batch.add(batch.assignments[:, t], s)
     batch.add(batch.assignments[:, 0], stats[0], sign=-1)
     _assert_grids_match_reference(batch, tables, stats, views, hp, 2, len(objects))
-    learn_fixed_lag(sessions, hp, seed=0, num_regions=3)  # a model is checked when built
+    learn_fixed_lag(sessions, seed=0, num_regions=3)  # a model is checked when built
 
 
 def test_sweep_table_rows_are_the_log_gamma_differences():

@@ -2,7 +2,7 @@ import io
 import json
 import re
 import urllib.error
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
 import numpy as np
@@ -412,6 +412,15 @@ def test_subtask_describe_grammar():
 def test_instruction_text_must_be_a_non_empty_string(text):
     with pytest.raises(SchemaError, match="instruction text"):
         decompose(Instruction(text), ["apple"])
+
+
+@pytest.mark.parametrize("field, value", [("text", 3), ("category", "nonsense"), ("gold_objects", ["apple"])])
+def test_a_built_instruction_cannot_change(field, value):
+    instr = Instruction("Please find an apple.")
+    with pytest.raises(FrozenInstanceError):
+        setattr(instr, field, value)
+    assert instr == Instruction("Please find an apple.")
+    assert decompose(instr, ["apple"]) == [Subtask("find", "apple")]
 
 
 @pytest.mark.parametrize("subtask, robot_id, where", [

@@ -149,12 +149,13 @@ def test_untyped_environment_containers_are_schema_errors(home, key, value):
 
 @pytest.mark.parametrize("key, value", [("name", None), ("floor", ["1F"])])
 def test_untyped_room_names_are_schema_errors(key, value):
-    with pytest.raises(SchemaError, match=key):
+    # The file's index names the room, whose name may be what is wrong.
+    with pytest.raises(SchemaError, match=rf"^rooms\[0\]: room .*{key} must be a str"):
         environment_from_dict(_one_room_document(**{key: value}))
 
 
 def test_built_environment_checks_room_footprints():
-    with pytest.raises(SchemaError, match="rooms\\[a\\].center"):
+    with pytest.raises(SchemaError, match="room 'a': center"):
         Environment(["1F"], [Room("a", "1F", (float("nan"), 0.0))], {}, {}, {})
     # Integer coordinates, as JSON often writes them, and singular scatters are fine.
     Environment(["1F"], [Room("a", "1F", (0, 1), ((1, 0), (0, 2))),
@@ -166,17 +167,35 @@ def test_built_environment_checks_room_footprints():
     ({"placements": "x"}, "placements"),
     ({"categories": {"x": 1}}, "categories"),
     ({"place_words": []}, "place_words"),
-    ({"rooms": [Room(3, "1F", (0.0, 0.0))]}, "rooms[0].name"),
-    ({"rooms": [Room("a", ["1F"], (0.0, 0.0))]}, "rooms[0].floor"),
-    ({"rooms": [Room("a", "1F", 3)]}, "rooms[0].center"),
-    ({"rooms": [Room("a", "1F", (0.0, 0.0), 5)]}, "rooms[0].scatter"),
-    ({"rooms": [Room("a", "1F", (0.0, 0.0), (1.0, 1.0))]}, "rooms[0].scatter"),
+    # A room checks its own fields, so these raise as the room is built, before the environment is.
+    pytest.param(lambda: {"rooms": [Room(3, "1F", (0.0, 0.0))]}, "room name must be a str",
+                 id="fields4-rooms[0].name"),
+    pytest.param(lambda: {"rooms": [Room("a", ["1F"], (0.0, 0.0))]}, "room 'a': floor must be a str",
+                 id="fields5-rooms[0].floor"),
+    pytest.param(lambda: {"rooms": [Room("a", "1F", 3)]}, "room 'a': center must be two finite numbers",
+                 id="fields6-rooms[0].center"),
+    pytest.param(lambda: {"rooms": [Room("a", "1F", (0.0, 0.0), 5)]}, "room 'a': scatter must be",
+                 id="fields7-rooms[0].scatter"),
+    pytest.param(lambda: {"rooms": [Room("a", "1F", (0.0, 0.0), (1.0, 1.0))]}, "room 'a': scatter must be",
+                 id="fields8-rooms[0].scatter"),
 ])
 def test_a_built_environment_rejects_untyped_tables(fields, where):
     valid = {"floors": ["1F"], "rooms": [Room("a", "1F", (0.0, 0.0))], "placements": {}, "categories": {},
              "place_words": {}}
     with pytest.raises(SchemaError, match=re.escape(where)):
-        Environment(**{**valid, **fields})
+        Environment(**{**valid, **(fields() if callable(fields) else fields)})
+
+
+def test_a_room_keeps_no_reference_to_the_callers_lists():
+    center, scatter = [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]]
+    room = Room("a", "1F", center, scatter)
+    env = Environment(["1F"], [room], {}, {}, {"a": ["a"]})
+    assert (room.center, room.scatter) == ((1.0, 2.0), ((1.0, 0.0), (0.0, 1.0)))
+    center[0], scatter[0][0], scatter[1] = float("nan"), -1.0, [5.0]
+    assert env.room("a") is room and (room.center, room.scatter) == ((1.0, 2.0), ((1.0, 0.0), (0.0, 1.0)))
+    robot = sure_robot(room="a")
+    session = observe_session(env, robot, "a", np.random.default_rng(0))
+    assert np.isfinite(session.position).all()
 
 
 def test_unknown_builtin_or_path():
@@ -425,7 +444,7 @@ def test_observe_session_deterministic_limit(home):
     env = environment_from_dict(env_dict)
     robot = sure_robot()
     session = observe_session(env, robot, "kitchen", np.random.default_rng(0))
-    np.testing.assert_allclose(session.position, env.room("kitchen").center_array)
+    np.testing.assert_allclose(session.position, env.room("kitchen").center)
     expected = sorted(o for o, r in env.placements.items() if r == "kitchen")
     assert session.object_labels == tuple(expected)
     assert 1 <= len(session.place_words) <= 3
@@ -459,7 +478,7 @@ def test_observe_session_draws_what_multivariate_normal_draws():
             robot = sure_robot(floor=room.floor, room=room.name)
             for _ in range(20):
                 position = observe_session(env, robot, room.name, rng).position
-                expected = oracle.multivariate_normal(room.center_array, room.scatter_array, check_valid="ignore")
+                expected = oracle.multivariate_normal(room.center, room.scatter, check_valid="ignore")
                 assert position.shape == expected.shape and position.dtype == expected.dtype
                 np.testing.assert_array_equal(position, expected, err_msg=room.name)
             assert rng.random() == oracle.random()
@@ -502,8 +521,8 @@ def test_sampled_positions_center_on_room_mean(home):
     rng = np.random.default_rng(3)
     n = 10_000
     positions = np.array([observe_session(home, robot, "kitchen", rng).position for _ in range(n)])
-    center = home.room("kitchen").center_array
-    sigma = np.sqrt(home.room("kitchen").scatter_array[0, 0])
+    center = home.room("kitchen").center
+    sigma = np.sqrt(home.room("kitchen").scatter[0][0])
     assert np.all(np.abs(positions.mean(axis=0) - center) < 3 * sigma / np.sqrt(n))
 
 
