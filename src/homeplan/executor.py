@@ -2,14 +2,15 @@
 
 A fetch subtask runs navigate -> detect -> pick -> navigate -> place against
 the world.  Failed skills retry in place; exhausted detection advances to the
-next room in descending presence order.  A batch is checked whole before its
-first skill: each target must be an object of the world, and each robot must
-reach its destination and every room it would search, on its own floor or at
-``gather``.  Each robot runs its assignments back to back as one generator
-that yields before every skill, and a batch advances the robots' generators in
-turn, one skill each, so per-robot traces are independent of scheduling when
-their state does not overlap.  A trace records only its steps: the subtask's
-result and the rooms it reached are read off them.
+next room of the robot's knowledge base's search order, its ranking of rooms
+by descending presence.  A batch is checked whole before its first skill: each
+target must be an object of the world, and each robot must reach its
+destination and every room it would search, on its own floor or at ``gather``.
+Each robot runs its assignments back to back as one generator that yields
+before every skill, and a batch advances the robots' generators in turn, one
+skill each, so per-robot traces are independent of scheduling when their state
+does not overlap.  A trace records only its steps: the subtask's result and the
+rooms it reached are read off them.
 """
 
 from __future__ import annotations
@@ -64,14 +65,6 @@ class ExecutionTrace:
         return [s.argument for s in self.steps if s.skill == "navigation" and s.outcome.succeeded]
 
 
-def search_order(kb: KnowledgeBase, target: str) -> list[str]:
-    """Rooms in descending presence probability for the target object; ties keep
-    the knowledge base's room order (a reversed sort is still stable)."""
-    row = list(map(float, kb.presence_table[target]))
-    order = sorted(range(len(row)), key=row.__getitem__, reverse=True)
-    return [kb.room_names[i] for i in order]
-
-
 def _attempt(world: World, trace: ExecutionTrace, skill: str, argument: str, attempts: int):
     """Take one skill up to ``attempts`` times, yielding before each; return whether it succeeded."""
     step = None
@@ -86,7 +79,7 @@ def _attempt(world: World, trace: ExecutionTrace, skill: str, argument: str, att
     return False
 
 
-def _subtask_machine(world: World, trace: ExecutionTrace, rooms: list[str],
+def _subtask_machine(world: World, trace: ExecutionTrace, rooms: tuple[str, ...],
                      destination: str, attempts: int):
     """Fetch the trace's object from the first of ``rooms`` it is found in to ``destination``."""
     target = trace.target_object
@@ -112,7 +105,7 @@ def _require_reachable(world: World, robot: RobotState, location: str, what: str
         raise FloorAccessError(f"{what} is on floor {floor!r}, robot {robot.robot_id!r} is on {robot.floor!r}")
 
 
-def _setup(world: World, assignment: Assignment, kb: KnowledgeBase | None) -> tuple[list[str], str]:
+def _setup(world: World, assignment: Assignment, kb: KnowledgeBase | None) -> tuple[tuple[str, ...], str]:
     """The rooms to search and the destination of one assignment; HomeplanError if it cannot run."""
     robot = world.robot(assignment.robot_id)  # PlanningError for a robot the world lacks
     destination = assignment.subtask.destination or GATHER
@@ -121,13 +114,13 @@ def _setup(world: World, assignment: Assignment, kb: KnowledgeBase | None) -> tu
     world.object_room(target)  # UnknownLabelError for an object the world lacks
     if kb is None or target not in kb.presence_table:
         raise PlanningError(f"object {target!r} is not in the knowledge base")
-    rooms = search_order(kb, target)
+    rooms = kb.search_order(target)
     for room in rooms:
         _require_reachable(world, robot, room, "room {!r} in search order")
     return rooms, destination
 
 
-def _robot_run(world: World, jobs: list[tuple[ExecutionTrace, list[str], str]], attempts: int):
+def _robot_run(world: World, jobs: list[tuple[ExecutionTrace, tuple[str, ...], str]], attempts: int):
     """One robot's subtasks back to back."""
     for trace, rooms, destination in jobs:
         yield from _subtask_machine(world, trace, rooms, destination, attempts)

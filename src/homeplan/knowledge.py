@@ -4,8 +4,8 @@ A robot's knowledge base holds two things extracted from its learned model:
 per-region lists of high-probability place words, and a presence table
 mapping each object label to a probability row over the robot's rooms.
 A base is checked and frozen when built, by any builder, and renders its
-presence-table block once.  Renderers emit the prompt-component text blocks
-consumed by the planner.
+presence-table block and ranks each object's rooms once.  Renderers emit the
+prompt-component text blocks consumed by the planner.
 ``PROMPTS`` maps each component kind to the text it renders from the
 knowledge bases.
 """
@@ -39,7 +39,7 @@ class KnowledgeBase:
 
     However it is built, a base is checked once and then frozen: names and word
     lists become tuples, each row a tuple of its values as given, and the table
-    a read-only mapping.  So each base renders its presence block only once.
+    a read-only mapping.  So each base renders its presence block and ranks its rows only once.
     """
 
     robot_id: str
@@ -51,6 +51,8 @@ class KnowledgeBase:
         if not (isinstance(self.robot_id, str) and self.robot_id):
             raise SchemaError("robot_id must be a non-empty str")
         rooms = tuple_of(self.room_names, str, "room_names")
+        if not rooms:
+            raise SchemaError("room_names must name at least one room")
         if len(set(rooms)) != len(rooms):
             raise SchemaError(f"room_names must not repeat a name: {list(rooms)}")
         vocab = tuple(tuple_of(words, str, f"place_vocab[{i}]")
@@ -72,20 +74,28 @@ class KnowledgeBase:
         return "\n".join([self.robot_id, '"List of probabilities that an object exists":',
                           f"[{', '.join(self.room_names)}]", *rows])
 
-    def row(self, obj: str) -> np.ndarray:
-        return np.asarray(self.presence_table[obj], dtype=float)
+    @functools.cached_property
+    def _ranking(self) -> dict[str, tuple[tuple[str, ...], tuple[str, float] | None]]:
+        """Each object's rooms in descending presence, ties in room order, and its top room with
+        probability ``row[top] / sum(row)``, or None for an all-zero row."""
+        ranking = {}
+        for obj, values in self.presence_table.items():
+            row = np.asarray(values, dtype=float)
+            order = np.argsort(-row, kind="stable")
+            total, top = row.sum(), order[0]
+            best = (self.room_names[top], float(row[top] / total)) if total > 0 else None
+            ranking[obj] = tuple(self.room_names[i] for i in order), best
+        return ranking
+
+    def search_order(self, obj: str) -> tuple[str, ...]:
+        """The rooms in which to look for ``obj``, likeliest first; KeyError for an absent object."""
+        return self._ranking[obj][0]
 
     def best_room(self, obj: str) -> tuple[str, float] | None:
-        """The likeliest room for ``obj`` and its normalized probability; None for an absent or massless row."""
-        if obj not in self.presence_table:
-            return None
-        row = self.row(obj)
-        total = row.sum()
-        if total <= 0:
-            return None
-        row = row / total
-        idx = int(np.argmax(row))
-        return self.room_names[idx], float(row[idx])
+        """The first room holding ``obj``'s largest value, and that value over the row's sum;
+        None for an absent or massless row."""
+        ranked = self._ranking.get(obj)
+        return ranked[1] if ranked else None
 
 
 def _check_presence_row(obj, row, n: int) -> None:

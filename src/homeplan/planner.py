@@ -28,6 +28,7 @@ from .errors import (
     ReplayMissError,
     SchemaError,
     UnallocatableError,
+    tuple_of,
 )
 from .knowledge import (
     ALLOCATION_RULE_PROMPT,
@@ -108,13 +109,18 @@ _ARTICLES = re.compile(r"^(a|an|the|some)\s+", re.IGNORECASE)
 class Instruction:
     text: str
     category: str = "random"
-    gold_objects: list[str] | None = None
+    gold_objects: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not self.text or not isinstance(self.text, str):
             raise SchemaError("instruction text must be a non-empty string")
         if self.category not in INSTRUCTION_CATEGORIES:
             raise SchemaError(f"unknown instruction category {self.category!r}")
+        if self.gold_objects is not None:
+            gold = tuple_of(self.gold_objects, str, "instruction gold_objects")
+            if not all(gold):
+                raise SchemaError("instruction gold_objects must not hold an empty string")
+            object.__setattr__(self, "gold_objects", gold)
 
 
 @dataclass(frozen=True)
@@ -453,11 +459,11 @@ def allocate(
 ) -> list[Assignment]:
     """Assign each subtask to the robot whose knowledge scores it highest.
 
-    The rule-based strategy scores a robot by the maximum presence
-    probability over its rooms (rows are normalized first, so rescaling a
-    robot's table cannot change the outcome).  Chat-style backends are asked
-    with the rendered allocation prompt; lines that fail to parse fall back
-    to the rule-based choice for that subtask.  Knowledge bases whose robot
+    The rule-based strategy scores a robot by its knowledge base's best room
+    for the object: the row's largest entry over the row's sum, so a robot's
+    table scaled by a power of two scores the same.  Chat-style backends are
+    asked with the rendered allocation prompt; lines that fail to parse fall
+    back to the rule-based choice for that subtask.  Knowledge bases whose robot
     ids are equal up to case are a ``ConfigurationError``, raised before
     anything is allocated: the chat answer names its robot in any case.
     """

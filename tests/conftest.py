@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from homeplan.errors import (
     FloorAccessError,
@@ -19,13 +20,18 @@ from homeplan.executor import (
     ExecutionPolicy,
     TraceStep,
     run_assignments,
-    search_order,
 )
 from homeplan.experiment import score_allocations
 from homeplan.knowledge import _DIVIDER, KnowledgeBase, _check_presence_row, format_probability
 from homeplan.planner import Assignment, Instruction, Subtask, allocate_random, decompose
 from homeplan.spatial import SpatialConceptModel
 from homeplan.world import GATHER, Environment, World
+
+# No example deadline: timings on a shared runner vary too much.  A failing property prints its
+# ``@reproduce_failure`` line, so a CI failure can be replayed locally.  Each test sets its own
+# ``max_examples``.
+settings.register_profile("homeplan", deadline=None, print_blob=True)
+settings.load_profile("homeplan")
 
 
 def random_model(rng, num_concepts, num_regions, n_words=4, n_objects=3):
@@ -148,7 +154,7 @@ def _reference_setup(world, assignment, kb, policy):
         raise UnknownLabelError(f"unknown object {target!r}")
     if kb is None or target not in kb.presence_table:
         raise PlanningError(f"object {target!r} is not in the knowledge base")
-    room_order = search_order(kb, target)
+    room_order = kb.search_order(target)
     for room in room_order:
         _reference_reachable(world, robot, room, f"room {room!r} in search order")
     machine = _reference_subtask_machine(target, room_order, destination, policy.max_retries_per_skill)

@@ -287,8 +287,9 @@ def test_c6_invariant_suites(home, learned, tmp_path):
     prompt_ok = [p.robot_id for p in parsed] == [kb1.robot_id, kb2.robot_id]
     for orig, back in zip((kb1, kb2), parsed):
         for obj in orig.presence_table:
-            row = orig.row(obj) / orig.row(obj).sum()
-            prompt_ok &= bool(np.allclose(back.row(obj), row, atol=5e-4))
+            row = np.asarray(orig.presence_table[obj], dtype=float)
+            back_row = np.asarray(back.presence_table[obj], dtype=float)
+            prompt_ok &= bool(np.allclose(back_row, row / row.sum(), atol=5e-4))
     prompt_ok &= parse_place_vocab(render_place_vocab(kb1)) == kb1.place_vocab
     checks["prompt render/parse round trip"] = bool(prompt_ok)
 

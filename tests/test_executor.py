@@ -16,7 +16,6 @@ from homeplan.executor import (
     ExecutionTrace,
     TraceStep,
     run_assignments,
-    search_order,
     traces_to_jsonl,
 )
 from homeplan.knowledge import KnowledgeBase, knowledge_from_environment
@@ -108,7 +107,7 @@ def test_result_and_rooms_are_read_off_the_steps():
 
 
 def test_search_order_is_descending_presence(kb_robot2):
-    order = search_order(kb_robot2, "banana")
+    order = kb_robot2.search_order("banana")
     assert order[0] == "parent_room"
     assert order[1] == "corridor"
     assert set(order) == set(kb_robot2.room_names)
@@ -121,13 +120,13 @@ _PRESENCE = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 5e-324]),
 
 @given(st.lists(_PRESENCE, min_size=1, max_size=9))
 @example([0.0, -0.0, 0.5, -0.0, 0.5, 0.0, 1])
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_search_order_is_a_stable_descending_argsort(row):
     rooms = [f"room{i}" for i in range(len(row))]
     kb = KnowledgeBase(robot_id="T", room_names=rooms, place_vocab=[[] for _ in rooms],
                        presence_table={"x": row})
     expected = np.argsort(-np.asarray(row, dtype=float), kind="stable")
-    assert search_order(kb, "x") == [rooms[i] for i in expected]
+    assert kb.search_order("x") == tuple(rooms[i] for i in expected)
 
 
 def test_unknown_destination_raises_before_any_skill():
@@ -166,7 +165,7 @@ def test_mismatched_robot_id_rejected():
 
 @given(st.lists(st.booleans(), min_size=0, max_size=60),
        st.integers(0, 2), st.integers(1, 4))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_bounded_liveness_and_legality(outcome_bits, retries, n_rooms):
     rooms = ["r1", "r2", "r3", "r4"][:n_rooms]
     outcomes = [SkillOutcome("succeeded") if b else SkillOutcome("failed", "x")
@@ -205,7 +204,7 @@ def test_replaying_outcomes_reproduces_skill_sequence():
     [trace] = run_assignments(world, [assignment], [kb])
 
     recorded = [step.outcome for step in trace.steps]
-    replay = scripted_run("water_bottle", search_order(kb, "water_bottle"), recorded)
+    replay = scripted_run("water_bottle", kb.search_order("water_bottle"), recorded)
     assert skill_sequence(replay) == skill_sequence(trace)
     assert replay.result == trace.result
 
@@ -347,7 +346,7 @@ def _outcome_of(run, world, assignments, kbs, policy, seed):
 
 
 @given(batches(), st.integers(0, 2**31 - 1), st.sampled_from([None, 5, 123]))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_run_assignments_matches_the_reference_scheduler(batch, world_seed, seed):
     robots, policy, assignments, style = batch
     kbs = _batch_kbs(style)

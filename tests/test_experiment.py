@@ -100,7 +100,7 @@ def test_generated_text_decomposes_back_to_gold(home):
     for category in SUITE_CATEGORIES:
         for instr in generate_instructions(category, home, 5, seed=8):
             subtasks = decompose(instr, vocab)
-            assert [s.target_object for s in subtasks] == instr.gold_objects
+            assert tuple(s.target_object for s in subtasks) == instr.gold_objects
 
 
 def test_generation_error_when_category_missing():

@@ -201,7 +201,7 @@ def session_batches(draw):
 
 
 @given(session_batches(), st.integers(0, 999), st.integers(1, 3))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_learner_always_yields_a_valid_model(sessions, seed, r):
     """Robustness oracle: any session batch (duplicate positions included)
     must produce a model that passes full validation."""

@@ -100,7 +100,7 @@ json_values = st.recursive(
 
 
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_any_json_field_loads_or_is_a_homeplan_error(name, data):
     doc, load = DOCUMENTS[name]
@@ -138,7 +138,7 @@ def presence_tables(draw):
     return f"\n{'-' * 16}\n".join(blocks)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(text=presence_tables() | st.text(max_size=40))
 def test_any_presence_table_parses_or_is_a_homeplan_error(text):
     kbs = _parsed_or_typed(parse_presence_table, text)
@@ -169,7 +169,7 @@ ALLOCATION_LINES = st.builds(
 )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(lines=st.lists(ALLOCATION_LINES | st.text(max_size=30), max_size=4))
 def test_any_allocation_response_parses_or_is_a_homeplan_error(lines):
     parsed = _parsed_or_typed(parse_allocation_response, "\n".join(lines))

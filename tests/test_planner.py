@@ -92,7 +92,7 @@ def test_decompose_requires_vocab():
 
 
 @given(st.permutations(["apple", "banana", "cup", "towel", "plate"]), st.integers(2, 5))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_decompose_preserves_mention_order(perm, count):
     mentioned = list(perm)[:count]
     text = "Please " + " and then ".join(f"find the {obj}" for obj in mentioned) + "."
@@ -149,7 +149,7 @@ def instruction_texts(draw):
 
 
 @given(instruction_texts(), st.lists(st.sampled_from(ALL_VOCAB), min_size=1, unique=True))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_decomposition_matches_the_per_label_reference(text, vocab):
     targets = reference_explicit_targets(text, vocab)
     assert planner._extract_explicit_targets(text, vocab) == targets
@@ -228,7 +228,7 @@ def test_allocate_covers_each_subtask_once(kb_robot1, kb_robot2):
 
 
 @given(st.floats(0.01, 100.0), st.floats(0.01, 100.0), st.integers(0, 10_000))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 def test_allocate_invariant_under_table_rescaling(scale1, scale2, seed):
     rng = np.random.default_rng(seed)
     rooms1 = ["a", "b"]
@@ -321,7 +321,7 @@ def knowledge_bases(draw, robot_id):
 
 
 @given(knowledge_bases("Robot1"), knowledge_bases("Robot2"), st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_allocation_prompt_matches_the_uncached_reference(kb1, kb2, data):
     kbs = [kb1, kb2]
     subtasks = [Subtask("find", obj) for obj in sorted({*kb1.presence_table, *kb2.presence_table})]
@@ -421,6 +421,21 @@ def test_a_built_instruction_cannot_change(field, value):
         setattr(instr, field, value)
     assert instr == Instruction("Please find an apple.")
     assert decompose(instr, ["apple"]) == [Subtask("find", "apple")]
+
+
+def test_instruction_gold_objects_are_kept_as_a_tuple():
+    targets = ["apple"]
+    instr = Instruction("Find an apple.", gold_objects=targets)
+    targets.append("cup")
+    assert instr.gold_objects == ("apple",)
+    assert hash(instr) == hash(Instruction("Find an apple.", gold_objects=("apple",)))
+
+
+@pytest.mark.parametrize("gold", ["apple", ["apple", ""], [3], {"apple"}, ("apple", None)],
+                         ids=["str", "empty-label", "int-label", "set", "none-label"])
+def test_instruction_gold_objects_must_be_non_empty_labels(gold):
+    with pytest.raises(SchemaError, match="gold_objects"):
+        Instruction("Find an apple.", gold_objects=gold)
 
 
 @pytest.mark.parametrize("subtask, robot_id, where", [

@@ -130,7 +130,7 @@ def test_zero_evidence_returns_uniform_with_flag():
 
 
 @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 10_000))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_posteriors_are_valid_categoricals(k, r, seed):
     model = random_model(np.random.default_rng(seed), k, r)
     for region in range(r):
@@ -144,7 +144,7 @@ def test_posteriors_are_valid_categoricals(k, r, seed):
 
 
 @given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 10_000))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_concept_permutation_leaves_posteriors_unchanged(k, r, seed):
     rng = np.random.default_rng(seed)
     model = random_model(rng, k, r)
@@ -169,18 +169,17 @@ def test_concept_permutation_leaves_posteriors_unchanged(k, r, seed):
             object_location_posterior(permuted, obj), atol=1e-12)
 
 
-@given(st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=8),
-       st.floats(1e-6, 1e6))
-@settings(max_examples=100, deadline=None)
-def test_normalization_invariant_under_positive_rescaling(values, scale):
-    """A presence row is normalized where it is read, so scaling it keeps the best room."""
+@given(st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=8), st.integers(-30, 30))
+@settings(max_examples=100)
+def test_normalization_invariant_under_positive_rescaling(values, exponent):
+    """A presence row is normalized where it is read, so scaling it by a power of two, which is
+    exact, keeps the best room and its probability.  An arbitrary factor can round two adjacent
+    top values together, so no rule could keep the room under every scale."""
     rooms = [f"room{i}" for i in range(len(values))]
     row = np.array(values)
     kb = KnowledgeBase("R", rooms, [[] for _ in rooms], {"x": row.tolist()})
-    scaled = KnowledgeBase("R", rooms, [[] for _ in rooms], {"x": (row * scale).tolist()})
-    (room, p), (scaled_room, scaled_p) = kb.best_room("x"), scaled.best_room("x")
-    assert scaled_room == room
-    np.testing.assert_allclose(scaled_p, p, rtol=1e-9)
+    scaled = KnowledgeBase("R", rooms, [[] for _ in rooms], {"x": (row * 2.0 ** exponent).tolist()})
+    assert scaled.best_room("x") == kb.best_room("x")
 
 
 def _write_nan_word_row(model):

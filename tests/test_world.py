@@ -319,7 +319,7 @@ def test_identical_seeds_give_identical_outcomes(home):
                           st.integers(0, 6)),
                 max_size=40),
        st.integers(0, 1000))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_conservation_and_floor_barrier_under_random_skills(script, seed):
     env = load_environment("paper_home")
     rooms = [r.name for r in env.rooms] + [GATHER]
@@ -352,7 +352,7 @@ _STEP = st.tuples(st.integers(0, len(_LAZY_ROBOTS) - 1),
 
 @given(st.integers(1, len(_LAZY_ROBOTS)), st.integers(0, 2**32),
        st.lists(st.one_of(_STEP, st.integers(0, 2**32)), max_size=60))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_lazy_generators_draw_the_eagerly_spawned_streams(n_robots, seed, script):
     """Steps of any subset of robots, in any order, with reseeds (the integers) between them."""
     env = load_environment("paper_home")
