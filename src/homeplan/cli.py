@@ -124,13 +124,7 @@ def cmd_run(args) -> int:
     assignments = _read_entries(args.assignments, "assignment", "entry", ("verb", "target_object", "robot_id"),
                                 lambda verb, target, robot_id, d: planner.Assignment(
                                     planner.Subtask(verb, target, d.get("destination")), robot_id))
-    robots = []
-    for kb in kbs:
-        floors = {env.floor_of_room(r) for r in kb.room_names if env.has_room(r)}
-        if len(floors) != 1:
-            raise ConfigurationError(f"knowledge base {kb.robot_id!r} does not map to one floor")
-        robots.append(experiment.floor_robot(env, floors.pop(), kb.robot_id))
-    sim = world.World(env, robots, seed=seed)
+    sim = world.World(env, experiment.knowledge_robots(env, kbs), seed=seed)
     traces = run_assignments(sim, assignments, kbs, policy=ExecutionPolicy())
     _emit(traces_to_jsonl(traces), args.out)
     return 0

@@ -213,6 +213,17 @@ def default_robots(env: Environment) -> list[RobotState]:
     return [floor_robot(env, floor, f"Robot{i}") for i, floor in enumerate(env.floors, start=1)]
 
 
+def knowledge_robots(env: Environment, kbs: list[KnowledgeBase]) -> list[RobotState]:
+    """One robot per base, in the bases' order, named by it and parked on the one floor its rooms lie on."""
+    robots = []
+    for kb in kbs:
+        floors = {env.floor_of_room(r) for r in kb.room_names if env.has_room(r)}
+        if len(floors) != 1:
+            raise ConfigurationError(f"knowledge base {kb.robot_id!r} does not map to one floor")
+        robots.append(floor_robot(env, floors.pop(), kb.robot_id))
+    return robots
+
+
 def learn_floor_model(env: Environment, robot: RobotState, seed: int, visits_per_room: int = VISITS_PER_ROOM,
                       num_regions: int | None = None) -> SpatialConceptModel:
     """Run the observation protocol on the robot's floor and learn its model (default: a region per room)."""
@@ -256,23 +267,27 @@ def build_suite_instructions(env: Environment, seed: int) -> dict[str, list[Inst
 
 def run_suite(*, env: str = "paper_home", seed: int = 0, backend: PlannerBackend | None = None,
               kb_paths: tuple[str, ...] | None = None, visits_per_room: int = VISITS_PER_ROOM) -> SuiteReport:
-    """Decompose, allocate, and score the full category grid for each of ``STRATEGIES``; without
-    ``kb_paths`` the proposed strategy learns each floor's knowledge.  ``backend=None`` is the rule backend."""
+    """Decompose, allocate, and score the full category grid for each of ``STRATEGIES``; ``kb_paths``, one base
+    per floor, replaces learning each floor's knowledge.  ``backend=None`` is the rule backend."""
     started = time.monotonic()
     environment = load_environment(env)
-    robots = default_robots(environment)
-    robot_ids = [r.robot_id for r in robots]
-    floor_of_robot = {r.robot_id: r.floor for r in robots}
-    room_to_robot = {room.name: r.robot_id for r in robots for room in environment.rooms_on(r.floor)}
-    object_vocab = sorted(environment.placements)
     seeds = _suite_seeds(seed)
-
     if kb_paths:
         kbs = [load_knowledge(p) for p in kb_paths]
     else:
         kbs = [learn_floor_knowledge(environment, robot, seed=seeds["learn_base"] + i,
                                      visits_per_room=visits_per_room)
-               for i, robot in enumerate(robots)]
+               for i, robot in enumerate(default_robots(environment))]
+    robots = knowledge_robots(environment, kbs)
+    floors = [r.floor for r in robots]  # not keyed by robot id, so that allocate names a shared id
+    for floor in environment.floors:
+        if (n := floors.count(floor)) != 1:
+            raise ConfigurationError(f"the suite takes one knowledge base per floor; floor {floor!r} has {n}")
+    kbs, robots = ([items[floors.index(f)] for f in environment.floors] for items in (kbs, robots))
+    robot_ids = [r.robot_id for r in robots]
+    floor_of_robot = {r.robot_id: r.floor for r in robots}
+    room_to_robot = {room.name: r.robot_id for r in robots for room in environment.rooms_on(r.floor)}
+    object_vocab = sorted(environment.placements)
 
     allocators = {
         "proposed": lambda subtasks, i: allocate(subtasks, kbs, backend=backend),
@@ -315,10 +330,7 @@ def run_field_trip_scenario() -> dict:
     robots = [replace(r, p_navigate=1.0, p_detect_present=1.0, p_pick=1.0, p_place=1.0)
               for r in default_robots(env)]
     world = World(env, robots)
-    kbs = [
-        knowledge_from_environment(env, "zone1", "Robot1"),
-        knowledge_from_environment(env, "zone2", "Robot2"),
-    ]
+    kbs = [knowledge_from_environment(env, r.floor, r.robot_id) for r in robots]
     instruction = Instruction("Get ready for a field trip.", category="ambiguous")
     assignments = [
         Assignment(Subtask("bring", "bag"), "Robot1"),

@@ -175,12 +175,8 @@ class RobotState:
     def __post_init__(self):
         for name in ("p_navigate", "p_detect_present", "p_pick", "p_place"):
             v = getattr(self, name)
-            try:
-                if 0.0 <= v <= 1.0:
-                    continue
-            except TypeError:  # not a number
-                pass
-            raise ConfigurationError(f"{name} must be a number in [0, 1], got {v!r}")
+            if not (is_finite_real(v) and 0 <= v <= 1):
+                raise ConfigurationError(f"{name} must be a number in [0, 1], got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -362,6 +362,32 @@ def test_suite_command_with_prebuilt_kbs(tmp_path, kb_files, capsys):
     assert payload == want
 
 
+def test_the_order_of_suite_kb_files_changes_nothing(tmp_path, kb_files, capsys):
+    # Each robot stands on its base's floor, and the suite orders the bases by floor.
+    reports = []
+    for name, paths in (("forward", kb_files), ("backward", kb_files[::-1])):
+        out_path = tmp_path / f"{name}.json"
+        assert main(["suite", "--seed", "7", "--kb", *paths, "--out", str(out_path)]) == 0
+        reports.append(json.loads(out_path.read_text()))
+        del reports[-1]["elapsed_seconds"]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("command", ["run", "suite"])
+def test_a_knowledge_base_whose_rooms_span_two_floors_is_rejected(tmp_path, kb_files, command, capsys):
+    kb = json.loads(Path(kb_files[0]).read_text())
+    kb["room_names"][-1] = "child_room"  # a 2F room in Robot1's 1F base
+    Path(kb_files[0]).write_text(json.dumps(kb))
+    assignments_path = tmp_path / "assignments.json"
+    assignments_path.write_text(json.dumps(
+        [{"verb": "bring", "target_object": "apple", "destination": None, "robot_id": "Robot1"}]))
+    out_path = tmp_path / "out"
+    argv = {"run": ["run", "--assignments", str(assignments_path)], "suite": ["suite"]}[command]
+    assert main([*argv, "--kb", *kb_files, "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err == "error: knowledge base 'Robot1' does not map to one floor\n"
+    assert not out_path.exists()
+
+
 def test_seed_env_var_does_not_seed_the_suite(tmp_path, kb_files, monkeypatch, capsys):
     # The seed comes from --seed alone: a stray variable in the shell changes nothing.
     monkeypatch.setenv("HOMEPLAN_SEED", "31")

@@ -13,6 +13,7 @@ from homeplan.experiment import (
     default_robots,
     floor_robot,
     generate_instructions,
+    knowledge_robots,
     run_field_trip_scenario,
     run_suite,
     score_allocations,
@@ -36,6 +37,14 @@ def truth_kbs(home):
 
 
 FLOOR_OF_ROBOT = {"Robot1": "1F", "Robot2": "2F"}
+
+
+def saved(tmp_path, kbs) -> tuple[str, ...]:
+    """The paths of ``kbs`` saved under ``tmp_path``, in order."""
+    paths = tuple(str(tmp_path / f"kb{i}_{kb.robot_id}.json") for i, kb in enumerate(kbs))
+    for kb, path in zip(kbs, paths):
+        save_knowledge(kb, path)
+    return paths
 
 
 def test_best_room_recovery_counts_the_floors_objects(home, truth_kbs):
@@ -145,12 +154,7 @@ def test_score_ignores_probabilities(home, truth_kbs):
 # ------------------------------------------------------------------- suite
 
 def test_run_suite_grid_with_truth_kbs(home, truth_kbs, tmp_path):
-    paths = []
-    for kb in truth_kbs:
-        path = tmp_path / f"{kb.robot_id}.json"
-        save_knowledge(kb, path)
-        paths.append(str(path))
-    report = run_suite(seed=5, kb_paths=tuple(paths))
+    report = run_suite(seed=5, kb_paths=saved(tmp_path, truth_kbs))
 
     assert set(report.grid) == {"proposed", "random", "commonsense"}
     for strategy, by_cat in report.grid.items():
@@ -178,6 +182,31 @@ def test_run_suite_grid_with_truth_kbs(home, truth_kbs, tmp_path):
     assert payload["reference_reported"]["proposed"]["total"] == [47, 50]
 
 
+@pytest.mark.parametrize("ids", [("Robot2", "Robot1"), ("alice", "bob")], ids=["swapped", "named"])
+def test_a_suite_robot_stands_on_the_floor_of_its_base(home, truth_kbs, tmp_path, ids):
+    # A robot id is only a name: renamed robots make the same allocations and score the same.
+    kbs = [replace(kb, robot_id=robot_id) for kb, robot_id in zip(truth_kbs, ids)]
+    report = run_suite(seed=7, kb_paths=saved(tmp_path, kbs))
+    want = run_suite(seed=7, kb_paths=saved(tmp_path, truth_kbs))
+    assert report.totals == want.totals and report.totals["proposed"] == (50, 50)
+    name = dict(zip(ids, ("Robot1", "Robot2")))
+    assert [{**t, "assignments": [name[r] for r in t["assignments"]]} for t in report.trials] == want.trials
+
+
+def test_knowledge_robots_keep_the_bases_order(home, truth_kbs):
+    kbs = [replace(truth_kbs[1], robot_id="alice"), replace(truth_kbs[0], robot_id="bob")]
+    assert knowledge_robots(home, kbs) == [floor_robot(home, "2F", "alice"), floor_robot(home, "1F", "bob")]
+
+
+@pytest.mark.parametrize("floors, message", [(("1F", "1F"), "floor '1F' has 2"), (("2F",), "floor '1F' has 0")],
+                         ids=["shared", "missing"])
+def test_the_suite_takes_one_knowledge_base_per_floor(home, tmp_path, floors, message):
+    # The commonsense baseline routes each room to one robot, and each instruction names an object on every floor.
+    kbs = [knowledge_from_environment(home, floor, f"Robot{i}") for i, floor in enumerate(floors, start=1)]
+    with pytest.raises(ConfigurationError, match=f"^the suite takes one knowledge base per floor; {message}$"):
+        run_suite(seed=7, kb_paths=saved(tmp_path, kbs))
+
+
 def test_suite_category_sizes_match_protocol(home):
     instructions = build_suite_instructions(home, 3)
     sizes = {cat: sum(len(i.gold_objects) for i in instrs)
@@ -193,12 +222,8 @@ def test_suite_learns_only_for_proposed(home, truth_kbs, tmp_path):
         learned.append((robot.robot_id, seed, visits_per_room))
         return knowledge_from_environment(env, robot.floor, robot.robot_id)
 
-    paths = []
-    for kb in truth_kbs:
-        save_knowledge(kb, tmp_path / f"{kb.robot_id}.json")
-        paths.append(str(tmp_path / f"{kb.robot_id}.json"))
     with mock.patch.object(experiment, "learn_floor_knowledge", learn):
-        run_suite(seed=1, kb_paths=tuple(paths))
+        run_suite(seed=1, kb_paths=saved(tmp_path, truth_kbs))
         assert learned == []
         report = run_suite(seed=1, visits_per_room=4)
     base = experiment._suite_seeds(1)["learn_base"]
@@ -208,12 +233,8 @@ def test_suite_learns_only_for_proposed(home, truth_kbs, tmp_path):
 
 
 def test_suite_decomposes_each_instruction_once(home, truth_kbs, tmp_path):
-    paths = []
-    for kb in truth_kbs:
-        save_knowledge(kb, tmp_path / f"{kb.robot_id}.json")
-        paths.append(str(tmp_path / f"{kb.robot_id}.json"))
     with mock.patch.object(experiment, "decompose", wraps=decompose) as spy:
-        report = run_suite(seed=4, kb_paths=tuple(paths))
+        report = run_suite(seed=4, kb_paths=saved(tmp_path, truth_kbs))
     assert spy.call_count == sum(experiment.SUITE_COUNTS.values()) == 25
     assert len(report.trials) == 3 * 25
 
@@ -262,12 +283,7 @@ def test_reference_row_is_a_labeled_citation():
 
 
 def test_text_table_shape(home, truth_kbs, tmp_path):
-    paths = []
-    for kb in truth_kbs:
-        path = tmp_path / f"{kb.robot_id}.json"
-        save_knowledge(kb, path)
-        paths.append(str(path))
-    report = run_suite(seed=2, kb_paths=tuple(paths))
+    report = run_suite(seed=2, kb_paths=saved(tmp_path, truth_kbs))
     table = report.text_table()
     lines = table.splitlines()
     assert lines[0].split("|")[0].strip() == "Method"

@@ -235,8 +235,9 @@ def test_unknown_skill_is_planning_error(home):
     assert details == [None if u < 0.5 else "navigation_failed" for u in scalar_draws(0, 3)]
 
 
-@pytest.mark.parametrize("value", [-0.1, 1.5, float("nan"), float("inf"), "0.5", None])
+@pytest.mark.parametrize("value", [-0.1, 1.5, float("nan"), float("inf"), "0.5", None, True])
 def test_a_bad_skill_probability_is_a_configuration_error(value):
+    # A bool is refused, as by every other number check: True is not the probability 1.
     with pytest.raises(ConfigurationError, match=r"^p_pick must be a number in \[0, 1\], got "):
         sure_robot(p_pick=value)
 
