@@ -1,17 +1,19 @@
 """Fixed-lag Rao-Blackwellized particle filter for spatial concept learning.
 
 All particles live in one stacked state (``_Batch``): per-session cells
-plus collapsed sufficient statistics in two arrays.  A cell is one flat
-index ``k * R + r`` of (concept, region), the order the grids are drawn in,
-and ``assignments`` (P, T) holds each particle's cell per session.
-``counts`` (P, K, F) holds every Dirichlet-multinomial count of a concept as
-integers: its sessions, word and object totals, word and object counts, and
-its links to regions.  ``moments`` (7, P, R) holds each region's
+plus collapsed sufficient statistics in one float64 buffer.  A cell is one
+flat index ``k * R + r`` of (concept, region), the order the grids are drawn
+in, and ``assignments`` (T, P) holds each session's cells, one contiguous row
+per session.  The buffer's count block ``counts`` (P, K, F) holds every
+Dirichlet-multinomial count of a concept, integers exact as floats: its
+sessions, word and object totals, word and object counts, and its links to
+regions.  Its moment block ``moments`` (7, P, R) holds each region's
 normal-inverse-Wishart moment sums component-major: n, the two position sums
 and the four sums of outer products, each a contiguous (P, R) plane that the
 kernel reads without striding.  Positions are held standardized, less the
 floor's mean session position and over one scale.  Adding or removing a
-session is one indexed update of each, through flat views.
+session is one indexed update of the buffer, through an index table and a
+value row per session built once per learn (``_Tables``).
 
 One kernel, ``_sweep_grid``, scores a session over the (concept, region)
 cells.  Every term that depends on an integer count alone is one row of a
@@ -26,18 +28,19 @@ over particles, draws from it as it is.  An arriving session's grid is the
 kernel minus that normaliser, the collapsed log conditional: it doubles as
 the optimal proposal, and its log-sum-exp, the predictive marginal, is the
 particle weight increment.  ``log_w`` sums them as unnormalised log weights
-since the last resample; each step normalises ``exp(log_w - max)``.  Grid
-buffers are updated in place, with no change to any element's arithmetic.
+since the last resample; each step normalises ``exp(log_w - max)``.  A draw
+is one ``argmin``: the first cell whose cumulative sum exceeds u times the
+total.  Grid buffers are updated in place with no change to any arithmetic.
 
 ``_filter`` runs the loop.  Particles are systematically resampled, by one
-``ndarray.take`` gather of each array on its particle axis, when the
-effective sample size drops below half the particle count, and ``log_w``
-restarts at zeros; the gathered state takes its views afresh.  Uniforms are
-drawn in the order a per-particle loop would draw them, so results do not
-depend on the batching.  The returned model is the maximum-weight particle's
-posterior-mean parameters, returned as the stacked arrays
-``SpatialConceptModel`` holds: each is computed from the particle's count
-rows and moment sums in one expression.
+``ndarray.take`` gather of each block and of the assignments on its particle
+axis, when the effective sample size drops below half the particle count,
+and ``log_w`` restarts at zeros; the gathered state takes its views afresh.
+Uniforms are drawn in the order a per-particle loop would draw them, so
+results do not depend on the batching.  The returned model is the
+maximum-weight particle's posterior-mean parameters, returned as the stacked
+arrays ``SpatialConceptModel`` holds: each is computed from the particle's
+count rows and moment sums in one expression.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .errors import ConfigurationError, SchemaError, is_count
 from .spatial import Hyperparameters, Session, SpatialConceptModel
 
 _DIM = 2
+_MOMENTS = 1 + _DIM + _DIM * _DIM  # n, the position sums and the sums of outer products
 # Leading columns of the stacked counts; word, object and link columns follow.
 _CONCEPT, _WORD_TOTAL, _OBJ_TOTAL, _WORDS = 0, 1, 2, 3
 # Scales the (v11, v01) planes of a NIW scale to the quadratic form's coefficients.
@@ -66,17 +70,18 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _SessionStats:
     """Per-session data in index space, precomputed once.
 
-    ``x`` is the standardized position, ``cols``/``vals`` the count columns a session adds
-    to and by how much; the last column is the link to region 0.  ``moments`` is the
-    (7, 1) column it adds to its region's moment sums; the ``neg_`` arrays remove it.
-    Two fields are set by ``_Tables``: ``sweep_index``, the flat index offsets of the
-    session's rows of the fused sweep table, one per column but the link, and
-    ``cell_cols``, per cell ``k * R + r`` the flat columns of concept k's count row,
-    the link shifted to region r.
+    ``x`` is the standardized position and ``cols`` the columns of a concept's count row
+    that the kernel reads: sessions, word and object totals, then the session's words and
+    objects.  ``values`` is what the session adds to the state buffer: its seven moment
+    sums, its link to a region, then one value per column of ``cols``; ``neg_values``
+    removes it.  Three fields are set by ``_Tables``: ``sweep_index``, the flat index
+    offsets of the session's rows of the fused sweep table, one per column of ``cols``;
+    ``cell_index``, per cell ``k * R + r`` the buffer indices of particle 0 that
+    ``values`` adds to; and ``offsets``, per particle the shift of each index.
     """
 
     __slots__ = ("word_cnt", "word_total", "obj_cnt", "obj_total",
-                 "x", "cols", "vals", "neg_vals", "moments", "neg_moments", "sweep_index", "cell_cols")
+                 "x", "cols", "values", "neg_values", "sweep_index", "cell_index", "offsets")
 
     def __init__(self, session: Session, x: np.ndarray, place_index: dict[str, int],
                  object_index: dict[str, int]):
@@ -87,69 +92,61 @@ class _SessionStats:
         self.word_total, self.obj_total = len(session.place_words), len(session.object_labels)
         first_obj = _WORDS + len(place_index)
         self.cols = np.array([_CONCEPT, _WORD_TOTAL, _OBJ_TOTAL, *(_WORDS + i for i, _ in words),
-                              *(first_obj + i for i, _ in objects), first_obj + len(object_index)])
-        self.vals = np.array([1, self.word_total, self.obj_total, *(c for _, c in words),
-                              *(c for _, c in objects), 1])
-        self.neg_vals = -self.vals
+                              *(first_obj + i for i, _ in objects)])
         self.x = x
         x0, x1 = self.x.tolist()  # Python floats: a square that overflows is inf, not a warning
-        self.moments = np.array([[1.0], [x0], [x1], [x0 * x0], [x0 * x1], [x1 * x0], [x1 * x1]])
-        self.neg_moments = -self.moments
+        self.values = np.array([1.0, x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1, 1, 1, self.word_total,
+                                self.obj_total, *(c for _, c in words), *(c for _, c in objects)])
+        self.neg_values = -self.values
 
 
 class _Batch:
     """Cells and collapsed sufficient statistics of all particles.
 
-    ``counts`` (P, K, F) columns: sessions, word total, object total, V words, O
-    objects, R links.  ``moments`` (7, P, R): one plane per moment sum.
-    ``assignments`` (P, T): each session's flat cell ``k * R + r``.  The views
-    that ``add`` writes through (flat) and ``_sweep_grid`` reads (``links``,
-    ``region_n``, ``sums``, ``outers``) are taken whenever the arrays are made, in
-    ``__init__`` and in ``take``: views of replaced arrays would read stale counts
-    and lose their writes.  ``take`` gathers with ``ndarray.take``, which returns
-    C-contiguous arrays (``moments[:, index]`` would not be), so the flat views are
-    views, not copies.  The offsets into them and each cell's region are fixed at
-    construction.
+    One float64 buffer ``state`` holds a count block, then a moment block.  ``counts``
+    (P, K, F) columns: sessions, word total, object total, V words, O objects, R links,
+    each an integer exact as a float.  ``moments`` (7, P, R): one plane per moment sum.
+    ``assignments`` (T, P): each session's flat cells ``k * R + r``, a contiguous row.
+    ``add`` writes into ``state`` at the indices ``_Tables`` lays out for this layout.
+    The views of it (``counts``, ``moments``) and the ones ``_sweep_grid`` reads
+    (``links``, ``region_n``, ``sums``, ``outers``) are taken whenever a buffer is made,
+    in ``__init__`` and in ``take``: views of a replaced buffer would read stale counts.
     """
 
-    __slots__ = ("counts", "moments", "assignments", "count_rows", "moment_rows", "cell_region",
-                 "flat_counts", "flat_moments", "links", "region_n", "sums", "outers")
+    __slots__ = ("state", "counts", "moments", "assignments", "links", "region_n", "sums", "outers")
 
     def __init__(self, P: int, K: int, R: int, n_words: int, n_objects: int, T: int):
-        F = _WORDS + n_words + n_objects + R
-        self.counts = np.zeros((P, K, F), dtype=int)
-        self.moments = np.zeros((1 + _DIM + _DIM * _DIM, P, R))
-        self.assignments = np.zeros((P, T), dtype=int)
-        self.count_rows = (np.arange(P) * (K * F))[:, None]
-        self.moment_rows = (np.arange(len(self.moments)) * (P * R))[:, None] + np.arange(P) * R
-        self.cell_region = np.tile(np.arange(R), K)
-        self._set_views()
+        self.state = np.zeros(P * K * (_WORDS + n_words + n_objects + R) + _MOMENTS * P * R)
+        self.assignments = np.zeros((T, P), dtype=int)
+        self._set_views(P, K, R)
 
-    def _set_views(self) -> None:
-        R = self.moments.shape[-1]
-        self.flat_counts, self.flat_moments = self.counts.reshape(-1), self.moments.reshape(-1)
+    def _set_views(self, P: int, K: int, R: int) -> None:
+        n_counts = len(self.state) - _MOMENTS * P * R
+        self.counts = self.state[:n_counts].reshape(P, K, -1)
+        self.moments = self.state[n_counts:].reshape(_MOMENTS, P, R)
         self.links = self.counts[..., -R:]
         self.region_n, self.sums, self.outers = self.moments[0], self.moments[1:1 + _DIM], self.moments[1 + _DIM:]
 
-    def take(self, index) -> "_Batch":
-        """Particles at ``index``: an index array resamples, an int selects one particle."""
+    def take(self, index: np.ndarray) -> "_Batch":
+        """The particles at ``index``, one per particle, gathered into a new buffer."""
         out = _Batch.__new__(_Batch)
-        out.counts, out.assignments = self.counts.take(index, axis=0), self.assignments.take(index, axis=0)
-        out.moments = self.moments.take(index, axis=1)
-        out.count_rows, out.moment_rows, out.cell_region = self.count_rows, self.moment_rows, self.cell_region
-        out._set_views()
+        out.state = np.empty_like(self.state)
+        P, K, _ = self.counts.shape
+        out._set_views(P, K, self.moments.shape[-1])
+        self.counts.take(index, axis=0, out=out.counts)
+        self.moments.take(index, axis=1, out=out.moments)
+        out.assignments = self.assignments.take(index, axis=1)
         return out
 
     def add(self, cells: np.ndarray, s: _SessionStats, sign: int = 1) -> None:
         """Add ``s`` to particle i at cell ``cells[i]``; ``sign=-1`` removes it."""
-        vals, moments = (s.vals, s.moments) if sign > 0 else (s.neg_vals, s.neg_moments)
-        self.flat_counts[self.count_rows + s.cell_cols.take(cells, axis=0)] += vals
-        self.flat_moments[self.moment_rows + self.cell_region.take(cells)] += moments
+        self.state[s.offsets + s.cell_index.take(cells, axis=0)] += s.values if sign > 0 else s.neg_values
 
 
 class _Tables:
     """Every grid term that depends on one integer count alone, indexed by that count, and
-    the prior constants, built once per learn as ``_sweep_grid`` reads them.
+    the prior constants, built once per learn as ``_sweep_grid`` reads them, and each
+    session's indices into the state buffer of ``hp.num_particles`` particles.
 
     The Dirichlet-multinomial rows are rising factorials, Gamma(n + b + c) / Gamma(n + b)
     for an integer c, so each is a sum of c logs, built row by row; the mass rows are the
@@ -191,17 +188,22 @@ class _Tables:
         ]
         starts = np.cumsum([0] + [len(b) for b in blocks])
         self.sweep = np.concatenate(blocks).reshape(-1)
-        # A cell's count columns: concept k's row offset plus the session's columns, the
-        # link column shifted from region 0 to the cell's region.
-        F = _WORDS + n_words + n_objects + R
-        concept_rows = np.repeat(np.arange(K) * F, R)[:, None]
-        link_shift = np.tile(np.arange(R), K)
+        # A session's buffer indices at cell (k, r), in ``values``' order, for particle 0 of
+        # ``_Batch``'s layout: region r's moment sums, concept k's link to region r, then
+        # concept k's row at ``cols``.  Particle i shifts the moment indices by i R and the
+        # count indices by i K F.
+        P, F = hp.num_particles, _WORDS + n_words + n_objects + R
+        k, r = np.divmod(np.arange(K * R), R)
+        head = np.column_stack([P * K * F + m * P * R + r for m in range(_MOMENTS)] + [k * F + F - R + r])
+        concept_rows = (k * F)[:, None]
+        particle, column = np.arange(P)[:, None], np.arange(_MOMENTS + 1 + max(len(s.cols) for s in stats))
+        offsets = np.where(column < _MOMENTS, particle * R, particle * (K * F))
         for s in stats:
             rows = np.concatenate(([0, starts[1] + s.word_total, starts[2] + s.obj_total],
                                    starts[3] + s.word_cnt, starts[4] + s.obj_cnt))
             s.sweep_index = rows * len(n)
-            s.cell_cols = concept_rows + s.cols
-            s.cell_cols[:, -1] += link_shift
+            s.cell_index = np.concatenate((head, concept_rows + s.cols), axis=1)
+            s.offsets = offsets[:, :len(s.values)]
 
 
 def _sweep_grid(p: _Batch, s: _SessionStats, t: _Tables) -> np.ndarray:
@@ -210,9 +212,10 @@ def _sweep_grid(p: _Batch, s: _SessionStats, t: _Tables) -> np.ndarray:
     held.  Every count-only term is one fused table row, and with the prior mean at
     the origin of the standardized positions the NIW scale is V_n = v0 + sum x x^T - a a^T
     / kappa_n with a = sum x, which needs no sample mean."""
-    log_concept = t.sweep.take(p.counts.take(s.cols[:-1], axis=2) + s.sweep_index).sum(axis=-1, keepdims=True)
-    grid = log_concept + t.log_gamma.take(p.links)
-    inv_kappa_n, const, inv_scale_df, half = t.sweep_region.take(p.region_n.astype(int), axis=1)
+    counts = p.counts.take(s.cols, axis=2).astype(np.intp)
+    log_concept = t.sweep.take(counts + s.sweep_index).sum(axis=-1, keepdims=True)
+    grid = log_concept + t.log_gamma.take(p.links.astype(np.intp))
+    inv_kappa_n, const, inv_scale_df, half = t.sweep_region.take(p.region_n.astype(np.intp), axis=1)
     m_n = p.sums * inv_kappa_n
     v = p.outers + t.v0
     v -= _outer(p.sums, m_n)
@@ -236,10 +239,12 @@ def _sweep_grid(p: _Batch, s: _SessionStats, t: _Tables) -> np.ndarray:
 
 def _sample_grid(e: np.ndarray, u: np.ndarray, cells: np.ndarray) -> None:
     """Write one flat cell ``k * R + r`` per particle into ``cells``, by inverse CDF on the
-    uniforms ``u``.  Row i of ``e`` is particle i's flattened (K, R) grid, ``exp(grid - max)``;
-    for u < 1 the scaled total stays below the last cumulative sum, so each index is a cell."""
+    uniforms ``u``: the first cell whose cumulative sum exceeds u times the total.  Row i of
+    ``e`` is particle i's flattened (K, R) grid, ``exp(grid - max)``, so the total is at least
+    1, and for u <= 1 - 2**-53 the scaled total rounds below it: some cell exceeds it, and
+    the first one that does holds mass (``argmin`` of an all-true row would return 0)."""
     cdf = e.cumsum(axis=1)
-    (cdf <= u[:, None] * cdf[:, -1:]).sum(axis=1, out=cells)
+    (cdf <= u[:, None] * cdf[:, -1:]).argmin(axis=1, out=cells)
 
 
 def _systematic_resample(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -300,8 +305,8 @@ def learn_fixed_lag(sessions: list[Session], *, seed: int = 0, num_regions: int 
 
     batch = _Batch(hp.num_particles, num_regions, num_regions, len(vocab_places), len(vocab_objects), len(stats))
     batch, log_w, _, _ = _filter(batch, stats, tables, hp, np.random.default_rng(seed))
-    best = batch.take(int(np.argmax(log_w)))
-    return _posterior_mean_model(best, hp, seed, v0, centre, scale, vocab_places, vocab_objects)
+    return _posterior_mean_model(batch, int(np.argmax(log_w)), hp, seed, v0, centre, scale, vocab_places,
+                                 vocab_objects)
 
 
 def _filter(batch: _Batch, stats: list[_SessionStats], tables: _Tables, hp: Hyperparameters,
@@ -320,7 +325,7 @@ def _filter(batch: _Batch, stats: list[_SessionStats], tables: _Tables, hp: Hype
         grid -= top
         e = np.exp(grid, out=grid)  # one exp serves the weight increment and the draw
         log_w += top[:, 0] + np.log(e.sum(axis=1))
-        cells = batch.assignments[:, t]
+        cells = batch.assignments[t]
         _sample_grid(e, rng.random(n_particles), cells)
         batch.add(cells, s)
 
@@ -329,7 +334,7 @@ def _filter(batch: _Batch, stats: list[_SessionStats], tables: _Tables, hp: Hype
         window = range(max(0, t - hp.lag_window + 1), t + 1)
         u = rng.random((n_particles, len(window)))
         for j, tau in enumerate(window):
-            cells = batch.assignments[:, tau]
+            cells = batch.assignments[tau]
             batch.add(cells, stats[tau], sign=-1)
             grid = _sweep_grid(batch, stats[tau], tables).reshape(n_particles, -1)
             grid -= grid.max(axis=1, keepdims=True)
@@ -347,23 +352,24 @@ def _filter(batch: _Batch, stats: list[_SessionStats], tables: _Tables, hp: Hype
     return batch, log_w, ess_steps, resampled
 
 
-def _posterior_mean_model(p: _Batch, hp: Hyperparameters, seed: int, v0: np.ndarray, centre: np.ndarray,
+def _posterior_mean_model(p: _Batch, i: int, hp: Hyperparameters, seed: int, v0: np.ndarray, centre: np.ndarray,
                           scale: float, vocab_places: list[str], vocab_objects: list[str]) -> SpatialConceptModel:
-    K, R = p.counts.shape[0], p.moments.shape[1]
+    counts, moments = p.counts[i], p.moments[:, i]
+    K, R = counts.shape[0], moments.shape[1]
     n_words, n_objects = len(vocab_places), len(vocab_objects)
-    n_k = p.counts[:, _CONCEPT]
+    n_k = counts[:, _CONCEPT]
     pi = (n_k + hp.alpha) / (n_k.sum() + K * hp.alpha)
-    word_dist = ((p.counts[:, _WORDS:_WORDS + n_words] + hp.beta)
-                 / (p.counts[:, _WORD_TOTAL, None] + n_words * hp.beta))
-    object_dist = ((p.counts[:, _WORDS + n_words:_WORDS + n_words + n_objects] + hp.chi)
-                   / (p.counts[:, _OBJ_TOTAL, None] + n_objects * hp.chi))
-    region_dist = (p.links + hp.gamma) / (n_k[:, None] + R * hp.gamma)
+    word_dist = ((counts[:, _WORDS:_WORDS + n_words] + hp.beta)
+                 / (counts[:, _WORD_TOTAL, None] + n_words * hp.beta))
+    object_dist = ((counts[:, _WORDS + n_words:_WORDS + n_words + n_objects] + hp.chi)
+                   / (counts[:, _OBJ_TOTAL, None] + n_objects * hp.chi))
+    region_dist = (counts[:, -R:] + hp.gamma) / (n_k[:, None] + R * hp.gamma)
 
     # Each region's NIW posterior mean and scale from its (7, R) moment sums, mapped back by z s + c and s^2.
-    n, a = p.region_n, p.sums
+    n, a = moments[0], moments[1:1 + _DIM]
     kappa_n = hp.kappa + n
     means = (a / kappa_n).T * scale + centre
-    V_n = (v0.reshape(_DIM * _DIM, 1) + p.outers - _outer(a, a) / kappa_n).T
+    V_n = (v0.reshape(_DIM * _DIM, 1) + moments[1 + _DIM:] - _outer(a, a) / kappa_n).T
     nu_n = hp.nu0 + n
     # The posterior-mean covariance needs nu_n > dim+1; empty regions fall
     # back to the inverse-Wishart mode, which is always defined.

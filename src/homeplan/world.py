@@ -160,6 +160,12 @@ class Environment:
     def objects_in_category(self, floor: str, category: str) -> list[str]:
         return [o for o in self.objects_on(floor) if self.categories.get(o) == category]
 
+    @cached_property
+    def _objects_in_room(self) -> dict[str, list[str]]:
+        """Each room's placed objects in name order, listed once for every session observed in it."""
+        return {room: [o for o in sorted(self.placements) if self.placements[o] == room]
+                for room in self._rooms_by_name}
+
 
 @dataclass
 class RobotState:
@@ -348,14 +354,10 @@ def observe_session(env: Environment, robot: RobotState, room: str, rng: np.rand
     # checked positive semi-definite when the room was built.
     position = rng.standard_normal((1, 2)) @ target.draw_factor
     position += target.center
-    labels = [o for o, placed in sorted(env.placements.items())
-              if placed == room and rng.random() < robot.p_detect_present]
-    words_pool = env.place_words.get(room, [])
-    if words_pool:
-        count = int(rng.integers(1, 4))
-        words = [str(w) for w in rng.choice(words_pool, size=count, replace=True)]
-    else:
-        words = []
+    labels = [o for o in env._objects_in_room[room] if rng.random() < robot.p_detect_present]
+    # One to three words, drawn as Generator.choice(pool, count, replace=True) draws them.
+    pool = env.place_words.get(room, ())
+    words = [pool[i] for i in rng.integers(len(pool), size=int(rng.integers(1, 4))).tolist()] if pool else []
     return Session(position=position[0], object_labels=labels, place_words=words, room_hint=room)
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 import textwrap
@@ -82,6 +84,23 @@ def test_json_writers_write_one_format(tmp_path, capsys, kb_files, writer):
             assert capsys.readouterr().out == out.read_text()
     text = out.read_text()
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_seed_sweep_digests_the_files_learn_and_extract_write(tmp_path, capsys, monkeypatch):
+    # Two checkouts' sweeps compare their learns only if each digest is of the bytes a user gets.
+    script = Path(__file__).parent.parent / "scripts" / "seed_sweep.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--seeds", "1", "--visits", "5"])
+    runpy.run_path(str(script), run_name="__main__")
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["cli_seed"], r["visits"], r["floor"]) for r in rows] == [(0, 5, "1F"), (0, 5, "2F")]
+    for robot, row in zip(("Robot1", "Robot2"), rows):
+        model, kb = tmp_path / f"{robot}_model.json", tmp_path / f"{robot}_kb.json"
+        assert main(["learn", "--floor", row["floor"], "--seed", str(row["learn_seed"]), "--visits", "5",
+                     "--out", str(model)]) == 0
+        assert main(["extract", "--model-path", str(model), "--env", "paper_home", "--floor", row["floor"],
+                     "--robot", robot, "--out", str(kb)]) == 0
+        assert row["model_sha256"] == hashlib.sha256(model.read_bytes()).hexdigest()
+        assert row["knowledge_sha256"] == hashlib.sha256(kb.read_bytes()).hexdigest()
 
 
 def test_learn_from_sessions_file(tmp_path, capsys):

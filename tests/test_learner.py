@@ -204,7 +204,13 @@ def session_batches(draw):
 @settings(max_examples=40)
 def test_learner_always_yields_a_valid_model(sessions, seed, r):
     """Robustness oracle: any session batch (duplicate positions included)
-    must produce a model that passes full validation."""
+    must produce a model that passes full validation, unless its positions
+    spread so little that their squared deviations underflow: that is refused."""
+    positions = np.array([s.position for s in sessions])
+    if not np.square(positions - positions.mean(axis=0)).sum() and (positions != positions[0]).any():
+        with pytest.raises(SchemaError, match="squared deviations do not underflow"):
+            learn_fixed_lag(sessions, seed=seed, num_regions=r)
+        return
     model = learn_fixed_lag(sessions, seed=seed, num_regions=r)  # checked when built
     for region in range(model.num_regions):
         probs = object_location_posterior(model, model.vocab_objects[0]) \
@@ -426,16 +432,16 @@ def _random_batch(case):
     places = [f"w{i}" for i in range(int(rng.integers(1, 6)))]
     objects = [f"o{i}" for i in range(int(rng.integers(0, 6)))]
     hp = Hyperparameters(alpha=float(rng.uniform(0.2, 3.0)), gamma=float(rng.uniform(0.2, 3.0)),
-                         beta=float(rng.uniform(0.05, 1.0)), chi=float(rng.uniform(0.05, 1.0)))
+                         beta=float(rng.uniform(0.05, 1.0)), chi=float(rng.uniform(0.05, 1.0)), num_particles=P)
     stats, views, v0 = _random_stats(rng, int(rng.integers(1, 25)), places, objects, R)
     # Sessions still in the batch are rescored too, which can reach twice a learn's counts.
     tables = _Tables(hp, v0, K, R, len(places), len(objects), stats * 2)
     batch = _Batch(P, K, R, len(places), len(objects), len(stats))
     for t, s in enumerate(stats):
-        batch.assignments[:, t] = rng.integers(0, K, P) * R + rng.integers(0, R, P)
-        batch.add(batch.assignments[:, t], s)
+        batch.assignments[t] = rng.integers(0, K, P) * R + rng.integers(0, R, P)
+        batch.add(batch.assignments[t], s)
     # Take one session out again, as a Gibbs step does before rescoring it.
-    batch.add(batch.assignments[:, 0], stats[0], sign=-1)
+    batch.add(batch.assignments[0], stats[0], sign=-1)
     return batch, tables, stats, views, hp, len(places), len(objects)
 
 
@@ -492,9 +498,9 @@ def test_sweep_tables_stay_finite_without_objects(objects):
     assert np.isfinite(tables.sweep).all()
     batch = _Batch(4, 2, 3, 2, len(objects), len(stats))
     for t, s in enumerate(stats):
-        batch.assignments[:, t] = (t % 2) * 3 + t % 3
-        batch.add(batch.assignments[:, t], s)
-    batch.add(batch.assignments[:, 0], stats[0], sign=-1)
+        batch.assignments[t] = (t % 2) * 3 + t % 3
+        batch.add(batch.assignments[t], s)
+    batch.add(batch.assignments[0], stats[0], sign=-1)
     _assert_grids_match_reference(batch, tables, stats, views, hp, 2, len(objects))
     learn_fixed_lag(sessions, seed=0, num_regions=3)  # a model is checked when built
 
@@ -538,11 +544,11 @@ def test_sweep_table_rows_are_the_log_gamma_differences():
 def _recount(batch, views, K, R, n_words, n_objects):
     """Counts and moment sums of every particle, summed afresh from its assignments and the
     sessions' vocabulary-indexed views."""
-    P = len(batch.assignments)
+    P = batch.assignments.shape[1]
     counts = np.zeros((P, K, _WORDS + n_words + n_objects + R), dtype=int)
     moments = np.zeros((7, P, R))
     for i in range(P):
-        for v, cell in zip(views, batch.assignments[i]):
+        for v, cell in zip(views, batch.assignments[:, i]):
             k, r = divmod(int(cell), R)
             row = counts[i, k]
             row[:_WORDS] += [1, v.word_total, v.obj_total]
@@ -554,34 +560,43 @@ def _recount(batch, views, K, R, n_words, n_objects):
     return counts, moments
 
 
+def _assert_integral_counts(batch):
+    """The count block holds integers: every add and remove moves it by whole counts."""
+    np.testing.assert_array_equal(batch.counts, np.round(batch.counts))
+
+
 @pytest.mark.parametrize("case", range(8))
 def test_batch_stays_a_recount_of_its_assignments_through_resampling(case):
-    # Every array is updated through a flat view: a resample that left one of them
-    # not C-contiguous would make later adds write to a copy and vanish.
+    # Every add writes into the state buffer: a resample whose views did not share its new
+    # buffer would score against one copy and write to another.
     rng = np.random.default_rng(300 + case)
     P, K, R = int(rng.integers(2, 8)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
     places = [f"w{i}" for i in range(int(rng.integers(1, 5)))]
     objects = [f"o{i}" for i in range(int(rng.integers(0, 5)))]
     stats, views, v0 = _random_stats(rng, int(rng.integers(4, 20)), places, objects, R)
-    _Tables(Hyperparameters(), v0, K, R, len(places), len(objects), stats)
+    _Tables(Hyperparameters(num_particles=P), v0, K, R, len(places), len(objects), stats)
     batch = _Batch(P, K, R, len(places), len(objects), len(stats))
 
     def add_then_move(batch, start, stop):
         """Add sessions start..stop-1 at random cells, then move random sessions added so far."""
         for t in range(start, stop):
-            batch.assignments[:, t] = rng.integers(0, K * R, P)
-            batch.add(batch.assignments[:, t], stats[t])
+            batch.assignments[t] = rng.integers(0, K * R, P)
+            batch.add(batch.assignments[t], stats[t])
+        _assert_integral_counts(batch)
         for t in rng.integers(0, stop, 2 * (stop - start)):
-            batch.add(batch.assignments[:, t], stats[t], sign=-1)
-            batch.assignments[:, t] = rng.integers(0, K * R, P)
-            batch.add(batch.assignments[:, t], stats[t])
+            batch.add(batch.assignments[t], stats[t], sign=-1)
+            batch.assignments[t] = rng.integers(0, K * R, P)
+            batch.add(batch.assignments[t], stats[t])
+        _assert_integral_counts(batch)
 
     half = len(stats) // 2
     add_then_move(batch, 0, half)
     batch = batch.take(rng.integers(0, P, P))
+    _assert_integral_counts(batch)
     add_then_move(batch, half, len(stats))
-    for array in (batch.counts, batch.moments, batch.assignments):
-        assert array.flags.c_contiguous
+    assert batch.state.flags.c_contiguous and batch.assignments.flags.c_contiguous
+    for view in (batch.counts, batch.moments):
+        assert np.shares_memory(view, batch.state)
     counts, moments = _recount(batch, views, K, R, len(places), len(objects))
     np.testing.assert_array_equal(batch.counts, counts)
     np.testing.assert_allclose(batch.moments, moments, rtol=1e-12, atol=1e-12)
@@ -589,18 +604,22 @@ def test_batch_stays_a_recount_of_its_assignments_through_resampling(case):
 
 @pytest.mark.parametrize("case", range(8))
 def test_a_gathered_batch_reads_and_writes_its_own_arrays(case):
-    # A view left on the arrays a gather replaced would score a grid against stale counts
+    # A view left on the buffer a gather replaced would score a grid against stale counts
     # and write its updates where nothing reads them.
     batch, tables, stats, views, hp, n_words, n_objects = _random_batch(case)
-    P = len(batch.counts)
-    for index in (np.random.default_rng(case).integers(0, P, P), P // 2):
-        taken = batch.take(index)
-        for view in (taken.flat_counts, taken.links):
-            assert np.shares_memory(view, taken.counts) and not np.shares_memory(view, batch.counts)
-        for view in (taken.flat_moments, taken.region_n, taken.sums, taken.outers):
-            assert np.shares_memory(view, taken.moments) and not np.shares_memory(view, batch.moments)
-        if not isinstance(index, int):
-            _assert_grids_match_reference(taken, tables, stats, views, hp, n_words, n_objects)
+    P = batch.assignments.shape[1]
+    taken = batch.take(np.random.default_rng(case).integers(0, P, P))
+    for view in (taken.counts, taken.moments, taken.links, taken.region_n, taken.sums, taken.outers):
+        assert np.shares_memory(view, taken.state) and not np.shares_memory(view, batch.state)
+    assert not np.shares_memory(taken.assignments, batch.assignments)
+    _assert_grids_match_reference(taken, tables, stats, views, hp, n_words, n_objects)
+    # Putting session 0 back writes one session per particle into the gathered buffer alone.
+    before, sessions = batch.state.copy(), taken.counts[..., 0].sum()
+    taken.add(taken.assignments[0], stats[0])
+    np.testing.assert_array_equal(batch.state, before)
+    assert taken.counts[..., 0].sum() == sessions + P
+    _assert_integral_counts(taken)
+    _assert_grids_match_reference(taken, tables, stats, views, hp, n_words, n_objects)
 
 
 @pytest.mark.parametrize("objects", [[], ["cup", "plate", "fork"]], ids=["empty-object-vocabulary", "objects"])
@@ -613,18 +632,18 @@ def test_session_stats_match_the_vocabulary_indexed_reference(objects):
     assert not objects or any(len(v.obj_idx) < v.obj_total for v in views)
     first_obj = _WORDS + len(places)
     for s, v in zip(stats, views):
-        cols = np.concatenate(([0, 1, 2], _WORDS + v.word_idx, first_obj + v.obj_idx, [first_obj + len(objects)]))
-        vals = np.concatenate(([1, v.word_total, v.obj_total], v.word_cnt, v.obj_cnt, [1]))
+        cols = np.concatenate(([0, 1, 2], _WORDS + v.word_idx, first_obj + v.obj_idx))
+        x0, x1 = v.x
+        # Its moment sums, its link to a region, then one count per column.
+        values = np.concatenate(([1.0, x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1, 1, 1, v.word_total, v.obj_total],
+                                 v.word_cnt, v.obj_cnt))
         for actual, expected in ((s.word_cnt, v.word_cnt), (s.obj_cnt, v.obj_cnt), (s.cols, cols),
-                                 (s.vals, vals), (s.neg_vals, -vals)):
+                                 (s.values, values), (s.neg_values, -values)):
             assert actual.dtype == expected.dtype
             np.testing.assert_array_equal(actual, expected)
         assert (s.word_total, s.obj_total) == (v.word_total, v.obj_total)
         assert type(s.word_total) is type(s.obj_total) is int
         np.testing.assert_array_equal(s.x, v.x)
-        x0, x1 = v.x
-        np.testing.assert_array_equal(s.moments[:, 0], [1.0, x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1])
-        np.testing.assert_array_equal(s.neg_moments, -s.moments)
 
 
 def test_filter_reports_every_step_and_ends_on_a_recount():
@@ -645,6 +664,7 @@ def test_filter_reports_every_step_and_ends_on_a_recount():
 
         batch, log_w, ess, resampled = run(len(stats))
         assert len(ess) == len(resampled) == len(stats)
+        _assert_integral_counts(batch)
         # The ESS of normalised weights lies in [1, P], up to the rounding of 1 / sum(w^2).
         assert all(1.0 - 1e-12 <= e <= P * (1.0 + 1e-12) for e in ess)
         assert resampled == [e < P / 2.0 for e in ess]
@@ -682,6 +702,28 @@ def test_batched_sampling_picks_what_generator_choice_picks():
         _draw(grid, np.full(P, np.nextafter(1.0, 0.0)), cells)
         assert np.all(cells < 20)
         assert np.all(probs[np.arange(P), cells] > 0)
+
+
+@pytest.mark.parametrize("row", [
+    [0.0, 0.0, 1.0, 0.0, 0.0],
+    [0.0, 1.0, 0.0, 1.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.5, 0.25, 0.25, 1.0, 0.0, 0.0, 0.0],
+    [1.0, 1.0, 1.0, 1.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0, 2.0 ** -52, 0.0],
+    [0.0, 0.3, 1.0, 0.7, 0.0],
+])
+def test_extreme_uniforms_draw_the_first_and_last_cells_with_mass(row):
+    # Rows with zero-mass heads and tails.  All but the fifth total a power of two, which the top
+    # uniform scales by exactly 1 - 2**-53; the fifth's last mass is one ulp of its total.  The
+    # top uniform must draw the last cell with mass and 0 the first: a draw into a massless
+    # cell, or at or past the row's end, would be a cell the grid gave no weight.
+    e = np.array([row, row[::-1]])
+    mass = [np.flatnonzero(r) for r in e]
+    cells = np.empty(len(e), dtype=int)
+    _sample_grid(e, np.full(len(e), np.nextafter(1.0, 0.0)), cells)
+    assert cells.tolist() == [m[-1] for m in mass]
+    _sample_grid(e, np.zeros(len(e)), cells)
+    assert cells.tolist() == [m[0] for m in mass]
 
 
 def _assert_documents_close(actual, expected, path="model"):
