@@ -1,35 +1,41 @@
 """Fixed-lag Rao-Blackwellized particle filter for spatial concept learning.
 
-All particles live in one stacked state (``_Batch``): per-session cells
-plus collapsed sufficient statistics in one float64 buffer.  A cell is one
-flat index ``k * R + r`` of (concept, region), the order the grids are drawn
-in, and ``assignments`` (T, P) holds each session's cells, one contiguous row
-per session.  The buffer's count block ``counts`` (P, K, F) holds every
-Dirichlet-multinomial count of a concept, integers exact as floats: its
-sessions, word and object totals, word and object counts, and its links to
-regions.  Its moment block ``moments`` (7, P, R) holds each region's
-normal-inverse-Wishart moment sums component-major: n, the two position sums
-and the four sums of outer products, each a contiguous (P, R) plane that the
-kernel reads without striding.  Positions are held standardized, less the
-floor's mean session position and over one scale.  Adding or removing a
-session is one indexed update of the buffer, through an index table and a
-value row per session built once per learn (``_Tables``).
+A concept here is one region: a session's latent cell is a region index r,
+which carries the region's place words, object labels and Gaussian position
+at once.  This follows the paper, whose spatial concept is a room name plus
+that room's object presence, and departs from SpCoSLAM (Taniguchi et al.
+2017), whose second index links each concept to several position regions.
 
-One kernel, ``_sweep_grid``, scores a session over the (concept, region)
-cells.  Every term that depends on an integer count alone is one row of a
-fused table built once per learn (``_Tables``), so a grid is a few lookups
-plus the Student-t position term.  Each log-gamma difference in those rows
-has an integer offset, so a row is a running sum of logs, and the Student-t
-constant has a closed form: the learner needs no special functions.  The
-kernel leaves out the concept prior's normaliser log(N + K alpha), which is
-the same for every particle and cell.
+All particles live in one stacked state (``_Batch``): per-session regions
+plus collapsed sufficient statistics in one float64 buffer, and
+``assignments`` (T, P) holds each session's regions, one contiguous row per
+session.  The buffer's count block ``counts`` (P, R, F) holds every
+Dirichlet-multinomial count of a region, integers exact as floats: its
+sessions, word and object totals, and word and object counts.  Its moment
+block ``moments`` (7, P, R) holds each region's normal-inverse-Wishart moment
+sums component-major: n, the two position sums and the four sums of outer
+products, each a contiguous (P, R) plane that the kernel reads without
+striding.  So a region's session count is held twice, as its count column
+and as ``moments[0]``.  Positions are held standardized, less the floor's
+mean session position and over one scale.  Adding or removing a session is
+one indexed update of the buffer, through an index table and a value row per
+session built once per learn (``_Tables``).
+
+One kernel, ``_sweep_grid``, scores a session over the regions.  Every term
+that depends on an integer count alone is one row of a fused table built once
+per learn (``_Tables``), so a grid is a few lookups plus the Student-t
+position term.  Each log-gamma difference in those rows has an integer
+offset, so a row is a running sum of logs, and the Student-t constant has a
+closed form: the learner needs no special functions.  The kernel leaves out
+the region prior's normaliser log(N + R alpha), which is the same for every
+particle and region.
 The Gibbs sweep over the lag window, sequential over the window and parallel
 over particles, draws from it as it is.  An arriving session's grid is the
 kernel minus that normaliser, the collapsed log conditional: it doubles as
 the optimal proposal, and its log-sum-exp, the predictive marginal, is the
 particle weight increment.  ``log_w`` sums them as unnormalised log weights
 since the last resample; each step normalises ``exp(log_w - max)``.  A draw
-is one ``argmin``: the first cell whose cumulative sum exceeds u times the
+is one ``argmin``: the first region whose cumulative sum exceeds u times the
 total.  Grid buffers are updated in place with no change to any arithmetic.
 
 ``_filter`` runs the loop.  Particles are systematically resampled, by one
@@ -55,7 +61,7 @@ from .spatial import Hyperparameters, Session, SpatialConceptModel
 
 _DIM = 2
 _MOMENTS = 1 + _DIM + _DIM * _DIM  # n, the position sums and the sums of outer products
-# Leading columns of the stacked counts; word, object and link columns follow.
+# Leading columns of the stacked counts; word and object columns follow.
 _CONCEPT, _WORD_TOTAL, _OBJ_TOTAL, _WORDS = 0, 1, 2, 3
 # Scales the (v11, v01) planes of a NIW scale to the quadratic form's coefficients.
 _QUAD_SCALE = np.array([1.0, 2.0])[:, None, None]
@@ -70,14 +76,14 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _SessionStats:
     """Per-session data in index space, precomputed once.
 
-    ``x`` is the standardized position and ``cols`` the columns of a concept's count row
+    ``x`` is the standardized position and ``cols`` the columns of a region's count row
     that the kernel reads: sessions, word and object totals, then the session's words and
     objects.  ``values`` is what the session adds to the state buffer: its seven moment
-    sums, its link to a region, then one value per column of ``cols``; ``neg_values``
-    removes it.  Three fields are set by ``_Tables``: ``sweep_index``, the flat index
-    offsets of the session's rows of the fused sweep table, one per column of ``cols``;
-    ``cell_index``, per cell ``k * R + r`` the buffer indices of particle 0 that
-    ``values`` adds to; and ``offsets``, per particle the shift of each index.
+    sums, then one value per column of ``cols``; ``neg_values`` removes it.  Three fields
+    are set by ``_Tables``: ``sweep_index``, the flat index offsets of the session's rows
+    of the fused sweep table, one per column of ``cols``; ``cell_index``, per region the
+    buffer indices of particle 0 that ``values`` adds to; and ``offsets``, per particle the
+    shift of each index.
     """
 
     __slots__ = ("word_cnt", "word_total", "obj_cnt", "obj_total",
@@ -95,51 +101,49 @@ class _SessionStats:
                               *(first_obj + i for i, _ in objects)])
         self.x = x
         x0, x1 = self.x.tolist()  # Python floats: a square that overflows is inf, not a warning
-        self.values = np.array([1.0, x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1, 1, 1, self.word_total,
+        self.values = np.array([1.0, x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1, 1, self.word_total,
                                 self.obj_total, *(c for _, c in words), *(c for _, c in objects)])
         self.neg_values = -self.values
 
 
 class _Batch:
-    """Cells and collapsed sufficient statistics of all particles.
+    """Regions and collapsed sufficient statistics of all particles.
 
     One float64 buffer ``state`` holds a count block, then a moment block.  ``counts``
-    (P, K, F) columns: sessions, word total, object total, V words, O objects, R links,
-    each an integer exact as a float.  ``moments`` (7, P, R): one plane per moment sum.
-    ``assignments`` (T, P): each session's flat cells ``k * R + r``, a contiguous row.
-    ``add`` writes into ``state`` at the indices ``_Tables`` lays out for this layout.
-    The views of it (``counts``, ``moments``) and the ones ``_sweep_grid`` reads
-    (``links``, ``region_n``, ``sums``, ``outers``) are taken whenever a buffer is made,
-    in ``__init__`` and in ``take``: views of a replaced buffer would read stale counts.
+    (P, R, F) columns: sessions, word total, object total, V words, O objects, each an
+    integer exact as a float.  ``moments`` (7, P, R): one plane per moment sum.
+    ``assignments`` (T, P): each session's regions, a contiguous row.  ``add`` writes
+    into ``state`` at the indices ``_Tables`` lays out for this layout.  The views of it
+    (``counts``, ``moments``) and the ones ``_sweep_grid`` reads (``region_n``, ``sums``,
+    ``outers``) are taken whenever a buffer is made, in ``__init__`` and in ``take``:
+    views of a replaced buffer would read stale counts.
     """
 
-    __slots__ = ("state", "counts", "moments", "assignments", "links", "region_n", "sums", "outers")
+    __slots__ = ("state", "counts", "moments", "assignments", "region_n", "sums", "outers")
 
-    def __init__(self, P: int, K: int, R: int, n_words: int, n_objects: int, T: int):
-        self.state = np.zeros(P * K * (_WORDS + n_words + n_objects + R) + _MOMENTS * P * R)
+    def __init__(self, P: int, R: int, n_words: int, n_objects: int, T: int):
+        self.state = np.zeros(P * R * (_WORDS + n_words + n_objects) + _MOMENTS * P * R)
         self.assignments = np.zeros((T, P), dtype=int)
-        self._set_views(P, K, R)
+        self._set_views(P, R)
 
-    def _set_views(self, P: int, K: int, R: int) -> None:
+    def _set_views(self, P: int, R: int) -> None:
         n_counts = len(self.state) - _MOMENTS * P * R
-        self.counts = self.state[:n_counts].reshape(P, K, -1)
+        self.counts = self.state[:n_counts].reshape(P, R, -1)
         self.moments = self.state[n_counts:].reshape(_MOMENTS, P, R)
-        self.links = self.counts[..., -R:]
         self.region_n, self.sums, self.outers = self.moments[0], self.moments[1:1 + _DIM], self.moments[1 + _DIM:]
 
     def take(self, index: np.ndarray) -> "_Batch":
         """The particles at ``index``, one per particle, gathered into a new buffer."""
         out = _Batch.__new__(_Batch)
         out.state = np.empty_like(self.state)
-        P, K, _ = self.counts.shape
-        out._set_views(P, K, self.moments.shape[-1])
+        out._set_views(*self.counts.shape[:2])
         self.counts.take(index, axis=0, out=out.counts)
         self.moments.take(index, axis=1, out=out.moments)
         out.assignments = self.assignments.take(index, axis=1)
         return out
 
     def add(self, cells: np.ndarray, s: _SessionStats, sign: int = 1) -> None:
-        """Add ``s`` to particle i at cell ``cells[i]``; ``sign=-1`` removes it."""
+        """Add ``s`` to particle i in region ``cells[i]``; ``sign=-1`` removes it."""
         self.state[s.offsets + s.cell_index.take(cells, axis=0)] += s.values if sign > 0 else s.neg_values
 
 
@@ -152,13 +156,12 @@ class _Tables:
     for an integer c, so each is a sum of c logs, built row by row; the mass rows are the
     same sums negated.  The Student-t constant in two dimensions is -log(2 pi)."""
 
-    def __init__(self, hp: Hyperparameters, v0: np.ndarray, K: int, R: int, n_words: int, n_objects: int,
+    def __init__(self, hp: Hyperparameters, v0: np.ndarray, R: int, n_words: int, n_objects: int,
                  stats: list[_SessionStats]):
         # The largest count a learn of ``stats`` reaches: every session, word or object in one column.
         n_max = max(len(stats), sum(s.word_total for s in stats), sum(s.obj_total for s in stats))
         n = np.arange(n_max + 1, dtype=float)
-        self.log_gamma = np.log(n + hp.gamma)
-        self.k_alpha = K * hp.alpha
+        self.r_alpha = R * hp.alpha
         # Per region count: 1 / kappa_n and the Student-t constants with the scale factor
         # folded in (det(f V) = f^2 det V, so log f moves into the constant).  With D = 2,
         # Gamma((df + 2) / 2) / Gamma(df / 2) = df / 2, so the constant log(df / 2) - log(df)
@@ -170,9 +173,9 @@ class _Tables:
                                       1.0 / (factor * df), (df + _DIM) / 2.0])
         # The prior scale ``v0`` (2, 2) as a column, broadcast along the moment planes.
         self.v0 = v0.reshape(_DIM * _DIM, 1, 1)
-        # One row per term, indexed by a count: the concept prior over the link normaliser,
-        # per session total m the DM mass terms, per token count c the rising factorials.
-        # Row c of a rising block sums log(n + base + j) for j < c, so row 0 is zero.
+        # One row per term, indexed by a count: the region prior, per session total m the
+        # DM mass terms, per token count c the rising factorials.  Row c of a rising block
+        # sums log(n + base + j) for j < c, so row 0 is zero.
         def rising(base, values):
             top = max((int(v) for v in values), default=0)
             logs = np.log(n + base + np.arange(top)[:, None])
@@ -180,7 +183,7 @@ class _Tables:
 
         word_mass, obj_mass = n_words * hp.beta, n_objects * hp.chi
         blocks = [
-            (np.log(n + hp.alpha) - np.log(n + R * hp.gamma))[None],
+            np.log(n + hp.alpha)[None],
             -rising(word_mass, (s.word_total for s in stats)),
             -rising(obj_mass, (s.obj_total for s in stats)),
             rising(hp.beta, (c for s in stats for c in s.word_cnt)),
@@ -188,33 +191,30 @@ class _Tables:
         ]
         starts = np.cumsum([0] + [len(b) for b in blocks])
         self.sweep = np.concatenate(blocks).reshape(-1)
-        # A session's buffer indices at cell (k, r), in ``values``' order, for particle 0 of
-        # ``_Batch``'s layout: region r's moment sums, concept k's link to region r, then
-        # concept k's row at ``cols``.  Particle i shifts the moment indices by i R and the
-        # count indices by i K F.
-        P, F = hp.num_particles, _WORDS + n_words + n_objects + R
-        k, r = np.divmod(np.arange(K * R), R)
-        head = np.column_stack([P * K * F + m * P * R + r for m in range(_MOMENTS)] + [k * F + F - R + r])
-        concept_rows = (k * F)[:, None]
-        particle, column = np.arange(P)[:, None], np.arange(_MOMENTS + 1 + max(len(s.cols) for s in stats))
-        offsets = np.where(column < _MOMENTS, particle * R, particle * (K * F))
+        # A session's buffer indices in region r, in ``values``' order, for particle 0 of
+        # ``_Batch``'s layout: region r's moment sums, then its count row at ``cols``.
+        # Particle i shifts the moment indices by i R and the count indices by i R F.
+        P, F = hp.num_particles, _WORDS + n_words + n_objects
+        r = np.arange(R)[:, None]
+        moment_index = P * R * F + np.arange(_MOMENTS) * (P * R) + r
+        particle, column = np.arange(P)[:, None], np.arange(_MOMENTS + max(len(s.cols) for s in stats))
+        offsets = np.where(column < _MOMENTS, particle * R, particle * (R * F))
         for s in stats:
             rows = np.concatenate(([0, starts[1] + s.word_total, starts[2] + s.obj_total],
                                    starts[3] + s.word_cnt, starts[4] + s.obj_cnt))
             s.sweep_index = rows * len(n)
-            s.cell_index = np.concatenate((head, concept_rows + s.cols), axis=1)
+            s.cell_index = np.concatenate((moment_index, r * F + s.cols), axis=1)
             s.offsets = offsets[:, :len(s.values)]
 
 
 def _sweep_grid(p: _Batch, s: _SessionStats, t: _Tables) -> np.ndarray:
-    """The collapsed log conditional over (concept, region) for one session, shape
-    (P, K, R), less the concept prior's normaliser log(N + K alpha), N the sessions
-    held.  Every count-only term is one fused table row, and with the prior mean at
-    the origin of the standardized positions the NIW scale is V_n = v0 + sum x x^T - a a^T
-    / kappa_n with a = sum x, which needs no sample mean."""
+    """The collapsed log conditional over the regions for one session, shape (P, R),
+    less the region prior's normaliser log(N + R alpha), N the sessions held.  Every
+    count-only term is one fused table row, and with the prior mean at the origin of the
+    standardized positions the NIW scale is V_n = v0 + sum x x^T - a a^T / kappa_n with
+    a = sum x, which needs no sample mean."""
     counts = p.counts.take(s.cols, axis=2).astype(np.intp)
-    log_concept = t.sweep.take(counts + s.sweep_index).sum(axis=-1, keepdims=True)
-    grid = log_concept + t.log_gamma.take(p.links.astype(np.intp))
+    grid = t.sweep.take(counts + s.sweep_index).sum(axis=-1)
     inv_kappa_n, const, inv_scale_df, half = t.sweep_region.take(p.region_n.astype(np.intp), axis=1)
     m_n = p.sums * inv_kappa_n
     v = p.outers + t.v0
@@ -233,16 +233,16 @@ def _sweep_grid(p: _Batch, s: _SessionStats, t: _Tables) -> np.ndarray:
     quad *= inv_scale_df
     const -= 0.5 * np.log(det, out=det)
     const -= half * np.log1p(quad, out=quad)
-    grid += const[:, None]
+    grid += const
     return grid
 
 
 def _sample_grid(e: np.ndarray, u: np.ndarray, cells: np.ndarray) -> None:
-    """Write one flat cell ``k * R + r`` per particle into ``cells``, by inverse CDF on the
-    uniforms ``u``: the first cell whose cumulative sum exceeds u times the total.  Row i of
-    ``e`` is particle i's flattened (K, R) grid, ``exp(grid - max)``, so the total is at least
-    1, and for u <= 1 - 2**-53 the scaled total rounds below it: some cell exceeds it, and
-    the first one that does holds mass (``argmin`` of an all-true row would return 0)."""
+    """Write one region per particle into ``cells``, by inverse CDF on the uniforms ``u``:
+    the first region whose cumulative sum exceeds u times the total.  Row i of ``e`` is
+    particle i's grid, ``exp(grid - max)``, so the total is at least 1, and for
+    u <= 1 - 2**-53 the scaled total rounds below it: some region exceeds it, and the
+    first one that does holds mass (``argmin`` of an all-true row would return 0)."""
     cdf = e.cumsum(axis=1)
     (cdf <= u[:, None] * cdf[:, -1:]).argmin(axis=1, out=cells)
 
@@ -264,7 +264,7 @@ def derive_vocabularies(sessions: list[Session]) -> tuple[list[str], list[str]]:
 
 
 def learn_fixed_lag(sessions: list[Session], *, seed: int = 0, num_regions: int = 5) -> SpatialConceptModel:
-    """Learn a spatial concept model from an ordered session stream, one concept per region.
+    """Learn a spatial concept model from an ordered session stream, a concept per region.
 
     It reads the whole stream before its first step: the vocabularies are the
     sessions' own (``derive_vocabularies``), and the positions are standardized
@@ -301,9 +301,9 @@ def learn_fixed_lag(sessions: list[Session], *, seed: int = 0, num_regions: int 
     cov = z.T @ z / len(z)
     v0 = (cov if cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0] > 1e-6 else np.eye(_DIM)) / num_regions
     stats = [_SessionStats(s, x, place_index, object_index) for s, x in zip(sessions, z)]
-    tables = _Tables(hp, v0, num_regions, num_regions, len(vocab_places), len(vocab_objects), stats)
+    tables = _Tables(hp, v0, num_regions, len(vocab_places), len(vocab_objects), stats)
 
-    batch = _Batch(hp.num_particles, num_regions, num_regions, len(vocab_places), len(vocab_objects), len(stats))
+    batch = _Batch(hp.num_particles, num_regions, len(vocab_places), len(vocab_objects), len(stats))
     batch, log_w, _, _ = _filter(batch, stats, tables, hp, np.random.default_rng(seed))
     return _posterior_mean_model(batch, int(np.argmax(log_w)), hp, seed, v0, centre, scale, vocab_places,
                                  vocab_objects)
@@ -319,8 +319,8 @@ def _filter(batch: _Batch, stats: list[_SessionStats], tables: _Tables, hp: Hype
     ess_steps, resampled = [], []
     for t, s in enumerate(stats):
         # Less the normaliser over the t sessions held, the grid is the log conditional.
-        grid = _sweep_grid(batch, s, tables).reshape(n_particles, -1)
-        grid -= math.log(t + tables.k_alpha)
+        grid = _sweep_grid(batch, s, tables)
+        grid -= math.log(t + tables.r_alpha)
         top = grid.max(axis=1, keepdims=True)
         grid -= top
         e = np.exp(grid, out=grid)  # one exp serves the weight increment and the draw
@@ -336,7 +336,7 @@ def _filter(batch: _Batch, stats: list[_SessionStats], tables: _Tables, hp: Hype
         for j, tau in enumerate(window):
             cells = batch.assignments[tau]
             batch.add(cells, stats[tau], sign=-1)
-            grid = _sweep_grid(batch, stats[tau], tables).reshape(n_particles, -1)
+            grid = _sweep_grid(batch, stats[tau], tables)
             grid -= grid.max(axis=1, keepdims=True)
             _sample_grid(np.exp(grid, out=grid), u[:, j], cells)
             batch.add(cells, stats[tau])
@@ -355,15 +355,14 @@ def _filter(batch: _Batch, stats: list[_SessionStats], tables: _Tables, hp: Hype
 def _posterior_mean_model(p: _Batch, i: int, hp: Hyperparameters, seed: int, v0: np.ndarray, centre: np.ndarray,
                           scale: float, vocab_places: list[str], vocab_objects: list[str]) -> SpatialConceptModel:
     counts, moments = p.counts[i], p.moments[:, i]
-    K, R = counts.shape[0], moments.shape[1]
+    R = len(counts)
     n_words, n_objects = len(vocab_places), len(vocab_objects)
-    n_k = counts[:, _CONCEPT]
-    pi = (n_k + hp.alpha) / (n_k.sum() + K * hp.alpha)
+    n_r = counts[:, _CONCEPT]
+    pi = (n_r + hp.alpha) / (n_r.sum() + R * hp.alpha)
     word_dist = ((counts[:, _WORDS:_WORDS + n_words] + hp.beta)
                  / (counts[:, _WORD_TOTAL, None] + n_words * hp.beta))
     object_dist = ((counts[:, _WORDS + n_words:_WORDS + n_words + n_objects] + hp.chi)
                    / (counts[:, _OBJ_TOTAL, None] + n_objects * hp.chi))
-    region_dist = (counts[:, -R:] + hp.gamma) / (n_k[:, None] + R * hp.gamma)
 
     # Each region's NIW posterior mean and scale from its (7, R) moment sums, mapped back by z s + c and s^2.
     n, a = moments[0], moments[1:1 + _DIM]
@@ -376,5 +375,5 @@ def _posterior_mean_model(p: _Batch, i: int, hp: Hyperparameters, seed: int, v0:
     denom = nu_n - _DIM - 1.0
     covs = V_n.reshape(R, _DIM, _DIM) / np.where(denom > 0, denom, nu_n + _DIM + 1.0)[:, None, None] * scale ** 2
 
-    return SpatialConceptModel(pi, word_dist, object_dist, region_dist, means, covs,
+    return SpatialConceptModel(pi, word_dist, object_dist, means, covs,
                                vocab_places, vocab_objects, hyperparameters=hp, seed=seed)

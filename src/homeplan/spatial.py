@@ -1,13 +1,16 @@
 """Generative spatial concept model and its cross-modal posterior queries.
 
-A model ties K latent concepts to place words, object labels, and R Gaussian
-position regions.  It is checked once when built and then frozen: tuples for
-its vocabularies, read-only float copies of the stacked arrays the learner
-writes and the queries read: ``pi`` (K,), ``word_dist`` (K, V), ``object_dist``
-(K, O), ``region_dist`` (K, R), ``means`` (R, 2) and ``covs`` (R, 2, 2).  The
-JSON document keeps one entry per concept and per region.  The two queries
-marginalize the concept index into normalized categoricals: the per-region
-word posterior, and the per-object region posterior behind the presence tables.
+A concept here is one region, as in the paper, where a spatial concept is a
+room name plus that room's object presence: region r has a weight ``pi[r]``, a
+place-word and an object-label categorical, and a Gaussian position.  SpCoSLAM
+(Taniguchi et al. 2017) links concepts to regions through a second index; this
+model has none.  It is checked once when built and then frozen: tuples for its
+vocabularies, read-only float copies of the stacked arrays the learner writes
+and the queries read: ``pi`` (R,), ``word_dist`` (R, V), ``object_dist`` (R, O),
+``means`` (R, 2) and ``covs`` (R, 2, 2).  The JSON document, ``schema_version``
+2, keeps one entry per region.  The two queries are normalized categoricals: a
+region's word distribution, and the per-object region posterior behind the
+presence tables.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .errors import (SchemaError, UnknownLabelError, is_count, is_finite_real, r
 
 CATEGORICAL_ATOL = 1e-9
 
-_MODEL_SCHEMA_VERSION = 1
+_MODEL_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -31,12 +34,11 @@ class Hyperparameters:
     Concentrations are per-component symmetric Dirichlet parameters; the Gaussian
     regions carry a normal-inverse-Wishart prior (kappa, nu0) whose mean and scale
     the learner takes from the floor's sessions.  ``from_dict`` ignores unknown
-    keys, so documents with the removed ``lambda_aux`` field, prior mean or prior
-    scale load.
+    keys, so documents with the removed ``lambda_aux`` or ``gamma`` field, prior
+    mean or prior scale load.
     """
 
     alpha: float = 2.0
-    gamma: float = 0.5
     beta: float = 0.1
     chi: float = 0.1
     kappa: float = 1.0
@@ -46,7 +48,7 @@ class Hyperparameters:
 
     def __post_init__(self):
         # Checked here, once per construction or load, so the learner reads them unchecked.
-        for name, floor in (("alpha", 0), ("gamma", 0), ("beta", 0), ("chi", 0), ("kappa", 0), ("nu0", 1)):
+        for name, floor in (("alpha", 0), ("beta", 0), ("chi", 0), ("kappa", 0), ("nu0", 1)):
             value = getattr(self, name)
             if not is_finite_real(value) or value <= floor:
                 raise SchemaError(f"{name} must be a finite number above {floor}, not {value!r}")
@@ -99,22 +101,21 @@ class Session:
             raise SchemaError(f"room_hint must be a str or null, not {self.room_hint!r}")
 
 
-# The stacked arrays of a model: pi, the three per-concept categoricals, the region Gaussians.
-_ARRAYS = ("pi", "word_dist", "object_dist", "region_dist", "means", "covs")
+# The stacked arrays of a model, a row per region: pi, the two categoricals, the Gaussians.
+_ARRAYS = ("pi", "word_dist", "object_dist", "means", "covs")
 
 
 @dataclass(frozen=True)
 class SpatialConceptModel:
-    """Learned mixture linking place words, object labels, and 2D regions.
+    """Learned mixture of regions, each with place words, object labels and a 2D Gaussian.
 
-    Row k of each ``*_dist`` array is concept k's categorical; region r is the
+    Row r of each ``*_dist`` array is region r's categorical, and its position is the
     Gaussian (``means[r]``, ``covs[r]``).  Change one with ``dataclasses.replace``.
     """
 
     pi: np.ndarray
     word_dist: np.ndarray
     object_dist: np.ndarray
-    region_dist: np.ndarray
     means: np.ndarray
     covs: np.ndarray
     vocab_places: tuple[str, ...]
@@ -132,16 +133,16 @@ class SpatialConceptModel:
         for name in _ARRAYS:
             object.__setattr__(self, name, _real_array(getattr(self, name), name))
         object.__setattr__(self, "_object_index", {o: i for i, o in enumerate(self.vocab_objects)})
-        if self.pi.ndim != 1 or self.means.ndim != 2:
-            raise SchemaError("pi must be a vector and means a matrix, a row per region")
-        K, R = self.num_concepts, self.num_regions
-        if K < 1 or R < 1:
-            raise SchemaError("model needs at least one concept and one region")
-        shapes = ((K,), (K, len(self.vocab_places)), (K, len(self.vocab_objects)), (K, R), (R, 2), (R, 2, 2))
+        if self.means.ndim != 2:
+            raise SchemaError("means must be a matrix, a row per region")
+        R = self.num_regions
+        if R < 1:
+            raise SchemaError("model needs at least one region")
+        shapes = ((R,), (R, len(self.vocab_places)), (R, len(self.vocab_objects)), (R, 2), (R, 2, 2))
         for name, shape in zip(_ARRAYS, shapes):
             if getattr(self, name).shape != shape:
                 raise SchemaError(f"{name} has shape {getattr(self, name).shape}, not {shape}")
-        for name in _ARRAYS[:4]:
+        for name in _ARRAYS[:3]:
             _check_categorical(getattr(self, name), name)
         if not np.allclose(self.covs, self.covs.transpose(0, 2, 1)):
             raise SchemaError("region covariance not symmetric")
@@ -151,10 +152,6 @@ class SpatialConceptModel:
             raise SchemaError(f"hyperparameters must be Hyperparameters or null, not {self.hyperparameters!r}")
         if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, int)):
             raise SchemaError(f"seed must be an integer or null, not {self.seed!r}")
-
-    @property
-    def num_concepts(self) -> int:
-        return len(self.pi)
 
     @property
     def num_regions(self) -> int:
@@ -194,41 +191,28 @@ def _check_categorical(arr: np.ndarray, name: str) -> None:
 
 
 def word_posterior(model: SpatialConceptModel, region: int) -> np.ndarray:
-    """Word occurrence probabilities for one region, concepts summed out.
-
-    Computes P(w | i) from the mixture by weighting each concept's word
-    distribution with pi_C * phi_C[i] and normalizing over words.  A region
-    with zero mixture evidence yields the uniform categorical.
-    """
+    """Word occurrence probabilities P(w | i) for one region: its word distribution."""
     if not 0 <= region < model.num_regions:
         raise IndexError(f"region {region} out of range [0, {model.num_regions})")
-    weights = model.pi * model.region_dist[:, region]
-    if weights.sum() <= 0.0:
-        n = len(model.vocab_places)
-        return np.full(n, 1.0 / n)
-    joint = weights @ model.word_dist
-    return joint / joint.sum()
+    return model.word_dist[region]
 
 
 def object_location_posterior(model: SpatialConceptModel, obj: str) -> np.ndarray:
-    """Region probabilities for one object label, concepts summed out.
+    """Region probabilities for one object label.
 
     This is the source of the room-wise object presence rows: P(i | o)
-    proportional to sum_C phi_C[i] * xi_C[o] * pi_C.  An object with zero
-    mixture evidence yields the uniform categorical.
+    proportional to pi[i] * xi_i[o].  An object with zero mixture evidence
+    yields the uniform categorical.
     """
-    idx = model.object_id(obj)
-    weights = model.pi * model.object_dist[:, idx]
-    if weights.sum() <= 0.0:
-        n = model.num_regions
-        return np.full(n, 1.0 / n)
-    joint = weights @ model.region_dist
-    return joint / joint.sum()
+    joint = model.pi * model.object_dist[:, model.object_id(obj)]
+    total = joint.sum()
+    if total <= 0.0:
+        return np.full(model.num_regions, 1.0 / model.num_regions)
+    return joint / total
 
 
-# The fields of one entry of a model document's "concepts" and "regions" lists.
-_CONCEPT_FIELDS = ("word_dist", "object_dist", "region_dist")
-_REGION_FIELDS = ("mean", "cov")
+# The fields of one entry of a model document's "regions" list.
+_REGION_FIELDS = ("word_dist", "object_dist", "mean", "cov")
 
 
 def model_to_dict(model: SpatialConceptModel) -> dict:
@@ -237,28 +221,24 @@ def model_to_dict(model: SpatialConceptModel) -> dict:
         "vocab_places": list(model.vocab_places),
         "vocab_objects": list(model.vocab_objects),
         "pi": model.pi.tolist(),
-        "concepts": [dict(zip(_CONCEPT_FIELDS, rows)) for rows in zip(
-            model.word_dist.tolist(), model.object_dist.tolist(), model.region_dist.tolist())],
-        "regions": [dict(zip(_REGION_FIELDS, rows)) for rows in zip(model.means.tolist(), model.covs.tolist())],
+        "regions": [dict(zip(_REGION_FIELDS, rows)) for rows in zip(
+            model.word_dist.tolist(), model.object_dist.tolist(), model.means.tolist(), model.covs.tolist())],
         "hyperparameters": None if model.hyperparameters is None else model.hyperparameters.to_dict(),
         "seed": model.seed,
     }
 
 
 def model_from_dict(data: dict) -> SpatialConceptModel:
-    fields = ("pi", "concepts", "regions", "vocab_places", "vocab_objects")
-    pi, concepts, regions, vocab_places, vocab_objects = require_fields(data, fields, "model document")
+    fields = ("pi", "regions", "vocab_places", "vocab_objects")
+    pi, regions, vocab_places, vocab_objects = require_fields(data, fields, "model document")
     if type(version := data.get("schema_version")) is not int or version != _MODEL_SCHEMA_VERSION:
         raise SchemaError(f"model document has schema_version {version!r}, expected {_MODEL_SCHEMA_VERSION}")
-    concepts = [require_fields(c, _CONCEPT_FIELDS, f"concepts[{i}]")
-                for i, c in enumerate(tuple_of(concepts, object, "concepts"))]
     regions = [require_fields(r, _REGION_FIELDS, f"regions[{i}]")
                for i, r in enumerate(tuple_of(regions, object, "regions"))]
-    # One list per field, a row per concept or region; ``_real_array`` rejects ragged ones.
-    word_dist, object_dist, region_dist = ([c[j] for c in concepts] for j in range(3))
-    means, covs = ([r[j] for r in regions] for j in range(2))
+    # One list per field, a row per region; ``_real_array`` rejects ragged ones.
+    word_dist, object_dist, means, covs = ([r[j] for r in regions] for j in range(len(_REGION_FIELDS)))
     hp = data.get("hyperparameters")
-    return SpatialConceptModel(pi, word_dist, object_dist, region_dist, means, covs, vocab_places, vocab_objects,
+    return SpatialConceptModel(pi, word_dist, object_dist, means, covs, vocab_places, vocab_objects,
                                None if hp is None else Hyperparameters.from_dict(hp), data.get("seed"))
 
 

@@ -34,14 +34,13 @@ settings.register_profile("homeplan", deadline=None, print_blob=True)
 settings.load_profile("homeplan")
 
 
-def random_model(rng, num_concepts, num_regions, n_words=4, n_objects=3):
+def random_model(rng, num_regions, n_words=4, n_objects=3):
     """A valid model with Dirichlet-sampled categoricals and random SPD covariances."""
     a = rng.normal(size=(num_regions, 2, 2))
     return SpatialConceptModel(
-        pi=rng.dirichlet(np.ones(num_concepts)),
-        word_dist=rng.dirichlet(np.ones(n_words), size=num_concepts),
-        object_dist=rng.dirichlet(np.ones(n_objects), size=num_concepts),
-        region_dist=rng.dirichlet(np.ones(num_regions), size=num_concepts),
+        pi=rng.dirichlet(np.ones(num_regions)),
+        word_dist=rng.dirichlet(np.ones(n_words), size=num_regions),
+        object_dist=rng.dirichlet(np.ones(n_objects), size=num_regions),
         means=rng.normal(scale=5.0, size=(num_regions, 2)),
         covs=a @ a.transpose(0, 2, 1) + 0.2 * np.eye(2),
         vocab_places=[f"word{i}" for i in range(n_words)],

@@ -94,9 +94,8 @@ def test_c1_posterior_oracle_equivalence():
     worst = 0.0
     rng = np.random.default_rng(ACCEPTANCE_SEED)
     for _ in range(100):
-        k = int(rng.integers(1, 6))
         r = int(rng.integers(1, 7))
-        model = random_model(rng, k, r)
+        model = random_model(rng, r)
         for region in range(r):
             got = word_posterior(model, region)
             want = brute_force_word_posterior(model, region)
@@ -242,7 +241,7 @@ def test_c6_invariant_suites(home, learned, tmp_path):
     rng = np.random.default_rng(ACCEPTANCE_SEED)
     sums_ok = True
     for _ in range(25):
-        model = random_model(rng, int(rng.integers(1, 6)), int(rng.integers(1, 7)))
+        model = random_model(rng, int(rng.integers(1, 7)))
         for region in range(model.num_regions):
             sums_ok &= abs(word_posterior(model, region).sum() - 1.0) <= 1e-9
         for obj in model.vocab_objects:
@@ -276,7 +275,7 @@ def test_c6_invariant_suites(home, learned, tmp_path):
     model = learned["1F"]["model"]
     restored = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
     ser_ok = True
-    for name in ("pi", "word_dist", "object_dist", "region_dist", "means", "covs"):
+    for name in ("pi", "word_dist", "object_dist", "means", "covs"):
         a, b = getattr(restored, name), getattr(model, name)
         ser_ok &= a.shape == b.shape and np.allclose(a, b, atol=1e-12)
     checks["model serialization 1e-12"] = bool(ser_ok)

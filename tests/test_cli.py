@@ -13,13 +13,15 @@ import pytest
 import homeplan
 
 from homeplan.cli import main
-from homeplan.experiment import run_suite
+from homeplan.experiment import best_room_recovery, floor_robot, run_suite
 from homeplan.knowledge import PROMPTS, knowledge_from_environment, load_knowledge, save_knowledge
 from homeplan.planner import ReplayBackend, render_decomposition_prompt
 from homeplan.spatial import load_model, save_model
-from homeplan.world import load_environment
+from homeplan.learner import learn_fixed_lag
+from homeplan.world import generate_floor_sessions, load_environment
 
 from conftest import environment_to_dict, random_model
+from test_learner import C2_BEST_ROOMS
 
 
 @pytest.fixture
@@ -41,7 +43,7 @@ def test_learn_and_extract_round_trip(tmp_path, capsys):
                  "--visits", "6", "--seed", "3", "--out", str(model_path)])
     assert code == 0
     model = json.loads(model_path.read_text())
-    assert model["schema_version"] == 1
+    assert model["schema_version"] == 2
     assert len(model["regions"]) == 2
 
     kb_path = tmp_path / "kb.json"
@@ -88,19 +90,30 @@ def test_json_writers_write_one_format(tmp_path, capsys, kb_files, writer):
 
 def test_seed_sweep_digests_the_files_learn_and_extract_write(tmp_path, capsys, monkeypatch):
     # Two checkouts' sweeps compare their learns only if each digest is of the bytes a user gets.
+    # Replicate 0 is the learn `homeplan learn` makes; replicate 1 learns the same sessions with
+    # the learner seed moved by 1000, and each line scores its own knowledge base.
     script = Path(__file__).parent.parent / "scripts" / "seed_sweep.py"
-    monkeypatch.setattr(sys, "argv", [str(script), "--seeds", "1", "--visits", "5"])
+    monkeypatch.setattr(sys, "argv", [str(script), "--seeds", "1", "--visits", "5", "--replicates", "2"])
     runpy.run_path(str(script), run_name="__main__")
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [(r["cli_seed"], r["visits"], r["floor"]) for r in rows] == [(0, 5, "1F"), (0, 5, "2F")]
-    for robot, row in zip(("Robot1", "Robot2"), rows):
+    assert [(r["cli_seed"], r["visits"], r["floor"], r["replicate"]) for r in rows] == [
+        (0, 5, "1F", 0), (0, 5, "1F", 1), (0, 5, "2F", 0), (0, 5, "2F", 1)]
+    env = load_environment("paper_home")
+    for robot, row in zip(("Robot1", "Robot1", "Robot2", "Robot2"), rows):
         model, kb = tmp_path / f"{robot}_model.json", tmp_path / f"{robot}_kb.json"
-        assert main(["learn", "--floor", row["floor"], "--seed", str(row["learn_seed"]), "--visits", "5",
-                     "--out", str(model)]) == 0
+        if row["replicate"] == 0:
+            assert main(["learn", "--floor", row["floor"], "--seed", str(row["learn_seed"]), "--visits", "5",
+                         "--out", str(model)]) == 0
+        else:
+            sessions = generate_floor_sessions(env, floor_robot(env, row["floor"], robot),
+                                               np.random.default_rng(row["learn_seed"]), visits_per_room=5)
+            save_model(learn_fixed_lag(sessions, seed=row["learn_seed"] + 1000, num_regions=5), model)
         assert main(["extract", "--model-path", str(model), "--env", "paper_home", "--floor", row["floor"],
                      "--robot", robot, "--out", str(kb)]) == 0
         assert row["model_sha256"] == hashlib.sha256(model.read_bytes()).hexdigest()
         assert row["knowledge_sha256"] == hashlib.sha256(kb.read_bytes()).hexdigest()
+        right, objects = best_room_recovery(env, row["floor"], load_knowledge(kb))
+        assert (row["right"], row["objects"], row["c2"]) == (right, objects, right >= C2_BEST_ROOMS[row["floor"]][0])
 
 
 def test_learn_from_sessions_file(tmp_path, capsys):
@@ -448,7 +461,7 @@ def test_domain_errors_exit_nonzero(capsys):
 ])
 def test_extract_configuration_errors_exit_nonzero(tmp_path, capsys, args, message):
     model_path = tmp_path / "model.json"
-    save_model(random_model(np.random.default_rng(0), 5, 5), model_path)
+    save_model(random_model(np.random.default_rng(0), 5), model_path)
     assert main(["extract", "--model-path", str(model_path), *args]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")

@@ -30,8 +30,7 @@ from conftest import parse_place_vocab, parse_presence_table, random_model, refe
 
 @pytest.fixture
 def model():
-    return random_model(np.random.default_rng(10), num_concepts=3, num_regions=3,
-                        n_words=6, n_objects=4)
+    return random_model(np.random.default_rng(10), num_regions=3, n_words=6, n_objects=4)
 
 
 def test_extract_rows_equal_posteriors_exactly(model):
@@ -60,9 +59,9 @@ def test_extract_vocab_threshold_and_order(model):
 
 
 def test_extract_keeps_only_the_word_of_a_delta_distribution():
-    word = np.zeros((1, 3))
-    word[0, 1] = 1.0
-    model = replace(random_model(np.random.default_rng(11), 1, 2, n_words=3), word_dist=word)
+    word = np.zeros((2, 3))
+    word[:, 1] = 1.0
+    model = replace(random_model(np.random.default_rng(11), 2, n_words=3), word_dist=word)
     kb = extract_knowledge(model, model.vocab_places[:2])
     assert kb.place_vocab == (("word1",), ("word1",))
 
@@ -232,9 +231,9 @@ FIRST_FLOOR = [r.name for r in load_environment("paper_home").rooms_on("1F")]
 
 
 def heard_model(seed, word_dist):
-    """A five-region model whose concept k lives in region k and hears ``word_dist[k]`` over the 1F room names."""
-    model = random_model(np.random.default_rng(seed), 5, 5, n_words=5)
-    return replace(model, vocab_places=FIRST_FLOOR, region_dist=np.eye(5), word_dist=word_dist)
+    """A five-region model whose region k hears ``word_dist[k]`` over the 1F room names."""
+    model = random_model(np.random.default_rng(seed), 5, n_words=5)
+    return replace(model, vocab_places=FIRST_FLOOR, word_dist=word_dist)
 
 
 def test_match_room_names_is_a_bijection():
@@ -310,7 +309,7 @@ def test_min_cost_assignment_breaks_ties_to_the_lowest_column():
 
 def test_match_room_names_needs_enough_rooms():
     env = load_environment("robocup_arena")
-    model = random_model(np.random.default_rng(13), 2, 5)
+    model = random_model(np.random.default_rng(13), 5)
     with pytest.raises(ValueError):
         match_room_names(model, [r.name for r in env.rooms_on("zone1")])  # 2 rooms < 5 regions
 

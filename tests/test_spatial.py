@@ -24,30 +24,24 @@ from homeplan.spatial import (
 from conftest import random_model
 
 FIXTURE = Path(__file__).parent / "fixtures" / "paper_home_models_visits5_seed7.json"
-ARRAYS = ("pi", "word_dist", "object_dist", "region_dist", "means", "covs")
+ARRAYS = ("pi", "word_dist", "object_dist", "means", "covs")
 
 
 def brute_force_word_posterior(model, region):
-    """Independent oracle: explicit triple loop over concepts and words."""
+    """Independent oracle: Bayes' rule over the words, P(w | r) = pi_r W_r[w] / sum_v pi_r W_r[v]."""
     out = [0.0] * len(model.vocab_places)
     for w in range(len(model.vocab_places)):
-        for c in range(model.num_concepts):
-            out[w] += (model.word_dist[c][w]
-                       * model.region_dist[c][region]
-                       * model.pi[c])
+        out[w] += model.word_dist[region][w] * model.pi[region]
     total = sum(out)
     return [v / total for v in out]
 
 
 def brute_force_object_posterior(model, obj):
-    """Independent oracle: explicit loop over concepts and regions."""
+    """Independent oracle: explicit loop over regions."""
     idx = model.vocab_objects.index(obj)
     out = [0.0] * model.num_regions
     for r in range(model.num_regions):
-        for c in range(model.num_concepts):
-            out[r] += (model.region_dist[c][r]
-                       * model.object_dist[c][idx]
-                       * model.pi[c])
+        out[r] += model.object_dist[r][idx] * model.pi[r]
     total = sum(out)
     return [v / total for v in out]
 
@@ -59,11 +53,12 @@ def delta(n, idx):
 
 
 def test_single_concept_word_posterior_collapses():
+    # A concept is one region, so a region's word posterior is its own word distribution.
     rng = np.random.default_rng(0)
-    model = random_model(rng, num_concepts=1, num_regions=3)
+    model = random_model(rng, num_regions=3)
     for region in range(3):
         post = word_posterior(model, region)
-        np.testing.assert_allclose(post, model.word_dist[0], atol=1e-12)
+        np.testing.assert_array_equal(post, model.word_dist[region])
 
 
 def test_disjoint_regions_select_their_concept():
@@ -72,7 +67,6 @@ def test_disjoint_regions_select_their_concept():
         pi=np.array([0.5, 0.5]),
         word_dist=[delta(2, 0), delta(2, 1)],
         object_dist=[delta(1, 0), delta(1, 0)],
-        region_dist=[delta(2, 0), delta(2, 1)],
         means=[np.zeros(2), np.ones(2)], covs=[np.eye(2), np.eye(2)],
         vocab_places=vocab, vocab_objects=["thing"],
     )
@@ -82,57 +76,63 @@ def test_disjoint_regions_select_their_concept():
 
 def test_word_posterior_matches_brute_force_k3():
     rng = np.random.default_rng(42)
-    model = random_model(rng, num_concepts=3, num_regions=4)
-    post = word_posterior(model, 1)
-    np.testing.assert_allclose(post, brute_force_word_posterior(model, 1), atol=1e-12)
+    model = random_model(rng, num_regions=3)
+    for region in range(3):
+        post = word_posterior(model, region)
+        np.testing.assert_allclose(post, brute_force_word_posterior(model, region), atol=1e-12)
 
 
 def test_single_concept_object_posterior_is_region_dist():
+    # With one region every object lies in it; with uniform weights an object's region
+    # posterior is its column of the regions' object distributions, normalised.
     rng = np.random.default_rng(1)
-    model = random_model(rng, num_concepts=1, num_regions=4)
+    single = random_model(rng, num_regions=1)
+    model = replace(random_model(rng, num_regions=4), pi=np.full(4, 0.25))
     for obj in model.vocab_objects:
-        post = object_location_posterior(model, obj)
-        np.testing.assert_allclose(post, model.region_dist[0], atol=1e-12)
+        np.testing.assert_array_equal(object_location_posterior(single, obj), [1.0])
+        column = model.object_dist[:, model.object_id(obj)]
+        np.testing.assert_allclose(object_location_posterior(model, obj), column / column.sum(), atol=1e-12)
 
 
 def test_object_posterior_matches_brute_force_k4():
     rng = np.random.default_rng(43)
-    model = random_model(rng, num_concepts=4, num_regions=5)
+    model = random_model(rng, num_regions=4)
     for obj in model.vocab_objects:
         post = object_location_posterior(model, obj)
         np.testing.assert_allclose(post, brute_force_object_posterior(model, obj), atol=1e-12)
 
 
 def test_region_out_of_range_raises_index_error():
-    model = random_model(np.random.default_rng(2), 2, 2)
-    with pytest.raises(IndexError):
-        word_posterior(model, 2)
+    model = random_model(np.random.default_rng(2), 2)
+    for region in (2, -1):
+        with pytest.raises(IndexError):
+            word_posterior(model, region)
 
 
 def test_unknown_object_raises_typed_error():
-    model = random_model(np.random.default_rng(3), 2, 2)
+    model = random_model(np.random.default_rng(3), 2)
     with pytest.raises(UnknownLabelError):
         object_location_posterior(model, "no_such_object")
 
 
 def test_zero_evidence_returns_uniform_with_flag():
     model = SpatialConceptModel(
-        pi=np.array([1.0]),
-        word_dist=[delta(3, 0)], object_dist=[delta(2, 0)], region_dist=[delta(2, 0)],
+        pi=np.array([1.0, 0.0]),
+        word_dist=[delta(3, 0), delta(3, 2)], object_dist=[delta(2, 0), delta(2, 0)],
         means=[np.zeros(2), np.ones(2)], covs=[np.eye(2), np.eye(2)],
         vocab_places=["a", "b", "c"], vocab_objects=["x", "y"],
     )
-    post = word_posterior(model, 1)  # region 1 has zero mass under the only concept
-    np.testing.assert_allclose(post, np.full(3, 1 / 3), atol=1e-12)
+    post = word_posterior(model, 1)  # region 1 has zero weight, yet its own word distribution
+    np.testing.assert_array_equal(post, delta(3, 2))
 
     post_obj = object_location_posterior(model, "y")  # object y has zero mass
     np.testing.assert_allclose(post_obj, np.full(2, 0.5), atol=1e-12)
 
 
-@given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 10_000))
+@given(st.integers(1, 6), st.integers(0, 10_000))
 @settings(max_examples=60)
-def test_posteriors_are_valid_categoricals(k, r, seed):
-    model = random_model(np.random.default_rng(seed), k, r)
+def test_posteriors_are_valid_categoricals(r, seed):
+    model = random_model(np.random.default_rng(seed), r)
     for region in range(r):
         probs = word_posterior(model, region)
         assert np.all(probs >= 0)
@@ -143,29 +143,30 @@ def test_posteriors_are_valid_categoricals(k, r, seed):
         assert abs(probs.sum() - 1.0) <= 1e-9
 
 
-@given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 10_000))
+@given(st.integers(2, 6), st.integers(0, 10_000))
 @settings(max_examples=40)
-def test_concept_permutation_leaves_posteriors_unchanged(k, r, seed):
+def test_concept_permutation_leaves_posteriors_unchanged(r, seed):
+    """Relabelling the regions, every array at once, relabels their posteriors and changes
+    nothing else."""
     rng = np.random.default_rng(seed)
-    model = random_model(rng, k, r)
-    perm = rng.permutation(k)
+    model = random_model(rng, r)
+    perm = rng.permutation(r)
     permuted = SpatialConceptModel(
         pi=model.pi[perm],
         word_dist=model.word_dist[perm],
         object_dist=model.object_dist[perm],
-        region_dist=model.region_dist[perm],
-        means=model.means,
-        covs=model.covs,
+        means=model.means[perm],
+        covs=model.covs[perm],
         vocab_places=model.vocab_places,
         vocab_objects=model.vocab_objects,
     )
     for region in range(r):
         np.testing.assert_allclose(
-            word_posterior(model, region),
+            word_posterior(model, perm[region]),
             word_posterior(permuted, region), atol=1e-12)
     for obj in model.vocab_objects:
         np.testing.assert_allclose(
-            object_location_posterior(model, obj),
+            object_location_posterior(model, obj)[perm],
             object_location_posterior(permuted, obj), atol=1e-12)
 
 
@@ -197,7 +198,7 @@ def _write_nan_word_row(model):
     pytest.param(_write_nan_word_row, SchemaError, id="replace-nan-word-row"),
 ])
 def test_a_built_model_cannot_change(change, error):
-    model = random_model(np.random.default_rng(4), 2, 3)
+    model = random_model(np.random.default_rng(4), 3)
     before = model_to_dict(model)
     with pytest.raises(error):
         change(model)
@@ -205,7 +206,7 @@ def test_a_built_model_cannot_change(change, error):
 
 
 def test_a_model_copies_the_arrays_it_is_given():
-    source = random_model(np.random.default_rng(6), 2, 3)
+    source = random_model(np.random.default_rng(6), 3)
     arrays = {name: getattr(source, name).copy() for name in ARRAYS}
     model = SpatialConceptModel(**arrays, vocab_places=list(source.vocab_places), vocab_objects=source.vocab_objects)
     for name, given in arrays.items():
@@ -219,21 +220,22 @@ def test_a_model_copies_the_arrays_it_is_given():
                                           ("hyperparameters", {"alpha": 2.0})])
 def test_a_built_model_rejects_an_untyped_seed_or_hyperparameters(field, value):
     with pytest.raises(SchemaError, match=field):
-        replace(random_model(np.random.default_rng(5), 2, 2), **{field: value})
+        replace(random_model(np.random.default_rng(5), 2), **{field: value})
 
 
-@pytest.mark.parametrize("version", [99, 2, 0, "x", "1", True, 1.0, None, "missing"])
+@pytest.mark.parametrize("version", [99, 1, 0, "x", "2", True, 1.0, None, "missing"])
 def test_a_model_document_of_another_schema_version_is_refused(version):
-    doc = model_to_dict(random_model(np.random.default_rng(3), 2, 2))
+    # Version 1 linked concepts to regions through a second index, which version 2 dropped.
+    doc = model_to_dict(random_model(np.random.default_rng(3), 2))
     assert model_from_dict(doc).num_regions == 2
     del doc["schema_version"]
     found = None if version == "missing" else version
-    with pytest.raises(SchemaError, match=re.escape(f"schema_version {found!r}, expected 1")):
+    with pytest.raises(SchemaError, match=re.escape(f"schema_version {found!r}, expected 2")):
         model_from_dict(doc if version == "missing" else {**doc, "schema_version": version})
 
 
 def test_model_serialization_round_trip(tmp_path):
-    model = replace(random_model(np.random.default_rng(8), 3, 4), hyperparameters=Hyperparameters(), seed=99)
+    model = replace(random_model(np.random.default_rng(8), 4), hyperparameters=Hyperparameters(), seed=99)
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
@@ -249,13 +251,13 @@ def test_model_serialization_round_trip(tmp_path):
 
 @pytest.mark.parametrize("floor", ["1F", "2F"])
 def test_stored_model_document_dumps_back_unchanged(floor):
-    """Pins the JSON layout: one entry per concept and per region, loaded into the
-    stacked arrays and dumped back to exactly the stored document."""
+    """Pins the JSON layout: one entry per region, loaded into the stacked arrays and
+    dumped back to exactly the stored document."""
     stored = json.loads(FIXTURE.read_text())[floor]
     model = model_from_dict(stored)
-    assert (model.num_concepts, model.num_regions) == (len(stored["concepts"]), len(stored["regions"]))
+    assert model.num_regions == len(stored["regions"]) == len(stored["pi"])
+    assert all(sorted(entry) == ["cov", "mean", "object_dist", "word_dist"] for entry in stored["regions"])
     dumped = model_to_dict(model)
-    assert dumped["concepts"] == stored["concepts"]
     assert dumped["regions"] == stored["regions"]
     assert dumped == stored
 
@@ -269,21 +271,21 @@ def test_invalid_categorical_rejected():
     with pytest.raises(ValueError):
         SpatialConceptModel(
             pi=np.array([0.5, 0.4]),  # sums to 0.9
-            word_dist=[delta(1, 0)] * 2, object_dist=[delta(1, 0)] * 2, region_dist=[delta(1, 0)] * 2,
-            means=[np.zeros(2)], covs=[np.eye(2)],
+            word_dist=[delta(1, 0)] * 2, object_dist=[delta(1, 0)] * 2,
+            means=[np.zeros(2)] * 2, covs=[np.eye(2)] * 2,
             vocab_places=["w"], vocab_objects=["o"],
         )
 
 
-@pytest.mark.parametrize("name", ["word_dist", "object_dist", "region_dist"])
+@pytest.mark.parametrize("name", ["word_dist", "object_dist"])
 def test_every_concept_row_must_be_a_categorical(name):
-    doc = model_to_dict(random_model(np.random.default_rng(9), 3, 4))
-    row = doc["concepts"][-1][name]
+    doc = model_to_dict(random_model(np.random.default_rng(9), 4))
+    row = doc["regions"][-1][name]
     for bad in ([v / 2 for v in row], [1e308, 1e308] + row[2:]):
-        doc["concepts"][-1][name] = bad
+        doc["regions"][-1][name] = bad
         with pytest.raises(SchemaError, match="does not sum to 1"):
             model_from_dict(doc)
-    doc["concepts"][-1][name] = [row[0] + 1.0, -1.0] + row[2:]  # sums to 1, one entry negative
+    doc["regions"][-1][name] = [row[0] + 1.0, -1.0] + row[2:]  # sums to 1, one entry negative
     with pytest.raises(SchemaError, match="negative"):
         model_from_dict(doc)
 
@@ -300,9 +302,9 @@ def test_hyperparameter_validation():
 
 
 @pytest.mark.parametrize("key, value", [
-    ("alpha", 0), ("alpha", float("nan")), ("kappa", float("inf")), ("beta", "x"), ("gamma", None),
+    ("alpha", 0), ("alpha", float("nan")), ("kappa", float("inf")), ("beta", "x"), ("beta", None),
     ("chi", True), ("nu0", 1.0), ("num_particles", 2.5), ("lag_window", 0),
-    ("gamma", -0.5), ("nu0", 0.5), ("num_particles", True), ("lag_window", 2.0),
+    ("chi", -0.5), ("nu0", 0.5), ("num_particles", True), ("lag_window", 2.0),
 ])
 def test_bad_hyperparameters_are_schema_errors(key, value):
     data = Hyperparameters().to_dict()
@@ -332,7 +334,8 @@ def test_hyperparameter_documents_without_fields_are_schema_errors(data):
 
 def test_hyperparameters_load_from_documents_with_lambda_aux():
     data = Hyperparameters().to_dict()
-    assert "lambda_aux" not in data and "m0" not in data
+    assert "lambda_aux" not in data and "m0" not in data and "gamma" not in data
     data["lambda_aux"] = 0.1  # written by older versions
     data["m0"] = [0.0, 0.0]  # the prior mean older versions took as a field
+    data["gamma"] = 0.5  # the concept-to-region link concentration of schema_version 1 models
     assert Hyperparameters.from_dict(data) == Hyperparameters()
