@@ -12,11 +12,10 @@ plus collapsed sufficient statistics in one float64 buffer, and
 session.  The buffer's count block ``counts`` (P, R, F) holds every
 Dirichlet-multinomial count of a region, integers exact as floats: its
 sessions, word and object totals, and word and object counts.  Its moment
-block ``moments`` (7, P, R) holds each region's normal-inverse-Wishart moment
-sums component-major: n, the two position sums and the four sums of outer
+block ``moments`` (6, P, R) holds each region's normal-inverse-Wishart moment
+sums component-major: the two position sums and the four sums of outer
 products, each a contiguous (P, R) plane that the kernel reads without
-striding.  So a region's session count is held twice, as its count column
-and as ``moments[0]``.  Positions are held standardized, less the floor's
+striding.  A region's session count is its count column alone.  Positions are held standardized, less the floor's
 mean session position and over one scale.  Adding or removing a session is
 one indexed update of the buffer, through an index table and a value row per
 session built once per learn (``_Tables``).
@@ -60,7 +59,7 @@ from .errors import ConfigurationError, SchemaError, is_count
 from .spatial import Hyperparameters, Session, SpatialConceptModel
 
 _DIM = 2
-_MOMENTS = 1 + _DIM + _DIM * _DIM  # n, the position sums and the sums of outer products
+_MOMENTS = _DIM + _DIM * _DIM  # the position sums and the sums of outer products
 # Leading columns of the stacked counts; word and object columns follow.
 _CONCEPT, _WORD_TOTAL, _OBJ_TOTAL, _WORDS = 0, 1, 2, 3
 # Scales the (v11, v01) planes of a NIW scale to the quadratic form's coefficients.
@@ -78,7 +77,7 @@ class _SessionStats:
 
     ``x`` is the standardized position and ``cols`` the columns of a region's count row
     that the kernel reads: sessions, word and object totals, then the session's words and
-    objects.  ``values`` is what the session adds to the state buffer: its seven moment
+    objects.  ``values`` is what the session adds to the state buffer: its six moment
     sums, then one value per column of ``cols``; ``neg_values`` removes it.  Three fields
     are set by ``_Tables``: ``sweep_index``, the flat index offsets of the session's rows
     of the fused sweep table, one per column of ``cols``; ``cell_index``, per region the
@@ -101,7 +100,7 @@ class _SessionStats:
                               *(first_obj + i for i, _ in objects)])
         self.x = x
         x0, x1 = self.x.tolist()  # Python floats: a square that overflows is inf, not a warning
-        self.values = np.array([1.0, x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1, 1, self.word_total,
+        self.values = np.array([x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1, 1, self.word_total,
                                 self.obj_total, *(c for _, c in words), *(c for _, c in objects)])
         self.neg_values = -self.values
 
@@ -111,11 +110,11 @@ class _Batch:
 
     One float64 buffer ``state`` holds a count block, then a moment block.  ``counts``
     (P, R, F) columns: sessions, word total, object total, V words, O objects, each an
-    integer exact as a float.  ``moments`` (7, P, R): one plane per moment sum.
+    integer exact as a float.  ``moments`` (6, P, R): one plane per moment sum.
     ``assignments`` (T, P): each session's regions, a contiguous row.  ``add`` writes
     into ``state`` at the indices ``_Tables`` lays out for this layout.  The views of it
-    (``counts``, ``moments``) and the ones ``_sweep_grid`` reads (``region_n``, ``sums``,
-    ``outers``) are taken whenever a buffer is made, in ``__init__`` and in ``take``:
+    (``counts``, ``moments``) and the ones ``_sweep_grid`` reads (``region_n``, the
+    sessions column of ``counts``, ``sums``, ``outers``) are taken whenever a buffer is made, in ``__init__`` and in ``take``:
     views of a replaced buffer would read stale counts.
     """
 
@@ -130,7 +129,8 @@ class _Batch:
         n_counts = len(self.state) - _MOMENTS * P * R
         self.counts = self.state[:n_counts].reshape(P, R, -1)
         self.moments = self.state[n_counts:].reshape(_MOMENTS, P, R)
-        self.region_n, self.sums, self.outers = self.moments[0], self.moments[1:1 + _DIM], self.moments[1 + _DIM:]
+        self.region_n = self.counts[..., _CONCEPT]
+        self.sums, self.outers = self.moments[:_DIM], self.moments[_DIM:]
 
     def take(self, index: np.ndarray) -> "_Batch":
         """The particles at ``index``, one per particle, gathered into a new buffer."""
@@ -364,12 +364,12 @@ def _posterior_mean_model(p: _Batch, i: int, hp: Hyperparameters, seed: int, v0:
     object_dist = ((counts[:, _WORDS + n_words:_WORDS + n_words + n_objects] + hp.chi)
                    / (counts[:, _OBJ_TOTAL, None] + n_objects * hp.chi))
 
-    # Each region's NIW posterior mean and scale from its (7, R) moment sums, mapped back by z s + c and s^2.
-    n, a = moments[0], moments[1:1 + _DIM]
-    kappa_n = hp.kappa + n
+    # Each region's NIW posterior mean and scale from its (6, R) moment sums, mapped back by z s + c and s^2.
+    a = moments[:_DIM]
+    kappa_n = hp.kappa + n_r
     means = (a / kappa_n).T * scale + centre
-    V_n = (v0.reshape(_DIM * _DIM, 1) + moments[1 + _DIM:] - _outer(a, a) / kappa_n).T
-    nu_n = hp.nu0 + n
+    V_n = (v0.reshape(_DIM * _DIM, 1) + moments[_DIM:] - _outer(a, a) / kappa_n).T
+    nu_n = hp.nu0 + n_r
     # The posterior-mean covariance needs nu_n > dim+1; empty regions fall
     # back to the inverse-Wishart mode, which is always defined.
     denom = nu_n - _DIM - 1.0

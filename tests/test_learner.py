@@ -418,8 +418,8 @@ def _per_particle(batch, i, n_words, n_objects):
     return SimpleNamespace(
         concept_counts=counts[:, 0], word_totals=counts[:, 1], object_totals=counts[:, 2],
         word_counts=counts[:, _WORDS:objects], object_counts=counts[:, objects:objects + n_objects],
-        pos_n=moments[0], pos_sum=moments[1:3].T,
-        pos_outer=moments[3:].T.reshape(R, 2, 2))
+        pos_n=counts[:, 0], pos_sum=moments[:2].T,
+        pos_outer=moments[2:].T.reshape(R, 2, 2))
 
 
 def _ref_grids(batch, view, hp, v0, n_words, n_objects):
@@ -564,7 +564,7 @@ def _recount(batch, views, R, n_words, n_objects):
     sessions' vocabulary-indexed views."""
     P = batch.assignments.shape[1]
     counts = np.zeros((P, R, _WORDS + n_words + n_objects), dtype=int)
-    moments = np.zeros((7, P, R))
+    moments = np.zeros((6, P, R))
     for i in range(P):
         for v, r in zip(views, batch.assignments[:, i]):
             row = counts[i, r]
@@ -572,7 +572,7 @@ def _recount(batch, views, R, n_words, n_objects):
             row[_WORDS + v.word_idx] += v.word_cnt
             row[_WORDS + n_words + v.obj_idx] += v.obj_cnt
             x0, x1 = v.x
-            moments[:, i, r] += [1.0, x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1]
+            moments[:, i, r] += [x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1]
     return counts, moments
 
 
@@ -582,12 +582,10 @@ def _assert_integral_counts(batch):
 
 
 def _assert_recount(batch, views, R, n_words, n_objects):
-    """The batch's counts and moment sums are a recount of its assignments.  A region's
-    session count is held twice, as its count column and as its moment n: the two agree."""
+    """The batch's counts and moment sums are a recount of its assignments."""
     counts, moments = _recount(batch, views, R, n_words, n_objects)
     np.testing.assert_array_equal(batch.counts, counts)
     np.testing.assert_allclose(batch.moments, moments, rtol=1e-12, atol=1e-12)
-    np.testing.assert_array_equal(batch.counts[..., _CONCEPT], batch.moments[0])
 
 
 @pytest.mark.parametrize("case", range(8))
@@ -658,7 +656,7 @@ def test_session_stats_match_the_vocabulary_indexed_reference(objects):
         cols = np.concatenate(([0, 1, 2], _WORDS + v.word_idx, first_obj + v.obj_idx))
         x0, x1 = v.x
         # Its moment sums, then one count per column.
-        values = np.concatenate(([1.0, x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1, 1, v.word_total, v.obj_total],
+        values = np.concatenate(([x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1, 1, v.word_total, v.obj_total],
                                  v.word_cnt, v.obj_cnt))
         for actual, expected in ((s.word_cnt, v.word_cnt), (s.obj_cnt, v.obj_cnt), (s.cols, cols),
                                  (s.values, values), (s.neg_values, -values)):
