@@ -6,19 +6,27 @@ sessions as ``homeplan suite --seed S --visits V`` does, from the learn seed.  I
 learns them ``--replicates J`` times, with learner seeds learn seed + 1000 j for
 j < J, and prints one JSON line per learn: the learn seed, the replicate j, how many
 of the floor's objects have their true room as best room, whether that meets C2,
-and the sha256 of the model and of the knowledge base, each of the bytes that
-``homeplan learn --out`` and ``homeplan extract --out`` write.  Replicate 0 is the
-learn ``homeplan suite`` makes; the others keep its sessions and move the learner's
-seed alone, so recovery can be read as a distribution over learner streams.  The
-outputs of two checkouts ``diff`` line by line, so a change that must keep every
-learn byte-identical is checked with
+how many of the floor's room names the sessions hold, and the sha256 of the model
+and of the knowledge base, each of the bytes that ``homeplan learn --out`` and
+``homeplan extract --out`` write.  Replicate 0 is the learn ``homeplan suite``
+makes; the others keep its sessions and move the learner's seed alone, so recovery
+can be read as a distribution over learner streams.
 
-    PYTHONPATH=src python scripts/seed_sweep.py --seeds 60 --visits 5 10 30 > sweep.jsonl
+``--compare A B`` pairs two such outputs learn by learn, for instance of two
+checkouts, and prints per visit count the wrong learns (some object's best room
+wrong) and C2 misses of each side, per replicate, the discordant pairs with an
+exact two-sided McNemar p (McNemar 1947), wrong learns by heard room names, and
+how many model and knowledge digests differ, which a change that must keep every
+learn byte-identical needs at 0:
+
+    PYTHONPATH=src python scripts/seed_sweep.py --seeds 60 --visits 5 10 30 --replicates 5 > B.jsonl
+    python scripts/seed_sweep.py --compare A.jsonl B.jsonl
 """
 
 import argparse
 import hashlib
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -35,12 +43,63 @@ C2_BEST_ROOMS = {"1F": 11, "2F": 9}
 REPLICATE_SEED_STRIDE = 1000
 
 
+def mcnemar_p(b: int, c: int) -> float:
+    """The exact two-sided McNemar p of b pairs against c: twice the smaller binomial(b + c, 1/2) tail."""
+    n = b + c
+    return min(1.0, 2.0 * sum(math.comb(n, k) for k in range(min(b, c) + 1)) / 2.0 ** n)
+
+
+def _load(path: str) -> dict:
+    """A sweep output keyed by learn: (CLI seed, visits, floor, replicate)."""
+    rows = [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
+    return {(r["cli_seed"], r["visits"], r["floor"], r["replicate"]): r for r in rows}
+
+
+def _wrong(row: dict) -> bool:
+    return row["right"] < row["objects"]
+
+
+def compare(path_a: str, path_b: str) -> None:
+    a, b = _load(path_a), _load(path_b)
+    if a.keys() != b.keys():
+        raise SystemExit(f"error: {path_a} and {path_b} hold different learns: "
+                         f"{len(a.keys() - b.keys())} only in A, {len(b.keys() - a.keys())} only in B")
+    for visits in sorted({key[1] for key in a}):
+        keys = [key for key in a if key[1] == visits]
+        replicates = sorted({key[3] for key in keys})
+        print(f"visits {visits}: {len(keys)} paired learns, {len(replicates)} replicates")
+        for name, failed in (("wrong learns", _wrong), ("C2 misses", lambda r: not r["c2"])):
+            fail_a = {key for key in keys if failed(a[key])}
+            fail_b = {key for key in keys if failed(b[key])}
+            for side, fails in (("A", fail_a), ("B", fail_b)):
+                per = [sum(key[3] == j for key in fails) for j in replicates]
+                print(f"  {name} {side}: {len(fails)}, per replicate {'/'.join(map(str, per))} "
+                      f"(range {min(per)}-{max(per)})")
+            only_a, only_b = len(fail_a - fail_b), len(fail_b - fail_a)
+            print(f"  {name} discordant: {only_a} in A only, {only_b} in B only, "
+                  f"exact McNemar p = {mcnemar_p(only_a, only_b):.3g}")
+        # Heard names are a property of the sessions, so either side's column serves (older outputs lack it).
+        heard = {key: a[key].get("heard", b[key].get("heard")) for key in keys}
+        if None not in heard.values():
+            split = [f"{n}: {sum(h == n for h in heard.values())} learns, wrong "
+                     f"A {sum(_wrong(a[k]) for k, h in heard.items() if h == n)} "
+                     f"B {sum(_wrong(b[k]) for k, h in heard.items() if h == n)}"
+                     for n in sorted(set(heard.values()))]
+            print(f"  by room names heard: {'; '.join(split)}")
+        for digest in ("model_sha256", "knowledge_sha256"):
+            print(f"  {digest} differs: {sum(a[key][digest] != b[key][digest] for key in keys)} of {len(keys)}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seeds", type=int, default=60, help="CLI seeds 0..N-1 (default 60)")
     parser.add_argument("--visits", type=int, nargs="+", default=[5, 10, 30], help="visits per room")
     parser.add_argument("--replicates", type=int, default=1, help="learner seeds per session stream (default 1)")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="pair two outputs learn by learn; learn nothing")
     args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+        return
 
     env = load_environment("paper_home")
     with tempfile.TemporaryDirectory() as tmp_dir:
@@ -58,6 +117,7 @@ def main():
                     rooms = [r.name for r in env.rooms_on(robot.floor)]
                     sessions = generate_floor_sessions(env, robot, np.random.default_rng(seed),
                                                        visits_per_room=visits)
+                    heard = len(set(rooms).intersection(w for s in sessions for w in s.place_words))
                     for replicate in range(args.replicates):
                         model = learn_fixed_lag(sessions, seed=seed + REPLICATE_SEED_STRIDE * replicate,
                                                 num_regions=len(rooms))
@@ -65,7 +125,7 @@ def main():
                         right, objects = best_room_recovery(env, robot.floor, kb)
                         print(json.dumps({"cli_seed": cli_seed, "visits": visits, "floor": robot.floor,
                                           "learn_seed": seed, "replicate": replicate, "right": right,
-                                          "objects": objects, "c2": right >= C2_BEST_ROOMS[robot.floor],
+                                          "objects": objects, "c2": right >= C2_BEST_ROOMS[robot.floor], "heard": heard,
                                           "model_sha256": digest(save_model, model),
                                           "knowledge_sha256": digest(save_knowledge, kb)}), flush=True)
 

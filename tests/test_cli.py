@@ -114,6 +114,49 @@ def test_seed_sweep_digests_the_files_learn_and_extract_write(tmp_path, capsys, 
         assert row["knowledge_sha256"] == hashlib.sha256(kb.read_bytes()).hexdigest()
         right, objects = best_room_recovery(env, row["floor"], load_knowledge(kb))
         assert (row["right"], row["objects"], row["c2"]) == (right, objects, right >= C2_BEST_ROOMS[row["floor"]][0])
+        sessions = generate_floor_sessions(env, floor_robot(env, row["floor"], robot),
+                                           np.random.default_rng(row["learn_seed"]), visits_per_room=5)
+        rooms = {r.name for r in env.rooms_on(row["floor"])}
+        assert row["heard"] == len(rooms & {w for s in sessions for w in s.place_words})
+
+
+def test_seed_sweep_compare_pairs_two_outputs_learn_by_learn(tmp_path, capsys, monkeypatch):
+    script = Path(__file__).parent.parent / "scripts" / "seed_sweep.py"
+    mcnemar_p = runpy.run_path(str(script))["mcnemar_p"]
+    # Twice the smaller binomial(b + c, 1/2) tail, at most 1.
+    assert mcnemar_p(0, 0) == mcnemar_p(6, 7) == mcnemar_p(1, 0) == 1.0
+    assert mcnemar_p(0, 5) == mcnemar_p(5, 0) == 2 / 32
+    assert mcnemar_p(1, 9) == pytest.approx(2 * 11 / 1024, rel=1e-12)
+
+    def row(cli_seed, replicate, right, c2, model="m", heard=5):
+        return {"cli_seed": cli_seed, "visits": 5, "floor": "1F", "learn_seed": 0, "replicate": replicate,
+                "right": right, "objects": 13, "c2": c2, "heard": heard, "model_sha256": model,
+                "knowledge_sha256": "k"}
+
+    a = [row(0, 0, 13, True), row(0, 1, 10, False), row(1, 0, 12, True, heard=4), row(1, 1, 13, True)]
+    b = [row(0, 1, 13, True), row(0, 0, 12, True, model="x"), row(1, 0, 12, True, heard=4), row(1, 1, 13, True)]
+    paths = []
+    for name, rows in (("a.jsonl", a), ("b.jsonl", b[:3]), ("b_all.jsonl", b)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text("".join(json.dumps(r) + "\n" for r in rows))
+    monkeypatch.setattr(sys, "argv", [str(script), "--compare", str(paths[0]), str(paths[2])])
+    runpy.run_path(str(script), run_name="__main__")
+    # Learns pair by key, not by line: b lists replicate 1 before replicate 0.
+    assert capsys.readouterr().out == textwrap.dedent("""\
+        visits 5: 4 paired learns, 2 replicates
+          wrong learns A: 2, per replicate 1/1 (range 1-1)
+          wrong learns B: 2, per replicate 2/0 (range 0-2)
+          wrong learns discordant: 1 in A only, 1 in B only, exact McNemar p = 1
+          C2 misses A: 1, per replicate 0/1 (range 0-1)
+          C2 misses B: 0, per replicate 0/0 (range 0-0)
+          C2 misses discordant: 1 in A only, 0 in B only, exact McNemar p = 1
+          by room names heard: 4: 1 learns, wrong A 1 B 1; 5: 3 learns, wrong A 1 B 1
+          model_sha256 differs: 1 of 4
+          knowledge_sha256 differs: 0 of 4
+        """)
+    monkeypatch.setattr(sys, "argv", [str(script), "--compare", str(paths[0]), str(paths[1])])
+    with pytest.raises(SystemExit, match="hold different learns: 1 only in A, 0 only in B"):
+        runpy.run_path(str(script), run_name="__main__")
 
 
 def test_learn_from_sessions_file(tmp_path, capsys):
