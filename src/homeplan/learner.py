@@ -1,4 +1,4 @@
-"""Fixed-lag Rao-Blackwellized particle filter for spatial concept learning.
+"""Rao-Blackwellized particle filter for spatial concept learning, at a fixed lag of zero.
 
 A concept here is one region: a session's latent cell is a region index r,
 which carries the region's place words, object labels and Gaussian position
@@ -6,36 +6,44 @@ at once.  This follows the paper, whose spatial concept is a room name plus
 that room's object presence, and departs from SpCoSLAM (Taniguchi et al.
 2017), whose second index links each concept to several position regions.
 
+It runs at a fixed lag of zero: no past session is re-drawn.  Each step scores
+the arriving session once, weights it, draws its region and resamples, so the
+filter is sequential importance resampling with the optimal proposal (Doucet,
+Godsill & Andrieu 2000).  The Gibbs sweep over a window of recent sessions,
+the rejuvenation of SpCoSLAM 2.0 (Taniguchi et al. 2020), is gone: over 600
+paired learns per visit count of ``scripts/seed_sweep.py --seeds 60
+--replicates 5`` it recovered no better (5 visits, wrong learns: 20 with a
+10-session sweep, 21 without, McNemar p = 1; 10 visits: 1 and 0; 30 visits:
+0 and 0) and took about 80 % of a learn.
+
 All particles live in one stacked state (``_Batch``): per-session regions
 plus collapsed sufficient statistics in one float64 buffer, and
-``assignments`` (T, P) holds each session's regions, one contiguous row per
-session.  The buffer's count block ``counts`` (P, R, F) holds every
-Dirichlet-multinomial count of a region, integers exact as floats: its
+``assignments`` (T, P) holds each particle's trajectory, one contiguous row of
+regions per session.  The buffer's count block ``counts`` (P, R, F) holds
+every Dirichlet-multinomial count of a region, integers exact as floats: its
 sessions, word and object totals, and word and object counts.  Its moment
 block ``moments`` (6, P, R) holds each region's normal-inverse-Wishart moment
 sums component-major: the two position sums and the four sums of outer
 products, each a contiguous (P, R) plane that the kernel reads without
-striding.  A region's session count is its count column alone.  Positions are held standardized, less the floor's
-mean session position and over one scale.  Adding or removing a session is
-one indexed update of the buffer, through an index table and a value row per
-session built once per learn (``_Tables``).
+striding.  A region's session count is its count column alone.  Positions are
+held standardized, less the floor's mean session position and over one scale.
+Adding a session is one indexed update of the buffer, through an index table
+and a value row per session built once per learn (``_Tables``).
 
-One kernel, ``_sweep_grid``, scores a session over the regions.  Every term
-that depends on an integer count alone is one row of a fused table built once
-per learn (``_Tables``), so a grid is a few lookups plus the Student-t
-position term.  Each log-gamma difference in those rows has an integer
-offset, so a row is a running sum of logs, and the Student-t constant has a
-closed form: the learner needs no special functions.  The kernel leaves out
-the region prior's normaliser log(N + R alpha), which is the same for every
-particle and region.
-The Gibbs sweep over the lag window, sequential over the window and parallel
-over particles, draws from it as it is.  An arriving session's grid is the
-kernel minus that normaliser, the collapsed log conditional: it doubles as
-the optimal proposal, and its log-sum-exp, the predictive marginal, is the
-particle weight increment.  ``log_w`` sums them as unnormalised log weights
-since the last resample; each step normalises ``exp(log_w - max)``.  A draw
-is one ``argmin``: the first region whose cumulative sum exceeds u times the
-total.  Grid buffers are updated in place with no change to any arithmetic.
+One kernel, ``_grid``, scores a session over the regions.  Every term that
+depends on an integer count alone is one row of a fused table built once per
+learn (``_Tables``), so a grid is a few lookups plus the Student-t position
+term.  Each log-gamma difference in those rows has an integer offset, so a
+row is a running sum of logs, and the Student-t constant has a closed form:
+the learner needs no special functions.  The kernel leaves out the region
+prior's normaliser log(N + R alpha), which is the same for every particle and
+region.  An arriving session's grid is the kernel minus that normaliser, the
+collapsed log conditional: it is the optimal proposal, and its log-sum-exp,
+the predictive marginal, is the particle weight increment.  ``log_w`` sums
+them as unnormalised log weights since the last resample; each step
+normalises ``exp(log_w - max)``.  A draw is one ``argmin``: the first region
+whose cumulative sum exceeds u times the total.  Grid buffers are updated in
+place with no change to any arithmetic.
 
 ``_filter`` runs the loop.  Particles are systematically resampled, by one
 ``ndarray.take`` gather of each block and of the assignments on its particle
@@ -78,15 +86,14 @@ class _SessionStats:
     ``x`` is the standardized position and ``cols`` the columns of a region's count row
     that the kernel reads: sessions, word and object totals, then the session's words and
     objects.  ``values`` is what the session adds to the state buffer: its six moment
-    sums, then one value per column of ``cols``; ``neg_values`` removes it.  Three fields
-    are set by ``_Tables``: ``sweep_index``, the flat index offsets of the session's rows
-    of the fused sweep table, one per column of ``cols``; ``cell_index``, per region the
-    buffer indices of particle 0 that ``values`` adds to; and ``offsets``, per particle the
-    shift of each index.
+    sums, then one value per column of ``cols``.  Three fields are set by ``_Tables``:
+    ``row_index``, the flat index offsets of the session's rows of the fused table, one
+    per column of ``cols``; ``cell_index``, per region the buffer indices of particle 0
+    that ``values`` adds to; and ``offsets``, per particle the shift of each index.
     """
 
     __slots__ = ("word_cnt", "word_total", "obj_cnt", "obj_total",
-                 "x", "cols", "values", "neg_values", "sweep_index", "cell_index", "offsets")
+                 "x", "cols", "values", "row_index", "cell_index", "offsets")
 
     def __init__(self, session: Session, x: np.ndarray, place_index: dict[str, int],
                  object_index: dict[str, int]):
@@ -102,7 +109,6 @@ class _SessionStats:
         x0, x1 = self.x.tolist()  # Python floats: a square that overflows is inf, not a warning
         self.values = np.array([x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1, 1, self.word_total,
                                 self.obj_total, *(c for _, c in words), *(c for _, c in objects)])
-        self.neg_values = -self.values
 
 
 class _Batch:
@@ -111,10 +117,11 @@ class _Batch:
     One float64 buffer ``state`` holds a count block, then a moment block.  ``counts``
     (P, R, F) columns: sessions, word total, object total, V words, O objects, each an
     integer exact as a float.  ``moments`` (6, P, R): one plane per moment sum.
-    ``assignments`` (T, P): each session's regions, a contiguous row.  ``add`` writes
-    into ``state`` at the indices ``_Tables`` lays out for this layout.  The views of it
-    (``counts``, ``moments``) and the ones ``_sweep_grid`` reads (``region_n``, the
-    sessions column of ``counts``, ``sums``, ``outers``) are taken whenever a buffer is made, in ``__init__`` and in ``take``:
+    ``assignments`` (T, P): each session's regions, a contiguous row; column i is
+    particle i's trajectory.  ``add`` writes into ``state`` at the indices ``_Tables``
+    lays out for this layout.  The views of it (``counts``, ``moments``) and the ones
+    ``_grid`` reads (``region_n``, the sessions column of ``counts``, ``sums``,
+    ``outers``) are taken whenever a buffer is made, in ``__init__`` and in ``take``:
     views of a replaced buffer would read stale counts.
     """
 
@@ -142,14 +149,14 @@ class _Batch:
         out.assignments = self.assignments.take(index, axis=1)
         return out
 
-    def add(self, cells: np.ndarray, s: _SessionStats, sign: int = 1) -> None:
-        """Add ``s`` to particle i in region ``cells[i]``; ``sign=-1`` removes it."""
-        self.state[s.offsets + s.cell_index.take(cells, axis=0)] += s.values if sign > 0 else s.neg_values
+    def add(self, cells: np.ndarray, s: _SessionStats) -> None:
+        """Add ``s`` to particle i in region ``cells[i]``."""
+        self.state[s.offsets + s.cell_index.take(cells, axis=0)] += s.values
 
 
 class _Tables:
     """Every grid term that depends on one integer count alone, indexed by that count, and
-    the prior constants, built once per learn as ``_sweep_grid`` reads them, and each
+    the prior constants, built once per learn as ``_grid`` reads them, and each
     session's indices into the state buffer of ``hp.num_particles`` particles.
 
     The Dirichlet-multinomial rows are rising factorials, Gamma(n + b + c) / Gamma(n + b)
@@ -169,8 +176,8 @@ class _Tables:
         kappa_n = hp.kappa + n
         df = hp.nu0 + n - _DIM + 1.0
         factor = (kappa_n + 1.0) / (kappa_n * df)
-        self.sweep_region = np.stack([1.0 / kappa_n, -math.log(2.0 * math.pi) - np.log(factor),
-                                      1.0 / (factor * df), (df + _DIM) / 2.0])
+        self.region_rows = np.stack([1.0 / kappa_n, -math.log(2.0 * math.pi) - np.log(factor),
+                                     1.0 / (factor * df), (df + _DIM) / 2.0])
         # The prior scale ``v0`` (2, 2) as a column, broadcast along the moment planes.
         self.v0 = v0.reshape(_DIM * _DIM, 1, 1)
         # One row per term, indexed by a count: the region prior, per session total m the
@@ -190,7 +197,7 @@ class _Tables:
             rising(hp.chi, (c for s in stats for c in s.obj_cnt)),
         ]
         starts = np.cumsum([0] + [len(b) for b in blocks])
-        self.sweep = np.concatenate(blocks).reshape(-1)
+        self.rows = np.concatenate(blocks).reshape(-1)
         # A session's buffer indices in region r, in ``values``' order, for particle 0 of
         # ``_Batch``'s layout: region r's moment sums, then its count row at ``cols``.
         # Particle i shifts the moment indices by i R and the count indices by i R F.
@@ -202,20 +209,20 @@ class _Tables:
         for s in stats:
             rows = np.concatenate(([0, starts[1] + s.word_total, starts[2] + s.obj_total],
                                    starts[3] + s.word_cnt, starts[4] + s.obj_cnt))
-            s.sweep_index = rows * len(n)
+            s.row_index = rows * len(n)
             s.cell_index = np.concatenate((moment_index, r * F + s.cols), axis=1)
             s.offsets = offsets[:, :len(s.values)]
 
 
-def _sweep_grid(p: _Batch, s: _SessionStats, t: _Tables) -> np.ndarray:
+def _grid(p: _Batch, s: _SessionStats, t: _Tables) -> np.ndarray:
     """The collapsed log conditional over the regions for one session, shape (P, R),
     less the region prior's normaliser log(N + R alpha), N the sessions held.  Every
     count-only term is one fused table row, and with the prior mean at the origin of the
     standardized positions the NIW scale is V_n = v0 + sum x x^T - a a^T / kappa_n with
     a = sum x, which needs no sample mean."""
     counts = p.counts.take(s.cols, axis=2).astype(np.intp)
-    grid = t.sweep.take(counts + s.sweep_index).sum(axis=-1)
-    inv_kappa_n, const, inv_scale_df, half = t.sweep_region.take(p.region_n.astype(np.intp), axis=1)
+    grid = t.rows.take(counts + s.row_index).sum(axis=-1)
+    inv_kappa_n, const, inv_scale_df, half = t.region_rows.take(p.region_n.astype(np.intp), axis=1)
     m_n = p.sums * inv_kappa_n
     v = p.outers + t.v0
     v -= _outer(p.sums, m_n)
@@ -269,10 +276,11 @@ def learn_fixed_lag(sessions: list[Session], *, seed: int = 0, num_regions: int 
     It reads the whole stream before its first step: the vocabularies are the
     sessions' own (``derive_vocabularies``), and the positions are standardized
     by their own mean and scale, so the model depends neither on where the
-    coordinate origin lies nor on the unit of length.  The priors, particle count
-    and lag window are ``Hyperparameters()``, recorded in the model.
-    Deterministic for fixed (sessions, seed).  A lag window longer than the
-    stream is clamped.
+    coordinate origin lies nor on the unit of length.  The priors and particle count
+    are ``Hyperparameters()``, recorded in the model.  It runs at a fixed lag
+    of zero: no past session is re-drawn, and SpCoSLAM 2.0's rejuvenation sweep is
+    gone (see the module docstring for the measurement).  Deterministic for fixed
+    (sessions, seed).
     """
     if not is_count(num_regions) or num_regions < 1:
         raise ConfigurationError(f"num_regions must be an integer >= 1, got {num_regions!r}")
@@ -319,7 +327,7 @@ def _filter(batch: _Batch, stats: list[_SessionStats], tables: _Tables, hp: Hype
     ess_steps, resampled = [], []
     for t, s in enumerate(stats):
         # Less the normaliser over the t sessions held, the grid is the log conditional.
-        grid = _sweep_grid(batch, s, tables)
+        grid = _grid(batch, s, tables)
         grid -= math.log(t + tables.r_alpha)
         top = grid.max(axis=1, keepdims=True)
         grid -= top
@@ -328,19 +336,6 @@ def _filter(batch: _Batch, stats: list[_SessionStats], tables: _Tables, hp: Hype
         cells = batch.assignments[t]
         _sample_grid(e, rng.random(n_particles), cells)
         batch.add(cells, s)
-
-        # One Gibbs sweep over the lag window keeps recent assignments mobile.
-        # Uniforms are drawn particle-major: row i holds particle i's draws in window order.
-        window = range(max(0, t - hp.lag_window + 1), t + 1)
-        u = rng.random((n_particles, len(window)))
-        for j, tau in enumerate(window):
-            cells = batch.assignments[tau]
-            batch.add(cells, stats[tau], sign=-1)
-            grid = _sweep_grid(batch, stats[tau], tables)
-            grid -= grid.max(axis=1, keepdims=True)
-            _sample_grid(np.exp(grid, out=grid), u[:, j], cells)
-            batch.add(cells, stats[tau])
-
         w = np.exp(log_w - log_w.max())
         w /= w.sum()
         ess = 1.0 / float((w ** 2).sum())

@@ -16,6 +16,7 @@ presence tables.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,9 +34,10 @@ class Hyperparameters:
 
     Concentrations are per-component symmetric Dirichlet parameters; the Gaussian
     regions carry a normal-inverse-Wishart prior (kappa, nu0) whose mean and scale
-    the learner takes from the floor's sessions.  ``from_dict`` ignores unknown
-    keys, so documents with the removed ``lambda_aux`` or ``gamma`` field, prior
-    mean or prior scale load.
+    the learner takes from the floor's sessions.  ``lag_window`` is a constant,
+    not a field: the learner re-draws no past session.  ``from_dict`` ignores
+    unknown keys, so documents with the removed ``lambda_aux``, ``gamma`` or
+    ``lag_window`` field, prior mean or prior scale load.
     """
 
     alpha: float = 2.0
@@ -44,7 +46,8 @@ class Hyperparameters:
     kappa: float = 1.0
     nu0: float = 3.0
     num_particles: int = 30
-    lag_window: int = 10
+    # Past sessions re-drawn per step: none.  The benchmark counts grid evaluations from it.
+    lag_window: ClassVar[int] = 0
 
     def __post_init__(self):
         # Checked here, once per construction or load, so the learner reads them unchecked.
@@ -52,10 +55,8 @@ class Hyperparameters:
             value = getattr(self, name)
             if not is_finite_real(value) or value <= floor:
                 raise SchemaError(f"{name} must be a finite number above {floor}, not {value!r}")
-        for name in ("num_particles", "lag_window"):
-            value = getattr(self, name)
-            if not is_count(value) or value < 1:
-                raise SchemaError(f"{name} must be an integer >= 1, not {value!r}")
+        if not is_count(self.num_particles) or self.num_particles < 1:
+            raise SchemaError(f"num_particles must be an integer >= 1, not {self.num_particles!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -23,9 +23,9 @@ from homeplan.learner import (
     _WORDS,
     _Batch,
     _filter,
+    _grid,
     _sample_grid,
     _SessionStats,
-    _sweep_grid,
     _systematic_resample,
     _Tables,
     derive_vocabularies,
@@ -120,12 +120,31 @@ def test_degenerate_positions_learn_without_warnings(position, line):
         np.testing.assert_allclose(model.means @ [a, b] + c, 0.0, atol=1e-12)
 
 
-def test_lag_longer_than_stream_is_clamped():
+def test_a_stream_shorter_than_the_region_count_learns():
+    # Three sessions leave at least two of five regions empty, each at its prior weight.
     rng = np.random.default_rng(0)
     sessions = [Session(rng.normal(size=2), ["o"], ["w"]) for _ in range(3)]
-    assert Hyperparameters().lag_window > len(sessions)
-    model = learn_fixed_lag(sessions, seed=1, num_regions=2)
-    assert model.num_regions == 2
+    model = learn_fixed_lag(sessions, seed=1, num_regions=5)
+    assert model.num_regions == 5
+    alpha = Hyperparameters().alpha
+    assert np.isclose(model.pi, alpha / (len(sessions) + 5 * alpha), rtol=1e-12).sum() >= 2
+
+
+def test_a_learn_scores_each_session_once(monkeypatch):
+    # The filter re-draws no past session: a learn of T sessions calls the grid kernel T times.
+    import homeplan.learner as learner
+
+    calls = []
+
+    def spy(batch, s, tables):
+        calls.append(s)
+        return _grid(batch, s, tables)
+
+    monkeypatch.setattr(learner, "_grid", spy)
+    rng = np.random.default_rng(5)
+    sessions = [Session(rng.normal(size=2), ["cup"] * (t % 2), ["kitchen", "sink"][t % 2:]) for t in range(25)]
+    learn_fixed_lag(sessions, seed=0, num_regions=3)
+    assert len(calls) == len(sessions)
 
 
 def test_vocabularies_are_derived_from_the_sessions():
@@ -436,15 +455,14 @@ def _assert_grids_match_reference(batch, tables, stats, views, hp, n_words, n_ob
     P, R = batch.counts.shape[:2]
     normaliser = math.log(batch.counts[0, :, _CONCEPT].sum() + R * hp.alpha)
     for s, view in zip(stats, views):
-        grid = _sweep_grid(batch, s, tables) - normaliser
+        grid = _grid(batch, s, tables) - normaliser
         reference = _ref_grids(batch, view, hp, tables.v0.reshape(2, 2), n_words, n_objects)
         assert grid.shape == reference.shape == (P, R)
         np.testing.assert_allclose(grid, reference, rtol=1e-12, atol=1e-12)
 
 
 def _random_batch(case):
-    """A random learner state with session 0 taken out again, as a Gibbs step does before
-    rescoring it."""
+    """A random learner state holding every session but session 0, which arrives next."""
     rng = np.random.default_rng(case)
     P, R = int(rng.integers(1, 8)), int(rng.integers(1, 6))
     places = [f"w{i}" for i in range(int(rng.integers(1, 6)))]
@@ -452,14 +470,13 @@ def _random_batch(case):
     hp = Hyperparameters(alpha=float(rng.uniform(0.2, 3.0)), beta=float(rng.uniform(0.05, 1.0)),
                          chi=float(rng.uniform(0.05, 1.0)), num_particles=P)
     stats, views, v0 = _random_stats(rng, int(rng.integers(1, 25)), places, objects, R)
-    # Sessions still in the batch are rescored too, which can reach twice a learn's counts.
+    # Sessions already in the batch are scored too, which can reach twice a learn's counts.
     tables = _Tables(hp, v0, R, len(places), len(objects), stats * 2)
     batch = _Batch(P, R, len(places), len(objects), len(stats))
     for t, s in enumerate(stats):
         batch.assignments[t] = rng.integers(0, R, P)
-        batch.add(batch.assignments[t], s)
-    # Take one session out again, as a Gibbs step does before rescoring it.
-    batch.add(batch.assignments[0], stats[0], sign=-1)
+        if t:
+            batch.add(batch.assignments[t], s)
     return batch, tables, stats, views, hp, len(places), len(objects)
 
 
@@ -479,26 +496,25 @@ def test_both_kernels_sample_the_same_cells(case):
     batch, tables, stats, views, hp, n_words, n_objects = _random_batch(case)
     P = len(batch.counts)
     u = np.random.default_rng(100 + case).random((len(stats), P))
-    exact, swept = np.empty(P, dtype=int), np.empty(P, dtype=int)
+    exact, batched = np.empty(P, dtype=int), np.empty(P, dtype=int)
     for s, view, u_s in zip(stats, views, u):
         _draw(_ref_grids(batch, view, hp, tables.v0.reshape(2, 2), n_words, n_objects), u_s, exact)
-        _draw(_sweep_grid(batch, s, tables), u_s, swept)
-        np.testing.assert_array_equal(swept, exact)
+        _draw(_grid(batch, s, tables), u_s, batched)
+        np.testing.assert_array_equal(batched, exact)
 
 
 def test_saturated_grid_reads_the_largest_table_index():
     # One region holds every session, each with the most tokens _random_stats draws
-    # (3 words, 4 objects) of a one-word, one-object vocabulary, so rescoring a session
-    # reads each table at the largest count a learn reaches.
+    # (3 words, 4 objects) of a one-word, one-object vocabulary, so scoring the last
+    # session reads each table at the largest count a learn reaches.
     sessions = [Session(np.array([0.5 * i, -0.25 * i]), ["cup"] * 4, ["kitchen"] * 3) for i in range(20)]
     stats, views, v0 = _stats_and_views(sessions, {"kitchen": 0}, {"cup": 0})
-    hp = Hyperparameters(num_particles=3, lag_window=4)
+    hp = Hyperparameters(num_particles=3)
     tables = _Tables(hp, v0, 1, 1, 1, stats)
     batch = _Batch(3, 1, 1, 1, len(stats))
-    for s in stats:
+    for s in stats[:-1]:
         batch.add(np.zeros(3, dtype=int), s)
-    batch.add(np.zeros(3, dtype=int), stats[-1], sign=-1)
-    largest_count = tables.sweep_region.shape[1] - 1
+    largest_count = tables.region_rows.shape[1] - 1
     assert batch.counts[0, 0, _OBJ_TOTAL] + views[-1].obj_total == largest_count == 4 * len(stats)
     _assert_grids_match_reference(batch, tables, stats[-1:], views[-1:], hp, 1, 1)
     learn_fixed_lag(sessions, seed=0, num_regions=1)  # a model is checked when built
@@ -511,14 +527,13 @@ def test_sweep_tables_stay_finite_without_objects(objects):
                 for i in range(8)]
     stats, views, v0 = _stats_and_views(sessions, {"kitchen": 0, "sink": 1},
                                         {o: i for i, o in enumerate(objects)}, R=3)
-    hp = Hyperparameters(num_particles=4, lag_window=3)
+    hp = Hyperparameters(num_particles=4)
     tables = _Tables(hp, v0, 3, 2, len(objects), stats * 2)
-    assert np.isfinite(tables.sweep).all()
+    assert np.isfinite(tables.rows).all()
     batch = _Batch(4, 3, 2, len(objects), len(stats))
-    for t, s in enumerate(stats):
+    for t, s in enumerate(stats[1:], 1):
         batch.assignments[t] = t % 3
         batch.add(batch.assignments[t], s)
-    batch.add(batch.assignments[0], stats[0], sign=-1)
     _assert_grids_match_reference(batch, tables, stats, views, hp, 2, len(objects))
     learn_fixed_lag(sessions, seed=0, num_regions=3)  # a model is checked when built
 
@@ -534,7 +549,7 @@ def test_sweep_table_rows_are_the_log_gamma_differences():
     stats, _, v0 = _random_stats(rng, 1500, places, objects, R)
     hp = Hyperparameters(alpha=0.7, beta=0.3, chi=0.45)
     tables = _Tables(hp, v0, R, len(places), len(objects), stats)
-    n = np.arange(tables.sweep_region.shape[1], dtype=float)
+    n = np.arange(tables.region_rows.shape[1], dtype=float)
     assert len(n) > 2500
 
     def rows(term, values):
@@ -550,13 +565,13 @@ def test_sweep_table_rows_are_the_log_gamma_differences():
     ]
     assert all(len(b) >= 4 for b in blocks[1:])  # every block reaches a count of 3
     expected = np.stack([row for b in blocks for row in b])
-    np.testing.assert_allclose(tables.sweep.reshape(-1, len(n)), expected, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(tables.rows.reshape(-1, len(n)), expected, rtol=0, atol=1e-10)
 
     kappa_n = hp.kappa + n
     df = hp.nu0 + n - 1.0
     factor = (kappa_n + 1.0) / (kappa_n * df)
     const = gammaln((df + 2.0) / 2.0) - gammaln(df / 2.0) - np.log(df) - math.log(math.pi) - np.log(factor)
-    np.testing.assert_allclose(tables.sweep_region[1], const, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(tables.region_rows[1], const, rtol=0, atol=1e-10)
 
 
 def _recount(batch, views, R, n_words, n_objects):
@@ -600,23 +615,16 @@ def test_batch_stays_a_recount_of_its_assignments_through_resampling(case):
     _Tables(Hyperparameters(num_particles=P), v0, R, len(places), len(objects), stats)
     batch = _Batch(P, R, len(places), len(objects), len(stats))
 
-    def add_then_move(batch, start, stop):
-        """Add sessions start..stop-1 in random regions, then move random sessions added so far."""
+    # Sessions arrive in random regions, with a resample after a third and after two thirds.
+    thirds = [0, len(stats) // 3, 2 * len(stats) // 3, len(stats)]
+    for start, stop in zip(thirds, thirds[1:]):
+        if start:
+            batch = batch.take(rng.integers(0, P, P))
+            _assert_integral_counts(batch)
         for t in range(start, stop):
             batch.assignments[t] = rng.integers(0, R, P)
             batch.add(batch.assignments[t], stats[t])
         _assert_integral_counts(batch)
-        for t in rng.integers(0, stop, 2 * (stop - start)):
-            batch.add(batch.assignments[t], stats[t], sign=-1)
-            batch.assignments[t] = rng.integers(0, R, P)
-            batch.add(batch.assignments[t], stats[t])
-        _assert_integral_counts(batch)
-
-    half = len(stats) // 2
-    add_then_move(batch, 0, half)
-    batch = batch.take(rng.integers(0, P, P))
-    _assert_integral_counts(batch)
-    add_then_move(batch, half, len(stats))
     assert batch.state.flags.c_contiguous and batch.assignments.flags.c_contiguous
     for view in (batch.counts, batch.moments):
         assert np.shares_memory(view, batch.state)
@@ -634,7 +642,7 @@ def test_a_gathered_batch_reads_and_writes_its_own_arrays(case):
         assert np.shares_memory(view, taken.state) and not np.shares_memory(view, batch.state)
     assert not np.shares_memory(taken.assignments, batch.assignments)
     _assert_grids_match_reference(taken, tables, stats, views, hp, n_words, n_objects)
-    # Putting session 0 back writes one session per particle into the gathered buffer alone.
+    # Adding session 0 writes one session per particle into the gathered buffer alone.
     before, sessions = batch.state.copy(), taken.counts[..., 0].sum()
     taken.add(taken.assignments[0], stats[0])
     np.testing.assert_array_equal(batch.state, before)
@@ -659,7 +667,7 @@ def test_session_stats_match_the_vocabulary_indexed_reference(objects):
         values = np.concatenate(([x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1, 1, v.word_total, v.obj_total],
                                  v.word_cnt, v.obj_cnt))
         for actual, expected in ((s.word_cnt, v.word_cnt), (s.obj_cnt, v.obj_cnt), (s.cols, cols),
-                                 (s.values, values), (s.neg_values, -values)):
+                                 (s.values, values)):
             assert actual.dtype == expected.dtype
             np.testing.assert_array_equal(actual, expected)
         assert (s.word_total, s.obj_total) == (v.word_total, v.obj_total)
@@ -675,7 +683,7 @@ def test_filter_reports_every_step_and_ends_on_a_recount():
         places = [f"w{i}" for i in range(int(rng.integers(1, 5)))]
         objects = [f"o{i}" for i in range(int(rng.integers(0, 5)))]
         stats, views, v0 = _random_stats(rng, int(rng.integers(1, 30)), places, objects, R)
-        hp = Hyperparameters(num_particles=P, lag_window=int(rng.integers(1, 8)))
+        hp = Hyperparameters(num_particles=P)
         tables = _Tables(hp, v0, R, len(places), len(objects), stats)
 
         def run(T):

@@ -303,8 +303,8 @@ def test_hyperparameter_validation():
 
 @pytest.mark.parametrize("key, value", [
     ("alpha", 0), ("alpha", float("nan")), ("kappa", float("inf")), ("beta", "x"), ("beta", None),
-    ("chi", True), ("nu0", 1.0), ("num_particles", 2.5), ("lag_window", 0),
-    ("chi", -0.5), ("nu0", 0.5), ("num_particles", True), ("lag_window", 2.0),
+    ("chi", True), ("nu0", 1.0), ("num_particles", 2.5), ("num_particles", 0),
+    ("chi", -0.5), ("nu0", 0.5), ("num_particles", True), ("num_particles", 2.0),
 ])
 def test_bad_hyperparameters_are_schema_errors(key, value):
     data = Hyperparameters().to_dict()
@@ -334,8 +334,9 @@ def test_hyperparameter_documents_without_fields_are_schema_errors(data):
 
 def test_hyperparameters_load_from_documents_with_lambda_aux():
     data = Hyperparameters().to_dict()
-    assert "lambda_aux" not in data and "m0" not in data and "gamma" not in data
+    assert "lambda_aux" not in data and "m0" not in data and "gamma" not in data and "lag_window" not in data
     data["lambda_aux"] = 0.1  # written by older versions
     data["m0"] = [0.0, 0.0]  # the prior mean older versions took as a field
     data["gamma"] = 0.5  # the concept-to-region link concentration of schema_version 1 models
+    data["lag_window"] = 10  # the Gibbs sweep's window, a field of models learned before the lag was fixed at zero
     assert Hyperparameters.from_dict(data) == Hyperparameters()

@@ -509,8 +509,8 @@ def test_protocol_rejects_a_visit_count_below_one(home, visits):
     (lambda n: generate_floor_sessions(paper_home(), sure_robot(), np.random.default_rng(0), visits_per_room=n),
      ConfigurationError),
     (lambda n: ExecutionPolicy(max_retries_per_skill=n), ConfigurationError),
-    (lambda n: Hyperparameters(lag_window=n), SchemaError),
-], ids=["visits_per_room", "max_retries_per_skill", "lag_window"])
+    (lambda n: Hyperparameters(num_particles=n), SchemaError),
+], ids=["visits_per_room", "max_retries_per_skill", "num_particles"])
 def test_a_count_is_an_int_not_a_bool(build, error, count):
     # A bool or a float count is refused where it is given, not used as 1 or failed on later.
     with pytest.raises(error, match="must be an integer"):
