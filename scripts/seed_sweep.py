@@ -46,7 +46,7 @@ REPLICATE_SEED_STRIDE = 1000
 def mcnemar_p(b: int, c: int) -> float:
     """The exact two-sided McNemar p of b pairs against c: twice the smaller binomial(b + c, 1/2) tail."""
     n = b + c
-    return min(1.0, 2.0 * sum(math.comb(n, k) for k in range(min(b, c) + 1)) / 2.0 ** n)
+    return min(1.0, 2 * sum(math.comb(n, k) for k in range(min(b, c) + 1)) / 2 ** n)  # exact ints: n may pass 1023
 
 
 def _load(path: str) -> dict:
