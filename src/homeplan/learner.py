@@ -27,8 +27,8 @@ sums component-major: the two position sums and the four sums of outer
 products, each a contiguous (P, R) plane that the kernel reads without
 striding.  A region's session count is its count column alone.  Positions are
 held standardized, less the floor's mean session position and over one scale.
-Adding a session is one indexed update of the buffer, through an index table
-and a value row per session built once per learn (``_Tables``).
+Adding a session is one indexed update of the buffer, through the session's
+segment of flat index and value arrays built in one pass per learn (``_Tables``).
 
 One kernel, ``_grid``, scores a session over the regions.  Every term that
 depends on an integer count alone is one row of a fused table built once per
@@ -59,7 +59,6 @@ count rows and moment sums in one expression.
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 import numpy as np
 
@@ -78,37 +77,6 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The flattened outer products of two stacks of 2-vectors held component-major:
     plane ``2 i + j`` is ``a[i] * b[j]``."""
     return (a[:, None] * b[None]).reshape((_DIM * _DIM,) + a.shape[1:])
-
-
-class _SessionStats:
-    """Per-session data in index space, precomputed once.
-
-    ``x`` is the standardized position and ``cols`` the columns of a region's count row
-    that the kernel reads: sessions, word and object totals, then the session's words and
-    objects.  ``values`` is what the session adds to the state buffer: its six moment
-    sums, then one value per column of ``cols``.  Three fields are set by ``_Tables``:
-    ``row_index``, the flat index offsets of the session's rows of the fused table, one
-    per column of ``cols``; ``cell_index``, per region the buffer indices of particle 0
-    that ``values`` adds to; and ``offsets``, per particle the shift of each index.
-    """
-
-    __slots__ = ("word_cnt", "word_total", "obj_cnt", "obj_total",
-                 "x", "cols", "values", "row_index", "cell_index", "offsets")
-
-    def __init__(self, session: Session, x: np.ndarray, place_index: dict[str, int],
-                 object_index: dict[str, int]):
-        words = sorted(Counter(place_index[w] for w in session.place_words).items())
-        objects = sorted(Counter(object_index[o] for o in session.object_labels).items())
-        self.word_cnt = np.array([c for _, c in words], dtype=int)
-        self.obj_cnt = np.array([c for _, c in objects], dtype=int)
-        self.word_total, self.obj_total = len(session.place_words), len(session.object_labels)
-        first_obj = _WORDS + len(place_index)
-        self.cols = np.array([_CONCEPT, _WORD_TOTAL, _OBJ_TOTAL, *(_WORDS + i for i, _ in words),
-                              *(first_obj + i for i, _ in objects)])
-        self.x = x
-        x0, x1 = self.x.tolist()  # Python floats: a square that overflows is inf, not a warning
-        self.values = np.array([x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1, 1, self.word_total,
-                                self.obj_total, *(c for _, c in words), *(c for _, c in objects)])
 
 
 class _Batch:
@@ -149,25 +117,45 @@ class _Batch:
         out.assignments = self.assignments.take(index, axis=1)
         return out
 
-    def add(self, cells: np.ndarray, s: _SessionStats) -> None:
-        """Add ``s`` to particle i in region ``cells[i]``."""
-        self.state[s.offsets + s.cell_index.take(cells, axis=0)] += s.values
+    def add(self, cells: np.ndarray, tables: _Tables, t: int) -> None:
+        """Add session ``t`` of ``tables``' stream to particle i in region ``cells[i]``."""
+        lo, hi = tables.bounds[t], tables.bounds[t + 1]
+        index = tables.offsets[:, :hi - lo] + tables.cell_index[:, lo:hi].take(cells, axis=0)
+        self.state[index] += tables.values[lo:hi]
 
 
 class _Tables:
     """Every grid term that depends on one integer count alone, indexed by that count, and
-    the prior constants, built once per learn as ``_grid`` reads them, and each
-    session's indices into the state buffer of ``hp.num_particles`` particles.
+    the prior constants, built once per learn as ``_grid`` reads them, and the stream's
+    sessions as segments of flat arrays, built in one pass over it.
+
+    Session t's segment is ``bounds[t]:bounds[t + 1]``: six moment slots, then its count
+    columns in ascending order, the sessions and total columns and each nonzero word or
+    object count.  ``values`` is what a slot adds to the state buffer, ``cols`` a count
+    slot's column, ``row_index`` its flat index into ``rows``, and ``cell_index`` (R, total)
+    a slot's buffer index in region r for particle 0, which ``offsets`` shifts to each particle.
 
     The Dirichlet-multinomial rows are rising factorials, Gamma(n + b + c) / Gamma(n + b)
     for an integer c, so each is a sum of c logs, built row by row; the mass rows are the
     same sums negated.  The Student-t constant in two dimensions is -log(2 pi)."""
 
-    def __init__(self, hp: Hyperparameters, v0: np.ndarray, R: int, n_words: int, n_objects: int,
-                 stats: list[_SessionStats]):
-        # The largest count a learn of ``stats`` reaches: every session, word or object in one column.
-        n_max = max(len(stats), sum(s.word_total for s in stats), sum(s.obj_total for s in stats))
-        n = np.arange(n_max + 1, dtype=float)
+    def __init__(self, hp: Hyperparameters, v0: np.ndarray, R: int, sessions: list[Session], x: np.ndarray,
+                 place_index: dict[str, int], object_index: dict[str, int]):
+        # Each session's counts, a (T, F) row in the columns of ``_Batch.counts``.
+        T, n_words, n_objects = len(sessions), len(place_index), len(object_index)
+        first_obj = _WORDS + n_words
+        F = first_obj + n_objects
+        word_totals = np.fromiter((len(s.place_words) for s in sessions), np.intp, T)
+        obj_totals = np.fromiter((len(s.object_labels) for s in sessions), np.intp, T)
+        words = np.fromiter((place_index[w] for s in sessions for w in s.place_words), np.intp)
+        objects = np.fromiter((object_index[o] for s in sessions for o in s.object_labels), np.intp)
+        row = np.arange(T) * F
+        counts = np.bincount(np.concatenate((np.repeat(row + _WORDS, word_totals) + words,
+                                             np.repeat(row + first_obj, obj_totals) + objects)),
+                             minlength=T * F).reshape(T, F)
+        counts[:, _CONCEPT], counts[:, _WORD_TOTAL], counts[:, _OBJ_TOTAL] = 1, word_totals, obj_totals
+        # The largest count a learn reaches: every session, word or object in one column.
+        n = np.arange(max(T, word_totals.sum(), obj_totals.sum()) + 1, dtype=float)
         self.r_alpha = R * hp.alpha
         # Per region count: 1 / kappa_n and the Student-t constants with the scale factor
         # folded in (det(f V) = f^2 det V, so log f moves into the constant).  With D = 2,
@@ -181,52 +169,60 @@ class _Tables:
         # The prior scale ``v0`` (2, 2) as a column, broadcast along the moment planes.
         self.v0 = v0.reshape(_DIM * _DIM, 1, 1)
         # One row per term, indexed by a count: the region prior, per session total m the
-        # DM mass terms, per token count c the rising factorials.  Row c of a rising block
-        # sums log(n + base + j) for j < c, so row 0 is zero.
-        def rising(base, values):
-            top = max((int(v) for v in values), default=0)
+        # DM mass terms, per token count c the rising factorials, up to the largest of each.
+        # Row c of a rising block sums log(n + base + j) for j < c, so row 0 is zero.
+        def rising(base, top):
             logs = np.log(n + base + np.arange(top)[:, None])
             return np.concatenate([np.zeros((1, len(n))), logs.cumsum(axis=0)])
 
-        word_mass, obj_mass = n_words * hp.beta, n_objects * hp.chi
         blocks = [
             np.log(n + hp.alpha)[None],
-            -rising(word_mass, (s.word_total for s in stats)),
-            -rising(obj_mass, (s.obj_total for s in stats)),
-            rising(hp.beta, (c for s in stats for c in s.word_cnt)),
-            rising(hp.chi, (c for s in stats for c in s.obj_cnt)),
+            -rising(n_words * hp.beta, word_totals.max()),
+            -rising(n_objects * hp.chi, obj_totals.max()),
+            rising(hp.beta, counts[:, _WORDS:first_obj].max()),
+            rising(hp.chi, counts[:, first_obj:].max(initial=0)),
         ]
-        starts = np.cumsum([0] + [len(b) for b in blocks])
         self.rows = np.concatenate(blocks).reshape(-1)
-        # A session's buffer indices in region r, in ``values``' order, for particle 0 of
-        # ``_Batch``'s layout: region r's moment sums, then its count row at ``cols``.
+        # Boolean indexing of (T, 6 + F) rows lays the segments out in turn.  A segment keeps
+        # its own width: ``_grid``'s pairwise sum over it changes bits if it is padded.
+        keep = np.ones((T, _MOMENTS + F), dtype=bool)
+        keep[:, _MOMENTS + _WORDS:] = counts[:, _WORDS:] != 0
+        slot = keep.nonzero()[1]
+        widths = keep.sum(axis=1)
+        self.bounds = [0, *widths.cumsum().tolist()]
+        self.x = x
+        self.values = np.concatenate((x, _outer(x.T, x.T).T, counts), axis=1)[keep]
+        self.cols = slot - _MOMENTS  # negative in the moment slots, which ``_grid`` does not read
+        # A count's row is its block's start plus the count; the sessions column's count is 1
+        # and the region prior's block one row, so its start is one less.
+        start = np.repeat(np.cumsum([0] + [len(b) for b in blocks[:-1]]), [1, 1, 1, n_words, n_objects])
+        start[_CONCEPT] -= 1
+        self.row_index = np.concatenate((np.zeros((T, _MOMENTS), dtype=int), (start + counts) * len(n)),
+                                        axis=1)[keep]
+        # Region r's moment sums, then its count row, for particle 0 of ``_Batch``'s layout.
         # Particle i shifts the moment indices by i R and the count indices by i R F.
-        P, F = hp.num_particles, _WORDS + n_words + n_objects
+        P = hp.num_particles
         r = np.arange(R)[:, None]
-        moment_index = P * R * F + np.arange(_MOMENTS) * (P * R) + r
-        particle, column = np.arange(P)[:, None], np.arange(_MOMENTS + max(len(s.cols) for s in stats))
-        offsets = np.where(column < _MOMENTS, particle * R, particle * (R * F))
-        for s in stats:
-            rows = np.concatenate(([0, starts[1] + s.word_total, starts[2] + s.obj_total],
-                                   starts[3] + s.word_cnt, starts[4] + s.obj_cnt))
-            s.row_index = rows * len(n)
-            s.cell_index = np.concatenate((moment_index, r * F + s.cols), axis=1)
-            s.offsets = offsets[:, :len(s.values)]
+        cell = np.concatenate((P * R * F + np.arange(_MOMENTS) * (P * R) + r, r * F + np.arange(F)), axis=1)
+        self.cell_index = cell.take(slot, axis=1)
+        particle, column = np.arange(P)[:, None], np.arange(widths.max())
+        self.offsets = np.where(column < _MOMENTS, particle * R, particle * (R * F))
 
 
-def _grid(p: _Batch, s: _SessionStats, t: _Tables) -> np.ndarray:
-    """The collapsed log conditional over the regions for one session, shape (P, R),
+def _grid(p: _Batch, tables: _Tables, t: int) -> np.ndarray:
+    """The collapsed log conditional over the regions for session ``t``, shape (P, R),
     less the region prior's normaliser log(N + R alpha), N the sessions held.  Every
     count-only term is one fused table row, and with the prior mean at the origin of the
     standardized positions the NIW scale is V_n = v0 + sum x x^T - a a^T / kappa_n with
     a = sum x, which needs no sample mean."""
-    counts = p.counts.take(s.cols, axis=2).astype(np.intp)
-    grid = t.rows.take(counts + s.row_index).sum(axis=-1)
-    inv_kappa_n, const, inv_scale_df, half = t.region_rows.take(p.region_n.astype(np.intp), axis=1)
+    lo, hi = tables.bounds[t] + _MOMENTS, tables.bounds[t + 1]
+    counts = p.counts.take(tables.cols[lo:hi], axis=2).astype(np.intp)
+    grid = tables.rows.take(counts + tables.row_index[lo:hi]).sum(axis=-1)
+    inv_kappa_n, const, inv_scale_df, half = tables.region_rows.take(p.region_n.astype(np.intp), axis=1)
     m_n = p.sums * inv_kappa_n
-    v = p.outers + t.v0
+    v = p.outers + tables.v0
     v -= _outer(p.sums, m_n)
-    d = s.x[:, None, None] - m_n
+    d = tables.x[t][:, None, None] - m_n
     v00, v01, v10, v11 = v
     det = v00 * v11 - v01 * v10
     # The quadratic form v11 d0 d0 - 2 v01 d0 d1 + v00 d1 d1, its first two terms as
@@ -308,26 +304,26 @@ def learn_fixed_lag(sessions: list[Session], *, seed: int = 0, num_regions: int 
     # Its determinant is taken in closed form: np.linalg.det warns on a subnormal entry.
     cov = z.T @ z / len(z)
     v0 = (cov if cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0] > 1e-6 else np.eye(_DIM)) / num_regions
-    stats = [_SessionStats(s, x, place_index, object_index) for s, x in zip(sessions, z)]
-    tables = _Tables(hp, v0, num_regions, len(vocab_places), len(vocab_objects), stats)
+    tables = _Tables(hp, v0, num_regions, sessions, z, place_index, object_index)
 
-    batch = _Batch(hp.num_particles, num_regions, len(vocab_places), len(vocab_objects), len(stats))
-    batch, log_w, _, _ = _filter(batch, stats, tables, hp, np.random.default_rng(seed))
+    batch = _Batch(hp.num_particles, num_regions, len(vocab_places), len(vocab_objects), len(sessions))
+    batch, log_w, _, _ = _filter(batch, tables, hp, np.random.default_rng(seed))
     return _posterior_mean_model(batch, int(np.argmax(log_w)), hp, seed, v0, centre, scale, vocab_places,
                                  vocab_objects)
 
 
-def _filter(batch: _Batch, stats: list[_SessionStats], tables: _Tables, hp: Hyperparameters,
+def _filter(batch: _Batch, tables: _Tables, hp: Hyperparameters,
             rng: np.random.Generator) -> tuple[_Batch, np.ndarray, list[float], list[bool]]:
-    """Run the filter over ``stats`` from the empty ``batch``: the final particles, their
-    unnormalised log weights since the last resample, and each step's effective sample
-    size and whether the step resampled."""
+    """Run the filter from the empty ``batch`` over the first ``len(batch.assignments)``
+    sessions of ``tables``' stream: the final particles, their unnormalised log weights
+    since the last resample, and each step's effective sample size and whether the step
+    resampled."""
     n_particles = hp.num_particles
     log_w = np.zeros(n_particles)
     ess_steps, resampled = [], []
-    for t, s in enumerate(stats):
+    for t in range(len(batch.assignments)):
         # Less the normaliser over the t sessions held, the grid is the log conditional.
-        grid = _grid(batch, s, tables)
+        grid = _grid(batch, tables, t)
         grid -= math.log(t + tables.r_alpha)
         top = grid.max(axis=1, keepdims=True)
         grid -= top
@@ -335,7 +331,7 @@ def _filter(batch: _Batch, stats: list[_SessionStats], tables: _Tables, hp: Hype
         log_w += top[:, 0] + np.log(e.sum(axis=1))
         cells = batch.assignments[t]
         _sample_grid(e, rng.random(n_particles), cells)
-        batch.add(cells, s)
+        batch.add(cells, tables, t)
         w = np.exp(log_w - log_w.max())
         w /= w.sum()
         ess = 1.0 / float((w ** 2).sum())

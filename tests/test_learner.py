@@ -25,7 +25,6 @@ from homeplan.learner import (
     _filter,
     _grid,
     _sample_grid,
-    _SessionStats,
     _systematic_resample,
     _Tables,
     derive_vocabularies,
@@ -412,22 +411,29 @@ def _standardized(sessions, R):
     return z, (cov if np.linalg.det(cov) > 1e-6 else np.eye(2)) / R
 
 
-def _stats_and_views(sessions, place_index, object_index, R=1):
-    """Each session as the learner's stats and as the references' vocabulary-indexed view, both
-    at the standardized position, and the prior scale for R regions."""
+def _stream_and_views(sessions, place_index, object_index, R=1):
+    """The stream as ``_Tables`` takes it (the sessions, their standardized positions and the
+    vocabulary indices), each session's vocabulary-indexed view at its standardized position,
+    and the prior scale for R regions."""
     z, v0 = _standardized(sessions, R)
-    return ([_SessionStats(s, x, place_index, object_index) for s, x in zip(sessions, z)],
+    return ((sessions, z, place_index, object_index),
             [_vocabulary_indexed(s, x, place_index, object_index) for s, x in zip(sessions, z)], v0)
 
 
-def _random_stats(rng, n, places, objects, R=1):
+def _twice(stream):
+    """The stream run twice over: tables sized for it reach twice a learn's counts."""
+    sessions, z, place_index, object_index = stream
+    return sessions * 2, np.concatenate((z, z)), place_index, object_index
+
+
+def _random_stream(rng, n, places, objects, R=1):
     place_index = {w: i for i, w in enumerate(places)}
     object_index = {o: i for i, o in enumerate(objects)}
     sessions = [Session(rng.normal(scale=4.0, size=2),
                         [str(o) for o in rng.choice(objects, size=int(rng.integers(0, 5)))] if objects else [],
                         [str(w) for w in rng.choice(places, size=int(rng.integers(1, 4)))])
                 for _ in range(n)]
-    return _stats_and_views(sessions, place_index, object_index, R)
+    return _stream_and_views(sessions, place_index, object_index, R)
 
 
 def _per_particle(batch, i, n_words, n_objects):
@@ -448,14 +454,14 @@ def _ref_grids(batch, view, hp, v0, n_words, n_objects):
                      for i in range(len(batch.counts))])
 
 
-def _assert_grids_match_reference(batch, tables, stats, views, hp, n_words, n_objects):
+def _assert_grids_match_reference(batch, tables, indexed_views, hp, n_words, n_objects):
     """The kernel against the reference once the constant it leaves out, the region
-    prior's normaliser log(N + R alpha), is subtracted: the grid that scores an arrival.
-    Both read the prior scale the tables were built with."""
+    prior's normaliser log(N + R alpha), is subtracted: the grid that scores an arrival,
+    for each (session index, view) pair.  Both read the prior scale the tables were built with."""
     P, R = batch.counts.shape[:2]
     normaliser = math.log(batch.counts[0, :, _CONCEPT].sum() + R * hp.alpha)
-    for s, view in zip(stats, views):
-        grid = _grid(batch, s, tables) - normaliser
+    for t, view in indexed_views:
+        grid = _grid(batch, tables, t) - normaliser
         reference = _ref_grids(batch, view, hp, tables.v0.reshape(2, 2), n_words, n_objects)
         assert grid.shape == reference.shape == (P, R)
         np.testing.assert_allclose(grid, reference, rtol=1e-12, atol=1e-12)
@@ -469,20 +475,21 @@ def _random_batch(case):
     objects = [f"o{i}" for i in range(int(rng.integers(0, 6)))]
     hp = Hyperparameters(alpha=float(rng.uniform(0.2, 3.0)), beta=float(rng.uniform(0.05, 1.0)),
                          chi=float(rng.uniform(0.05, 1.0)), num_particles=P)
-    stats, views, v0 = _random_stats(rng, int(rng.integers(1, 25)), places, objects, R)
+    stream, views, v0 = _random_stream(rng, int(rng.integers(1, 25)), places, objects, R)
     # Sessions already in the batch are scored too, which can reach twice a learn's counts.
-    tables = _Tables(hp, v0, R, len(places), len(objects), stats * 2)
-    batch = _Batch(P, R, len(places), len(objects), len(stats))
-    for t, s in enumerate(stats):
+    tables = _Tables(hp, v0, R, *_twice(stream))
+    batch = _Batch(P, R, len(places), len(objects), len(views))
+    for t in range(len(views)):
         batch.assignments[t] = rng.integers(0, R, P)
         if t:
-            batch.add(batch.assignments[t], s)
-    return batch, tables, stats, views, hp, len(places), len(objects)
+            batch.add(batch.assignments[t], tables, t)
+    return batch, tables, views, hp, len(places), len(objects)
 
 
 @pytest.mark.parametrize("case", range(12))
 def test_batched_grid_matches_per_particle_reference(case):
-    _assert_grids_match_reference(*_random_batch(case))
+    batch, tables, views, hp, n_words, n_objects = _random_batch(case)
+    _assert_grids_match_reference(batch, tables, enumerate(views), hp, n_words, n_objects)
 
 
 def _draw(grid, u, cells):
@@ -493,30 +500,31 @@ def _draw(grid, u, cells):
 @pytest.mark.parametrize("case", range(12))
 def test_both_kernels_sample_the_same_cells(case):
     # The kernel and the per-particle reference draw the same cells from the same uniforms.
-    batch, tables, stats, views, hp, n_words, n_objects = _random_batch(case)
+    batch, tables, views, hp, n_words, n_objects = _random_batch(case)
     P = len(batch.counts)
-    u = np.random.default_rng(100 + case).random((len(stats), P))
+    u = np.random.default_rng(100 + case).random((len(views), P))
     exact, batched = np.empty(P, dtype=int), np.empty(P, dtype=int)
-    for s, view, u_s in zip(stats, views, u):
-        _draw(_ref_grids(batch, view, hp, tables.v0.reshape(2, 2), n_words, n_objects), u_s, exact)
-        _draw(_grid(batch, s, tables), u_s, batched)
+    for t, (view, u_t) in enumerate(zip(views, u)):
+        _draw(_ref_grids(batch, view, hp, tables.v0.reshape(2, 2), n_words, n_objects), u_t, exact)
+        _draw(_grid(batch, tables, t), u_t, batched)
         np.testing.assert_array_equal(batched, exact)
 
 
 def test_saturated_grid_reads_the_largest_table_index():
-    # One region holds every session, each with the most tokens _random_stats draws
+    # One region holds every session, each with the most tokens _random_stream draws
     # (3 words, 4 objects) of a one-word, one-object vocabulary, so scoring the last
     # session reads each table at the largest count a learn reaches.
     sessions = [Session(np.array([0.5 * i, -0.25 * i]), ["cup"] * 4, ["kitchen"] * 3) for i in range(20)]
-    stats, views, v0 = _stats_and_views(sessions, {"kitchen": 0}, {"cup": 0})
+    stream, views, v0 = _stream_and_views(sessions, {"kitchen": 0}, {"cup": 0})
     hp = Hyperparameters(num_particles=3)
-    tables = _Tables(hp, v0, 1, 1, 1, stats)
-    batch = _Batch(3, 1, 1, 1, len(stats))
-    for s in stats[:-1]:
-        batch.add(np.zeros(3, dtype=int), s)
+    tables = _Tables(hp, v0, 1, *stream)
+    T = len(views)
+    batch = _Batch(3, 1, 1, 1, T)
+    for t in range(T - 1):
+        batch.add(np.zeros(3, dtype=int), tables, t)
     largest_count = tables.region_rows.shape[1] - 1
-    assert batch.counts[0, 0, _OBJ_TOTAL] + views[-1].obj_total == largest_count == 4 * len(stats)
-    _assert_grids_match_reference(batch, tables, stats[-1:], views[-1:], hp, 1, 1)
+    assert batch.counts[0, 0, _OBJ_TOTAL] + views[-1].obj_total == largest_count == 4 * T
+    _assert_grids_match_reference(batch, tables, [(T - 1, views[-1])], hp, 1, 1)
     learn_fixed_lag(sessions, seed=0, num_regions=1)  # a model is checked when built
 
 
@@ -525,16 +533,16 @@ def test_sweep_tables_stay_finite_without_objects(objects):
     # gammaln(0) is inf: with no objects, a fused mass row must never difference two of them.
     sessions = [Session(np.array([0.3 * i, 1.0 - 0.2 * i]), objects * (i % 2), ["kitchen", "sink"][:1 + i % 2])
                 for i in range(8)]
-    stats, views, v0 = _stats_and_views(sessions, {"kitchen": 0, "sink": 1},
-                                        {o: i for i, o in enumerate(objects)}, R=3)
+    stream, views, v0 = _stream_and_views(sessions, {"kitchen": 0, "sink": 1},
+                                          {o: i for i, o in enumerate(objects)}, R=3)
     hp = Hyperparameters(num_particles=4)
-    tables = _Tables(hp, v0, 3, 2, len(objects), stats * 2)
+    tables = _Tables(hp, v0, 3, *_twice(stream))
     assert np.isfinite(tables.rows).all()
-    batch = _Batch(4, 3, 2, len(objects), len(stats))
-    for t, s in enumerate(stats[1:], 1):
+    batch = _Batch(4, 3, 2, len(objects), len(views))
+    for t in range(1, len(views)):
         batch.assignments[t] = t % 3
-        batch.add(batch.assignments[t], s)
-    _assert_grids_match_reference(batch, tables, stats, views, hp, 2, len(objects))
+        batch.add(batch.assignments[t], tables, t)
+    _assert_grids_match_reference(batch, tables, enumerate(views), hp, 2, len(objects))
     learn_fixed_lag(sessions, seed=0, num_regions=3)  # a model is checked when built
 
 
@@ -546,9 +554,9 @@ def test_sweep_table_rows_are_the_log_gamma_differences():
     rng = np.random.default_rng(20)
     places, objects = ["kitchen", "sink", "stove"], ["cup", "plate"]
     R = 3
-    stats, _, v0 = _random_stats(rng, 1500, places, objects, R)
+    stream, views, v0 = _random_stream(rng, 1500, places, objects, R)
     hp = Hyperparameters(alpha=0.7, beta=0.3, chi=0.45)
-    tables = _Tables(hp, v0, R, len(places), len(objects), stats)
+    tables = _Tables(hp, v0, R, *stream)
     n = np.arange(tables.region_rows.shape[1], dtype=float)
     assert len(n) > 2500
 
@@ -558,10 +566,10 @@ def test_sweep_table_rows_are_the_log_gamma_differences():
     word_mass, obj_mass = len(places) * hp.beta, len(objects) * hp.chi
     blocks = [
         [np.log(n + hp.alpha)],
-        rows(lambda m: gammaln(n + word_mass) - gammaln(n + m + word_mass), [s.word_total for s in stats]),
-        rows(lambda m: gammaln(n + obj_mass) - gammaln(n + m + obj_mass), [s.obj_total for s in stats]),
-        rows(lambda c: gammaln(n + c + hp.beta) - gammaln(n + hp.beta), [c for s in stats for c in s.word_cnt]),
-        rows(lambda c: gammaln(n + c + hp.chi) - gammaln(n + hp.chi), [c for s in stats for c in s.obj_cnt]),
+        rows(lambda m: gammaln(n + word_mass) - gammaln(n + m + word_mass), [v.word_total for v in views]),
+        rows(lambda m: gammaln(n + obj_mass) - gammaln(n + m + obj_mass), [v.obj_total for v in views]),
+        rows(lambda c: gammaln(n + c + hp.beta) - gammaln(n + hp.beta), [c for v in views for c in v.word_cnt]),
+        rows(lambda c: gammaln(n + c + hp.chi) - gammaln(n + hp.chi), [c for v in views for c in v.obj_cnt]),
     ]
     assert all(len(b) >= 4 for b in blocks[1:])  # every block reaches a count of 3
     expected = np.stack([row for b in blocks for row in b])
@@ -611,19 +619,19 @@ def test_batch_stays_a_recount_of_its_assignments_through_resampling(case):
     P, R = int(rng.integers(2, 8)), int(rng.integers(1, 6))
     places = [f"w{i}" for i in range(int(rng.integers(1, 5)))]
     objects = [f"o{i}" for i in range(int(rng.integers(0, 5)))]
-    stats, views, v0 = _random_stats(rng, int(rng.integers(4, 20)), places, objects, R)
-    _Tables(Hyperparameters(num_particles=P), v0, R, len(places), len(objects), stats)
-    batch = _Batch(P, R, len(places), len(objects), len(stats))
+    stream, views, v0 = _random_stream(rng, int(rng.integers(4, 20)), places, objects, R)
+    tables = _Tables(Hyperparameters(num_particles=P), v0, R, *stream)
+    batch = _Batch(P, R, len(places), len(objects), len(views))
 
     # Sessions arrive in random regions, with a resample after a third and after two thirds.
-    thirds = [0, len(stats) // 3, 2 * len(stats) // 3, len(stats)]
+    thirds = [0, len(views) // 3, 2 * len(views) // 3, len(views)]
     for start, stop in zip(thirds, thirds[1:]):
         if start:
             batch = batch.take(rng.integers(0, P, P))
             _assert_integral_counts(batch)
         for t in range(start, stop):
             batch.assignments[t] = rng.integers(0, R, P)
-            batch.add(batch.assignments[t], stats[t])
+            batch.add(batch.assignments[t], tables, t)
         _assert_integral_counts(batch)
     assert batch.state.flags.c_contiguous and batch.assignments.flags.c_contiguous
     for view in (batch.counts, batch.moments):
@@ -635,44 +643,105 @@ def test_batch_stays_a_recount_of_its_assignments_through_resampling(case):
 def test_a_gathered_batch_reads_and_writes_its_own_arrays(case):
     # A view left on the buffer a gather replaced would score a grid against stale counts
     # and write its updates where nothing reads them.
-    batch, tables, stats, views, hp, n_words, n_objects = _random_batch(case)
+    batch, tables, views, hp, n_words, n_objects = _random_batch(case)
     P = batch.assignments.shape[1]
     taken = batch.take(np.random.default_rng(case).integers(0, P, P))
     for view in (taken.counts, taken.moments, taken.region_n, taken.sums, taken.outers):
         assert np.shares_memory(view, taken.state) and not np.shares_memory(view, batch.state)
     assert not np.shares_memory(taken.assignments, batch.assignments)
-    _assert_grids_match_reference(taken, tables, stats, views, hp, n_words, n_objects)
+    _assert_grids_match_reference(taken, tables, enumerate(views), hp, n_words, n_objects)
     # Adding session 0 writes one session per particle into the gathered buffer alone.
     before, sessions = batch.state.copy(), taken.counts[..., 0].sum()
-    taken.add(taken.assignments[0], stats[0])
+    taken.add(taken.assignments[0], tables, 0)
     np.testing.assert_array_equal(batch.state, before)
     assert taken.counts[..., 0].sum() == sessions + P
     _assert_integral_counts(taken)
-    _assert_grids_match_reference(taken, tables, stats, views, hp, n_words, n_objects)
+    _assert_grids_match_reference(taken, tables, enumerate(views), hp, n_words, n_objects)
 
 
-@pytest.mark.parametrize("objects", [[], ["cup", "plate", "fork"]], ids=["empty-object-vocabulary", "objects"])
-def test_session_stats_match_the_vocabulary_indexed_reference(objects):
-    # Sessions repeat words and objects, and some hold no object.
-    rng = np.random.default_rng(40 + len(objects))
-    places = ["kitchen", "sink", "stove", "oven"]
-    stats, views, _ = _random_stats(rng, 60, places, objects)
-    assert any(v.obj_total == 0 for v in views) and any(len(v.word_idx) < v.word_total for v in views)
-    assert not objects or any(len(v.obj_idx) < v.obj_total for v in views)
-    first_obj = _WORDS + len(places)
-    for s, v in zip(stats, views):
+def _assert_segments_match_reference(tables, views, n_words, n_objects, R, P):
+    """Each session's segment of the tables' flat arrays against the segment a per-session
+    loop builds from its vocabulary-indexed view alone: its columns, values, fused-table rows,
+    buffer indices and particle offsets, equal with equal dtypes, and its position.  The
+    segments tile the flat arrays in stream order, each as wide as its own columns."""
+    first_obj = _WORDS + n_words
+    F = first_obj + n_objects
+    n_len = max(len(views), sum(v.word_total for v in views), sum(v.obj_total for v in views)) + 1
+    assert tables.region_rows.shape[1] == n_len
+    # The fused table's blocks: the region prior, the two mass blocks and the two rising blocks.
+    tops = [0, max(v.word_total for v in views), max(v.obj_total for v in views),
+            max((c for v in views for c in v.word_cnt), default=0),
+            max((c for v in views for c in v.obj_cnt), default=0)]
+    starts = np.cumsum([0] + [top + 1 for top in tops])
+    assert len(tables.rows) == starts[-1] * n_len
+    r, particle = np.arange(R)[:, None], np.arange(P)[:, None]
+    assert len(tables.bounds) == len(views) + 1 and tables.bounds[0] == 0
+    assert tables.bounds[-1] == len(tables.values) == len(tables.cols) == len(tables.row_index)
+    assert tables.cell_index.shape == (R, len(tables.values))
+    for t, v in enumerate(views):
         cols = np.concatenate(([0, 1, 2], _WORDS + v.word_idx, first_obj + v.obj_idx))
         x0, x1 = v.x
         # Its moment sums, then one count per column.
         values = np.concatenate(([x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1, 1, v.word_total, v.obj_total],
                                  v.word_cnt, v.obj_cnt))
-        for actual, expected in ((s.word_cnt, v.word_cnt), (s.obj_cnt, v.obj_cnt), (s.cols, cols),
-                                 (s.values, values)):
+        rows = np.concatenate(([0, starts[1] + v.word_total, starts[2] + v.obj_total],
+                               starts[3] + v.word_cnt, starts[4] + v.obj_cnt)) * n_len
+        cells = np.concatenate((P * R * F + np.arange(6) * (P * R) + r, r * F + cols), axis=1)
+        column = np.arange(len(values))
+        offsets = np.where(column < 6, particle * R, particle * (R * F))
+        lo, hi = tables.bounds[t], tables.bounds[t + 1]
+        for actual, expected in ((tables.cols[lo + 6:hi], cols), (tables.values[lo:hi], values),
+                                 (tables.row_index[lo + 6:hi], rows), (tables.cell_index[:, lo:hi], cells),
+                                 (tables.offsets[:, :hi - lo], offsets), (tables.x[t], v.x)):
             assert actual.dtype == expected.dtype
             np.testing.assert_array_equal(actual, expected)
-        assert (s.word_total, s.obj_total) == (v.word_total, v.obj_total)
-        assert type(s.word_total) is type(s.obj_total) is int
-        np.testing.assert_array_equal(s.x, v.x)
+
+
+@pytest.mark.parametrize("objects", [[], ["cup", "plate", "fork"]], ids=["empty-object-vocabulary", "objects"])
+def test_segments_equal_the_vocabulary_indexed_reference(objects):
+    # Sessions repeat words and objects, and some hold no object.
+    rng = np.random.default_rng(40 + len(objects))
+    places = ["kitchen", "sink", "stove", "oven"]
+    stream, views, v0 = _random_stream(rng, 60, places, objects)
+    assert any(v.obj_total == 0 for v in views) and any(len(v.word_idx) < v.word_total for v in views)
+    assert not objects or any(len(v.obj_idx) < v.obj_total for v in views)
+    hp = Hyperparameters()
+    tables = _Tables(hp, v0, 1, *stream)
+    _assert_segments_match_reference(tables, views, len(places), len(objects), 1, hp.num_particles)
+
+
+def test_one_pass_set_up_matches_a_per_session_reference():
+    # Random streams whose sessions may hold no place word or no object, repeat words and
+    # objects, and spread over more than 8 count columns (numpy's pairwise sum unrolls at 8
+    # terms, so a padded or reordered segment would move a grid's bits), with an empty object
+    # vocabulary, a one-word vocabulary and a one-session stream among them.
+    rng = np.random.default_rng(61)
+    seen = dict.fromkeys(["no word", "no object", "repeated word", "repeated object", "wide",
+                          "no object vocabulary", "one word", "one session"], 0)
+    for case in range(48):
+        n_words = 1 if case % 4 == 1 else int(rng.integers(2, 9))
+        n_objects = 0 if case % 4 == 2 else int(rng.integers(1, 12))
+        T = 1 if case % 4 == 3 else int(rng.integers(2, 25))
+        places, objects = [f"w{i}" for i in range(n_words)], [f"o{i}" for i in range(n_objects)]
+        sessions = [Session(rng.normal(scale=3.0, size=2),
+                            [str(o) for o in rng.choice(objects, size=int(rng.integers(0, 10)))] if objects else [],
+                            [str(w) for w in rng.choice(places, size=int(rng.integers(0, 6)))])
+                    for _ in range(T)]
+        R, P = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        stream, views, v0 = _stream_and_views(sessions, {w: i for i, w in enumerate(places)},
+                                              {o: i for i, o in enumerate(objects)}, R)
+        tables = _Tables(Hyperparameters(num_particles=P), v0, R, *stream)
+        _assert_segments_match_reference(tables, views, n_words, n_objects, R, P)
+        for v in views:
+            seen["no word"] += v.word_total == 0
+            seen["no object"] += v.obj_total == 0
+            seen["repeated word"] += len(v.word_idx) < v.word_total
+            seen["repeated object"] += len(v.obj_idx) < v.obj_total
+            seen["wide"] += _WORDS + len(v.word_idx) + len(v.obj_idx) > 8
+        seen["no object vocabulary"] += n_objects == 0
+        seen["one word"] += n_words == 1
+        seen["one session"] += T == 1
+    assert min(seen.values()) > 0, seen
 
 
 def test_filter_reports_every_step_and_ends_on_a_recount():
@@ -682,17 +751,17 @@ def test_filter_reports_every_step_and_ends_on_a_recount():
         P, R = int(rng.integers(1, 9)), int(rng.integers(1, 6))
         places = [f"w{i}" for i in range(int(rng.integers(1, 5)))]
         objects = [f"o{i}" for i in range(int(rng.integers(0, 5)))]
-        stats, views, v0 = _random_stats(rng, int(rng.integers(1, 30)), places, objects, R)
+        stream, views, v0 = _random_stream(rng, int(rng.integers(1, 30)), places, objects, R)
         hp = Hyperparameters(num_particles=P)
-        tables = _Tables(hp, v0, R, len(places), len(objects), stats)
+        tables = _Tables(hp, v0, R, *stream)
 
         def run(T):
             """The filter over the first T sessions, from seed ``case``."""
             batch = _Batch(P, R, len(places), len(objects), T)
-            return _filter(batch, stats[:T], tables, hp, np.random.default_rng(case))
+            return _filter(batch, tables, hp, np.random.default_rng(case))
 
-        batch, log_w, ess, resampled = run(len(stats))
-        assert len(ess) == len(resampled) == len(stats)
+        batch, log_w, ess, resampled = run(len(views))
+        assert len(ess) == len(resampled) == len(views)
         _assert_integral_counts(batch)
         # The ESS of normalised weights lies in [1, P], up to the rounding of 1 / sum(w^2).
         assert all(1.0 - 1e-12 <= e <= P * (1.0 + 1e-12) for e in ess)
