@@ -6,9 +6,10 @@ sessions as ``homeplan suite --seed S --visits V`` does, from the learn seed.  I
 learns them ``--replicates J`` times, with learner seeds learn seed + 1000 j for
 j < J, and prints one JSON line per learn: the learn seed, the replicate j, how many
 of the floor's objects have their true room as best room, whether that meets C2,
-how many of the floor's room names the sessions hold, and the sha256 of the model
+how many of the floor's room names the sessions hold, the sha256 of the model
 and of the knowledge base, each of the bytes that ``homeplan learn --out`` and
-``homeplan extract --out`` write.  Replicate 0 is the learn ``homeplan suite``
+``homeplan extract --out`` write, and the sha256 of the knowledge base's object ->
+best room map (``best_rooms_digest``).  Replicate 0 is the learn ``homeplan suite``
 makes; the others keep its sessions and move the learner's seed alone, so recovery
 can be read as a distribution over learner streams.
 
@@ -16,8 +17,9 @@ can be read as a distribution over learner streams.
 checkouts, and prints per visit count the wrong learns (some object's best room
 wrong) and C2 misses of each side, per replicate, the discordant pairs with an
 exact two-sided McNemar p (McNemar 1947), wrong learns by heard room names, and
-how many model and knowledge digests differ, which a change that must keep every
-learn byte-identical needs at 0:
+how many model, knowledge and best-room digests differ.  A change that must keep
+every learn byte-identical needs all three at 0; one that may move only the last
+bits of a model, or the order of its regions, needs the best-room digests at 0:
 
     PYTHONPATH=src python scripts/seed_sweep.py --seeds 60 --visits 5 10 30 --replicates 5 > B.jsonl
     python scripts/seed_sweep.py --compare A.jsonl B.jsonl
@@ -33,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from homeplan.experiment import _suite_seeds, best_room_recovery, default_robots
-from homeplan.knowledge import extract_knowledge, save_knowledge
+from homeplan.knowledge import KnowledgeBase, extract_knowledge, save_knowledge
 from homeplan.learner import learn_fixed_lag
 from homeplan.spatial import save_model
 from homeplan.world import generate_floor_sessions, load_environment
@@ -53,6 +55,12 @@ def _load(path: str) -> dict:
     """A sweep output keyed by learn: (CLI seed, visits, floor, replicate)."""
     rows = [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
     return {(r["cli_seed"], r["visits"], r["floor"], r["replicate"]): r for r in rows}
+
+
+def best_rooms_digest(kb: KnowledgeBase) -> str:
+    """The sha256 of ``kb``'s object -> best room map as JSON, objects sorted, None for a massless row."""
+    best = {obj: (kb.best_room(obj) or [None])[0] for obj in sorted(kb.presence_table)}
+    return hashlib.sha256(json.dumps(best).encode()).hexdigest()
 
 
 def _wrong(row: dict) -> bool:
@@ -86,8 +94,9 @@ def compare(path_a: str, path_b: str) -> None:
                      f"B {sum(_wrong(b[k]) for k, h in heard.items() if h == n)}"
                      for n in sorted(set(heard.values()))]
             print(f"  by room names heard: {'; '.join(split)}")
-        for digest in ("model_sha256", "knowledge_sha256"):
-            print(f"  {digest} differs: {sum(a[key][digest] != b[key][digest] for key in keys)} of {len(keys)}")
+        for digest in ("model_sha256", "knowledge_sha256", "best_rooms_sha256"):
+            if all(digest in a[key] and digest in b[key] for key in keys):  # older outputs lack the last
+                print(f"  {digest} differs: {sum(a[key][digest] != b[key][digest] for key in keys)} of {len(keys)}")
 
 
 def main():
@@ -127,7 +136,8 @@ def main():
                                           "learn_seed": seed, "replicate": replicate, "right": right,
                                           "objects": objects, "c2": right >= C2_BEST_ROOMS[robot.floor], "heard": heard,
                                           "model_sha256": digest(save_model, model),
-                                          "knowledge_sha256": digest(save_knowledge, kb)}), flush=True)
+                                          "knowledge_sha256": digest(save_knowledge, kb),
+                                          "best_rooms_sha256": best_rooms_digest(kb)}), flush=True)
 
 
 if __name__ == "__main__":

@@ -16,19 +16,19 @@ paired learns per visit count of ``scripts/seed_sweep.py --seeds 60
 10-session sweep, 21 without, McNemar p = 1; 10 visits: 1 and 0; 30 visits:
 0 and 0) and took about 80 % of a learn.
 
-All particles live in one stacked state (``_Batch``): per-session regions
-plus collapsed sufficient statistics in one float64 buffer, and
-``assignments`` (T, P) holds each particle's trajectory, one contiguous row of
-regions per session.  The buffer's count block ``counts`` (P, R, F) holds
-every Dirichlet-multinomial count of a region, integers exact as floats: its
-sessions, word and object totals, and word and object counts.  Its moment
-block ``moments`` (6, P, R) holds each region's normal-inverse-Wishart moment
-sums component-major: the two position sums and the four sums of outer
-products, each a contiguous (P, R) plane that the kernel reads without
-striding.  A region's session count is its count column alone.  Positions are
-held standardized, less the floor's mean session position and over one scale.
-Adding a session is one indexed update of the buffer, through the session's
-segment of flat index and value arrays built in one pass per learn (``_Tables``).
+All particles live in one stacked state (``_Batch``), the particle axis last:
+regions plus collapsed sufficient statistics in one float64 (rows, P) matrix,
+and ``assignments`` (T, P), one contiguous row of regions per session.  Its
+count block ``counts`` (F, R, P) holds every Dirichlet-multinomial count of a
+region, integers exact as floats: sessions, word and object totals, word and
+object counts.  Its moment block ``moments`` (6, R, P) holds each region's
+normal-inverse-Wishart moment sums: two position sums, four sums of outer
+products.  Each column and each sum is a contiguous (R, P) plane, so every
+small reduction runs down a leading axis, which numpy sums in order: appended
+zero terms leave its bits.  Positions are held standardized, less the floor's
+mean session position and over one scale.  Adding a session is one indexed
+update of the matrix, through the session's segment of flat index and value
+arrays built in one pass per learn (``_Tables``).
 
 One kernel, ``_grid``, scores a session over the regions.  Every term that
 depends on an integer count alone is one row of a fused table built once per
@@ -46,7 +46,7 @@ whose cumulative sum exceeds u times the total.  Grid buffers are updated in
 place with no change to any arithmetic.
 
 ``_filter`` runs the loop.  Particles are systematically resampled, by one
-``ndarray.take`` gather of each block and of the assignments on its particle
+``ndarray.take`` gather of the state and one of the assignments on their particle
 axis, when the effective sample size drops below half the particle count,
 and ``log_w`` restarts at zeros; the gathered state takes its views afresh.
 Uniforms are drawn in the order a per-particle loop would draw them, so
@@ -82,46 +82,43 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _Batch:
     """Regions and collapsed sufficient statistics of all particles.
 
-    One float64 buffer ``state`` holds a count block, then a moment block.  ``counts``
-    (P, R, F) columns: sessions, word total, object total, V words, O objects, each an
-    integer exact as a float.  ``moments`` (6, P, R): one plane per moment sum.
-    ``assignments`` (T, P): each session's regions, a contiguous row; column i is
-    particle i's trajectory.  ``add`` writes into ``state`` at the indices ``_Tables``
+    One float64 matrix ``state`` (rows, P) holds a count block, then a moment block, each
+    row one statistic of one region for every particle.  ``counts`` (F, R, P) columns:
+    sessions, word total, object total, V words, O objects, each an integer exact as a
+    float, one contiguous (R, P) plane per column.  ``moments`` (6, R, P): one plane per
+    moment sum.  ``assignments`` (T, P): each session's regions, a contiguous row; column i
+    is particle i's trajectory.  ``add`` writes into ``state`` at the flat indices ``_Tables``
     lays out for this layout.  The views of it (``counts``, ``moments``) and the ones
-    ``_grid`` reads (``region_n``, the sessions column of ``counts``, ``sums``,
-    ``outers``) are taken whenever a buffer is made, in ``__init__`` and in ``take``:
-    views of a replaced buffer would read stale counts.
+    ``_grid`` reads (``sums``, ``outers``) are taken whenever a buffer is made, in
+    ``__init__`` and in ``take``: views of a replaced buffer would read stale counts.
     """
 
-    __slots__ = ("state", "counts", "moments", "assignments", "region_n", "sums", "outers")
+    __slots__ = ("state", "counts", "moments", "assignments", "sums", "outers")
 
     def __init__(self, P: int, R: int, n_words: int, n_objects: int, T: int):
-        self.state = np.zeros(P * R * (_WORDS + n_words + n_objects) + _MOMENTS * P * R)
+        self.state = np.zeros(((_WORDS + n_words + n_objects + _MOMENTS) * R, P))
         self.assignments = np.zeros((T, P), dtype=int)
-        self._set_views(P, R)
+        self._set_views(R)
 
-    def _set_views(self, P: int, R: int) -> None:
-        n_counts = len(self.state) - _MOMENTS * P * R
-        self.counts = self.state[:n_counts].reshape(P, R, -1)
-        self.moments = self.state[n_counts:].reshape(_MOMENTS, P, R)
-        self.region_n = self.counts[..., _CONCEPT]
+    def _set_views(self, R: int) -> None:
+        n_counts = len(self.state) - _MOMENTS * R
+        self.counts = self.state[:n_counts].reshape(-1, R, self.state.shape[1])
+        self.moments = self.state[n_counts:].reshape(_MOMENTS, R, -1)
         self.sums, self.outers = self.moments[:_DIM], self.moments[_DIM:]
 
     def take(self, index: np.ndarray) -> "_Batch":
         """The particles at ``index``, one per particle, gathered into a new buffer."""
         out = _Batch.__new__(_Batch)
-        out.state = np.empty_like(self.state)
-        out._set_views(*self.counts.shape[:2])
-        self.counts.take(index, axis=0, out=out.counts)
-        self.moments.take(index, axis=1, out=out.moments)
+        out.state = self.state.take(index, axis=1)
+        out._set_views(self.moments.shape[1])
         out.assignments = self.assignments.take(index, axis=1)
         return out
 
     def add(self, cells: np.ndarray, tables: _Tables, t: int) -> None:
         """Add session ``t`` of ``tables``' stream to particle i in region ``cells[i]``."""
         lo, hi = tables.bounds[t], tables.bounds[t + 1]
-        index = tables.offsets[:, :hi - lo] + tables.cell_index[:, lo:hi].take(cells, axis=0)
-        self.state[index] += tables.values[lo:hi]
+        index = tables.offsets + tables.cell_index[:, lo:hi].take(cells, axis=0)
+        self.state.reshape(-1)[index] += tables.values[lo:hi]
 
 
 class _Tables:
@@ -131,9 +128,9 @@ class _Tables:
 
     Session t's segment is ``bounds[t]:bounds[t + 1]``: six moment slots, then its count
     columns in ascending order, the sessions and total columns and each nonzero word or
-    object count.  ``values`` is what a slot adds to the state buffer, ``cols`` a count
-    slot's column, ``row_index`` its flat index into ``rows``, and ``cell_index`` (R, total)
-    a slot's buffer index in region r for particle 0, which ``offsets`` shifts to each particle.
+    object count.  ``values`` is what a slot adds to the state, ``cols`` a count slot's
+    column, ``row_index`` its flat index into ``rows``, and ``cell_index`` (R, total) a slot's
+    flat state index in region r for particle 0, which ``offsets`` (P, 1) shifts to each particle.
 
     The Dirichlet-multinomial rows are rising factorials, Gamma(n + b + c) / Gamma(n + b)
     for an integer c, so each is a sum of c logs, built row by row; the mass rows are the
@@ -183,13 +180,12 @@ class _Tables:
             rising(hp.chi, counts[:, first_obj:].max(initial=0)),
         ]
         self.rows = np.concatenate(blocks).reshape(-1)
-        # Boolean indexing of (T, 6 + F) rows lays the segments out in turn.  A segment keeps
-        # its own width: ``_grid``'s pairwise sum over it changes bits if it is padded.
+        # Boolean indexing of (T, 6 + F) rows lays the segments out in turn, each as wide as
+        # its own columns.
         keep = np.ones((T, _MOMENTS + F), dtype=bool)
         keep[:, _MOMENTS + _WORDS:] = counts[:, _WORDS:] != 0
         slot = keep.nonzero()[1]
-        widths = keep.sum(axis=1)
-        self.bounds = [0, *widths.cumsum().tolist()]
+        self.bounds = [0, *keep.sum(axis=1).cumsum().tolist()]
         self.x = x
         self.values = np.concatenate((x, _outer(x.T, x.T).T, counts), axis=1)[keep]
         self.cols = slot - _MOMENTS  # negative in the moment slots, which ``_grid`` does not read
@@ -199,26 +195,28 @@ class _Tables:
         start[_CONCEPT] -= 1
         self.row_index = np.concatenate((np.zeros((T, _MOMENTS), dtype=int), (start + counts) * len(n)),
                                         axis=1)[keep]
-        # Region r's moment sums, then its count row, for particle 0 of ``_Batch``'s layout.
-        # Particle i shifts the moment indices by i R and the count indices by i R F.
+        # Region r's moment rows, then its count rows, as flat indices for particle 0 of
+        # ``_Batch``'s (rows, P) state; particle i is i further on.
         P = hp.num_particles
         r = np.arange(R)[:, None]
-        cell = np.concatenate((P * R * F + np.arange(_MOMENTS) * (P * R) + r, r * F + np.arange(F)), axis=1)
+        cell = np.concatenate(((F + np.arange(_MOMENTS)) * R + r, np.arange(F) * R + r), axis=1) * P
         self.cell_index = cell.take(slot, axis=1)
-        particle, column = np.arange(P)[:, None], np.arange(widths.max())
-        self.offsets = np.where(column < _MOMENTS, particle * R, particle * (R * F))
+        self.offsets = np.arange(P)[:, None]
 
 
 def _grid(p: _Batch, tables: _Tables, t: int) -> np.ndarray:
-    """The collapsed log conditional over the regions for session ``t``, shape (P, R),
+    """The collapsed log conditional over the regions for session ``t``, shape (R, P),
     less the region prior's normaliser log(N + R alpha), N the sessions held.  Every
-    count-only term is one fused table row, and with the prior mean at the origin of the
-    standardized positions the NIW scale is V_n = v0 + sum x x^T - a a^T / kappa_n with
-    a = sum x, which needs no sample mean."""
+    count-only term is one fused table row, read as an (R, P) plane per count column and
+    summed down that leading axis in order, so appended zero rows leave every bit; the
+    sessions column, a segment's first, also indexes the region rows.  With the prior
+    mean at the origin of the standardized positions the NIW scale is
+    V_n = v0 + sum x x^T - a a^T / kappa_n with a = sum x, which needs no sample mean."""
     lo, hi = tables.bounds[t] + _MOMENTS, tables.bounds[t + 1]
-    counts = p.counts.take(tables.cols[lo:hi], axis=2).astype(np.intp)
-    grid = tables.rows.take(counts + tables.row_index[lo:hi]).sum(axis=-1)
-    inv_kappa_n, const, inv_scale_df, half = tables.region_rows.take(p.region_n.astype(np.intp), axis=1)
+    counts = p.counts.take(tables.cols[lo:hi], axis=0).astype(np.intp)
+    inv_kappa_n, const, inv_scale_df, half = tables.region_rows.take(counts[0], axis=1)
+    counts += tables.row_index[lo:hi, None, None]
+    grid = tables.rows.take(counts).sum(axis=0)
     m_n = p.sums * inv_kappa_n
     v = p.outers + tables.v0
     v -= _outer(p.sums, m_n)
@@ -242,12 +240,12 @@ def _grid(p: _Batch, tables: _Tables, t: int) -> np.ndarray:
 
 def _sample_grid(e: np.ndarray, u: np.ndarray, cells: np.ndarray) -> None:
     """Write one region per particle into ``cells``, by inverse CDF on the uniforms ``u``:
-    the first region whose cumulative sum exceeds u times the total.  Row i of ``e`` is
-    particle i's grid, ``exp(grid - max)``, so the total is at least 1, and for
+    the first region whose cumulative sum exceeds u times the total.  Column i of ``e``
+    (R, P) is particle i's grid, ``exp(grid - max)``, so the total is at least 1, and for
     u <= 1 - 2**-53 the scaled total rounds below it: some region exceeds it, and the
-    first one that does holds mass (``argmin`` of an all-true row would return 0)."""
-    cdf = e.cumsum(axis=1)
-    (cdf <= u[:, None] * cdf[:, -1:]).argmin(axis=1, out=cells)
+    first one that does holds mass (``argmin`` of an all-true column would return 0)."""
+    cdf = e.cumsum(axis=0)
+    (cdf <= u * cdf[-1]).argmin(axis=0, out=cells)
 
 
 def _systematic_resample(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -325,10 +323,10 @@ def _filter(batch: _Batch, tables: _Tables, hp: Hyperparameters,
         # Less the normaliser over the t sessions held, the grid is the log conditional.
         grid = _grid(batch, tables, t)
         grid -= math.log(t + tables.r_alpha)
-        top = grid.max(axis=1, keepdims=True)
+        top = grid.max(axis=0)
         grid -= top
         e = np.exp(grid, out=grid)  # one exp serves the weight increment and the draw
-        log_w += top[:, 0] + np.log(e.sum(axis=1))
+        log_w += top + np.log(e.sum(axis=0))
         cells = batch.assignments[t]
         _sample_grid(e, rng.random(n_particles), cells)
         batch.add(cells, tables, t)
@@ -345,7 +343,7 @@ def _filter(batch: _Batch, tables: _Tables, hp: Hyperparameters,
 
 def _posterior_mean_model(p: _Batch, i: int, hp: Hyperparameters, seed: int, v0: np.ndarray, centre: np.ndarray,
                           scale: float, vocab_places: list[str], vocab_objects: list[str]) -> SpatialConceptModel:
-    counts, moments = p.counts[i], p.moments[:, i]
+    counts, moments = p.counts[:, :, i].T, p.moments[:, :, i]
     R = len(counts)
     n_words, n_objects = len(vocab_places), len(vocab_objects)
     n_r = counts[:, _CONCEPT]

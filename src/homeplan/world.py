@@ -357,7 +357,7 @@ def observe_session(env: Environment, robot: RobotState, room: str, rng: np.rand
     labels = [o for o in env._objects_in_room[room] if rng.random() < robot.p_detect_present]
     # One to three words, drawn as Generator.choice(pool, count, replace=True) draws them.
     pool = env.place_words.get(room, ())
-    words = [pool[i] for i in rng.integers(len(pool), size=int(rng.integers(1, 4))).tolist()] if pool else []
+    words = [pool[rng.integers(len(pool))] for _ in range(rng.integers(1, 4))] if pool else []
     return Session(position=position[0], object_labels=labels, place_words=words, room_hint=room)
 
 

@@ -112,7 +112,10 @@ def test_seed_sweep_digests_the_files_learn_and_extract_write(tmp_path, capsys, 
                      "--robot", robot, "--out", str(kb)]) == 0
         assert row["model_sha256"] == hashlib.sha256(model.read_bytes()).hexdigest()
         assert row["knowledge_sha256"] == hashlib.sha256(kb.read_bytes()).hexdigest()
-        right, objects = best_room_recovery(env, row["floor"], load_knowledge(kb))
+        loaded = load_knowledge(kb)
+        best = {obj: loaded.best_room(obj)[0] for obj in sorted(loaded.presence_table)}
+        assert row["best_rooms_sha256"] == hashlib.sha256(json.dumps(best).encode()).hexdigest()
+        right, objects = best_room_recovery(env, row["floor"], loaded)
         assert (row["right"], row["objects"], row["c2"]) == (right, objects, right >= C2_BEST_ROOMS[row["floor"]][0])
         sessions = generate_floor_sessions(env, floor_robot(env, row["floor"], robot),
                                            np.random.default_rng(row["learn_seed"]), visits_per_room=5)
@@ -128,13 +131,14 @@ def test_seed_sweep_compare_pairs_two_outputs_learn_by_learn(tmp_path, capsys, m
     assert mcnemar_p(0, 5) == mcnemar_p(5, 0) == 2 / 32
     assert mcnemar_p(1, 9) == pytest.approx(2 * 11 / 1024, rel=1e-12)
 
-    def row(cli_seed, replicate, right, c2, model="m", heard=5):
+    def row(cli_seed, replicate, right, c2, model="m", heard=5, best="r"):
         return {"cli_seed": cli_seed, "visits": 5, "floor": "1F", "learn_seed": 0, "replicate": replicate,
                 "right": right, "objects": 13, "c2": c2, "heard": heard, "model_sha256": model,
-                "knowledge_sha256": "k"}
+                "knowledge_sha256": "k", "best_rooms_sha256": best}
 
     a = [row(0, 0, 13, True), row(0, 1, 10, False), row(1, 0, 12, True, heard=4), row(1, 1, 13, True)]
-    b = [row(0, 1, 13, True), row(0, 0, 12, True, model="x"), row(1, 0, 12, True, heard=4), row(1, 1, 13, True)]
+    b = [row(0, 1, 13, True, best="s"), row(0, 0, 12, True, model="x"), row(1, 0, 12, True, heard=4),
+         row(1, 1, 13, True, model="y")]
     paths = []
     for name, rows in (("a.jsonl", a), ("b.jsonl", b[:3]), ("b_all.jsonl", b)):
         paths.append(tmp_path / name)
@@ -151,9 +155,17 @@ def test_seed_sweep_compare_pairs_two_outputs_learn_by_learn(tmp_path, capsys, m
           C2 misses B: 0, per replicate 0/0 (range 0-0)
           C2 misses discordant: 1 in A only, 0 in B only, exact McNemar p = 1
           by room names heard: 4: 1 learns, wrong A 1 B 1; 5: 3 learns, wrong A 1 B 1
-          model_sha256 differs: 1 of 4
+          model_sha256 differs: 2 of 4
           knowledge_sha256 differs: 0 of 4
+          best_rooms_sha256 differs: 1 of 4
         """)
+    # An output written before the best-room digest existed compares on the other two.
+    older = tmp_path / "older.jsonl"
+    older.write_text("".join(json.dumps({k: v for k, v in r.items() if k != "best_rooms_sha256"}) + "\n" for r in a))
+    monkeypatch.setattr(sys, "argv", [str(script), "--compare", str(older), str(paths[2])])
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out.splitlines()[-2:] == ["  model_sha256 differs: 2 of 4",
+                                                         "  knowledge_sha256 differs: 0 of 4"]
     monkeypatch.setattr(sys, "argv", [str(script), "--compare", str(paths[0]), str(paths[1])])
     with pytest.raises(SystemExit, match="hold different learns: 1 only in A, 0 only in B"):
         runpy.run_path(str(script), run_name="__main__")

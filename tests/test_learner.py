@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import warnings
@@ -438,7 +439,7 @@ def _random_stream(rng, n, places, objects, R=1):
 
 def _per_particle(batch, i, n_words, n_objects):
     """Particle ``i`` of a stacked batch in the per-particle layout the reference reads."""
-    counts, moments = batch.counts[i].astype(float), batch.moments[:, i]
+    counts, moments = batch.counts[:, :, i].T.astype(float), batch.moments[:, :, i]
     R, objects = moments.shape[1], _WORDS + n_words
     return SimpleNamespace(
         concept_counts=counts[:, 0], word_totals=counts[:, 1], object_totals=counts[:, 2],
@@ -448,22 +449,22 @@ def _per_particle(batch, i, n_words, n_objects):
 
 
 def _ref_grids(batch, view, hp, v0, n_words, n_objects):
-    """The reference grid of every particle of a batch, stacked to shape (P, R), under
+    """The reference grid of every particle of a batch, stacked to shape (R, P), under
     the prior scale ``v0``."""
     return np.stack([_ref_conditional(_per_particle(batch, i, n_words, n_objects), view, hp, v0)
-                     for i in range(len(batch.counts))])
+                     for i in range(batch.counts.shape[2])], axis=1)
 
 
 def _assert_grids_match_reference(batch, tables, indexed_views, hp, n_words, n_objects):
     """The kernel against the reference once the constant it leaves out, the region
     prior's normaliser log(N + R alpha), is subtracted: the grid that scores an arrival,
     for each (session index, view) pair.  Both read the prior scale the tables were built with."""
-    P, R = batch.counts.shape[:2]
-    normaliser = math.log(batch.counts[0, :, _CONCEPT].sum() + R * hp.alpha)
+    R, P = batch.counts.shape[1:]
+    normaliser = math.log(batch.counts[_CONCEPT, :, 0].sum() + R * hp.alpha)
     for t, view in indexed_views:
         grid = _grid(batch, tables, t) - normaliser
         reference = _ref_grids(batch, view, hp, tables.v0.reshape(2, 2), n_words, n_objects)
-        assert grid.shape == reference.shape == (P, R)
+        assert grid.shape == reference.shape == (R, P)
         np.testing.assert_allclose(grid, reference, rtol=1e-12, atol=1e-12)
 
 
@@ -493,15 +494,15 @@ def test_batched_grid_matches_per_particle_reference(case):
 
 
 def _draw(grid, u, cells):
-    """Sample a (P, R) log grid as the learner does."""
-    _sample_grid(np.exp(grid - grid.max(axis=1, keepdims=True)), u, cells)
+    """Sample an (R, P) log grid as the learner does."""
+    _sample_grid(np.exp(grid - grid.max(axis=0)), u, cells)
 
 
 @pytest.mark.parametrize("case", range(12))
 def test_both_kernels_sample_the_same_cells(case):
     # The kernel and the per-particle reference draw the same cells from the same uniforms.
     batch, tables, views, hp, n_words, n_objects = _random_batch(case)
-    P = len(batch.counts)
+    P = batch.counts.shape[2]
     u = np.random.default_rng(100 + case).random((len(views), P))
     exact, batched = np.empty(P, dtype=int), np.empty(P, dtype=int)
     for t, (view, u_t) in enumerate(zip(views, u)):
@@ -523,7 +524,7 @@ def test_saturated_grid_reads_the_largest_table_index():
     for t in range(T - 1):
         batch.add(np.zeros(3, dtype=int), tables, t)
     largest_count = tables.region_rows.shape[1] - 1
-    assert batch.counts[0, 0, _OBJ_TOTAL] + views[-1].obj_total == largest_count == 4 * T
+    assert batch.counts[_OBJ_TOTAL, 0, 0] + views[-1].obj_total == largest_count == 4 * T
     _assert_grids_match_reference(batch, tables, [(T - 1, views[-1])], hp, 1, 1)
     learn_fixed_lag(sessions, seed=0, num_regions=1)  # a model is checked when built
 
@@ -586,16 +587,16 @@ def _recount(batch, views, R, n_words, n_objects):
     """Counts and moment sums of every particle, summed afresh from its assignments and the
     sessions' vocabulary-indexed views."""
     P = batch.assignments.shape[1]
-    counts = np.zeros((P, R, _WORDS + n_words + n_objects), dtype=int)
-    moments = np.zeros((6, P, R))
+    counts = np.zeros((_WORDS + n_words + n_objects, R, P), dtype=int)
+    moments = np.zeros((6, R, P))
     for i in range(P):
         for v, r in zip(views, batch.assignments[:, i]):
-            row = counts[i, r]
+            row = counts[:, r, i]
             row[:_WORDS] += [1, v.word_total, v.obj_total]
             row[_WORDS + v.word_idx] += v.word_cnt
             row[_WORDS + n_words + v.obj_idx] += v.obj_cnt
             x0, x1 = v.x
-            moments[:, i, r] += [x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1]
+            moments[:, r, i] += [x0, x1, x0 * x0, x0 * x1, x1 * x0, x1 * x1]
     return counts, moments
 
 
@@ -646,17 +647,26 @@ def test_a_gathered_batch_reads_and_writes_its_own_arrays(case):
     batch, tables, views, hp, n_words, n_objects = _random_batch(case)
     P = batch.assignments.shape[1]
     taken = batch.take(np.random.default_rng(case).integers(0, P, P))
-    for view in (taken.counts, taken.moments, taken.region_n, taken.sums, taken.outers):
+    for view in (taken.counts, taken.moments, taken.sums, taken.outers):
         assert np.shares_memory(view, taken.state) and not np.shares_memory(view, batch.state)
     assert not np.shares_memory(taken.assignments, batch.assignments)
     _assert_grids_match_reference(taken, tables, enumerate(views), hp, n_words, n_objects)
     # Adding session 0 writes one session per particle into the gathered buffer alone.
-    before, sessions = batch.state.copy(), taken.counts[..., 0].sum()
+    before, sessions = batch.state.copy(), taken.counts[_CONCEPT].sum()
     taken.add(taken.assignments[0], tables, 0)
     np.testing.assert_array_equal(batch.state, before)
-    assert taken.counts[..., 0].sum() == sessions + P
+    assert taken.counts[_CONCEPT].sum() == sessions + P
     _assert_integral_counts(taken)
     _assert_grids_match_reference(taken, tables, enumerate(views), hp, n_words, n_objects)
+
+
+def _block_starts(views):
+    """The first row of each fused-table block, and the row past the last: the region prior,
+    the two mass blocks and the two rising blocks."""
+    tops = [0, max(v.word_total for v in views), max(v.obj_total for v in views),
+            max((c for v in views for c in v.word_cnt), default=0),
+            max((c for v in views for c in v.obj_cnt), default=0)]
+    return np.cumsum([0] + [top + 1 for top in tops])
 
 
 def _assert_segments_match_reference(tables, views, n_words, n_objects, R, P):
@@ -668,11 +678,7 @@ def _assert_segments_match_reference(tables, views, n_words, n_objects, R, P):
     F = first_obj + n_objects
     n_len = max(len(views), sum(v.word_total for v in views), sum(v.obj_total for v in views)) + 1
     assert tables.region_rows.shape[1] == n_len
-    # The fused table's blocks: the region prior, the two mass blocks and the two rising blocks.
-    tops = [0, max(v.word_total for v in views), max(v.obj_total for v in views),
-            max((c for v in views for c in v.word_cnt), default=0),
-            max((c for v in views for c in v.obj_cnt), default=0)]
-    starts = np.cumsum([0] + [top + 1 for top in tops])
+    starts = _block_starts(views)
     assert len(tables.rows) == starts[-1] * n_len
     r, particle = np.arange(R)[:, None], np.arange(P)[:, None]
     assert len(tables.bounds) == len(views) + 1 and tables.bounds[0] == 0
@@ -686,13 +692,11 @@ def _assert_segments_match_reference(tables, views, n_words, n_objects, R, P):
                                  v.word_cnt, v.obj_cnt))
         rows = np.concatenate(([0, starts[1] + v.word_total, starts[2] + v.obj_total],
                                starts[3] + v.word_cnt, starts[4] + v.obj_cnt)) * n_len
-        cells = np.concatenate((P * R * F + np.arange(6) * (P * R) + r, r * F + cols), axis=1)
-        column = np.arange(len(values))
-        offsets = np.where(column < 6, particle * R, particle * (R * F))
+        cells = np.concatenate(((F + np.arange(6)) * R + r, cols * R + r), axis=1) * P
         lo, hi = tables.bounds[t], tables.bounds[t + 1]
         for actual, expected in ((tables.cols[lo + 6:hi], cols), (tables.values[lo:hi], values),
                                  (tables.row_index[lo + 6:hi], rows), (tables.cell_index[:, lo:hi], cells),
-                                 (tables.offsets[:, :hi - lo], offsets), (tables.x[t], v.x)):
+                                 (tables.offsets, particle), (tables.x[t], v.x)):
             assert actual.dtype == expected.dtype
             np.testing.assert_array_equal(actual, expected)
 
@@ -744,6 +748,61 @@ def test_one_pass_set_up_matches_a_per_session_reference():
     assert min(seen.values()) > 0, seen
 
 
+def _padded(tables, views, pads, rng, n_words, n_objects, R, P):
+    """``tables`` with ``pads[t]`` zero-count columns appended to session t's segment, random
+    word or object columns that each read row 0 of their rising block, zero at every count."""
+    starts, n_len = _block_starts(views), tables.region_rows.shape[1]
+    pieces = {"cols": [], "row_index": [], "values": [], "cell_index": []}
+    for t, pad in enumerate(pads):
+        lo, hi = tables.bounds[t], tables.bounds[t + 1]
+        is_object = rng.random(pad) < 0.5 if n_objects else np.zeros(pad, dtype=bool)
+        cols = np.where(is_object, _WORDS + n_words + rng.integers(0, max(n_objects, 1), pad),
+                        _WORDS + rng.integers(0, n_words, pad))
+        extra = {"cols": cols, "row_index": np.where(is_object, starts[4], starts[3]) * n_len,
+                 "values": np.zeros(pad), "cell_index": (cols * R + np.arange(R)[:, None]) * P}
+        for name, segment in pieces.items():
+            segment.append(np.concatenate((getattr(tables, name)[..., lo:hi], extra[name]), axis=-1))
+    padded = copy.copy(tables)
+    for name, segments in pieces.items():
+        setattr(padded, name, np.concatenate(segments, axis=-1))
+    padded.bounds = [0, *np.cumsum(np.diff(tables.bounds) + pads).tolist()]
+    return padded
+
+
+def test_padding_a_segment_with_zero_counts_leaves_every_grid_bit():
+    # The count term sums a segment's columns down the leading axis of a (k, R, P) gather,
+    # in order, so zero columns appended to it add exact zeros: the grid keeps every bit.
+    # A pairwise sum (numpy's along a contiguous axis, unrolled at 8 terms) would reassociate
+    # it once the padded segment is 8 or more columns wide.
+    rng = np.random.default_rng(71)
+    wide = padded_wide = 0
+    for case in range(12):
+        n_words, n_objects = int(rng.integers(1, 9)), (0, int(rng.integers(1, 12)))[case % 3 > 0]
+        places, objects = [f"w{i}" for i in range(n_words)], [f"o{i}" for i in range(n_objects)]
+        sessions = [Session(rng.normal(scale=3.0, size=2),
+                            [str(o) for o in rng.choice(objects, size=int(rng.integers(0, 10)))] if objects else [],
+                            [str(w) for w in rng.choice(places, size=int(rng.integers(1, 6)))])
+                    for _ in range(int(rng.integers(2, 20)))]
+        R, P = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        stream, views, v0 = _stream_and_views(sessions, {w: i for i, w in enumerate(places)},
+                                              {o: i for i, o in enumerate(objects)}, R)
+        hp = Hyperparameters(num_particles=P)
+        tables = _Tables(hp, v0, R, *_twice(stream))
+        T = len(views)
+        pads = np.concatenate((rng.integers(0, 12, T), np.zeros(T, dtype=int)))
+        padded = _padded(tables, views + views, pads, rng, n_words, n_objects, R, P)
+        batch = _Batch(P, R, n_words, n_objects, T)
+        for t in range(T):
+            batch.assignments[t] = rng.integers(0, R, P)
+            batch.add(batch.assignments[t], tables, t)
+            for s in range(2 * T):  # the grids of every session of the doubled stream
+                assert _grid(batch, padded, s).tobytes() == _grid(batch, tables, s).tobytes()
+        widths = np.diff(tables.bounds)[:T] - 6
+        wide += int((widths > 8).sum())
+        padded_wide += int((widths + pads[:T] > 8).sum())
+    assert wide > 0 and padded_wide > wide
+
+
 def test_filter_reports_every_step_and_ends_on_a_recount():
     resampling_cases = 0
     for case in range(32):
@@ -789,12 +848,12 @@ def test_batched_sampling_picks_what_generator_choice_picks():
         probs = np.exp(grid - grid.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         cells = np.empty(P, dtype=int)
-        _draw(grid, np.random.default_rng(i).random(P), cells)
+        _draw(grid.T, np.random.default_rng(i).random(P), cells)
         sequential = np.random.default_rng(i)
         for p in range(P):
             assert cells[p] == sequential.choice(20, p=probs[p])
         # At the top uniform the scaled total stays below the last cumulative sum.
-        _draw(grid, np.full(P, np.nextafter(1.0, 0.0)), cells)
+        _draw(grid.T, np.full(P, np.nextafter(1.0, 0.0)), cells)
         assert np.all(cells < 20)
         assert np.all(probs[np.arange(P), cells] > 0)
 
@@ -812,12 +871,12 @@ def test_extreme_uniforms_draw_the_first_and_last_cells_with_mass(row):
     # uniform scales by exactly 1 - 2**-53; the fifth's last mass is one ulp of its total.  The
     # top uniform must draw the last cell with mass and 0 the first: a draw into a massless
     # cell, or at or past the row's end, would be a cell the grid gave no weight.
-    e = np.array([row, row[::-1]])
-    mass = [np.flatnonzero(r) for r in e]
-    cells = np.empty(len(e), dtype=int)
-    _sample_grid(e, np.full(len(e), np.nextafter(1.0, 0.0)), cells)
+    e = np.array([row, row[::-1]]).T
+    mass = [np.flatnonzero(r) for r in e.T]
+    cells = np.empty(e.shape[1], dtype=int)
+    _sample_grid(e, np.full(e.shape[1], np.nextafter(1.0, 0.0)), cells)
     assert cells.tolist() == [m[-1] for m in mass]
-    _sample_grid(e, np.zeros(len(e)), cells)
+    _sample_grid(e, np.zeros(e.shape[1]), cells)
     assert cells.tolist() == [m[0] for m in mass]
 
 

@@ -485,6 +485,25 @@ def test_observe_session_draws_what_multivariate_normal_draws():
             assert rng.random() == oracle.random()
 
 
+def test_observe_session_draws_the_words_generator_choice_draws():
+    # Generator.choice is the oracle for the place words: after the same position and detection
+    # draws, the same words, and the same generator state after each session, so the sessions
+    # that follow are unchanged.  Rooms whose pool is empty draw no words.
+    for env in [load_environment(name) for name in sorted(BUILTIN_ENVIRONMENTS)] + [*_homes_with_edge_scatters()]:
+        for room in env.rooms:
+            rng, oracle = np.random.default_rng(9), np.random.default_rng(9)
+            robot = sure_robot(floor=room.floor, room=room.name, p_detect_present=0.6)
+            pool = env.place_words.get(room.name, ())
+            n_objects = sum(r == room.name for r in env.placements.values())
+            for _ in range(20):
+                words = observe_session(env, robot, room.name, rng).place_words
+                oracle.multivariate_normal(room.center, room.scatter, check_valid="ignore")
+                oracle.random(n_objects)
+                expected = oracle.choice(pool, oracle.integers(1, 4)).tolist() if pool else []
+                assert list(words) == expected, room.name
+                assert rng.bit_generator.state == oracle.bit_generator.state, room.name
+
+
 def test_observe_session_cross_floor_is_error(home):
     with pytest.raises(FloorAccessError):
         observe_session(home, sure_robot(), "parent_room", np.random.default_rng(0))
