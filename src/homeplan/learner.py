@@ -80,7 +80,8 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Batch:
-    """Regions and collapsed sufficient statistics of all particles.
+    """Regions and collapsed sufficient statistics of all particles, sized by the ``_Tables``
+    it is built from, for the stream's first T sessions.
 
     One float64 matrix ``state`` (rows, P) holds a count block, then a moment block, each
     row one statistic of one region for every particle.  ``counts`` (F, R, P) columns:
@@ -95,10 +96,10 @@ class _Batch:
 
     __slots__ = ("state", "counts", "moments", "assignments", "sums", "outers")
 
-    def __init__(self, P: int, R: int, n_words: int, n_objects: int, T: int):
-        self.state = np.zeros(((_WORDS + n_words + n_objects + _MOMENTS) * R, P))
-        self.assignments = np.zeros((T, P), dtype=int)
-        self._set_views(R)
+    def __init__(self, tables: _Tables, T: int):
+        self.state = np.zeros((tables.n_rows, tables.P))
+        self.assignments = np.zeros((T, tables.P), dtype=int)
+        self._set_views(tables.R)
 
     def _set_views(self, R: int) -> None:
         n_counts = len(self.state) - _MOMENTS * R
@@ -126,6 +127,11 @@ class _Tables:
     the prior constants, built once per learn as ``_grid`` reads them, and the stream's
     sessions as segments of flat arrays, built in one pass over it.
 
+    It is the one place a learn's shape is set: the region count ``R``, the particle count
+    ``P``, the state's row count ``n_rows`` and ``first_obj``, the first object column after
+    the word columns, which ``_Batch`` and ``_posterior_mean_model`` read, as they read the
+    priors ``hp`` and the prior scale ``v0``.
+
     Session t's segment is ``bounds[t]:bounds[t + 1]``: six moment slots, then its count
     columns in ascending order, the sessions and total columns and each nonzero word or
     object count.  ``values`` is what a slot adds to the state, ``cols`` a count slot's
@@ -136,12 +142,13 @@ class _Tables:
     for an integer c, so each is a sum of c logs, built row by row; the mass rows are the
     same sums negated.  The Student-t constant in two dimensions is -log(2 pi)."""
 
-    def __init__(self, hp: Hyperparameters, v0: np.ndarray, R: int, sessions: list[Session], x: np.ndarray,
+    def __init__(self, hp: Hyperparameters, v0: np.ndarray, R: int, P: int, sessions: list[Session], x: np.ndarray,
                  place_index: dict[str, int], object_index: dict[str, int]):
         # Each session's counts, a (T, F) row in the columns of ``_Batch.counts``.
         T, n_words, n_objects = len(sessions), len(place_index), len(object_index)
         first_obj = _WORDS + n_words
         F = first_obj + n_objects
+        self.hp, self.R, self.P, self.first_obj, self.n_rows = hp, R, P, first_obj, (F + _MOMENTS) * R
         word_totals = np.fromiter((len(s.place_words) for s in sessions), np.intp, T)
         obj_totals = np.fromiter((len(s.object_labels) for s in sessions), np.intp, T)
         words = np.fromiter((place_index[w] for s in sessions for w in s.place_words), np.intp)
@@ -197,7 +204,6 @@ class _Tables:
                                         axis=1)[keep]
         # Region r's moment rows, then its count rows, as flat indices for particle 0 of
         # ``_Batch``'s (rows, P) state; particle i is i further on.
-        P = hp.num_particles
         r = np.arange(R)[:, None]
         cell = np.concatenate(((F + np.arange(_MOMENTS)) * R + r, np.arange(F) * R + r), axis=1) * P
         self.cell_index = cell.take(slot, axis=1)
@@ -257,31 +263,25 @@ def _systematic_resample(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.searchsorted(cumulative, positions)
 
 
-def derive_vocabularies(sessions: list[Session]) -> tuple[list[str], list[str]]:
-    """Sorted place-word and object-label vocabularies found in the sessions."""
-    places = sorted({w for s in sessions for w in s.place_words})
-    objects = sorted({o for s in sessions for o in s.object_labels})
-    return places, objects
-
-
-def learn_fixed_lag(sessions: list[Session], *, seed: int = 0, num_regions: int = 5) -> SpatialConceptModel:
-    """Learn a spatial concept model from an ordered session stream, a concept per region.
+def learn_fixed_lag(sessions: list[Session], *, seed: int = 0, num_regions: int) -> SpatialConceptModel:
+    """Learn a spatial concept model from an ordered session stream, ``num_regions`` regions, a concept each.
 
     It reads the whole stream before its first step: the vocabularies are the
-    sessions' own (``derive_vocabularies``), and the positions are standardized
-    by their own mean and scale, so the model depends neither on where the
-    coordinate origin lies nor on the unit of length.  The priors and particle count
-    are ``Hyperparameters()``, recorded in the model.  It runs at a fixed lag
-    of zero: no past session is re-drawn, and SpCoSLAM 2.0's rejuvenation sweep is
-    gone (see the module docstring for the measurement).  Deterministic for fixed
-    (sessions, seed).
+    sessions' own, sorted, and the positions are standardized by their own mean
+    and scale, so the model depends neither on where the coordinate origin lies
+    nor on the unit of length.  The priors are ``Hyperparameters()``, recorded in
+    the model, and the filter runs ``Hyperparameters.num_particles`` particles.
+    It runs at a fixed lag of zero: no past session is re-drawn, and SpCoSLAM
+    2.0's rejuvenation sweep is gone (see the module docstring for the
+    measurement).  Deterministic for fixed (sessions, seed, num_regions).
     """
     if not is_count(num_regions) or num_regions < 1:
         raise ConfigurationError(f"num_regions must be an integer >= 1, got {num_regions!r}")
     if not sessions:
         raise SchemaError("cannot learn from an empty session list")
     hp = Hyperparameters()
-    vocab_places, vocab_objects = derive_vocabularies(sessions)
+    vocab_places = sorted({w for s in sessions for w in s.place_words})
+    vocab_objects = sorted({o for s in sessions for o in s.object_labels})
     if not vocab_places:
         raise SchemaError("sessions contain no place words")
     place_index = {w: i for i, w in enumerate(vocab_places)}
@@ -302,21 +302,19 @@ def learn_fixed_lag(sessions: list[Session], *, seed: int = 0, num_regions: int 
     # Its determinant is taken in closed form: np.linalg.det warns on a subnormal entry.
     cov = z.T @ z / len(z)
     v0 = (cov if cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0] > 1e-6 else np.eye(_DIM)) / num_regions
-    tables = _Tables(hp, v0, num_regions, sessions, z, place_index, object_index)
-
-    batch = _Batch(hp.num_particles, num_regions, len(vocab_places), len(vocab_objects), len(sessions))
-    batch, log_w, _, _ = _filter(batch, tables, hp, np.random.default_rng(seed))
-    return _posterior_mean_model(batch, int(np.argmax(log_w)), hp, seed, v0, centre, scale, vocab_places,
+    tables = _Tables(hp, v0, num_regions, hp.num_particles, sessions, z, place_index, object_index)
+    batch, log_w, _, _ = _filter(_Batch(tables, len(sessions)), tables, np.random.default_rng(seed))
+    return _posterior_mean_model(batch, int(np.argmax(log_w)), tables, seed, centre, scale, vocab_places,
                                  vocab_objects)
 
 
-def _filter(batch: _Batch, tables: _Tables, hp: Hyperparameters,
+def _filter(batch: _Batch, tables: _Tables,
             rng: np.random.Generator) -> tuple[_Batch, np.ndarray, list[float], list[bool]]:
     """Run the filter from the empty ``batch`` over the first ``len(batch.assignments)``
-    sessions of ``tables``' stream: the final particles, their unnormalised log weights
-    since the last resample, and each step's effective sample size and whether the step
-    resampled."""
-    n_particles = hp.num_particles
+    sessions of ``tables``' stream, with the tables' P particles: the final particles,
+    their unnormalised log weights since the last resample, and each step's effective
+    sample size and whether the step resampled."""
+    n_particles = tables.P
     log_w = np.zeros(n_particles)
     ess_steps, resampled = [], []
     for t in range(len(batch.assignments)):
@@ -341,28 +339,26 @@ def _filter(batch: _Batch, tables: _Tables, hp: Hyperparameters,
     return batch, log_w, ess_steps, resampled
 
 
-def _posterior_mean_model(p: _Batch, i: int, hp: Hyperparameters, seed: int, v0: np.ndarray, centre: np.ndarray,
-                          scale: float, vocab_places: list[str], vocab_objects: list[str]) -> SpatialConceptModel:
+def _posterior_mean_model(p: _Batch, i: int, tables: _Tables, seed: int, centre: np.ndarray, scale: float,
+                          vocab_places: list[str], vocab_objects: list[str]) -> SpatialConceptModel:
+    hp = tables.hp
     counts, moments = p.counts[:, :, i].T, p.moments[:, :, i]
-    R = len(counts)
-    n_words, n_objects = len(vocab_places), len(vocab_objects)
+    words, objects = counts[:, _WORDS:tables.first_obj], counts[:, tables.first_obj:]
     n_r = counts[:, _CONCEPT]
-    pi = (n_r + hp.alpha) / (n_r.sum() + R * hp.alpha)
-    word_dist = ((counts[:, _WORDS:_WORDS + n_words] + hp.beta)
-                 / (counts[:, _WORD_TOTAL, None] + n_words * hp.beta))
-    object_dist = ((counts[:, _WORDS + n_words:_WORDS + n_words + n_objects] + hp.chi)
-                   / (counts[:, _OBJ_TOTAL, None] + n_objects * hp.chi))
+    pi = (n_r + hp.alpha) / (n_r.sum() + tables.r_alpha)
+    word_dist = (words + hp.beta) / (counts[:, _WORD_TOTAL, None] + words.shape[1] * hp.beta)
+    object_dist = (objects + hp.chi) / (counts[:, _OBJ_TOTAL, None] + objects.shape[1] * hp.chi)
 
     # Each region's NIW posterior mean and scale from its (6, R) moment sums, mapped back by z s + c and s^2.
     a = moments[:_DIM]
     kappa_n = hp.kappa + n_r
     means = (a / kappa_n).T * scale + centre
-    V_n = (v0.reshape(_DIM * _DIM, 1) + moments[_DIM:] - _outer(a, a) / kappa_n).T
+    V_n = (tables.v0[..., 0] + moments[_DIM:] - _outer(a, a) / kappa_n).T
     nu_n = hp.nu0 + n_r
     # The posterior-mean covariance needs nu_n > dim+1; empty regions fall
     # back to the inverse-Wishart mode, which is always defined.
     denom = nu_n - _DIM - 1.0
-    covs = V_n.reshape(R, _DIM, _DIM) / np.where(denom > 0, denom, nu_n + _DIM + 1.0)[:, None, None] * scale ** 2
+    covs = V_n.reshape(tables.R, _DIM, _DIM) / np.where(denom > 0, denom, nu_n + _DIM + 1.0)[:, None, None] * scale ** 2
 
     return SpatialConceptModel(pi, word_dist, object_dist, means, covs,
                                vocab_places, vocab_objects, hyperparameters=hp, seed=seed)

@@ -295,8 +295,8 @@ def test_c6_invariant_suites(home, learned, tmp_path):
     # Determinism under fixed seeds: learner bit-reproducibility on a short stream.
     robot = RobotState("Robot1", "1F", "entrance")
     sessions = generate_floor_sessions(home, robot, np.random.default_rng(3), visits_per_room=3)
-    m1 = learn_fixed_lag(sessions, seed=3)
-    m2 = learn_fixed_lag(sessions, seed=3)
+    m1 = learn_fixed_lag(sessions, seed=3, num_regions=5)
+    m2 = learn_fixed_lag(sessions, seed=3, num_regions=5)
     checks["seeded determinism"] = json.dumps(model_to_dict(m1)) == json.dumps(model_to_dict(m2))
 
     ok = all(checks.values())

@@ -28,7 +28,6 @@ from homeplan.learner import (
     _sample_grid,
     _systematic_resample,
     _Tables,
-    derive_vocabularies,
     learn_fixed_lag,
 )
 from homeplan.spatial import (
@@ -72,7 +71,7 @@ def synthetic_rooms(rng, n_rooms=5, sessions_per_room=30, p_detect=1.0):
 
 def test_empty_sessions_is_an_error():
     with pytest.raises(ValueError):
-        learn_fixed_lag([], seed=0)
+        learn_fixed_lag([], seed=0, num_regions=5)
 
 
 def test_single_session_populates_one_region():
@@ -150,19 +149,18 @@ def test_a_learn_scores_each_session_once(monkeypatch):
 def test_vocabularies_are_derived_from_the_sessions():
     sessions = [Session(np.zeros(2), ["mystery", "known"], ["w"]), Session(np.ones(2), ["known"], ["v", "w"])]
     model = learn_fixed_lag(sessions, seed=0, num_regions=2)
-    assert (model.vocab_places, model.vocab_objects) == tuple(map(tuple, derive_vocabularies(sessions)))
     assert (model.vocab_places, model.vocab_objects) == (("v", "w"), ("known", "mystery"))
     assert model.word_dist.shape == model.object_dist.shape == (2, 2)
 
 
-def test_derive_vocabularies_sorted_union():
+def test_learned_vocabularies_are_the_sorted_union():
     sessions = [
         Session(np.zeros(2), ["b", "a"], ["z"]),
         Session(np.zeros(2), ["a"], ["y", "z"]),
     ]
-    places, objects = derive_vocabularies(sessions)
-    assert places == ["y", "z"]
-    assert objects == ["a", "b"]
+    model = learn_fixed_lag(sessions, seed=0, num_regions=1)
+    assert model.vocab_places == ("y", "z")
+    assert model.vocab_objects == ("a", "b")
 
 
 def test_learning_is_bit_reproducible():
@@ -288,12 +286,12 @@ def test_positions_whose_squared_deviations_underflow_are_an_error(factor):
     # Every squared deviation underflows to 0, so the scale would fall back to 1 and the
     # regions collapse onto the floor's centre (2 of 13 best rooms right at 1e-170).
     with pytest.raises(SchemaError, match="squared deviations do not underflow"):
-        learn_fixed_lag(_first_floor_sessions(factor), seed=ACCEPTANCE_SEED)
+        learn_fixed_lag(_first_floor_sessions(factor), seed=ACCEPTANCE_SEED, num_regions=5)
 
 
 def test_positions_just_above_the_underflow_learn_as_at_unit_scale():
-    unit = learn_fixed_lag(_first_floor_sessions(1.0), seed=ACCEPTANCE_SEED)
-    tiny = learn_fixed_lag(_first_floor_sessions(1e-160), seed=ACCEPTANCE_SEED)
+    unit = learn_fixed_lag(_first_floor_sessions(1.0), seed=ACCEPTANCE_SEED, num_regions=5)
+    tiny = learn_fixed_lag(_first_floor_sessions(1e-160), seed=ACCEPTANCE_SEED, num_regions=5)
     np.testing.assert_array_equal(tiny.pi, unit.pi)
     np.testing.assert_allclose(tiny.object_dist, unit.object_dist, rtol=1e-12)
     np.testing.assert_allclose(tiny.means, unit.means * 1e-160, rtol=1e-9, atol=0)
@@ -326,7 +324,7 @@ def test_bad_learner_input_is_a_typed_error(sessions, kwargs, error):
             return
         built.append(Session(position, ["o"], words))
     with pytest.raises(error):
-        learn_fixed_lag(built, seed=0, **kwargs)
+        learn_fixed_lag(built, seed=0, **{"num_regions": 5, **kwargs})
 
 
 def test_a_session_is_checked_and_frozen_when_built():
@@ -475,11 +473,11 @@ def _random_batch(case):
     places = [f"w{i}" for i in range(int(rng.integers(1, 6)))]
     objects = [f"o{i}" for i in range(int(rng.integers(0, 6)))]
     hp = Hyperparameters(alpha=float(rng.uniform(0.2, 3.0)), beta=float(rng.uniform(0.05, 1.0)),
-                         chi=float(rng.uniform(0.05, 1.0)), num_particles=P)
+                         chi=float(rng.uniform(0.05, 1.0)))
     stream, views, v0 = _random_stream(rng, int(rng.integers(1, 25)), places, objects, R)
     # Sessions already in the batch are scored too, which can reach twice a learn's counts.
-    tables = _Tables(hp, v0, R, *_twice(stream))
-    batch = _Batch(P, R, len(places), len(objects), len(views))
+    tables = _Tables(hp, v0, R, P, *_twice(stream))
+    batch = _Batch(tables, len(views))
     for t in range(len(views)):
         batch.assignments[t] = rng.integers(0, R, P)
         if t:
@@ -517,10 +515,10 @@ def test_saturated_grid_reads_the_largest_table_index():
     # session reads each table at the largest count a learn reaches.
     sessions = [Session(np.array([0.5 * i, -0.25 * i]), ["cup"] * 4, ["kitchen"] * 3) for i in range(20)]
     stream, views, v0 = _stream_and_views(sessions, {"kitchen": 0}, {"cup": 0})
-    hp = Hyperparameters(num_particles=3)
-    tables = _Tables(hp, v0, 1, *stream)
+    hp = Hyperparameters()
+    tables = _Tables(hp, v0, 1, 3, *stream)
     T = len(views)
-    batch = _Batch(3, 1, 1, 1, T)
+    batch = _Batch(tables, T)
     for t in range(T - 1):
         batch.add(np.zeros(3, dtype=int), tables, t)
     largest_count = tables.region_rows.shape[1] - 1
@@ -536,10 +534,10 @@ def test_sweep_tables_stay_finite_without_objects(objects):
                 for i in range(8)]
     stream, views, v0 = _stream_and_views(sessions, {"kitchen": 0, "sink": 1},
                                           {o: i for i, o in enumerate(objects)}, R=3)
-    hp = Hyperparameters(num_particles=4)
-    tables = _Tables(hp, v0, 3, *_twice(stream))
+    hp = Hyperparameters()
+    tables = _Tables(hp, v0, 3, 4, *_twice(stream))
     assert np.isfinite(tables.rows).all()
-    batch = _Batch(4, 3, 2, len(objects), len(views))
+    batch = _Batch(tables, len(views))
     for t in range(1, len(views)):
         batch.assignments[t] = t % 3
         batch.add(batch.assignments[t], tables, t)
@@ -557,7 +555,7 @@ def test_sweep_table_rows_are_the_log_gamma_differences():
     R = 3
     stream, views, v0 = _random_stream(rng, 1500, places, objects, R)
     hp = Hyperparameters(alpha=0.7, beta=0.3, chi=0.45)
-    tables = _Tables(hp, v0, R, *stream)
+    tables = _Tables(hp, v0, R, 30, *stream)
     n = np.arange(tables.region_rows.shape[1], dtype=float)
     assert len(n) > 2500
 
@@ -621,8 +619,8 @@ def test_batch_stays_a_recount_of_its_assignments_through_resampling(case):
     places = [f"w{i}" for i in range(int(rng.integers(1, 5)))]
     objects = [f"o{i}" for i in range(int(rng.integers(0, 5)))]
     stream, views, v0 = _random_stream(rng, int(rng.integers(4, 20)), places, objects, R)
-    tables = _Tables(Hyperparameters(num_particles=P), v0, R, *stream)
-    batch = _Batch(P, R, len(places), len(objects), len(views))
+    tables = _Tables(Hyperparameters(), v0, R, P, *stream)
+    batch = _Batch(tables, len(views))
 
     # Sessions arrive in random regions, with a resample after a third and after two thirds.
     thirds = [0, len(views) // 3, 2 * len(views) // 3, len(views)]
@@ -709,9 +707,8 @@ def test_segments_equal_the_vocabulary_indexed_reference(objects):
     stream, views, v0 = _random_stream(rng, 60, places, objects)
     assert any(v.obj_total == 0 for v in views) and any(len(v.word_idx) < v.word_total for v in views)
     assert not objects or any(len(v.obj_idx) < v.obj_total for v in views)
-    hp = Hyperparameters()
-    tables = _Tables(hp, v0, 1, *stream)
-    _assert_segments_match_reference(tables, views, len(places), len(objects), 1, hp.num_particles)
+    tables = _Tables(Hyperparameters(), v0, 1, 30, *stream)
+    _assert_segments_match_reference(tables, views, len(places), len(objects), 1, 30)
 
 
 def test_one_pass_set_up_matches_a_per_session_reference():
@@ -734,7 +731,7 @@ def test_one_pass_set_up_matches_a_per_session_reference():
         R, P = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         stream, views, v0 = _stream_and_views(sessions, {w: i for i, w in enumerate(places)},
                                               {o: i for i, o in enumerate(objects)}, R)
-        tables = _Tables(Hyperparameters(num_particles=P), v0, R, *stream)
+        tables = _Tables(Hyperparameters(), v0, R, P, *stream)
         _assert_segments_match_reference(tables, views, n_words, n_objects, R, P)
         for v in views:
             seen["no word"] += v.word_total == 0
@@ -786,12 +783,11 @@ def test_padding_a_segment_with_zero_counts_leaves_every_grid_bit():
         R, P = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         stream, views, v0 = _stream_and_views(sessions, {w: i for i, w in enumerate(places)},
                                               {o: i for i, o in enumerate(objects)}, R)
-        hp = Hyperparameters(num_particles=P)
-        tables = _Tables(hp, v0, R, *_twice(stream))
+        tables = _Tables(Hyperparameters(), v0, R, P, *_twice(stream))
         T = len(views)
         pads = np.concatenate((rng.integers(0, 12, T), np.zeros(T, dtype=int)))
         padded = _padded(tables, views + views, pads, rng, n_words, n_objects, R, P)
-        batch = _Batch(P, R, n_words, n_objects, T)
+        batch = _Batch(tables, T)
         for t in range(T):
             batch.assignments[t] = rng.integers(0, R, P)
             batch.add(batch.assignments[t], tables, t)
@@ -811,13 +807,11 @@ def test_filter_reports_every_step_and_ends_on_a_recount():
         places = [f"w{i}" for i in range(int(rng.integers(1, 5)))]
         objects = [f"o{i}" for i in range(int(rng.integers(0, 5)))]
         stream, views, v0 = _random_stream(rng, int(rng.integers(1, 30)), places, objects, R)
-        hp = Hyperparameters(num_particles=P)
-        tables = _Tables(hp, v0, R, *stream)
+        tables = _Tables(Hyperparameters(), v0, R, P, *stream)
 
         def run(T):
             """The filter over the first T sessions, from seed ``case``."""
-            batch = _Batch(P, R, len(places), len(objects), T)
-            return _filter(batch, tables, hp, np.random.default_rng(case))
+            return _filter(_Batch(tables, T), tables, np.random.default_rng(case))
 
         batch, log_w, ess, resampled = run(len(views))
         assert len(ess) == len(resampled) == len(views)
