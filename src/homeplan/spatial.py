@@ -20,8 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import (SchemaError, UnknownLabelError, is_count, is_finite_real, read_json, require_fields,
-                     tuple_of, write_json)
+from .errors import SchemaError, UnknownLabelError, is_finite_real, read_json, require_fields, tuple_of, write_json
 
 CATEGORICAL_ATOL = 1e-9
 
@@ -30,13 +29,14 @@ _MODEL_SCHEMA_VERSION = 2
 
 @dataclass(frozen=True)
 class Hyperparameters:
-    """Prior parameters for the mixture learner.
+    """The five priors of the mixture learner, and its two fixed settings.
 
     Concentrations are per-component symmetric Dirichlet parameters; the Gaussian
     regions carry a normal-inverse-Wishart prior (kappa, nu0) whose mean and scale
-    the learner takes from the floor's sessions.  ``lag_window`` is a constant,
-    not a field: the learner re-draws no past session.  ``from_dict`` ignores
-    unknown keys, so documents with the removed ``lambda_aux``, ``gamma`` or
+    the learner takes from the floor's sessions.  ``num_particles`` and
+    ``lag_window`` are constants, not fields: every learn runs 30 particles and
+    re-draws no past session.  ``from_dict`` ignores unknown keys, so documents
+    with the removed ``lambda_aux``, ``gamma``, ``num_particles`` or
     ``lag_window`` field, prior mean or prior scale load.
     """
 
@@ -45,8 +45,9 @@ class Hyperparameters:
     chi: float = 0.1
     kappa: float = 1.0
     nu0: float = 3.0
-    num_particles: int = 30
-    # Past sessions re-drawn per step: none.  The benchmark counts grid evaluations from it.
+    # The particles of every learn, and the past sessions each step re-draws: none.  The
+    # benchmark counts grid evaluations from both.
+    num_particles: ClassVar[int] = 30
     lag_window: ClassVar[int] = 0
 
     def __post_init__(self):
@@ -55,8 +56,6 @@ class Hyperparameters:
             value = getattr(self, name)
             if not is_finite_real(value) or value <= floor:
                 raise SchemaError(f"{name} must be a finite number above {floor}, not {value!r}")
-        if not is_count(self.num_particles) or self.num_particles < 1:
-            raise SchemaError(f"num_particles must be an integer >= 1, not {self.num_particles!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

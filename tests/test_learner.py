@@ -244,6 +244,14 @@ def test_model_carries_hyperparameters_and_seed():
     assert model.hyperparameters == Hyperparameters()
 
 
+def test_a_learned_model_answers_the_fixed_settings_the_benchmark_reads():
+    # ``benchmark/tracing.py`` counts a learn's grid evaluations from these two constants.
+    model = learn_fixed_lag([Session(np.zeros(2), ["o"], ["w"])], seed=0, num_regions=1)
+    assert (model.hyperparameters.num_particles, model.hyperparameters.lag_window) == (30, 0)
+    # Neither is a field, so a model document records the five priors alone.
+    assert list(Hyperparameters().to_dict()) == ["alpha", "beta", "chi", "kappa", "nu0"]
+
+
 def test_systematic_resample_stays_in_range_at_the_top_draw():
     # For 30 uniform weights the cumulative sum ends just below 1, so the
     # largest uniform draw once indexed one past the last particle.

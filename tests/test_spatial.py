@@ -296,15 +296,17 @@ def test_hyperparameter_validation():
     with pytest.raises(ValueError):
         Hyperparameters(nu0=1.0)
     with pytest.raises(ValueError):
-        Hyperparameters(num_particles=0)
+        Hyperparameters(kappa=0.0)
     with pytest.raises(TypeError):  # the prior scale comes from the data, not a field
         Hyperparameters(V0=((2.0, 0.0), (0.0, 2.0)))
+    with pytest.raises(TypeError):  # every learn runs 30 particles: a constant, not a field
+        Hyperparameters(num_particles=30)
 
 
 @pytest.mark.parametrize("key, value", [
     ("alpha", 0), ("alpha", float("nan")), ("kappa", float("inf")), ("beta", "x"), ("beta", None),
-    ("chi", True), ("nu0", 1.0), ("num_particles", 2.5), ("num_particles", 0),
-    ("chi", -0.5), ("nu0", 0.5), ("num_particles", True), ("num_particles", 2.0),
+    ("chi", True), ("nu0", 1.0), ("kappa", -2.5), ("kappa", 0),
+    ("chi", -0.5), ("nu0", 0.5), ("nu0", True), ("nu0", "2.0"),
 ])
 def test_bad_hyperparameters_are_schema_errors(key, value):
     data = Hyperparameters().to_dict()
@@ -340,3 +342,7 @@ def test_hyperparameters_load_from_documents_with_lambda_aux():
     data["gamma"] = 0.5  # the concept-to-region link concentration of schema_version 1 models
     data["lag_window"] = 10  # the Gibbs sweep's window, a field of models learned before the lag was fixed at zero
     assert Hyperparameters.from_dict(data) == Hyperparameters()
+    # The particle count, a field of models learned before it was fixed at 30: read as nothing, whatever it holds.
+    for particles in (30, 0, True, "x"):
+        data["num_particles"] = particles
+        assert Hyperparameters.from_dict(data) == Hyperparameters()

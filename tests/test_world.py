@@ -17,7 +17,8 @@ from homeplan.errors import (
     UnknownRoomError,
 )
 from homeplan.executor import ExecutionPolicy
-from homeplan.spatial import Hyperparameters
+from homeplan.learner import learn_fixed_lag
+from homeplan.spatial import Session
 from homeplan.world import (
     _BLOCK,
     BUILTIN_ENVIRONMENTS,
@@ -528,8 +529,8 @@ def test_protocol_rejects_a_visit_count_below_one(home, visits):
     (lambda n: generate_floor_sessions(paper_home(), sure_robot(), np.random.default_rng(0), visits_per_room=n),
      ConfigurationError),
     (lambda n: ExecutionPolicy(max_retries_per_skill=n), ConfigurationError),
-    (lambda n: Hyperparameters(num_particles=n), SchemaError),
-], ids=["visits_per_room", "max_retries_per_skill", "num_particles"])
+    (lambda n: learn_fixed_lag([Session(np.zeros(2), ["o"], ["w"])], num_regions=n), ConfigurationError),
+], ids=["visits_per_room", "max_retries_per_skill", "num_regions"])
 def test_a_count_is_an_int_not_a_bool(build, error, count):
     # A bool or a float count is refused where it is given, not used as 1 or failed on later.
     with pytest.raises(error, match="must be an integer"):
