@@ -9,6 +9,7 @@ citation only, never recomputed here.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -128,10 +129,6 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _pick(rng: np.random.Generator, pool: list[str]) -> str:
-    return pool[int(rng.integers(len(pool)))]
-
-
 def generate_instructions(
     category: str,
     env: Environment,
@@ -145,40 +142,26 @@ def generate_instructions(
     floors = list(env.floors)
     if category == "mixed" and len(floors) != 2:
         raise GenerationError("mixed instructions need exactly two floors")
-
-    pools: dict[str, dict[str, list[str]]] = {}
-    for floor in floors:
-        pools[floor] = {
-            "random": sorted(env.objects_on(floor)),
-            CATEGORY_HARD: sorted(env.objects_in_category(floor, CATEGORY_HARD)),
-            CATEGORY_COMMON: sorted(env.objects_in_category(floor, CATEGORY_COMMON)),
-        }
-
-    def pool_for(floor: str, kind: str) -> list[str]:
-        pool = pools[floor][kind]
-        if not pool:
-            raise GenerationError(f"no {kind} objects on floor {floor!r}")
-        return pool
+    pools = {(floor, kind): sorted(env.objects_on(floor) if kind == "random"
+                                   else env.objects_in_category(floor, kind))
+             for floor in floors for kind in ("random", CATEGORY_HARD, CATEGORY_COMMON)}
 
     instructions = []
-    template_cursor = 0
+    templates = itertools.cycle(INSTRUCTION_TEMPLATES)
     for _ in range(count):
-        targets = []
+        # A mixed instruction draws the floor whose object is hard to predict; the other's is common sense.
         if category == "mixed":
-            hard_floor_idx = int(rng.integers(2))
-            for i, floor in enumerate(floors):
-                kind = CATEGORY_HARD if i == hard_floor_idx else CATEGORY_COMMON
-                targets.append(_pick(rng, pool_for(floor, kind)))
+            hard = int(rng.integers(2))
+            kinds = [CATEGORY_HARD if i == hard else CATEGORY_COMMON for i in range(2)]
         else:
-            kind = "random" if category == "random" else category
-            for floor in floors:
-                targets.append(_pick(rng, pool_for(floor, kind)))
-        sentences = []
-        for obj in targets:
-            template = INSTRUCTION_TEMPLATES[template_cursor % len(INSTRUCTION_TEMPLATES)]
-            sentences.append(template.format(o=obj))
-            template_cursor += 1
-        instructions.append(Instruction(" ".join(sentences), category=category, gold_objects=targets))
+            kinds = [category] * len(floors)
+        targets = []
+        for floor, kind in zip(floors, kinds):
+            if not (pool := pools[floor, kind]):
+                raise GenerationError(f"no {kind} objects on floor {floor!r}")
+            targets.append(pool[int(rng.integers(len(pool)))])
+        text = " ".join(next(templates).format(o=obj) for obj in targets)
+        instructions.append(Instruction(text, category=category, gold_objects=targets))
     return instructions
 
 

@@ -155,8 +155,8 @@ def match_room_names(model: SpatialConceptModel, room_names: list[str]) -> list[
                                  "need at least as many rooms as regions")
     heard = {w: i for i, w in enumerate(model.vocab_places)}
     if not any(name in heard for name in room_names):
-        raise ConfigurationError(f"the model heard none of the room names {room_names}: "
-                                 "was it learned on another floor?")
+        raise ConfigurationError(f"the model heard none of the room names {room_names}: it was learned on "
+                                 "another floor, or its sessions never named a room")
     # A zero column after the vocabulary stands for every name the model never heard.
     words = np.pad([word_posterior(model, r) for r in range(model.num_regions)], ((0, 0), (0, 1)))
     probs = words[:, [heard.get(name, -1) for name in room_names]]

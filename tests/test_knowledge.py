@@ -264,6 +264,14 @@ def test_an_unheard_name_takes_the_leftover_region():
     assert match_room_names(model, FIRST_FLOOR[::-1])[3:] == ["kitchen", "office_room"]
 
 
+def test_a_model_that_heard_no_room_name_is_refused_for_either_cause():
+    # Learned on another floor, or on this one from sessions that never named a room (as some
+    # 2-visit learns are): both leave no heard name, and the refusal names both.
+    model = replace(heard_model(17, np.eye(5)), vocab_places=["sofa", "sink", "stove", "desk", "bed"])
+    with pytest.raises(ConfigurationError, match="another floor, or its sessions never named a room"):
+        match_room_names(model, FIRST_FLOOR)
+
+
 def test_a_model_document_with_exact_zero_words_is_named(tmp_path):
     path = tmp_path / "model.json"
     save_model(heard_model(16, np.eye(5)), path)  # each region heard one name and never the other four
