@@ -6,10 +6,11 @@ sessions as ``homeplan suite --seed S --visits V`` does, from the learn seed.  I
 learns them ``--replicates J`` times, with learner seeds learn seed + 1000 j for
 j < J, and prints one JSON line per learn: the learn seed, the replicate j, how many
 of the floor's objects have their true room as best room, whether that meets C2,
-how many of the floor's room names the sessions hold, the sha256 of the model
-and of the knowledge base, each of the bytes that ``homeplan learn --out`` and
-``homeplan extract --out`` write, and the sha256 of the knowledge base's object ->
-best room map (``best_rooms_digest``).  Replicate 0 is the learn ``homeplan suite``
+how many of the floor's room names the sessions hold, the sha256 of the session
+stream (``sessions_digest``), of the model and of the knowledge base, the last two
+of the bytes that ``homeplan learn --out`` and ``homeplan extract --out`` write,
+and the sha256 of the knowledge base's object -> best room map
+(``best_rooms_digest``).  Replicate 0 is the learn ``homeplan suite``
 makes; the others keep its sessions and move the learner's seed alone, so recovery
 can be read as a distribution over learner streams.
 
@@ -17,9 +18,12 @@ can be read as a distribution over learner streams.
 checkouts, and prints per visit count the wrong learns (some object's best room
 wrong) and C2 misses of each side, per replicate, the discordant pairs with an
 exact two-sided McNemar p (McNemar 1947), wrong learns by heard room names, and
-how many model, knowledge and best-room digests differ.  A change that must keep
-every learn byte-identical needs all three at 0; one that may move only the last
-bits of a model, or the order of its regions, needs the best-room digests at 0:
+how many session, model, knowledge and best-room digests differ.  The McNemar
+pairs assume both sides learned equal streams, so a change that draws other
+sessions (say, a room's visits in one array call) shows its session digests
+differing and its pairs as unpaired.  A change that must keep every learn
+byte-identical needs all four at 0; one that may move only the last bits of a
+model, or the order of its regions, needs the session and best-room digests at 0:
 
     PYTHONPATH=src python scripts/seed_sweep.py --seeds 60 --visits 5 10 30 --replicates 5 > B.jsonl
     python scripts/seed_sweep.py --compare A.jsonl B.jsonl
@@ -37,7 +41,7 @@ import numpy as np
 from homeplan.experiment import _suite_seeds, best_room_recovery, default_robots
 from homeplan.knowledge import KnowledgeBase, extract_knowledge, save_knowledge
 from homeplan.learner import learn_fixed_lag
-from homeplan.spatial import save_model
+from homeplan.spatial import SessionStream, save_model
 from homeplan.world import generate_floor_sessions, load_environment
 
 # C2 of the acceptance suite: the best rooms a learn must get right, of 13 objects on 1F and 11 on 2F.
@@ -61,6 +65,15 @@ def best_rooms_digest(kb: KnowledgeBase) -> str:
     """The sha256 of ``kb``'s object -> best room map as JSON, objects sorted, None for a massless row."""
     best = {obj: (kb.best_room(obj) or [None])[0] for obj in sorted(kb.presence_table)}
     return hashlib.sha256(json.dumps(best).encode()).hexdigest()
+
+
+def sessions_digest(stream: SessionStream) -> str:
+    """The sha256 of a session stream: its position bytes, both vocabularies, and its id and total columns."""
+    digest = hashlib.sha256(stream.positions.astype("<f8").tobytes())
+    digest.update(json.dumps([stream.vocab_places, stream.vocab_objects]).encode())
+    for column in (stream.word_ids, stream.word_totals, stream.object_ids, stream.object_totals):
+        digest.update(column.astype("<i8").tobytes())
+    return digest.hexdigest()
 
 
 def _wrong(row: dict) -> bool:
@@ -94,9 +107,11 @@ def compare(path_a: str, path_b: str) -> None:
                      f"B {sum(_wrong(b[k]) for k, h in heard.items() if h == n)}"
                      for n in sorted(set(heard.values()))]
             print(f"  by room names heard: {'; '.join(split)}")
-        for digest in ("model_sha256", "knowledge_sha256", "best_rooms_sha256"):
-            if all(digest in a[key] and digest in b[key] for key in keys):  # older outputs lack the last
-                print(f"  {digest} differs: {sum(a[key][digest] != b[key][digest] for key in keys)} of {len(keys)}")
+        for digest in ("sessions_sha256", "model_sha256", "knowledge_sha256", "best_rooms_sha256"):
+            if all(digest in a[key] and digest in b[key] for key in keys):  # older outputs lack the first or last
+                differ = sum(a[key][digest] != b[key][digest] for key in keys)
+                note = "; the McNemar pairs above need equal streams" if digest == "sessions_sha256" and differ else ""
+                print(f"  {digest} differs: {differ} of {len(keys)}{note}")
 
 
 def main():
@@ -124,18 +139,18 @@ def main():
                 for i, robot in enumerate(default_robots(env)):
                     seed = learn_base + i
                     rooms = [r.name for r in env.rooms_on(robot.floor)]
-                    sessions = generate_floor_sessions(env, robot, np.random.default_rng(seed),
-                                                       visits_per_room=visits)
-                    heard = len(set(rooms).intersection(w for s in sessions for w in s.place_words))
+                    stream = generate_floor_sessions(env, robot, np.random.default_rng(seed), visits_per_room=visits)
+                    heard = len(set(rooms).intersection(stream.vocab_places))
+                    stream_sha256 = sessions_digest(stream)
                     for replicate in range(args.replicates):
-                        model = learn_fixed_lag(sessions, seed=seed + REPLICATE_SEED_STRIDE * replicate,
+                        model = learn_fixed_lag(stream, seed=seed + REPLICATE_SEED_STRIDE * replicate,
                                                 num_regions=len(rooms))
                         kb = extract_knowledge(model, rooms, robot_id=robot.robot_id)
                         right, objects = best_room_recovery(env, robot.floor, kb)
                         print(json.dumps({"cli_seed": cli_seed, "visits": visits, "floor": robot.floor,
                                           "learn_seed": seed, "replicate": replicate, "right": right,
                                           "objects": objects, "c2": right >= C2_BEST_ROOMS[robot.floor], "heard": heard,
-                                          "model_sha256": digest(save_model, model),
+                                          "sessions_sha256": stream_sha256, "model_sha256": digest(save_model, model),
                                           "knowledge_sha256": digest(save_knowledge, kb),
                                           "best_rooms_sha256": best_rooms_digest(kb)}), flush=True)
 

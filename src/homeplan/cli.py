@@ -40,12 +40,12 @@ def _backend_of(args) -> planner.PlannerBackend:
     return planner.make_backend(args.backend, args.replay_dir, args.endpoint, args.model)
 
 
-def _read_entries(path: str, what: str, label: str, keys: tuple[str, ...], build) -> list:
+def _read_entries(path: str, what: str, keys: tuple[str, ...], build) -> list:
     """``build(*values of keys, entry)`` of each object of the JSON list in the ``what`` file
-    ``path``, which checks it; an error names the entry by ``label`` and index."""
+    ``path``, which checks it; an error names the entry by its index."""
     built = []
     for i, entry in enumerate(require(read_json(path, what), list, f"{path}: the {what}s")):
-        where = f"{path}: {label} {i}"
+        where = f"{path}: entry {i}"
         values = require_fields(entry, keys, where)
         try:
             built.append(build(*values, entry))
@@ -61,9 +61,14 @@ def cmd_learn(args) -> int:
             if value is not None:
                 raise ConfigurationError(f"{flag} is read only with --floor, not with --sessions")
         regions = 5 if args.regions is None else args.regions
-        sessions = _read_entries(args.sessions, "session", "session", ("position", "object_labels", "place_words"),
-                                 lambda x, labels, words, d: spatial.Session(x, labels, words, d.get("room_hint")))
-        model = learner.learn_fixed_lag(sessions, seed=seed, num_regions=regions)
+        entries = require(read_json(args.sessions, "session"), list, f"{args.sessions}: the sessions")
+        rows = [require_fields(entry, ("position", "object_labels", "place_words"), f"{args.sessions}: session {i}")
+                for i, entry in enumerate(entries)]
+        try:
+            stream = spatial.SessionStream.build(rows, [entry.get("room_hint") for entry in entries])
+        except SchemaError as exc:
+            raise SchemaError(f"{args.sessions}: {exc}") from None
+        model = learner.learn_fixed_lag(stream, seed=seed, num_regions=regions)
     else:
         env = world.load_environment("paper_home" if args.env is None else args.env)
         robot = experiment.floor_robot(env, args.floor, "learner")  # the id never reaches the model
@@ -109,7 +114,7 @@ def cmd_allocate(args) -> int:
         instruction = planner.Instruction(args.text)
         subtasks = planner.decompose(instruction, sorted(env.placements), backend=backend)
     else:
-        subtasks = _read_entries(args.subtasks, "subtask", "entry", ("verb", "target_object"),
+        subtasks = _read_entries(args.subtasks, "subtask", ("verb", "target_object"),
                                  lambda verb, target, d: planner.Subtask(verb, target, d.get("destination")))
     assignments = planner.allocate(subtasks, kbs, backend=backend)
     write_json([{**asdict(a.subtask), "robot_id": a.robot_id, "justification": a.justification}
@@ -121,7 +126,7 @@ def cmd_run(args) -> int:
     seed = _seed_of(args)
     env = world.load_environment(args.env)
     kbs = [knowledge.load_knowledge(p) for p in args.kb]
-    assignments = _read_entries(args.assignments, "assignment", "entry", ("verb", "target_object", "robot_id"),
+    assignments = _read_entries(args.assignments, "assignment", ("verb", "target_object", "robot_id"),
                                 lambda verb, target, robot_id, d: planner.Assignment(
                                     planner.Subtask(verb, target, d.get("destination")), robot_id))
     sim = world.World(env, experiment.knowledge_robots(env, kbs), seed=seed)

@@ -70,6 +70,11 @@ def is_finite_real(v) -> bool:
         return False
 
 
+def is_finite_pair(v) -> bool:
+    """Whether ``v`` is a list or tuple of two finite numbers."""
+    return isinstance(v, (list, tuple)) and len(v) == 2 and all(is_finite_real(x) for x in v)
+
+
 def is_count(v) -> bool:
     """Whether ``v`` is an integer, not a bool."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)

@@ -211,9 +211,8 @@ def learn_floor_model(env: Environment, robot: RobotState, seed: int, visits_per
                       num_regions: int | None = None) -> SpatialConceptModel:
     """Run the observation protocol on the robot's floor and learn its model (default: a region per room)."""
     num_regions = len(env.rooms_on(robot.floor)) if num_regions is None else num_regions
-    sessions = generate_floor_sessions(env, robot, np.random.default_rng(seed),
-                                       visits_per_room=visits_per_room)
-    return learn_fixed_lag(sessions, seed=seed, num_regions=num_regions)
+    stream = generate_floor_sessions(env, robot, np.random.default_rng(seed), visits_per_room=visits_per_room)
+    return learn_fixed_lag(stream, seed=seed, num_regions=num_regions)
 
 
 def learn_floor_knowledge(env: Environment, robot: RobotState, seed: int,

@@ -16,19 +16,11 @@ paired learns per visit count of ``scripts/seed_sweep.py --seeds 60
 10-session sweep, 21 without, McNemar p = 1; 10 visits: 1 and 0; 30 visits:
 0 and 0) and took about 80 % of a learn.
 
-All particles live in one stacked state (``_Batch``), the particle axis last:
-regions plus collapsed sufficient statistics in one float64 (rows, P) matrix,
-and ``assignments`` (T, P), one contiguous row of regions per session.  Its
-count block ``counts`` (F, R, P) holds every Dirichlet-multinomial count of a
-region, integers exact as floats: sessions, word and object totals, word and
-object counts.  Its moment block ``moments`` (6, R, P) holds each region's
-normal-inverse-Wishart moment sums: two position sums, four sums of outer
-products.  Each column and each sum is a contiguous (R, P) plane, so every
-small reduction runs down a leading axis, which numpy sums in order: appended
-zero terms leave its bits.  Positions are held standardized, less the floor's
-mean session position and over one scale.  Adding a session is one indexed
-update of the matrix, through the session's segment of flat index and value
-arrays built in one pass per learn (``_Tables``).
+All particles live in one stacked state (``_Batch``), the particle axis last: each region's
+Dirichlet-multinomial counts, integers exact as floats, and normal-inverse-Wishart moment sums of the
+standardized positions, one contiguous (R, P) plane each, so every small reduction runs down a leading axis,
+which numpy sums in order: appended zero terms leave its bits.  Adding a session is one indexed update,
+through its segment of the flat arrays ``_Tables`` builds once per learn from the ``SessionStream``'s columns.
 
 One kernel, ``_grid``, scores a session over the regions.  Every term that
 depends on an integer count alone is one row of a fused table built once per
@@ -63,7 +55,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, SchemaError, is_count
-from .spatial import Hyperparameters, Session, SpatialConceptModel
+from .spatial import Hyperparameters, SessionStream, SpatialConceptModel
 
 _DIM = 2
 _MOMENTS = _DIM + _DIM * _DIM  # the position sums and the sums of outer products
@@ -125,7 +117,7 @@ class _Batch:
 class _Tables:
     """Every grid term that depends on one integer count alone, indexed by that count, and
     the prior constants, built once per learn as ``_grid`` reads them, and the stream's
-    sessions as segments of flat arrays, built in one pass over it.
+    sessions as segments of flat arrays, built in one pass over its id and total columns.
 
     It is the one place a learn's shape is set: the region count ``R``, the particle count
     ``P``, the state's row count ``n_rows`` and ``first_obj``, the first object column after
@@ -142,24 +134,19 @@ class _Tables:
     for an integer c, so each is a sum of c logs, built row by row; the mass rows are the
     same sums negated.  The Student-t constant in two dimensions is -log(2 pi)."""
 
-    def __init__(self, hp: Hyperparameters, v0: np.ndarray, R: int, P: int, sessions: list[Session], x: np.ndarray,
-                 place_index: dict[str, int], object_index: dict[str, int]):
+    def __init__(self, hp: Hyperparameters, v0: np.ndarray, R: int, P: int, stream: SessionStream, x: np.ndarray):
         # Each session's counts, a (T, F) row in the columns of ``_Batch.counts``.
-        T, n_words, n_objects = len(sessions), len(place_index), len(object_index)
+        T, n_words, n_objects = len(stream), len(stream.vocab_places), len(stream.vocab_objects)
         first_obj = _WORDS + n_words
         F = first_obj + n_objects
         self.hp, self.R, self.P, self.first_obj, self.n_rows = hp, R, P, first_obj, (F + _MOMENTS) * R
-        word_totals = np.fromiter((len(s.place_words) for s in sessions), np.intp, T)
-        obj_totals = np.fromiter((len(s.object_labels) for s in sessions), np.intp, T)
-        words = np.fromiter((place_index[w] for s in sessions for w in s.place_words), np.intp)
-        objects = np.fromiter((object_index[o] for s in sessions for o in s.object_labels), np.intp)
         row = np.arange(T) * F
-        counts = np.bincount(np.concatenate((np.repeat(row + _WORDS, word_totals) + words,
-                                             np.repeat(row + first_obj, obj_totals) + objects)),
+        counts = np.bincount(np.concatenate((np.repeat(row + _WORDS, stream.word_totals) + stream.word_ids,
+                                             np.repeat(row + first_obj, stream.object_totals) + stream.object_ids)),
                              minlength=T * F).reshape(T, F)
-        counts[:, _CONCEPT], counts[:, _WORD_TOTAL], counts[:, _OBJ_TOTAL] = 1, word_totals, obj_totals
+        counts[:, _CONCEPT], counts[:, _WORD_TOTAL], counts[:, _OBJ_TOTAL] = 1, stream.word_totals, stream.object_totals
         # The largest count a learn reaches: every session, word or object in one column.
-        n = np.arange(max(T, word_totals.sum(), obj_totals.sum()) + 1, dtype=float)
+        n = np.arange(max(T, stream.word_totals.sum(), stream.object_totals.sum()) + 1, dtype=float)
         self.r_alpha = R * hp.alpha
         # Per region count: 1 / kappa_n and the Student-t constants with the scale factor
         # folded in (det(f V) = f^2 det V, so log f moves into the constant).  With D = 2,
@@ -181,9 +168,9 @@ class _Tables:
 
         blocks = [
             np.log(n + hp.alpha)[None],
-            -rising(n_words * hp.beta, word_totals.max()),
-            -rising(n_objects * hp.chi, obj_totals.max()),
-            rising(hp.beta, counts[:, _WORDS:first_obj].max()),
+            -rising(n_words * hp.beta, stream.word_totals.max()),
+            -rising(n_objects * hp.chi, stream.object_totals.max()),
+            rising(hp.beta, counts[:, _WORDS:first_obj].max(initial=0)),
             rising(hp.chi, counts[:, first_obj:].max(initial=0)),
         ]
         self.rows = np.concatenate(blocks).reshape(-1)
@@ -263,36 +250,28 @@ def _systematic_resample(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.searchsorted(cumulative, positions)
 
 
-def learn_fixed_lag(sessions: list[Session], *, seed: int = 0, num_regions: int) -> SpatialConceptModel:
+def learn_fixed_lag(stream: SessionStream, *, seed: int = 0, num_regions: int) -> SpatialConceptModel:
     """Learn a spatial concept model from an ordered session stream, ``num_regions`` regions, a concept each.
 
-    It reads the whole stream before its first step: the vocabularies are the
-    sessions' own, sorted, and the positions are standardized by their own mean
-    and scale, so the model depends neither on where the coordinate origin lies
-    nor on the unit of length.  The priors are ``Hyperparameters()``, recorded in
-    the model, and the filter runs ``Hyperparameters.num_particles`` particles.
-    It runs at a fixed lag of zero: no past session is re-drawn, and SpCoSLAM
-    2.0's rejuvenation sweep is gone (see the module docstring for the
-    measurement).  Deterministic for fixed (sessions, seed, num_regions).
+    It reads the stream's columns before its first step, its vocabularies as they are and its
+    positions standardized by their own mean and scale, so the model depends neither on where the
+    coordinate origin lies nor on the unit of length.  The priors are ``Hyperparameters()``, recorded
+    in the model, and the filter runs ``Hyperparameters.num_particles`` particles at a fixed lag of
+    zero (see the module docstring).  Deterministic for fixed (stream, seed, num_regions).
     """
     if not is_count(num_regions) or num_regions < 1:
         raise ConfigurationError(f"num_regions must be an integer >= 1, got {num_regions!r}")
-    if not sessions:
+    if not len(stream):
         raise SchemaError("cannot learn from an empty session list")
-    hp = Hyperparameters()
-    vocab_places = sorted({w for s in sessions for w in s.place_words})
-    vocab_objects = sorted({o for s in sessions for o in s.object_labels})
-    if not vocab_places:
+    if not stream.vocab_places:
         raise SchemaError("sessions contain no place words")
-    place_index = {w: i for i, w in enumerate(vocab_places)}
-    object_index = {o: i for i, o in enumerate(vocab_objects)}
-    positions = np.array([s.position for s in sessions])  # each a finite 2-vector, checked by Session
+    # Learn on z = (x - centre) / scale, scale the root mean square deviation or 1: tr Cov(z) = 2.
+    positions = stream.positions  # finite, checked when the stream was built
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite square fails the check
         centre = positions.mean(axis=0)
-        if not np.isfinite(np.square(positions - centre).sum()):
+        z = positions - centre
+        if not np.isfinite(np.square(z).sum()):
             raise SchemaError("session positions must be small enough that their squares do not overflow")
-    # Learn on z = (x - centre) / scale, scale the root mean square deviation or 1: tr Cov(z) = 2.
-    z = positions - centre
     scale = math.sqrt(np.square(z).mean())
     if not scale and (positions != positions[0]).any():  # all equal: no spread, so the scale is 1
         raise SchemaError("session positions must spread enough that their squared deviations do not underflow")
@@ -302,10 +281,9 @@ def learn_fixed_lag(sessions: list[Session], *, seed: int = 0, num_regions: int)
     # Its determinant is taken in closed form: np.linalg.det warns on a subnormal entry.
     cov = z.T @ z / len(z)
     v0 = (cov if cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0] > 1e-6 else np.eye(_DIM)) / num_regions
-    tables = _Tables(hp, v0, num_regions, hp.num_particles, sessions, z, place_index, object_index)
-    batch, log_w, _, _ = _filter(_Batch(tables, len(sessions)), tables, np.random.default_rng(seed))
-    return _posterior_mean_model(batch, int(np.argmax(log_w)), tables, seed, centre, scale, vocab_places,
-                                 vocab_objects)
+    tables = _Tables(Hyperparameters(), v0, num_regions, Hyperparameters.num_particles, stream, z)
+    batch, log_w, _, _ = _filter(_Batch(tables, len(stream)), tables, np.random.default_rng(seed))
+    return _posterior_mean_model(batch, int(np.argmax(log_w)), tables, seed, centre, scale, stream)
 
 
 def _filter(batch: _Batch, tables: _Tables,
@@ -340,7 +318,7 @@ def _filter(batch: _Batch, tables: _Tables,
 
 
 def _posterior_mean_model(p: _Batch, i: int, tables: _Tables, seed: int, centre: np.ndarray, scale: float,
-                          vocab_places: list[str], vocab_objects: list[str]) -> SpatialConceptModel:
+                          stream: SessionStream) -> SpatialConceptModel:
     hp = tables.hp
     counts, moments = p.counts[:, :, i].T, p.moments[:, :, i]
     words, objects = counts[:, _WORDS:tables.first_obj], counts[:, tables.first_obj:]
@@ -361,4 +339,4 @@ def _posterior_mean_model(p: _Batch, i: int, tables: _Tables, seed: int, centre:
     covs = V_n.reshape(tables.R, _DIM, _DIM) / np.where(denom > 0, denom, nu_n + _DIM + 1.0)[:, None, None] * scale ** 2
 
     return SpatialConceptModel(pi, word_dist, object_dist, means, covs,
-                               vocab_places, vocab_objects, hyperparameters=hp, seed=seed)
+                               stream.vocab_places, stream.vocab_objects, hyperparameters=hp, seed=seed)

@@ -1,16 +1,16 @@
-"""Generative spatial concept model and its cross-modal posterior queries.
+"""Generative spatial concept model, its cross-modal posterior queries, and the session stream it is learned from.
 
-A concept here is one region, as in the paper, where a spatial concept is a
-room name plus that room's object presence: region r has a weight ``pi[r]``, a
-place-word and an object-label categorical, and a Gaussian position.  SpCoSLAM
-(Taniguchi et al. 2017) links concepts to regions through a second index; this
-model has none.  It is checked once when built and then frozen: tuples for its
-vocabularies, read-only float copies of the stacked arrays the learner writes
-and the queries read: ``pi`` (R,), ``word_dist`` (R, V), ``object_dist`` (R, O),
-``means`` (R, 2) and ``covs`` (R, 2, 2).  The JSON document, ``schema_version``
-2, keeps one entry per region.  The two queries are normalized categoricals: a
-region's word distribution, and the per-object region posterior behind the
-presence tables.
+A ``SessionStream`` holds a floor's observation sessions as columns, checked once when built: positions, and
+each session's place words and object labels as ids into the stream's own sorted vocabularies.
+
+A concept here is one region, as in the paper, where a spatial concept is a room name plus that room's object
+presence: region r has a weight ``pi[r]``, a place-word and an object-label categorical, and a Gaussian
+position.  SpCoSLAM (Taniguchi et al. 2017) links concepts to regions through a second index; this model has
+none.  It is checked once when built and then frozen: tuples for its vocabularies, read-only float copies of
+the stacked arrays the learner writes and the queries read: ``pi`` (R,), ``word_dist`` (R, V),
+``object_dist`` (R, O), ``means`` (R, 2) and ``covs`` (R, 2, 2).  The JSON document, ``schema_version`` 2,
+keeps one entry per region.  The two queries are normalized categoricals: a region's word distribution, and
+the per-object region posterior behind the presence tables.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import SchemaError, UnknownLabelError, is_finite_real, read_json, require_fields, tuple_of, write_json
+from .errors import (SchemaError, UnknownLabelError, is_finite_pair, is_finite_real, read_json, require_fields,
+                     tuple_of, write_json)
 
 CATEGORICAL_ATOL = 1e-9
 
@@ -71,34 +72,50 @@ class Hyperparameters:
 
 
 @dataclass(frozen=True)
-class Session:
-    """One learning observation: pose, detected labels, uttered place words.
+class SessionStream:
+    """T learning sessions in stream order as read-only columns, checked once, by ``build``.
 
-    Checked once when built and then frozen: ``position`` a read-only float
-    2-vector, labels and words tuples of str.  ``room_hint`` is evaluation-side
-    ground truth; the learner never reads it.
-    """
+    ``positions`` is (T, 2) float; ``word_ids`` index the sorted ``vocab_places``, the stream's own
+    words, session by session, ``word_totals[t]`` of them session t's, and so do the object columns.
+    ``room_hints``, a str or None per session, are ground truth that the learner never reads."""
 
-    position: np.ndarray
-    object_labels: tuple[str, ...]
-    place_words: tuple[str, ...]
-    room_hint: str | None = None
+    positions: np.ndarray
+    vocab_places: tuple[str, ...]
+    word_ids: np.ndarray
+    word_totals: np.ndarray
+    vocab_objects: tuple[str, ...]
+    object_ids: np.ndarray
+    object_totals: np.ndarray
+    room_hints: tuple[str | None, ...]
 
-    def __post_init__(self):
-        position = self.position
-        try:  # a numpy row unpacks several times faster as a list
-            x, y = position.tolist() if isinstance(position, np.ndarray) else position
-        except (TypeError, ValueError):  # not a sequence of two
-            x = y = None
-        if not (is_finite_real(x) and is_finite_real(y)):
-            raise SchemaError("position must be two finite numbers")
-        position = np.array((x, y), dtype=float)
-        position.flags.writeable = False
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "object_labels", tuple_of(self.object_labels, str, "object_labels"))
-        object.__setattr__(self, "place_words", tuple_of(self.place_words, str, "place_words"))
-        if self.room_hint is not None and not isinstance(self.room_hint, str):
-            raise SchemaError(f"room_hint must be a str or null, not {self.room_hint!r}")
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    @classmethod
+    def build(cls, rows, room_hints=None) -> "SessionStream":
+        """The stream of ``rows``, each (position, object labels, place words), with a room hint each
+        (default None), checked row by row: a position is two finite numbers, labels and words are
+        lists of str and a hint is a str or None.  A SchemaError names the first bad row's index."""
+        hints = (None,) * len(rows) if room_hints is None else tuple(room_hints)
+        positions, labels, words = [], [], []
+        for i, ((position, row_labels, row_words), hint) in enumerate(zip(rows, hints, strict=True)):
+            try:  # a numpy row is checked several times faster as a list
+                positions.append(position.tolist() if isinstance(position, np.ndarray) else position)
+                if not is_finite_pair(positions[-1]):
+                    raise SchemaError("position must be two finite numbers")
+                labels.append(tuple_of(row_labels, str, "object_labels"))
+                words.append(tuple_of(row_words, str, "place_words"))
+                if hint is not None and not isinstance(hint, str):
+                    raise SchemaError(f"room_hint must be a str or null, not {hint!r}")
+            except SchemaError as exc:
+                raise SchemaError(f"session {i}: {exc}") from None
+        columns = [_read_only(np.array(positions, dtype=float).reshape(-1, 2))]
+        for tokens in (words, labels):  # the sorted vocabulary, the ids in it in stream order, the totals
+            vocab = tuple(sorted({t for session in tokens for t in session}))
+            index = {t: i for i, t in enumerate(vocab)}
+            ids = np.fromiter((index[t] for session in tokens for t in session), np.intp)
+            columns += [vocab, _read_only(ids), _read_only(np.fromiter(map(len, tokens), np.intp, len(tokens)))]
+        return cls(*columns, hints)
 
 
 # The stacked arrays of a model, a row per region: pi, the two categoricals, the Gaussians.
@@ -172,7 +189,10 @@ def _real_array(value, name: str) -> np.ndarray:
         raise SchemaError(f"{name} is ragged") from None
     if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
         raise SchemaError(f"{name} must hold finite numbers only")
-    arr = np.array(arr, dtype=float)
+    return _read_only(np.array(arr, dtype=float))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
 

@@ -26,13 +26,14 @@ from .errors import (
     UnknownLabelError,
     UnknownRoomError,
     is_count,
+    is_finite_pair,
     is_finite_real,
     read_json,
     require,
     require_fields,
     tuple_of,
 )
-from .spatial import Session
+from .spatial import SessionStream
 
 SKILLS = ("navigation", "object_detection", "pick", "place")
 GATHER = "gather"
@@ -60,10 +61,10 @@ class Room:
             raise SchemaError(f"room name must be a str, not {self.name!r}")
         if not isinstance(self.floor, str):
             raise SchemaError(f"room {self.name!r}: floor must be a str, not {self.floor!r}")
-        if not _finite_pair(self.center):
+        if not is_finite_pair(self.center):
             raise SchemaError(f"room {self.name!r}: center must be two finite numbers, not {self.center!r}")
         rows = self.scatter
-        if (not (isinstance(rows, (list, tuple)) and len(rows) == 2 and all(_finite_pair(row) for row in rows))
+        if (not (isinstance(rows, (list, tuple)) and len(rows) == 2 and all(is_finite_pair(row) for row in rows))
                 or rows[0][1] != rows[1][0] or rows[0][0] < 0 or rows[1][1] < 0
                 or rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0] < 0):
             raise SchemaError(f"room {self.name!r}: scatter must be a finite, symmetric, "
@@ -78,11 +79,6 @@ class Room:
         factor = (u * np.sqrt(s)).T
         factor.flags.writeable = False  # every draw from this room shares it
         return factor
-
-
-def _finite_pair(value) -> bool:
-    """Whether ``value`` is a list or tuple of two finite numbers."""
-    return isinstance(value, (list, tuple)) and len(value) == 2 and all(is_finite_real(v) for v in value)
 
 
 @dataclass(frozen=True)
@@ -345,8 +341,8 @@ def _uniforms(seed: int, index: int) -> Iterator[float]:
         yield from rng.random(_BLOCK).tolist()
 
 
-def observe_session(env: Environment, robot: RobotState, room: str, rng: np.random.Generator) -> Session:
-    """Simulated learning observation taken from inside ``room``."""
+def observe_session(env: Environment, robot: RobotState, room: str, rng: np.random.Generator) -> tuple:
+    """Simulated learning observation from inside ``room``: a ``SessionStream`` row (position, labels, words)."""
     target = env.room(room)
     if target.floor != robot.floor:
         raise FloorAccessError(f"room {room!r} is on floor {target.floor!r}, robot is on {robot.floor!r}")
@@ -358,19 +354,16 @@ def observe_session(env: Environment, robot: RobotState, room: str, rng: np.rand
     # One to three words, drawn as Generator.choice(pool, count, replace=True) draws them.
     pool = env.place_words.get(room, ())
     words = [pool[rng.integers(len(pool))] for _ in range(rng.integers(1, 4))] if pool else []
-    return Session(position=position[0], object_labels=labels, place_words=words, room_hint=room)
+    return position[0], labels, words
 
 
 def generate_floor_sessions(env: Environment, robot: RobotState, rng: np.random.Generator,
-                            visits_per_room: int = VISITS_PER_ROOM) -> list[Session]:
-    """Room-by-room observation protocol: each room visited ``visits_per_room`` times."""
+                            visits_per_room: int = VISITS_PER_ROOM) -> SessionStream:
+    """Room-by-room observation protocol, each room visited ``visits_per_room`` times, hinted by room."""
     if not is_count(visits_per_room) or visits_per_room < 1:
         raise ConfigurationError(f"visits_per_room must be an integer >= 1, got {visits_per_room!r}")
-    sessions = []
-    for room in env.rooms_on(robot.floor):
-        for _ in range(visits_per_room):
-            sessions.append(observe_session(env, robot, room.name, rng))
-    return sessions
+    rooms = [room.name for room in env.rooms_on(robot.floor) for _ in range(visits_per_room)]
+    return SessionStream.build([observe_session(env, robot, room, rng) for room in rooms], rooms)
 
 
 def _room_from_dict(data: dict, idx: int) -> Room:

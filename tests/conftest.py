@@ -382,3 +382,19 @@ def environment_to_dict(env: Environment) -> dict:
         "categories": dict(env.categories),
         "place_words": {k: list(v) for k, v in env.place_words.items()},
     }
+
+
+def stream_rows(stream) -> list[tuple]:
+    """Each session of a ``SessionStream`` as a (position, object labels, place words) row, rebuilt
+    from its columns alone: each vocabulary indexed by its ids, split by the per-session totals."""
+    def split(vocab, ids, totals):
+        return [[vocab[i] for i in part] for part in np.split(ids, np.cumsum(totals)[:-1])]
+
+    return list(zip(stream.positions, split(stream.vocab_objects, stream.object_ids, stream.object_totals),
+                    split(stream.vocab_places, stream.word_ids, stream.word_totals)))
+
+
+def session_file(stream) -> list[dict]:
+    """A ``SessionStream`` as the entries of a ``homeplan learn --sessions`` file."""
+    return [{"position": position.tolist(), "object_labels": labels, "place_words": words, "room_hint": hint}
+            for (position, labels, words), hint in zip(stream_rows(stream), stream.room_hints)]

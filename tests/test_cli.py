@@ -20,7 +20,7 @@ from homeplan.spatial import load_model, save_model
 from homeplan.learner import learn_fixed_lag
 from homeplan.world import generate_floor_sessions, load_environment
 
-from conftest import environment_to_dict, random_model
+from conftest import environment_to_dict, random_model, session_file, stream_rows
 from test_learner import C2_BEST_ROOMS
 
 
@@ -93,6 +93,7 @@ def test_seed_sweep_digests_the_files_learn_and_extract_write(tmp_path, capsys, 
     # Replicate 0 is the learn `homeplan learn` makes; replicate 1 learns the same sessions with
     # the learner seed moved by 1000, and each line scores its own knowledge base.
     script = Path(__file__).parent.parent / "scripts" / "seed_sweep.py"
+    sessions_digest = runpy.run_path(str(script))["sessions_digest"]
     monkeypatch.setattr(sys, "argv", [str(script), "--seeds", "1", "--visits", "5", "--replicates", "2"])
     runpy.run_path(str(script), run_name="__main__")
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -120,7 +121,10 @@ def test_seed_sweep_digests_the_files_learn_and_extract_write(tmp_path, capsys, 
         sessions = generate_floor_sessions(env, floor_robot(env, row["floor"], robot),
                                            np.random.default_rng(row["learn_seed"]), visits_per_room=5)
         rooms = {r.name for r in env.rooms_on(row["floor"])}
-        assert row["heard"] == len(rooms & {w for s in sessions for w in s.place_words})
+        assert row["heard"] == len(rooms & set(sessions.vocab_places))
+        assert row["sessions_sha256"] == sessions_digest(sessions)
+    # Both replicates of a floor learn one stream, and the floors' streams differ.
+    assert rows[0]["sessions_sha256"] == rows[1]["sessions_sha256"] != rows[2]["sessions_sha256"]
 
 
 def test_seed_sweep_compare_pairs_two_outputs_learn_by_learn(tmp_path, capsys, monkeypatch):
@@ -171,6 +175,26 @@ def test_seed_sweep_compare_pairs_two_outputs_learn_by_learn(tmp_path, capsys, m
         runpy.run_path(str(script), run_name="__main__")
 
 
+@pytest.mark.parametrize("streams_b, line", [
+    (["s0", "s1"], "  sessions_sha256 differs: 0 of 2"),
+    (["s0", "moved"], "  sessions_sha256 differs: 1 of 2; the McNemar pairs above need equal streams"),
+])
+def test_seed_sweep_compare_counts_the_streams_that_differ(tmp_path, capsys, monkeypatch, streams_b, line):
+    script = Path(__file__).parent.parent / "scripts" / "seed_sweep.py"
+    paths = []
+    for name, streams in (("a.jsonl", ["s0", "s1"]), ("b.jsonl", streams_b)):
+        rows = [{"cli_seed": seed, "visits": 5, "floor": "1F", "learn_seed": 0, "replicate": 0, "right": 13,
+                 "objects": 13, "c2": True, "heard": 5, "sessions_sha256": stream, "model_sha256": "m",
+                 "knowledge_sha256": "k", "best_rooms_sha256": "r"} for seed, stream in enumerate(streams)]
+        paths.append(tmp_path / name)
+        paths[-1].write_text("".join(json.dumps(r) + "\n" for r in rows))
+    monkeypatch.setattr(sys, "argv", [str(script), "--compare", *map(str, paths)])
+    runpy.run_path(str(script), run_name="__main__")
+    out = capsys.readouterr().out.splitlines()
+    assert out[-4:] == [line, "  model_sha256 differs: 0 of 2", "  knowledge_sha256 differs: 0 of 2",
+                        "  best_rooms_sha256 differs: 0 of 2"]
+
+
 def test_learn_from_sessions_file(tmp_path, capsys):
     from homeplan.world import RobotState, observe_session
 
@@ -180,12 +204,12 @@ def test_learn_from_sessions_file(tmp_path, capsys):
     sessions = []
     for _ in range(8):
         for room in ("kitchen", "corridor"):
-            s = observe_session(env, robot, room, rng)
+            position, labels, words = observe_session(env, robot, room, rng)
             sessions.append({
-                "position": s.position.tolist(),
-                "object_labels": s.object_labels,
-                "place_words": s.place_words,
-                "room_hint": s.room_hint,
+                "position": position.tolist(),
+                "object_labels": labels,
+                "place_words": words,
+                "room_hint": room,
             })
     sessions_path = tmp_path / "sessions.json"
     sessions_path.write_text(json.dumps(sessions))
@@ -197,6 +221,18 @@ def test_learn_from_sessions_file(tmp_path, capsys):
     assert "cup" in model["vocab_objects"]
 
 
+def test_a_session_file_of_the_generated_stream_learns_the_floors_model(tmp_path):
+    # The file builder and the generator build the same stream: the 1F stream that `learn --floor 1F
+    # --seed 7` draws, written to a session file, learns the same model bytes from it.
+    env = load_environment("paper_home")
+    stream = generate_floor_sessions(env, floor_robot(env, "1F", "learner"), np.random.default_rng(7))
+    path, from_file, from_floor = (tmp_path / name for name in ("sessions.json", "file.json", "floor.json"))
+    path.write_text(json.dumps(session_file(stream)))
+    assert main(["learn", "--sessions", str(path), "--regions", "5", "--seed", "7", "--out", str(from_file)]) == 0
+    assert main(["learn", "--floor", "1F", "--seed", "7", "--out", str(from_floor)]) == 0
+    assert from_file.read_bytes() == from_floor.read_bytes()
+
+
 def test_learn_from_a_session_file_at_a_huge_scale_meets_c2(tmp_path):
     # A floor's sessions at 1e100 times their scale learn, and their extracted knowledge
     # base meets C2 (11 of 13 best rooms right), as at their own scale.
@@ -206,8 +242,8 @@ def test_learn_from_a_session_file_at_a_huge_scale_meets_c2(tmp_path):
     env = load_environment("paper_home")
     sessions = generate_floor_sessions(env, floor_robot(env, "1F", "Robot1"), np.random.default_rng(7))
     path, model_path, kb_path = (tmp_path / name for name in ("sessions.json", "m.json", "kb.json"))
-    path.write_text(json.dumps([{"position": (s.position * 1e100).tolist(), "object_labels": s.object_labels,
-                                 "place_words": s.place_words} for s in sessions]))
+    path.write_text(json.dumps([{"position": (position * 1e100).tolist(), "object_labels": labels,
+                                 "place_words": words} for position, labels, words in stream_rows(sessions)]))
     assert main(["learn", "--sessions", str(path), "--regions", "5", "--seed", "7", "--out", str(model_path)]) == 0
     assert main(["extract", "--model-path", str(model_path), "--floor", "1F", "--out", str(kb_path)]) == 0
     right, total = best_room_recovery(env, "1F", load_knowledge(kb_path))
@@ -398,8 +434,7 @@ def test_a_command_run_twice_writes_the_same_bytes(tmp_path, kb_files, command):
     env = load_environment("paper_home")
     sessions = generate_floor_sessions(env, floor_robot(env, "1F", "Robot1"), np.random.default_rng(7), 5)
     sessions_path = tmp_path / "sessions.json"
-    sessions_path.write_text(json.dumps([{"position": s.position.tolist(), "object_labels": s.object_labels,
-                                          "place_words": s.place_words} for s in sessions]))
+    sessions_path.write_text(json.dumps(session_file(sessions)))
     # Six fetches, so that a trace drawn from another seed would differ.
     assignments_path = tmp_path / "assignments.json"
     assignments_path.write_text(json.dumps(
@@ -780,8 +815,8 @@ def test_commands_import_only_what_they_use(tmp_path, kb_files):
         stages["decompose and prompt"] = loaded()
         import numpy as np
         from homeplan.learner import learn_fixed_lag
-        from homeplan.spatial import Session
-        learn_fixed_lag([Session(np.zeros(2), ["cup"], ["kitchen"])], num_regions=1)
+        from homeplan.spatial import SessionStream
+        learn_fixed_lag(SessionStream.build([(np.zeros(2), ["cup"], ["kitchen"])]), num_regions=1)
         stages["learn"] = loaded()
         assert homeplan.cli.main(["learn", "--floor", "1F", "--visits", "2", "--out", str(out / "m.json")]) == 0
         assert homeplan.cli.main(["extract", "--model-path", str(out / "m.json"), "--floor", "1F",

@@ -32,13 +32,13 @@ from homeplan.learner import (
 )
 from homeplan.spatial import (
     Hyperparameters,
-    Session,
+    SessionStream,
     model_to_dict,
     object_location_posterior,
 )
 from homeplan.world import environment_from_dict, generate_floor_sessions, load_environment
 
-from conftest import environment_to_dict
+from conftest import environment_to_dict, stream_rows
 from test_acceptance import ACCEPTANCE_SEED
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -47,7 +47,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def synthetic_rooms(rng, n_rooms=5, sessions_per_room=30, p_detect=1.0):
     """Generate-then-recover fixture: each room emits its own objects and words.
 
-    Returns (sessions, room_names, objects_of_room).
+    Returns (stream, room_names, objects_of_room, centers).
     """
     centers = [np.array([6.0 * (i % 3), 6.0 * (i // 3)]) for i in range(n_rooms)]
     room_names = [f"room{i}" for i in range(n_rooms)]
@@ -59,28 +59,29 @@ def synthetic_rooms(rng, n_rooms=5, sessions_per_room=30, p_detect=1.0):
         objects_of_room[name] = [f"obj{next_obj + j}" for j in range(count)]
         next_obj += count
         words_of_room[name] = [f"{name}_word{j}" for j in range(3)]
-    sessions = []
+    rows, hints = [], []
     for i, name in enumerate(room_names):
         for _ in range(sessions_per_room):
             position = rng.multivariate_normal(centers[i], 0.25 * np.eye(2))
             labels = [o for o in objects_of_room[name] if rng.random() < p_detect]
             words = [str(w) for w in rng.choice(words_of_room[name], size=int(rng.integers(1, 4)))]
-            sessions.append(Session(position, labels, words, room_hint=name))
-    return sessions, room_names, objects_of_room, centers
+            rows.append((position, labels, words))
+            hints.append(name)
+    return SessionStream.build(rows, hints), room_names, objects_of_room, centers
 
 
 def test_empty_sessions_is_an_error():
     with pytest.raises(ValueError):
-        learn_fixed_lag([], seed=0, num_regions=5)
+        learn_fixed_lag(SessionStream.build([]), seed=0, num_regions=5)
 
 
 def test_single_session_populates_one_region():
-    session = Session(np.array([3.0, 4.0]), ["cup"], ["kitchen"], room_hint=None)
-    model = learn_fixed_lag([session], seed=0, num_regions=3)
+    stream = SessionStream.build([(np.array([3.0, 4.0]), ["cup"], ["kitchen"])], [None])
+    model = learn_fixed_lag(stream, seed=0, num_regions=3)
     hp = Hyperparameters()
     # The prior is centred on the one position, so every region's posterior mean,
     # the occupied one's and the empty ones', is that position.
-    np.testing.assert_array_equal(model.means, np.tile(session.position, (3, 1)))
+    np.testing.assert_array_equal(model.means, np.tile(stream.positions[0], (3, 1)))
     # One position has no spread, so the scale is 1 and the prior scale I / R.  Exactly one
     # region absorbed the observation, which sits on the prior mean: it takes the
     # posterior-mean covariance (I / R) / (nu0 + 1 - 3).  The empty ones, whose nu_n = nu0
@@ -105,14 +106,14 @@ def test_degenerate_positions_learn_without_warnings(position, line):
     # Positions on a point or a line have a (nearly) singular covariance, so the prior scale
     # falls back to I / R: every grid stays finite and every region covariance positive-definite.
     # A subnormal coordinate leaves a subnormal entry in the covariance, which must not warn either.
-    sessions = [Session(position(i), ["cup"] if i % 2 else [], ["kitchen", "sink", "stove"][i % 3:][:2])
-                for i in range(24)]
+    stream = SessionStream.build([(position(i), ["cup"] if i % 2 else [], ["kitchen", "sink", "stove"][i % 3:][:2])
+                                  for i in range(24)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        model = learn_fixed_lag(sessions, seed=0, num_regions=3)
+        model = learn_fixed_lag(stream, seed=0, num_regions=3)
     assert np.all(np.linalg.eigvalsh(model.covs) > 0)
     if line is None:
-        np.testing.assert_array_equal(model.means, np.tile(sessions[0].position, (3, 1)))
+        np.testing.assert_array_equal(model.means, np.tile(stream.positions[0], (3, 1)))
     else:
         # A posterior mean averages the mean position and some positions, so it lies on their line.
         a, b, c = line
@@ -122,7 +123,7 @@ def test_degenerate_positions_learn_without_warnings(position, line):
 def test_a_stream_shorter_than_the_region_count_learns():
     # Three sessions leave at least two of five regions empty, each at its prior weight.
     rng = np.random.default_rng(0)
-    sessions = [Session(rng.normal(size=2), ["o"], ["w"]) for _ in range(3)]
+    sessions = SessionStream.build([(rng.normal(size=2), ["o"], ["w"]) for _ in range(3)])
     model = learn_fixed_lag(sessions, seed=1, num_regions=5)
     assert model.num_regions == 5
     alpha = Hyperparameters().alpha
@@ -141,23 +142,24 @@ def test_a_learn_scores_each_session_once(monkeypatch):
 
     monkeypatch.setattr(learner, "_grid", spy)
     rng = np.random.default_rng(5)
-    sessions = [Session(rng.normal(size=2), ["cup"] * (t % 2), ["kitchen", "sink"][t % 2:]) for t in range(25)]
+    sessions = SessionStream.build([(rng.normal(size=2), ["cup"] * (t % 2), ["kitchen", "sink"][t % 2:])
+                                    for t in range(25)])
     learn_fixed_lag(sessions, seed=0, num_regions=3)
     assert len(calls) == len(sessions)
 
 
 def test_vocabularies_are_derived_from_the_sessions():
-    sessions = [Session(np.zeros(2), ["mystery", "known"], ["w"]), Session(np.ones(2), ["known"], ["v", "w"])]
+    sessions = SessionStream.build([(np.zeros(2), ["mystery", "known"], ["w"]), (np.ones(2), ["known"], ["v", "w"])])
     model = learn_fixed_lag(sessions, seed=0, num_regions=2)
     assert (model.vocab_places, model.vocab_objects) == (("v", "w"), ("known", "mystery"))
     assert model.word_dist.shape == model.object_dist.shape == (2, 2)
 
 
 def test_learned_vocabularies_are_the_sorted_union():
-    sessions = [
-        Session(np.zeros(2), ["b", "a"], ["z"]),
-        Session(np.zeros(2), ["a"], ["y", "z"]),
-    ]
+    sessions = SessionStream.build([
+        (np.zeros(2), ["b", "a"], ["z"]),
+        (np.zeros(2), ["a"], ["y", "z"]),
+    ])
     model = learn_fixed_lag(sessions, seed=0, num_regions=1)
     assert model.vocab_places == ("y", "z")
     assert model.vocab_objects == ("a", "b")
@@ -208,14 +210,14 @@ from hypothesis import strategies as st
 @st.composite
 def session_batches(draw):
     n = draw(st.integers(1, 12))
-    sessions = []
+    rows = []
     for _ in range(n):
         x = draw(st.floats(-20.0, 20.0))
         y = draw(st.floats(-20.0, 20.0))
         labels = draw(st.lists(st.sampled_from(["a", "b", "c"]), max_size=4))
         words = draw(st.lists(st.sampled_from(["u", "v", "w"]), min_size=1, max_size=3))
-        sessions.append(Session(np.array([x, y]), labels, words))
-    return sessions
+        rows.append((np.array([x, y]), labels, words))
+    return SessionStream.build(rows)
 
 
 @given(session_batches(), st.integers(0, 999), st.integers(1, 3))
@@ -224,7 +226,7 @@ def test_learner_always_yields_a_valid_model(sessions, seed, r):
     """Robustness oracle: any session batch (duplicate positions included)
     must produce a model that passes full validation, unless its positions
     spread so little that their squared deviations underflow: that is refused."""
-    positions = np.array([s.position for s in sessions])
+    positions = sessions.positions
     if not np.square(positions - positions.mean(axis=0)).sum() and (positions != positions[0]).any():
         with pytest.raises(SchemaError, match="squared deviations do not underflow"):
             learn_fixed_lag(sessions, seed=seed, num_regions=r)
@@ -238,7 +240,7 @@ def test_learner_always_yields_a_valid_model(sessions, seed, r):
 
 
 def test_model_carries_hyperparameters_and_seed():
-    sessions = [Session(np.zeros(2), ["o"], ["w"])]
+    sessions = SessionStream.build([(np.zeros(2), ["o"], ["w"])])
     model = learn_fixed_lag(sessions, seed=77, num_regions=1)
     assert model.seed == 77
     assert model.hyperparameters == Hyperparameters()
@@ -246,7 +248,7 @@ def test_model_carries_hyperparameters_and_seed():
 
 def test_a_learned_model_answers_the_fixed_settings_the_benchmark_reads():
     # ``benchmark/tracing.py`` counts a learn's grid evaluations from these two constants.
-    model = learn_fixed_lag([Session(np.zeros(2), ["o"], ["w"])], seed=0, num_regions=1)
+    model = learn_fixed_lag(SessionStream.build([(np.zeros(2), ["o"], ["w"])]), seed=0, num_regions=1)
     assert (model.hyperparameters.num_particles, model.hyperparameters.lag_window) == (30, 0)
     # Neither is a field, so a model document records the five priors alone.
     assert list(Hyperparameters().to_dict()) == ["alpha", "beta", "chi", "kappa", "nu0"]
@@ -285,8 +287,8 @@ def test_systematic_resample_draws_each_particle_its_share(weights, seed):
 
 def _first_floor_sessions(factor):
     env = load_environment("paper_home")
-    sessions = generate_floor_sessions(env, default_robots(env)[0], np.random.default_rng(ACCEPTANCE_SEED))
-    return [Session(s.position * factor, s.object_labels, s.place_words) for s in sessions]
+    stream = generate_floor_sessions(env, default_robots(env)[0], np.random.default_rng(ACCEPTANCE_SEED))
+    return SessionStream.build([(position * factor, labels, words) for position, labels, words in stream_rows(stream)])
 
 
 @pytest.mark.parametrize("factor", [1e-170, 1e-300])
@@ -306,7 +308,7 @@ def test_positions_just_above_the_underflow_learn_as_at_unit_scale():
 
 
 class _BadPosition(list):
-    """A session position that ``Session`` itself rejects, before the learner sees it."""
+    """A session position that ``SessionStream.build`` itself rejects, before the learner sees it."""
 
 
 @pytest.mark.parametrize("sessions, kwargs, error", [
@@ -324,32 +326,33 @@ class _BadPosition(list):
 ])
 def test_bad_learner_input_is_a_typed_error(sessions, kwargs, error):
     """Each session is given as (position, place words)."""
-    built = []
-    for position, words in sessions:
-        if isinstance(position, _BadPosition):
-            with pytest.raises(error, match="position"):
-                Session(position, ["o"], words)
-            return
-        built.append(Session(position, ["o"], words))
+    rows = [(position, ["o"], words) for position, words in sessions]
+    if any(isinstance(position, _BadPosition) for position, _ in sessions):
+        with pytest.raises(error, match="position"):
+            SessionStream.build(rows)
+        return
     with pytest.raises(error):
-        learn_fixed_lag(built, seed=0, **{"num_regions": 5, **kwargs})
+        learn_fixed_lag(SessionStream.build(rows), seed=0, **{"num_regions": 5, **kwargs})
 
 
 def test_a_session_is_checked_and_frozen_when_built():
-    session = Session([1, 2.5], ["o"], ["w"], room_hint="kitchen")
-    assert session.position.tolist() == [1.0, 2.5] and session.position.dtype == float
-    assert session.object_labels == ("o",) and session.place_words == ("w",)
+    stream = SessionStream.build([([1, 2.5], ["o"], ["w"])], ["kitchen"])
+    assert stream.positions.tolist() == [[1.0, 2.5]] and stream.positions.dtype == float
+    assert stream_rows(stream)[0][1:] == (["o"], ["w"]) and stream.room_hints == ("kitchen",)
     with pytest.raises(ValueError):
-        session.position[0] = 3.0
+        stream.positions[0, 0] = 3.0
+    for column in (stream.word_ids, stream.word_totals, stream.object_ids, stream.object_totals):
+        with pytest.raises(ValueError):
+            column[0] = 1
     with pytest.raises(FrozenInstanceError):
-        session.room_hint = None
+        stream.room_hints = None
     for position in (None, np.zeros((2, 2)), [0.0, "1"]):
         with pytest.raises(SchemaError, match="position"):
-            Session(position, ["o"], ["w"])
+            SessionStream.build([(position, ["o"], ["w"])])
     for labels, words, hint, where in ((["o", 1], ["w"], None, "object_labels"), (["o"], "w", None, "place_words"),
                                        (["o"], ["w"], 3, "room_hint")):
         with pytest.raises(SchemaError, match=where):
-            Session([0.0, 0.0], labels, words, hint)
+            SessionStream.build([([0.0, 0.0], labels, words)], [hint])
 
 
 # Per-particle reference: the single-particle collapsed conditional, written
@@ -396,51 +399,55 @@ def _ref_conditional(p, s, hp, v0):
     return log_pc + log_words + log_objects + log_pos
 
 
-def _vocabulary_indexed(session, x, place_index, object_index):
-    """A session's words and objects as vocabulary indices and counts, read from the session itself,
-    and its standardized position ``x``."""
-    word_idx, word_cnt = np.unique(np.array([place_index[w] for w in session.place_words], dtype=int),
-                                   return_counts=True)
-    obj_idx, obj_cnt = np.unique(np.array([object_index[o] for o in session.object_labels], dtype=int),
-                                 return_counts=True)
-    return SimpleNamespace(word_idx=word_idx, word_cnt=word_cnt, word_total=len(session.place_words),
-                           obj_idx=obj_idx, obj_cnt=obj_cnt, obj_total=len(session.object_labels), x=x)
+def _vocabulary_indexed(row, x, place_index, object_index):
+    """A session's words and objects as vocabulary indices and counts, read from its row
+    (position, labels, words) itself, and its standardized position ``x``."""
+    _, labels, words = row
+    word_idx, word_cnt = np.unique(np.array([place_index[w] for w in words], dtype=int), return_counts=True)
+    obj_idx, obj_cnt = np.unique(np.array([object_index[o] for o in labels], dtype=int), return_counts=True)
+    return SimpleNamespace(word_idx=word_idx, word_cnt=word_cnt, word_total=len(words),
+                           obj_idx=obj_idx, obj_cnt=obj_cnt, obj_total=len(labels), x=x)
 
 
-def _standardized(sessions, R):
-    """The sessions' positions standardized and the prior scale for R regions, by their
+def _standardized(positions, R):
+    """The positions standardized and the prior scale for R regions, by their
     definitions: z = (x - c) / s with c the mean and s = sqrt(mean((x - c)^2)), 1 if that
     is 0, and Cov(z) / R, or I / R when det Cov(z) <= 1e-6."""
-    z = np.array([s.position for s in sessions])
+    z = np.array(positions, dtype=float)
     z = z - z.mean(axis=0)
     z /= np.sqrt(np.mean(z ** 2)) or 1.0
     cov = np.cov(z.T, bias=True)
     return z, (cov if np.linalg.det(cov) > 1e-6 else np.eye(2)) / R
 
 
-def _stream_and_views(sessions, place_index, object_index, R=1):
-    """The stream as ``_Tables`` takes it (the sessions, their standardized positions and the
-    vocabulary indices), each session's vocabulary-indexed view at its standardized position,
+def _stream_and_views(rows, R=1):
+    """The stream as ``_Tables`` takes it (the ``SessionStream`` of ``rows`` and its standardized
+    positions), each row's view indexed by the stream's vocabularies at its standardized position,
     and the prior scale for R regions."""
-    z, v0 = _standardized(sessions, R)
-    return ((sessions, z, place_index, object_index),
-            [_vocabulary_indexed(s, x, place_index, object_index) for s, x in zip(sessions, z)], v0)
+    stream = SessionStream.build(rows)
+    z, v0 = _standardized(stream.positions, R)
+    place_index = {w: i for i, w in enumerate(stream.vocab_places)}
+    object_index = {o: i for i, o in enumerate(stream.vocab_objects)}
+    return (stream, z), [_vocabulary_indexed(row, x, place_index, object_index) for row, x in zip(rows, z)], v0
+
+
+def _vocab_sizes(stream):
+    """The word and object vocabulary sizes of a stream as ``_Tables`` takes it."""
+    return len(stream[0].vocab_places), len(stream[0].vocab_objects)
 
 
 def _twice(stream):
     """The stream run twice over: tables sized for it reach twice a learn's counts."""
-    sessions, z, place_index, object_index = stream
-    return sessions * 2, np.concatenate((z, z)), place_index, object_index
+    sessions, z = stream
+    return SessionStream.build(stream_rows(sessions) * 2), np.concatenate((z, z))
 
 
 def _random_stream(rng, n, places, objects, R=1):
-    place_index = {w: i for i, w in enumerate(places)}
-    object_index = {o: i for i, o in enumerate(objects)}
-    sessions = [Session(rng.normal(scale=4.0, size=2),
-                        [str(o) for o in rng.choice(objects, size=int(rng.integers(0, 5)))] if objects else [],
-                        [str(w) for w in rng.choice(places, size=int(rng.integers(1, 4)))])
-                for _ in range(n)]
-    return _stream_and_views(sessions, place_index, object_index, R)
+    rows = [(rng.normal(scale=4.0, size=2),
+             [str(o) for o in rng.choice(objects, size=int(rng.integers(0, 5)))] if objects else [],
+             [str(w) for w in rng.choice(places, size=int(rng.integers(1, 4)))])
+            for _ in range(n)]
+    return _stream_and_views(rows, R)
 
 
 def _per_particle(batch, i, n_words, n_objects):
@@ -490,7 +497,7 @@ def _random_batch(case):
         batch.assignments[t] = rng.integers(0, R, P)
         if t:
             batch.add(batch.assignments[t], tables, t)
-    return batch, tables, views, hp, len(places), len(objects)
+    return batch, tables, views, hp, *_vocab_sizes(stream)
 
 
 @pytest.mark.parametrize("case", range(12))
@@ -521,8 +528,8 @@ def test_saturated_grid_reads_the_largest_table_index():
     # One region holds every session, each with the most tokens _random_stream draws
     # (3 words, 4 objects) of a one-word, one-object vocabulary, so scoring the last
     # session reads each table at the largest count a learn reaches.
-    sessions = [Session(np.array([0.5 * i, -0.25 * i]), ["cup"] * 4, ["kitchen"] * 3) for i in range(20)]
-    stream, views, v0 = _stream_and_views(sessions, {"kitchen": 0}, {"cup": 0})
+    sessions = [(np.array([0.5 * i, -0.25 * i]), ["cup"] * 4, ["kitchen"] * 3) for i in range(20)]
+    stream, views, v0 = _stream_and_views(sessions)
     hp = Hyperparameters()
     tables = _Tables(hp, v0, 1, 3, *stream)
     T = len(views)
@@ -532,16 +539,16 @@ def test_saturated_grid_reads_the_largest_table_index():
     largest_count = tables.region_rows.shape[1] - 1
     assert batch.counts[_OBJ_TOTAL, 0, 0] + views[-1].obj_total == largest_count == 4 * T
     _assert_grids_match_reference(batch, tables, [(T - 1, views[-1])], hp, 1, 1)
-    learn_fixed_lag(sessions, seed=0, num_regions=1)  # a model is checked when built
+    learn_fixed_lag(stream[0], seed=0, num_regions=1)  # a model is checked when built
 
 
 @pytest.mark.parametrize("objects", [[], ["cup"]], ids=["empty-object-vocabulary", "sessions-without-objects"])
 def test_sweep_tables_stay_finite_without_objects(objects):
     # gammaln(0) is inf: with no objects, a fused mass row must never difference two of them.
-    sessions = [Session(np.array([0.3 * i, 1.0 - 0.2 * i]), objects * (i % 2), ["kitchen", "sink"][:1 + i % 2])
+    sessions = [(np.array([0.3 * i, 1.0 - 0.2 * i]), objects * (i % 2), ["kitchen", "sink"][:1 + i % 2])
                 for i in range(8)]
-    stream, views, v0 = _stream_and_views(sessions, {"kitchen": 0, "sink": 1},
-                                          {o: i for i, o in enumerate(objects)}, R=3)
+    stream, views, v0 = _stream_and_views(sessions, R=3)
+    assert _vocab_sizes(stream) == (2, len(objects))
     hp = Hyperparameters()
     tables = _Tables(hp, v0, 3, 4, *_twice(stream))
     assert np.isfinite(tables.rows).all()
@@ -550,7 +557,7 @@ def test_sweep_tables_stay_finite_without_objects(objects):
         batch.assignments[t] = t % 3
         batch.add(batch.assignments[t], tables, t)
     _assert_grids_match_reference(batch, tables, enumerate(views), hp, 2, len(objects))
-    learn_fixed_lag(sessions, seed=0, num_regions=3)  # a model is checked when built
+    learn_fixed_lag(stream[0], seed=0, num_regions=3)  # a model is checked when built
 
 
 def test_sweep_table_rows_are_the_log_gamma_differences():
@@ -564,6 +571,7 @@ def test_sweep_table_rows_are_the_log_gamma_differences():
     stream, views, v0 = _random_stream(rng, 1500, places, objects, R)
     hp = Hyperparameters(alpha=0.7, beta=0.3, chi=0.45)
     tables = _Tables(hp, v0, R, 30, *stream)
+    assert _vocab_sizes(stream) == (len(places), len(objects))
     n = np.arange(tables.region_rows.shape[1], dtype=float)
     assert len(n) > 2500
 
@@ -643,7 +651,7 @@ def test_batch_stays_a_recount_of_its_assignments_through_resampling(case):
     assert batch.state.flags.c_contiguous and batch.assignments.flags.c_contiguous
     for view in (batch.counts, batch.moments):
         assert np.shares_memory(view, batch.state)
-    _assert_recount(batch, views, R, len(places), len(objects))
+    _assert_recount(batch, views, R, *_vocab_sizes(stream))
 
 
 @pytest.mark.parametrize("case", range(8))
@@ -716,6 +724,7 @@ def test_segments_equal_the_vocabulary_indexed_reference(objects):
     assert any(v.obj_total == 0 for v in views) and any(len(v.word_idx) < v.word_total for v in views)
     assert not objects or any(len(v.obj_idx) < v.obj_total for v in views)
     tables = _Tables(Hyperparameters(), v0, 1, 30, *stream)
+    assert _vocab_sizes(stream) == (len(places), len(objects))
     _assert_segments_match_reference(tables, views, len(places), len(objects), 1, 30)
 
 
@@ -732,13 +741,13 @@ def test_one_pass_set_up_matches_a_per_session_reference():
         n_objects = 0 if case % 4 == 2 else int(rng.integers(1, 12))
         T = 1 if case % 4 == 3 else int(rng.integers(2, 25))
         places, objects = [f"w{i}" for i in range(n_words)], [f"o{i}" for i in range(n_objects)]
-        sessions = [Session(rng.normal(scale=3.0, size=2),
-                            [str(o) for o in rng.choice(objects, size=int(rng.integers(0, 10)))] if objects else [],
-                            [str(w) for w in rng.choice(places, size=int(rng.integers(0, 6)))])
+        sessions = [(rng.normal(scale=3.0, size=2),
+                     [str(o) for o in rng.choice(objects, size=int(rng.integers(0, 10)))] if objects else [],
+                     [str(w) for w in rng.choice(places, size=int(rng.integers(0, 6)))])
                     for _ in range(T)]
         R, P = int(rng.integers(1, 6)), int(rng.integers(1, 5))
-        stream, views, v0 = _stream_and_views(sessions, {w: i for i, w in enumerate(places)},
-                                              {o: i for i, o in enumerate(objects)}, R)
+        stream, views, v0 = _stream_and_views(sessions, R)
+        n_words, n_objects = _vocab_sizes(stream)
         tables = _Tables(Hyperparameters(), v0, R, P, *stream)
         _assert_segments_match_reference(tables, views, n_words, n_objects, R, P)
         for v in views:
@@ -784,13 +793,13 @@ def test_padding_a_segment_with_zero_counts_leaves_every_grid_bit():
     for case in range(12):
         n_words, n_objects = int(rng.integers(1, 9)), (0, int(rng.integers(1, 12)))[case % 3 > 0]
         places, objects = [f"w{i}" for i in range(n_words)], [f"o{i}" for i in range(n_objects)]
-        sessions = [Session(rng.normal(scale=3.0, size=2),
-                            [str(o) for o in rng.choice(objects, size=int(rng.integers(0, 10)))] if objects else [],
-                            [str(w) for w in rng.choice(places, size=int(rng.integers(1, 6)))])
+        sessions = [(rng.normal(scale=3.0, size=2),
+                     [str(o) for o in rng.choice(objects, size=int(rng.integers(0, 10)))] if objects else [],
+                     [str(w) for w in rng.choice(places, size=int(rng.integers(1, 6)))])
                     for _ in range(int(rng.integers(2, 20)))]
         R, P = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        stream, views, v0 = _stream_and_views(sessions, {w: i for i, w in enumerate(places)},
-                                              {o: i for i, o in enumerate(objects)}, R)
+        stream, views, v0 = _stream_and_views(sessions, R)
+        n_words, n_objects = _vocab_sizes(stream)
         tables = _Tables(Hyperparameters(), v0, R, P, *_twice(stream))
         T = len(views)
         pads = np.concatenate((rng.integers(0, 12, T), np.zeros(T, dtype=int)))
@@ -827,7 +836,7 @@ def test_filter_reports_every_step_and_ends_on_a_recount():
         # The ESS of normalised weights lies in [1, P], up to the rounding of 1 / sum(w^2).
         assert all(1.0 - 1e-12 <= e <= P * (1.0 + 1e-12) for e in ess)
         assert resampled == [e < P / 2.0 for e in ess]
-        _assert_recount(batch, views, R, len(places), len(objects))
+        _assert_recount(batch, views, R, *_vocab_sizes(stream))
         if any(resampled):
             # Stopped at a step that resampled, the filter hands back zero log weights.
             T = resampled.index(True) + 1

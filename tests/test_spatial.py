@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -12,6 +13,7 @@ from homeplan.errors import SchemaError, UnknownLabelError
 from homeplan.knowledge import KnowledgeBase
 from homeplan.spatial import (
     Hyperparameters,
+    SessionStream,
     SpatialConceptModel,
     load_model,
     model_from_dict,
@@ -21,7 +23,7 @@ from homeplan.spatial import (
     word_posterior,
 )
 
-from conftest import random_model
+from conftest import random_model, stream_rows
 
 FIXTURE = Path(__file__).parent / "fixtures" / "paper_home_models_visits5_seed7.json"
 ARRAYS = ("pi", "word_dist", "object_dist", "means", "covs")
@@ -346,3 +348,47 @@ def test_hyperparameters_load_from_documents_with_lambda_aux():
     for particles in (30, 0, True, "x"):
         data["num_particles"] = particles
         assert Hyperparameters.from_dict(data) == Hyperparameters()
+
+
+# Session rows as a file or the generator gives them: a position of two finite floats or
+# integers, and lists of labels and words, among them repeated, empty and non-ASCII ones.
+_TOKENS = st.lists(st.text(alphabet="ab\u00e9 ", max_size=3), max_size=4)
+_POSITIONS = st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2 ** 53, 2 ** 53),
+                      min_size=2, max_size=2)
+_ROWS = st.lists(st.tuples(_POSITIONS, _TOKENS, _TOKENS), max_size=8)
+
+
+@given(_ROWS, st.data())
+@settings(max_examples=200)
+def test_a_session_stream_holds_its_rows_as_columns(rows, data):
+    hints = data.draw(st.none() | st.lists(st.none() | st.text(max_size=3), min_size=len(rows), max_size=len(rows)))
+    stream = SessionStream.build(rows, hints)
+    assert len(stream) == len(rows)
+    assert stream.room_hints == (tuple(hints) if hints is not None else (None,) * len(rows))
+    # Each row's labels and words, rebuilt from the vocabularies, ids and totals, equal the input.
+    assert [row[1:] for row in stream_rows(stream)] == [(labels, words) for _, labels, words in rows]
+    for vocab, tokens in ((stream.vocab_places, [w for row in rows for w in row[2]]),
+                          (stream.vocab_objects, [o for row in rows for o in row[1]])):
+        assert list(vocab) == sorted(set(tokens))  # sorted and distinct, the stream's own
+    # The positions, bit for bit (a negative zero stays one).
+    expected = np.array([[float(x), float(y)] for (x, y), _, _ in rows]).reshape(-1, 2)
+    assert stream.positions.shape == (len(rows), 2) and stream.positions.tobytes() == expected.tobytes()
+
+
+_BAD_FIELDS = [(0, None, "position"), (0, [0.0], "position"), (0, [math.nan, 0.0], "position"),
+               (0, [0.0, "1"], "position"), (0, [True, 1], "position"), (1, "cup", "object_labels"),
+               (1, ["cup", 1], "object_labels"), (2, [None], "place_words"), (3, 3, "room_hint")]
+
+
+@given(_ROWS.filter(bool), st.data())
+@settings(max_examples=100)
+def test_a_bad_session_row_is_named_by_its_index(rows, data):
+    k = data.draw(st.integers(0, len(rows) - 1))
+    field, value, name = data.draw(st.sampled_from(_BAD_FIELDS))
+    rows, hints = [list(row) for row in rows], [None] * len(rows)
+    if field == 3:
+        hints[k] = value
+    else:
+        rows[k][field] = value
+    with pytest.raises(SchemaError, match=f"^session {k}: {name}"):
+        SessionStream.build(rows, hints)

@@ -18,7 +18,7 @@ from homeplan.errors import (
 )
 from homeplan.executor import ExecutionPolicy
 from homeplan.learner import learn_fixed_lag
-from homeplan.spatial import Session
+from homeplan.spatial import SessionStream
 from homeplan.world import (
     _BLOCK,
     BUILTIN_ENVIRONMENTS,
@@ -195,8 +195,8 @@ def test_a_room_keeps_no_reference_to_the_callers_lists():
     center[0], scatter[0][0], scatter[1] = float("nan"), -1.0, [5.0]
     assert env.room("a") is room and (room.center, room.scatter) == ((1.0, 2.0), ((1.0, 0.0), (0.0, 1.0)))
     robot = sure_robot(room="a")
-    session = observe_session(env, robot, "a", np.random.default_rng(0))
-    assert np.isfinite(session.position).all()
+    position, _, _ = observe_session(env, robot, "a", np.random.default_rng(0))
+    assert np.isfinite(position).all()
 
 
 def test_unknown_builtin_or_path():
@@ -445,12 +445,12 @@ def test_observe_session_deterministic_limit(home):
         room["scatter"] = [[0.0, 0.0], [0.0, 0.0]]
     env = environment_from_dict(env_dict)
     robot = sure_robot()
-    session = observe_session(env, robot, "kitchen", np.random.default_rng(0))
-    np.testing.assert_allclose(session.position, env.room("kitchen").center)
+    position, labels, words = observe_session(env, robot, "kitchen", np.random.default_rng(0))
+    np.testing.assert_allclose(position, env.room("kitchen").center)
     expected = sorted(o for o, r in env.placements.items() if r == "kitchen")
-    assert session.object_labels == tuple(expected)
-    assert 1 <= len(session.place_words) <= 3
-    assert set(session.place_words) <= set(env.place_words["kitchen"])
+    assert tuple(labels) == tuple(expected)
+    assert 1 <= len(words) <= 3
+    assert set(words) <= set(env.place_words["kitchen"])
 
 
 def _homes_with_edge_scatters():
@@ -479,7 +479,7 @@ def test_observe_session_draws_what_multivariate_normal_draws():
             rng, oracle = np.random.default_rng(5), np.random.default_rng(5)
             robot = sure_robot(floor=room.floor, room=room.name)
             for _ in range(20):
-                position = observe_session(env, robot, room.name, rng).position
+                position, _, _ = observe_session(env, robot, room.name, rng)
                 expected = oracle.multivariate_normal(room.center, room.scatter, check_valid="ignore")
                 assert position.shape == expected.shape and position.dtype == expected.dtype
                 np.testing.assert_array_equal(position, expected, err_msg=room.name)
@@ -497,7 +497,7 @@ def test_observe_session_draws_the_words_generator_choice_draws():
             pool = env.place_words.get(room.name, ())
             n_objects = sum(r == room.name for r in env.placements.values())
             for _ in range(20):
-                words = observe_session(env, robot, room.name, rng).place_words
+                _, _, words = observe_session(env, robot, room.name, rng)
                 oracle.multivariate_normal(room.center, room.scatter, check_valid="ignore")
                 oracle.random(n_objects)
                 expected = oracle.choice(pool, oracle.integers(1, 4)).tolist() if pool else []
@@ -514,8 +514,8 @@ def test_protocol_session_count(home):
     robot = sure_robot(room="entrance")
     sessions = generate_floor_sessions(home, robot, np.random.default_rng(0), visits_per_room=30)
     assert len(sessions) == 150
-    assert sessions[0].room_hint == "entrance"
-    assert sessions[-1].room_hint == "kitchen"
+    assert sessions.room_hints[0] == "entrance"
+    assert sessions.room_hints[-1] == "kitchen"
 
 
 @pytest.mark.parametrize("visits", [0, -3])
@@ -529,7 +529,8 @@ def test_protocol_rejects_a_visit_count_below_one(home, visits):
     (lambda n: generate_floor_sessions(paper_home(), sure_robot(), np.random.default_rng(0), visits_per_room=n),
      ConfigurationError),
     (lambda n: ExecutionPolicy(max_retries_per_skill=n), ConfigurationError),
-    (lambda n: learn_fixed_lag([Session(np.zeros(2), ["o"], ["w"])], num_regions=n), ConfigurationError),
+    (lambda n: learn_fixed_lag(SessionStream.build([(np.zeros(2), ["o"], ["w"])]), num_regions=n),
+     ConfigurationError),
 ], ids=["visits_per_room", "max_retries_per_skill", "num_regions"])
 def test_a_count_is_an_int_not_a_bool(build, error, count):
     # A bool or a float count is refused where it is given, not used as 1 or failed on later.
@@ -541,7 +542,7 @@ def test_sampled_positions_center_on_room_mean(home):
     robot = sure_robot()
     rng = np.random.default_rng(3)
     n = 10_000
-    positions = np.array([observe_session(home, robot, "kitchen", rng).position for _ in range(n)])
+    positions = np.array([observe_session(home, robot, "kitchen", rng)[0] for _ in range(n)])
     center = home.room("kitchen").center
     sigma = np.sqrt(home.room("kitchen").scatter[0][0])
     assert np.all(np.abs(positions.mean(axis=0) - center) < 3 * sigma / np.sqrt(n))
